@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 validation error, 3 numeric-tolerance failure.
 Errors are emitted as JSON lines on stderr; stdout (or --out) carries the
 primary artifact.  Reports are byte-identical for identical configs and
-seeds; --jobs caps internal parallelism and never affects results.
+seeds.
 """
 
 from __future__ import annotations
@@ -248,15 +248,12 @@ class RunConfig:
     eta: float = 0.1
     tol: float = 5e-3
     seed: int = 20260823
-    jobs: int = 1
     format: str = "json"
     out: str = ""
 
     def validate(self):
         if self.command not in COMMANDS:
             raise ValidationError(f"unknown command {self.command!r}")
-        if self.jobs < 1:
-            raise ValidationError("jobs must be >= 1")
         if self.format not in ("json", "csv"):
             raise ValidationError(f"unknown format {self.format!r}")
         if self.method not in ("grid", "mc"):
@@ -267,6 +264,15 @@ class RunConfig:
             raise ValidationError(f"unknown suite {self.suite!r}")
         if self.family not in ("admissible", "weighted"):
             raise ValidationError(f"unknown family {self.family!r}")
+        if self.samples < 1:
+            raise ValidationError("samples must be >= 1")
+        if self.grid_nodes < 2:
+            raise ValidationError("grid_nodes must be >= 2")
+        # written so that NaN fails the test as well
+        if not (self.eta > 0):
+            raise ValidationError("eta must be > 0")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError("tol must be finite and > 0")
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -343,6 +349,9 @@ def _load_poly(text, d):
         return Poly.variable(0, d)
     coeffs = {}
     for coeff, exps in json.loads(text):
+        if len(exps) != d:
+            raise ValidationError(f"exponent tuple {exps!r} does not have "
+                                  f"the bivector's dimension {d}")
         c = complex(coeff[0], coeff[1]) if isinstance(coeff, list) else coeff
         coeffs[tuple(exps)] = coeffs.get(tuple(exps), 0) + c
     return Poly(d, coeffs)
@@ -362,11 +371,10 @@ def _integration_config(cfg):
 def run(cfg):
     cfg.validate()
     cmd = cfg.command
-    # jobs and out are execution details: reports must be byte-identical
-    # across worker counts and output destinations
+    # out is an execution detail: reports must be byte-identical across
+    # output destinations
     inputs = {"config": {k: (list(v) if isinstance(v, tuple) else v)
-                         for k, v in cfg.__dict__.items()
-                         if k not in ("jobs", "out")}}
+                         for k, v in cfg.__dict__.items() if k != "out"}}
     if cmd == "star-karabegov":
         table = karabegov_star(_load_potential(cfg), cfg.order)
         results = star_table_to_json(table)

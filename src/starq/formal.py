@@ -9,10 +9,11 @@ separation-of-variables convention flag.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 from .jets import (
-    Jet, ONE, ZERO, Scalar, jet_to_json, jet_from_json,
+    Jet, jet_to_json, jet_from_json,
     mi_add, mi_binom, mi_deg, mi_falling, mi_le, mi_range, mi_sub, mi_zero, mi_fact,
 )
 
@@ -425,11 +426,11 @@ def _extract_sov_coefficients(C_k, k):
             if not (mi_le(alpha, alpha_p) and mi_le(beta, beta_p)):
                 continue
             mono = Jet.monomial(mi_sub(alpha_p, alpha), mi_sub(beta_p, beta), n, D,
-                                Scalar(mi_falling(alpha_p, alpha)
-                                       * mi_falling(beta_p, beta)))
+                                mi_falling(alpha_p, alpha)
+                                * mi_falling(beta_p, beta))
             rhs = rhs - a * mono
-        denom = Scalar(mi_fact(alpha_p) * mi_fact(beta_p))
-        solved[(alpha_p, beta_p)] = rhs.scale(ONE / denom)
+        solved[(alpha_p, beta_p)] = rhs.scale(
+            Fraction(1, mi_fact(alpha_p) * mi_fact(beta_p)))
     # consistency: the reconstructed operator must reproduce C_k one order out
     recon = BiDiffOp(n, D, [(c, mi_zero(n), beta, alpha, mi_zero(n))
                             for (alpha, beta), c in solved.items()])
@@ -458,7 +459,7 @@ def invert_transform(I):
     sign = -1
     for _ in range(N):
         power = power.compose(P)
-        term = NuDiffOp(n, D, N, [op.scale(Scalar(sign)) for op in power.orders])
+        term = NuDiffOp(n, D, N, [op.scale(sign) for op in power.orders])
         out = NuDiffOp(n, D, N, [a + b for a, b in zip(out.orders, term.orders)])
         sign = -sign
     return out
@@ -473,6 +474,9 @@ def conjugate_star(t, B):
         raise ValueError("equivalence transform must start with the identity")
     n, D, N = t.n, t.D, t.N
     Binv = invert_transform(B)
+    # C'_k = sum_{a+b+c+d=k} Binv_a o C_b(B_c ., B_d .): each (b, c, d) is
+    # precomposed once and reused for every a; Binv_0 is the identity.
+    inner = {}
     C_out = []
     for k in range(N + 1):
         acc = BiDiffOp.zero(n, D)
@@ -480,8 +484,12 @@ def conjugate_star(t, B):
             for b in range(k + 1 - a):
                 for c in range(k + 1 - a - b):
                     d = k - a - b - c
-                    inner = t.C[b].precompose(B.orders[c], B.orders[d])
-                    acc = acc + inner.postcompose(Binv.orders[a])
+                    op = inner.get((b, c, d))
+                    if op is None:
+                        op = inner[(b, c, d)] = t.C[b].precompose(
+                            B.orders[c], B.orders[d])
+                    acc = acc + (op if a == 0
+                                 else op.postcompose(Binv.orders[a]))
         C_out.append(acc)
     conv = detect_convention(C_out)
     return StarTable(N=N, C=C_out, convention=conv,

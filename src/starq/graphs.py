@@ -22,13 +22,13 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .formal import BiDiffOp, StarTable, detect_convention
-from .jets import Jet, ONE, Scalar, mi_zero
+from .jets import Jet, mi_zero
 
 
 L = -1

@@ -1,8 +1,11 @@
 """Exact truncated power series (jets) in n complex variables and conjugates.
 
 Coefficients are complex rationals; no floats ever enter this module.
-A jet of max_degree D stores terms (holo exponents, anti exponents) -> Scalar
-with total degree <= D.  Multiplication truncates above D.
+A jet of max_degree D stores Gaussian-integer numerators for the terms
+(holo exponents, anti exponents) of total degree <= D over one shared
+denominator.  Multiplication truncates above D.  Scalar, an exact complex
+rational, is the coefficient type at the boundary: constructors,
+`constant_term`, `terms` and JSON.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add, itemgetter, sub as _sub
 
 
 class ZeroConstantTerm(ArithmeticError):
@@ -147,14 +151,6 @@ def mi_falling(a, b):
 def mi_range(n, max_deg):
     """All multi-indices of length n with total degree <= max_deg, graded lex."""
     out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v)
-
     for d in range(max_deg + 1):
         tier = []
 
@@ -177,29 +173,100 @@ def unit_mi(n, i):
 # ---------------------------------------------------------------------------
 # jets
 
-class Jet:
-    """Truncated power series in (z_1..z_n, zbar_1..zbar_n)."""
+def _gaussian(c):
+    """(re, im, den) with c = (re + i im) / den, den > 0, for an int,
+    Fraction or Scalar c."""
+    if isinstance(c, int):
+        return c, 0, 1
+    if isinstance(c, Fraction):
+        return c.numerator, 0, c.denominator
+    c = _as_scalar(c)
+    qr, qi = c.re.denominator, c.im.denominator
+    den = math.lcm(qr, qi)
+    return c.re.numerator * (den // qr), c.im.numerator * (den // qi), den
 
-    __slots__ = ("n", "max_degree", "terms")
+
+def _deg(key):
+    return sum(key[0]) + sum(key[1])
+
+
+def _add_keys(k1, k2):
+    """Exponent key of the product of two monomials."""
+    return tuple(map(_add, k1[0], k2[0])), tuple(map(_add, k1[1], k2[1]))
+
+
+# unrolled for the common dimensions, where map() dominates a product
+_KEY_ADDERS = {
+    1: lambda k1, k2: ((k1[0][0] + k2[0][0],), (k1[1][0] + k2[1][0],)),
+    2: lambda k1, k2: ((k1[0][0] + k2[0][0], k1[0][1] + k2[0][1]),
+                       (k1[1][0] + k2[1][0], k1[1][1] + k2[1][1])),
+}
+
+_first = itemgetter(0)
+_new = object.__new__
+
+
+def _jet(n, D, num, den):
+    """Jet from numerators already free of (0, 0) pairs and a common
+    factor with den."""
+    out = _new(Jet)
+    out.n = n
+    out.max_degree = D
+    out.num = num
+    out.den = den
+    return out
+
+
+def _reduced(n, D, num, den):
+    """Jet from nonzero numerators over den > 0, with their common factor
+    divided out."""
+    if not num:
+        return _jet(n, D, num, 1)
+    g = den
+    if g != 1:
+        for re, im in num.values():
+            g = math.gcd(g, re, im)
+            if g == 1:
+                break
+        if g != 1:
+            num = {k: (re // g, im // g) for k, (re, im) in num.items()}
+            den //= g
+    return _jet(n, D, num, den)
+
+
+class Jet:
+    """Truncated power series in (z_1..z_n, zbar_1..zbar_n).
+
+    A jet stores Gaussian-integer numerators `num` = {(holo, anti): (re, im)}
+    over one positive denominator `den`, with no zero pair and no factor
+    common to den and every numerator, so equal jets have equal fields.
+    Every term has total degree <= max_degree.  `terms` presents the same
+    coefficients as reduced Scalars.
+    """
+
+    __slots__ = ("n", "max_degree", "num", "den")
 
     def __init__(self, n, max_degree, terms=None):
         self.n = n
         self.max_degree = max_degree
-        pruned = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff.is_zero():
-                    continue
-                holo, anti = key
-                if mi_deg(holo) + mi_deg(anti) > max_degree:
-                    continue
-                pruned[key] = coeff
-        self.terms = pruned
+        kept = []
+        for key, coeff in (terms or {}).items():
+            coeff = _as_scalar(coeff)
+            if not coeff.is_zero() and _deg(key) <= max_degree:
+                kept.append((key, coeff.re, coeff.im))
+        # the lcm of reduced denominators shares no factor with all of the
+        # rescaled numerators, so the result is already reduced
+        den = math.lcm(1, *(q for _, re, im in kept
+                            for q in (re.denominator, im.denominator)))
+        self.num = {key: (re.numerator * (den // re.denominator),
+                          im.numerator * (den // im.denominator))
+                    for key, re, im in kept}
+        self.den = den
 
     # constructors ---------------------------------------------------------
     @staticmethod
     def zero(n, max_degree):
-        return Jet(n, max_degree)
+        return _jet(n, max_degree, {}, 1)
 
     @staticmethod
     def constant(c, n, max_degree):
@@ -216,6 +283,13 @@ class Jet:
         return Jet(n, max_degree, {(tuple(holo), tuple(anti)): _as_scalar(coeff)})
 
     # basics ---------------------------------------------------------------
+    @property
+    def terms(self):
+        """{(holo, anti): Scalar} with reduced Fraction parts."""
+        den = self.den
+        return {k: Scalar(Fraction(re, den), Fraction(im, den))
+                for k, (re, im) in self.num.items()}
+
     def _check(self, other):
         if self.n != other.n or self.max_degree != other.max_degree:
             raise ValueError("jet dimension/truncation mismatch")
@@ -224,107 +298,170 @@ class Jet:
         if not isinstance(other, Jet):
             return NotImplemented
         return (self.n == other.n and self.max_degree == other.max_degree
-                and self.terms == other.terms)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.n, self.max_degree, frozenset(self.terms.items())))
+        return hash((self.n, self.max_degree, self.den,
+                     frozenset(self.num.items())))
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def constant_term(self):
-        return self.terms.get((mi_zero(self.n), mi_zero(self.n)), ZERO)
+        z = mi_zero(self.n)
+        re, im = self.num.get((z, z), (0, 0))
+        return Scalar(Fraction(re, self.den), Fraction(im, self.den))
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Jet(self.n, self.max_degree, out)
-
-    def __neg__(self):
-        return Jet(self.n, self.max_degree, {k: -c for k, c in self.terms.items()})
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
+        if not other.num:
+            return self
+        if not self.num:
+            return other if sign == 1 else -other
+        da, db = self.den, other.den
+        den = da // math.gcd(da, db) * db
+        fa, fb = den // da, sign * (den // db)
+        if fa == 1:
+            out = dict(self.num)
+        else:
+            out = {k: (re * fa, im * fa) for k, (re, im) in self.num.items()}
+        for k, (re, im) in other.num.items():
+            re *= fb
+            im *= fb
+            cur = out.get(k)
+            if cur is None:
+                out[k] = (re, im)
+                continue
+            re += cur[0]
+            im += cur[1]
+            if re or im:
+                out[k] = (re, im)
+            else:
+                del out[k]
+        return _reduced(self.n, self.max_degree, out, den)
+
+    def __neg__(self):
+        return _jet(self.n, self.max_degree,
+                    {k: (-re, -im) for k, (re, im) in self.num.items()},
+                    self.den)
+
+    def _graded(self):
+        """[(degree, key, re, im)] in increasing degree."""
+        return sorted(((sum(k[0]) + sum(k[1]), k, re, im)
+                       for k, (re, im) in self.num.items()), key=_first)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
+        if not isinstance(other, Jet):
             return self.scale(other)
         self._check(other)
-        D = self.max_degree
+        n, D = self.n, self.max_degree
+        if not self.num or not other.num:
+            return _jet(n, D, {}, 1)
+        add_keys = _KEY_ADDERS.get(n, _add_keys)
+        right = other._graded()
+        lowest = right[0][0]
         out = {}
-        for (h1, a1), c1 in self.terms.items():
-            d1 = mi_deg(h1) + mi_deg(a1)
-            for (h2, a2), c2 in other.terms.items():
-                if d1 + mi_deg(h2) + mi_deg(a2) > D:
-                    continue
-                key = (mi_add(h1, h2), mi_add(a1, a2))
-                s = out.get(key, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return Jet(self.n, D, out)
+        get = out.get
+        for d1, k1, r1, i1 in self._graded():
+            room = D - d1
+            if lowest > room:
+                break
+            for d2, k2, r2, i2 in right:
+                if d2 > room:
+                    break
+                key = add_keys(k1, k2)
+                re = r1 * r2 - i1 * i2
+                im = r1 * i2 + i1 * r2
+                cur = get(key)
+                if cur is not None:
+                    re += cur[0]
+                    im += cur[1]
+                out[key] = (re, im)
+        return _reduced(n, D, {k: v for k, v in out.items() if v[0] or v[1]},
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _as_scalar(c)
-        if c.is_zero():
-            return Jet.zero(self.n, self.max_degree)
-        return Jet(self.n, self.max_degree, {k: v * c for k, v in self.terms.items()})
+        """c * self for an int, Fraction or Scalar c."""
+        return self.mul_gaussian(*_gaussian(c))
+
+    def mul_gaussian(self, re, im=0, den=1):
+        """self * (re + i im) / den for ints re, im and den > 0."""
+        if not (re or im) or not self.num:
+            return _jet(self.n, self.max_degree, {}, 1)
+        if im == 0:
+            if re == den:
+                return self
+            num = {k: (a * re, b * re) for k, (a, b) in self.num.items()}
+        else:
+            num = {k: (a * re - b * im, a * im + b * re)
+                   for k, (a, b) in self.num.items()}
+        return _reduced(self.n, self.max_degree, num, self.den * den)
 
     def diff(self, var, kind="holo"):
         """Formal partial derivative; max_degree is kept as bookkeeping."""
         out = {}
         slot = 0 if kind == "holo" else 1
-        for (h, a), c in self.terms.items():
-            idx = h if slot == 0 else a
+        for key, (re, im) in self.num.items():
+            idx = key[slot]
             e = idx[var]
             if e == 0:
                 continue
-            new_idx = tuple(v - 1 if j == var else v for j, v in enumerate(idx))
-            key = (new_idx, a) if slot == 0 else (h, new_idx)
-            s = out.get(key, ZERO) + c * e
-            out[key] = s
-        return Jet(self.n, self.max_degree, out)
+            new_idx = idx[:var] + (e - 1,) + idx[var + 1:]
+            new_key = (new_idx, key[1]) if slot == 0 else (key[0], new_idx)
+            out[new_key] = (re * e, im * e)
+        return _reduced(self.n, self.max_degree, out, self.den)
 
     def diff_multi(self, holo, anti):
-        out = self
-        for i, e in enumerate(holo):
-            for _ in range(e):
-                out = out.diff(i, "holo")
-        for i, e in enumerate(anti):
-            for _ in range(e):
-                out = out.diff(i, "anti")
-        return out
+        """d^holo_z d^anti_zbar in one pass over the terms."""
+        if not any(holo) and not any(anti):
+            return self
+        out = {}
+        for (h, a), (re, im) in self.num.items():
+            hd = tuple(map(_sub, h, holo))
+            ad = tuple(map(_sub, a, anti))
+            if min(hd) < 0 or min(ad) < 0:
+                continue
+            f = math.prod(map(math.perm, h, holo)) * math.prod(map(math.perm, a, anti))
+            out[(hd, ad)] = (re * f, im * f)
+        return _reduced(self.n, self.max_degree, out, self.den)
 
     def conj(self):
-        return Jet(self.n, self.max_degree,
-                   {(a, h): c.conj() for (h, a), c in self.terms.items()})
+        return _jet(self.n, self.max_degree,
+                    {(a, h): (re, -im) for (h, a), (re, im) in self.num.items()},
+                    self.den)
+
+    def _cut(self, degree, max_degree):
+        return _reduced(self.n, max_degree,
+                        {k: v for k, v in self.num.items() if _deg(k) <= degree},
+                        self.den)
+
+    def drop_above(self, degree):
+        """Terms of total degree <= degree, at the same max_degree."""
+        return self._cut(degree, self.max_degree)
 
     def truncate(self, new_degree):
-        """Drop terms above new_degree, keeping the stored truncation bound."""
-        return Jet(self.n, min(self.max_degree, new_degree),
-                   {k: c for k, c in self.terms.items()
-                    if mi_deg(k[0]) + mi_deg(k[1]) <= new_degree})
-
-    def with_max_degree(self, D):
-        """Rebrand at truncation D (terms above D dropped)."""
-        return Jet(self.n, D, self.terms)
+        """Drop terms above new_degree and lower max_degree to it (never
+        raise it)."""
+        return self._cut(new_degree, min(self.max_degree, new_degree))
 
     def inverse(self):
         c0 = self.constant_term()
         if c0.is_zero():
             raise ZeroConstantTerm("jet has zero constant term")
         n, D = self.n, self.max_degree
+        inv_c0 = ONE / c0
         # a = c0 (1 + r) with r of positive valuation; 1/a = (1/c0) sum (-r)^k
-        r = self.scale(ONE / c0) - Jet.constant(1, n, D)
+        r = self.scale(inv_c0) - Jet.constant(1, n, D)
         out = Jet.constant(1, n, D)
         power = Jet.constant(1, n, D)
         for _ in range(D):
@@ -332,14 +469,15 @@ class Jet:
             if power.is_zero():
                 break
             out = out + power
-        return out.scale(ONE / c0)
+        return out.scale(inv_c0)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "Jet(0)"
+        terms = self.terms
         bits = []
-        for (h, a) in sorted(self.terms):
-            c = self.terms[(h, a)]
+        for (h, a) in sorted(terms):
+            c = terms[(h, a)]
             mon = []
             for i, e in enumerate(h):
                 if e:
@@ -379,7 +517,6 @@ def jet_inverse(a):
 class MetricJets:
     g: tuple            # n x n tuple-of-tuples of Jet, g[i][j] = d2 Phi / dz_i dzbar_j
     g_inv: tuple        # jet inverse matrix
-    base_valid: bool
 
 
 def _const_matrix_inverse(mat):
@@ -434,8 +571,7 @@ def metric_from_potential(phi):
         total = [[total[i][j] + power[i][j] for j in range(n)] for i in range(n)]
     g_inv = _mat_mul(total, g0i_jet, n, D)
     return MetricJets(g=tuple(tuple(row) for row in g),
-                      g_inv=tuple(tuple(row) for row in g_inv),
-                      base_valid=True)
+                      g_inv=tuple(tuple(row) for row in g_inv))
 
 
 def _mat_mul(a, b, n, D):
@@ -487,10 +623,10 @@ def _frac_parse(s):
 
 def jet_to_json(jet):
     terms = []
-    for (h, a) in sorted(jet.terms):
-        c = jet.terms[(h, a)]
+    for (h, a), (re, im) in sorted(jet.num.items()):
         terms.append({"dz": list(h), "dzbar": list(a),
-                      "re": _frac_str(c.re), "im": _frac_str(c.im)})
+                      "re": _frac_str(Fraction(re, jet.den)),
+                      "im": _frac_str(Fraction(im, jet.den))})
     return {"n": jet.n, "max_degree": jet.max_degree, "terms": terms}
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .jets import (
-    DegenerateMetric, Jet, ONE, Scalar, ZERO,
-    metric_from_potential, mi_add, mi_binom, mi_deg, mi_falling, mi_le,
+    DegenerateMetric, Jet, ONE, ZERO, _gaussian,
+    mi_binom, mi_deg, mi_falling, mi_le,
     mi_range, mi_sub, mi_zero, mi_fact, unit_mi, _const_matrix_inverse,
 )
 from .formal import (
@@ -62,7 +62,7 @@ def fs_potential(D):
     power = Jet.constant(1, 1, D)
     for j in range(1, D // 2 + 1):
         power = power * t
-        out = out + power.scale(Scalar(Fraction((-1) ** (j + 1), j)))
+        out = out + power.scale(Fraction((-1) ** (j + 1), j))
     return FormalPotential(phi_minus1=out)
 
 
@@ -81,7 +81,8 @@ class _ConstSolver:
     """Exact solver for a fixed Scalar matrix M0 (full column rank required).
 
     Precomputes row-reduction transforms so that repeated solves against
-    jet-valued right-hand sides stay cheap and exact.
+    jet-valued right-hand sides stay cheap and exact.  Each transform row is
+    kept as (index, re, im, den) Gaussian rationals, nonzero entries only.
     """
 
     def __init__(self, rows, ncols):
@@ -112,31 +113,31 @@ class _ConstSolver:
                     continue
                 aug[r] = [x - fac * y for x, y in zip(aug[r], aug[piv])]
             pivot_rows.append(piv)
-        self.ncols = ncols
-        self.nrows = nrows
         # x_col = sum_r transform[col][r] * v_r
-        self.transform = [aug[pivot_rows[c]][ncols:] for c in range(ncols)]
-        self.null_rows = [aug[r][ncols:] for r in range(nrows) if r not in used]
+        self.transform = [_sparse(aug[pivot_rows[c]][ncols:])
+                          for c in range(ncols)]
+        self.null_rows = [_sparse(aug[r][ncols:])
+                          for r in range(nrows) if r not in used]
 
     def solve(self, v_jets, n, D, check_degree=None):
-        out = []
-        for c in range(self.ncols):
-            acc = Jet.zero(n, D)
-            for r, s in enumerate(self.transform[c]):
-                if s.is_zero():
-                    continue
-                acc = acc + v_jets[r].scale(s)
-            out.append(acc)
+        out = [_combination(row, v_jets, n, D) for row in self.transform]
         if check_degree is not None and check_degree >= 0:
             for row in self.null_rows:
-                acc = Jet.zero(n, D)
-                for r, s in enumerate(row):
-                    if s.is_zero():
-                        continue
-                    acc = acc + v_jets[r].scale(s)
+                acc = _combination(row, v_jets, n, D)
                 if not acc.truncate(check_degree).is_zero():
                     raise ArithmeticError("inconsistent block in the recursion")
         return out
+
+
+def _sparse(row):
+    return [(r,) + _gaussian(s) for r, s in enumerate(row) if not s.is_zero()]
+
+
+def _combination(row, v_jets, n, D):
+    acc = Jet.zero(n, D)
+    for r, re, im, den in row:
+        acc = acc + v_jets[r].mul_gaussian(re, im, den)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +193,10 @@ def left_mult_operator(g_series, P, N, verify=True):
         solvers[s] = (_ConstSolver(rows, len(alphas)), betas, alphas)
         return solvers[s]
 
+    # perturbation of the Hessian around its constant part
+    H = [[G[j][l] - Jet.constant(G0[j][l], n, D) for l in range(n)]
+         for j in range(n)]
     A = [DiffOp.mult(gs[0])]
-    Bs = [DiffOp.zero(n, D)]
     for m in range(1, N + 1):
         # RHS of [B_m, w_{-1,l} .] = -sum_{k<m} [A_k, rho_{m-k,l}]
         rhs_ops = []
@@ -236,8 +239,7 @@ def left_mult_operator(g_series, P, N, verify=True):
                         for ci, alpha in enumerate(alphas):
                             if mi_le(beta, alpha) and mi_deg(mi_sub(alpha, beta)) == 1:
                                 j = mi_sub(alpha, beta).index(1)
-                                h = G[j][l] - Jet.constant(G0[j][l], n, D)
-                                pert = pert + (h * x[ci]).scale(beta[j] + 1)
+                                pert = pert + (H[j][l] * x[ci]).scale(beta[j] + 1)
                         v2.append(v[i] - pert)
                         i += 1
                 x_new = solver.solve(v2, n, D,
@@ -250,7 +252,6 @@ def left_mult_operator(g_series, P, N, verify=True):
                 if not x[ci].is_zero():
                     coeffs[alpha] = x[ci]
         B_m = DiffOp(n, D, [(c, alpha, mi_zero(n)) for alpha, c in coeffs.items()])
-        Bs.append(B_m)
         A.append(DiffOp.mult(gs[m]) + B_m)
 
     L = NuDiffOp(n, D, N, A)
@@ -304,15 +305,14 @@ def karabegov_star(P, N, label=None):
                     if al != alpha or not mi_le(beta, beta_p) or beta == beta_p:
                         continue
                     mono = Jet.monomial(mi_zero(n), mi_sub(beta_p, beta), n, D,
-                                        Scalar(mi_falling(beta_p, beta)))
+                                        mi_falling(beta_p, beta))
                     val = val - acf * mono
-                val = val.scale(ONE / Scalar(mi_fact(beta_p)))
+                val = val.scale(Fraction(1, mi_fact(beta_p)))
                 if not val.is_zero():
                     a_coeffs[(alpha, beta_p)] = val
         terms = []
         for (alpha, beta), c in a_coeffs.items():
-            c_cut = Jet(n, D, {key: v for key, v in c.terms.items()
-                               if mi_deg(key[0]) + mi_deg(key[1]) <= cut})
+            c_cut = c.drop_above(cut)
             if not c_cut.is_zero():
                 terms.append((c_cut, mi_zero(n), beta, alpha, mi_zero(n)))
         C.append(BiDiffOp(n, D, terms))
@@ -340,8 +340,7 @@ def bt_star_from(P, N, label=None):
     for op in bt.C:
         terms = []
         for c, fh, fa, gh, ga in op.terms:
-            c_cut = Jet(P.n, P.D, {key: v for key, v in c.terms.items()
-                                   if mi_deg(key[0]) + mi_deg(key[1]) <= cut})
+            c_cut = c.drop_above(cut)
             if not c_cut.is_zero():
                 terms.append((c_cut, fh, fa, gh, ga))
         C.append(BiDiffOp(P.n, P.D, terms))

@@ -1,8 +1,10 @@
 """CLI: expression parsing, config handling, pipelines, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,7 +94,7 @@ def test_runconfig_validation():
     with pytest.raises(ValidationError):
         RunConfig(command="nope").validate()
     with pytest.raises(ValidationError):
-        RunConfig(command="weights", jobs=0).validate()
+        RunConfig(command="weights", samples=0).validate()
     with pytest.raises(ValidationError):
         RunConfig(command="weights", format="xml").validate()
 
@@ -147,14 +149,32 @@ def test_exit_codes_and_stderr(capsys):
     assert code == 3
 
 
-def test_determinism_across_runs_and_jobs():
+@pytest.mark.parametrize("argv", [
+    ["weights", "--n", "1", "--method", "mc", "--samples", "0"],
+    ["weights", "--n", "1", "--tol", "nan"],
+    ["weights", "--n", "1", "--tol", "inf"],
+    ["weights", "--n", "1", "--tol", "0"],
+    ["weights", "--n", "1", "--tol=-1e-3"],
+    ["weights", "--n", "1", "--eta", "0"],
+    ["weights", "--n", "1", "--eta", "-0.1"],
+    ["weights", "--n", "1", "--grid-nodes", "1"],
+    ["star-kontsevich", "--f-poly", "[[1,[2]]]"],
+])
+def test_invalid_numeric_options_exit_2(argv, capsys):
+    code, out = invoke(argv)
+    assert code == 2 and out == b""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "ValidationError"
+
+
+def test_determinism_across_runs():
     argv = ["cp1-suite", "--suite", "bms", "--m-list", "8,16"]
-    code1, out1 = invoke(argv + ["--jobs", "1"])
-    code2, out2 = invoke(argv + ["--jobs", "8"])
-    assert code1 == code2 == 0
-    assert out1 == out2
-    code3, out3 = invoke(argv + ["--jobs", "1"])
-    assert out3 == out1
+    code1, out1 = invoke(argv)
+    code2, out2 = invoke(argv)
+    code3, out3 = invoke(argv)
+    assert code1 == code2 == code3 == 0
+    assert out1 == out2 == out3
 
 
 def test_weights_determinism_mc():
@@ -185,3 +205,20 @@ def test_berezin_pipeline_csv():
     assert lines[0] == "m,value"
     m, v = lines[1].split(",")
     assert m == "8" and abs(float(v) - 8 / 10) < 1e-10
+
+
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("readme-karabegov-flat-2",
+     ["star-karabegov", "--potential", "flat", "--order", "2"]),
+    ("readme-bt-fs-2",
+     ["star-bt", "--potential", "fs", "--order", "2", "--max-degree", "16"]),
+    ("bt-aniso-3", ["star-bt", "--potential", "aniso", "--order", "3"]),
+])
+def test_star_reports_match_benchmark_pins(name, argv):
+    """Exact-table reports are byte-identical to the benchmark's pins."""
+    code, out = invoke(argv)
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == json.loads(PINS.read_text())[name]

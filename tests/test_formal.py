@@ -222,6 +222,35 @@ def test_conjugate_preserves_assoc():
     assert all(d.truncate(window).is_zero() for d in defect)
 
 
+def test_conjugate_precomposes_each_triple_once(monkeypatch):
+    D, N = 14, 4
+    t = flat_table(N, D)
+    lap = flat_laplacian_op(D)
+    orders = [DiffOp.identity(1, D)]
+    for k in range(1, N + 1):
+        orders.append(orders[-1].compose(lap).scale(Fraction(1, k)))
+    B = NuDiffOp(1, D, N, orders)
+    pre, post = [], []
+    precompose, postcompose = BiDiffOp.precompose, BiDiffOp.postcompose
+
+    def counted_pre(self, A1, A2):
+        pre.append((id(self), id(A1), id(A2)))
+        return precompose(self, A1, A2)
+
+    def counted_post(self, P):
+        post.append(P)
+        return postcompose(self, P)
+
+    monkeypatch.setattr(BiDiffOp, "precompose", counted_pre)
+    monkeypatch.setattr(BiDiffOp, "postcompose", counted_post)
+    conjugate_star(t, B)
+    # (b, c, d) with b + c + d <= 4: C(7, 3) = 35 distinct triples
+    assert len(pre) == len(set(pre)) == 35
+    # (a, b, c, d) with a >= 1 and a + b + c + d <= 4: another 35
+    assert len(post) == 35
+    assert all(P != DiffOp.identity(1, D) for P in post)
+
+
 def test_opposite_star():
     D = 10
     t = flat_table(2, D)

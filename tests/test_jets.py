@@ -1,9 +1,10 @@
 """Exact jet arithmetic, metric, Laplacian and Poisson bracket checks."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from starq.jets import (
     I, ONE, Jet, Scalar, ZeroConstantTerm, DegenerateMetric,
@@ -235,3 +236,105 @@ def test_json_roundtrip():
     f = Jet(1, 6, {((2,), (1,)): Scalar(Fraction(3, 7), Fraction(-1, 2)),
                    ((0,), (0,)): Scalar(5)})
     assert jet_from_json(jet_to_json(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# integer-numerator core against a plain Fraction reference
+
+def gaussians():
+    # non-dyadic denominators, so shared-denominator rescaling is exercised
+    fr = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7, 21]))
+    return st.builds(Scalar, fr, fr)
+
+
+def gaussian_jets(n, D, max_terms=5):
+    keys = [(h, a) for h in mi_range(n, D) for a in mi_range(n, D)
+            if sum(h) + sum(a) <= D]
+    return st.dictionaries(st.sampled_from(keys), gaussians(),
+                           max_size=max_terms).map(lambda t: Jet(n, D, t))
+
+
+def ref(jet):
+    """{key: (re, im)} as Fractions, zero coefficients absent."""
+    return {k: (c.re, c.im) for k, c in jet.terms.items()}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for k, (re, im) in b.items():
+        r0, i0 = out.get(k, (0, 0))
+        out[k] = (r0 + sign * re, i0 + sign * im)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def ref_mul(a, b, D):
+    out = {}
+    for (h1, a1), (r1, i1) in a.items():
+        for (h2, a2), (r2, i2) in b.items():
+            h = tuple(x + y for x, y in zip(h1, h2))
+            an = tuple(x + y for x, y in zip(a1, a2))
+            if sum(h) + sum(an) > D:
+                continue
+            r0, i0 = out.get((h, an), (0, 0))
+            out[(h, an)] = (r0 + r1 * r2 - i1 * i2, i0 + r1 * i2 + i1 * r2)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def ref_scale(a, c):
+    out = {k: (re * c.re - im * c.im, re * c.im + im * c.re)
+           for k, (re, im) in a.items()}
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def ref_diff_multi(a, holo, anti):
+    out = {}
+    for (h, an), (re, im) in a.items():
+        if any(x < y for x, y in zip(h + an, holo + anti)):
+            continue
+        f = 1
+        for x, y in zip(h + an, holo + anti):
+            for j in range(y):
+                f *= x - j
+        key = (tuple(x - y for x, y in zip(h, holo)),
+               tuple(x - y for x, y in zip(an, anti)))
+        out[key] = (re * f, im * f)
+    return out
+
+
+def assert_canonical(jet):
+    assert jet.den > 0
+    assert all(re or im for re, im in jet.num.values())
+    assert all(sum(h) + sum(a) <= jet.max_degree for h, a in jet.num)
+    assert math.gcd(jet.den, *(x for v in jet.num.values() for x in v)) == 1
+
+
+@pytest.mark.parametrize("n, D", [(1, 6), (2, 4)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_core_matches_fraction_reference(n, D, data):
+    a = data.draw(gaussian_jets(n, D))
+    b = data.draw(gaussian_jets(n, D))
+    c = data.draw(gaussians())
+    holo = tuple(data.draw(st.integers(0, 2)) for _ in range(n))
+    anti = tuple(data.draw(st.integers(0, 2)) for _ in range(n))
+    # b - a.scale(...) makes sums that cancel term by term, often to zero
+    cancel = b - a.scale(c) if data.draw(st.booleans()) else a.scale(-1)
+    cases = [
+        (a + b, ref_add(ref(a), ref(b))),
+        (a - b, ref_add(ref(a), ref(b), -1)),
+        (a + cancel, ref_add(ref(a), ref(cancel))),
+        (a * b, ref_mul(ref(a), ref(b), D)),
+        (a * cancel, ref_mul(ref(a), ref(cancel), D)),
+        (a.scale(c), ref_scale(ref(a), c)),
+        (a.diff_multi(holo, anti), ref_diff_multi(ref(a), holo, anti)),
+        (a.conj(), {(an, h): (re, -im) for (h, an), (re, im) in ref(a).items()}),
+    ]
+    for got, expect in cases:
+        assert_canonical(got)
+        assert ref(got) == expect
+    assert (a - a).is_zero() and (a + a.scale(-1)) == Jet.zero(n, D)
+    f = a + Jet.constant(c + Scalar(Fraction(5, 7)), n, D)
+    assume(not f.constant_term().is_zero())
+    inv = f.inverse()
+    assert_canonical(inv)
+    assert ref_mul(ref(f), ref(inv), D) == {((0,) * n, (0,) * n): (1, 0)}
