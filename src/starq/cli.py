@@ -1,9 +1,11 @@
 """Command-line front end: config parsing, pipelines, JSON/CSV reports.
 
-Exit codes: 0 success, 2 validation error, 3 numeric-tolerance failure.
-Errors are emitted as JSON lines on stderr; stdout (or --out) carries the
-primary artifact.  Reports are byte-identical for identical configs and
-seeds.
+Exit codes follow the exception's base class: 0 success, 2 for a ValueError
+or OSError (rejected input: every starq input error is a ValueError), 3 for
+an ArithmeticError (every starq tolerance, cross-check and singularity error).
+Errors, argument errors included, are emitted as one JSON line on stderr;
+stdout (or --out) carries the primary artifact.  Reports are byte-identical
+for identical configs and seeds.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ from .karabegov import (
     FormalPotential, bt_star_from, karabegov_star, reference_potentials,
 )
 from .graphs import (
-    CrossCheckFailure, IntegrationConfig, IntegrationFailure,
-    PoissonBivector, Poly, ResourceGuard, enumerate_ggraphs,
+    IntegrationConfig, PoissonBivector, Poly, enumerate_ggraphs,
     enumerate_kgraphs, gammelgaard_star, kontsevich_star, kontsevich_weight,
 )
 from .cp1 import (
-    ObservableFn, QuadratureTolerance, UnboundedSymbol, berezin_defect_series,
-    berezin_transform_num, bms_suite, laplacian_fn, make_context,
-    toeplitz_matrix,
+    ObservableFn, berezin_defect_series, berezin_transform_num, bms_suite,
+    laplacian_fn, make_context, toeplitz_matrix,
 )
 
 
@@ -282,7 +282,10 @@ def load_config_file(path):
     """Flat key=value sections; every key must be a RunConfig field."""
     cp = configparser.ConfigParser()
     with open(path) as fh:
-        cp.read_file(fh)
+        try:
+            cp.read_file(fh)
+        except configparser.Error as exc:
+            raise ValidationError(f"config file {path}: {exc}") from exc
     out = {}
     for section in cp.sections():
         for key, val in cp.items(section):
@@ -297,8 +300,6 @@ def _coerce(key, val):
     default = RunConfig.__dataclass_fields__[key].default
     if key == "m_list":
         return tuple(int(x) for x in val.replace(",", " ").split())
-    if isinstance(default, bool):
-        return val.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(val)
     if isinstance(default, float):
@@ -331,8 +332,12 @@ def _load_potential(cfg):
         return named[cfg.potential]
     with open(cfg.potential) as fh:
         obj = json.load(fh)
-    phi_minus1 = jet_from_json(obj["phi_minus1"])
-    phi = [jet_from_json(j) for j in obj.get("phi", [])]
+    try:
+        phi_minus1 = jet_from_json(obj["phi_minus1"])
+        phi = [jet_from_json(j) for j in obj.get("phi", [])]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"potential file {cfg.potential} has no "
+                              f"well-formed 'phi_minus1' jet: {exc!r}") from exc
     return FormalPotential(phi_minus1=phi_minus1, phi=phi)
 
 
@@ -341,19 +346,31 @@ def _load_bivector(cfg):
         return PoissonBivector.constant([[0.0, 1.0], [-1.0, 0.0]])
     with open(cfg.alpha_path) as fh:
         obj = json.load(fh)
-    return PoissonBivector.constant(obj["constant"])
+    mat = obj.get("constant") if isinstance(obj, dict) else None
+    if not (isinstance(mat, list) and mat and all(
+            isinstance(row, list) and len(row) == len(mat)
+            and all(isinstance(x, (int, float)) for x in row) for row in mat)):
+        raise ValidationError(f"bivector file {cfg.alpha_path} has no square "
+                              f"numeric 'constant' matrix")
+    return PoissonBivector.constant(mat)
 
 
 def _load_poly(text, d):
     if not text:
         return Poly.variable(0, d)
     coeffs = {}
-    for coeff, exps in json.loads(text):
-        if len(exps) != d:
-            raise ValidationError(f"exponent tuple {exps!r} does not have "
-                                  f"the bivector's dimension {d}")
-        c = complex(coeff[0], coeff[1]) if isinstance(coeff, list) else coeff
-        coeffs[tuple(exps)] = coeffs.get(tuple(exps), 0) + c
+    try:
+        for coeff, exps in json.loads(text):
+            if len(exps) != d or not all(isinstance(e, int) and e >= 0
+                                         for e in exps):
+                raise ValidationError(f"exponent tuple {exps!r} is not {d} "
+                                      f"nonnegative integers")
+            c = complex(coeff[0], coeff[1]) if isinstance(coeff, list) \
+                else coeff
+            coeffs[tuple(exps)] = coeffs.get(tuple(exps), 0) + c
+    except TypeError as exc:
+        raise ValidationError(f"polynomial {text!r} is not a list of "
+                              f"[coeff, exponents] terms") from exc
     return Poly(d, coeffs)
 
 
@@ -484,8 +501,16 @@ def emit(report, fmt):
 # ---------------------------------------------------------------------------
 # entry point
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument errors raise ValidationError, so they end like every other
+    rejected input: exit 2 and one JSON line, not argparse's usage text."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="starq", description=__doc__)
+    p = _ArgumentParser(prog="starq", description=__doc__)
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", default="", help="key=value config file")
     for fld in fields(RunConfig):
@@ -520,12 +545,10 @@ def main(argv=None):
         cfg = config_from_args(argv if argv is not None else sys.argv[1:])
         report = run(cfg)
         payload = emit(report, cfg.format)
-    except (ValidationError, ParseError, UnboundedSymbol, ResourceGuard,
-            ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         _err(exc)
         return 2
-    except (IntegrationFailure, QuadratureTolerance, CrossCheckFailure,
-            ArithmeticError) as exc:
+    except ArithmeticError as exc:
         _err(exc)
         return 3
     if cfg.out:

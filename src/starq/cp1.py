@@ -187,52 +187,38 @@ def coord_x_observable():
 # context
 
 @dataclass(frozen=True)
-class QuadGrid:
-    c: np.ndarray        # Gauss-Legendre nodes in cos(theta)
-    w_c: np.ndarray
-    phi: np.ndarray      # uniform azimuth
-    z: np.ndarray        # flattened chart points
-    w: np.ndarray        # flattened weights, sum = 2 pi (total volume)
-
-
-@dataclass(frozen=True)
 class Cp1Context:
     m: int
     dim: int
     norms_over_2pi: tuple      # exact Fractions; norms[k] = 2 pi * this
-    quad: QuadGrid
-    vol: float = TWO_PI
-
-    @property
-    def norms(self):
-        return [TWO_PI * float(fr) for fr in self.norms_over_2pi]
+    quad_nodes: int            # K: the quadrature readers use a K x K grid
 
 
-def _build_grid(m, nodes=None):
-    K = nodes or 2 * (m + 3)
+def _build_grid(K):
+    """Gauss-Legendre in cos(theta) times uniform azimuth, K x K nodes:
+    flattened chart points z and weights w summing to 2 pi (the volume)."""
     c, w_c = np.polynomial.legendre.leggauss(K)
     phi = TWO_PI * (np.arange(K) + 0.5) / K
     C, PHI = np.meshgrid(c, phi, indexing="ij")
     T = (1 - C) / (1 + C)
     Z = np.sqrt(T) * np.exp(1j * PHI)
     W = np.outer(w_c * 0.5, np.full(K, TWO_PI / K))
-    return QuadGrid(c=c, w_c=w_c, phi=phi, z=Z.ravel(), w=W.ravel())
+    return Z.ravel(), W.ravel()
 
 
 def make_context(m, quad_nodes=None):
+    """Exact data of level m; no quadrature grid is built here."""
     if m < 1:
         raise ValueError("level m must be >= 1")
     norms = tuple(Fraction(math.factorial(k) * math.factorial(m - k),
                            math.factorial(m + 1)) for k in range(m + 1))
     return Cp1Context(m=m, dim=m + 1, norms_over_2pi=norms,
-                      quad=_build_grid(m, quad_nodes))
+                      quad_nodes=quad_nodes or 2 * (m + 3))
 
 
-def _section_matrix(ctx, z=None):
+def _section_matrix(ctx, z):
     """S[l, node] = z^l (1+|z|^2)^{-m/2} / sqrt(norm_l), stable recurrence."""
     m = ctx.m
-    if z is None:
-        z = ctx.quad.z
     z = np.asarray(z, dtype=complex)
     t = (z * z.conjugate()).real
     s = 1.0 / (1.0 + t)
@@ -241,6 +227,15 @@ def _section_matrix(ctx, z=None):
     for l in range(m):
         S[l + 1] = S[l] * z * math.sqrt((m - l) / (l + 1))
     return S
+
+
+def _coherent_grid(ctx):
+    """Quadrature nodes z and weights w of the context's grid, the coherent
+    vectors E (one column per node) and their squared norms u."""
+    z, w = _build_grid(ctx.quad_nodes)
+    E = np.conjugate(_section_matrix(ctx, z))
+    u = np.sum((E * np.conjugate(E)).real, axis=0)
+    return z, w, E, u
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +263,12 @@ def toeplitz_matrix(f, ctx, tol=1e-8):
 
 def _toeplitz_quadrature(f, ctx, tol):
     def assemble(grid_nodes):
-        grid = _build_grid(ctx.m, grid_nodes)
-        S = _section_matrix(ctx, grid.z)
-        fv = np.asarray(f(grid.z), dtype=complex)
-        return (np.conjugate(S) * (fv * grid.w)) @ S.T
+        z, w = _build_grid(grid_nodes)
+        S = _section_matrix(ctx, z)
+        fv = np.asarray(f(z), dtype=complex)
+        return (np.conjugate(S) * (fv * w)) @ S.T
 
-    K = len(ctx.quad.c)
+    K = ctx.quad_nodes
     A1 = assemble(K)
     A2 = assemble(K + 8)
     if np.max(np.abs(A1 - A2)) > tol:
@@ -339,24 +334,20 @@ def adjointness_check(A, f, ctx):
     """|Tr(A^dag T_f) - integral of conj(symbol(A)) f against the epsilon
     measure|, the symbol integral by quadrature."""
     lhs = complex(np.trace(A.conj().T @ toeplitz_matrix(f, ctx)))
-    S = _section_matrix(ctx)
-    E = np.conjugate(S)                        # coherent vectors per node
-    u = np.sum((E * np.conjugate(E)).real, axis=0)
+    z, w, E, u = _coherent_grid(ctx)
     sigma = np.einsum("in,ij,jn->n", np.conjugate(E), A, E) / u
-    fv = np.asarray(f(ctx.quad.z), dtype=complex)
+    fv = np.asarray(f(z), dtype=complex)
     eps = ctx.dim / TWO_PI
-    rhs = np.sum(np.conjugate(sigma) * fv * eps * ctx.quad.w)
+    rhs = np.sum(np.conjugate(sigma) * fv * eps * w)
     return abs(lhs - rhs)
 
 
 def contravariant_reconstruct(f, ctx, tol=None):
     """Norm defect of rebuilding T_f from coherent projectors weighted by f."""
-    S = _section_matrix(ctx)
-    E = np.conjugate(S)
-    u = np.sum((E * np.conjugate(E)).real, axis=0)
-    fv = np.asarray(f(ctx.quad.z), dtype=complex)
+    z, w, E, u = _coherent_grid(ctx)
+    fv = np.asarray(f(z), dtype=complex)
     eps = ctx.dim / TWO_PI
-    weights = fv * eps * ctx.quad.w / u
+    weights = fv * eps * w / u
     B = (E * weights) @ E.conj().T
     defect = operator_norm(B - toeplitz_matrix(f, ctx))
     if tol is not None and defect > tol:
@@ -377,13 +368,11 @@ def twisted_product(f, g, z0, ctx, path="matrix"):
     # so no antipodal exclusion is needed (excluded-pair count: 0)
     e = coherent_vector(z0, ctx)
     ux = np.vdot(e, e).real
-    S = _section_matrix(ctx)
-    E = np.conjugate(S)
-    u = np.sum((E * np.conjugate(E)).real, axis=0)
+    _, w, E, u = _coherent_grid(ctx)
     eps = ctx.dim / TWO_PI
     left = np.conjugate(e) @ (Tf @ E)          # <e_x, T_f e_y> per node
     right = np.einsum("in,i->n", np.conjugate(E), Tg @ e)
-    val = np.sum(left * right * eps * ctx.quad.w / u) / ux
+    val = np.sum(left * right * eps * w / u) / ux
     return complex(val)
 
 
@@ -396,8 +385,7 @@ def geometric_quantization(f, ctx, tol=1e-8):
     m = ctx.m
 
     def assemble(grid_nodes):
-        grid = _build_grid(m, grid_nodes)
-        z = grid.z
+        z, w = _build_grid(grid_nodes)
         t = (z * z.conjugate()).real
         s = 1.0 / (1.0 + t)
         S = _section_matrix(ctx, z)
@@ -410,9 +398,9 @@ def geometric_quantization(f, ctx, tol=1e-8):
             lower = S[k - 1] * math.sqrt((m - k + 1) / k) if k else 0.0
             G[k] = Xz * (k * lower - m * np.conjugate(z) * s * S[k]) \
                 + 1j * fv * S[k]
-        return np.conjugate(S) @ (G * grid.w).T
+        return np.conjugate(S) @ (G * w).T
 
-    K = len(ctx.quad.c)
+    K = ctx.quad_nodes
     Q1 = assemble(K)
     Q2 = assemble(K + 8)
     if np.max(np.abs(Q1 - Q2)) > tol:

@@ -182,14 +182,6 @@ class NuDiffOp:
             all(a == b for a, b in zip(self.orders, other.orders))
 
 
-def op_apply(D, fseries):
-    return D.apply(fseries)
-
-
-def op_compose(A, B):
-    return A.compose(B)
-
-
 # ---------------------------------------------------------------------------
 # BiDiffOp
 

@@ -18,25 +18,20 @@ Sign bookkeeping (documented constants):
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .cp1 import ResourceGuard
 from .formal import BiDiffOp, StarTable, detect_convention
 from .jets import Jet, mi_zero
 
 
 L = -1
 R = -2
-
-
-class ResourceGuard(ValueError):
-    """Request exceeds the supported enumeration/integration size."""
 
 
 class IntegrationFailure(ArithmeticError):
@@ -261,15 +256,13 @@ def d_gamma(G, a, f, g):
 class IntegrationConfig:
     method: str = "grid"          # "grid" or "mc"
     grid_nodes: int = 800         # per axis, 2D integrals
-    grid_nodes_4d: int = 24       # per axis, non-factorizable 4D integrals
     samples: int = 200_000        # Monte Carlo sample count
     eta: float = 0.1              # excision radius (Richardson start)
     seed: int = 20260823
     tol: float = 5e-3
 
-    def key(self):
-        return (self.method, self.grid_nodes, self.grid_nodes_4d,
-                self.samples, self.eta, self.seed, self.tol)
+
+_GRID_NODES_4D = 24               # per axis, non-factorizable 4D integrals
 
 
 @dataclass(frozen=True)
@@ -280,12 +273,7 @@ class WeightResult:
     seed: int
 
 
-_WEIGHT_CACHE = {}
-
-
-def canonical_hash(G):
-    blob = json.dumps(G.canonical().to_json(), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+_WEIGHT_CACHE = {}                # (G.canonical(), cfg) -> WeightResult
 
 
 def _grad_phi_boundary(zx, zy, w):
@@ -367,12 +355,6 @@ def _weight_grid(G, cfg):
     return _weight_4d(G, cfg, mode="grid")
 
 
-def _weight_mc(G, cfg):
-    if G.n == 1:
-        return _weight_4d(G, cfg, mode="mc2d")
-    return _weight_4d(G, cfg, mode="mc")
-
-
 def _angle_rows(G, X1, Y1, X2, Y2):
     """Jacobian rows (one per edge, canonical per-vertex order) over samples."""
     pos = {1: (X1, Y1), 2: (X2, Y2)}
@@ -419,7 +401,7 @@ def _weight_4d(G, cfg, mode):
     n = G.n
     dim = 2 * n
     if mode == "grid":
-        M = cfg.grid_nodes_4d
+        M = _GRID_NODES_4D
         axes = [((np.arange(M) + 0.5) / M) for _ in range(dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         flat = [m.ravel() for m in mesh]
@@ -456,7 +438,7 @@ def _weight_4d(G, cfg, mode):
     for e in (cfg.eta, cfg.eta / 2, cfg.eta / 4):
         mask = _sing_mask(G, X1, Y1, X2, Y2, e)
         if mode == "grid":
-            vals.append(float(np.sum(integrand * mask)) / (cfg.grid_nodes_4d ** dim))
+            vals.append(float(np.sum(integrand * mask)) / (M ** dim))
         else:
             vals.append(float(np.mean(integrand * mask)))
     r1 = 2 * vals[1] - vals[0]
@@ -481,13 +463,13 @@ def kontsevich_weight(G, cfg=None):
         raise ResourceGuard("weights implemented for n <= 2")
     if G.n == 0:
         return WeightResult(1.0, 0.0, 0, cfg.seed)
-    key = (canonical_hash(G), cfg.key())
+    key = (G.canonical(), cfg)
     if key in _WEIGHT_CACHE:
         return _WEIGHT_CACHE[key]
     if cfg.method == "grid":
         res = _weight_grid(G, cfg)
     elif cfg.method == "mc":
-        res = _weight_mc(G, cfg)
+        res = _weight_4d(G, cfg, mode="mc2d" if G.n == 1 else "mc")
     else:
         raise ValueError(f"unknown integration method {cfg.method!r}")
     if res.error_estimate > cfg.tol:
@@ -496,24 +478,6 @@ def kontsevich_weight(G, cfg=None):
             f"tolerance {cfg.tol:.2e}")
     _WEIGHT_CACHE[key] = res
     return res
-
-
-def weight_cache_save(path):
-    data = [{"key": list(k[0:1]) + [list(k[1])],
-             "value": [v.value, v.error_estimate, v.samples_or_cells, v.seed]}
-            for k, v in _WEIGHT_CACHE.items()]
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-
-
-def weight_cache_load(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    for entry in data:
-        khash = entry["key"][0]
-        kcfg = tuple(entry["key"][1])
-        v = entry["value"]
-        _WEIGHT_CACHE[(khash, kcfg)] = WeightResult(v[0], v[1], v[2], v[3])
 
 
 # ---------------------------------------------------------------------------

@@ -490,26 +490,6 @@ class Jet:
         return "Jet(" + " + ".join(bits) + ")"
 
 
-def jet_arith(a, b, op):
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def jet_diff(a, var, kind):
-    return a.diff(var, kind)
-
-
-def jet_inverse(a):
-    return a.inverse()
-
-
 # ---------------------------------------------------------------------------
 # metric data
 

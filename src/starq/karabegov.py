@@ -322,11 +322,6 @@ def karabegov_star(P, N, label=None):
     return t
 
 
-def berezin_transform_of_star(t):
-    """Formal Berezin transform of an anti-Wick table."""
-    return transform_from_star(t)
-
-
 def bt_star_from(P, N, label=None):
     """Berezin-Toeplitz star table: f * g = I^{-1}(I(f) *_B I(g))."""
     t = karabegov_star(P, N)

@@ -1,13 +1,17 @@
 """CLI: expression parsing, config handling, pipelines, determinism."""
 
 import hashlib
+import importlib
 import json
+import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import starq
 from starq.cli import (
     ParseError, RunConfig, ValidationError, emit, load_config_file, main,
     parse_observable, run,
@@ -161,11 +165,62 @@ def test_exit_codes_and_stderr(capsys):
     ["star-kontsevich", "--f-poly", "[[1,[2]]]"],
 ])
 def test_invalid_numeric_options_exit_2(argv, capsys):
+    assert_one_validation_error(argv, capsys)
+
+
+@pytest.mark.parametrize("argv, content", [
+    pytest.param(["star-karabegov", "--potential", "FILE"], '{"phi": []}',
+                 id="potential-without-phi_minus1"),
+    pytest.param(["star-kontsevich", "--alpha-path", "FILE"],
+                 '{"alpha": [[0, 1]]}', id="alpha-without-constant"),
+    pytest.param(["star-kontsevich", "--alpha-path", "FILE"],
+                 '{"constant": [[0, 1]]}', id="alpha-not-square"),
+    pytest.param(["star-kontsevich", "--f-poly", "[1]"], None,
+                 id="poly-not-terms"),
+    pytest.param(["weights", "--config", "FILE"], "n = 1\n",
+                 id="config-without-section"),
+    pytest.param(["star-bt", "--jobs", "2"], None, id="unknown-flag"),
+    pytest.param(["nope"], None, id="unknown-command"),
+    pytest.param(["weights", "--n", "1", "--tol", "-1e-3"], None,
+                 id="flag-without-value"),
+])
+def test_malformed_input_exit_2(argv, content, tmp_path, capsys):
+    """Malformed input files and argument errors end in one JSON line."""
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    assert_one_validation_error(
+        [str(path) if a == "FILE" else a for a in argv], capsys)
+
+
+def assert_one_validation_error(argv, capsys):
     code, out = invoke(argv)
     assert code == 2 and out == b""
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"] == "ValidationError"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: starq" in capsys.readouterr().out
+
+
+def test_every_exception_has_one_exit_code():
+    """main maps ValueError to exit 2 and ArithmeticError to exit 3, so each
+    starq exception subclasses exactly one of the two."""
+    found = []
+    for info in pkgutil.iter_modules(starq.__path__):
+        mod = importlib.import_module(f"starq.{info.name}")
+        found += [obj for obj in vars(mod).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == mod.__name__]
+    assert len(found) >= 12
+    for exc in found:
+        assert issubclass(exc, ValueError) != \
+            issubclass(exc, ArithmeticError), exc.__name__
 
 
 def test_determinism_across_runs():
@@ -222,3 +277,17 @@ def test_star_reports_match_benchmark_pins(name, argv):
     code, out = invoke(argv)
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == json.loads(PINS.read_text())[name]
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help(script):
+    """Each script imports only names that starq still defines."""
+    src = str(Path(starq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(script), "--help"], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()

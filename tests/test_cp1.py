@@ -1,6 +1,7 @@
 """Sphere quantization: exact structure, coherent states, asymptotics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from starq.cp1 import (
     poisson_bracket_fn, surjectivity_rank, toeplitz_matrix, trace_identity,
     tuynman_defect, twisted_product,
 )
+from starq import cp1
 from starq.cp1 import _section_matrix
 
 TWO_PI = 2 * math.pi
@@ -33,10 +35,23 @@ def sample_points(k=50, seed=3):
 def test_context_exact_norms():
     ctx = make_context(1)
     assert ctx.dim == 2
-    assert np.allclose(ctx.norms, [math.pi, math.pi])
+    assert ctx.norms_over_2pi == (Fraction(1, 2), Fraction(1, 2))
     ctx = make_context(2)
-    assert np.allclose(ctx.norms, [TWO_PI / 3, TWO_PI / 6, TWO_PI / 3])
+    assert ctx.norms_over_2pi == (Fraction(1, 3), Fraction(1, 6),
+                                  Fraction(1, 3))
     assert make_context(7).dim == 8
+
+
+def test_context_builds_no_grid(monkeypatch):
+    """The exact paths never read a quadrature grid, so none is built."""
+    def no_grid(*args):
+        raise AssertionError("quadrature grid built on an exact path")
+    monkeypatch.setattr(cp1, "_build_grid", no_grid)
+    h, x = height_observable(), coord_x_observable()
+    ctx = make_context(8)
+    assert abs(toeplitz_matrix(h, ctx)[0, 0] - 8 / 10) < 1e-12
+    assert abs(berezin_transform_num(h, 0j, ctx) - 8 / 10) < 1e-12
+    assert all(len(s.points) == 2 for s in bms_suite(h, x, [8, 16]))
 
 
 def test_observable_constraints():

@@ -8,7 +8,7 @@ from starq.karabegov import (
 )
 from starq.graphs import (
     CrossCheckFailure, GGraph, IntegrationConfig, IntegrationFailure, KGraph,
-    L, R, PoissonBivector, Poly, ResourceGuard, WeightResult, canonical_hash,
+    L, R, PoissonBivector, Poly, ResourceGuard, WeightResult,
     d_gamma, enumerate_ggraphs, enumerate_kgraphs, gammelgaard_star,
     kontsevich_star, kontsevich_weight, moyal_star, star_poly_series,
 )
@@ -44,7 +44,13 @@ def test_kgraph_parity_and_canonical():
     g = KGraph(1, ((R, L),))
     assert g.order_parity() == -1
     assert g.canonical() == KGraph(1, ((L, R),))
-    assert canonical_hash(g) == canonical_hash(g.canonical())
+    assert g.canonical().canonical() == g.canonical()
+    # the weight cache is keyed by the canonical graph and the config's value
+    cfg = dict(grid_nodes=200, tol=1.0)
+    w = kontsevich_weight(g, IntegrationConfig(**cfg))
+    assert kontsevich_weight(g.canonical(), IntegrationConfig(**cfg)) is w
+    assert kontsevich_weight(g, IntegrationConfig(grid_nodes=201, tol=1.0)) \
+        is not w
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from starq.formal import (
     transform_from_star,
 )
 from starq.karabegov import (
-    FormalPotential, bt_star_from, berezin_transform_of_star, flat_potential,
+    FormalPotential, bt_star_from, flat_potential,
     fs_potential, karabegov_star, left_mult_operator, reference_potentials,
 )
 
@@ -164,7 +164,7 @@ def test_assoc_defect_zero():
 def test_transform_flat():
     D, N = 14, 2
     t = karabegov_star(flat_potential(D), N)
-    Iop = berezin_transform_of_star(t)
+    Iop = transform_from_star(t)
     lap = DiffOp(1, D, [(Jet.constant(1, 1, D), (1,), (1,))])
     expect = NuDiffOp(1, D, N, [DiffOp.identity(1, D), lap,
                                 lap.compose(lap).scale(Scalar(Fraction(1, 2)))])
@@ -176,7 +176,7 @@ def test_transform_i1_is_laplacian():
     for name, P in reference_potentials(D).items():
         n = P.n
         t = karabegov_star(P, N)
-        Iop = berezin_transform_of_star(t)
+        Iop = transform_from_star(t)
         m = metric_from_potential(P.phi_minus1)
         window = D - (N + 2) - 4
         probes = [Jet.monomial(h, a, n, D)
@@ -190,7 +190,7 @@ def test_fs_transform_on_height():
     D, N = 14, 2
     P = fs_potential(D)
     t = karabegov_star(P, N)
-    Iop = berezin_transform_of_star(t)
+    Iop = transform_from_star(t)
     tt = zj(D) * zbj(D)
     f = (Jet.constant(1, 1, D) - tt) * (Jet.constant(1, 1, D) + tt).inverse()
     assert Iop.orders[1].apply(f).constant_term() == Scalar(-2)
