@@ -21,6 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .jets import ResourceGuard
+
 
 class UnboundedSymbol(ValueError):
     """Symbol term violates the boundedness constraint a+b <= 2c."""
@@ -28,10 +30,6 @@ class UnboundedSymbol(ValueError):
 
 class QuadratureTolerance(ArithmeticError):
     """Grid refinement changed the result by more than the tolerance."""
-
-
-class ResourceGuard(ValueError):
-    """Request exceeds the supported problem size."""
 
 
 TWO_PI = 2 * math.pi

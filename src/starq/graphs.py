@@ -2,7 +2,8 @@
 
 Two families:
   * admissible directed graphs on R^d with numerically integrated
-    upper-half-plane angle weights (orders n <= 2);
+    upper-half-plane angle weights (orders n <= 2; the quadrature, the only
+    numpy code on this path, is in starq.quadrature);
   * weighted acyclic source/sink graphs whose contractions against a Kaehler
     metric reproduce the recursion-built star product through nu^2.
 
@@ -23,11 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .cp1 import ResourceGuard
 from .formal import BiDiffOp, StarTable, detect_convention
-from .jets import Jet, mi_zero
+from .jets import Jet, ResourceGuard, mi_zero
 
 
 L = -1
@@ -262,9 +260,6 @@ class IntegrationConfig:
     tol: float = 5e-3
 
 
-_GRID_NODES_4D = 24               # per axis, non-factorizable 4D integrals
-
-
 @dataclass(frozen=True)
 class WeightResult:
     value: float
@@ -274,182 +269,6 @@ class WeightResult:
 
 
 _WEIGHT_CACHE = {}                # (G.canonical(), cfg) -> WeightResult
-
-
-def _grad_phi_boundary(zx, zy, w):
-    A = (w - zx) - 1j * zy
-    B = (w - zx) + 1j * zy
-    dx = np.imag(-1.0 / A + 1.0 / B)
-    dy = -np.real(1.0 / A + 1.0 / B)
-    return dx, dy
-
-
-def _grad_phi_full(zx, zy, wx, wy):
-    """Gradient of phi(z, w) in (zx, zy, wx, wy) for interior w."""
-    A = (wx - zx) + 1j * (wy - zy)
-    B = (wx - zx) + 1j * (wy + zy)
-    dzx = np.imag(-1.0 / A + 1.0 / B)
-    dzy = -np.real(1.0 / A + 1.0 / B)
-    dwx = np.imag(1.0 / A - 1.0 / B)
-    dwy = np.real(1.0 / A - 1.0 / B)
-    return dzx, dzy, dwx, dwy
-
-
-def _halfplane_grid(M):
-    s = (np.arange(M) + 0.5) / M
-    u = (np.arange(M) + 0.5) / M
-    S, U = np.meshgrid(s, u, indexing="ij")
-    X = np.tan(np.pi * (S - 0.5))
-    Y = np.tan(np.pi * U / 2)
-    W = (np.pi * (1 + X ** 2)) * (np.pi / 2 * (1 + Y ** 2)) / (M * M)
-    return X.ravel(), Y.ravel(), W.ravel()
-
-
-def _pair_integral_2d(p, q, M, eta):
-    """int_H d phi(z,p) ^ d phi(z,q) with eta-excision and Richardson in eta."""
-    X, Y, W = _halfplane_grid(M)
-    d1x, d1y = _grad_phi_boundary(X, Y, p)
-    d2x, d2y = _grad_phi_boundary(X, Y, q)
-    J = (d1x * d2y - d1y * d2x) * W
-    vals = []
-    for e in (eta, eta / 2, eta / 4):
-        mask = ((X - p) ** 2 + Y ** 2 > e ** 2) & ((X - q) ** 2 + Y ** 2 > e ** 2)
-        vals.append(float(np.sum(J * mask)))
-    r1 = 2 * vals[1] - vals[0]
-    r2 = 2 * vals[2] - vals[1]
-    return r2, abs(r2 - r1)
-
-
-def _vertex_boundary_points(G, i):
-    pts = []
-    for t in sorted(G.targets[i - 1], key=_target_key):
-        if t == L:
-            pts.append(0.0)
-        elif t == R:
-            pts.append(1.0)
-        else:
-            return None
-    return pts
-
-
-def _weight_grid(G, cfg):
-    n = G.n
-    if n == 1:
-        p, q = _vertex_boundary_points(G, 1)
-        val, err = _pair_integral_2d(p, q, cfg.grid_nodes, cfg.eta)
-        norm = (2 * math.pi) ** 2
-        return WeightResult(val / norm, err / norm + 1e-12,
-                            cfg.grid_nodes ** 2, cfg.seed)
-    if not G.has_internal_edge():
-        # factorizes into independent per-vertex 2D integrals
-        total = 1.0
-        err_rel = 0.0
-        for i in (1, 2):
-            p, q = _vertex_boundary_points(G, i)
-            val, err = _pair_integral_2d(p, q, cfg.grid_nodes, cfg.eta)
-            err_rel += err / max(abs(val), 1e-30)
-            total *= val
-        norm = (2 * math.pi) ** 4 * 2
-        return WeightResult(total / norm, abs(total) * err_rel / norm + 1e-12,
-                            2 * cfg.grid_nodes ** 2, cfg.seed)
-    return _weight_4d(G, cfg, mode="grid")
-
-
-def _angle_rows(G, X1, Y1, X2, Y2):
-    """Jacobian rows (one per edge, canonical per-vertex order) over samples."""
-    pos = {1: (X1, Y1), 2: (X2, Y2)}
-    rows = []
-    npts = X1.shape[0]
-    for i in range(1, G.n + 1):
-        zx, zy = pos[i]
-        for t in sorted(G.targets[i - 1], key=_target_key):
-            row = [np.zeros(npts) for _ in range(2 * G.n)]
-            if t in (L, R):
-                w = 0.0 if t == L else 1.0
-                dx, dy = _grad_phi_boundary(zx, zy, w)
-                row[2 * (i - 1)] = dx
-                row[2 * (i - 1) + 1] = dy
-            else:
-                wx, wy = pos[t]
-                dzx, dzy, dwx, dwy = _grad_phi_full(zx, zy, wx, wy)
-                row[2 * (i - 1)] = dzx
-                row[2 * (i - 1) + 1] = dzy
-                row[2 * (t - 1)] = dwx
-                row[2 * (t - 1) + 1] = dwy
-            rows.append(row)
-    return rows
-
-
-def _sing_mask(G, X1, Y1, X2, Y2, eta):
-    mask = np.ones(X1.shape[0], dtype=bool)
-    pos = {1: (X1, Y1)}
-    if X2 is not None:
-        pos[2] = (X2, Y2)
-    for i in range(1, G.n + 1):
-        zx, zy = pos[i]
-        for t in G.targets[i - 1]:
-            if t in (L, R):
-                w = 0.0 if t == L else 1.0
-                mask &= (zx - w) ** 2 + zy ** 2 > eta ** 2
-            else:
-                wx, wy = pos[t]
-                mask &= (zx - wx) ** 2 + (zy - wy) ** 2 > eta ** 2
-    return mask
-
-
-def _weight_4d(G, cfg, mode):
-    n = G.n
-    dim = 2 * n
-    if mode == "grid":
-        M = _GRID_NODES_4D
-        axes = [((np.arange(M) + 0.5) / M) for _ in range(dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = [m.ravel() for m in mesh]
-        count = flat[0].shape[0]
-        weight = np.ones(count)
-    elif mode in ("mc", "mc2d"):
-        rng = np.random.default_rng(cfg.seed)
-        count = cfg.samples
-        flat = [rng.random(count) for _ in range(dim)]
-        weight = np.ones(count)
-    else:
-        raise ValueError(mode)
-    coords = []
-    for k in range(dim):
-        if k % 2 == 0:
-            x = np.tan(np.pi * (flat[k] - 0.5))
-            weight = weight * (np.pi * (1 + x ** 2))
-        else:
-            x = np.tan(np.pi * flat[k] / 2)
-            weight = weight * (np.pi / 2 * (1 + x ** 2))
-        coords.append(x)
-    if n == 1:
-        X1, Y1, X2, Y2 = coords[0], coords[1], None, None
-    else:
-        X1, Y1, X2, Y2 = coords
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rows = _angle_rows(G, X1, Y1, X2 if X2 is not None else X1,
-                           Y2 if Y2 is not None else Y1)
-        mats = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-        det = np.linalg.det(mats)
-        integrand = np.nan_to_num(det * weight, nan=0.0, posinf=0.0, neginf=0.0)
-    norm = (2 * math.pi) ** (2 * n) * math.factorial(n)
-    vals = []
-    for e in (cfg.eta, cfg.eta / 2, cfg.eta / 4):
-        mask = _sing_mask(G, X1, Y1, X2, Y2, e)
-        if mode == "grid":
-            vals.append(float(np.sum(integrand * mask)) / (M ** dim))
-        else:
-            vals.append(float(np.mean(integrand * mask)))
-    r1 = 2 * vals[1] - vals[0]
-    r2 = 2 * vals[2] - vals[1]
-    value = r2 / norm
-    err = abs(r2 - r1) / norm
-    if mode in ("mc", "mc2d"):
-        mask = _sing_mask(G, X1, Y1, X2, Y2, cfg.eta / 4)
-        sd = float(np.std(integrand * mask)) / math.sqrt(count)
-        err += sd / norm
-    return WeightResult(value, err + 1e-12, count, cfg.seed)
 
 
 def kontsevich_weight(G, cfg=None):
@@ -466,10 +285,11 @@ def kontsevich_weight(G, cfg=None):
     key = (G.canonical(), cfg)
     if key in _WEIGHT_CACHE:
         return _WEIGHT_CACHE[key]
+    from .quadrature import grid_weight, mc_weight   # loads numpy
     if cfg.method == "grid":
-        res = _weight_grid(G, cfg)
+        res = grid_weight(G, cfg)
     elif cfg.method == "mc":
-        res = _weight_4d(G, cfg, mode="mc2d" if G.n == 1 else "mc")
+        res = mc_weight(G, cfg)
     else:
         raise ValueError(f"unknown integration method {cfg.method!r}")
     if res.error_estimate > cfg.tol:

@@ -24,6 +24,13 @@ class DegenerateMetric(ArithmeticError):
     """Degree-0 Hessian block is singular."""
 
 
+class ResourceGuard(ValueError):
+    """Request exceeds the supported problem size.
+
+    Defined here, in the numpy-free base module, so that graphs and cp1
+    share one class without the exact commands importing numpy."""
+
+
 # ---------------------------------------------------------------------------
 # scalars
 

@@ -271,12 +271,48 @@ PINS = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
     ("readme-bt-fs-2",
      ["star-bt", "--potential", "fs", "--order", "2", "--max-degree", "16"]),
     ("bt-aniso-3", ["star-bt", "--potential", "aniso", "--order", "3"]),
+    ("weights-n2", ["weights", "--n", "2"]),
+    ("readme-kontsevich",
+     ["star-kontsevich", "--order", "2", "--f-poly", "[[1,[2,1]]]",
+      "--g-poly", "[[1,[1,1]]]"]),
 ])
 def test_star_reports_match_benchmark_pins(name, argv):
-    """Exact-table reports are byte-identical to the benchmark's pins."""
+    """Exact-table and graph-weight reports are byte-identical to the
+    benchmark's pins."""
     code, out = invoke(argv)
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == json.loads(PINS.read_text())[name]
+
+
+def test_out_path_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    code, out = invoke(["cp1-toeplitz", "--m", "2",
+                        "--out", str(tmp_path / "missing" / "x.json")])
+    assert code == 2 and out == b""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "FileNotFoundError"
+
+
+def _subprocess_env():
+    """The environment with the imported starq's source on PYTHONPATH."""
+    src = str(Path(starq.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_exact_commands_do_not_import_numpy():
+    """Only cp1 and the weight quadrature need numpy; importing the CLI and
+    running an exact star-* command loads neither."""
+    code = (
+        "import sys, starq.cli\n"
+        "assert 'numpy' not in sys.modules, 'loaded by import starq.cli'\n"
+        "rc = starq.cli.main(['star-gammelgaard', '--potential', 'aniso',"
+        " '--order', '2'])\n"
+        "assert rc == 0, rc\n"
+        "assert 'numpy' not in sys.modules, 'loaded by star-gammelgaard'\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
@@ -285,9 +321,7 @@ SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
 def test_script_help(script):
     """Each script imports only names that starq still defines."""
-    src = str(Path(starq.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(script), "--help"], env=env,
-                          capture_output=True, timeout=120)
+    proc = subprocess.run([sys.executable, str(script), "--help"],
+                          env=_subprocess_env(), capture_output=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()

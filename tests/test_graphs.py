@@ -133,6 +133,50 @@ def test_order2_boundary_weights():
     assert g2.order_parity() == -1
 
 
+def test_weight_grid_fields_built_once(monkeypatch, capsys):
+    """weights --n 2 evaluates each 4D grid edge field once and the 2D pair
+    integral once; with only the weight cache emptied, a second run
+    evaluates nothing and prints the same bytes.  Cached arrays are
+    read-only."""
+    from starq import graphs, quadrature
+    from starq.cli import main
+    sizes = []
+    for name in ("_grad_phi_boundary", "_grad_phi_full"):
+        def counted(zx, *rest, _grad=getattr(quadrature, name)):
+            sizes.append(zx.shape[0])
+            return _grad(zx, *rest)
+        monkeypatch.setattr(quadrature, name, counted)
+    graphs._WEIGHT_CACHE.clear()
+    for cached in (quadrature._halfplane_grid, quadrature._pair_integral_2d,
+                   quadrature._grid_4d, quadrature._grid_edge_field):
+        cached.cache_clear()
+    assert main(["weights", "--n", "2"]) == 0
+    first = capsys.readouterr().out
+    # 6 distinct edges (vertex, target): (1|2, L), (1|2, R), (1, 2), (2, 1)
+    assert 0 < sizes.count(24 ** 4) <= 6
+    # one pair integral, two boundary gradients on its 800 x 800 grid
+    assert quadrature._pair_integral_2d.cache_info().misses == 1
+    assert sizes.count(800 ** 2) == 2
+    assert len(sizes) == sizes.count(24 ** 4) + 2
+
+    graphs._WEIGHT_CACHE.clear()
+    sizes.clear()
+    assert main(["weights", "--n", "2"]) == 0
+    assert sizes == []
+    assert capsys.readouterr().out == first
+
+    (X1, _), _ = quadrature._grid_4d()[0]
+    with pytest.raises(ValueError):
+        X1[0] = 0.0
+    cols, dist2 = quadrature._grid_edge_field(1, L)
+    with pytest.raises(ValueError):
+        cols[0][1][0] = 0.0
+    with pytest.raises(ValueError):
+        dist2 += 1.0
+    with pytest.raises(ValueError):
+        quadrature._halfplane_grid(800)[2][0] = 0.0
+
+
 def test_weight_guard_and_failure():
     with pytest.raises(ResourceGuard):
         kontsevich_weight(KGraph(3, ((L, R), (L, R), (L, R))))
