@@ -11,6 +11,7 @@ for identical configs and seeds.
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import io
 import json
@@ -42,6 +43,10 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     pass
+
+
+class NonFiniteResult(ArithmeticError):
+    """A report value overflowed to inf or NaN, which JSON cannot carry."""
 
 
 COMMANDS = ("star-karabegov", "star-bt", "star-kontsevich",
@@ -112,7 +117,7 @@ class _ExprParser:
     def expr(self):
         sign = 1.0
         kind, tok, _ = self.peek()
-        if tok in "+-":
+        if tok in ("+", "-"):
             self.next()
             sign = -1.0 if tok == "-" else 1.0
         val = _scale(self.term(), sign)
@@ -149,6 +154,8 @@ class _ExprParser:
         if kind == "num":
             coeff = complex(0, float(tok[:-1] or 1)) if tok.endswith("j") \
                 else complex(float(tok))
+            if not cmath.isfinite(coeff):
+                raise ParseError(f"number {tok!r} is not finite", pos)
             base = {(0, 0, 0): coeff}
         elif kind == "name":
             base = {{"z": (1, 0, 0), "zbar": (0, 1, 0),
@@ -265,9 +272,8 @@ class RunConfig:
             raise ValidationError("samples must be >= 1")
         if self.grid_nodes < 2:
             raise ValidationError("grid_nodes must be >= 2")
-        # written so that NaN fails the test as well
-        if not (self.eta > 0):
-            raise ValidationError("eta must be > 0")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValidationError("eta must be finite and > 0")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValidationError("tol must be finite and > 0")
 
@@ -364,8 +370,11 @@ def _load_poly(text, d):
                                          for e in exps):
                 raise ValidationError(f"exponent tuple {exps!r} is not {d} "
                                       f"nonnegative integers")
-            c = complex(coeff[0], coeff[1]) if isinstance(coeff, list) \
-                else coeff
+            c = complex(*coeff) if isinstance(coeff, list) \
+                and len(coeff) == 2 else coeff
+            # a TypeError for anything but a number or a [re, im] pair
+            if not cmath.isfinite(c):
+                raise ValidationError(f"coefficient {coeff!r} is not finite")
             coeffs[tuple(exps)] = coeffs.get(tuple(exps), 0) + c
     except TypeError as exc:
         raise ValidationError(f"polynomial {text!r} is not a list of "
@@ -441,6 +450,8 @@ def run(cfg):
         from .cp1 import berezin_transform_num, make_context
         f = parse_observable(cfg.expr)
         z0 = complex(cfg.at.replace(" ", ""))
+        if not cmath.isfinite(z0):
+            raise ValidationError(f"--at {cfg.at!r} is not finite")
         points = []
         for m in cfg.m_list:
             val = berezin_transform_num(f, z0, make_context(m))
@@ -473,9 +484,14 @@ def run(cfg):
 # emission
 
 def emit(report, fmt):
+    try:
+        text = json.dumps(report.as_dict(), sort_keys=True,
+                          separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult(
+            f"{report.command} computed a value that is not finite") from exc
     if fmt == "json":
-        return (json.dumps(report.as_dict(), sort_keys=True,
-                           separators=(",", ":")) + "\n").encode()
+        return (text + "\n").encode()
     results = report.results
     buf = io.StringIO()
     if isinstance(results, dict) and "series" in results \

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .jets import (
     Jet, jet_to_json, jet_from_json,
-    mi_add, mi_binom, mi_deg, mi_falling, mi_le, mi_range, mi_sub, mi_zero, mi_fact,
+    mi_add, mi_binom, mi_deg, mi_range, mi_sub, mi_zero,
 )
 
 
@@ -27,7 +26,7 @@ class OrderViolation(ValueError):
 
 
 class SingularSystem(ArithmeticError):
-    """Coefficient extraction hit an inconsistent or non-triangular system."""
+    """A star table's terms lack the shape the transform is read off from."""
 
 
 # ---------------------------------------------------------------------------
@@ -311,34 +310,29 @@ class StarTable:
     def check_convention(self):
         """Structural separation-of-variables check on C_k, k >= 1."""
         for k in range(1, self.N + 1):
-            fh, fa, gh, ga = self.C[k].max_orders()
-            if self.convention == "karabegov_anti_wick":
-                ok = fh == 0 and ga == 0 and fa <= k and gh <= k
-            elif self.convention == "wick":
-                ok = fa == 0 and gh == 0 and fh <= k and ga <= k
-            else:
-                ok = True
-            if not ok:
+            if not _routes_as(self.convention, k, self.C[k].max_orders()):
                 raise OrderViolation(
                     f"C_{k} violates convention {self.convention}")
 
 
+def _routes_as(convention, k, orders):
+    """Whether derivative orders (f_holo, f_anti, g_holo, g_anti) of C_k fit
+    a convention: anti-Wick differentiates f only in zbar and g only in z,
+    Wick the other way round, each to order at most k."""
+    fh, fa, gh, ga = orders
+    if convention == "karabegov_anti_wick":
+        return fh == 0 and ga == 0 and fa <= k and gh <= k
+    if convention == "wick":
+        return fa == 0 and gh == 0 and fh <= k and ga <= k
+    return True
+
+
 def detect_convention(table_ops):
     """Classify a list of BiDiffOps (C_0..C_N) by derivative routing."""
-    anti_wick = wick = True
-    for k, op in enumerate(table_ops):
-        if k == 0:
-            continue
-        fh, fa, gh, ga = op.max_orders()
-        if not (fh == 0 and ga == 0 and fa <= k and gh <= k):
-            anti_wick = False
-        if not (fa == 0 and gh == 0 and fh <= k and ga <= k):
-            wick = False
-    if anti_wick:
-        return "karabegov_anti_wick"
-    if wick:
-        return "wick"
-    return "none"
+    orders = [op.max_orders() for op in table_ops]
+    return next(conv for conv in CONVENTIONS
+                if all(_routes_as(conv, k, orders[k])
+                       for k in range(1, len(orders))))
 
 
 def star_eval(t, f, g):
@@ -376,67 +370,33 @@ def assoc_defect(t, f, g, h):
 def polarize(I_k, k):
     """Rebuild C_k from I_k: anti derivatives go to the first argument,
     holomorphic derivatives to the second, coefficients carried over."""
-    for _, h, a in I_k.terms:
-        if mi_deg(h) > k or mi_deg(a) > k:
-            raise OrderViolation(f"I_{k} has a term of order above ({k},{k})")
     n, D = I_k.n, I_k.D
     z = mi_zero(n)
-    return BiDiffOp(n, D, [(c, z, a, h, z) for c, h, a in I_k.terms])
+    C_k = BiDiffOp(n, D, [(c, z, a, h, z) for c, h, a in I_k.terms])
+    if not _routes_as("karabegov_anti_wick", k, C_k.max_orders()):
+        raise OrderViolation(f"I_{k} has a term of order above ({k},{k})")
+    return C_k
 
 
 def transform_from_star(t):
-    """Formal Berezin transform I with C_k(f,g) = sum a_ab d^b_zbar f d^a_z g.
+    """Formal Berezin transform I, read off the anti-Wick table.
 
-    Solved on monomial pairs (zbar^b', z^a') in increasing total degree;
-    the system is triangular because lower-degree coefficients are already
-    known when a new pair is processed.
+    C_k(bbar, a) = I_k(bbar a) for antiholomorphic bbar and holomorphic a,
+    so the term coeff * d^b_zbar f * d^a_z g of C_k is the term
+    coeff * d^a_z d^b_zbar of I_k; `polarize` is the inverse.  Raises
+    SingularSystem if a term of C_k breaks the anti-Wick (k,k) shape.
     """
     if t.convention != "karabegov_anti_wick":
         raise ValueError("transform extraction requires an anti-Wick table")
     n, D, N = t.n, t.D, t.N
     orders = [DiffOp.identity(n, D)]
     for k in range(1, N + 1):
-        a_coeffs = _extract_sov_coefficients(t.C[k], k)
-        orders.append(DiffOp(n, D, [(c, alpha, beta)
-                                    for (alpha, beta), c in a_coeffs.items()]))
+        if not _routes_as("karabegov_anti_wick", k, t.C[k].max_orders()):
+            raise SingularSystem(
+                f"C_{k} is not of separation-of-variables order ({k},{k})")
+        orders.append(DiffOp(n, D, [(c, gh, fa)
+                                    for c, _, fa, gh, _ in t.C[k].terms]))
     return NuDiffOp(n, D, N, orders)
-
-
-def _extract_sov_coefficients(C_k, k):
-    """Solve C_k(zbar^beta', z^alpha') for jet coefficients a_{alpha,beta},
-    |alpha|,|beta| <= k.  Raises SingularSystem if the (k,k) bound fails."""
-    n, D = C_k.n, C_k.D
-    idx = mi_range(n, k)
-    pairs = sorted(((a, b) for a in idx for b in idx),
-                   key=lambda p: (mi_deg(p[0]) + mi_deg(p[1]), p))
-    solved = {}
-    for alpha_p, beta_p in pairs:
-        f = Jet.monomial(mi_zero(n), beta_p, n, D)
-        g = Jet.monomial(alpha_p, mi_zero(n), n, D)
-        rhs = C_k.apply(f, g)
-        for (alpha, beta), a in solved.items():
-            if not (mi_le(alpha, alpha_p) and mi_le(beta, beta_p)):
-                continue
-            mono = Jet.monomial(mi_sub(alpha_p, alpha), mi_sub(beta_p, beta), n, D,
-                                mi_falling(alpha_p, alpha)
-                                * mi_falling(beta_p, beta))
-            rhs = rhs - a * mono
-        solved[(alpha_p, beta_p)] = rhs.scale(
-            Fraction(1, mi_fact(alpha_p) * mi_fact(beta_p)))
-    # consistency: the reconstructed operator must reproduce C_k one order out
-    recon = BiDiffOp(n, D, [(c, mi_zero(n), beta, alpha, mi_zero(n))
-                            for (alpha, beta), c in solved.items()])
-    check = mi_range(n, k + 1)
-    probe_deg = D - 2 * (k + 1)
-    for alpha_p in check:
-        for beta_p in check:
-            f = Jet.monomial(mi_zero(n), beta_p, n, D)
-            g = Jet.monomial(alpha_p, mi_zero(n), n, D)
-            diff = (C_k.apply(f, g) - recon.apply(f, g)).truncate(max(probe_deg, 0))
-            if not diff.is_zero():
-                raise SingularSystem(
-                    f"C_{k} is not of separation-of-variables order ({k},{k})")
-    return solved
 
 
 def invert_transform(I):

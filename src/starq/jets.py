@@ -89,9 +89,6 @@ class Scalar:
     def conj(self):
         return Scalar(self.re, -self.im)
 
-    def to_complex(self):
-        return complex(self.re, self.im)
-
     def __repr__(self):
         return f"Scalar({self.re}, {self.im})"
 

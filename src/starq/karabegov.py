@@ -281,7 +281,7 @@ def _verify_commutation(L, P, rho, N, n, D):
 # ---------------------------------------------------------------------------
 # star product assembly
 
-def karabegov_star(P, N, label=None):
+def karabegov_star(P, N):
     """Anti-Wick star table through nu^N from a formal potential."""
     n, D = P.n, P.D
     cut = D - (N + 2)
@@ -317,12 +317,12 @@ def karabegov_star(P, N, label=None):
                 terms.append((c_cut, mi_zero(n), beta, alpha, mi_zero(n)))
         C.append(BiDiffOp(n, D, terms))
     t = StarTable(N=N, C=C, convention="karabegov_anti_wick",
-                  label=label or "karabegov")
+                  label="karabegov")
     t.check_convention()
     return t
 
 
-def bt_star_from(P, N, label=None):
+def bt_star_from(P, N):
     """Berezin-Toeplitz star table: f * g = I^{-1}(I(f) *_B I(g))."""
     t = karabegov_star(P, N)
     Iop = transform_from_star(t)
@@ -340,5 +340,5 @@ def bt_star_from(P, N, label=None):
                 terms.append((c_cut, fh, fa, gh, ga))
         C.append(BiDiffOp(P.n, P.D, terms))
     conv = detect_convention(C)
-    out = StarTable(N=N, C=C, convention=conv, label=label or "berezin-toeplitz")
+    out = StarTable(N=N, C=C, convention=conv, label="berezin-toeplitz")
     return out

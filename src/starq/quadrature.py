@@ -7,13 +7,14 @@ points nearer than eta to an edge's target excised and a Richardson step
 over eta, eta/2, eta/4.  The unit cube is mapped onto H^n by tangents.
 
 Everything that depends on the grid alone is built once per process and
-kept read-only: the 2D half-plane grid per node count, each 2D pair
-integral, the 4D coordinates with their Jacobian weight, and each edge's
-gradient columns and squared distance.  A graph then only fills its
-Jacobian buffer from these fields, takes the determinant and sums three
-masks.  The Monte Carlo path goes through the same field and assembly code
-on fresh samples, uncached.  Only starq.graphs imports this module, and only
-when it integrates a weight, so the exact commands never load numpy.
+kept read-only: each 2D pair integral, the 4D coordinates with their
+Jacobian weight, and each edge's gradient columns and squared distance.
+The 2D half-plane grid is read only by the memoised pair integral, so it
+is not kept.  A graph then only fills its Jacobian buffer from these
+fields, takes the determinant and sums three masks.  The Monte Carlo path
+goes through the same field and assembly code on fresh samples, uncached.
+Only starq.graphs imports this module, and only when it integrates a
+weight, so the exact commands never load numpy.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ def _richardson(vals):
 # ---------------------------------------------------------------------------
 # 2D pair integrals
 
-@functools.cache
 def _halfplane_grid(M):
     s = (np.arange(M) + 0.5) / M
     u = (np.arange(M) + 0.5) / M
@@ -72,7 +72,7 @@ def _halfplane_grid(M):
     X = np.tan(np.pi * (S - 0.5))
     Y = np.tan(np.pi * U / 2)
     W = (np.pi * (1 + X ** 2)) * (np.pi / 2 * (1 + Y ** 2)) / (M * M)
-    return _frozen(X.ravel()), _frozen(Y.ravel()), _frozen(W.ravel())
+    return X.ravel(), Y.ravel(), W.ravel()
 
 
 @functools.cache

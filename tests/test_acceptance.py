@@ -206,9 +206,9 @@ def test_05_weighted_graph_expansion_matches_recursion():
     D, N = 14, 2
     for name, P in reference_potentials(D).items():
         m = metric_from_potential(P.phi_minus1)
-        # check=True re-derives the table from the recursion and raises on
-        # any mismatch; the explicit comparison below is belt and braces
-        gt = gammelgaard_star(P, m.g_inv, N, check=True)
+        # gammelgaard_star compares its terms with the recursion's and
+        # raises on any mismatch; the comparison below is belt and braces
+        gt = gammelgaard_star(P, m.g_inv, N)
         kt = karabegov_star(P, N)
         window = D - (N + 2) - 2 * N
         assert tables_agree(gt, kt, probe_degree=2, up_to=window), name

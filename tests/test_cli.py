@@ -1,7 +1,9 @@
 """CLI: expression parsing, config handling, pipelines, determinism."""
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import starq
 from starq.cli import (
@@ -21,9 +24,6 @@ from starq.cp1 import UnboundedSymbol
 
 def invoke(argv):
     """Run the CLI in-process, capturing stdout bytes and the exit code."""
-    import io
-    import contextlib
-
     class _Buf(io.BytesIO):
         pass
 
@@ -163,42 +163,107 @@ def test_exit_codes_and_stderr(capsys):
     ["weights", "--n", "1", "--eta", "-0.1"],
     ["weights", "--n", "1", "--grid-nodes", "1"],
     ["star-kontsevich", "--f-poly", "[[1,[2]]]"],
+    ["weights", "--n", "1", "--eta", "inf"],
+    ["star-kontsevich", "--f-poly", "[[1e400,[1,0]]]"],
 ])
 def test_invalid_numeric_options_exit_2(argv, capsys):
     assert_one_validation_error(argv, capsys)
 
 
-@pytest.mark.parametrize("argv, content", [
-    pytest.param(["star-karabegov", "--potential", "FILE"], '{"phi": []}',
+_V = "ValidationError"
+
+
+@pytest.mark.parametrize("argv, content, error", [
+    pytest.param(["star-karabegov", "--potential", "FILE"], '{"phi": []}', _V,
                  id="potential-without-phi_minus1"),
     pytest.param(["star-kontsevich", "--alpha-path", "FILE"],
-                 '{"alpha": [[0, 1]]}', id="alpha-without-constant"),
+                 '{"alpha": [[0, 1]]}', _V, id="alpha-without-constant"),
     pytest.param(["star-kontsevich", "--alpha-path", "FILE"],
-                 '{"constant": [[0, 1]]}', id="alpha-not-square"),
-    pytest.param(["star-kontsevich", "--f-poly", "[1]"], None,
+                 '{"constant": [[0, 1]]}', _V, id="alpha-not-square"),
+    pytest.param(["star-kontsevich", "--f-poly", "[1]"], None, _V,
                  id="poly-not-terms"),
-    pytest.param(["weights", "--config", "FILE"], "n = 1\n",
+    pytest.param(["weights", "--config", "FILE"], "n = 1\n", _V,
                  id="config-without-section"),
-    pytest.param(["star-bt", "--jobs", "2"], None, id="unknown-flag"),
-    pytest.param(["nope"], None, id="unknown-command"),
-    pytest.param(["weights", "--n", "1", "--tol", "-1e-3"], None,
+    pytest.param(["star-bt", "--jobs", "2"], None, _V, id="unknown-flag"),
+    pytest.param(["nope"], None, _V, id="unknown-command"),
+    pytest.param(["weights", "--n", "1", "--tol", "-1e-3"], None, _V,
                  id="flag-without-value"),
+    pytest.param(["cp1-toeplitz", "--expr", ""], None, "ParseError",
+                 id="empty-expr"),
+    pytest.param(["star-kontsevich", "--f-poly", "[[[1],[1,0]]]"], None, _V,
+                 id="poly-coeff-pair-too-short"),
+    pytest.param(["cp1-toeplitz", "--m", "1", "--expr", "1e400"], None,
+                 "ParseError", id="expr-literal-not-finite"),
+    pytest.param(["cp1-berezin", "--at", "nan"], None, _V,
+                 id="at-not-finite"),
 ])
-def test_malformed_input_exit_2(argv, content, tmp_path, capsys):
+def test_malformed_input_exit_2(argv, content, error, tmp_path, capsys):
     """Malformed input files and argument errors end in one JSON line."""
     path = tmp_path / "input"
     if content is not None:
         path.write_text(content)
     assert_one_validation_error(
-        [str(path) if a == "FILE" else a for a in argv], capsys)
+        [str(path) if a == "FILE" else a for a in argv], capsys, error)
 
 
-def assert_one_validation_error(argv, capsys):
+def assert_one_validation_error(argv, capsys, error="ValidationError"):
     code, out = invoke(argv)
     assert code == 2 and out == b""
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert json.loads(err[0])["error"] == "ValidationError"
+    assert json.loads(err[0])["error"] == error
+
+
+# Each command starts from an argv that keeps it cheap (kontsevich at order
+# 1, sphere levels <= 16); fragments appended after it may override any of
+# its options.  None of them asks for n = 2 weights.
+_ARGV_BASES = [
+    ["star-karabegov"], ["star-bt"], ["star-gammelgaard"],
+    ["star-kontsevich", "--order", "1"], ["graphs-enumerate"],
+    ["weights", "--grid-nodes", "40", "--tol", "0.5"],
+    ["cp1-toeplitz"], ["cp1-berezin", "--m-list", "8,16"],
+    ["cp1-suite", "--m-list", "8,16"],
+]
+_ARGV_FRAGMENTS = [
+    ["--order", "0"], ["--order", "1"], ["--order", "-1"], ["--order", "x"],
+    ["--potential", "fs"], ["--potential", "aniso"], ["--potential", "nope"],
+    ["--max-degree", "4"], ["--max-degree", "-1"],
+    ["--n", "0"], ["--n", "1"], ["--family", "weighted"], ["--wmax", "1"],
+    ["--m", "1"], ["--m", "16"], ["--m", "0"],
+    ["--m-list", "8"], ["--m-list", "16,8"], ["--m-list", "0"],
+    ["--m-list", "x"],
+    ["--expr", ""], ["--expr", "1e400"], ["--expr", "1e300*1e300"],
+    ["--expr", "-zbar"], ["--expr", "z^3/(1+zz)"], ["--expr", "z/(1-zz)"],
+    ["--expr", "(1 - zz) / (1+zz)"], ["--expr", "2j*zz/(1+zz)^2"],
+    ["--f-expr", "z^2"], ["--g-expr", "1e400"],
+    ["--at", "nan"], ["--at", "inf"], ["--at", "0.5+0.2j"],
+    ["--at", "1e200"], ["--at", "x"], ["--suite", "berezin"],
+    ["--method", "mc"], ["--samples", "1000"], ["--samples", "0"],
+    ["--grid-nodes", "1"], ["--eta", "nan"], ["--eta", "inf"],
+    ["--eta", "0.5"], ["--tol", "inf"], ["--tol", "1e-12"],
+    ["--format", "csv"], ["--format", "xml"], ["--seed", "3"],
+    ["--f-poly", "[[[1],[1,0]]]"], ["--f-poly", "[[1e400,[1,0]]]"],
+    ["--f-poly", "[[1,[2,1]]]"], ["--g-poly", "[[[1,-1],[1,1]]]"],
+    ["--g-poly", "[1]"], ["--jobs", "2"], ["--tol"],
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.sampled_from(_ARGV_BASES),
+       extra=st.lists(st.sampled_from(_ARGV_FRAGMENTS), max_size=3))
+def test_any_argv_keeps_the_exit_contract(base, extra):
+    """Exit 0, 2 or 3; a failure leaves one JSON line on stderr and nothing
+    on stdout; stdout never carries NaN or Infinity."""
+    argv = base + [a for frag in extra for a in frag]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(argv)
+    assert code in (0, 2, 3), argv
+    assert b"NaN" not in out and b"Infinity" not in out, argv
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and out == b"", argv
+        assert set(json.loads(lines[0])) == {"error", "message"}, argv
 
 
 def test_help_exits_0(capsys):

@@ -13,6 +13,7 @@ from starq.formal import (
     star_table_from_json, star_table_to_json, tables_agree, transform_from_star,
     ops_agree,
 )
+from starq.karabegov import flat_potential, fs_potential, karabegov_star
 
 
 def flat_table(N, D, n=1):
@@ -165,20 +166,42 @@ def test_transform_from_star_flat():
 
 def test_transform_rejects_order_violation():
     D = 12
-    # pretend C_1 is secretly second order in g
-    bad_c1 = BiDiffOp(1, D, [(Jet.constant(1, 1, D), (0,), (1,), (2,), (0,))])
-    t = StarTable(N=1, C=[BiDiffOp.pointwise(1, D), bad_c1],
-                  convention="karabegov_anti_wick")
-    with pytest.raises(SingularSystem):
-        transform_from_star(t)
+    # a C_1 term outside the anti-Wick (1,1) shape: (f_dz, f_dzbar, g_dz,
+    # g_dzbar) of second order in g, d_z on f, d_zbar on g, third order in g
+    for orders in [((0,), (1,), (2,), (0,)), ((1,), (1,), (1,), (0,)),
+                   ((0,), (1,), (1,), (1,)), ((0,), (1,), (3,), (0,))]:
+        bad_c1 = BiDiffOp(1, D, [(Jet.constant(1, 1, D),) + orders])
+        t = StarTable(N=1, C=[BiDiffOp.pointwise(1, D), bad_c1],
+                      convention="karabegov_anti_wick")
+        with pytest.raises(SingularSystem):
+            transform_from_star(t)
 
 
 def test_polarize_roundtrip():
-    D = 12
-    t = flat_table(3, D)
-    Iop = transform_from_star(t)
-    for k in range(1, 4):
-        assert polarize(Iop.orders[k], k) == t.C[k]
+    tables = [flat_table(3, 12), karabegov_star(fs_potential(18), 4),
+              karabegov_star(flat_potential(15, n=2, weights=[1, 2]), 3)]
+    for t in tables:
+        Iop = transform_from_star(t)
+        for k in range(1, t.N + 1):
+            assert polarize(Iop.orders[k], k) == t.C[k]
+
+
+def test_transform_and_graph_check_apply_no_operator(monkeypatch):
+    """The transform and the graph cross-check compare operator terms; they
+    apply no operator to monomial probes."""
+    from starq.graphs import gammelgaard_star
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("probe evaluation")
+
+    P = flat_potential(14, n=2, weights=[1, 2])
+    t = karabegov_star(P, 2)
+    monkeypatch.setattr(BiDiffOp, "apply", forbidden)
+    with monkeypatch.context() as m:
+        m.setattr(Jet, "monomial", forbidden)
+        assert polarize(transform_from_star(t).orders[2], 2) == t.C[2]
+    g_inv = metric_from_potential(P.phi_minus1).g_inv
+    assert gammelgaard_star(P, g_inv, 2).C == t.C
 
 
 def test_invert_transform():

@@ -136,7 +136,7 @@ def test_order2_boundary_weights():
 def test_weight_grid_fields_built_once(monkeypatch, capsys):
     """weights --n 2 evaluates each 4D grid edge field once and the 2D pair
     integral once; with only the weight cache emptied, a second run
-    evaluates nothing and prints the same bytes.  Cached arrays are
+    evaluates nothing and prints the same bytes.  Cached 4D arrays are
     read-only."""
     from starq import graphs, quadrature
     from starq.cli import main
@@ -147,8 +147,8 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
             return _grad(zx, *rest)
         monkeypatch.setattr(quadrature, name, counted)
     graphs._WEIGHT_CACHE.clear()
-    for cached in (quadrature._halfplane_grid, quadrature._pair_integral_2d,
-                   quadrature._grid_4d, quadrature._grid_edge_field):
+    for cached in (quadrature._pair_integral_2d, quadrature._grid_4d,
+                   quadrature._grid_edge_field):
         cached.cache_clear()
     assert main(["weights", "--n", "2"]) == 0
     first = capsys.readouterr().out
@@ -173,8 +173,6 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
         cols[0][1][0] = 0.0
     with pytest.raises(ValueError):
         dist2 += 1.0
-    with pytest.raises(ValueError):
-        quadrature._halfplane_grid(800)[2][0] = 0.0
 
 
 def test_weight_guard_and_failure():
