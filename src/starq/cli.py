@@ -440,13 +440,28 @@ def run(cfg):
                          "samples_or_cells": w.samples_or_cells,
                          "seed": w.seed})
         results = {"weights": rows}
-    elif cmd == "cp1-toeplitz":
+    elif cmd.startswith("cp1-"):
+        import numpy as np
+        # One errstate for the whole run: numpy's floating-point warnings
+        # would print ahead of the JSON error line, and a non-finite value
+        # is caught by emit's gate, which exits 3.
+        with np.errstate(all="ignore"):
+            results = _run_cp1(cfg)
+    else:  # pragma: no cover - guarded by validate()
+        raise ValidationError(cmd)
+    return Report(command=cmd, inputs=inputs, results=results, seed=cfg.seed)
+
+
+def _run_cp1(cfg):
+    """Results of a cp1-* command."""
+    cmd = cfg.command
+    if cmd == "cp1-toeplitz":
         from .cp1 import make_context, toeplitz_matrix
         f = parse_observable(cfg.expr)
         A = toeplitz_matrix(f, make_context(cfg.m))
-        results = {"m": cfg.m,
-                   "entries": [[x.real, x.imag] for x in A.ravel()]}
-    elif cmd == "cp1-berezin":
+        return {"m": cfg.m,
+                "entries": [[x.real, x.imag] for x in A.ravel()]}
+    if cmd == "cp1-berezin":
         from .cp1 import berezin_transform_num, make_context
         f = parse_observable(cfg.expr)
         z0 = complex(cfg.at.replace(" ", ""))
@@ -456,28 +471,24 @@ def run(cfg):
         for m in cfg.m_list:
             val = berezin_transform_num(f, z0, make_context(m))
             points.append({"m": m, "value": val.real, "imag": val.imag})
-        results = {"series": "berezin", "at": cfg.at, "points": points}
-    elif cmd == "cp1-suite":
-        from .cp1 import berezin_defect_series, bms_suite, laplacian_fn
-        f = parse_observable(cfg.f_expr)
-        g = parse_observable(cfg.g_expr)
-        if cfg.suite == "bms":
-            names = ("norm_gap", "commutator_defect", "product_defect")
-            series = bms_suite(f, g, cfg.m_list)
-        else:
-            pts = [0.0 + 0.0j, 0.3 + 0.1j, 0.8 - 0.5j, 1.6 + 0.9j]
-            series = (berezin_defect_series(f, laplacian_fn(f), pts,
-                                            cfg.m_list),)
-            names = ("berezin_defect",)
-        results = {"series": [
-            {"name": nm,
-             "points": [{"m": m, "value": v} for m, v in s.points],
-             "fit": {"limit": s.fit[0], "slope": s.fit[1],
-                     "residual": s.fit[2]}}
-            for nm, s in zip(names, series)]}
-    else:  # pragma: no cover - guarded by validate()
-        raise ValidationError(cmd)
-    return Report(command=cmd, inputs=inputs, results=results, seed=cfg.seed)
+        return {"series": "berezin", "at": cfg.at, "points": points}
+    from .cp1 import berezin_defect_series, bms_suite, laplacian_fn
+    f = parse_observable(cfg.f_expr)
+    g = parse_observable(cfg.g_expr)
+    if cfg.suite == "bms":
+        names = ("norm_gap", "commutator_defect", "product_defect")
+        series = bms_suite(f, g, cfg.m_list)
+    else:
+        pts = [0.0 + 0.0j, 0.3 + 0.1j, 0.8 - 0.5j, 1.6 + 0.9j]
+        series = (berezin_defect_series(f, laplacian_fn(f), pts,
+                                        cfg.m_list),)
+        names = ("berezin_defect",)
+    return {"series": [
+        {"name": nm,
+         "points": [{"m": m, "value": v} for m, v in s.points],
+         "fit": {"limit": s.fit[0], "slope": s.fit[1],
+                 "residual": s.fit[2]}}
+        for nm, s in zip(names, series)]}
 
 
 # ---------------------------------------------------------------------------

@@ -239,8 +239,9 @@ class BiDiffOp:
             d1 = DiffOp.deriv(self.n, self.D, fh, fa).compose(A1)
             d2 = DiffOp.deriv(self.n, self.D, gh, ga).compose(A2)
             for c1, h1, a1 in d1.terms:
+                cc1 = coeff * c1
                 for c2, h2, a2 in d2.terms:
-                    out.append((coeff * c1 * c2, h1, a1, h2, a2))
+                    out.append((cc1 * c2, h1, a1, h2, a2))
         return BiDiffOp(self.n, self.D, out)
 
     def postcompose(self, P):
@@ -250,18 +251,21 @@ class BiDiffOp:
             for coeff, fh, fa, gh, ga in self.terms:
                 for a1 in _sub_indices(a):
                     rest_a = mi_sub(a, a1)
-                    for a2 in _sub_indices(rest_a):
-                        a3 = mi_sub(rest_a, a2)
-                        ma = mi_binom(a, a1) * mi_binom(rest_a, a2)
-                        for b1 in _sub_indices(b):
-                            rest_b = mi_sub(b, b1)
+                    for b1 in _sub_indices(b):
+                        dc = coeff.diff_multi(a1, b1)
+                        if dc.is_zero():
+                            continue
+                        # p * d^(a1, b1) coeff is shared by every split of
+                        # the remaining derivatives between f and g
+                        pdc = p * dc
+                        rest_b = mi_sub(b, b1)
+                        m1 = mi_binom(a, a1) * mi_binom(b, b1)
+                        for a2 in _sub_indices(rest_a):
+                            a3 = mi_sub(rest_a, a2)
+                            ma = m1 * mi_binom(rest_a, a2)
                             for b2 in _sub_indices(rest_b):
                                 b3 = mi_sub(rest_b, b2)
-                                mb = mi_binom(b, b1) * mi_binom(rest_b, b2)
-                                dc = coeff.diff_multi(a1, b1)
-                                if dc.is_zero():
-                                    continue
-                                out.append(((p * dc).scale(ma * mb),
+                                out.append((pdc.scale(ma * mi_binom(rest_b, b2)),
                                             mi_add(fh, a2), mi_add(fa, b2),
                                             mi_add(gh, a3), mi_add(ga, b3)))
         return BiDiffOp(self.n, self.D, out)
@@ -426,22 +430,21 @@ def conjugate_star(t, B):
         raise ValueError("equivalence transform must start with the identity")
     n, D, N = t.n, t.D, t.N
     Binv = invert_transform(B)
-    # C'_k = sum_{a+b+c+d=k} Binv_a o C_b(B_c ., B_d .): each (b, c, d) is
-    # precomposed once and reused for every a; Binv_0 is the identity.
-    inner = {}
+    # C'_k = sum_{a+j=k} Binv_a o S_j with S_j = sum_{b+c+d=j} C_b(B_c ., B_d .):
+    # each (b, c, d) is precomposed once, and postcomposition is linear, so
+    # each (a, j) is postcomposed once; Binv_0 is the identity.
+    S = []
+    for j in range(N + 1):
+        acc = BiDiffOp.zero(n, D)
+        for b in range(j + 1):
+            for c in range(j + 1 - b):
+                acc = acc + t.C[b].precompose(B.orders[c], B.orders[j - b - c])
+        S.append(acc)
     C_out = []
     for k in range(N + 1):
-        acc = BiDiffOp.zero(n, D)
-        for a in range(k + 1):
-            for b in range(k + 1 - a):
-                for c in range(k + 1 - a - b):
-                    d = k - a - b - c
-                    op = inner.get((b, c, d))
-                    if op is None:
-                        op = inner[(b, c, d)] = t.C[b].precompose(
-                            B.orders[c], B.orders[d])
-                    acc = acc + (op if a == 0
-                                 else op.postcompose(Binv.orders[a]))
+        acc = S[k]
+        for a in range(1, k + 1):
+            acc = acc + S[k - a].postcompose(Binv.orders[a])
         C_out.append(acc)
     conv = detect_convention(C_out)
     return StarTable(N=N, C=C_out, convention=conv,

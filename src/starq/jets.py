@@ -10,6 +10,7 @@ rational, is the coefficient type at the boundary: constructors,
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -475,6 +476,27 @@ class Jet:
             out = out + power
         return out.scale(inv_c0)
 
+    def log(self):
+        """log(a / a_0) for a unit a with constant term a_0.
+
+        With a = a_0 (1 + r), r of positive valuation, this is the series
+        sum_k (-1)^(k+1) r^k / k, finite in the truncated ring.  It is log a
+        up to the constant log a_0, which is not rational in general.
+        """
+        c0 = self.constant_term()
+        if c0.is_zero():
+            raise ZeroConstantTerm("jet has zero constant term")
+        n, D = self.n, self.max_degree
+        r = self.scale(ONE / c0) - Jet.constant(1, n, D)
+        out = Jet.zero(n, D)
+        power = Jet.constant(1, n, D)
+        for k in range(1, D + 1):
+            power = power * r
+            if power.is_zero():
+                break
+            out = out + power.scale(Fraction((-1) ** (k + 1), k))
+        return out
+
     def __repr__(self):
         if not self.num:
             return "Jet(0)"
@@ -529,10 +551,31 @@ def _const_matrix_inverse(mat):
     return [[aug[i][n + j] for j in range(n)] for i in range(n)]
 
 
+def hessian(phi):
+    """g_ij = d2 Phi / dz_i dzbar_j as an n x n list of jets."""
+    return [[phi.diff(i, "holo").diff(j, "anti") for j in range(phi.n)]
+            for i in range(phi.n)]
+
+
+def jet_det(mat):
+    """Determinant of an n x n matrix of jets by the Leibniz expansion
+    sum_s sign(s) prod_i mat[i][s(i)] over the permutations s."""
+    n = len(mat)
+    out = Jet.zero(mat[0][0].n, mat[0][0].max_degree)
+    for perm in itertools.permutations(range(n)):
+        term = mat[0][perm[0]]
+        for i in range(1, n):
+            term = term * mat[i][perm[i]]
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        out = out - term if inversions % 2 else out + term
+    return out
+
+
 def metric_from_potential(phi):
     """Hessian metric g_ij = d2 Phi / dz_i dzbar_j and its jet inverse."""
     n, D = phi.n, phi.max_degree
-    g = [[phi.diff(i, "holo").diff(j, "anti") for j in range(n)] for i in range(n)]
+    g = hessian(phi)
     g0 = [[g[i][j].constant_term() for j in range(n)] for i in range(n)]
     g0_inv = _const_matrix_inverse(g0)
     # g = g0 (Id + g0^{-1} h) with h of positive valuation:

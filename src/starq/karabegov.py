@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .jets import (
-    DegenerateMetric, Jet, ONE, ZERO, _gaussian,
+    DegenerateMetric, Jet, ONE, ZERO, _gaussian, hessian, jet_det,
     mi_binom, mi_deg, mi_falling, mi_le,
     mi_range, mi_sub, mi_zero, mi_fact, unit_mi, _const_matrix_inverse,
 )
@@ -119,14 +119,16 @@ class _ConstSolver:
         self.null_rows = [_sparse(aug[r][ncols:])
                           for r in range(nrows) if r not in used]
 
-    def solve(self, v_jets, n, D, check_degree=None):
-        out = [_combination(row, v_jets, n, D) for row in self.transform]
-        if check_degree is not None and check_degree >= 0:
-            for row in self.null_rows:
-                acc = _combination(row, v_jets, n, D)
-                if not acc.truncate(check_degree).is_zero():
-                    raise ArithmeticError("inconsistent block in the recursion")
-        return out
+    def solve(self, v_jets, n, D):
+        return [_combination(row, v_jets, n, D) for row in self.transform]
+
+    def check(self, v_jets, n, D, degree):
+        """Raise unless every null-row combination of v vanishes through
+        total degree `degree` (the system is consistent there)."""
+        for row in self.null_rows:
+            acc = _combination(row, v_jets, n, D)
+            if not acc.truncate(degree).is_zero():
+                raise ArithmeticError("inconsistent block in the recursion")
 
 
 def _sparse(row):
@@ -155,8 +157,7 @@ def left_mult_operator(g_series, P, N, verify=True):
     # right-multiplication data, graded after multiplying through by nu:
     # nu R_l = w_{-1,l} + nu (w_{0,l} + d/dzbar_l) + nu^2 w_{1,l} + ...
     w_lead = [P.phi_minus1.diff(l, "anti") for l in range(n)]
-    G = [[P.phi_minus1.diff(j, "holo").diff(l, "anti") for l in range(n)]
-         for j in range(n)]
+    G = hessian(P.phi_minus1)
     G0 = [[G[j][l].constant_term() for l in range(n)] for j in range(n)]
     try:
         _const_matrix_inverse(G0)
@@ -228,8 +229,10 @@ def left_mult_operator(g_series, P, N, verify=True):
                     v.append(val)
             # split jet-valued system into constant part plus perturbation;
             # the perturbation has positive valuation, so fixed-point
-            # iteration terminates in the truncated ring
-            x = solver.solve(v, n, D, check_degree=None)
+            # iteration terminates in the truncated ring.  Only the converged
+            # right-hand side has to be consistent: the null rows are checked
+            # once, after the loop.
+            x = solver.solve(v, n, D)
             for _ in range(D + 1):
                 v2 = []
                 i = 0
@@ -242,12 +245,11 @@ def left_mult_operator(g_series, P, N, verify=True):
                                 pert = pert + (H[j][l] * x[ci]).scale(beta[j] + 1)
                         v2.append(v[i] - pert)
                         i += 1
-                x_new = solver.solve(v2, n, D,
-                                     check_degree=D - (m + 2))
+                x_new = solver.solve(v2, n, D)
                 if all(a == b for a, b in zip(x, x_new)):
-                    x = x_new
                     break
                 x = x_new
+            solver.check(v2, n, D, D - (m + 2))
             for ci, alpha in enumerate(alphas):
                 if not x[ci].is_zero():
                     coeffs[alpha] = x[ci]
@@ -323,22 +325,33 @@ def karabegov_star(P, N):
 
 
 def bt_star_from(P, N):
-    """Berezin-Toeplitz star table: f * g = I^{-1}(I(f) *_B I(g))."""
-    t = karabegov_star(P, N)
-    Iop = transform_from_star(t)
-    bt = conjugate_star(t, Iop)
+    """Berezin-Toeplitz star table: Wick type, f * g = I^{-1}(I(f) *_B I(g)).
+
+    The Berezin-Toeplitz product is the separation-of-variables product with
+    z and zbar switched whose Karabegov form is -(1/nu) omega + omega_can,
+    omega_can = i d dbar log det g (Karabegov-Schlichenmaier).  For a
+    potential with no Phi_k entries it is built straight from the recursion:
+    with P' = (Phi_{-1}, Phi'_0 = log det g), C_k = (-1)^k swap(C'_k) for
+    the anti-Wick table C' of P'.  The constant of the log is dropped, since
+    only derivatives of Phi'_0 enter the recursion.  A potential with Phi_k
+    entries takes the conjugation by the formal Berezin transform I of the
+    anti-Wick table instead.
+    """
+    if P.phi:
+        t = karabegov_star(P, N)
+        ops = conjugate_star(t, transform_from_star(t)).C
+    else:
+        log_det = jet_det(hessian(P.phi_minus1)).log()
+        t = karabegov_star(FormalPotential(phi_minus1=P.phi_minus1,
+                                           phi=[log_det]), N)
+        ops = [op.swap() if k % 2 == 0 else -op.swap()
+               for k, op in enumerate(t.C)]
     # conjugation composes up to 2N derivatives of coefficients that are
     # themselves truncations; zero out the unreliable top strata so that the
-    # Wick-type cancellations are visible to the structural checks
+    # Wick-type cancellations are visible to the structural checks.  The
+    # direct route takes the same cut, so both routes give the same table.
     cut = P.D - (3 * N + 2)
-    C = []
-    for op in bt.C:
-        terms = []
-        for c, fh, fa, gh, ga in op.terms:
-            c_cut = c.drop_above(cut)
-            if not c_cut.is_zero():
-                terms.append((c_cut, fh, fa, gh, ga))
-        C.append(BiDiffOp(P.n, P.D, terms))
+    C = [BiDiffOp(P.n, P.D, [(tm[0].drop_above(cut),) + tm[1:]
+                             for tm in op.terms]) for op in ops]
     conv = detect_convention(C)
-    out = StarTable(N=N, C=C, convention=conv, label="berezin-toeplitz")
-    return out
+    return StarTable(N=N, C=C, convention=conv, label="berezin-toeplitz")

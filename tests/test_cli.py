@@ -380,6 +380,21 @@ def test_exact_commands_do_not_import_numpy():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_overflow_leaves_one_stderr_line():
+    """numpy's floating-point warnings stay off stderr: an overflowed
+    cp1 run exits 3 with its JSON error line alone."""
+    argv = ["cp1-berezin", "--expr", "(1 - zz) / (1+zz)", "--at", "1e200",
+            "--m-list", "8"]
+    proc = subprocess.run([sys.executable, "-m", "starq.cli"] + argv,
+                          env=_subprocess_env(), capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    err = proc.stderr.decode().splitlines()
+    assert len(err) == 1, err
+    assert json.loads(err[0])["error"] == "NonFiniteResult"
+
+
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from starq.jets import (
     I, ONE, Jet, Scalar, ZeroConstantTerm, DegenerateMetric,
-    jet_from_json, jet_to_json,
+    hessian, jet_det, jet_from_json, jet_to_json,
     laplacian, metric_from_potential, mi_range, poisson_bracket,
 )
 
@@ -90,6 +90,41 @@ def test_inverse_examples():
 def test_inverse_zero_constant_term():
     with pytest.raises(ZeroConstantTerm):
         jz().inverse()
+
+
+def test_log_examples():
+    D = 8
+    one = Jet.constant(1, 1, D)
+    t = jz(1, D) * jzb(1, D)
+    assert (one + t).log() == log1p_jet(D)
+    # the constant log 3 is dropped
+    assert (one + t).scale(3).log() == log1p_jet(D)
+    assert one.log().is_zero()
+    with pytest.raises(ZeroConstantTerm):
+        t.log()
+
+
+def test_log_det_fs():
+    D = 10
+    one = Jet.constant(1, 1, D)
+    t = jz(1, D) * jzb(1, D)
+    g = (one + t).inverse() * (one + t).inverse()
+    assert jet_det([[g]]).log() == log1p_jet(D).scale(-2)
+    # from the potential, the Hessian is reliable through D - 2
+    got = jet_det(hessian(log1p_jet(D))).log()
+    assert got.truncate(D - 2) == log1p_jet(D).scale(-2).truncate(D - 2)
+
+
+def test_det_anisotropic_and_3x3():
+    D = 4
+    z1, z2 = Jet.variable(0, 2, D), Jet.variable(1, 2, D)
+    zb1, zb2 = Jet.variable(0, 2, D, "anti"), Jet.variable(1, 2, D, "anti")
+    det = jet_det(hessian(z1 * zb1 + (z2 * zb2).scale(2)))
+    assert det == Jet.constant(2, 2, D)
+    assert det.log().is_zero()
+    rows = [[1, 2, 0], [0, 1, 3], [4, 0, 1]]
+    mat = [[Jet.constant(x, 1, D) for x in row] for row in rows]
+    assert jet_det(mat) == Jet.constant(25, 1, D)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +236,19 @@ def test_inverse_roundtrip(a, c0):
 
 
 @settings(max_examples=40, deadline=None)
+@given(jets(), scalars())
+def test_log_derivative(a, c0):
+    # (d log a) a = d a through degree D - 1 for a unit a
+    n, D = a.n, a.max_degree
+    f = a - Jet.constant(a.constant_term(), n, D) \
+        + Jet.constant(c0 + Scalar(5), n, D)
+    log_f = f.log()
+    for kind in ("holo", "anti"):
+        lhs = log_f.diff(0, kind) * f
+        assert lhs.truncate(D - 1) == f.diff(0, kind).truncate(D - 1)
+
+
+@settings(max_examples=40, deadline=None)
 @given(jets(n=2, D=4, max_terms=3))
 def test_metric_inverse_roundtrip(bump):
     D = 4
@@ -221,6 +269,7 @@ def test_metric_inverse_roundtrip(bump):
                 acc = acc + m.g_inv[i][k] * m.g[k][j]
             expect = Jet.constant(1 if i == j else 0, 2, D)
             assert acc == expect
+    assert jet_det(m.g) * jet_det(m.g_inv) == Jet.constant(1, 2, D)
 
 
 @settings(max_examples=40, deadline=None)

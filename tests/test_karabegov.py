@@ -7,9 +7,10 @@ from starq.jets import (
     I, Jet, Scalar, laplacian, metric_from_potential, mi_range, mi_zero,
     poisson_bracket,
 )
+import starq.karabegov
 from starq.formal import (
-    BiDiffOp, DiffOp, NuDiffOp, assoc_defect, ops_agree, star_eval,
-    transform_from_star,
+    BiDiffOp, DiffOp, NuDiffOp, assoc_defect, conjugate_star, ops_agree,
+    star_eval, transform_from_star,
 )
 from starq.karabegov import (
     FormalPotential, bt_star_from, flat_potential,
@@ -158,6 +159,30 @@ def test_assoc_defect_zero():
             assert d.truncate(window).is_zero(), name
 
 
+def nonflat_n2_potential(D):
+    """Phi = z1 zbar1 + z2 zbar2 + z1 z2 zbar1 zbar2: a non-flat n = 2
+    metric, whose recursion blocks have null rows."""
+    t1 = Jet.variable(0, 2, D) * Jet.variable(0, 2, D, "anti")
+    t2 = Jet.variable(1, 2, D) * Jet.variable(1, 2, D, "anti")
+    return FormalPotential(phi_minus1=t1 + t2 + t1 * t2)
+
+
+def test_nonflat_n2_recursion():
+    # the null-row consistency check runs on the converged right-hand side,
+    # not on the fixed-point iterates before it
+    D, N = 16, 2
+    P = nonflat_n2_potential(D)
+    t = karabegov_star(P, N)
+    left_mult_operator([Jet.variable(1, 2, D, "anti")], P, N, verify=True)
+    window = D - (N + 2) - 2 * N
+    z1, z2 = Jet.variable(0, 2, D), Jet.variable(1, 2, D)
+    zb1, zb2 = Jet.variable(0, 2, D, "anti"), Jet.variable(1, 2, D, "anti")
+    for f, g, h in ((z1 * zb2, zb1, z2), (zb1 * zb2, z1 * z2, zb2),
+                    (z2 * zb2, z1 * zb1, zb1 * z2)):
+        for d in assoc_defect(t, f, g, h):
+            assert d.truncate(window).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # transform and BT product
 
@@ -228,3 +253,63 @@ def test_bt_c1_identity():
                         expect = expect - m.g_inv[i][j] * f.diff(i, "holo") * g.diff(j, "anti")
                 got = bt.C[1].apply(f, g)
                 assert (got - expect).truncate(window).is_zero(), name
+
+
+def dense_potential(D):
+    """Real non-radial n = 1 potential z zbar + sum c_ab z^a zbar^b over
+    3 <= a + b <= 4, with fixed coefficients of modulus 1/4 and 1/4 sqrt 2."""
+    terms = {((1,), (1,)): Scalar(1)}
+    for a in range(5):
+        for b in range(a, 5):
+            if 3 <= a + b <= 4:
+                sign = (-1) ** (a + 2 * b)
+                im = Fraction(0) if a == b else Fraction(-sign, 4)
+                terms[((a,), (b,))] = Scalar(Fraction(sign, 4), im)
+                terms[((b,), (a,))] = Scalar(Fraction(sign, 4), -im)
+    return FormalPotential(phi_minus1=Jet(1, D, terms))
+
+
+def conjugation_route(P, N):
+    """The BT table by conjugating the anti-Wick table with its Berezin
+    transform, cut as bt_star_from cuts."""
+    t = karabegov_star(P, N)
+    cut = P.D - (3 * N + 2)
+    return [BiDiffOp(P.n, P.D, [(tm[0].drop_above(cut),) + tm[1:]
+                                for tm in op.terms])
+            for op in conjugate_star(t, transform_from_star(t)).C]
+
+
+@pytest.mark.parametrize("P, N", [
+    pytest.param(fs_potential(12), 2, id="fs-2"),
+    pytest.param(fs_potential(15), 3, id="fs-3"),
+    pytest.param(fs_potential(18), 4, id="fs-4"),
+    pytest.param(flat_potential(15, n=2, weights=[1, 2]), 3, id="aniso-3"),
+    pytest.param(flat_potential(15), 3, id="flat-3"),
+    pytest.param(dense_potential(12), 2, id="dense-2"),
+    pytest.param(nonflat_n2_potential(16), 2, id="nonflat-n2-2"),
+])
+def test_bt_direct_route_matches_conjugation(P, N):
+    assert not P.phi
+    bt = bt_star_from(P, N)
+    assert bt.C == conjugation_route(P, N)
+    assert bt.convention == "wick"
+
+
+def test_bt_phi_potential_takes_conjugation(monkeypatch):
+    D, N = 12, 2
+    calls = []
+    conjugate = starq.karabegov.conjugate_star
+
+    def counted(t, B):
+        calls.append(t.N)
+        return conjugate(t, B)
+
+    monkeypatch.setattr(starq.karabegov, "conjugate_star", counted)
+    P = fs_potential(D)
+    bt_star_from(P, N)
+    assert calls == []
+    phi0 = (zj(D) * zbj(D)).scale(Fraction(1, 3))
+    P0 = FormalPotential(phi_minus1=P.phi_minus1, phi=[phi0])
+    bt = bt_star_from(P0, N)
+    assert calls == [N]
+    assert bt.C == conjugation_route(P0, N)
