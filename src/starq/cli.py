@@ -338,9 +338,13 @@ def _load_potential(cfg):
     try:
         phi_minus1 = jet_from_json(obj["phi_minus1"])
         phi = [jet_from_json(j) for j in obj.get("phi", [])]
-    except (KeyError, TypeError) as exc:
+        for jet in phi:
+            if (jet.n, jet.max_degree) != (phi_minus1.n, phi_minus1.max_degree):
+                raise ValueError("every 'phi' jet must match 'phi_minus1' in "
+                                 "n and max_degree")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"potential file {cfg.potential} has no "
-                              f"well-formed 'phi_minus1' jet: {exc!r}") from exc
+                              f"well-formed jets: {exc!r}") from exc
     return FormalPotential(phi_minus1=phi_minus1, phi=phi)
 
 

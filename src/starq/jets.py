@@ -102,7 +102,6 @@ def _as_scalar(x):
     raise TypeError(f"cannot coerce {type(x)!r} to Scalar")
 
 
-ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
 
@@ -525,32 +524,6 @@ class MetricJets:
     g_inv: tuple        # jet inverse matrix
 
 
-def _const_matrix_inverse(mat):
-    """Exact inverse of an n x n Scalar matrix; raises DegenerateMetric."""
-    n = len(mat)
-    aug = [[mat[i][j] for j in range(n)] + [ONE if j == i else ZERO for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not aug[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise DegenerateMetric("degree-0 Hessian block is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = ONE / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f.is_zero():
-                continue
-            aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [[aug[i][n + j] for j in range(n)] for i in range(n)]
-
-
 def hessian(phi):
     """g_ij = d2 Phi / dz_i dzbar_j as an n x n list of jets."""
     return [[phi.diff(i, "holo").diff(j, "anti") for j in range(phi.n)]
@@ -573,43 +546,27 @@ def jet_det(mat):
 
 
 def metric_from_potential(phi):
-    """Hessian metric g_ij = d2 Phi / dz_i dzbar_j and its jet inverse."""
+    """Hessian metric g_ij = d2 Phi / dz_i dzbar_j and its jet inverse
+    g^{-1} = adj(g) / det g; raises DegenerateMetric when det g has no
+    constant term."""
     n, D = phi.n, phi.max_degree
     g = hessian(phi)
-    g0 = [[g[i][j].constant_term() for j in range(n)] for i in range(n)]
-    g0_inv = _const_matrix_inverse(g0)
-    # g = g0 (Id + g0^{-1} h) with h of positive valuation:
-    # g^{-1} = sum_k (-g0^{-1} h)^k g0^{-1}, finite in the truncated ring.
-    h = [[g[i][j] - Jet.constant(g0[i][j], n, D) for j in range(n)] for i in range(n)]
-    m = [[Jet.zero(n, D) for _ in range(n)] for _ in range(n)]  # -g0^{-1} h
-    for i in range(n):
-        for j in range(n):
-            acc = Jet.zero(n, D)
-            for k in range(n):
-                acc = acc + h[k][j].scale(g0_inv[i][k])
-            m[i][j] = -acc
-    g0i_jet = [[Jet.constant(g0_inv[i][j], n, D) for j in range(n)] for i in range(n)]
-    total = [[Jet.constant(ONE if i == j else ZERO, n, D) for j in range(n)] for i in range(n)]
-    power = [[Jet.constant(ONE if i == j else ZERO, n, D) for j in range(n)] for i in range(n)]
-    for _ in range(D):
-        power = _mat_mul(power, m, n, D)
-        if all(power[i][j].is_zero() for i in range(n) for j in range(n)):
-            break
-        total = [[total[i][j] + power[i][j] for j in range(n)] for i in range(n)]
-    g_inv = _mat_mul(total, g0i_jet, n, D)
-    return MetricJets(g=tuple(tuple(row) for row in g),
-                      g_inv=tuple(tuple(row) for row in g_inv))
+    det = jet_det(g)
+    if det.constant_term().is_zero():
+        raise DegenerateMetric("degree-0 Hessian block is singular")
+    inv_det = det.inverse()
 
+    def cofactor(i, j):
+        """(-1)^(i+j) times the minor of g without row i and column j."""
+        if n == 1:
+            return Jet.constant(1, n, D)
+        minor = [row[:j] + row[j + 1:] for r, row in enumerate(g) if r != i]
+        c = jet_det(minor)
+        return -c if (i + j) % 2 else c
 
-def _mat_mul(a, b, n, D):
-    out = [[Jet.zero(n, D) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = Jet.zero(n, D)
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc
-    return out
+    g_inv = tuple(tuple(cofactor(j, i) * inv_det for j in range(n))
+                  for i in range(n))
+    return MetricJets(g=tuple(tuple(row) for row in g), g_inv=g_inv)
 
 
 def laplacian(f, m):
@@ -644,6 +601,8 @@ def _frac_str(fr):
 def _frac_parse(s):
     if "/" in s:
         p, q = s.split("/")
+        if int(q) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return Fraction(int(p), int(q))
     return Fraction(int(s))
 
@@ -657,9 +616,25 @@ def jet_to_json(jet):
     return {"n": jet.n, "max_degree": jet.max_degree, "terms": terms}
 
 
+def _json_int(x, least, what):
+    if type(x) is not int or x < least:
+        raise ValueError(f"jet {what} must be an int >= {least}, got {x!r}")
+    return x
+
+
 def jet_from_json(obj):
+    """Jet from jet_to_json's form; a ValueError names what is malformed."""
+    n = _json_int(obj["n"], 1, "n")
+    D = _json_int(obj["max_degree"], 0, "max_degree")
+
+    def exponents(idx):
+        if not isinstance(idx, list) or len(idx) != n:
+            raise ValueError(f"jet exponents must be a list of {n} ints, "
+                             f"got {idx!r}")
+        return tuple(_json_int(e, 0, "exponent") for e in idx)
+
     terms = {}
     for t in obj["terms"]:
-        key = (tuple(t["dz"]), tuple(t["dzbar"]))
+        key = (exponents(t["dz"]), exponents(t["dzbar"]))
         terms[key] = Scalar(_frac_parse(t["re"]), _frac_parse(t["im"]))
-    return Jet(obj["n"], obj["max_degree"], terms)
+    return Jet(n, D, terms)

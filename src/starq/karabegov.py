@@ -2,9 +2,18 @@
 
 The left multiplication operator L_g is solved order by order in nu from the
 requirement that it commutes with the right multiplication operators
-R_l = dPhi/dzbar_l + d/dzbar_l.  Multiplying the commutation equation through
-by nu couples each new holomorphic-derivative block against the invertible
-leading Hessian, giving a triangular exact solve per order.
+R_l = dPhi/dzbar_l + d/dzbar_l.  Multiplied through by nu, the commutation
+equation at order nu^m gives, for the coefficients x_alpha of d^alpha/dz^alpha
+with |alpha| = s, one block of rows (l, beta), |beta| = s - 1:
+
+    sum_j g_jl (beta_j + 1) x_{beta+e_j} = v_{l,beta},
+
+with g = d dbar Phi_{-1} the metric and v the lower orders and the solved
+blocks |alpha| > s.  Blocks are solved from s = m down.  The jet inverse
+g^{-1} = adj(g) / det g turns each block into
+(beta_j + 1) x_{beta+e_j} = sum_l g^{-1}_lj v_{l,beta}, so x_alpha can be read
+off along every j with alpha_j > 0; the routes must agree, which is the
+consistency (null-row) check of the overdetermined block.
 """
 
 from __future__ import annotations
@@ -13,9 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .jets import (
-    DegenerateMetric, Jet, ONE, ZERO, _gaussian, hessian, jet_det,
-    mi_binom, mi_deg, mi_falling, mi_le,
-    mi_range, mi_sub, mi_zero, mi_fact, unit_mi, _const_matrix_inverse,
+    Jet, hessian, jet_det, metric_from_potential, mi_binom, mi_deg,
+    mi_falling, mi_fact, mi_le, mi_range, mi_sub, mi_zero, unit_mi,
 )
 from .formal import (
     BiDiffOp, BudgetExceeded, DiffOp, NuDiffOp, StarTable,
@@ -75,74 +83,6 @@ def reference_potentials(D):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helper
-
-class _ConstSolver:
-    """Exact solver for a fixed Scalar matrix M0 (full column rank required).
-
-    Precomputes row-reduction transforms so that repeated solves against
-    jet-valued right-hand sides stay cheap and exact.  Each transform row is
-    kept as (index, re, im, den) Gaussian rationals, nonzero entries only.
-    """
-
-    def __init__(self, rows, ncols):
-        nrows = len(rows)
-        aug = [[rows[r][c] for c in range(ncols)]
-               + [ONE if j == r else ZERO for j in range(nrows)]
-               for r in range(nrows)]
-        pivot_rows = []
-        used = set()
-        for col in range(ncols):
-            piv = None
-            for r in range(nrows):
-                if r in used:
-                    continue
-                if not aug[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                raise ArithmeticError("underdetermined block in the recursion")
-            used.add(piv)
-            inv_p = ONE / aug[piv][col]
-            aug[piv] = [x * inv_p for x in aug[piv]]
-            for r in range(nrows):
-                if r == piv:
-                    continue
-                fac = aug[r][col]
-                if fac.is_zero():
-                    continue
-                aug[r] = [x - fac * y for x, y in zip(aug[r], aug[piv])]
-            pivot_rows.append(piv)
-        # x_col = sum_r transform[col][r] * v_r
-        self.transform = [_sparse(aug[pivot_rows[c]][ncols:])
-                          for c in range(ncols)]
-        self.null_rows = [_sparse(aug[r][ncols:])
-                          for r in range(nrows) if r not in used]
-
-    def solve(self, v_jets, n, D):
-        return [_combination(row, v_jets, n, D) for row in self.transform]
-
-    def check(self, v_jets, n, D, degree):
-        """Raise unless every null-row combination of v vanishes through
-        total degree `degree` (the system is consistent there)."""
-        for row in self.null_rows:
-            acc = _combination(row, v_jets, n, D)
-            if not acc.truncate(degree).is_zero():
-                raise ArithmeticError("inconsistent block in the recursion")
-
-
-def _sparse(row):
-    return [(r,) + _gaussian(s) for r, s in enumerate(row) if not s.is_zero()]
-
-
-def _combination(row, v_jets, n, D):
-    acc = Jet.zero(n, D)
-    for r, re, im, den in row:
-        acc = acc + v_jets[r].mul_gaussian(re, im, den)
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # left multiplication operator
 
 def left_mult_operator(g_series, P, N, verify=True):
@@ -157,12 +97,7 @@ def left_mult_operator(g_series, P, N, verify=True):
     # right-multiplication data, graded after multiplying through by nu:
     # nu R_l = w_{-1,l} + nu (w_{0,l} + d/dzbar_l) + nu^2 w_{1,l} + ...
     w_lead = [P.phi_minus1.diff(l, "anti") for l in range(n)]
-    G = hessian(P.phi_minus1)
-    G0 = [[G[j][l].constant_term() for l in range(n)] for j in range(n)]
-    try:
-        _const_matrix_inverse(G0)
-    except DegenerateMetric:
-        raise DegenerateMetric("leading potential has a degenerate Hessian")
+    g_inv = metric_from_potential(P.phi_minus1).g_inv
 
     def rho(j, l):
         if j == 0:
@@ -172,31 +107,6 @@ def left_mult_operator(g_series, P, N, verify=True):
             op = op + DiffOp.deriv(n, D, mi_zero(n), unit_mi(n, l))
         return op
 
-    solvers = {}
-
-    def solver_for(s):
-        """Constant-part solver for the exact-degree-s unknown block."""
-        if s in solvers:
-            return solvers[s]
-        betas = [b for b in mi_range(n, s - 1) if mi_deg(b) == s - 1]
-        alphas = [a for a in mi_range(n, s) if mi_deg(a) == s]
-        rows = []
-        for l in range(n):
-            for beta in betas:
-                row = []
-                for alpha in alphas:
-                    entry = ZERO
-                    if mi_le(beta, alpha) and mi_deg(mi_sub(alpha, beta)) == 1:
-                        j = mi_sub(alpha, beta).index(1)
-                        entry = G0[j][l] * (beta[j] + 1)
-                    row.append(entry)
-                rows.append(row)
-        solvers[s] = (_ConstSolver(rows, len(alphas)), betas, alphas)
-        return solvers[s]
-
-    # perturbation of the Hessian around its constant part
-    H = [[G[j][l] - Jet.constant(G0[j][l], n, D) for l in range(n)]
-         for j in range(n)]
     A = [DiffOp.mult(gs[0])]
     for m in range(1, N + 1):
         # RHS of [B_m, w_{-1,l} .] = -sum_{k<m} [A_k, rho_{m-k,l}]
@@ -214,11 +124,14 @@ def left_mult_operator(g_series, P, N, verify=True):
             rhs_ops.append({h: c for c, h, a_ in acc.terms})
         coeffs = {}
         for s in range(m, 0, -1):
-            solver, betas, alphas = solver_for(s)
-            # equation RHS with solved higher-order contributions removed
-            v = []
-            for l in range(n):
-                for beta in betas:
+            # u_{j,beta} = sum_l g^{-1}_lj v_{l,beta} = (beta_j + 1) x_{beta+e_j}
+            # for the block |alpha| = s (module docstring)
+            u = {}
+            for beta in mi_range(n, s - 1):
+                if mi_deg(beta) < s - 1:
+                    continue
+                v = []
+                for l in range(n):
                     val = rhs_ops[l].get(beta, Jet.zero(n, D))
                     for alpha, c in coeffs.items():
                         gamma = mi_sub(alpha, beta)
@@ -227,32 +140,24 @@ def left_mult_operator(g_series, P, N, verify=True):
                         val = val - (c * w_lead[l].diff_multi(gamma, mi_zero(n))
                                      ).scale(mi_binom(alpha, gamma))
                     v.append(val)
-            # split jet-valued system into constant part plus perturbation;
-            # the perturbation has positive valuation, so fixed-point
-            # iteration terminates in the truncated ring.  Only the converged
-            # right-hand side has to be consistent: the null rows are checked
-            # once, after the loop.
-            x = solver.solve(v, n, D)
-            for _ in range(D + 1):
-                v2 = []
-                i = 0
-                for l in range(n):
-                    for beta in betas:
-                        pert = Jet.zero(n, D)
-                        for ci, alpha in enumerate(alphas):
-                            if mi_le(beta, alpha) and mi_deg(mi_sub(alpha, beta)) == 1:
-                                j = mi_sub(alpha, beta).index(1)
-                                pert = pert + (H[j][l] * x[ci]).scale(beta[j] + 1)
-                        v2.append(v[i] - pert)
-                        i += 1
-                x_new = solver.solve(v2, n, D)
-                if all(a == b for a, b in zip(x, x_new)):
-                    break
-                x = x_new
-            solver.check(v2, n, D, D - (m + 2))
-            for ci, alpha in enumerate(alphas):
-                if not x[ci].is_zero():
-                    coeffs[alpha] = x[ci]
+                for j in range(n):
+                    acc = Jet.zero(n, D)
+                    for l in range(n):
+                        acc = acc + g_inv[l][j] * v[l]
+                    u[j, beta] = acc
+            # x_alpha along the first j with alpha_j > 0; every other j-route
+            # must give the same x_alpha on the reliable window
+            for alpha in mi_range(n, s):
+                if mi_deg(alpha) < s:
+                    continue
+                x, *others = [u[j, mi_sub(alpha, unit_mi(n, j))].scale(
+                    Fraction(1, alpha[j])) for j in range(n) if alpha[j]]
+                for y in others:
+                    if not (y - x).truncate(D - (m + 2)).is_zero():
+                        raise ArithmeticError(
+                            "inconsistent block in the recursion")
+                if not x.is_zero():
+                    coeffs[alpha] = x
         B_m = DiffOp(n, D, [(c, alpha, mi_zero(n)) for alpha, c in coeffs.items()])
         A.append(DiffOp.mult(gs[m]) + B_m)
 

@@ -206,6 +206,46 @@ def test_malformed_input_exit_2(argv, content, error, tmp_path, capsys):
         [str(path) if a == "FILE" else a for a in argv], capsys, error)
 
 
+def _potential_file(n=1, max_degree=12, dz=(1,), re="1", phi=()):
+    """An n = 1 potential file z zbar, with one field of the jet replaced."""
+    term = {"dz": list(dz), "dzbar": [1], "re": re, "im": "0"}
+    jet = {"n": n, "max_degree": max_degree, "terms": [term]}
+    return json.dumps({"phi_minus1": jet, "phi": list(phi)})
+
+
+_PHI_N2 = {"n": 2, "max_degree": 12,
+           "terms": [{"dz": [1, 0], "dzbar": [1, 0], "re": "1", "im": "0"}]}
+
+
+@pytest.mark.parametrize("command", ["star-karabegov", "star-bt"])
+@pytest.mark.parametrize("content", [
+    pytest.param(_potential_file(dz=[1.5]), id="exponent-float"),
+    pytest.param(_potential_file(n=0, dz=[]), id="n-zero"),
+    pytest.param(_potential_file(n="1"), id="n-string"),
+    pytest.param(_potential_file(max_degree=-1), id="max-degree-negative"),
+    pytest.param(_potential_file(dz=[-1]), id="exponent-negative"),
+    pytest.param(_potential_file(dz=[1, 0]), id="exponents-too-long"),
+    pytest.param(_potential_file(phi=[_PHI_N2]), id="phi-other-n"),
+    pytest.param(_potential_file(phi=[dict(_PHI_N2, n=1, max_degree=10,
+                                           terms=[])]),
+                 id="phi-other-max-degree"),
+    pytest.param(_potential_file(re="1/0"), id="zero-denominator"),
+])
+def test_malformed_potential_file_exit_2(command, content, tmp_path, capsys):
+    path = tmp_path / "potential.json"
+    path.write_text(content)
+    assert_one_validation_error([command, "--potential", str(path), "--order",
+                                 "2", "--max-degree", "12"], capsys)
+
+
+def test_well_formed_potential_file_loads(tmp_path):
+    path = tmp_path / "potential.json"
+    path.write_text(_potential_file(phi=[dict(_PHI_N2, n=1, terms=[])]))
+    code, out = invoke(["star-karabegov", "--potential", str(path), "--order",
+                        "2", "--max-degree", "12"])
+    assert code == 0 and json.loads(out)["results"]
+
+
 def assert_one_validation_error(argv, capsys, error="ValidationError"):
     code, out = invoke(argv)
     assert code == 2 and out == b""

@@ -272,6 +272,26 @@ def test_metric_inverse_roundtrip(bump):
     assert jet_det(m.g) * jet_det(m.g_inv) == Jet.constant(1, 2, D)
 
 
+def test_metric_inverse_non_diagonal_n3():
+    # off-diagonal entries in every row and column, so each cofactor sign of
+    # adj(g) / det g is exercised
+    D = 6
+    z = [Jet.variable(i, 3, D) for i in range(3)]
+    zb = [Jet.variable(i, 3, D, "anti") for i in range(3)]
+    phi = (z[0] * zb[0] + (z[1] * zb[1]).scale(2) + z[2] * zb[2]
+           + z[0] * zb[0] * z[2] * zb[2]
+           + (z[0] * zb[2] + z[2] * zb[0]).scale(Fraction(1, 4))
+           + (z[0] * zb[1]).scale(I) - (z[1] * zb[0]).scale(I))
+    m = metric_from_potential(phi)
+    for i in range(3):
+        for j in range(3):
+            for a, b in ((m.g, m.g_inv), (m.g_inv, m.g)):
+                acc = Jet.zero(3, D)
+                for k in range(3):
+                    acc = acc + a[i][k] * b[k][j]
+                assert acc == Jet.constant(1 if i == j else 0, 3, D)
+
+
 @settings(max_examples=40, deadline=None)
 @given(jets(D=6, max_terms=3), jets(D=6, max_terms=3), jets(D=6, max_terms=3))
 def test_poisson_antisymmetry_leibniz(f, g, h):

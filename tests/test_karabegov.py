@@ -1,16 +1,20 @@
 """Recursion-built star products: flat oracles, commutation, transforms."""
 
-import pytest
+import hashlib
+import json
+from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from starq.jets import (
-    I, Jet, Scalar, laplacian, metric_from_potential, mi_range, mi_zero,
-    poisson_bracket,
+    DegenerateMetric, I, Jet, Scalar, laplacian, metric_from_potential,
+    mi_range, mi_zero, poisson_bracket,
 )
 import starq.karabegov
 from starq.formal import (
     BiDiffOp, DiffOp, NuDiffOp, assoc_defect, conjugate_star, ops_agree,
-    star_eval, transform_from_star,
+    star_eval, star_table_to_json, transform_from_star,
 )
 from starq.karabegov import (
     FormalPotential, bt_star_from, flat_potential,
@@ -168,8 +172,8 @@ def nonflat_n2_potential(D):
 
 
 def test_nonflat_n2_recursion():
-    # the null-row consistency check runs on the converged right-hand side,
-    # not on the fixed-point iterates before it
+    # the off-diagonal metric gives blocks with several j-routes to one
+    # unknown; the null-row check compares them through D - (m + 2)
     D, N = 16, 2
     P = nonflat_n2_potential(D)
     t = karabegov_star(P, N)
@@ -181,6 +185,67 @@ def test_nonflat_n2_recursion():
                     (z2 * zb2, z1 * zb1, zb1 * z2)):
         for d in assoc_defect(t, f, g, h):
             assert d.truncate(window).is_zero()
+
+
+def nondiagonal_n3_potential(D):
+    """Phi = z1 zbar1 + 2 z2 zbar2 + z3 zbar3 + z1 zbar1 z3 zbar3
+    + (z1 zbar3 + z3 zbar1) / 4: an n = 3 metric off the diagonal."""
+    z = [Jet.variable(i, 3, D) for i in range(3)]
+    zb = [Jet.variable(i, 3, D, "anti") for i in range(3)]
+    return FormalPotential(phi_minus1=(
+        z[0] * zb[0] + (z[1] * zb[1]).scale(2) + z[2] * zb[2]
+        + z[0] * zb[0] * z[2] * zb[2]
+        + (z[0] * zb[2] + z[2] * zb[0]).scale(Fraction(1, 4))))
+
+
+def table_sha256(t):
+    text = json.dumps(star_table_to_json(t), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("build, P, N, digest", [
+    pytest.param(karabegov_star, nonflat_n2_potential(16), 2,
+                 "940841cbf5d37659784c330e004ef4ae7d06ced1f2b37fba54e356dc279dc785",
+                 id="karabegov-nonflat-n2-2"),
+    pytest.param(bt_star_from, nonflat_n2_potential(16), 2,
+                 "4ea8254c94d472c71422f14859646a09f5fe1ee107bccb0888bc1286e2e373aa",
+                 id="bt-nonflat-n2-2"),
+    pytest.param(karabegov_star, nonflat_n2_potential(15), 3,
+                 "102a0996e51fabe7ecad071701686275671812288440bc76e3d08527ad523680",
+                 id="karabegov-nonflat-n2-3"),
+    pytest.param(karabegov_star, nondiagonal_n3_potential(12), 2,
+                 "88768b8e8148d6696324e66f0736d860dc8ddd354f6cbd683373d8322ac2dc0d",
+                 id="karabegov-n3-2"),
+    pytest.param(bt_star_from, nondiagonal_n3_potential(12), 2,
+                 "ba07a75bb3659e0a47dc22b0e377c79076d71c02e9634de00f94e8284140442a",
+                 id="bt-n3-2"),
+])
+def test_multi_index_block_pins(build, P, N, digest):
+    # blocks with more than one j-route; no benchmark pin reaches them
+    assert table_sha256(build(P, N)) == digest
+
+
+def test_corrupted_inverse_metric_fails_the_block_check(monkeypatch):
+    exact = starq.karabegov.metric_from_potential
+
+    def corrupted(phi):
+        m = exact(phi)
+        rows = [list(row) for row in m.g_inv]
+        rows[0][1] = rows[0][1] + Jet.constant(Fraction(1, 7), phi.n,
+                                               phi.max_degree)
+        return replace(m, g_inv=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(starq.karabegov, "metric_from_potential", corrupted)
+    with pytest.raises(ArithmeticError, match="inconsistent block"):
+        karabegov_star(nonflat_n2_potential(16), 2)
+
+
+def test_degenerate_potential_raises():
+    D = 10
+    P = FormalPotential(phi_minus1=zj(D) * zj(D) + zbj(D) * zbj(D))
+    with pytest.raises(DegenerateMetric):
+        karabegov_star(P, 2)
 
 
 # ---------------------------------------------------------------------------
