@@ -1,3 +1,11 @@
 """starq: star-product coefficient engine and CP^1 quantization harness."""
 
 __version__ = "0.1.0"
+
+
+class ResourceGuard(ValueError):
+    """Request exceeds the supported problem size.
+
+    Defined in the package root, which imports nothing, so that jets, graphs
+    and cp1 share one class while each command loads only the modules it
+    uses."""

@@ -22,15 +22,11 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import __version__
-from .jets import jet_from_json, metric_from_potential
-from .formal import star_table_to_json
-from .karabegov import (
-    FormalPotential, bt_star_from, karabegov_star, reference_potentials,
-)
 
-# graphs and cp1 are imported in the branches of run that use them: cp1 and
-# the weight quadrature load numpy, which the exact star-* commands never
-# need.
+# Each command imports only the modules it uses, in the branch of run that
+# handles it.  cp1 and the weight quadrature load numpy, which the exact
+# star-* commands never need; the exact core (jets, formal, karabegov) loads
+# only for the star-* commands.
 
 
 class ParseError(ValueError):
@@ -48,6 +44,10 @@ class ValidationError(ValueError):
 class NonFiniteResult(ArithmeticError):
     """A report value overflowed to inf or NaN, which JSON cannot carry."""
 
+
+# Largest sphere level m that --m and --m-list accept: the Toeplitz matrix has
+# (m+1)^2 entries, allocated before anything else can fail.
+MAX_LEVEL = 2048
 
 COMMANDS = ("star-karabegov", "star-bt", "star-kontsevich",
             "star-gammelgaard", "graphs-enumerate", "weights",
@@ -262,8 +262,12 @@ class RunConfig:
             raise ValidationError(f"unknown format {self.format!r}")
         if self.method not in ("grid", "mc"):
             raise ValidationError(f"unknown method {self.method!r}")
-        if self.order < 0 or self.n < 0 or self.m < 1:
-            raise ValidationError("order/n must be >= 0 and m >= 1")
+        if self.order < 0 or self.n < 0:
+            raise ValidationError("order/n must be >= 0")
+        for m in (self.m, *self.m_list):
+            if not 1 <= m <= MAX_LEVEL:
+                raise ValidationError(
+                    f"level m = {m} is outside 1..{MAX_LEVEL}")
         if self.suite not in ("bms", "berezin"):
             raise ValidationError(f"unknown suite {self.suite!r}")
         if self.family not in ("admissible", "weighted"):
@@ -329,6 +333,8 @@ class Report:
 
 
 def _load_potential(cfg):
+    from .jets import jet_from_json
+    from .karabegov import FormalPotential, reference_potentials
     D = cfg.max_degree or (3 * cfg.order + 6)
     named = reference_potentials(D)
     if cfg.potential in named:
@@ -405,14 +411,16 @@ def run(cfg):
     # output destinations
     inputs = {"config": {k: (list(v) if isinstance(v, tuple) else v)
                          for k, v in cfg.__dict__.items() if k != "out"}}
-    if cmd == "star-karabegov":
-        table = karabegov_star(_load_potential(cfg), cfg.order)
-        results = star_table_to_json(table)
-    elif cmd == "star-bt":
-        table = bt_star_from(_load_potential(cfg), cfg.order)
+    if cmd in ("star-karabegov", "star-bt"):
+        from .formal import star_table_to_json
+        from .karabegov import bt_star_from, karabegov_star
+        build = karabegov_star if cmd == "star-karabegov" else bt_star_from
+        table = build(_load_potential(cfg), cfg.order)
         results = star_table_to_json(table)
     elif cmd == "star-gammelgaard":
+        from .formal import star_table_to_json
         from .graphs import gammelgaard_star
+        from .jets import metric_from_potential
         P = _load_potential(cfg)
         metric = metric_from_potential(P.phi_minus1)
         table = gammelgaard_star(P, metric.g_inv, cfg.order)
@@ -463,8 +471,9 @@ def _run_cp1(cfg):
         from .cp1 import make_context, toeplitz_matrix
         f = parse_observable(cfg.expr)
         A = toeplitz_matrix(f, make_context(cfg.m))
+        # the complex128 buffer viewed as (re, im) float pairs
         return {"m": cfg.m,
-                "entries": [[x.real, x.imag] for x in A.ravel()]}
+                "entries": A.reshape(-1).view(float).reshape(-1, 2).tolist()}
     if cmd == "cp1-berezin":
         from .cp1 import berezin_transform_num, make_context
         f = parse_observable(cfg.expr)

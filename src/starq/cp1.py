@@ -2,8 +2,11 @@
 
 Affine chart z, Kaehler form i dz^dzbar/(1+|z|^2)^2, volume 2 pi.  Holomorphic
 sections of the m-th power of the quantizing bundle are polynomials of degree
-at most m; the monomial z^k has exact squared norm 2 pi k!(m-k)!/(m+1)!.  All
-"exact" paths run through rational Beta integrals and convert to floats once.
+at most m; the monomial z^k has exact squared norm 2 pi k!(m-k)!/(m+1)!.  The
+"exact" paths take each rational Beta integral to a float in one correctly
+rounded division.  The Toeplitz entries then divide by sqrt(n_j n_k), formed
+from the float norms; that product goes subnormal near m = 512 and to zero
+(a ZeroDivisionError) from m = 534 on.
 
 Documented sign constants (pinned by the Tuynman and commutator decay tests):
   * Laplacian: Delta f = (1+|z|^2)^2 d^2 f / dz dzbar;
@@ -15,13 +18,15 @@ Documented sign constants (pinned by the Tuynman and commutator decay tests):
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .jets import ResourceGuard
+from . import ResourceGuard
 
 
 class UnboundedSymbol(ValueError):
@@ -192,6 +197,12 @@ class Cp1Context:
     quad_nodes: int            # K: the quadrature readers use a K x K grid
 
 
+def _factorials(n):
+    """[0!, 1!, ..., n!]."""
+    return list(itertools.accumulate(range(1, n + 1), operator.mul,
+                                     initial=1))
+
+
 def _build_grid(K):
     """Gauss-Legendre in cos(theta) times uniform azimuth, K x K nodes:
     flattened chart points z and weights w summing to 2 pi (the volume)."""
@@ -208,8 +219,10 @@ def make_context(m, quad_nodes=None):
     """Exact data of level m; no quadrature grid is built here."""
     if m < 1:
         raise ValueError("level m must be >= 1")
-    norms = tuple(Fraction(math.factorial(k) * math.factorial(m - k),
-                           math.factorial(m + 1)) for k in range(m + 1))
+    # k!(m-k)!/(m+1)! = 1/((m+1) binom(m, k)): numerator 1, no gcd to take
+    fact = _factorials(m + 1)
+    norms = tuple(Fraction(1, fact[m + 1] // (fact[k] * fact[m - k]))
+                  for k in range(m + 1))
     return Cp1Context(m=m, dim=m + 1, norms_over_2pi=norms,
                       quad_nodes=quad_nodes or 2 * (m + 3))
 
@@ -244,19 +257,20 @@ def toeplitz_matrix(f, ctx, tol=1e-8):
     if f.callback is not None:
         return _toeplitz_quadrature(f, ctx, tol)
     m = ctx.m
-    A = np.zeros((m + 1, m + 1), dtype=complex)
+    dim = m + 1
+    c_max = max((c for _, _, _, c in f.terms), default=0)
+    fact = _factorials(m + c_max + 1)
+    norms = [float(x) for x in ctx.norms_over_2pi]
+    A = [0j] * (dim * dim)
     for coeff, a, b, c in f.terms:
-        for j in range(m + 1):
+        for j in range(max(0, a - b), min(dim, dim + a - b)):
             k = j + b - a
-            if not 0 <= k <= m:
-                continue
             p = j + b
-            integral = Fraction(math.factorial(p) * math.factorial(m + c - p),
-                                math.factorial(m + c + 1))
-            # exact rational integral / sqrt(n_j n_k), one float conversion
-            A[j, k] += coeff * float(integral) / math.sqrt(
-                float(ctx.norms_over_2pi[j]) * float(ctx.norms_over_2pi[k]))
-    return A
+            # the Beta integral p!(m+c-p)!/(m+c+1)! rounds once (int / int
+            # is correctly rounded); the norms n_j, n_k were rounded apiece
+            integral = fact[p] * fact[m + c - p] / fact[m + c + 1]
+            A[j * dim + k] += coeff * integral / math.sqrt(norms[j] * norms[k])
+    return np.array(A, dtype=complex).reshape(dim, dim)
 
 
 def _toeplitz_quadrature(f, ctx, tol):

@@ -24,8 +24,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formal import BiDiffOp, StarTable, detect_convention
-from .jets import Jet, ResourceGuard, mi_zero
+from . import ResourceGuard
+
+# The exact core (jets, formal, karabegov) is imported inside the weighted-
+# graph functions: the Kontsevich commands never use it.
 
 
 L = -1
@@ -467,7 +469,8 @@ def gammelgaard_star(P, g_inv, N):
     metric; internal vertices of weight k carry -Phi_k.  Cross-checked term
     by term against the recursion.
     """
-    from .karabegov import karabegov_star  # local import to avoid a cycle
+    from .formal import BiDiffOp, StarTable, detect_convention
+    from .karabegov import karabegov_star
     if N > 2:
         raise ResourceGuard("graph expansion implemented through order 2")
     n, D = P.n, P.D
@@ -492,6 +495,8 @@ def gammelgaard_star(P, g_inv, N):
 
 def _ggraph_operator(G, P, g_inv):
     """Contraction of one weighted graph into a bidifferential operator."""
+    from .formal import BiDiffOp
+    from .jets import Jet, mi_zero
     n, D = P.n, P.D
     edge_slots = []
     for u, v, m in G.edges:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add as _add, itemgetter, sub as _sub
 
+from . import ResourceGuard  # re-exported; defined in the package root
+
 
 class ZeroConstantTerm(ArithmeticError):
     """Jet inversion requested for a jet with zero constant term."""
@@ -23,13 +25,6 @@ class ZeroConstantTerm(ArithmeticError):
 
 class DegenerateMetric(ArithmeticError):
     """Degree-0 Hessian block is singular."""
-
-
-class ResourceGuard(ValueError):
-    """Request exceeds the supported problem size.
-
-    Defined here, in the numpy-free base module, so that graphs and cp1
-    share one class without the exact commands importing numpy."""
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +199,10 @@ _KEY_ADDERS = {
     1: lambda k1, k2: ((k1[0][0] + k2[0][0],), (k1[1][0] + k2[1][0],)),
     2: lambda k1, k2: ((k1[0][0] + k2[0][0], k1[0][1] + k2[0][1]),
                        (k1[1][0] + k2[1][0], k1[1][1] + k2[1][1])),
+    3: lambda k1, k2: ((k1[0][0] + k2[0][0], k1[0][1] + k2[0][1],
+                        k1[0][2] + k2[0][2]),
+                       (k1[1][0] + k2[1][0], k1[1][1] + k2[1][1],
+                        k1[1][2] + k2[1][2])),
 }
 
 _first = itemgetter(0)

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import starq
 from starq.cli import (
-    ParseError, RunConfig, ValidationError, emit, load_config_file, main,
-    parse_observable, run,
+    MAX_LEVEL, ParseError, RunConfig, ValidationError, emit, load_config_file,
+    main, parse_observable, run,
 )
 from starq.cp1 import UnboundedSymbol
 
@@ -101,6 +101,26 @@ def test_runconfig_validation():
         RunConfig(command="weights", samples=0).validate()
     with pytest.raises(ValidationError):
         RunConfig(command="weights", format="xml").validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("m", 0), ("m", MAX_LEVEL + 1), ("m", 10 ** 9),
+    ("m_list", (8, 0)), ("m_list", (-4,)), ("m_list", (64, MAX_LEVEL + 1)),
+])
+def test_runconfig_rejects_levels_out_of_range(field, value):
+    """Levels are bounded before any (m+1)^2 allocation; only validate runs
+    here, so no huge level is ever built."""
+    for command in ("cp1-toeplitz", "cp1-berezin", "cp1-suite"):
+        with pytest.raises(ValidationError, match="outside"):
+            RunConfig(command=command, **{field: value}).validate()
+
+
+def test_runconfig_admits_benchmark_levels():
+    """512, the 534 probe and the cap itself pass validation."""
+    for m in (1, 512, 534, MAX_LEVEL):
+        RunConfig(command="cp1-toeplitz", m=m).validate()
+    RunConfig(command="cp1-suite", m_list=(64, 128, 256, 512, 534,
+                                            MAX_LEVEL)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +435,28 @@ def test_exact_commands_do_not_import_numpy():
         " '--order', '2'])\n"
         "assert rc == 0, rc\n"
         "assert 'numpy' not in sys.modules, 'loaded by star-gammelgaard'\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_numeric_commands_do_not_import_exact_core():
+    """The cp1-*, graphs-enumerate and star-kontsevich commands never load
+    the exact core; ResourceGuard is one class wherever it is imported."""
+    code = (
+        "import sys, starq.cli\n"
+        "exact = ('starq.jets', 'starq.formal', 'starq.karabegov')\n"
+        "for argv in (['cp1-toeplitz', '--m', '8'],\n"
+        "             ['cp1-suite', '--m-list', '4,8'],\n"
+        "             ['graphs-enumerate', '--n', '2'],\n"
+        "             ['star-kontsevich', '--order', '2']):\n"
+        "    rc = starq.cli.main(argv)\n"
+        "    assert rc == 0, (argv, rc)\n"
+        "    loaded = [m for m in exact if m in sys.modules]\n"
+        "    assert not loaded, (argv, loaded)\n"
+        "import starq.cp1, starq.graphs, starq.jets\n"
+        "assert starq.jets.ResourceGuard is starq.cp1.ResourceGuard \\\n"
+        "    is starq.graphs.ResourceGuard is starq.ResourceGuard\n")
     proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()

@@ -96,6 +96,40 @@ def test_toeplitz_identity_and_height():
     assert np.max(np.abs(T - np.diag(np.diag(T)))) < 1e-14
 
 
+def _toeplitz_reference(f, m):
+    """Entry by entry from exact Fractions: each Beta integral converted
+    once, divided by sqrt(float(n_j) float(n_k)), terms in f.terms order."""
+    fact = math.factorial
+    norms = [float(Fraction(fact(j) * fact(m - j), fact(m + 1)))
+             for j in range(m + 1)]
+    A = np.zeros((m + 1, m + 1), dtype=complex)
+    for coeff, a, b, c in f.terms:
+        for j in range(m + 1):
+            k = j + b - a
+            if 0 <= k <= m:
+                p = j + b
+                integral = Fraction(fact(p) * fact(m + c - p),
+                                    fact(m + c + 1))
+                A[j, k] += coeff * float(integral) / math.sqrt(
+                    norms[j] * norms[k])
+    return A
+
+
+@pytest.mark.parametrize("m", [1, 8, 64, 512])
+def test_toeplitz_matches_fraction_reference_bitwise(m):
+    """The factorial-table entries are the exact-Fraction entries, bit for
+    bit, for a mixed-c observable too (the table must reach (m+c_max+1)!)."""
+    six = ObservableFn(terms=(
+        (1.5 - 0.25j, 0, 0, 2), (0.75 + 2j, 1, 0, 2), (-1.25j, 0, 1, 2),
+        (0.5 + 0.5j, 2, 0, 2), (-3.0 + 1j, 1, 1, 2), (2.25 - 1.5j, 0, 2, 2)))
+    mixed = six + ObservableFn(terms=((0.375 - 1.75j, 2, 3, 3),
+                                      (1.0 + 0j, 3, 1, 3)))
+    ctx = make_context(m)
+    for f in (height_observable(), six, mixed):
+        got = toeplitz_matrix(f, ctx)
+        assert got.tobytes() == _toeplitz_reference(f, m).tobytes()
+
+
 def test_toeplitz_hermitian_and_positive():
     ctx = make_context(8)
     f = ObservableFn(terms=((1.0, 1, 0, 1), (1.0, 0, 1, 1), (2.0, 0, 0, 0)))
