@@ -8,10 +8,8 @@ import argparse
 
 import numpy as np
 
-from starq.cp1 import (
-    berezin_defect_series, bms_suite, coord_x_observable, height_observable,
-    laplacian_fn,
-)
+from starq.cp1 import berezin_defect_series, bms_suite
+from starq.symbols import coord_x_observable, height_observable, laplacian_fn
 
 
 def main():

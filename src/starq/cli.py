@@ -25,8 +25,8 @@ from . import __version__
 
 # Each command imports only the modules it uses, in the branch of run that
 # handles it.  cp1 and the weight quadrature load numpy, which the exact
-# star-* commands never need; the exact core (jets, formal, karabegov) loads
-# only for the star-* commands.
+# star-* commands and cp1-toeplitz never need; the exact core (jets, formal,
+# karabegov) loads only for the star-* commands.
 
 
 class ParseError(ValueError):
@@ -217,7 +217,7 @@ def _as_one_plus_zz_power(val):
 
 
 def parse_observable(text):
-    from .cp1 import ObservableFn
+    from .symbols import ObservableFn
     raw = _ExprParser(text).parse()
     terms = tuple((co, a, b, c) for (a, b, c), co in sorted(raw.items())
                   if co != 0)
@@ -452,6 +452,14 @@ def run(cfg):
                          "samples_or_cells": w.samples_or_cells,
                          "seed": w.seed})
         results = {"weights": rows}
+    elif cmd == "cp1-toeplitz":
+        # plain Python floats, no numpy: the entries off the band are zero
+        from .symbols import make_context, toeplitz_band
+        ctx = make_context(cfg.m)
+        entries = [(0.0, 0.0)] * (ctx.dim * ctx.dim)
+        for idx, v in toeplitz_band(parse_observable(cfg.expr), ctx).items():
+            entries[idx] = (v.real, v.imag)
+        results = {"m": cfg.m, "entries": entries}
     elif cmd.startswith("cp1-"):
         import numpy as np
         # One errstate for the whole run: numpy's floating-point warnings
@@ -465,17 +473,11 @@ def run(cfg):
 
 
 def _run_cp1(cfg):
-    """Results of a cp1-* command."""
+    """Results of the cp1-berezin and cp1-suite commands."""
     cmd = cfg.command
-    if cmd == "cp1-toeplitz":
-        from .cp1 import make_context, toeplitz_matrix
-        f = parse_observable(cfg.expr)
-        A = toeplitz_matrix(f, make_context(cfg.m))
-        # the complex128 buffer viewed as (re, im) float pairs
-        return {"m": cfg.m,
-                "entries": A.reshape(-1).view(float).reshape(-1, 2).tolist()}
     if cmd == "cp1-berezin":
-        from .cp1 import berezin_transform_num, make_context
+        from .cp1 import berezin_transform_num
+        from .symbols import make_context
         f = parse_observable(cfg.expr)
         z0 = complex(cfg.at.replace(" ", ""))
         if not cmath.isfinite(z0):
@@ -485,7 +487,8 @@ def _run_cp1(cfg):
             val = berezin_transform_num(f, z0, make_context(m))
             points.append({"m": m, "value": val.real, "imag": val.imag})
         return {"series": "berezin", "at": cfg.at, "points": points}
-    from .cp1 import berezin_defect_series, bms_suite, laplacian_fn
+    from .cp1 import berezin_defect_series, bms_suite
+    from .symbols import laplacian_fn
     f = parse_observable(cfg.f_expr)
     g = parse_observable(cfg.g_expr)
     if cfg.suite == "bms":

@@ -3,8 +3,10 @@
 Affine chart z, Kaehler form i dz^dzbar/(1+|z|^2)^2, volume 2 pi.  Holomorphic
 sections of the m-th power of the quantizing bundle are polynomials of degree
 at most m; the monomial z^k has exact squared norm 2 pi k!(m-k)!/(m+1)!.  The
-"exact" paths take each rational Beta integral to a float in one correctly
-rounded division.  The Toeplitz entries then divide by sqrt(n_j n_k), formed
+observables, the level-m contexts and the exact Toeplitz band live in
+starq.symbols, which needs no numpy; toeplitz_matrix writes that band into a
+dense array of zeros.  The band takes each rational Beta integral to a float
+in one correctly rounded division and divides it by sqrt(n_j n_k), formed
 from the float norms; that product goes subnormal near m = 512 and to zero
 (a ZeroDivisionError) from m = 534 on.
 
@@ -18,190 +20,25 @@ Documented sign constants (pinned by the Tuynman and commutator decay tests):
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import ResourceGuard
-
-
-class UnboundedSymbol(ValueError):
-    """Symbol term violates the boundedness constraint a+b <= 2c."""
+from .symbols import (
+    TWO_PI, ObservableFn, laplacian_fn, make_context, poisson_bracket_fn,
+    toeplitz_band,
+)
 
 
 class QuadratureTolerance(ArithmeticError):
     """Grid refinement changed the result by more than the tolerance."""
 
 
-TWO_PI = 2 * math.pi
-
-
 # ---------------------------------------------------------------------------
-# observables
-
-@dataclass(frozen=True)
-class ObservableFn:
-    """Sum of terms coeff * z^a zbar^b (1+|z|^2)^{-c}, or an opaque callback.
-
-    The term form is closed under products, derivatives, and the Poisson
-    bracket, and integrates exactly against the quantization measures.
-    """
-    terms: tuple = ()            # ((coeff complex, a, b, c), ...)
-    callback: object = None      # optional z -> complex, grid-only evaluation
-
-    def __post_init__(self):
-        if self.callback is None:
-            merged = {}
-            for coeff, a, b, c in self.terms:
-                if a + b > 2 * c:
-                    raise UnboundedSymbol(
-                        f"term z^{a} zbar^{b} (1+zz)^-{c} is unbounded")
-                key = (a, b, c)
-                merged[key] = merged.get(key, 0) + complex(coeff)
-            canon = tuple((v, *k) for k, v in sorted(merged.items())
-                          if v != 0)
-            object.__setattr__(self, "terms", canon)
-
-    @staticmethod
-    def constant(c):
-        return ObservableFn(terms=((complex(c), 0, 0, 0),))
-
-    def is_real(self):
-        lookup = {(a, b, c): coeff for coeff, a, b, c in self.terms}
-        for coeff, a, b, c in self.terms:
-            if not np.isclose(lookup.get((b, a, c), 0), coeff.conjugate()):
-                return False
-        return True
-
-    def __add__(self, other):
-        return ObservableFn(terms=self.terms + other.terms)
-
-    def scale(self, c):
-        return ObservableFn(terms=tuple((coeff * c, a, b, k)
-                                        for coeff, a, b, k in self.terms))
-
-    def __mul__(self, other):
-        out = []
-        for c1, a1, b1, k1 in self.terms:
-            for c2, a2, b2, k2 in other.terms:
-                out.append((c1 * c2, a1 + a2, b1 + b2, k1 + k2))
-        return ObservableFn(terms=tuple(out))
-
-    def conj(self):
-        return ObservableFn(terms=tuple((coeff.conjugate(), b, a, c)
-                                        for coeff, a, b, c in self.terms))
-
-    def _diff_terms(self, kind):
-        """Raw term list of d/dz (holo) or d/dzbar (anti); may be unbounded."""
-        return _diff_raw(self.terms, kind)
-
-    def __call__(self, z):
-        if self.callback is not None:
-            return self.callback(z)
-        t = (z * np.conjugate(z)).real
-        s = 1.0 / (1.0 + t)
-        out = 0.0 + 0.0j
-        for coeff, a, b, c in self.terms:
-            out = out + coeff * z ** a * np.conjugate(z) ** b * s ** c
-        return out
-
-    def sup_norm(self, samples=4096):
-        """Supremum over a deterministic sphere sample (exact for constants)."""
-        if self.callback is None and all(a == b == 0 for _, a, b, _ in self.terms):
-            return max(abs(sum(co * 1.0 for co, _, _, _ in self.terms)), 0.0)
-        rng = np.random.default_rng(7)
-        cth = rng.uniform(-1, 1, samples)
-        phi = rng.uniform(0, TWO_PI, samples)
-        t = (1 - cth) / (1 + cth)
-        z = np.sqrt(t) * np.exp(1j * phi)
-        return float(np.max(np.abs(self(z))))
-
-
-def _diff_raw(raw, kind):
-    out = []
-    for coeff, a, b, c in raw:
-        if kind == "holo":
-            if a:
-                out.append((coeff * a, a - 1, b, c))
-            if c:
-                out.append((-coeff * c, a, b + 1, c + 1))
-        else:
-            if b:
-                out.append((coeff * b, a, b - 1, c))
-            if c:
-                out.append((-coeff * c, a + 1, b, c + 1))
-    return out
-
-
-def multiply_by_one_plus_t_sq(raw):
-    """(1+|z|^2)^2 times a raw term list: c -> c - 2."""
-    return [(coeff, a, b, c - 2) for coeff, a, b, c in raw]
-
-
-def reduce_terms(raw):
-    """Rewrite to min(a, b) = 0 via |z|^2 (1+|z|^2)^{-c} =
-    (1+|z|^2)^{-(c-1)} - (1+|z|^2)^{-c}, exposing cancellations."""
-    merged = {}
-    for coeff, a, b, c in raw:
-        d = min(a, b)
-        for i in range(d + 1):
-            key = (a - d, b - d, c - i)
-            val = coeff * ((-1) ** (d - i)) * math.comb(d, i)
-            merged[key] = merged.get(key, 0) + val
-    return [(v, *k) for k, v in sorted(merged.items()) if v != 0]
-
-
-def laplacian_fn(f):
-    """Delta f = (1+t)^2 f_{z zbar} within the symbol class."""
-    raw = _diff_raw(_diff_raw(f.terms, "holo"), "anti")
-    return ObservableFn(terms=tuple(reduce_terms(multiply_by_one_plus_t_sq(raw))))
-
-
-def poisson_bracket_fn(f, g):
-    """{f, g} = i (1+t)^2 (f_zbar g_z - f_z g_zbar); raises UnboundedSymbol
-    when the result leaves the symbol class."""
-    fa, fh = f._diff_terms("anti"), f._diff_terms("holo")
-    ga, gh = g._diff_terms("anti"), g._diff_terms("holo")
-    raw = []
-    for c1, a1, b1, k1 in fa:
-        for c2, a2, b2, k2 in gh:
-            raw.append((1j * c1 * c2, a1 + a2, b1 + b2, k1 + k2))
-    for c1, a1, b1, k1 in fh:
-        for c2, a2, b2, k2 in ga:
-            raw.append((-1j * c1 * c2, a1 + a2, b1 + b2, k1 + k2))
-    return ObservableFn(terms=tuple(reduce_terms(multiply_by_one_plus_t_sq(raw))))
-
-
-def height_observable():
-    """(1 - |z|^2)/(1 + |z|^2), the third sphere coordinate."""
-    return ObservableFn(terms=((1.0, 0, 0, 1), (-1.0, 1, 1, 1)))
-
-
-def coord_x_observable():
-    """(z + zbar)/(1 + |z|^2), the first sphere coordinate."""
-    return ObservableFn(terms=((1.0, 1, 0, 1), (1.0, 0, 1, 1)))
-
-
-# ---------------------------------------------------------------------------
-# context
-
-@dataclass(frozen=True)
-class Cp1Context:
-    m: int
-    dim: int
-    norms_over_2pi: tuple      # exact Fractions; norms[k] = 2 pi * this
-    quad_nodes: int            # K: the quadrature readers use a K x K grid
-
-
-def _factorials(n):
-    """[0!, 1!, ..., n!]."""
-    return list(itertools.accumulate(range(1, n + 1), operator.mul,
-                                     initial=1))
-
+# quadrature grid
 
 def _build_grid(K):
     """Gauss-Legendre in cos(theta) times uniform azimuth, K x K nodes:
@@ -213,18 +50,6 @@ def _build_grid(K):
     Z = np.sqrt(T) * np.exp(1j * PHI)
     W = np.outer(w_c * 0.5, np.full(K, TWO_PI / K))
     return Z.ravel(), W.ravel()
-
-
-def make_context(m, quad_nodes=None):
-    """Exact data of level m; no quadrature grid is built here."""
-    if m < 1:
-        raise ValueError("level m must be >= 1")
-    # k!(m-k)!/(m+1)! = 1/((m+1) binom(m, k)): numerator 1, no gcd to take
-    fact = _factorials(m + 1)
-    norms = tuple(Fraction(1, fact[m + 1] // (fact[k] * fact[m - k]))
-                  for k in range(m + 1))
-    return Cp1Context(m=m, dim=m + 1, norms_over_2pi=norms,
-                      quad_nodes=quad_nodes or 2 * (m + 3))
 
 
 def _section_matrix(ctx, z):
@@ -253,24 +78,14 @@ def _coherent_grid(ctx):
 # Toeplitz matrices
 
 def toeplitz_matrix(f, ctx, tol=1e-8):
-    """Matrix of compress(f . ) in the orthonormal monomial basis."""
+    """Matrix of compress(f . ) in the orthonormal monomial basis: the exact
+    band of a term-form f written into zeros, or quadrature for a callback."""
     if f.callback is not None:
         return _toeplitz_quadrature(f, ctx, tol)
-    m = ctx.m
-    dim = m + 1
-    c_max = max((c for _, _, _, c in f.terms), default=0)
-    fact = _factorials(m + c_max + 1)
-    norms = [float(x) for x in ctx.norms_over_2pi]
-    A = [0j] * (dim * dim)
-    for coeff, a, b, c in f.terms:
-        for j in range(max(0, a - b), min(dim, dim + a - b)):
-            k = j + b - a
-            p = j + b
-            # the Beta integral p!(m+c-p)!/(m+c+1)! rounds once (int / int
-            # is correctly rounded); the norms n_j, n_k were rounded apiece
-            integral = fact[p] * fact[m + c - p] / fact[m + c + 1]
-            A[j * dim + k] += coeff * integral / math.sqrt(norms[j] * norms[k])
-    return np.array(A, dtype=complex).reshape(dim, dim)
+    band = toeplitz_band(f, ctx)
+    A = np.zeros(ctx.dim * ctx.dim, dtype=complex)
+    A[list(band)] = list(band.values())
+    return A.reshape(ctx.dim, ctx.dim)
 
 
 def _toeplitz_quadrature(f, ctx, tol):

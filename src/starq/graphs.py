@@ -393,13 +393,11 @@ def enumerate_ggraphs(Wmax):
         W = ne + sum(weights)
         if W > Wmax:
             return
-        # degree constraints
+        # degree constraints (every internal vertex has an in- and an
+        # out-edge: the enumeration below passes no other multiset)
         for v in range(k):
-            inc = sum(m for (a, b), m in mult.items() if b == v)
-            out = sum(m for (a, b), m in mult.items() if a == v)
-            if inc < 1 or out < 1:
-                return
-            if weights[v] == -1 and inc + out < 3:
+            if weights[v] == -1 and sum(
+                    m for (a, b), m in mult.items() if v in (a, b)) < 3:
                 return
         # acyclicity among internal vertices (edges only S->, ->T, v->v')
         order = {}
@@ -447,12 +445,16 @@ def enumerate_ggraphs(Wmax):
         pairs += [(v, "T") for v in range(k)]
         pairs += [(u, v) for u in range(k) for v in range(k) if u != v]
         max_edges = Wmax + k
+        inner = set(range(k))
         for weights in itertools.product(range(-1, Wmax + 1), repeat=k):
             lo = max(1 if k else 0, -sum(weights))
             for ne in range(lo, max_edges + 1):
                 if ne + sum(weights) > Wmax:
                     continue
                 for combo in itertools.combinations_with_replacement(pairs, ne):
+                    if not inner <= {b for _, b in combo} \
+                            or not inner <= {a for a, _ in combo}:
+                        continue
                     mult = {}
                     for e in combo:
                         mult[e] = mult.get(e, 0) + 1

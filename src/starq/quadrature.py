@@ -6,13 +6,14 @@ the wedge of its edges' angle forms over the upper half-plane H^n, with the
 points nearer than eta to an edge's target excised and a Richardson step
 over eta, eta/2, eta/4.  The unit cube is mapped onto H^n by tangents.
 
-Everything that depends on the grid alone is built once per process and
-kept read-only: each 2D pair integral, the 4D coordinates with their
-Jacobian weight, and each edge's gradient columns and squared distance.
-The 2D half-plane grid is read only by the memoised pair integral, so it
-is not kept.  A graph then only fills its Jacobian buffer from these
-fields, takes the determinant and sums three masks.  The Monte Carlo path
-goes through the same field and assembly code on fresh samples, uncached.
+Both grids are products of midpoint axes, so the chart works on the axes and
+broadcasts.  Everything that depends on the grid alone is built once per
+process and kept read-only: each 2D pair integral, the 4D weight, and each
+edge's gradient columns and squared distance (on its vertex's M x M plane
+for an edge to L or R).  A graph then fills a reused Jacobian buffer block
+by block from these fields, takes the determinants and sums three masks over
+the whole grid.  The Monte Carlo path goes through the same field and
+assembly code on fresh samples, uncached.
 Only starq.graphs imports this module, and only when it integrates a
 weight, so the exact commands never load numpy.
 """
@@ -27,6 +28,7 @@ import numpy as np
 from .graphs import L, R, WeightResult, _target_key
 
 _GRID_NODES_4D = 24               # per axis, non-factorizable 4D integrals
+_DET_BLOCK = 16384                # points per np.linalg.det call
 
 
 def _frozen(a):
@@ -35,23 +37,23 @@ def _frozen(a):
     return a
 
 
+# With A = w - z and B = w - zbar, the z-gradient is Im(-1/A + 1/B) and
+# -Re(1/A + 1/B).  numpy's complex division (Smith's method) gives
+# (-1)/A = -(1/A) and 1/conj(A) = conj(1/A) bit for bit, and B = conj(A)
+# for boundary w, so one division per point gives the floats of the
+# two-division formulas.
+
 def _grad_phi_boundary(zx, zy, w):
-    A = (w - zx) - 1j * zy
-    B = (w - zx) + 1j * zy
-    dx = np.imag(-1.0 / A + 1.0 / B)
-    dy = -np.real(1.0 / A + 1.0 / B)
-    return dx, dy
+    r = 1.0 / ((w - zx) - 1j * zy)
+    return -2 * r.imag, -2 * r.real
 
 
 def _grad_phi_full(zx, zy, wx, wy):
     """Gradient of phi(z, w) in (zx, zy, wx, wy) for interior w."""
-    A = (wx - zx) + 1j * (wy - zy)
-    B = (wx - zx) + 1j * (wy + zy)
-    dzx = np.imag(-1.0 / A + 1.0 / B)
-    dzy = -np.real(1.0 / A + 1.0 / B)
-    dwx = np.imag(1.0 / A - 1.0 / B)
-    dwy = np.real(1.0 / A - 1.0 / B)
-    return dzx, dzy, dwx, dwy
+    ra = 1.0 / ((wx - zx) + 1j * (wy - zy))
+    rb = 1.0 / ((wx - zx) + 1j * (wy + zy))
+    return (rb.imag - ra.imag, -(ra.real + rb.real),
+            ra.imag - rb.imag, ra.real - rb.real)
 
 
 def _richardson(vals):
@@ -65,26 +67,19 @@ def _richardson(vals):
 # ---------------------------------------------------------------------------
 # 2D pair integrals
 
-def _halfplane_grid(M):
-    s = (np.arange(M) + 0.5) / M
-    u = (np.arange(M) + 0.5) / M
-    S, U = np.meshgrid(s, u, indexing="ij")
-    X = np.tan(np.pi * (S - 0.5))
-    Y = np.tan(np.pi * U / 2)
-    W = (np.pi * (1 + X ** 2)) * (np.pi / 2 * (1 + Y ** 2)) / (M * M)
-    return X.ravel(), Y.ravel(), W.ravel()
-
-
 @functools.cache
 def _pair_integral_2d(p, q, M, eta):
     """int_H d phi(z,p) ^ d phi(z,q) with eta-excision and Richardson in eta."""
-    X, Y, W = _halfplane_grid(M)
+    s = (np.arange(M) + 0.5) / M
+    ((X, Y),), W = _chart([s[:, None], s[None, :]])
     d1x, d1y = _grad_phi_boundary(X, Y, p)
     d2x, d2y = _grad_phi_boundary(X, Y, q)
-    J = (d1x * d2y - d1y * d2x) * W
+    J = (d1x * d2y - d1y * d2x) * (W / (M * M))
+    dist_p = (X - p) ** 2 + Y ** 2
+    dist_q = (X - q) ** 2 + Y ** 2
     vals = []
     for e in (eta, eta / 2, eta / 4):
-        mask = ((X - p) ** 2 + Y ** 2 > e ** 2) & ((X - q) ** 2 + Y ** 2 > e ** 2)
+        mask = (dist_p > e ** 2) & (dist_q > e ** 2)
         vals.append(float(np.sum(J * mask)))
     return _richardson(vals)
 
@@ -107,9 +102,10 @@ def _vertex_boundary_points(G, i):
 def _chart(flat):
     """Points of H^n and the Jacobian weight of the unit-cube map.
 
-    flat holds the unit-cube coordinates (x_1, y_1, ..., x_n, y_n); the
-    result's first item gives (x_i, y_i) of vertex i at index i - 1."""
-    weight = np.ones(flat[0].shape[0])
+    flat holds the unit-cube coordinates (x_1, y_1, ..., x_n, y_n), arrays
+    that broadcast together; the result's first item gives (x_i, y_i) of
+    vertex i at index i - 1, and the weight has the broadcast shape."""
+    weight = 1.0
     coords = []
     for k, u in enumerate(flat):
         if k % 2 == 0:
@@ -145,18 +141,29 @@ def _edge_field(i, t, pos):
 
 
 def _integrand(fields, weight):
-    """det(Jacobian) times the chart weight, at every point.
+    """det(Jacobian) times the chart weight, at every point of weight.
 
-    The rows fill a (dim, dim, points) buffer in place; np.linalg.det reads
-    it through a (points, dim, dim) view and copies each matrix for LAPACK,
-    so it sees the same matrices as from a contiguous stack."""
+    Each field broadcasts to weight's shape.  The rows fill one reused
+    (dim, dim, points) buffer, whole slices of weight's first axis (about
+    _DET_BLOCK points) at a time; np.linalg.det reads it through a (points,
+    dim, dim) view and copies each matrix for LAPACK, so each determinant is
+    the one a single call on the full stack gives."""
     dim = len(fields)
-    buf = np.zeros((dim, dim, weight.shape[0]))
-    for r, (cols, _) in enumerate(fields):
-        for c, values in cols:
-            buf[r, c] = values
+    shape = weight.shape
+    inner = weight.size // shape[0]
+    step = min(shape[0], max(1, _DET_BLOCK // inner))
+    entries = [(r, c, np.broadcast_to(values, shape))
+               for r, (cols, _) in enumerate(fields) for c, values in cols]
+    buf = np.zeros((dim, dim, step * inner))
+    slices = buf.reshape((dim, dim, step) + shape[1:])
+    det = np.empty(shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        det = np.linalg.det(buf.transpose(2, 0, 1))
+        for lo in range(0, shape[0], step):
+            n = min(step, shape[0] - lo)
+            for r, c, values in entries:
+                slices[r, c, :n] = values[lo:lo + n]
+            block = buf[:, :, :n * inner].transpose(2, 0, 1)
+            det[lo:lo + n] = np.linalg.det(block).reshape((n,) + shape[1:])
         return np.nan_to_num(det * weight, nan=0.0, posinf=0.0, neginf=0.0)
 
 
@@ -167,18 +174,19 @@ def _masks(fields, eta):
     for e in (eta, eta / 2, eta / 4):
         mask = fields[0][1] > e ** 2
         for _, dist2 in fields[1:]:
-            mask &= dist2 > e ** 2
+            mask = mask & (dist2 > e ** 2)
         out.append(mask)
     return out
 
 
 @functools.cache
 def _grid_4d():
-    """Midpoint grid of the unit 4-cube mapped onto H^2: points, weight."""
+    """Midpoint grid of the unit 4-cube mapped onto H^2: per-axis points,
+    full weight."""
     M = _GRID_NODES_4D
-    axes = [(np.arange(M) + 0.5) / M for _ in range(4)]
-    pos, weight = _chart([m.ravel()
-                          for m in np.meshgrid(*axes, indexing="ij")])
+    axis = (np.arange(M) + 0.5) / M
+    pos, weight = _chart([axis.reshape([M if d == k else 1 for d in range(4)])
+                          for k in range(4)])
     return (tuple((_frozen(x), _frozen(y)) for x, y in pos),
             _frozen(weight))
 

@@ -33,11 +33,14 @@ from starq.graphs import (
     moyal_star, star_poly_series,
 )
 from starq.cp1 import (
-    AsymSeries, ObservableFn, adjointness_check, berezin_defect_series,
+    AsymSeries, adjointness_check, berezin_defect_series,
     berezin_transform_num, bms_suite, contravariant_reconstruct,
-    coord_x_observable, epsilon_function, height_observable, integral_exact,
-    laplacian_fn, make_context, operator_norm, surjectivity_rank,
+    epsilon_function, integral_exact, operator_norm, surjectivity_rank,
     toeplitz_matrix, trace_identity, tuynman_defect,
+)
+from starq.symbols import (
+    ObservableFn, coord_x_observable, height_observable, laplacian_fn,
+    make_context,
 )
 from starq.cli import main
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +20,8 @@ from starq.cli import (
     MAX_LEVEL, ParseError, RunConfig, ValidationError, emit, load_config_file,
     main, parse_observable, run,
 )
-from starq.cp1 import UnboundedSymbol
+from starq.cp1 import toeplitz_matrix
+from starq.symbols import UnboundedSymbol, make_context
 
 
 def invoke(argv):
@@ -427,14 +429,19 @@ def _subprocess_env():
 
 def test_exact_commands_do_not_import_numpy():
     """Only cp1 and the weight quadrature need numpy; importing the CLI and
-    running an exact star-* command loads neither."""
+    running an exact star-* command or cp1-toeplitz loads neither."""
     code = (
         "import sys, starq.cli\n"
         "assert 'numpy' not in sys.modules, 'loaded by import starq.cli'\n"
-        "rc = starq.cli.main(['star-gammelgaard', '--potential', 'aniso',"
-        " '--order', '2'])\n"
-        "assert rc == 0, rc\n"
-        "assert 'numpy' not in sys.modules, 'loaded by star-gammelgaard'\n")
+        "for argv in (['star-gammelgaard', '--potential', 'aniso',"
+        " '--order', '2'],\n"
+        "             ['cp1-toeplitz', '--m', '8', '--expr',"
+        " '(1 - zz) / (1+zz)'],\n"
+        "             ['cp1-toeplitz', '--m', '8', '--expr',"
+        " '(2 - zbar^2*z) / (1+zz)^3']):\n"
+        "    rc = starq.cli.main(argv)\n"
+        "    assert rc == 0, (argv, rc)\n"
+        "    assert 'numpy' not in sys.modules, ('loaded by', argv)\n")
     proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
@@ -475,6 +482,46 @@ def test_overflow_leaves_one_stderr_line():
     err = proc.stderr.decode().splitlines()
     assert len(err) == 1, err
     assert json.loads(err[0])["error"] == "NonFiniteResult"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["cp1-toeplitz", "--m", "8", "--expr", "1e300*1e300/(1+zz)"],
+     "NonFiniteResult"),
+    (["cp1-toeplitz", "--m", "8", "--expr", "1e200*z*1e200/(1+zz)"],
+     "NonFiniteResult"),
+    (["cp1-suite", "--m-list", "4,8", "--f-expr", "1e308*zz/(1+zz)",
+      "--g-expr", "0"], "NonFiniteResult"),
+    (["cp1-toeplitz", "--m", "534"], "ZeroDivisionError"),
+])
+def test_overflow_argvs_keep_the_exit_contract(argv, error):
+    """An overflowing sphere run, with or without numpy, exits 3 with one
+    JSON line on stderr and nothing on stdout."""
+    proc = subprocess.run([sys.executable, "-m", "starq.cli"] + argv,
+                          env=_subprocess_env(), capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    err = proc.stderr.decode().splitlines()
+    assert len(err) == 1, err
+    assert json.loads(err[0])["error"] == error
+
+
+SIX_MONOMIALS = ("((1.5 - 0.25j) + (0.75 + 2j)*z - 1.25j*zbar"
+                 " + (0.5 + 0.5j)*z^2 + (-3 + 1j)*zz + (2.25 - 1.5j)*zbar^2)"
+                 " / (1+zz)^2")
+
+
+@pytest.mark.parametrize("m", [1, 8, 64])
+@pytest.mark.parametrize("expr", ["(1 - zz) / (1+zz)", SIX_MONOMIALS])
+def test_toeplitz_entries_match_dense_matrix_bitwise(m, expr):
+    """cp1-toeplitz emits from the band the (re, im) pairs of the dense
+    toeplitz_matrix, bit for bit."""
+    code, out = invoke(["cp1-toeplitz", "--m", str(m), "--expr", expr])
+    assert code == 0
+    entries = json.loads(out)["results"]["entries"]
+    A = toeplitz_matrix(parse_observable(expr), make_context(m))
+    assert np.array(entries, dtype=float).tobytes() \
+        == A.reshape(-1).view(float).tobytes()
 
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))

@@ -6,15 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from starq import ResourceGuard
 from starq.cp1 import (
-    AsymSeries, Cp1Context, ObservableFn, QuadratureTolerance, ResourceGuard,
-    UnboundedSymbol, adjointness_check, berezin_defect_series,
-    berezin_transform_num, bms_suite, coherent_vector,
-    contravariant_reconstruct, coord_x_observable, covariant_symbol,
-    epsilon_function, geometric_quantization, height_observable,
-    integral_exact, laplacian_fn, make_context, operator_norm,
-    poisson_bracket_fn, surjectivity_rank, toeplitz_matrix, trace_identity,
-    tuynman_defect, twisted_product,
+    AsymSeries, QuadratureTolerance, adjointness_check,
+    berezin_defect_series, berezin_transform_num, bms_suite, coherent_vector,
+    contravariant_reconstruct, covariant_symbol, epsilon_function,
+    geometric_quantization, integral_exact, operator_norm, surjectivity_rank,
+    toeplitz_matrix, trace_identity, tuynman_defect, twisted_product,
+)
+from starq.symbols import (
+    ObservableFn, UnboundedSymbol, coord_x_observable, height_observable,
+    laplacian_fn, make_context, poisson_bracket_fn,
 )
 from starq import cp1
 from starq.cp1 import _section_matrix

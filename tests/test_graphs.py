@@ -138,13 +138,19 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
     integral once; with only the weight cache emptied, a second run
     evaluates nothing and prints the same bytes.  Cached 4D arrays are
     read-only."""
+    import numpy as np
     from starq import graphs, quadrature
     from starq.cli import main
-    sizes = []
+    edges, grads = [], []
+
+    def counted_field(i, t, pos, _field=quadrature._edge_field):
+        edges.append((i, t))
+        return _field(i, t, pos)
+    monkeypatch.setattr(quadrature, "_edge_field", counted_field)
     for name in ("_grad_phi_boundary", "_grad_phi_full"):
-        def counted(zx, *rest, _grad=getattr(quadrature, name)):
-            sizes.append(zx.shape[0])
-            return _grad(zx, *rest)
+        def counted(zx, zy, *rest, _grad=getattr(quadrature, name)):
+            grads.append(np.broadcast_shapes(np.shape(zx), np.shape(zy)))
+            return _grad(zx, zy, *rest)
         monkeypatch.setattr(quadrature, name, counted)
     graphs._WEIGHT_CACHE.clear()
     for cached in (quadrature._pair_integral_2d, quadrature._grid_4d,
@@ -152,17 +158,19 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
         cached.cache_clear()
     assert main(["weights", "--n", "2"]) == 0
     first = capsys.readouterr().out
-    # 6 distinct edges (vertex, target): (1|2, L), (1|2, R), (1, 2), (2, 1)
-    assert 0 < sizes.count(24 ** 4) <= 6
+    # 6 distinct edges (vertex, target): (1|2, L), (1|2, R), (1, 2), (2, 1);
+    # each field is evaluated at most once, with one gradient call
+    assert 0 < len(edges) == len(set(edges)) <= 6
     # one pair integral, two boundary gradients on its 800 x 800 grid
     assert quadrature._pair_integral_2d.cache_info().misses == 1
-    assert sizes.count(800 ** 2) == 2
-    assert len(sizes) == sizes.count(24 ** 4) + 2
+    assert grads.count((800, 800)) == 2
+    assert len(grads) == len(edges) + 2
 
     graphs._WEIGHT_CACHE.clear()
-    sizes.clear()
+    edges.clear()
+    grads.clear()
     assert main(["weights", "--n", "2"]) == 0
-    assert sizes == []
+    assert edges == [] and grads == []
     assert capsys.readouterr().out == first
 
     (X1, _), _ = quadrature._grid_4d()[0]
@@ -173,6 +181,94 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
         cols[0][1][0] = 0.0
     with pytest.raises(ValueError):
         dist2 += 1.0
+
+
+def _one_det_integrand(fields, weight):
+    """_integrand as one np.linalg.det call on the full, flattened stack."""
+    import numpy as np
+    dim = len(fields)
+    buf = np.zeros((dim, dim, weight.size))
+    for r, (cols, _) in enumerate(fields):
+        for c, values in cols:
+            buf[r, c] = np.broadcast_to(values, weight.shape).ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = np.linalg.det(buf.transpose(2, 0, 1)).reshape(weight.shape)
+        return np.nan_to_num(det * weight, nan=0.0, posinf=0.0, neginf=0.0)
+
+
+@pytest.mark.parametrize("block", [None, 5 * 24 ** 3])
+def test_blockwise_determinant_matches_one_call(monkeypatch, block):
+    """Blockwise determinants equal one np.linalg.det call over the full
+    stack, bit for bit: on the 24^4 grid (24 leading slices in blocks of
+    one, or of five with a short last block) and on 40000 Monte Carlo
+    samples, which are not a multiple of the block."""
+    import numpy as np
+    from starq import quadrature
+    if block is not None:
+        monkeypatch.setattr(quadrature, "_DET_BLOCK", block)
+    rng = np.random.default_rng(5)
+    mc_pos, mc_weight = quadrature._chart([rng.random(40000)
+                                           for _ in range(4)])
+    internal = [g for g in enumerate_kgraphs(2) if g.has_internal_edge()]
+    for G in (internal[0], internal[-1]):
+        edges = quadrature._edges(G)
+        cases = (([quadrature._grid_edge_field(i, t) for i, t in edges],
+                  quadrature._grid_4d()[1]),
+                 ([quadrature._edge_field(i, t, mc_pos) for i, t in edges],
+                  mc_weight))
+        for fields, weight in cases:
+            got = quadrature._integrand(fields, weight)
+            want = _one_det_integrand(fields, weight)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_grid_4d_matches_meshgrid_reference():
+    """The broadcast 4D coordinates and weight are those of the chart on
+    the full meshgrid, bit for bit."""
+    import numpy as np
+    from starq import quadrature
+    M = quadrature._GRID_NODES_4D
+    axis = (np.arange(M) + 0.5) / M
+    U = np.meshgrid(axis, axis, axis, axis, indexing="ij")
+    ref = [np.tan(np.pi * (U[0] - 0.5)), np.tan(np.pi * U[1] / 2),
+           np.tan(np.pi * (U[2] - 0.5)), np.tan(np.pi * U[3] / 2)]
+    weight = np.ones(U[0].shape)
+    for k, x in enumerate(ref):
+        weight = weight * ((np.pi if k % 2 == 0 else np.pi / 2)
+                           * (1 + x ** 2))
+    pos, got_weight = quadrature._grid_4d()
+    got = [np.broadcast_to(c, weight.shape) for xy in pos for c in xy]
+    for g, r in zip(got, ref):
+        assert np.ascontiguousarray(g).tobytes() == r.tobytes()
+    assert got_weight.shape == weight.shape
+    assert got_weight.tobytes() == weight.tobytes()
+
+
+def test_angle_gradients_match_two_division_formulas():
+    """The one-division gradients equal Im(-1/A + 1/B), -Re(1/A + 1/B) and
+    their w-counterparts bit for bit, on both grids and on Monte Carlo
+    samples."""
+    import numpy as np
+    from starq import quadrature
+    rng = np.random.default_rng(3)
+    s = (np.arange(800) + 0.5) / 800
+    ((X, Y),), _ = quadrature._chart([s[:, None], s[None, :]])
+    mc, _ = quadrature._chart([rng.random(20000) for _ in range(4)])
+    grid, _ = quadrature._grid_4d()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (zx, zy), w in [((X, Y), 0.0), ((X, Y), 1.0), (mc[0], 1.0),
+                            (grid[1], 0.0)]:
+            A, B = (w - zx) - 1j * zy, (w - zx) + 1j * zy
+            want = (np.imag(-1.0 / A + 1.0 / B), -np.real(1.0 / A + 1.0 / B))
+            got = quadrature._grad_phi_boundary(zx, zy, w)
+            assert all(g.tobytes() == v.tobytes() for g, v in zip(got, want))
+        for (zx, zy), (wx, wy) in [mc, mc[::-1], grid, grid[::-1]]:
+            A = (wx - zx) + 1j * (wy - zy)
+            B = (wx - zx) + 1j * (wy + zy)
+            want = (np.imag(-1.0 / A + 1.0 / B), -np.real(1.0 / A + 1.0 / B),
+                    np.imag(1.0 / A - 1.0 / B), np.real(1.0 / A - 1.0 / B))
+            got = quadrature._grad_phi_full(zx, zy, wx, wy)
+            assert all(g.tobytes() == v.tobytes() for g, v in zip(got, want))
 
 
 def test_weight_guard_and_failure():
