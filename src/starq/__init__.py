@@ -9,3 +9,9 @@ class ResourceGuard(ValueError):
     Defined in the package root, which imports nothing, so that jets, graphs
     and cp1 share one class while each command loads only the modules it
     uses."""
+
+
+class NonFiniteResult(ArithmeticError):
+    """A computed value overflowed to inf or NaN: a report cannot carry it,
+    and a norm or a sum over it means nothing.  Root-defined like
+    ResourceGuard."""

@@ -21,7 +21,7 @@ import re
 import sys
 from dataclasses import dataclass, fields
 
-from . import __version__
+from . import NonFiniteResult, __version__
 
 # Each command imports only the modules it uses, in the branch of run that
 # handles it.  cp1 and the weight quadrature load numpy, which the exact
@@ -39,10 +39,6 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     pass
-
-
-class NonFiniteResult(ArithmeticError):
-    """A report value overflowed to inf or NaN, which JSON cannot carry."""
 
 
 # Largest sphere level m that --m and --m-list accept: the Toeplitz matrix has

@@ -8,7 +8,9 @@ starq.symbols, which needs no numpy; toeplitz_matrix writes that band into a
 dense array of zeros.  The band takes each rational Beta integral to a float
 in one correctly rounded division and divides it by sqrt(n_j n_k), formed
 from the float norms; that product goes subnormal near m = 512 and to zero
-(a ZeroDivisionError) from m = 534 on.
+(a ZeroDivisionError) from m = 534 on.  bms_suite keeps at most four dense
+matrices live per level and works in place; operator_norm and the Berezin
+defect raise NonFiniteResult on inf or NaN rather than pass it on.
 
 Documented sign constants (pinned by the Tuynman and commutator decay tests):
   * Laplacian: Delta f = (1+|z|^2)^2 d^2 f / dz dzbar;
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import ResourceGuard
+from . import NonFiniteResult, ResourceGuard
 from .symbols import (
     TWO_PI, ObservableFn, laplacian_fn, make_context, poisson_bracket_fn,
     toeplitz_band,
@@ -105,6 +107,11 @@ def _toeplitz_quadrature(f, ctx, tol):
 
 
 def operator_norm(A):
+    """Largest singular value; an inf or NaN entry raises NonFiniteResult
+    before the SVD, which would not converge on it."""
+    if not np.isfinite(A).all():
+        raise NonFiniteResult("operator norm of a matrix with inf or NaN "
+                              "entries")
     return float(np.linalg.norm(A, 2))
 
 
@@ -299,15 +306,25 @@ def bms_suite(f, g, m_list):
         Tf = toeplitz_matrix(f, ctx)
         Tg = toeplitz_matrix(g, ctx)
         pa.append((m, sup_f - operator_norm(Tf)))
-        comm = m * 1j * (Tf @ Tg - Tg @ Tf) - toeplitz_matrix(br, ctx)
+        # in place, operands in the order of
+        # comm = m i (Tf Tg - Tg Tf) - T_br and P = Tf Tg - T_fg
+        P = Tf @ Tg
+        comm = Tg @ Tf
+        del Tf, Tg
+        np.subtract(P, comm, out=comm)
+        np.multiply(m * 1j, comm, out=comm)
+        comm -= toeplitz_matrix(br, ctx)
         pb.append((m, operator_norm(comm)))
-        pc.append((m, operator_norm(Tf @ Tg - toeplitz_matrix(f * g, ctx))))
+        del comm
+        P -= toeplitz_matrix(f * g, ctx)
+        pc.append((m, operator_norm(P)))
     return (AsymSeries.from_points(pa), AsymSeries.from_points(pb),
             AsymSeries.from_points(pc))
 
 
 def berezin_defect_series(f, lap_f, sample_points, m_list):
-    """Points (m, max_z |m (I_m f - f)(z) - Delta f(z)|) with a log-log fit."""
+    """Points (m, max_z |m (I_m f - f)(z) - Delta f(z)|) with a log-log fit;
+    an inf or NaN defect, which max would drop, raises NonFiniteResult."""
     pts = []
     for m in m_list:
         ctx = make_context(m)
@@ -316,6 +333,9 @@ def berezin_defect_series(f, lap_f, sample_points, m_list):
         for z0 in sample_points:
             val = covariant_symbol(Tf, z0, ctx)
             defect = abs(m * (val - f(complex(z0))) - lap_f(complex(z0)))
+            if not math.isfinite(defect):
+                raise NonFiniteResult(
+                    f"Berezin defect at m = {m}, z = {z0} is not finite")
             worst = max(worst, defect)
         pts.append((m, worst))
     return AsymSeries.from_points(pts)

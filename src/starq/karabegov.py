@@ -87,19 +87,23 @@ def reference_potentials(D):
 
 def left_mult_operator(g_series, P, N, verify=True):
     """L_g for a nu-series g (list of Jets), as a NuDiffOp through nu^N."""
+    return _left_mult_builder(P, N)(g_series, verify)
+
+
+def _left_mult_builder(P, N):
+    """L_g as a function of (g_series, verify) for one potential and order.
+
+    The right-multiplication data, graded after multiplying through by nu,
+    nu R_l = w_{-1,l} + nu (w_{0,l} + d/dzbar_l) + nu^2 w_{1,l} + ..., and
+    g^{-1} depend on P and N alone, so they are built once, here, for every
+    g of a star table; rho[j][l] is the nu^j part of nu R_l as an operator."""
     n, D = P.n, P.D
     if D < 3 * N:
         raise BudgetExceeded(f"degree budget D={D} below 3N={3 * N}")
-    if isinstance(g_series, Jet):
-        g_series = [g_series]
-    gs = list(g_series) + [Jet.zero(n, D)] * (N + 1 - len(g_series))
-
-    # right-multiplication data, graded after multiplying through by nu:
-    # nu R_l = w_{-1,l} + nu (w_{0,l} + d/dzbar_l) + nu^2 w_{1,l} + ...
     w_lead = [P.phi_minus1.diff(l, "anti") for l in range(n)]
     g_inv = metric_from_potential(P.phi_minus1).g_inv
 
-    def rho(j, l):
+    def rho_op(j, l):
         if j == 0:
             return DiffOp.mult(w_lead[l])
         op = DiffOp.mult(P.phi_k(j - 1).diff(l, "anti"))
@@ -107,67 +111,77 @@ def left_mult_operator(g_series, P, N, verify=True):
             op = op + DiffOp.deriv(n, D, mi_zero(n), unit_mi(n, l))
         return op
 
-    A = [DiffOp.mult(gs[0])]
-    for m in range(1, N + 1):
-        # RHS of [B_m, w_{-1,l} .] = -sum_{k<m} [A_k, rho_{m-k,l}]
-        rhs_ops = []
-        for l in range(n):
-            acc = DiffOp.zero(n, D)
-            for k in range(m):
-                r = rho(m - k, l)
-                acc = acc + (A[k].compose(r) - r.compose(A[k]))
-            acc = -acc
-            for _, h, a in acc.terms:
-                if mi_deg(a) > 0:
-                    raise ArithmeticError(
-                        "recursion right-hand side is not holomorphic")
-            rhs_ops.append({h: c for c, h, a_ in acc.terms})
-        coeffs = {}
-        for s in range(m, 0, -1):
-            # u_{j,beta} = sum_l g^{-1}_lj v_{l,beta} = (beta_j + 1) x_{beta+e_j}
-            # for the block |alpha| = s (module docstring)
-            u = {}
-            for beta in mi_range(n, s - 1):
-                if mi_deg(beta) < s - 1:
-                    continue
-                v = []
-                for l in range(n):
-                    val = rhs_ops[l].get(beta, Jet.zero(n, D))
-                    for alpha, c in coeffs.items():
-                        gamma = mi_sub(alpha, beta)
-                        if mi_deg(alpha) <= s or not mi_le(beta, alpha):
-                            continue
-                        val = val - (c * w_lead[l].diff_multi(gamma, mi_zero(n))
-                                     ).scale(mi_binom(alpha, gamma))
-                    v.append(val)
-                for j in range(n):
-                    acc = Jet.zero(n, D)
-                    for l in range(n):
-                        acc = acc + g_inv[l][j] * v[l]
-                    u[j, beta] = acc
-            # x_alpha along the first j with alpha_j > 0; every other j-route
-            # must give the same x_alpha on the reliable window
-            for alpha in mi_range(n, s):
-                if mi_deg(alpha) < s:
-                    continue
-                x, *others = [u[j, mi_sub(alpha, unit_mi(n, j))].scale(
-                    Fraction(1, alpha[j])) for j in range(n) if alpha[j]]
-                for y in others:
-                    if not (y - x).truncate(D - (m + 2)).is_zero():
+    rho = [[rho_op(j, l) for l in range(n)] for j in range(N + 1)]
+
+    def build(g_series, verify=True):
+        if isinstance(g_series, Jet):
+            g_series = [g_series]
+        gs = list(g_series) + [Jet.zero(n, D)] * (N + 1 - len(g_series))
+        A = [DiffOp.mult(gs[0])]
+        for m in range(1, N + 1):
+            # RHS of [B_m, w_{-1,l} .] = -sum_{k<m} [A_k, rho_{m-k,l}]
+            rhs_ops = []
+            for l in range(n):
+                acc = DiffOp.zero(n, D)
+                for k in range(m):
+                    r = rho[m - k][l]
+                    acc = acc + (A[k].compose(r) - r.compose(A[k]))
+                acc = -acc
+                for _, h, a in acc.terms:
+                    if mi_deg(a) > 0:
                         raise ArithmeticError(
-                            "inconsistent block in the recursion")
-                if not x.is_zero():
-                    coeffs[alpha] = x
-        B_m = DiffOp(n, D, [(c, alpha, mi_zero(n)) for alpha, c in coeffs.items()])
-        A.append(DiffOp.mult(gs[m]) + B_m)
+                            "recursion right-hand side is not holomorphic")
+                rhs_ops.append({h: c for c, h, a_ in acc.terms})
+            coeffs = {}
+            for s in range(m, 0, -1):
+                # u_{j,beta} = sum_l g^{-1}_lj v_{l,beta}
+                # = (beta_j + 1) x_{beta+e_j} for the block |alpha| = s
+                # (module docstring)
+                u = {}
+                for beta in mi_range(n, s - 1):
+                    if mi_deg(beta) < s - 1:
+                        continue
+                    v = []
+                    for l in range(n):
+                        val = rhs_ops[l].get(beta, Jet.zero(n, D))
+                        for alpha, c in coeffs.items():
+                            gamma = mi_sub(alpha, beta)
+                            if mi_deg(alpha) <= s or not mi_le(beta, alpha):
+                                continue
+                            dw = w_lead[l].diff_multi(gamma, mi_zero(n))
+                            val = val - (c * dw).scale(mi_binom(alpha, gamma))
+                        v.append(val)
+                    for j in range(n):
+                        acc = Jet.zero(n, D)
+                        for l in range(n):
+                            acc = acc + g_inv[l][j] * v[l]
+                        u[j, beta] = acc
+                # x_alpha along the first j with alpha_j > 0; every other
+                # j-route must give the same x_alpha on the reliable window
+                for alpha in mi_range(n, s):
+                    if mi_deg(alpha) < s:
+                        continue
+                    x, *others = [u[j, mi_sub(alpha, unit_mi(n, j))].scale(
+                        Fraction(1, alpha[j])) for j in range(n) if alpha[j]]
+                    for y in others:
+                        if not (y - x).truncate(D - (m + 2)).is_zero():
+                            raise ArithmeticError(
+                                "inconsistent block in the recursion")
+                    if not x.is_zero():
+                        coeffs[alpha] = x
+            B_m = DiffOp(n, D, [(c, alpha, mi_zero(n))
+                                for alpha, c in coeffs.items()])
+            A.append(DiffOp.mult(gs[m]) + B_m)
 
-    L = NuDiffOp(n, D, N, A)
-    if verify:
-        _verify_commutation(L, P, rho, N, n, D)
-    return L
+        L = NuDiffOp(n, D, N, A)
+        if verify:
+            _verify_commutation(L, rho, N, n, D)
+        return L
+
+    return build
 
 
-def _verify_commutation(L, P, rho, N, n, D):
+def _verify_commutation(L, rho, N, n, D):
     """Residual check: [L, nu R_l] vanishes through nu^N on the reliable
     degree window (exact for polynomial potentials)."""
     window = D - (2 * N + 2)
@@ -177,7 +191,7 @@ def _verify_commutation(L, P, rho, N, n, D):
         for m in range(N + 1):
             acc = DiffOp.zero(n, D)
             for k in range(m + 1):
-                r = rho(m - k, l)
+                r = rho[m - k][l]
                 acc = acc + (L.orders[k].compose(r) - r.compose(L.orders[k]))
             for c, h, a in acc.terms:
                 if not c.truncate(window).is_zero():
@@ -192,10 +206,11 @@ def karabegov_star(P, N):
     """Anti-Wick star table through nu^N from a formal potential."""
     n, D = P.n, P.D
     cut = D - (N + 2)
+    left_mult = _left_mult_builder(P, N)
     Ls = {}
     for beta in mi_range(n, N):
         f = Jet.monomial(mi_zero(n), beta, n, D)
-        Ls[beta] = left_mult_operator([f], P, N, verify=False)
+        Ls[beta] = left_mult([f], verify=False)
 
     C = [BiDiffOp.pointwise(n, D)]
     for k in range(1, N + 1):

@@ -10,10 +10,14 @@ Both grids are products of midpoint axes, so the chart works on the axes and
 broadcasts.  Everything that depends on the grid alone is built once per
 process and kept read-only: each 2D pair integral, the 4D weight, and each
 edge's gradient columns and squared distance (on its vertex's M x M plane
-for an edge to L or R).  A graph then fills a reused Jacobian buffer block
-by block from these fields, takes the determinants and sums three masks over
-the whole grid.  The Monte Carlo path goes through the same field and
-assembly code on fresh samples, uncached.
+for an edge to L or R).  The working sets stay bounded: the pair integral
+fills its integrand and masks in row blocks, the (1, 2) field is built in
+slices of the first axis, and the (2, 1) field is a transposed view of it.
+A graph then fills a reused Jacobian buffer block by block from these
+fields, takes the determinants, scales them in place and sums three masks
+over the whole grid, so every sum runs in the order of one full-grid pass.
+The Monte Carlo path goes through the same field and assembly code on fresh
+samples, uncached.
 Only starq.graphs imports this module, and only when it integrates a
 weight, so the exact commands never load numpy.
 """
@@ -29,6 +33,7 @@ from .graphs import L, R, WeightResult, _target_key
 
 _GRID_NODES_4D = 24               # per axis, non-factorizable 4D integrals
 _DET_BLOCK = 16384                # points per np.linalg.det call
+_PAIR_ROWS = 64                   # rows per block of a 2D pair integral
 
 
 def _frozen(a):
@@ -69,19 +74,27 @@ def _richardson(vals):
 
 @functools.cache
 def _pair_integral_2d(p, q, M, eta):
-    """int_H d phi(z,p) ^ d phi(z,q) with eta-excision and Richardson in eta."""
+    """int_H d phi(z,p) ^ d phi(z,q) with eta-excision and Richardson in eta.
+
+    The integrand J and the three excision masks are filled _PAIR_ROWS rows
+    at a time, with the chart taken on each row block; each sum still runs
+    over the whole M x M array, so its pairwise order is that of one
+    full-grid pass."""
     s = (np.arange(M) + 0.5) / M
-    ((X, Y),), W = _chart([s[:, None], s[None, :]])
-    d1x, d1y = _grad_phi_boundary(X, Y, p)
-    d2x, d2y = _grad_phi_boundary(X, Y, q)
-    J = (d1x * d2y - d1y * d2x) * (W / (M * M))
-    dist_p = (X - p) ** 2 + Y ** 2
-    dist_q = (X - q) ** 2 + Y ** 2
-    vals = []
-    for e in (eta, eta / 2, eta / 4):
-        mask = (dist_p > e ** 2) & (dist_q > e ** 2)
-        vals.append(float(np.sum(J * mask)))
-    return _richardson(vals)
+    J = np.empty((M, M))
+    eps2 = [e ** 2 for e in (eta, eta / 2, eta / 4)]
+    masks = [np.empty((M, M), dtype=bool) for _ in eps2]
+    for lo in range(0, M, _PAIR_ROWS):
+        rows = slice(lo, lo + _PAIR_ROWS)
+        ((X, Y),), W = _chart([s[rows, None], s[None, :]])
+        d1x, d1y = _grad_phi_boundary(X, Y, p)
+        d2x, d2y = _grad_phi_boundary(X, Y, q)
+        J[rows] = (d1x * d2y - d1y * d2x) * (W / (M * M))
+        dist_p = (X - p) ** 2 + Y ** 2
+        dist_q = (X - q) ** 2 + Y ** 2
+        for mask, e2 in zip(masks, eps2):
+            np.logical_and(dist_p > e2, dist_q > e2, out=mask[rows])
+    return _richardson([float(np.sum(J * mask)) for mask in masks])
 
 
 def _vertex_boundary_points(G, i):
@@ -164,7 +177,8 @@ def _integrand(fields, weight):
                 slices[r, c, :n] = values[lo:lo + n]
             block = buf[:, :, :n * inner].transpose(2, 0, 1)
             det[lo:lo + n] = np.linalg.det(block).reshape((n,) + shape[1:])
-        return np.nan_to_num(det * weight, nan=0.0, posinf=0.0, neginf=0.0)
+        np.multiply(det, weight, out=det)
+    return np.nan_to_num(det, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
 
 
 def _masks(fields, eta):
@@ -195,11 +209,33 @@ def _grid_4d():
 def _grid_edge_field(i, t):
     """_edge_field on the 4D grid, built once per edge.
 
-    A gradient column may be the real or imaginary view of a complex
-    temporary; the copy keeps only its values, half the memory."""
-    cols, dist2 = _edge_field(i, t, _grid_4d()[0])
-    return (tuple((c, _frozen(np.ascontiguousarray(v))) for c, v in cols),
-            _frozen(dist2))
+    Both vertices share the grid's axis values, so the edge (2, 1) at
+    (a, b, c, d) is the edge (1, 2) at (c, d, a, b) with columns 0, 1 and
+    2, 3 swapped, bit for bit: its columns are read-only transposed views of
+    the (1, 2) arrays.  Its squared distance is the (1, 2) array itself,
+    since (u - v)^2 and (v - u)^2 round to the same float; the excision
+    masks then stay in C order.  The (1, 2) field is built one slice of the
+    first axis at a time into preallocated arrays; a boundary-edge field
+    lives on its vertex's plane, copied out of its complex temporary."""
+    if t not in (L, R) and t < i:
+        cols, dist2 = _grid_edge_field(t, i)
+        return (tuple(((c + 2) % 4, _frozen(v.transpose(2, 3, 0, 1)))
+                      for c, v in cols), dist2)
+    pos, weight = _grid_4d()
+    if t in (L, R):
+        cols, dist2 = _edge_field(i, t, pos)
+        return (tuple((c, _frozen(np.ascontiguousarray(v))) for c, v in cols),
+                _frozen(dist2))
+    # the edge (1, 2): vertex 1's x runs along the first axis
+    (x1, y1), vertex2 = pos
+    cols = tuple((c, np.empty(weight.shape)) for c in range(4))
+    dist2 = np.empty(weight.shape)
+    for a in range(weight.shape[0]):
+        slab_cols, slab_dist2 = _edge_field(1, 2, ((x1[a:a + 1], y1), vertex2))
+        for (_, out), (_, values) in zip(cols, slab_cols):
+            out[a] = values[0]
+        dist2[a] = slab_dist2[0]
+    return tuple((c, _frozen(v)) for c, v in cols), _frozen(dist2)
 
 
 def _norm(n):

@@ -9,11 +9,14 @@ builds its dense matrices from the same band.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+
+from . import NonFiniteResult
 
 TWO_PI = 2 * math.pi
 
@@ -41,7 +44,7 @@ class ObservableFn:
             for coeff, a, b, c in self.terms:
                 if a + b > 2 * c:
                     raise UnboundedSymbol(
-                        f"term z^{a} zbar^{b} (1+zz)^-{c} is unbounded")
+                        f"term z^{a} zbar^{b} (1+zz)^{-c} is unbounded")
                 key = (a, b, c)
                 merged[key] = merged.get(key, 0) + complex(coeff)
             canon = tuple((v, *k) for k, v in sorted(merged.items())
@@ -129,7 +132,10 @@ def multiply_by_one_plus_t_sq(raw):
 
 def reduce_terms(raw):
     """Rewrite to min(a, b) = 0 via |z|^2 (1+|z|^2)^{-c} =
-    (1+|z|^2)^{-(c-1)} - (1+|z|^2)^{-c}, exposing cancellations."""
+    (1+|z|^2)^{-(c-1)} - (1+|z|^2)^{-c}, exposing cancellations.
+
+    An overflowed coefficient raises NonFiniteResult: inf - inf would leave
+    a NaN where the terms cancel, which reads as an unbounded term."""
     merged = {}
     for coeff, a, b, c in raw:
         d = min(a, b)
@@ -137,6 +143,10 @@ def reduce_terms(raw):
             key = (a - d, b - d, c - i)
             val = coeff * ((-1) ** (d - i)) * math.comb(d, i)
             merged[key] = merged.get(key, 0) + val
+    for (a, b, c), v in merged.items():
+        if not cmath.isfinite(v):
+            raise NonFiniteResult(
+                f"coefficient of z^{a} zbar^{b} (1+zz)^{-c} overflowed")
     return [(v, *k) for k, v in sorted(merged.items()) if v != 0]
 
 

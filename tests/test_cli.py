@@ -337,14 +337,16 @@ def test_help_exits_0(capsys):
 
 def test_every_exception_has_one_exit_code():
     """main maps ValueError to exit 2 and ArithmeticError to exit 3, so each
-    starq exception subclasses exactly one of the two."""
+    starq exception subclasses exactly one of the two.  The package root
+    defines the shared ResourceGuard and NonFiniteResult."""
     found = []
-    for info in pkgutil.iter_modules(starq.__path__):
-        mod = importlib.import_module(f"starq.{info.name}")
+    mods = [starq] + [importlib.import_module(f"starq.{info.name}")
+                      for info in pkgutil.iter_modules(starq.__path__)]
+    for mod in mods:
         found += [obj for obj in vars(mod).values()
                   if isinstance(obj, type) and issubclass(obj, BaseException)
                   and obj.__module__ == mod.__name__]
-    assert len(found) >= 12
+    assert len(found) >= 13
     for exc in found:
         assert issubclass(exc, ValueError) != \
             issubclass(exc, ArithmeticError), exc.__name__
@@ -492,6 +494,18 @@ def test_overflow_leaves_one_stderr_line():
     (["cp1-suite", "--m-list", "4,8", "--f-expr", "1e308*zz/(1+zz)",
       "--g-expr", "0"], "NonFiniteResult"),
     (["cp1-toeplitz", "--m", "534"], "ZeroDivisionError"),
+    # an infinite coefficient: its Laplacian overflows (reduce_terms), and
+    # for a constant the Berezin defect is inf - inf, which max would drop
+    (["cp1-suite", "--suite", "berezin", "--m-list", "4", "--f-expr",
+      "1e300*1e300/(1+zz)"], "NonFiniteResult"),
+    (["cp1-suite", "--suite", "berezin", "--m-list", "4", "--f-expr",
+      "1e300*1e300"], "NonFiniteResult"),
+    # an infinite Toeplitz matrix stops before the SVD (operator_norm)
+    (["cp1-suite", "--m-list", "4", "--f-expr", "1e300*1e300/(1+zz)",
+      "--g-expr", "0"], "NonFiniteResult"),
+    # finite coefficients whose Laplacian overflows to inf - inf
+    (["cp1-suite", "--suite", "berezin", "--m-list", "4,8", "--f-expr",
+      "1e308*(1-zz)/(1+zz)"], "NonFiniteResult"),
 ])
 def test_overflow_argvs_keep_the_exit_contract(argv, error):
     """An overflowing sphere run, with or without numpy, exits 3 with one

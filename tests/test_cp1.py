@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from starq import ResourceGuard
+from starq import NonFiniteResult, ResourceGuard
 from starq.cp1 import (
     AsymSeries, QuadratureTolerance, adjointness_check,
     berezin_defect_series, berezin_transform_num, bms_suite, coherent_vector,
@@ -16,7 +16,7 @@ from starq.cp1 import (
 )
 from starq.symbols import (
     ObservableFn, UnboundedSymbol, coord_x_observable, height_observable,
-    laplacian_fn, make_context, poisson_bracket_fn,
+    laplacian_fn, make_context, poisson_bracket_fn, reduce_terms,
 )
 from starq import cp1
 from starq.cp1 import _section_matrix
@@ -63,6 +63,28 @@ def test_observable_constraints():
     assert h.is_real()
     assert abs(h(0j) - 1) < 1e-14 and abs(h(1.0) - 0) < 1e-14
     assert not ObservableFn(terms=((1j, 0, 0, 0),)).is_real()
+
+
+def test_unbounded_term_message_signs_the_exponent():
+    """The message prints (1+zz)^{-c}: ^-1 for c = 1 and ^1, not ^--1, for
+    c = -1."""
+    with pytest.raises(UnboundedSymbol, match=r"\(1\+zz\)\^-1 is unbounded"):
+        ObservableFn(terms=((1.0, 3, 0, 1),))
+    with pytest.raises(UnboundedSymbol, match=r"\(1\+zz\)\^1 is unbounded"):
+        ObservableFn(terms=((1.0, 0, 1, -1),))
+
+
+def test_overflowed_coefficients_raise_non_finite_result():
+    """inf - inf merges to NaN in reduce_terms, which would keep it as an
+    unbounded term; an overflowed coefficient raises NonFiniteResult."""
+    inf = float("inf")
+    with pytest.raises(NonFiniteResult):
+        reduce_terms([(inf, 0, 0, 1), (-inf, 0, 0, 1)])
+    with pytest.raises(NonFiniteResult):
+        laplacian_fn(ObservableFn(terms=((1e308, 0, 0, 1),
+                                         (-1e308, 1, 1, 1))))
+    # zz/(1+zz) + 1/(1+zz) = 1: finite terms still cancel
+    assert reduce_terms([(1.0, 1, 1, 1), (1.0, 0, 0, 1)]) == [(1.0, 0, 0, 0)]
 
 
 def test_laplacian_of_height():
@@ -163,6 +185,18 @@ def test_operator_norm():
     assert operator_norm(np.zeros((4, 4), dtype=complex)) == 0
     T = toeplitz_matrix(height_observable(), ctx)
     assert abs(operator_norm(T) - 10 / 12) < 1e-12
+
+
+def test_non_finite_norm_and_defect_raise_non_finite_result():
+    """operator_norm stops an inf or NaN entry before the SVD, which would
+    not converge (a LinAlgError, exit 2), and berezin_defect_series stops a
+    NaN defect, which max would drop (a defect of 0.0, exit 0)."""
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(NonFiniteResult):
+            operator_norm(np.diag([1.0, bad]).astype(complex))
+    with pytest.raises(NonFiniteResult), np.errstate(invalid="ignore"):
+        berezin_defect_series(ObservableFn.constant(float("inf")),
+                              ObservableFn(), [0j], [4])
 
 
 # ---------------------------------------------------------------------------

@@ -134,10 +134,12 @@ def test_order2_boundary_weights():
 
 
 def test_weight_grid_fields_built_once(monkeypatch, capsys):
-    """weights --n 2 evaluates each 4D grid edge field once and the 2D pair
-    integral once; with only the weight cache emptied, a second run
-    evaluates nothing and prints the same bytes.  Cached 4D arrays are
-    read-only."""
+    """weights --n 2 takes one 2D pair integral, whose two boundary
+    gradients cover each of its 800 rows exactly once; each 4D boundary
+    field once; the (1, 2) field once per slice of the first axis; and no
+    gradient for the (2, 1) field.  With only the weight cache emptied, a
+    second run evaluates nothing and prints the same bytes.  Cached 4D
+    arrays are read-only."""
     import numpy as np
     from starq import graphs, quadrature
     from starq.cli import main
@@ -148,8 +150,9 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
         return _field(i, t, pos)
     monkeypatch.setattr(quadrature, "_edge_field", counted_field)
     for name in ("_grad_phi_boundary", "_grad_phi_full"):
-        def counted(zx, zy, *rest, _grad=getattr(quadrature, name)):
-            grads.append(np.broadcast_shapes(np.shape(zx), np.shape(zy)))
+        def counted(zx, zy, *rest, _name=name, _grad=getattr(quadrature, name)):
+            shape = np.broadcast_shapes(np.shape(zx), np.shape(zy))
+            grads.append((_name, shape, np.array(zx), rest))
             return _grad(zx, zy, *rest)
         monkeypatch.setattr(quadrature, name, counted)
     graphs._WEIGHT_CACHE.clear()
@@ -158,13 +161,35 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
         cached.cache_clear()
     assert main(["weights", "--n", "2"]) == 0
     first = capsys.readouterr().out
-    # 6 distinct edges (vertex, target): (1|2, L), (1|2, R), (1, 2), (2, 1);
-    # each field is evaluated at most once, with one gradient call
-    assert 0 < len(edges) == len(set(edges)) <= 6
-    # one pair integral, two boundary gradients on its 800 x 800 grid
+
+    # one pair integral; per target, its row blocks concatenate to the 800
+    # chart rows in order, each row once
     assert quadrature._pair_integral_2d.cache_info().misses == 1
-    assert grads.count((800, 800)) == 2
-    assert len(grads) == len(edges) + 2
+    s = (np.arange(800) + 0.5) / 800
+    ((X, _),), _ = quadrature._chart([s[:, None], s[None, :]])
+    pair = [g for g in grads if g[1][-1] == 800]
+    assert {g[0] for g in pair} == {"_grad_phi_boundary"}
+    assert {rest for *_, rest in pair} == {(0.0,), (1.0,)}
+    for w in (0.0, 1.0):
+        rows = [zx.ravel() for *_, zx, rest in pair if rest == (w,)]
+        assert np.concatenate(rows).tobytes() == X.ravel().tobytes()
+
+    # 4D fields: each (vertex, boundary target) once; every full gradient
+    # belongs to the (1, 2) field (vertex 1 at z, vertex 2's axes at w) and
+    # its slices of vertex 1's x axis concatenate to that axis, each once
+    grid = [g for g in grads if g[1][-1] != 800]
+    (x1, _), (x2, y2) = quadrature._grid_4d()[0]
+    boundary = [(zx.shape, rest) for name, _, zx, rest in grid
+                if name == "_grad_phi_boundary"]
+    assert 0 < len(boundary) == len(set(boundary)) <= 4
+    full = [(zx, rest) for name, _, zx, rest in grid
+            if name == "_grad_phi_full"]
+    assert full and all(rest[0] is x2 and rest[1] is y2 for _, rest in full)
+    assert np.concatenate([zx.ravel() for zx, _ in full]).tobytes() \
+        == x1.ravel().tobytes()
+    assert (2, 1) not in edges
+    assert edges.count((1, 2)) == len(full)
+    assert len(grads) == len(edges) + len(pair)
 
     graphs._WEIGHT_CACHE.clear()
     edges.clear()
@@ -176,11 +201,69 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
     (X1, _), _ = quadrature._grid_4d()[0]
     with pytest.raises(ValueError):
         X1[0] = 0.0
-    cols, dist2 = quadrature._grid_edge_field(1, L)
-    with pytest.raises(ValueError):
-        cols[0][1][0] = 0.0
-    with pytest.raises(ValueError):
-        dist2 += 1.0
+    for edge in ((1, L), (1, 2), (2, 1)):
+        cols, dist2 = quadrature._grid_edge_field(*edge)
+        with pytest.raises(ValueError):
+            cols[0][1][0] = 0.0
+        with pytest.raises(ValueError):
+            dist2 += 1.0
+
+
+def _full_grid_pair_integral(p, q, M, eta):
+    """The 2D pair integral on the full M x M grid in one pass."""
+    import numpy as np
+    from starq import quadrature
+    s = (np.arange(M) + 0.5) / M
+    ((X, Y),), W = quadrature._chart([s[:, None], s[None, :]])
+    d1x, d1y = quadrature._grad_phi_boundary(X, Y, p)
+    d2x, d2y = quadrature._grad_phi_boundary(X, Y, q)
+    J = (d1x * d2y - d1y * d2x) * (W / (M * M))
+    dist_p = (X - p) ** 2 + Y ** 2
+    dist_q = (X - q) ** 2 + Y ** 2
+    vals = []
+    for e in (eta, eta / 2, eta / 4):
+        mask = (dist_p > e ** 2) & (dist_q > e ** 2)
+        vals.append(float(np.sum(J * mask)))
+    return quadrature._richardson(vals)
+
+
+@pytest.mark.parametrize("M, p, q", [(800, 0.0, 1.0), (200, 0.0, 1.0),
+                                     (200, 1.0, 1.0), (128, 0.0, 1.0)])
+def test_row_blocked_pair_integral_matches_full_grid(M, p, q):
+    """The pair integral filled in row blocks equals one full-grid pass bit
+    for bit: at the default M = 800, at M = 200 (three blocks and eight
+    rows) and at M = 128, a multiple of the block."""
+    from starq import quadrature
+    eta = IntegrationConfig().eta
+    got = quadrature._pair_integral_2d.__wrapped__(p, q, M, eta)
+    want = _full_grid_pair_integral(p, q, M, eta)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_reverse_internal_edge_is_a_view_of_the_forward_field():
+    """The 4D field of the edge (2, 1) is read-only transposed views of the
+    (1, 2) columns and the (1, 2) squared distance itself, and both fields
+    equal a direct _edge_field build bit for bit."""
+    import numpy as np
+    from starq import quadrature
+    pos = quadrature._grid_4d()[0]
+    fields = {e: quadrature._grid_edge_field(*e) for e in ((1, 2), (2, 1))}
+    for (i, t), (cols, dist2) in fields.items():
+        want_cols, want_dist2 = quadrature._edge_field(i, t, pos)
+        assert [c for c, _ in cols] == [c for c, _ in want_cols]
+        for got, want in [(v, w) for (_, v), (_, w) in zip(cols, want_cols)] \
+                + [(dist2, want_dist2)]:
+            assert got.shape == want.shape
+            assert np.ascontiguousarray(got).tobytes() \
+                == np.ascontiguousarray(want).tobytes()
+    (fwd_cols, fwd_dist2), (cols, dist2) = fields[1, 2], fields[2, 1]
+    for rev, fwd in [(v, f) for (_, v), (_, f) in zip(cols, fwd_cols)] \
+            + [(dist2, fwd_dist2)]:
+        assert np.shares_memory(rev, fwd)
+        assert not rev.flags.writeable
+        assert rev.flags.c_contiguous == (rev is fwd_dist2)
+        with pytest.raises(ValueError):
+            rev[0, 0, 0, 0] = 0.0
 
 
 def _one_det_integrand(fields, weight):
