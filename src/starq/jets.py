@@ -569,12 +569,13 @@ def metric_from_potential(phi):
 
 
 def laplacian(f, m):
-    """Sum_ij g^{ij} d2 f / dz_i dzbar_j."""
+    """Sum_ij g_inv[j][i] d2 f / dz_i dzbar_j: g_inv[j][i] pairs dzbar_j
+    with dz_i, as in poisson_bracket."""
     n = f.n
     out = Jet.zero(n, f.max_degree)
     for i in range(n):
         for j in range(n):
-            out = out + m.g_inv[i][j] * f.diff(i, "holo").diff(j, "anti")
+            out = out + m.g_inv[j][i] * f.diff(i, "holo").diff(j, "anti")
     return out
 
 

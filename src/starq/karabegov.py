@@ -25,10 +25,7 @@ from .jets import (
     Jet, hessian, jet_det, metric_from_potential, mi_binom, mi_deg,
     mi_falling, mi_fact, mi_le, mi_range, mi_sub, mi_zero, unit_mi,
 )
-from .formal import (
-    BiDiffOp, BudgetExceeded, DiffOp, NuDiffOp, StarTable,
-    conjugate_star, detect_convention, transform_from_star,
-)
+from .formal import BiDiffOp, BudgetExceeded, DiffOp, NuDiffOp, StarTable
 
 
 @dataclass
@@ -245,33 +242,34 @@ def karabegov_star(P, N):
 
 
 def bt_star_from(P, N):
-    """Berezin-Toeplitz star table: Wick type, f * g = I^{-1}(I(f) *_B I(g)).
+    """Berezin-Toeplitz star table through nu^N, Wick type.
 
     The Berezin-Toeplitz product is the separation-of-variables product with
     z and zbar switched whose Karabegov form is -(1/nu) omega + omega_can,
-    omega_can = i d dbar log det g (Karabegov-Schlichenmaier).  For a
-    potential with no Phi_k entries it is built straight from the recursion:
-    with P' = (Phi_{-1}, Phi'_0 = log det g), C_k = (-1)^k swap(C'_k) for
-    the anti-Wick table C' of P'.  The constant of the log is dropped, since
-    only derivatives of Phi'_0 enter the recursion.  A potential with Phi_k
-    entries takes the conjugation by the formal Berezin transform I of the
-    anti-Wick table instead.
+    omega_can = i d dbar log det g (Karabegov-Schlichenmaier).  It depends on
+    omega alone, so a potential with a nonzero Phi_k entry raises ValueError.
+    With P' = (Phi_{-1}, Phi'_0 = log det g), C_k = (-1)^k swap(C'_k) for the
+    anti-Wick table C' of P'.  The constant of the log is dropped, since only
+    derivatives of Phi'_0 enter the recursion.
+
+    Each coefficient is cut at degree D - (3N + 2): conjugating the Berezin
+    product by its transform composes up to 2N derivatives of coefficients
+    reliable through D - (N + 2), so this is the window on which the table
+    and that conjugation agree term for term.  A budget below 3N + 2 leaves
+    no degree and raises BudgetExceeded.
     """
-    if P.phi:
-        t = karabegov_star(P, N)
-        ops = conjugate_star(t, transform_from_star(t)).C
-    else:
-        log_det = jet_det(hessian(P.phi_minus1)).log()
-        t = karabegov_star(FormalPotential(phi_minus1=P.phi_minus1,
-                                           phi=[log_det]), N)
-        ops = [op.swap() if k % 2 == 0 else -op.swap()
-               for k, op in enumerate(t.C)]
-    # conjugation composes up to 2N derivatives of coefficients that are
-    # themselves truncations; zero out the unreliable top strata so that the
-    # Wick-type cancellations are visible to the structural checks.  The
-    # direct route takes the same cut, so both routes give the same table.
+    if any(not phi.is_zero() for phi in P.phi):
+        raise ValueError("the Berezin-Toeplitz product depends on omega "
+                         "alone; the potential has a nonzero Phi_k entry")
     cut = P.D - (3 * N + 2)
+    if cut < 0:
+        raise BudgetExceeded(f"degree budget D={P.D} below 3N+2={3 * N + 2}")
+    log_det = jet_det(hessian(P.phi_minus1)).log()
+    t = karabegov_star(FormalPotential(phi_minus1=P.phi_minus1,
+                                       phi=[log_det]), N)
+    ops = [op.swap() if k % 2 == 0 else -op.swap() for k, op in enumerate(t.C)]
     C = [BiDiffOp(P.n, P.D, [(tm[0].drop_above(cut),) + tm[1:]
                              for tm in op.terms]) for op in ops]
-    conv = detect_convention(C)
-    return StarTable(N=N, C=C, convention=conv, label="berezin-toeplitz")
+    bt = StarTable(N=N, C=C, convention="wick", label="berezin-toeplitz")
+    bt.check_convention()
+    return bt

@@ -268,6 +268,48 @@ def test_well_formed_potential_file_loads(tmp_path):
     assert code == 0 and json.loads(out)["results"]
 
 
+def test_star_bt_rejects_nonzero_phi(tmp_path, capsys):
+    # the Berezin-Toeplitz product depends on omega alone
+    path = tmp_path / "potential.json"
+    phi0 = json.loads(_potential_file(re="1/3"))["phi_minus1"]
+    path.write_text(_potential_file(phi=[phi0]))
+    assert_one_validation_error(["star-bt", "--potential", str(path),
+                                 "--order", "2", "--max-degree", "12"],
+                                capsys, "ValueError")
+
+
+def test_star_bt_zero_phi_is_no_phi(tmp_path):
+    # z zbar + (z zbar)^2 / 4 has non-constant scalar curvature, so from
+    # order 3 on, a zero-phi file sent anywhere but the recursion shows.
+    # One path for both files, since the report echoes it.
+    path = tmp_path / "potential.json"
+    argv = ["star-bt", "--potential", str(path), "--order", "3",
+            "--max-degree", "12"]
+    quartic = {"dz": [2], "dzbar": [2], "re": "1/4", "im": "0"}
+    outs = []
+    for phi in ((), [dict(_PHI_N2, n=1, terms=[])] * 2):
+        obj = json.loads(_potential_file(phi=phi))
+        obj["phi_minus1"]["terms"].append(quartic)
+        path.write_text(json.dumps(obj))
+        code, out = invoke(argv)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("max_degree, exit_code", [(6, 2), (7, 2), (8, 0)])
+def test_star_bt_degree_budget(max_degree, exit_code, capsys):
+    # order 2 keeps degrees through D - 8; below that nothing is left
+    argv = ["star-bt", "--potential", "fs", "--order", "2",
+            "--max-degree", str(max_degree)]
+    if exit_code:
+        assert_one_validation_error(argv, capsys, "BudgetExceeded")
+    else:
+        code, out = invoke(argv)
+        assert code == 0
+        assert json.loads(out)["results"]["convention"] == "wick"
+
+
 def assert_one_validation_error(argv, capsys, error="ValidationError"):
     code, out = invoke(argv)
     assert code == 2 and out == b""

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from starq.jets import (
-    DegenerateMetric, I, Jet, Scalar, laplacian, metric_from_potential,
-    mi_range, mi_zero, poisson_bracket,
+    DegenerateMetric, I, Jet, Scalar, jet_det, laplacian,
+    metric_from_potential, mi_range, mi_zero, poisson_bracket,
 )
 import starq.karabegov
 from starq.formal import (
@@ -262,9 +262,13 @@ def test_transform_flat():
 
 
 def test_transform_i1_is_laplacian():
-    D, N = 14, 2
-    for name, P in reference_potentials(D).items():
-        n = P.n
+    # the non-flat n = 2 metric is off the diagonal, so it tells the
+    # contraction g_inv[j][i] d_i dbar_j from its transpose
+    N = 2
+    potentials = dict(reference_potentials(14),
+                      nonflat_n2=nonflat_n2_potential(12))
+    for name, P in potentials.items():
+        n, D = P.n, P.D
         t = karabegov_star(P, N)
         Iop = transform_from_star(t)
         m = metric_from_potential(P.phi_minus1)
@@ -334,10 +338,27 @@ def dense_potential(D):
     return FormalPotential(phi_minus1=Jet(1, D, terms))
 
 
+def berezin_potential(P, N):
+    """Karabegov potential of the Berezin product, through the orders an
+    N-table reads: Phi_{-1}/nu + nu b_1 + nu^2 b_2 with log rho_nu =
+    sum nu^k b_k for the Bergman density rho_nu = 1 + nu a_1 + nu^2 a_2 + ...
+    b_1 = a_1 = R/2, R = -Delta log det g.  b_k first reaches C_{k+2}, so
+    b_2 enters only from N = 4, and then as Lu's n = 1 value
+    b_2 = a_2 - a_1^2/2 = Delta R / 3 - R^2 / 8."""
+    m = metric_from_potential(P.phi_minus1)
+    R = -laplacian(jet_det(m.g).log(), m)
+    phi = [Jet.zero(P.n, P.D), R.scale(Fraction(1, 2))]
+    if N >= 4:
+        assert P.n == 1, "b_2 is known here for n = 1 only"
+        phi.append(laplacian(R, m).scale(Fraction(1, 3))
+                   - (R * R).scale(Fraction(1, 8)))
+    return FormalPotential(phi_minus1=P.phi_minus1, phi=phi)
+
+
 def conjugation_route(P, N):
-    """The BT table by conjugating the anti-Wick table with its Berezin
-    transform, cut as bt_star_from cuts."""
-    t = karabegov_star(P, N)
+    """The BT table f * g = I^{-1}(I f *_B I g), by conjugating the Berezin
+    product *_B with its transform I, cut as bt_star_from cuts."""
+    t = karabegov_star(berezin_potential(P, N), N)
     cut = P.D - (3 * N + 2)
     return [BiDiffOp(P.n, P.D, [(tm[0].drop_above(cut),) + tm[1:]
                                 for tm in op.terms])
@@ -352,29 +373,11 @@ def conjugation_route(P, N):
     pytest.param(flat_potential(15), 3, id="flat-3"),
     pytest.param(dense_potential(12), 2, id="dense-2"),
     pytest.param(nonflat_n2_potential(16), 2, id="nonflat-n2-2"),
+    pytest.param(dense_potential(15), 3, id="dense-3"),
+    pytest.param(nonflat_n2_potential(17), 3, id="nonflat-n2-3"),
 ])
 def test_bt_direct_route_matches_conjugation(P, N):
     assert not P.phi
     bt = bt_star_from(P, N)
     assert bt.C == conjugation_route(P, N)
     assert bt.convention == "wick"
-
-
-def test_bt_phi_potential_takes_conjugation(monkeypatch):
-    D, N = 12, 2
-    calls = []
-    conjugate = starq.karabegov.conjugate_star
-
-    def counted(t, B):
-        calls.append(t.N)
-        return conjugate(t, B)
-
-    monkeypatch.setattr(starq.karabegov, "conjugate_star", counted)
-    P = fs_potential(D)
-    bt_star_from(P, N)
-    assert calls == []
-    phi0 = (zj(D) * zbj(D)).scale(Fraction(1, 3))
-    P0 = FormalPotential(phi_minus1=P.phi_minus1, phi=[phi0])
-    bt = bt_star_from(P0, N)
-    assert calls == [N]
-    assert bt.C == conjugation_route(P0, N)
