@@ -45,6 +45,11 @@ class ValidationError(ValueError):
 # (m+1)^2 entries, allocated before anything else can fail.
 MAX_LEVEL = 2048
 
+# Largest --order and explicit --max-degree of the exact pipelines; the
+# derived default budget 3N + 6 stays within MAX_DEGREE for every order.
+MAX_ORDER = 16
+MAX_DEGREE = 64
+
 COMMANDS = ("star-karabegov", "star-bt", "star-kontsevich",
             "star-gammelgaard", "graphs-enumerate", "weights",
             "cp1-toeplitz", "cp1-berezin", "cp1-suite")
@@ -260,10 +265,17 @@ class RunConfig:
             raise ValidationError(f"unknown method {self.method!r}")
         if self.order < 0 or self.n < 0:
             raise ValidationError("order/n must be >= 0")
+        if self.order > MAX_ORDER:
+            raise ValidationError(f"order {self.order} is above {MAX_ORDER}")
+        if self.max_degree > MAX_DEGREE:
+            raise ValidationError(
+                f"max_degree {self.max_degree} is above {MAX_DEGREE}")
         for m in (self.m, *self.m_list):
             if not 1 <= m <= MAX_LEVEL:
                 raise ValidationError(
                     f"level m = {m} is outside 1..{MAX_LEVEL}")
+        if len(set(self.m_list)) < len(self.m_list):
+            raise ValidationError(f"m_list {list(self.m_list)} repeats a level")
         if self.suite not in ("bms", "berezin"):
             raise ValidationError(f"unknown suite {self.suite!r}")
         if self.family not in ("admissible", "weighted"):

@@ -8,9 +8,11 @@ starq.symbols, which needs no numpy; toeplitz_matrix writes that band into a
 dense array of zeros.  The band takes each rational Beta integral to a float
 in one correctly rounded division and divides it by sqrt(n_j n_k), formed
 from the float norms; that product goes subnormal near m = 512 and to zero
-(a ZeroDivisionError) from m = 534 on.  bms_suite keeps at most four dense
-matrices live per level and works in place; operator_norm and the Berezin
-defect raise NonFiniteResult on inf or NaN rather than pass it on.
+(a ZeroDivisionError) from m = 534 on.  bms_suite keeps at most three dense
+matrices live per level: it overwrites T_g with T_g T_f in row blocks and
+subtracts the bands of T_br and T_fg in place, without dense copies of
+them.  operator_norm and the Berezin defect raise NonFiniteResult on inf or
+NaN rather than pass it on.
 
 Documented sign constants (pinned by the Tuynman and commutator decay tests):
   * Laplacian: Delta f = (1+|z|^2)^2 d^2 f / dz dzbar;
@@ -295,6 +297,35 @@ class AsymSeries:
                           fit=(float(np.exp(intercept)), float(slope), resid))
 
 
+_PRODUCT_ROWS = 64                # rows per block of an in-place product
+_PRODUCT_MIN_ROWS = 16            # a shorter last block joins the one before
+
+
+def _right_multiply(A, B):
+    """A <- A @ B in place, _PRODUCT_ROWS rows of A at a time.
+
+    A last block shorter than _PRODUCT_MIN_ROWS joins the block before it:
+    numpy sends a one-row product through zgemv, which can flip signed
+    zeros, while blocks of 16 rows or more give the bytes of one A @ B
+    call."""
+    n = A.shape[0]
+    starts = list(range(0, n, _PRODUCT_ROWS))
+    if len(starts) > 1 and n - starts[-1] < _PRODUCT_MIN_ROWS:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        A[lo:hi] = A[lo:hi] @ B
+    return A
+
+
+def _subtract_band(A, f, ctx):
+    """A -= toeplitz_matrix(f, ctx) for a term-form f, in place and on the
+    band alone: off it the dense subtraction is x - 0.0 = x, bit for bit."""
+    band = toeplitz_band(f, ctx)
+    rows, cols = np.unravel_index(np.array(list(band), dtype=np.intp),
+                                  A.shape)
+    A[rows, cols] -= np.array(list(band.values()), dtype=complex)
+
+
 def bms_suite(f, g, m_list):
     """Semiclassical defect series: norm lower bound, commutator vs bracket,
     and product vs pointwise product, each with a log-log fit."""
@@ -306,17 +337,17 @@ def bms_suite(f, g, m_list):
         Tf = toeplitz_matrix(f, ctx)
         Tg = toeplitz_matrix(g, ctx)
         pa.append((m, sup_f - operator_norm(Tf)))
-        # in place, operands in the order of
+        # three matrices live; in place, operands in the order of
         # comm = m i (Tf Tg - Tg Tf) - T_br and P = Tf Tg - T_fg
         P = Tf @ Tg
-        comm = Tg @ Tf
+        comm = _right_multiply(Tg, Tf)
         del Tf, Tg
         np.subtract(P, comm, out=comm)
         np.multiply(m * 1j, comm, out=comm)
-        comm -= toeplitz_matrix(br, ctx)
+        _subtract_band(comm, br, ctx)
         pb.append((m, operator_norm(comm)))
         del comm
-        P -= toeplitz_matrix(f * g, ctx)
+        _subtract_band(P, f * g, ctx)
         pc.append((m, operator_norm(P)))
     return (AsymSeries.from_points(pa), AsymSeries.from_points(pb),
             AsymSeries.from_points(pc))

@@ -7,17 +7,20 @@ points nearer than eta to an edge's target excised and a Richardson step
 over eta, eta/2, eta/4.  The unit cube is mapped onto H^n by tangents.
 
 Both grids are products of midpoint axes, so the chart works on the axes and
-broadcasts.  Everything that depends on the grid alone is built once per
-process and kept read-only: each 2D pair integral, the 4D weight, and each
-edge's gradient columns and squared distance (on its vertex's M x M plane
-for an edge to L or R).  The working sets stay bounded: the pair integral
-fills its integrand and masks in row blocks, the (1, 2) field is built in
-slices of the first axis, and the (2, 1) field is a transposed view of it.
-A graph then fills a reused Jacobian buffer block by block from these
-fields, takes the determinants, scales them in place and sums three masks
-over the whole grid, so every sum runs in the order of one full-grid pass.
-The Monte Carlo path goes through the same field and assembly code on fresh
-samples, uncached.
+broadcasts.  What is built once per process and kept read-only: each 2D
+pair integral, the 4D grid's axes and per-axis chart weight factors, and
+each edge's gradient columns (on its vertex's M x M plane for an edge to L
+or R).  No full 4D weight or squared distance is kept.  The working sets
+stay bounded: the pair integral fills its integrand and masks in row
+blocks, the (1, 2) field is built in slices of the first axis, and the
+(2, 1) field is a transposed view of it.  A graph then fills a reused
+Jacobian buffer block by block from these fields, takes the determinants
+and scales each block by its slice of the weight, formed from the factors
+in the chart's order.  Its three excision masks are filled by the same
+blocks from distances taken on the block, and each is summed over the whole
+grid, so every sum runs in the order of one full-grid pass.  The Monte
+Carlo path goes through the same field and assembly code on fresh samples,
+uncached.
 Only starq.graphs imports this module, and only when it integrates a
 weight, so the exact commands never load numpy.
 """
@@ -112,23 +115,39 @@ def _vertex_boundary_points(G, i):
 # ---------------------------------------------------------------------------
 # Jacobian assembly, shared by the 4D grid and Monte Carlo
 
-def _chart(flat):
-    """Points of H^n and the Jacobian weight of the unit-cube map.
+def _chart_factors(flat):
+    """Points of H^n and the Jacobian of the unit-cube map, one factor per
+    coordinate.
 
     flat holds the unit-cube coordinates (x_1, y_1, ..., x_n, y_n), arrays
-    that broadcast together; the result's first item gives (x_i, y_i) of
-    vertex i at index i - 1, and the weight has the broadcast shape."""
-    weight = 1.0
-    coords = []
+    that broadcast together; the first item gives (x_i, y_i) of vertex i at
+    index i - 1, the second the factor of each coordinate in flat's
+    order."""
+    coords, factors = [], []
     for k, u in enumerate(flat):
         if k % 2 == 0:
             x = np.tan(np.pi * (u - 0.5))
-            weight = weight * (np.pi * (1 + x ** 2))
+            factors.append(np.pi * (1 + x ** 2))
         else:
             x = np.tan(np.pi * u / 2)
-            weight = weight * (np.pi / 2 * (1 + x ** 2))
+            factors.append(np.pi / 2 * (1 + x ** 2))
         coords.append(x)
-    return tuple(zip(coords[0::2], coords[1::2])), weight
+    return tuple(zip(coords[0::2], coords[1::2])), tuple(factors)
+
+
+def _product(factors):
+    """The chart weight: 1.0 times each factor in turn."""
+    weight = 1.0
+    for factor in factors:
+        weight = weight * factor
+    return weight
+
+
+def _chart(flat):
+    """Points of H^n and the Jacobian weight of the unit-cube map, which
+    has the broadcast shape."""
+    pos, factors = _chart_factors(flat)
+    return pos, _product(factors)
 
 
 def _edges(G):
@@ -139,70 +158,98 @@ def _edges(G):
 
 def _edge_field(i, t, pos):
     """The edge (i, t)'s row of the Jacobian, as (column, values) pairs for
-    its nonzero columns, and the squared distance from vertex i to t."""
+    its nonzero columns."""
     zx, zy = pos[i - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         if t in (L, R):
-            w = 0.0 if t == L else 1.0
-            dx, dy = _grad_phi_boundary(zx, zy, w)
-            return ((2 * i - 2, dx), (2 * i - 1, dy)), (zx - w) ** 2 + zy ** 2
+            dx, dy = _grad_phi_boundary(zx, zy, 0.0 if t == L else 1.0)
+            return ((2 * i - 2, dx), (2 * i - 1, dy))
         wx, wy = pos[t - 1]
         dzx, dzy, dwx, dwy = _grad_phi_full(zx, zy, wx, wy)
-        cols = ((2 * i - 2, dzx), (2 * i - 1, dzy),
+        return ((2 * i - 2, dzx), (2 * i - 1, dzy),
                 (2 * t - 2, dwx), (2 * t - 1, dwy))
-        return cols, (zx - wx) ** 2 + (zy - wy) ** 2
 
 
-def _integrand(fields, weight):
-    """det(Jacobian) times the chart weight, at every point of weight.
+def _edge_dist2(i, t, pos):
+    """Squared distance from vertex i to the edge's target t."""
+    zx, zy = pos[i - 1]
+    if t in (L, R):
+        w = 0.0 if t == L else 1.0
+        return (zx - w) ** 2 + zy ** 2
+    wx, wy = pos[t - 1]
+    return (zx - wx) ** 2 + (zy - wy) ** 2
 
-    Each field broadcasts to weight's shape.  The rows fill one reused
-    (dim, dim, points) buffer, whole slices of weight's first axis (about
-    _DET_BLOCK points) at a time; np.linalg.det reads it through a (points,
-    dim, dim) view and copies each matrix for LAPACK, so each determinant is
-    the one a single call on the full stack gives."""
-    dim = len(fields)
-    shape = weight.shape
-    inner = weight.size // shape[0]
+
+def _blocks(shape):
+    """(lo, hi) ranges of shape's first axis holding about _DET_BLOCK
+    points each, in whole slices."""
+    inner = math.prod(shape[1:])
     step = min(shape[0], max(1, _DET_BLOCK // inner))
+    return [(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step)]
+
+
+def _integrand(fields, factors):
+    """det(Jacobian) times the chart weight, the product of factors, at
+    every point of their broadcast shape.
+
+    Each field broadcasts to that shape.  The rows fill one reused
+    (dim, dim, points) buffer, a block of whole first-axis slices at a time;
+    np.linalg.det reads it through a (points, dim, dim) view and copies each
+    matrix for LAPACK, so each determinant is the one a single call on the
+    full stack gives.  Each block is scaled by its slice of the weight,
+    the product of the factors' slices in the same order."""
+    dim = len(fields)
+    shape = np.broadcast_shapes(*(f.shape for f in factors))
+    blocks = _blocks(shape)
+    step = blocks[0][1]
+    inner = math.prod(shape[1:])
     entries = [(r, c, np.broadcast_to(values, shape))
-               for r, (cols, _) in enumerate(fields) for c, values in cols]
+               for r, cols in enumerate(fields) for c, values in cols]
     buf = np.zeros((dim, dim, step * inner))
     slices = buf.reshape((dim, dim, step) + shape[1:])
     det = np.empty(shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, shape[0], step):
-            n = min(step, shape[0] - lo)
+        for lo, hi in blocks:
+            n = hi - lo
             for r, c, values in entries:
-                slices[r, c, :n] = values[lo:lo + n]
+                slices[r, c, :n] = values[lo:hi]
             block = buf[:, :, :n * inner].transpose(2, 0, 1)
-            det[lo:lo + n] = np.linalg.det(block).reshape((n,) + shape[1:])
-        np.multiply(det, weight, out=det)
+            weight = _product(np.broadcast_to(f, shape)[lo:hi]
+                              for f in factors)
+            np.multiply(np.linalg.det(block).reshape(weight.shape), weight,
+                        out=det[lo:hi])
     return np.nan_to_num(det, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
 
 
-def _masks(fields, eta):
+def _masks(edges, pos, eta):
     """Points farther than e from every edge's target, e = eta, eta/2,
-    eta/4."""
-    out = []
-    for e in (eta, eta / 2, eta / 4):
-        mask = fields[0][1] > e ** 2
-        for _, dist2 in fields[1:]:
-            mask = mask & (dist2 > e ** 2)
-        out.append(mask)
-    return out
+    eta/4, filled by the blocks of _integrand from distances taken on each
+    block."""
+    shape = np.broadcast_shapes(*(a.shape for xy in pos for a in xy))
+    eps2 = [e ** 2 for e in (eta, eta / 2, eta / 4)]
+    masks = [np.empty(shape, dtype=bool) for _ in eps2]
+    for lo, hi in _blocks(shape):
+        block = tuple(tuple(np.broadcast_to(a, shape)[lo:hi] for a in xy)
+                      for xy in pos)
+        dists = [_edge_dist2(i, t, block) for i, t in edges]
+        for mask, e2 in zip(masks, eps2):
+            np.greater(dists[0], e2, out=mask[lo:hi])
+            for dist2 in dists[1:]:
+                mask[lo:hi] &= dist2 > e2
+    return masks
 
 
 @functools.cache
 def _grid_4d():
-    """Midpoint grid of the unit 4-cube mapped onto H^2: per-axis points,
-    full weight."""
+    """Midpoint grid of the unit 4-cube mapped onto H^2: per-axis points
+    and per-axis weight factors."""
     M = _GRID_NODES_4D
     axis = (np.arange(M) + 0.5) / M
-    pos, weight = _chart([axis.reshape([M if d == k else 1 for d in range(4)])
-                          for k in range(4)])
+    pos, factors = _chart_factors(
+        [axis.reshape([M if d == k else 1 for d in range(4)])
+         for k in range(4)])
     return (tuple((_frozen(x), _frozen(y)) for x, y in pos),
-            _frozen(weight))
+            tuple(_frozen(f) for f in factors))
 
 
 @functools.cache
@@ -212,30 +259,25 @@ def _grid_edge_field(i, t):
     Both vertices share the grid's axis values, so the edge (2, 1) at
     (a, b, c, d) is the edge (1, 2) at (c, d, a, b) with columns 0, 1 and
     2, 3 swapped, bit for bit: its columns are read-only transposed views of
-    the (1, 2) arrays.  Its squared distance is the (1, 2) array itself,
-    since (u - v)^2 and (v - u)^2 round to the same float; the excision
-    masks then stay in C order.  The (1, 2) field is built one slice of the
-    first axis at a time into preallocated arrays; a boundary-edge field
-    lives on its vertex's plane, copied out of its complex temporary."""
+    the (1, 2) arrays.  The (1, 2) field is built one slice of the first
+    axis at a time into preallocated arrays; a boundary-edge field lives on
+    its vertex's plane, copied out of its complex temporary."""
     if t not in (L, R) and t < i:
-        cols, dist2 = _grid_edge_field(t, i)
-        return (tuple(((c + 2) % 4, _frozen(v.transpose(2, 3, 0, 1)))
-                      for c, v in cols), dist2)
-    pos, weight = _grid_4d()
+        return tuple(((c + 2) % 4, _frozen(v.transpose(2, 3, 0, 1)))
+                     for c, v in _grid_edge_field(t, i))
+    pos, _ = _grid_4d()
     if t in (L, R):
-        cols, dist2 = _edge_field(i, t, pos)
-        return (tuple((c, _frozen(np.ascontiguousarray(v))) for c, v in cols),
-                _frozen(dist2))
+        return tuple((c, _frozen(np.ascontiguousarray(v)))
+                     for c, v in _edge_field(i, t, pos))
     # the edge (1, 2): vertex 1's x runs along the first axis
     (x1, y1), vertex2 = pos
-    cols = tuple((c, np.empty(weight.shape)) for c in range(4))
-    dist2 = np.empty(weight.shape)
-    for a in range(weight.shape[0]):
-        slab_cols, slab_dist2 = _edge_field(1, 2, ((x1[a:a + 1], y1), vertex2))
-        for (_, out), (_, values) in zip(cols, slab_cols):
+    shape = (_GRID_NODES_4D,) * 4
+    cols = tuple((c, np.empty(shape)) for c in range(4))
+    for a in range(shape[0]):
+        slab = _edge_field(1, 2, ((x1[a:a + 1], y1), vertex2))
+        for (_, out), (_, values) in zip(cols, slab):
             out[a] = values[0]
-        dist2[a] = slab_dist2[0]
-    return tuple((c, _frozen(v)) for c, v in cols), _frozen(dist2)
+    return tuple((c, _frozen(v)) for c, v in cols)
 
 
 def _norm(n):
@@ -266,11 +308,13 @@ def grid_weight(G, cfg):
         norm = _norm(2)
         return WeightResult(total / norm, abs(total) * err_rel / norm + 1e-12,
                             2 * cfg.grid_nodes ** 2, cfg.seed)
-    fields = [_grid_edge_field(i, t) for i, t in _edges(G)]
-    integrand = _integrand(fields, _grid_4d()[1])
+    edges = _edges(G)
+    pos, factors = _grid_4d()
+    integrand = _integrand([_grid_edge_field(i, t) for i, t in edges],
+                           factors)
     cells = _GRID_NODES_4D ** 4
     vals = [float(np.sum(integrand * mask)) / cells
-            for mask in _masks(fields, cfg.eta)]
+            for mask in _masks(edges, pos, cfg.eta)]
     r2, err = _richardson(vals)
     norm = _norm(n)
     return WeightResult(r2 / norm, err / norm + 1e-12, cells, cfg.seed)
@@ -280,9 +324,10 @@ def mc_weight(G, cfg):
     rng = np.random.default_rng(cfg.seed)
     count = cfg.samples
     pos, weight = _chart([rng.random(count) for _ in range(2 * G.n)])
-    fields = [_edge_field(i, t, pos) for i, t in _edges(G)]
-    integrand = _integrand(fields, weight)
-    masks = _masks(fields, cfg.eta)
+    edges = _edges(G)
+    integrand = _integrand([_edge_field(i, t, pos) for i, t in edges],
+                           (weight,))
+    masks = _masks(edges, pos, cfg.eta)
     vals = [float(np.mean(integrand * mask)) for mask in masks]
     r2, err = _richardson(vals)
     norm = _norm(G.n)

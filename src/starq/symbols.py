@@ -4,7 +4,9 @@ An observable is a sum of terms coeff * z^a zbar^b (1+|z|^2)^{-c}, a + b <= 2c,
 in the affine chart of the sphere.  Only ObservableFn.__call__, is_real and
 sup_norm need numpy, and they import it when called, so cp1-toeplitz, which
 reads the band and nothing else from here, never loads numpy; starq.cp1
-builds its dense matrices from the same band.
+builds its dense matrices from the same band.  sup_norm draws its fixed
+sample with _uniform_draws, plain-Python PCG64 giving the doubles of
+numpy's default_rng, so no command loads numpy.random for it.
 """
 
 from __future__ import annotations
@@ -101,12 +103,75 @@ class ObservableFn:
         if self.callback is None and all(a == b == 0 for _, a, b, _ in self.terms):
             return max(abs(sum(co * 1.0 for co, _, _, _ in self.terms)), 0.0)
         import numpy as np
-        rng = np.random.default_rng(7)
-        cth = rng.uniform(-1, 1, samples)
-        phi = rng.uniform(0, TWO_PI, samples)
+        cth, phi = map(np.array, _uniform_draws(
+            7, ((-1.0, 1.0), (0.0, TWO_PI)), samples))
         t = (1 - cth) / (1 + cth)
         z = np.sqrt(t) * np.exp(1j * phi)
         return float(np.max(np.abs(self(z))))
+
+
+# ---------------------------------------------------------------------------
+# numpy's default_rng in plain Python (SeedSequence, PCG64, uniform doubles)
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed):
+    """SeedSequence(seed).generate_state(4, uint64) for 0 <= seed < 2**32,
+    a seed of one 32-bit entropy word."""
+    hash_const = 0x43b0d7e5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931e8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xca01f9dd * x - 0x4973f715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in (seed, 0, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = 0x8b51f9dd
+    words = []
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = hash_const * 0x58f38ded & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+def _uniform_draws(seed, bounds, n):
+    """For each (low, high) in bounds in turn, the n doubles that
+    np.random.default_rng(seed).uniform(low, high, n) gives, bit for bit.
+
+    PCG64 is seeded by pcg_setseq_128_srandom_r(w0:w1, w2:w3) from the
+    SeedSequence words; each draw steps the 128-bit LCG state and takes the
+    XSL-RR output x; the double is low + (high - low) * (x >> 11) 2^-53."""
+    w0, w1, w2, w3 = _seed_state(seed)
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = (inc + (w0 << 64 | w1)) * _PCG_MULT + inc & _MASK128
+    out = []
+    for low, high in bounds:
+        span = high - low
+        draws = []
+        for _ in range(n):
+            state = state * _PCG_MULT + inc & _MASK128
+            rot = state >> 122
+            x = (state >> 64 ^ state) & _MASK64
+            x = (x >> rot | x << (64 - rot)) & _MASK64
+            draws.append(low + span * ((x >> 11) * (1.0 / 9007199254740992.0)))
+        out.append(draws)
+    return out
 
 
 def _diff_raw(raw, kind):

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import starq
 from starq.cli import (
-    MAX_LEVEL, ParseError, RunConfig, ValidationError, emit, load_config_file,
-    main, parse_observable, run,
+    MAX_DEGREE, MAX_LEVEL, MAX_ORDER, ParseError, RunConfig, ValidationError,
+    emit, load_config_file, main, parse_observable, run,
 )
 from starq.cp1 import toeplitz_matrix
 from starq.symbols import UnboundedSymbol, make_context
@@ -115,6 +115,46 @@ def test_runconfig_rejects_levels_out_of_range(field, value):
     for command in ("cp1-toeplitz", "cp1-berezin", "cp1-suite"):
         with pytest.raises(ValidationError, match="outside"):
             RunConfig(command=command, **{field: value}).validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("order", MAX_ORDER + 1), ("order", 10 ** 6),
+    ("max_degree", MAX_DEGREE + 1), ("max_degree", 10 ** 6),
+    ("m_list", (8, 8)), ("m_list", (8, 16, 8)),
+])
+def test_runconfig_rejects_order_degree_and_repeated_levels(field, value):
+    """--order, an explicit --max-degree and a repeated level are rejected
+    by validate alone; nothing here is ever run."""
+    for command in ("star-karabegov", "star-bt", "cp1-suite"):
+        with pytest.raises(ValidationError):
+            RunConfig(command=command, **{field: value}).validate()
+
+
+def test_runconfig_admits_order_and_degree_bounds():
+    """The bounds themselves pass, and so does the derived default budget
+    3N + 6 at the largest order."""
+    assert 3 * MAX_ORDER + 6 <= MAX_DEGREE
+    for command in ("star-karabegov", "star-bt", "star-gammelgaard"):
+        RunConfig(command=command, order=MAX_ORDER).validate()
+        RunConfig(command=command, order=MAX_ORDER,
+                  max_degree=MAX_DEGREE).validate()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cp1-suite", "--suite", "bms", "--m-list", "8,8"],
+    ["cp1-suite", "--suite", "berezin", "--m-list", "8,16,8"],
+])
+def test_repeated_level_exits_2_with_one_stderr_line(argv):
+    """A repeated level used to reach np.polyfit, whose RankWarnings went to
+    stderr ahead of an exit-3 error line."""
+    proc = subprocess.run([sys.executable, "-m", "starq.cli"] + argv,
+                          env=_subprocess_env(), capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    err = proc.stderr.decode().splitlines()
+    assert len(err) == 1, err
+    assert json.loads(err[0])["error"] == "ValidationError"
 
 
 def test_runconfig_admits_benchmark_levels():
@@ -486,6 +526,21 @@ def test_exact_commands_do_not_import_numpy():
         "    rc = starq.cli.main(argv)\n"
         "    assert rc == 0, (argv, rc)\n"
         "    assert 'numpy' not in sys.modules, ('loaded by', argv)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_bms_suite_does_not_import_numpy_random():
+    """sup_norm draws its sample without numpy.random, which the BMS suite
+    would otherwise load for that alone."""
+    code = (
+        "import sys, starq.cli\n"
+        "rc = starq.cli.main(['cp1-suite', '--suite', 'bms', '--m-list',"
+        " '8'])\n"
+        "assert rc == 0, rc\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert 'numpy.random' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()

@@ -378,6 +378,65 @@ def test_bms_suite_slopes():
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+_BMS_PAIRS = [
+    (height_observable(), coord_x_observable()),
+    (ObservableFn(terms=(((1.5 - 0.25j), 0, 0, 2), ((0.75 + 2j), 1, 0, 2),
+                         (-1.25j, 0, 1, 2), ((-3 + 1j), 1, 1, 2))),
+     ObservableFn(terms=((2j, 1, 1, 2), ((0.5 + 0.5j), 2, 0, 2),
+                         (-1.0, 0, 0, 1)))),
+    (height_observable(), ObservableFn()),
+]
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 100, 512])
+def test_row_blocked_product_and_band_subtraction_match_dense(m):
+    """T_g overwritten by T_g T_f in row blocks equals one T_g @ T_f call,
+    and subtracting a band in place equals subtracting its dense matrix,
+    in tobytes(), for real and complex observables and an empty band (g =
+    0), on either side of the 64-row block and with a one-row tail (m = 512)
+    folded in."""
+    ctx = make_context(m)
+    for f, g in _BMS_PAIRS:
+        Tf, Tg = toeplitz_matrix(f, ctx), toeplitz_matrix(g, ctx)
+        want = Tg @ Tf
+        got = cp1._right_multiply(Tg.copy(), Tf)
+        assert got.tobytes() == want.tobytes()
+        for h in (poisson_bracket_fn(f, g), f * g):
+            in_place = got.copy()
+            cp1._subtract_band(in_place, h, ctx)
+            dense = got - toeplitz_matrix(h, ctx)
+            assert in_place.tobytes() == dense.tobytes()
+
+
+def test_bms_suite_builds_no_dense_bracket_or_product(monkeypatch):
+    """bms_suite builds only T_f and T_g densely at each level; T_br and
+    T_fg are subtracted as bands."""
+    built = []
+
+    def counted(f, ctx, tol=1e-8, _toeplitz=cp1.toeplitz_matrix):
+        built.append(f)
+        return _toeplitz(f, ctx, tol)
+    monkeypatch.setattr(cp1, "toeplitz_matrix", counted)
+    h, x = height_observable(), coord_x_observable()
+    bms_suite(h, x, (8, 16))
+    assert built == [h, x, h, x]
+
+
+def test_uniform_draws_match_numpy_default_rng():
+    """The plain-Python sampler gives numpy's default_rng(seed).uniform
+    doubles byte for byte: sup_norm's seed 7 with 4096 draws per bound,
+    and two other seeds (the ends of the one-word range) and sizes."""
+    from starq.symbols import _uniform_draws
+    for seed, n, bounds in ((7, 4096, ((-1.0, 1.0), (0.0, TWO_PI))),
+                            (0, 5, ((0.0, 1.0),)),
+                            (2 ** 32 - 1, 777, ((-3.5, 2.25), (1.0, 1.5),
+                                                (0.0, TWO_PI)))):
+        rng = np.random.default_rng(seed)
+        for got, (low, high) in zip(_uniform_draws(seed, bounds, n), bounds):
+            assert np.array(got).tobytes() \
+                == rng.uniform(low, high, n).tobytes()
+
+
 def test_trace_scaling():
     f = ObservableFn(terms=((1.0, 0, 0, 1),))  # 1/(1+|z|^2), mean 1/2
     mean = integral_exact(f) / TWO_PI

@@ -139,7 +139,8 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
     field once; the (1, 2) field once per slice of the first axis; and no
     gradient for the (2, 1) field.  With only the weight cache emptied, a
     second run evaluates nothing and prints the same bytes.  Cached 4D
-    arrays are read-only."""
+    arrays are read-only, and the only full-grid arrays among them are the
+    four (1, 2) columns: no full weight and no squared distance."""
     import numpy as np
     from starq import graphs, quadrature
     from starq.cli import main
@@ -198,15 +199,22 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
     assert edges == [] and grads == []
     assert capsys.readouterr().out == first
 
-    (X1, _), _ = quadrature._grid_4d()[0]
-    with pytest.raises(ValueError):
-        X1[0] = 0.0
-    for edge in ((1, L), (1, 2), (2, 1)):
-        cols, dist2 = quadrature._grid_edge_field(*edge)
+    pos, factors = quadrature._grid_4d()
+    axis_arrays = [a for xy in pos for a in xy] + list(factors)
+    assert all(a.size == 24 for a in axis_arrays)
+    for a in axis_arrays:
         with pytest.raises(ValueError):
-            cols[0][1][0] = 0.0
-        with pytest.raises(ValueError):
-            dist2 += 1.0
+            a[0] = 0.0
+    owned = []
+    for edge in ((1, L), (1, R), (2, L), (2, R), (1, 2), (2, 1)):
+        for _, values in quadrature._grid_edge_field(*edge):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+            if values.size == 24 ** 4 and values.base is None:
+                owned.append(values)
+    assert len(owned) == 4
+    assert all(a is b for a, (_, b) in
+               zip(owned, quadrature._grid_edge_field(1, 2)))
 
 
 def _full_grid_pair_integral(p, q, M, eta):
@@ -242,28 +250,68 @@ def test_row_blocked_pair_integral_matches_full_grid(M, p, q):
 
 def test_reverse_internal_edge_is_a_view_of_the_forward_field():
     """The 4D field of the edge (2, 1) is read-only transposed views of the
-    (1, 2) columns and the (1, 2) squared distance itself, and both fields
-    equal a direct _edge_field build bit for bit."""
+    (1, 2) columns, and both fields equal a direct _edge_field build bit
+    for bit."""
     import numpy as np
     from starq import quadrature
     pos = quadrature._grid_4d()[0]
     fields = {e: quadrature._grid_edge_field(*e) for e in ((1, 2), (2, 1))}
-    for (i, t), (cols, dist2) in fields.items():
-        want_cols, want_dist2 = quadrature._edge_field(i, t, pos)
+    for (i, t), cols in fields.items():
+        want_cols = quadrature._edge_field(i, t, pos)
         assert [c for c, _ in cols] == [c for c, _ in want_cols]
-        for got, want in [(v, w) for (_, v), (_, w) in zip(cols, want_cols)] \
-                + [(dist2, want_dist2)]:
+        for (_, got), (_, want) in zip(cols, want_cols):
             assert got.shape == want.shape
             assert np.ascontiguousarray(got).tobytes() \
                 == np.ascontiguousarray(want).tobytes()
-    (fwd_cols, fwd_dist2), (cols, dist2) = fields[1, 2], fields[2, 1]
-    for rev, fwd in [(v, f) for (_, v), (_, f) in zip(cols, fwd_cols)] \
-            + [(dist2, fwd_dist2)]:
+    for (_, rev), (_, fwd) in zip(fields[2, 1], fields[1, 2]):
         assert np.shares_memory(rev, fwd)
         assert not rev.flags.writeable
-        assert rev.flags.c_contiguous == (rev is fwd_dist2)
+        assert not rev.flags.c_contiguous
         with pytest.raises(ValueError):
             rev[0, 0, 0, 0] = 0.0
+
+
+def _full_grid_masks(edges, pos, eta):
+    """The excision masks from full-grid squared distances in one pass."""
+    from starq import quadrature
+    out = []
+    for e in (eta, eta / 2, eta / 4):
+        mask = None
+        for i, t in edges:
+            far = quadrature._edge_dist2(i, t, pos) > e ** 2
+            mask = far if mask is None else mask & far
+        out.append(mask)
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 5 * 24 ** 3])
+def test_blockwise_masks_match_full_grid_distances(monkeypatch, block):
+    """Masks filled block by block from distances taken on each block equal
+    those of full-grid distances, bit for bit: for every n = 2 graph on the
+    24^4 grid (blocks of one slice, or of five with a short last one), and
+    on 40000 Monte Carlo samples; the squared distance of an internal edge
+    is (x1 - x2)^2 + (y1 - y2)^2 on the meshgrid."""
+    import numpy as np
+    from starq import quadrature
+    if block is not None:
+        monkeypatch.setattr(quadrature, "_DET_BLOCK", block)
+    eta = IntegrationConfig().eta
+    rng = np.random.default_rng(5)
+    mc_pos, _ = quadrature._chart([rng.random(40000) for _ in range(4)])
+    grid_pos = quadrature._grid_4d()[0]
+    for G in enumerate_kgraphs(2):
+        edges = quadrature._edges(G)
+        for pos in (grid_pos, mc_pos):
+            got = quadrature._masks(edges, pos, eta)
+            want = _full_grid_masks(edges, pos, eta)
+            assert [m.shape for m in got] == [m.shape for m in want]
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+    ref, _ = _meshgrid_chart()
+    for i, t in ((1, 2), (2, 1)):
+        dist2 = np.broadcast_to(quadrature._edge_dist2(i, t, grid_pos),
+                                ref[0].shape)
+        want = (ref[0] - ref[2]) ** 2 + (ref[1] - ref[3]) ** 2
+        assert np.ascontiguousarray(dist2).tobytes() == want.tobytes()
 
 
 def _one_det_integrand(fields, weight):
@@ -271,7 +319,7 @@ def _one_det_integrand(fields, weight):
     import numpy as np
     dim = len(fields)
     buf = np.zeros((dim, dim, weight.size))
-    for r, (cols, _) in enumerate(fields):
+    for r, cols in enumerate(fields):
         for c, values in cols:
             buf[r, c] = np.broadcast_to(values, weight.shape).ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -281,33 +329,38 @@ def _one_det_integrand(fields, weight):
 
 @pytest.mark.parametrize("block", [None, 5 * 24 ** 3])
 def test_blockwise_determinant_matches_one_call(monkeypatch, block):
-    """Blockwise determinants equal one np.linalg.det call over the full
-    stack, bit for bit: on the 24^4 grid (24 leading slices in blocks of
-    one, or of five with a short last block) and on 40000 Monte Carlo
-    samples, which are not a multiple of the block."""
+    """Blockwise determinants, each block scaled by its slice of the
+    weight, equal one np.linalg.det call over the full stack times the full
+    weight, bit for bit: on the 24^4 grid against the meshgrid weight (24
+    leading slices in blocks of one, or of five with a short last block),
+    and on 40000 Monte Carlo samples, which are not a multiple of the
+    block, with the weight given whole or as its four factors."""
     import numpy as np
     from starq import quadrature
     if block is not None:
         monkeypatch.setattr(quadrature, "_DET_BLOCK", block)
     rng = np.random.default_rng(5)
-    mc_pos, mc_weight = quadrature._chart([rng.random(40000)
-                                           for _ in range(4)])
+    mc_flat = [rng.random(40000) for _ in range(4)]
+    mc_pos, mc_weight = quadrature._chart(mc_flat)
+    _, mc_factors = quadrature._chart_factors(mc_flat)
+    _, grid_weight = _meshgrid_chart()
     internal = [g for g in enumerate_kgraphs(2) if g.has_internal_edge()]
     for G in (internal[0], internal[-1]):
         edges = quadrature._edges(G)
-        cases = (([quadrature._grid_edge_field(i, t) for i, t in edges],
-                  quadrature._grid_4d()[1]),
-                 ([quadrature._edge_field(i, t, mc_pos) for i, t in edges],
-                  mc_weight))
-        for fields, weight in cases:
-            got = quadrature._integrand(fields, weight)
+        grid_fields = [quadrature._grid_edge_field(i, t) for i, t in edges]
+        mc_fields = [quadrature._edge_field(i, t, mc_pos) for i, t in edges]
+        cases = ((grid_fields, quadrature._grid_4d()[1], grid_weight),
+                 (mc_fields, (mc_weight,), mc_weight),
+                 (mc_fields, mc_factors, mc_weight))
+        for fields, factors, weight in cases:
+            got = quadrature._integrand(fields, factors)
             want = _one_det_integrand(fields, weight)
             assert got.tobytes() == want.tobytes()
 
 
-def test_grid_4d_matches_meshgrid_reference():
-    """The broadcast 4D coordinates and weight are those of the chart on
-    the full meshgrid, bit for bit."""
+def _meshgrid_chart():
+    """The four chart coordinates and the chart weight on the full 24^4
+    meshgrid."""
     import numpy as np
     from starq import quadrature
     M = quadrature._GRID_NODES_4D
@@ -319,12 +372,31 @@ def test_grid_4d_matches_meshgrid_reference():
     for k, x in enumerate(ref):
         weight = weight * ((np.pi if k % 2 == 0 else np.pi / 2)
                            * (1 + x ** 2))
-    pos, got_weight = quadrature._grid_4d()
+    return ref, weight
+
+
+def test_grid_4d_matches_meshgrid_reference():
+    """The broadcast 4D coordinates are those of the chart on the full
+    meshgrid, bit for bit; each weight factor lies along its own axis, and
+    the factors' product, whole or one first-axis slice at a time, is the
+    meshgrid weight."""
+    import numpy as np
+    from starq import quadrature
+    ref, weight = _meshgrid_chart()
+    pos, factors = quadrature._grid_4d()
     got = [np.broadcast_to(c, weight.shape) for xy in pos for c in xy]
     for g, r in zip(got, ref):
         assert np.ascontiguousarray(g).tobytes() == r.tobytes()
-    assert got_weight.shape == weight.shape
-    assert got_weight.tobytes() == weight.tobytes()
+    M = quadrature._GRID_NODES_4D
+    assert [f.shape for f in factors] == [
+        tuple(M if d == k else 1 for d in range(4)) for k in range(4)]
+    whole = quadrature._product(factors)
+    sliced = np.concatenate([
+        quadrature._product(np.broadcast_to(f, weight.shape)[a:a + 1]
+                            for f in factors) for a in range(M)])
+    for got_weight in (whole, sliced):
+        assert got_weight.shape == weight.shape
+        assert got_weight.tobytes() == weight.tobytes()
 
 
 def test_angle_gradients_match_two_division_formulas():
