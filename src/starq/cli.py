@@ -50,6 +50,12 @@ MAX_LEVEL = 2048
 MAX_ORDER = 16
 MAX_DEGREE = 64
 
+# Largest k in an observable's ^k, and largest power of z, zbar or (1+zz)
+# that any value met while parsing may reach: ^k multiplies k times, and a
+# division reads the binomials of (1+zz)^k back as floats.
+MAX_EXPONENT = 64
+MAX_POWER = 128
+
 COMMANDS = ("star-karabegov", "star-bt", "star-kontsevich",
             "star-gammelgaard", "graphs-enumerate", "weights",
             "cp1-toeplitz", "cp1-berezin", "cp1-suite")
@@ -136,7 +142,7 @@ class _ExprParser:
             kind, tok, pos = self.peek()
             if tok == "*":
                 self.next()
-                val = _mul(val, self.factor())
+                val = _mul(val, self.factor(), pos)
             elif tok == "/":
                 self.next()
                 denom = self.factor()
@@ -144,9 +150,10 @@ class _ExprParser:
                 if k is None:
                     raise ParseError(
                         "division is only defined by powers of (1+zz)", pos)
+                _check_powers(val, {(0, 0, k): 1}, pos)
                 val = {(a, b, c + k): co for (a, b, c), co in val.items()}
             elif kind in ("num", "name") or tok == "(":
-                val = _mul(val, self.factor())
+                val = _mul(val, self.factor(), pos)
             else:
                 return val
 
@@ -174,9 +181,12 @@ class _ExprParser:
             if k2 != "num" or not etok.isdigit():
                 raise ParseError("exponent must be a nonnegative integer",
                                  epos)
+            if int(etok) > MAX_EXPONENT:
+                raise ParseError(f"exponent {etok} is above {MAX_EXPONENT}",
+                                 epos)
             out = {(0, 0, 0): 1.0 + 0j}
             for _ in range(int(etok)):
-                out = _mul(out, base)
+                out = _mul(out, base, epos)
             return out
         return base
 
@@ -192,13 +202,24 @@ def _scale(u, s):
     return {k: c * s for k, c in u.items()}
 
 
-def _mul(u, v):
+def _mul(u, v, pos):
+    """u * v, or ParseError at pos before a product with a power above
+    MAX_POWER is formed."""
+    _check_powers(u, v, pos)
     out = {}
     for (a1, b1, c1), x in u.items():
         for (a2, b2, c2), y in v.items():
             k = (a1 + a2, b1 + b2, c1 + c2)
             out[k] = out.get(k, 0) + x * y
     return out
+
+
+def _check_powers(u, v, pos):
+    """ParseError at pos if the product of u and v has a power of z, zbar or
+    (1+zz) above MAX_POWER."""
+    for i, name in enumerate(("z", "zbar", "(1+zz)")):
+        if max(k[i] for k in u) + max(k[i] for k in v) > MAX_POWER:
+            raise ParseError(f"power of {name} above {MAX_POWER}", pos)
 
 
 def _as_one_plus_zz_power(val):
@@ -274,6 +295,8 @@ class RunConfig:
             if not 1 <= m <= MAX_LEVEL:
                 raise ValidationError(
                     f"level m = {m} is outside 1..{MAX_LEVEL}")
+        if not self.m_list:
+            raise ValidationError("m_list has no level")
         if len(set(self.m_list)) < len(self.m_list):
             raise ValidationError(f"m_list {list(self.m_list)} repeats a level")
         if self.suite not in ("bms", "berezin"):
@@ -371,7 +394,7 @@ def _load_bivector(cfg):
     mat = obj.get("constant") if isinstance(obj, dict) else None
     if not (isinstance(mat, list) and mat and all(
             isinstance(row, list) and len(row) == len(mat)
-            and all(isinstance(x, (int, float)) for x in row) for row in mat)):
+            and all(type(x) in (int, float) for x in row) for row in mat)):
         raise ValidationError(f"bivector file {cfg.alpha_path} has no square "
                               f"numeric 'constant' matrix")
     return PoissonBivector.constant(mat)
@@ -384,10 +407,13 @@ def _load_poly(text, d):
     coeffs = {}
     try:
         for coeff, exps in json.loads(text):
-            if len(exps) != d or not all(isinstance(e, int) and e >= 0
+            if len(exps) != d or not all(type(e) is int and e >= 0
                                          for e in exps):
                 raise ValidationError(f"exponent tuple {exps!r} is not {d} "
                                       f"nonnegative integers")
+            if isinstance(coeff, bool) or isinstance(coeff, list) \
+                    and any(isinstance(x, bool) for x in coeff):
+                raise ValidationError(f"coefficient {coeff!r} is a boolean")
             c = complex(*coeff) if isinstance(coeff, list) \
                 and len(coeff) == 2 else coeff
             # a TypeError for anything but a number or a [re, im] pair
@@ -419,20 +445,15 @@ def run(cfg):
     # output destinations
     inputs = {"config": {k: (list(v) if isinstance(v, tuple) else v)
                          for k, v in cfg.__dict__.items() if k != "out"}}
-    if cmd in ("star-karabegov", "star-bt"):
+    if cmd in ("star-karabegov", "star-bt", "star-gammelgaard"):
         from .formal import star_table_to_json
-        from .karabegov import bt_star_from, karabegov_star
-        build = karabegov_star if cmd == "star-karabegov" else bt_star_from
-        table = build(_load_potential(cfg), cfg.order)
-        results = star_table_to_json(table)
-    elif cmd == "star-gammelgaard":
-        from .formal import star_table_to_json
-        from .graphs import gammelgaard_star
-        from .jets import metric_from_potential
-        P = _load_potential(cfg)
-        metric = metric_from_potential(P.phi_minus1)
-        table = gammelgaard_star(P, metric.g_inv, cfg.order)
-        results = star_table_to_json(table)
+        if cmd == "star-gammelgaard":
+            from .graphs import gammelgaard_star as build
+        elif cmd == "star-bt":
+            from .karabegov import bt_star_from as build
+        else:
+            from .karabegov import karabegov_star as build
+        results = star_table_to_json(build(_load_potential(cfg), cfg.order))
     elif cmd == "star-kontsevich":
         from .graphs import kontsevich_star
         alpha = _load_bivector(cfg)

@@ -5,10 +5,11 @@ sections of the m-th power of the quantizing bundle are polynomials of degree
 at most m; the monomial z^k has exact squared norm 2 pi k!(m-k)!/(m+1)!.  The
 observables, the level-m contexts and the exact Toeplitz band live in
 starq.symbols, which needs no numpy; toeplitz_matrix writes that band into a
-dense array of zeros.  The band takes each rational Beta integral to a float
-in one correctly rounded division and divides it by sqrt(n_j n_k), formed
-from the float norms; that product goes subnormal near m = 512 and to zero
-(a ZeroDivisionError) from m = 534 on.  bms_suite keeps at most three dense
+dense array of zeros, so every Toeplitz matrix comes from the band.  The
+band takes each rational Beta integral to a float in one correctly rounded
+division and divides it by sqrt(n_j n_k), formed from the float norms; that
+product goes subnormal near m = 512 and to zero (a ZeroDivisionError) from
+m = 534 on.  bms_suite keeps at most three dense
 matrices live per level: it overwrites T_g with T_g T_f in row blocks and
 subtracts the bands of T_br and T_fg in place, without dense copies of
 them.  operator_norm and the Berezin defect raise NonFiniteResult on inf or
@@ -81,31 +82,13 @@ def _coherent_grid(ctx):
 # ---------------------------------------------------------------------------
 # Toeplitz matrices
 
-def toeplitz_matrix(f, ctx, tol=1e-8):
+def toeplitz_matrix(f, ctx):
     """Matrix of compress(f . ) in the orthonormal monomial basis: the exact
-    band of a term-form f written into zeros, or quadrature for a callback."""
-    if f.callback is not None:
-        return _toeplitz_quadrature(f, ctx, tol)
+    band of f written into zeros."""
     band = toeplitz_band(f, ctx)
     A = np.zeros(ctx.dim * ctx.dim, dtype=complex)
     A[list(band)] = list(band.values())
     return A.reshape(ctx.dim, ctx.dim)
-
-
-def _toeplitz_quadrature(f, ctx, tol):
-    def assemble(grid_nodes):
-        z, w = _build_grid(grid_nodes)
-        S = _section_matrix(ctx, z)
-        fv = np.asarray(f(z), dtype=complex)
-        return (np.conjugate(S) * (fv * w)) @ S.T
-
-    K = ctx.quad_nodes
-    A1 = assemble(K)
-    A2 = assemble(K + 8)
-    if np.max(np.abs(A1 - A2)) > tol:
-        raise QuadratureTolerance(
-            f"toeplitz entries changed by more than {tol} under refinement")
-    return A2
 
 
 def operator_norm(A):
@@ -178,18 +161,14 @@ def adjointness_check(A, f, ctx):
     return abs(lhs - rhs)
 
 
-def contravariant_reconstruct(f, ctx, tol=None):
+def contravariant_reconstruct(f, ctx):
     """Norm defect of rebuilding T_f from coherent projectors weighted by f."""
     z, w, E, u = _coherent_grid(ctx)
     fv = np.asarray(f(z), dtype=complex)
     eps = ctx.dim / TWO_PI
     weights = fv * eps * w / u
     B = (E * weights) @ E.conj().T
-    defect = operator_norm(B - toeplitz_matrix(f, ctx))
-    if tol is not None and defect > tol:
-        raise QuadratureTolerance(
-            f"reconstruction defect {defect:.2e} exceeds {tol:.2e}")
-    return defect
+    return operator_norm(B - toeplitz_matrix(f, ctx))
 
 
 def twisted_product(f, g, z0, ctx, path="matrix"):
@@ -215,9 +194,11 @@ def twisted_product(f, g, z0, ctx, path="matrix"):
 # ---------------------------------------------------------------------------
 # geometric quantization
 
-def geometric_quantization(f, ctx, tol=1e-8):
+def geometric_quantization(f, ctx):
     """Matrix of compress(covariant derivative along the Hamiltonian field
-    plus i f) in the orthonormal basis, by quadrature."""
+    plus i f) in the orthonormal basis, by quadrature on the K x K grid of
+    ctx; raises QuadratureTolerance when the K + 8 grid moves an entry by
+    more than 1e-8."""
     m = ctx.m
 
     def assemble(grid_nodes):
@@ -239,9 +220,9 @@ def geometric_quantization(f, ctx, tol=1e-8):
     K = ctx.quad_nodes
     Q1 = assemble(K)
     Q2 = assemble(K + 8)
-    if np.max(np.abs(Q1 - Q2)) > tol:
+    if np.max(np.abs(Q1 - Q2)) > 1e-8:
         raise QuadratureTolerance(
-            f"quantization entries changed by more than {tol} under refinement")
+            "quantization entries changed by more than 1e-8 under refinement")
     return Q2
 
 

@@ -3,7 +3,8 @@
 A DiffOp is a finite sum coeff * d^holo_z d^anti_zbar with Jet coefficients.
 A NuDiffOp stacks DiffOps by nu power.  A StarTable holds bidifferential
 coefficients C_0..C_N of an associative deformed product together with a
-separation-of-variables convention flag.
+separation-of-variables convention flag.  tables_agree and ops_agree
+compare two tables or two series term by term, through a total degree.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .jets import (
     Jet, jet_to_json, jet_from_json,
-    mi_add, mi_binom, mi_deg, mi_range, mi_sub, mi_zero,
+    mi_add, mi_binom, mi_deg, mi_sub, mi_zero,
 )
 
 
@@ -464,44 +465,34 @@ def dual_star(t, I):
 
 
 # ---------------------------------------------------------------------------
-# equality by action
+# equality term by term
 
-def tables_agree(t1, t2, probe_degree, up_to=None):
-    """Compare star tables by action on monomial pairs up to probe_degree,
-    comparing jets through total degree up_to (defaults to probe window)."""
-    if t1.N != t2.N or t1.n != t2.n:
+def tables_agree(t1, t2, up_to=None):
+    """Whether every coefficient jet of C_k(t1) - C_k(t2), k = 0..N, vanishes
+    through total degree up_to (default D - 2N).  Tables of different N, n
+    or D do not agree."""
+    if (t1.N, t1.n, t1.D) != (t2.N, t2.n, t2.D):
         return False
-    n, D = t1.n, min(t1.D, t2.D)
     if up_to is None:
-        up_to = D - 2 * t1.N
-    mons = [Jet.monomial(h, a, n, D)
-            for h in mi_range(n, probe_degree) for a in mi_range(n, probe_degree)
-            if mi_deg(h) + mi_deg(a) <= probe_degree]
-    for f in mons:
-        for g in mons:
-            for k in range(t1.N + 1):
-                d = (t1.C[k].apply(f, g) - t2.C[k].apply(f, g)).truncate(up_to)
-                if not d.is_zero():
-                    return False
-    return True
+        up_to = t1.D - 2 * t1.N
+    return all(_vanishes(a - b, up_to) for a, b in zip(t1.C, t2.C))
 
 
-def ops_agree(A, B, probe_degree, up_to=None):
-    """Compare NuDiffOps by action on monomials."""
-    if A.N != B.N or A.n != B.n:
+def ops_agree(A, B, up_to=None):
+    """Whether every coefficient jet of A_k - B_k, k = 0..N, vanishes through
+    total degree up_to (default D - N).  Series of different N, n or D do
+    not agree."""
+    if (A.N, A.n, A.D) != (B.N, B.n, B.D):
         return False
-    n, D = A.n, min(A.D, B.D)
     if up_to is None:
-        up_to = D - A.N
-    mons = [Jet.monomial(h, a, n, D)
-            for h in mi_range(n, probe_degree) for a in mi_range(n, probe_degree)
-            if mi_deg(h) + mi_deg(a) <= probe_degree]
-    for f in mons:
-        for i in range(A.N + 1):
-            d = (A.orders[i].apply(f) - B.orders[i].apply(f)).truncate(up_to)
-            if not d.is_zero():
-                return False
-    return True
+        up_to = A.D - A.N
+    return all(_vanishes(a - b, up_to) for a, b in zip(A.orders, B.orders))
+
+
+def _vanishes(op, up_to):
+    """Whether every coefficient of a DiffOp or BiDiffOp vanishes through
+    total degree up_to."""
+    return all(term[0].drop_above(up_to).is_zero() for term in op.terms)
 
 
 # ---------------------------------------------------------------------------

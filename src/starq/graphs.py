@@ -4,8 +4,9 @@ Two families:
   * admissible directed graphs on R^d with numerically integrated
     upper-half-plane angle weights (orders n <= 2; the quadrature, the only
     numpy code on this path, is in starq.quadrature);
-  * weighted acyclic source/sink graphs whose contractions against a Kaehler
-    metric reproduce the recursion-built star product through nu^2.
+  * weighted acyclic source/sink graphs whose contractions against the
+    inverse metric of a Kaehler potential reproduce the recursion-built star
+    product through nu^2 (gammelgaard_star derives that metric itself).
 
 Sign bookkeeping (documented constants):
   * the angle form of an edge is d phi(z, w) with
@@ -463,35 +464,35 @@ def enumerate_ggraphs(Wmax):
                   key=lambda G: (G.total_weight(), str(G.weights), str(G.edges)))
 
 
-def gammelgaard_star(P, g_inv, N):
-    """Star table through nu^N (N <= 2) from weighted-graph contractions.
+def gammelgaard_star(P, N):
+    """Anti-Wick star table through nu^N (N <= 2) from weighted-graph
+    contractions.
 
     Edge rule: each directed edge contracts an anti-holomorphic derivative at
     its tail against a holomorphic derivative at its head through the inverse
-    metric; internal vertices of weight k carry -Phi_k.  Cross-checked term
-    by term against the recursion.
+    metric g^{-1} of Phi_{-1}; internal vertices of weight k carry -Phi_k.
+    Every coefficient jet must agree with karabegov_star(P, N) through total
+    degree D - (N + 2) - 2, or CrossCheckFailure is raised.
     """
-    from .formal import BiDiffOp, StarTable, detect_convention
+    from .formal import BiDiffOp, StarTable, tables_agree
+    from .jets import metric_from_potential
     from .karabegov import karabegov_star
     if N > 2:
         raise ResourceGuard("graph expansion implemented through order 2")
     n, D = P.n, P.D
-    graphs = enumerate_ggraphs(N)
+    g_inv = metric_from_potential(P.phi_minus1).g_inv
     C = [BiDiffOp.zero(n, D) for _ in range(N + 1)]
     C[0] = BiDiffOp.pointwise(n, D)
-    for G in graphs:
+    for G in enumerate_ggraphs(N):
         W = G.total_weight()
         if W == 0 or W > N:
             continue
         C[W] = C[W] + _ggraph_operator(G, P, g_inv)
-    table = StarTable(N=N, C=C, convention=detect_convention(C),
+    table = StarTable(N=N, C=C, convention="karabegov_anti_wick",
                       label="graph-expansion")
-    ref = karabegov_star(P, N)
-    window = D - (N + 2) - 2
-    for k in range(N + 1):
-        for dlt, *_ in (table.C[k] - ref.C[k]).terms:
-            if not dlt.truncate(window).is_zero():
-                raise CrossCheckFailure(f"graph expansion disagrees at nu^{k}")
+    table.check_convention()
+    if not tables_agree(table, karabegov_star(P, N), D - (N + 2) - 2):
+        raise CrossCheckFailure("graph expansion disagrees with the recursion")
     return table
 
 

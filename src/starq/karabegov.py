@@ -14,6 +14,9 @@ g^{-1} = adj(g) / det g turns each block into
 (beta_j + 1) x_{beta+e_j} = sum_l g^{-1}_lj v_{l,beta}, so x_alpha can be read
 off along every j with alpha_j > 0; the routes must agree, which is the
 consistency (null-row) check of the overdetermined block.
+left_mult_operator also checks that L_g commutes with every nu R_l;
+karabegov_star solves its columns through the same builder without that
+check.
 """
 
 from __future__ import annotations
@@ -82,18 +85,24 @@ def reference_potentials(D):
 # ---------------------------------------------------------------------------
 # left multiplication operator
 
-def left_mult_operator(g_series, P, N, verify=True):
-    """L_g for a nu-series g (list of Jets), as a NuDiffOp through nu^N."""
-    return _left_mult_builder(P, N)(g_series, verify)
+def left_mult_operator(g_series, P, N):
+    """L_g for a nu-series g (list of Jets), as a NuDiffOp through nu^N,
+    checked by _verify_commutation."""
+    build, rho = _left_mult_builder(P, N)
+    L = build(g_series)
+    _verify_commutation(L, rho)
+    return L
 
 
 def _left_mult_builder(P, N):
-    """L_g as a function of (g_series, verify) for one potential and order.
+    """L_g as a function of g_series for one potential and order, with the
+    operators rho it commutes with.
 
     The right-multiplication data, graded after multiplying through by nu,
     nu R_l = w_{-1,l} + nu (w_{0,l} + d/dzbar_l) + nu^2 w_{1,l} + ..., and
     g^{-1} depend on P and N alone, so they are built once, here, for every
-    g of a star table; rho[j][l] is the nu^j part of nu R_l as an operator."""
+    g of a star table; rho[j][l] is the nu^j part of nu R_l as an operator.
+    The builder runs no commutation check."""
     n, D = P.n, P.D
     if D < 3 * N:
         raise BudgetExceeded(f"degree budget D={D} below 3N={3 * N}")
@@ -110,7 +119,7 @@ def _left_mult_builder(P, N):
 
     rho = [[rho_op(j, l) for l in range(n)] for j in range(N + 1)]
 
-    def build(g_series, verify=True):
+    def build(g_series):
         if isinstance(g_series, Jet):
             g_series = [g_series]
         gs = list(g_series) + [Jet.zero(n, D)] * (N + 1 - len(g_series))
@@ -170,17 +179,15 @@ def _left_mult_builder(P, N):
                                 for alpha, c in coeffs.items()])
             A.append(DiffOp.mult(gs[m]) + B_m)
 
-        L = NuDiffOp(n, D, N, A)
-        if verify:
-            _verify_commutation(L, rho, N, n, D)
-        return L
+        return NuDiffOp(n, D, N, A)
 
-    return build
+    return build, rho
 
 
-def _verify_commutation(L, rho, N, n, D):
+def _verify_commutation(L, rho):
     """Residual check: [L, nu R_l] vanishes through nu^N on the reliable
     degree window (exact for polynomial potentials)."""
+    n, D, N = L.n, L.D, L.N
     window = D - (2 * N + 2)
     if window < 0:
         return
@@ -203,11 +210,11 @@ def karabegov_star(P, N):
     """Anti-Wick star table through nu^N from a formal potential."""
     n, D = P.n, P.D
     cut = D - (N + 2)
-    left_mult = _left_mult_builder(P, N)
+    left_mult, _ = _left_mult_builder(P, N)
     Ls = {}
     for beta in mi_range(n, N):
         f = Jet.monomial(mi_zero(n), beta, n, D)
-        Ls[beta] = left_mult([f], verify=False)
+        Ls[beta] = left_mult([f])
 
     C = [BiDiffOp.pointwise(n, D)]
     for k in range(1, N + 1):

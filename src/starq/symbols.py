@@ -4,9 +4,9 @@ An observable is a sum of terms coeff * z^a zbar^b (1+|z|^2)^{-c}, a + b <= 2c,
 in the affine chart of the sphere.  Only ObservableFn.__call__, is_real and
 sup_norm need numpy, and they import it when called, so cp1-toeplitz, which
 reads the band and nothing else from here, never loads numpy; starq.cp1
-builds its dense matrices from the same band.  sup_norm draws its fixed
-sample with _uniform_draws, plain-Python PCG64 giving the doubles of
-numpy's default_rng, so no command loads numpy.random for it.
+builds every dense Toeplitz matrix from the same band.  sup_norm draws its
+fixed sample of 4096 points with _uniform_draws, plain-Python PCG64 giving
+the doubles of numpy's default_rng, so no command loads numpy.random for it.
 """
 
 from __future__ import annotations
@@ -32,26 +32,23 @@ class UnboundedSymbol(ValueError):
 
 @dataclass(frozen=True)
 class ObservableFn:
-    """Sum of terms coeff * z^a zbar^b (1+|z|^2)^{-c}, or an opaque callback.
+    """Sum of terms coeff * z^a zbar^b (1+|z|^2)^{-c}.
 
     The term form is closed under products, derivatives, and the Poisson
     bracket, and integrates exactly against the quantization measures.
     """
     terms: tuple = ()            # ((coeff complex, a, b, c), ...)
-    callback: object = None      # optional z -> complex, grid-only evaluation
 
     def __post_init__(self):
-        if self.callback is None:
-            merged = {}
-            for coeff, a, b, c in self.terms:
-                if a + b > 2 * c:
-                    raise UnboundedSymbol(
-                        f"term z^{a} zbar^{b} (1+zz)^{-c} is unbounded")
-                key = (a, b, c)
-                merged[key] = merged.get(key, 0) + complex(coeff)
-            canon = tuple((v, *k) for k, v in sorted(merged.items())
-                          if v != 0)
-            object.__setattr__(self, "terms", canon)
+        merged = {}
+        for coeff, a, b, c in self.terms:
+            if a + b > 2 * c:
+                raise UnboundedSymbol(
+                    f"term z^{a} zbar^{b} (1+zz)^{-c} is unbounded")
+            key = (a, b, c)
+            merged[key] = merged.get(key, 0) + complex(coeff)
+        canon = tuple((v, *k) for k, v in sorted(merged.items()) if v != 0)
+        object.__setattr__(self, "terms", canon)
 
     @staticmethod
     def constant(c):
@@ -88,8 +85,6 @@ class ObservableFn:
         return _diff_raw(self.terms, kind)
 
     def __call__(self, z):
-        if self.callback is not None:
-            return self.callback(z)
         import numpy as np
         t = (z * np.conjugate(z)).real
         s = 1.0 / (1.0 + t)
@@ -98,13 +93,14 @@ class ObservableFn:
             out = out + coeff * z ** a * np.conjugate(z) ** b * s ** c
         return out
 
-    def sup_norm(self, samples=4096):
-        """Supremum over a deterministic sphere sample (exact for constants)."""
-        if self.callback is None and all(a == b == 0 for _, a, b, _ in self.terms):
+    def sup_norm(self):
+        """Supremum over a fixed sample of 4096 sphere points (exact for
+        constants)."""
+        if all(a == b == 0 for _, a, b, _ in self.terms):
             return max(abs(sum(co * 1.0 for co, _, _, _ in self.terms)), 0.0)
         import numpy as np
         cth, phi = map(np.array, _uniform_draws(
-            7, ((-1.0, 1.0), (0.0, TWO_PI)), samples))
+            7, ((-1.0, 1.0), (0.0, TWO_PI)), 4096))
         t = (1 - cth) / (1 + cth)
         z = np.sqrt(t) * np.exp(1j * phi)
         return float(np.max(np.abs(self(z))))

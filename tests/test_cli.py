@@ -9,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 import starq
 from starq.cli import (
-    MAX_DEGREE, MAX_LEVEL, MAX_ORDER, ParseError, RunConfig, ValidationError,
+    MAX_DEGREE, MAX_EXPONENT, MAX_LEVEL, MAX_ORDER, MAX_POWER, ParseError,
+    RunConfig, ValidationError,
     emit, load_config_file, main, parse_observable, run,
 )
 from starq.cp1 import toeplitz_matrix
@@ -79,6 +81,35 @@ def test_parse_errors():
         parse_observable("(1 + zz")
 
 
+@pytest.mark.parametrize("expr, pos, match", [
+    ("z^65/(1+zz)^33", 2, f"exponent 65 is above {MAX_EXPONENT}"),
+    ("((1+zz)^64)^3", 12, f"power of z above {MAX_POWER}"),
+    ("z^64 * z^64 * z / (1+zz)^65", 12, f"power of z above {MAX_POWER}"),
+    ("zz/(1+zz)^64/(1+zz)^64/(1+zz)", 22,
+     rf"power of \(1\+zz\) above {MAX_POWER}"),
+])
+def test_parse_bounds_powers(expr, pos, match):
+    """^k expands by repeated multiplication and a division reads binomials
+    back as floats, so exponents and intermediate powers are capped."""
+    with pytest.raises(ParseError, match=match) as exc:
+        parse_observable(expr)
+    assert exc.value.pos == pos
+
+
+@pytest.mark.parametrize("expr, code", [
+    ("z^65/(1+zz)^33", 2), ("((1+zz)^64)^3", 2), ("z^64/(1+zz)^32", 0),
+])
+def test_large_powers_end_at_once(expr, code, capsys):
+    """z^3000/(1+zz)^3000 ran 6.6 s into an OverflowError (exit 3)."""
+    start = time.perf_counter()
+    argv = ["cp1-toeplitz", "--m", "4", "--expr", expr]
+    if code == 2:
+        assert_one_validation_error(argv, capsys, "ParseError")
+    else:
+        assert invoke(argv)[0] == 0
+    assert time.perf_counter() - start < 1
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -120,11 +151,11 @@ def test_runconfig_rejects_levels_out_of_range(field, value):
 @pytest.mark.parametrize("field,value", [
     ("order", MAX_ORDER + 1), ("order", 10 ** 6),
     ("max_degree", MAX_DEGREE + 1), ("max_degree", 10 ** 6),
-    ("m_list", (8, 8)), ("m_list", (8, 16, 8)),
+    ("m_list", (8, 8)), ("m_list", (8, 16, 8)), ("m_list", ()),
 ])
 def test_runconfig_rejects_order_degree_and_repeated_levels(field, value):
-    """--order, an explicit --max-degree and a repeated level are rejected
-    by validate alone; nothing here is ever run."""
+    """--order, an explicit --max-degree, a repeated level and an empty
+    --m-list are rejected by validate alone; nothing here is ever run."""
     for command in ("star-karabegov", "star-bt", "cp1-suite"):
         with pytest.raises(ValidationError):
             RunConfig(command=command, **{field: value}).validate()
@@ -258,6 +289,16 @@ _V = "ValidationError"
                  "ParseError", id="expr-literal-not-finite"),
     pytest.param(["cp1-berezin", "--at", "nan"], None, _V,
                  id="at-not-finite"),
+    # bool is a subclass of int, so JSON booleans need their own check
+    pytest.param(["star-kontsevich", "--f-poly", "[[1,[true,false]]]"], None,
+                 _V, id="poly-exponent-bool"),
+    pytest.param(["star-kontsevich", "--g-poly", "[[true,[1,1]]]"], None, _V,
+                 id="poly-coeff-bool"),
+    pytest.param(["star-kontsevich", "--g-poly", "[[[1,false],[1,1]]]"], None,
+                 _V, id="poly-coeff-pair-bool"),
+    pytest.param(["star-kontsevich", "--alpha-path", "FILE"],
+                 '{"constant": [[false, true], [-1, 0]]}', _V,
+                 id="alpha-bool"),
 ])
 def test_malformed_input_exit_2(argv, content, error, tmp_path, capsys):
     """Malformed input files and argument errors end in one JSON line."""

@@ -8,7 +8,7 @@ import pytest
 
 from starq import NonFiniteResult, ResourceGuard
 from starq.cp1 import (
-    AsymSeries, QuadratureTolerance, adjointness_check,
+    AsymSeries, adjointness_check,
     berezin_defect_series, berezin_transform_num, bms_suite, coherent_vector,
     contravariant_reconstruct, covariant_symbol, epsilon_function,
     geometric_quantization, integral_exact, operator_norm, surjectivity_rank,
@@ -162,21 +162,6 @@ def test_toeplitz_hermitian_and_positive():
     assert np.max(np.abs(T - T.conj().T)) < 1e-12
     # f = 2 + x >= 1 > 0 on the sphere
     assert np.min(np.linalg.eigvalsh(T)) > -1e-10
-
-
-def test_toeplitz_callback_matches_exact():
-    ctx = make_context(6)
-    h = height_observable()
-    hc = ObservableFn(callback=lambda z: h(z))
-    A = toeplitz_matrix(hc, ctx)
-    assert np.max(np.abs(A - toeplitz_matrix(h, ctx))) < 1e-10
-
-
-def test_toeplitz_callback_tolerance():
-    ctx = make_context(4)
-    rough = ObservableFn(callback=lambda z: np.sign((z * np.conjugate(z)).real - 1.0))
-    with pytest.raises(QuadratureTolerance):
-        toeplitz_matrix(rough, ctx, tol=1e-12)
 
 
 def test_operator_norm():
@@ -413,9 +398,9 @@ def test_bms_suite_builds_no_dense_bracket_or_product(monkeypatch):
     T_fg are subtracted as bands."""
     built = []
 
-    def counted(f, ctx, tol=1e-8, _toeplitz=cp1.toeplitz_matrix):
+    def counted(f, ctx, _toeplitz=cp1.toeplitz_matrix):
         built.append(f)
-        return _toeplitz(f, ctx, tol)
+        return _toeplitz(f, ctx)
     monkeypatch.setattr(cp1, "toeplitz_matrix", counted)
     h, x = height_observable(), coord_x_observable()
     bms_suite(h, x, (8, 16))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starq.jets import I, ONE, Jet, Scalar, metric_from_potential, laplacian, mi_range
+from starq.jets import I, ONE, Jet, Scalar, laplacian, mi_range
 from starq.formal import (
     BiDiffOp, DiffOp, NuDiffOp, OrderViolation, SingularSystem, StarTable,
     assoc_defect, conjugate_star, detect_convention, dual_star, invert_transform,
@@ -161,7 +161,7 @@ def test_transform_from_star_flat():
     lap = flat_laplacian_op(D)
     expect = NuDiffOp(1, D, 2, [DiffOp.identity(1, D), lap,
                                 lap.compose(lap).scale(Scalar(Fraction(1, 2)))])
-    assert ops_agree(Iop, expect, probe_degree=4)
+    assert ops_agree(Iop, expect)
 
 
 def test_transform_rejects_order_violation():
@@ -200,8 +200,7 @@ def test_transform_and_graph_check_apply_no_operator(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(Jet, "monomial", forbidden)
         assert polarize(transform_from_star(t).orders[2], 2) == t.C[2]
-    g_inv = metric_from_potential(P.phi_minus1).g_inv
-    assert gammelgaard_star(P, g_inv, 2).C == t.C
+    assert gammelgaard_star(P, 2).C == t.C
 
 
 def test_invert_transform():
@@ -212,10 +211,42 @@ def test_invert_transform():
     lap = flat_laplacian_op(D)
     Iop = NuDiffOp(1, D, N, [DiffOp.identity(1, D), lap])
     Jop = invert_transform(Iop)
-    assert ops_agree(Iop.compose(Jop), ident, probe_degree=3)
+    assert ops_agree(Iop.compose(Jop), ident)
     # Neumann series: id - nu L + nu^2 L^2 - nu^3 L^3
     assert Jop.orders[1] == lap.scale(Scalar(-1))
     assert Jop.orders[2] == lap.compose(lap)
+
+
+def test_ops_agree_compares_terms():
+    """A third-order term counts, though it kills every monomial of degree
+    at most 2; a coefficient above the window does not."""
+    D, N = 12, 2
+    lap = flat_laplacian_op(D)
+    Iop = NuDiffOp(1, D, N, [DiffOp.identity(1, D), lap])
+    third = DiffOp.deriv(1, D, (3,), (0,))
+    assert ops_agree(Iop, Iop)
+    assert not ops_agree(NuDiffOp(1, D, N, [DiffOp.identity(1, D),
+                                            lap + third]), Iop)
+    high = DiffOp.mult(Jet.monomial((D - N + 1,), (0,), 1, D))
+    assert ops_agree(NuDiffOp(1, D, N, [DiffOp.identity(1, D), lap + high]),
+                     Iop)
+    assert not ops_agree(Iop, NuDiffOp(1, D + 1, N,
+                                       [DiffOp.identity(1, D + 1)]))
+
+
+def test_tables_agree_compares_terms():
+    """The flat table with its only C_3 term, dbar^3 f d^3 g, doubled: no
+    pair of probes of degree 2 sees it, and the term comparison does."""
+    D = 14
+    t = karabegov_star(flat_potential(D), 3)
+    (c, *shape), = t.C[3].terms
+    assert shape == [(0,), (3,), (3,), (0,)]
+    doubled = StarTable(N=3, C=t.C[:3] + [BiDiffOp(1, D, [(c.scale(2),
+                                                           *shape)])],
+                        convention=t.convention)
+    assert tables_agree(t, t)
+    assert not tables_agree(doubled, t)
+    assert not tables_agree(t, karabegov_star(flat_potential(D + 1), 3))
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +256,12 @@ def test_conjugate_identity_and_roundtrip():
     D = 14
     t = flat_table(2, D)
     ident = NuDiffOp.identity(1, D, 2)
-    assert tables_agree(conjugate_star(t, ident), t, probe_degree=3)
+    assert tables_agree(conjugate_star(t, ident), t)
     lap = flat_laplacian_op(D)
     B = NuDiffOp(1, D, 2, [DiffOp.identity(1, D), lap])
     t2 = conjugate_star(t, B)
     t3 = conjugate_star(t2, invert_transform(B))
-    assert tables_agree(t3, t, probe_degree=3)
+    assert tables_agree(t3, t)
 
 
 def test_conjugate_preserves_assoc():
@@ -280,7 +311,7 @@ def test_opposite_star():
     t = flat_table(2, D)
     t_op = opposite_star(t)
     assert t_op.convention == "wick"
-    assert tables_agree(opposite_star(t_op), t, probe_degree=3)
+    assert tables_agree(opposite_star(t_op), t)
     out = star_eval(t_op, zbj(D), zj(D))
     assert out[1].is_zero()
     out = star_eval(t_op, zj(D), zbj(D))
@@ -295,7 +326,7 @@ def test_dual_star_flat():
     # dual of the dual is the original table
     I2 = transform_from_star(dual)
     dd = dual_star(dual, I2)
-    assert tables_agree(dd, t, probe_degree=3)
+    assert tables_agree(dd, t)
     # dual-then-opposite gives the Wick-type table with C_1(f,g) = -df/dz dg/dzbar
     bt = opposite_star(dual)
     assert bt.convention == "wick"

@@ -1,8 +1,10 @@
 """Graph enumeration, numerical weights, and graph-built star products."""
 
+from dataclasses import replace
+
 import pytest
 
-from starq.jets import Jet, metric_from_potential, mi_range
+import starq.jets
 from starq.karabegov import (
     flat_potential, fs_potential, karabegov_star, reference_potentials,
 )
@@ -487,15 +489,20 @@ def test_ggraph_json_shape():
 def test_gammelgaard_matches_recursion():
     D = 14
     for name, P in reference_potentials(D).items():
-        m = metric_from_potential(P.phi_minus1)
-        t = gammelgaard_star(P, m.g_inv, 2)  # raises CrossCheckFailure if off
+        t = gammelgaard_star(P, 2)  # raises CrossCheckFailure if off
         assert t.convention == "karabegov_anti_wick", name
 
 
-def test_gammelgaard_crosscheck_detects_corruption():
-    D = 14
-    P = fs_potential(D)
-    m = metric_from_potential(P.phi_minus1)
-    bad = [[m.g_inv[0][0].scale(2)]]
+def test_gammelgaard_crosscheck_detects_corruption(monkeypatch):
+    """A graph expansion contracted against a doubled inverse metric fails
+    the cross-check; the recursion it is checked against keeps the true
+    metric."""
+    exact = starq.jets.metric_from_potential
+
+    def doubled(phi):
+        m = exact(phi)
+        return replace(m, g_inv=tuple(tuple(x.scale(2) for x in row)
+                                      for row in m.g_inv))
+    monkeypatch.setattr(starq.jets, "metric_from_potential", doubled)
     with pytest.raises(CrossCheckFailure):
-        gammelgaard_star(P, bad, 2)
+        gammelgaard_star(fs_potential(14), 2)
