@@ -15,6 +15,10 @@ subtracts the bands of T_br and T_fg in place, without dense copies of
 them.  operator_norm and the Berezin defect raise NonFiniteResult on inf or
 NaN rather than pass it on.
 
+command_results builds the results of the cp1-berezin and cp1-suite
+commands from a run configuration, under one np.errstate; cp1-toeplitz reads
+only starq.symbols and never loads this module or numpy.
+
 Documented sign constants (pinned by the Tuynman and commutator decay tests):
   * Laplacian: Delta f = (1+|z|^2)^2 d^2 f / dz dzbar;
   * Poisson bracket: {f, g} = i (1+|z|^2)^2 (f_zbar g_z - f_z g_zbar);
@@ -23,18 +27,16 @@ Documented sign constants (pinned by the Tuynman and commutator decay tests):
     i T_{f - Delta f/(2m)} exactly.
 """
 
-from __future__ import annotations
-
+import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import NonFiniteResult, ResourceGuard
+from . import Frozen, NonFiniteResult, ResourceGuard, ValidationError
 from .symbols import (
-    TWO_PI, ObservableFn, laplacian_fn, make_context, poisson_bracket_fn,
-    toeplitz_band,
+    TWO_PI, ObservableFn, laplacian_fn, make_context, parse_observable,
+    poisson_bracket_fn, toeplitz_band,
 )
 
 
@@ -245,10 +247,12 @@ def tuynman_defect(f, ctx):
 # ---------------------------------------------------------------------------
 # asymptotic harness
 
-@dataclass(frozen=True)
-class AsymSeries:
-    points: tuple                 # ((m, value), ...)
-    fit: tuple                    # (limit, slope, residual)
+class AsymSeries(Frozen):
+    __slots__ = ("points",        # ((m, value), ...)
+                 "fit")           # (limit, slope, residual)
+
+    def __init__(self, points, fit):
+        self._set(points=points, fit=fit)
 
     @staticmethod
     def from_points(points):
@@ -364,3 +368,50 @@ def surjectivity_rank(ctx):
             f = ObservableFn(terms=((1.0, a, b, max(a, b)),))
             rows.append(toeplitz_matrix(f, ctx).ravel())
     return int(np.linalg.matrix_rank(np.array(rows), tol=1e-9))
+
+
+# ---------------------------------------------------------------------------
+# command results
+
+def command_results(cfg):
+    """Results of the cp1-berezin and cp1-suite commands for a run
+    configuration.
+
+    One errstate for the whole run: numpy's floating-point warnings would
+    print ahead of the JSON error line, and a non-finite value is caught by
+    the CLI's emission gate, which exits 3."""
+    with np.errstate(all="ignore"):
+        if cfg.command == "cp1-berezin":
+            return _berezin_results(cfg)
+        return _suite_results(cfg)
+
+
+def _berezin_results(cfg):
+    f = parse_observable(cfg.expr)
+    z0 = complex(cfg.at.replace(" ", ""))
+    if not cmath.isfinite(z0):
+        raise ValidationError(f"--at {cfg.at!r} is not finite")
+    points = []
+    for m in cfg.m_list:
+        val = berezin_transform_num(f, z0, make_context(m))
+        points.append({"m": m, "value": val.real, "imag": val.imag})
+    return {"series": "berezin", "at": cfg.at, "points": points}
+
+
+def _suite_results(cfg):
+    f = parse_observable(cfg.f_expr)
+    g = parse_observable(cfg.g_expr)
+    if cfg.suite == "bms":
+        names = ("norm_gap", "commutator_defect", "product_defect")
+        series = bms_suite(f, g, cfg.m_list)
+    else:
+        pts = [0.0 + 0.0j, 0.3 + 0.1j, 0.8 - 0.5j, 1.6 + 0.9j]
+        series = (berezin_defect_series(f, laplacian_fn(f), pts,
+                                        cfg.m_list),)
+        names = ("berezin_defect",)
+    return {"series": [
+        {"name": nm,
+         "points": [{"m": m, "value": v} for m, v in s.points],
+         "fit": {"limit": s.fit[0], "slope": s.fit[1],
+                 "residual": s.fit[2]}}
+        for nm, s in zip(names, series)]}

@@ -7,10 +7,7 @@ separation-of-variables convention flag.  tables_agree and ops_agree
 compare two tables or two series term by term, through a total degree.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 
 from .jets import (
     Jet, jet_to_json, jet_from_json,
@@ -291,18 +288,18 @@ class BiDiffOp:
 CONVENTIONS = ("karabegov_anti_wick", "wick", "none")
 
 
-@dataclass
 class StarTable:
-    N: int
-    C: list               # BiDiffOp, C[0] .. C[N]
-    convention: str
-    label: str = ""
+    __slots__ = ("N", "C", "convention", "label")
 
-    def __post_init__(self):
-        if self.convention not in CONVENTIONS:
-            raise ValueError(f"unknown convention {self.convention!r}")
-        if len(self.C) != self.N + 1:
+    def __init__(self, N, C, convention, label=""):
+        if convention not in CONVENTIONS:
+            raise ValueError(f"unknown convention {convention!r}")
+        if len(C) != N + 1:
             raise ValueError("need exactly N+1 coefficient operators")
+        self.N = N
+        self.C = C                # BiDiffOp, C[0] .. C[N]
+        self.convention = convention
+        self.label = label
 
     @property
     def n(self):

@@ -16,16 +16,21 @@ Sign bookkeeping (documented constants):
     sign, so the product w * D is order independent); the star assembly
     multiplies the edge-order parity back in;
   * order-n term prefactor is (i nu / 2)^n.
+
+The star-kontsevich and weights commands read their inputs here as well:
+load_bivector and load_poly parse the --alpha-path file and the --f-poly and
+--g-poly JSON, poly_json writes a product's orders, and integration_config
+takes the quadrature fields of a run configuration.  KGraph and
+IntegrationConfig hash by value, since together they key _WEIGHT_CACHE.
 """
 
-from __future__ import annotations
-
+import cmath
 import itertools
+import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ResourceGuard
+from . import Frozen, ResourceGuard, ValidationError
 
 # The exact core (jets, formal, karabegov) is imported inside the weighted-
 # graph functions: the Kontsevich commands never use it.
@@ -117,12 +122,12 @@ class Poly:
         return f"Poly({self.coeffs!r})"
 
 
-@dataclass
 class PoissonBivector:
-    d: int
-    alpha: list  # d x d matrix of Poly
+    __slots__ = ("d", "alpha")
 
-    def __post_init__(self):
+    def __init__(self, d, alpha):
+        self.d = d
+        self.alpha = alpha       # d x d matrix of Poly
         for i in range(self.d):
             for j in range(self.d):
                 if not (self.alpha[i][j] + self.alpha[j][i]).is_zero():
@@ -138,19 +143,30 @@ class PoissonBivector:
 # ---------------------------------------------------------------------------
 # admissible graphs
 
-@dataclass(frozen=True)
-class KGraph:
-    n: int
-    targets: tuple  # per vertex i (1-based), ordered pair of targets
+class KGraph(Frozen):
+    """Admissible graph: targets holds, per internal vertex i (1-based), its
+    ordered pair of targets.  Equal graphs hash equal: they key
+    _WEIGHT_CACHE."""
 
-    def __post_init__(self):
-        if len(self.targets) != self.n:
+    __slots__ = ("n", "targets")
+
+    def __init__(self, n, targets):
+        if len(targets) != n:
             raise ValueError("one target pair per internal vertex")
-        for i, (a, b) in enumerate(self.targets, start=1):
-            allowed = set(range(1, self.n + 1)) | {L, R}
+        for i, (a, b) in enumerate(targets, start=1):
+            allowed = set(range(1, n + 1)) | {L, R}
             allowed.discard(i)
             if a == b or a not in allowed or b not in allowed:
                 raise ValueError(f"invalid target pair for vertex {i}")
+        self._set(n=n, targets=targets)
+
+    def __eq__(self, other):
+        if type(other) is not KGraph:
+            return NotImplemented
+        return (self.n, self.targets) == (other.n, other.targets)
+
+    def __hash__(self):
+        return hash((self.n, self.targets))
 
     def edge_list(self):
         """Edges in per-vertex order: (source, target)."""
@@ -249,22 +265,38 @@ def d_gamma(G, a, f, g):
 # ---------------------------------------------------------------------------
 # weight integration
 
-@dataclass(frozen=True)
-class IntegrationConfig:
-    method: str = "grid"          # "grid" or "mc"
-    grid_nodes: int = 800         # per axis, 2D integrals
-    samples: int = 200_000        # Monte Carlo sample count
-    eta: float = 0.1              # excision radius (Richardson start)
-    seed: int = 20260823
-    tol: float = 5e-3
+class IntegrationConfig(Frozen):
+    """Weight quadrature settings; hashable, as part of the _WEIGHT_CACHE
+    key."""
+
+    __slots__ = ("method", "grid_nodes", "samples", "eta", "seed", "tol")
+
+    def __init__(self, method="grid",   # "grid" or "mc"
+                 grid_nodes=800,        # per axis, 2D integrals
+                 samples=200_000,       # Monte Carlo sample count
+                 eta=0.1,               # excision radius (Richardson start)
+                 seed=20260823, tol=5e-3):
+        self._set(method=method, grid_nodes=grid_nodes, samples=samples,
+                  eta=eta, seed=seed, tol=tol)
+
+    def _key(self):
+        return tuple(getattr(self, k) for k in IntegrationConfig.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not IntegrationConfig:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class WeightResult:
-    value: float
-    error_estimate: float
-    samples_or_cells: int
-    seed: int
+class WeightResult(Frozen):
+    __slots__ = ("value", "error_estimate", "samples_or_cells", "seed")
+
+    def __init__(self, value, error_estimate, samples_or_cells, seed):
+        self._set(value=value, error_estimate=error_estimate,
+                  samples_or_cells=samples_or_cells, seed=seed)
 
 
 _WEIGHT_CACHE = {}                # (G.canonical(), cfg) -> WeightResult
@@ -359,13 +391,75 @@ def moyal_star(mat, f, g, N):
 
 
 # ---------------------------------------------------------------------------
+# command inputs and outputs (star-kontsevich, weights)
+
+def load_bivector(path):
+    """The constant bivector of a JSON file {"constant": square matrix}, or
+    the standard symplectic form on R^2 when path is empty."""
+    if not path:
+        return PoissonBivector.constant([[0.0, 1.0], [-1.0, 0.0]])
+    with open(path) as fh:
+        obj = json.load(fh)
+    mat = obj.get("constant") if isinstance(obj, dict) else None
+    if not (isinstance(mat, list) and mat and all(
+            isinstance(row, list) and len(row) == len(mat)
+            and all(type(x) in (int, float) for x in row) for row in mat)):
+        raise ValidationError(f"bivector file {path} has no square "
+                              f"numeric 'constant' matrix")
+    return PoissonBivector.constant(mat)
+
+
+def load_poly(text, d):
+    """A polynomial on R^d from JSON [[coeff, exponents], ...], where coeff
+    is a number or a [re, im] pair; x_1 when text is empty."""
+    if not text:
+        return Poly.variable(0, d)
+    coeffs = {}
+    try:
+        for coeff, exps in json.loads(text):
+            if len(exps) != d or not all(type(e) is int and e >= 0
+                                         for e in exps):
+                raise ValidationError(f"exponent tuple {exps!r} is not {d} "
+                                      f"nonnegative integers")
+            if isinstance(coeff, bool) or isinstance(coeff, list) \
+                    and any(isinstance(x, bool) for x in coeff):
+                raise ValidationError(f"coefficient {coeff!r} is a boolean")
+            c = complex(*coeff) if isinstance(coeff, list) \
+                and len(coeff) == 2 else coeff
+            # a TypeError for anything but a number or a [re, im] pair
+            if not cmath.isfinite(c):
+                raise ValidationError(f"coefficient {coeff!r} is not finite")
+            coeffs[tuple(exps)] = coeffs.get(tuple(exps), 0) + c
+    except TypeError as exc:
+        raise ValidationError(f"polynomial {text!r} is not a list of "
+                              f"[coeff, exponents] terms") from exc
+    return Poly(d, coeffs)
+
+
+def poly_json(p):
+    return [[[c.real, c.imag], list(k)]
+            for k, c in sorted(p.coeffs.items())]
+
+
+def integration_config(cfg):
+    """The IntegrationConfig of a run configuration's quadrature fields."""
+    return IntegrationConfig(method=cfg.method, grid_nodes=cfg.grid_nodes,
+                             samples=cfg.samples, eta=cfg.eta, seed=cfg.seed,
+                             tol=cfg.tol)
+
+
+# ---------------------------------------------------------------------------
 # weighted acyclic source/sink graphs
 
-@dataclass(frozen=True)
-class GGraph:
-    weights: tuple      # internal vertex weights, canonical sorted order
-    edges: tuple        # ((u, v, multiplicity), ...), vertices: "S", "T", 0..k
-    aut: int
+class GGraph(Frozen):
+    """Weighted source/sink graph: weights are the internal vertex weights
+    in canonical order, edges are ((u, v, multiplicity), ...) over the
+    vertices "S", "T", 0..k, and aut is |Aut|."""
+
+    __slots__ = ("weights", "edges", "aut")
+
+    def __init__(self, weights, edges, aut):
+        self._set(weights=weights, edges=edges, aut=aut)
 
     def total_weight(self):
         ne = sum(m for _, _, m in self.edges)

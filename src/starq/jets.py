@@ -8,15 +8,12 @@ rational, is the coefficient type at the boundary: constructors,
 `constant_term`, `terms` and JSON.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add as _add, itemgetter, sub as _sub
 
-from . import ResourceGuard  # re-exported; defined in the package root
+from . import Frozen, ResourceGuard  # ResourceGuard is re-exported
 
 
 class ZeroConstantTerm(ArithmeticError):
@@ -517,10 +514,14 @@ class Jet:
 # ---------------------------------------------------------------------------
 # metric data
 
-@dataclass(frozen=True)
-class MetricJets:
-    g: tuple            # n x n tuple-of-tuples of Jet, g[i][j] = d2 Phi / dz_i dzbar_j
-    g_inv: tuple        # jet inverse matrix
+class MetricJets(Frozen):
+    """g: n x n tuple-of-tuples of Jet, g[i][j] = d2 Phi / dz_i dzbar_j;
+    g_inv: its jet inverse matrix."""
+
+    __slots__ = ("g", "g_inv")
+
+    def __init__(self, g, g_inv):
+        self._set(g=g, g_inv=g_inv)
 
 
 def hessian(phi):

@@ -16,25 +16,27 @@ off along every j with alpha_j > 0; the routes must agree, which is the
 consistency (null-row) check of the overdetermined block.
 left_mult_operator also checks that L_g commutes with every nu R_l;
 karabegov_star solves its columns through the same builder without that
-check.
+check.  load_potential reads the --potential of the star-* commands: a
+reference potential by name, or a potential JSON file.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+import json
 from fractions import Fraction
 
+from . import ValidationError
 from .jets import (
-    Jet, hessian, jet_det, metric_from_potential, mi_binom, mi_deg,
-    mi_falling, mi_fact, mi_le, mi_range, mi_sub, mi_zero, unit_mi,
+    Jet, hessian, jet_det, jet_from_json, metric_from_potential, mi_binom,
+    mi_deg, mi_falling, mi_fact, mi_le, mi_range, mi_sub, mi_zero, unit_mi,
 )
 from .formal import BiDiffOp, BudgetExceeded, DiffOp, NuDiffOp, StarTable
 
 
-@dataclass
 class FormalPotential:
-    phi_minus1: Jet
-    phi: list = field(default_factory=list)   # Phi_0, Phi_1, ... as Jets
+    __slots__ = ("phi_minus1", "phi")
+
+    def __init__(self, phi_minus1, phi=None):
+        self.phi_minus1 = phi_minus1
+        self.phi = [] if phi is None else phi   # Phi_0, Phi_1, ... as Jets
 
     @property
     def n(self):
@@ -80,6 +82,28 @@ def reference_potentials(D):
         "fs": fs_potential(D),
         "aniso": flat_potential(D, n=2, weights=[1, 2]),
     }
+
+
+def load_potential(name, D):
+    """The reference potential of that name at degree budget D, or else the
+    potential of the JSON file at path name: {"phi_minus1": jet, "phi":
+    [jet, ...]}, every phi jet matching phi_minus1 in n and max_degree."""
+    named = reference_potentials(D)
+    if name in named:
+        return named[name]
+    with open(name) as fh:
+        obj = json.load(fh)
+    try:
+        phi_minus1 = jet_from_json(obj["phi_minus1"])
+        phi = [jet_from_json(j) for j in obj.get("phi", [])]
+        for jet in phi:
+            if (jet.n, jet.max_degree) != (phi_minus1.n, phi_minus1.max_degree):
+                raise ValueError("every 'phi' jet must match 'phi_minus1' in "
+                                 "n and max_degree")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"potential file {name} has no "
+                              f"well-formed jets: {exc!r}") from exc
+    return FormalPotential(phi_minus1=phi_minus1, phi=phi)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,6 @@ Only starq.graphs imports this module, and only when it integrates a
 weight, so the exact commands never load numpy.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 

@@ -1,24 +1,30 @@
-"""Sphere observables, level-m contexts and the exact Toeplitz band.
+"""Sphere observables, their expression parser, level-m contexts and the
+exact Toeplitz band.
 
 An observable is a sum of terms coeff * z^a zbar^b (1+|z|^2)^{-c}, a + b <= 2c,
-in the affine chart of the sphere.  Only ObservableFn.__call__, is_real and
-sup_norm need numpy, and they import it when called, so cp1-toeplitz, which
-reads the band and nothing else from here, never loads numpy; starq.cp1
-builds every dense Toeplitz matrix from the same band.  sup_norm draws its
-fixed sample of 4096 points with _uniform_draws, plain-Python PCG64 giving
-the doubles of numpy's default_rng, so no command loads numpy.random for it.
-"""
+in the affine chart of the sphere.  parse_observable reads the --expr,
+--f-expr and --g-expr texts of the sphere commands.  It bounds each
+exponent, each power met while parsing and the total number of term
+products of one parse, and raises a positioned ParseError past any bound.
+It lives here, not in starq.cli, so the exact star-* commands, which take
+no observable, never compile it.
 
-from __future__ import annotations
+Only ObservableFn.__call__, is_real and sup_norm need numpy, and they import
+it when called, so cp1-toeplitz, which reads the band and nothing else from
+here, never loads numpy; starq.cp1 builds every dense Toeplitz matrix from
+the same band.  sup_norm draws its fixed sample of 4096 points with
+_uniform_draws, plain-Python PCG64 giving the doubles of numpy's
+default_rng, so no command loads numpy.random for it.
+"""
 
 import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
-from . import NonFiniteResult
+from . import Frozen, NonFiniteResult
 
 TWO_PI = 2 * math.pi
 
@@ -30,25 +36,25 @@ class UnboundedSymbol(ValueError):
 # ---------------------------------------------------------------------------
 # observables
 
-@dataclass(frozen=True)
-class ObservableFn:
+class ObservableFn(Frozen):
     """Sum of terms coeff * z^a zbar^b (1+|z|^2)^{-c}.
 
     The term form is closed under products, derivatives, and the Poisson
     bracket, and integrates exactly against the quantization measures.
     """
-    terms: tuple = ()            # ((coeff complex, a, b, c), ...)
 
-    def __post_init__(self):
+    __slots__ = ("terms",)       # ((coeff complex, a, b, c), ...)
+
+    def __init__(self, terms=()):
         merged = {}
-        for coeff, a, b, c in self.terms:
+        for coeff, a, b, c in terms:
             if a + b > 2 * c:
                 raise UnboundedSymbol(
                     f"term z^{a} zbar^{b} (1+zz)^{-c} is unbounded")
             key = (a, b, c)
             merged[key] = merged.get(key, 0) + complex(coeff)
-        canon = tuple((v, *k) for k, v in sorted(merged.items()) if v != 0)
-        object.__setattr__(self, "terms", canon)
+        self._set(terms=tuple((v, *k) for k, v in sorted(merged.items())
+                              if v != 0))
 
     @staticmethod
     def constant(c):
@@ -104,6 +110,214 @@ class ObservableFn:
         t = (1 - cth) / (1 + cth)
         z = np.sqrt(t) * np.exp(1j * phi)
         return float(np.max(np.abs(self(z))))
+
+
+# ---------------------------------------------------------------------------
+# observable expression parser
+
+class ParseError(ValueError):
+    """Observable expression rejected; carries the offending position."""
+
+    def __init__(self, message, pos):
+        super().__init__(f"{message} (at position {pos})")
+        self.pos = pos
+
+
+# Largest k in an observable's ^k, and largest power of z, zbar or (1+zz)
+# that any value met while parsing may reach: ^k multiplies k times, and a
+# division reads the binomials of (1+zz)^k back as floats.
+MAX_EXPONENT = 64
+MAX_POWER = 128
+# Most term products, |u| * |v| summed over every product of one parse.  A
+# cap on each product alone would not bound a chain of factors that each
+# stay under it.  ((1+z+zbar+zz)^32)^2 takes about 1.2 M; the cap bounds a
+# parse to about 2 s.
+MAX_PRODUCTS = 1 << 22
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?j?)|(?P<name>zbar|zz|z)"
+    r"|(?P<op>[-+*/^()]))")
+
+
+def _tokenize(text):
+    out = []
+    pos = 0
+    while pos < len(text):
+        mt = _TOKEN_RE.match(text, pos)
+        if mt is None or mt.end() == pos:
+            bad = pos
+            while bad < len(text) and text[bad].isspace():
+                bad += 1
+            if bad == len(text):
+                break
+            raise ParseError(f"unexpected character {text[bad]!r}", bad)
+        if mt.lastgroup is None:
+            break
+        kind = mt.lastgroup
+        out.append((kind, mt.group(kind), mt.start(kind)))
+        pos = mt.end()
+    out.append(("end", "", len(text)))
+    return out
+
+
+class _ExprParser:
+    """Recursive descent over sums of monomial terms in z, zbar, zz with
+    division restricted to powers of (1+zz).
+
+    Values are dicts (a, b, c) -> coeff for coeff z^a zbar^b (1+zz)^{-c}.
+    """
+
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.products = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, value):
+        kind, val, pos = self.next()
+        if val != value:
+            raise ParseError(f"expected {value!r}, found {val!r}", pos)
+
+    def parse(self):
+        val = self.expr()
+        kind, tok, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input {tok!r}", pos)
+        return val
+
+    def expr(self):
+        sign = 1.0
+        kind, tok, _ = self.peek()
+        if tok in ("+", "-"):
+            self.next()
+            sign = -1.0 if tok == "-" else 1.0
+        val = _scale(self.term(), sign)
+        while True:
+            kind, tok, _ = self.peek()
+            if tok not in ("+", "-"):
+                return val
+            self.next()
+            rhs = self.term()
+            val = _add(val, _scale(rhs, -1.0 if tok == "-" else 1.0))
+
+    def term(self):
+        val = self.factor()
+        while True:
+            kind, tok, pos = self.peek()
+            if tok == "*":
+                self.next()
+                val = self.mul(val, self.factor(), pos)
+            elif tok == "/":
+                self.next()
+                denom = self.factor()
+                k = _as_one_plus_zz_power(denom)
+                if k is None:
+                    raise ParseError(
+                        "division is only defined by powers of (1+zz)", pos)
+                _check_powers(val, {(0, 0, k): 1}, pos)
+                val = {(a, b, c + k): co for (a, b, c), co in val.items()}
+            elif kind in ("num", "name") or tok == "(":
+                val = self.mul(val, self.factor(), pos)
+            else:
+                return val
+
+    def factor(self):
+        kind, tok, pos = self.next()
+        if kind == "num":
+            coeff = complex(0, float(tok[:-1] or 1)) if tok.endswith("j") \
+                else complex(float(tok))
+            if not cmath.isfinite(coeff):
+                raise ParseError(f"number {tok!r} is not finite", pos)
+            base = {(0, 0, 0): coeff}
+        elif kind == "name":
+            base = {{"z": (1, 0, 0), "zbar": (0, 1, 0),
+                     "zz": (1, 1, 0)}[tok]: 1.0 + 0j}
+        elif tok == "(":
+            base = self.expr()
+            self.expect(")")
+        else:
+            raise ParseError(f"expected a number, variable, or '(', found "
+                             f"{tok!r}", pos)
+        kind, tok, _ = self.peek()
+        if tok == "^":
+            self.next()
+            k2, etok, epos = self.next()
+            if k2 != "num" or not etok.isdigit():
+                raise ParseError("exponent must be a nonnegative integer",
+                                 epos)
+            if int(etok) > MAX_EXPONENT:
+                raise ParseError(f"exponent {etok} is above {MAX_EXPONENT}",
+                                 epos)
+            out = {(0, 0, 0): 1.0 + 0j}
+            for _ in range(int(etok)):
+                out = self.mul(out, base, epos)
+            return out
+        return base
+
+    def mul(self, u, v, pos):
+        """u * v, or ParseError at pos before a product with a power above
+        MAX_POWER, or one that takes the parse past MAX_PRODUCTS term
+        products, is formed."""
+        _check_powers(u, v, pos)
+        self.products += len(u) * len(v)
+        if self.products > MAX_PRODUCTS:
+            raise ParseError(f"expression needs more than {MAX_PRODUCTS} "
+                             f"term products", pos)
+        out = {}
+        for (a1, b1, c1), x in u.items():
+            for (a2, b2, c2), y in v.items():
+                k = (a1 + a2, b1 + b2, c1 + c2)
+                out[k] = out.get(k, 0) + x * y
+        return out
+
+
+def _add(u, v):
+    out = dict(u)
+    for k, c in v.items():
+        out[k] = out.get(k, 0) + c
+    return out
+
+
+def _scale(u, s):
+    return {k: c * s for k, c in u.items()}
+
+
+def _check_powers(u, v, pos):
+    """ParseError at pos if the product of u and v has a power of z, zbar or
+    (1+zz) above MAX_POWER."""
+    for i, name in enumerate(("z", "zbar", "(1+zz)")):
+        if max(k[i] for k in u) + max(k[i] for k in v) > MAX_POWER:
+            raise ParseError(f"power of {name} above {MAX_POWER}", pos)
+
+
+def _as_one_plus_zz_power(val):
+    """k when val is the expansion of (1+zz)^k with no denominators."""
+    ks = [a for (a, b, c), co in val.items() if co != 0]
+    if any(c != 0 or a != b for (a, b, c), co in val.items() if co != 0):
+        return None
+    k = max(ks, default=-1)
+    if k < 0:
+        return None
+    for i in range(k + 1):
+        want = float(math.comb(k, i))
+        # np.isclose(got, want) with its default tolerances, want >= 1
+        if not abs(val.get((i, i, 0), 0) - want) <= 1e-8 + 1e-5 * want:
+            return None
+    return k
+
+
+def parse_observable(text):
+    raw = _ExprParser(text).parse()
+    terms = tuple((co, a, b, c) for (a, b, c), co in sorted(raw.items())
+                  if co != 0)
+    return ObservableFn(terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +459,16 @@ def coord_x_observable():
 # ---------------------------------------------------------------------------
 # context and the exact Toeplitz band
 
-@dataclass(frozen=True)
-class Cp1Context:
-    m: int
-    dim: int
-    norms_over_2pi: tuple      # exact Fractions; norms[k] = 2 pi * this
-    quad_nodes: int            # K: the quadrature readers use a K x K grid
+class Cp1Context(Frozen):
+    """Exact data of level m: dim = m + 1, norms_over_2pi[k] = n_k / (2 pi)
+    as exact Fractions, and quad_nodes K, the side of the K x K grid the
+    quadrature readers use."""
+
+    __slots__ = ("m", "dim", "norms_over_2pi", "quad_nodes")
+
+    def __init__(self, m, dim, norms_over_2pi, quad_nodes):
+        self._set(m=m, dim=dim, norms_over_2pi=norms_over_2pi,
+                  quad_nodes=quad_nodes)
 
 
 def _factorials(n):

@@ -18,12 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 import starq
 from starq.cli import (
-    MAX_DEGREE, MAX_EXPONENT, MAX_LEVEL, MAX_ORDER, MAX_POWER, ParseError,
-    RunConfig, ValidationError,
-    emit, load_config_file, main, parse_observable, run,
+    MAX_DEGREE, MAX_LEVEL, MAX_ORDER, RunConfig, ValidationError,
+    emit, load_config_file, main, run,
 )
 from starq.cp1 import toeplitz_matrix
-from starq.symbols import UnboundedSymbol, make_context
+from starq.symbols import (
+    MAX_EXPONENT, MAX_POWER, MAX_PRODUCTS, ParseError, UnboundedSymbol,
+    make_context, parse_observable,
+)
 
 
 def invoke(argv):
@@ -108,6 +110,39 @@ def test_large_powers_end_at_once(expr, code, capsys):
     else:
         assert invoke(argv)[0] == 0
     assert time.perf_counter() - start < 1
+
+
+QUAD_POWER = "((1+z+zbar+zz)^32)^{k}/(1+zz)^{c}"
+
+
+def test_parse_bounds_total_products(capsys):
+    """Every power stays within MAX_POWER, but ^4 of the 1089-term
+    (1+z+zbar+zz)^32 needs about 16 M term products (7.5 s); it exits 2 with
+    a positioned ParseError.  ^2, about 1.2 M products, still parses."""
+    f = parse_observable(QUAD_POWER.format(k=2, c=64))
+    assert len(f.terms) == 65 * 65
+    code, out = invoke(["cp1-toeplitz", "--m", "4", "--expr",
+                        QUAD_POWER.format(k=4, c=128)])
+    assert code == 2 and out == b""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    # position 19 is the exponent of ^4
+    assert json.loads(err[0]) == {
+        "error": "ParseError",
+        "message": f"expression needs more than {MAX_PRODUCTS} term "
+                   f"products (at position 19)"}
+
+
+def test_parse_budget_sums_every_product(monkeypatch):
+    """The budget counts all products of one parse: a sum of factors that
+    each stay far below it still runs out."""
+    monkeypatch.setattr(starq.symbols, "MAX_PRODUCTS", 20_000)
+    # (1+z+zbar+zz)^8: 4 * (1 + 4 + ... + 64) = 816 products; (1+zz)^8:
+    # 2 * (1 + 2 + ... + 8) = 72
+    one = "(1+z+zbar+zz)^8/(1+zz)^8"
+    parse_observable("+".join([one] * 22))          # 19536
+    with pytest.raises(ParseError, match="more than 20000 term products"):
+        parse_observable("+".join([one] * 23))      # 20424
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +642,66 @@ def test_numeric_commands_do_not_import_exact_core():
     proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+# Run as `python -m starq.cli` runs it, in a fresh interpreter: argv, then
+# the names of every loaded module as one JSON line on stdout (the report
+# goes to --out).
+_RUN_AS_MAIN = """\
+import json, runpy, sys
+sys.argv = ["starq"] + json.loads(sys.argv[1])
+try:
+    runpy.run_module("starq.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(json.dumps(sorted(sys.modules)))
+"""
+
+_NOT_EXACT = ("numpy", "starq.symbols", "starq.cp1", "starq.graphs")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["star-karabegov", "--potential", "fs", "--order", "2"], _NOT_EXACT),
+    (["star-bt", "--potential", "fs", "--order", "2"], _NOT_EXACT),
+    (["star-gammelgaard", "--potential", "aniso", "--order", "2"],
+     ("numpy",)),
+    (["graphs-enumerate", "--n", "2"], ("numpy",)),
+    (["cp1-toeplitz", "--m", "8", "--expr", "(1 - zz) / (1+zz)"],
+     ("numpy",)),
+    (["star-kontsevich", "--order", "1"], ()),
+    (["weights", "--n", "1", "--grid-nodes", "40", "--tol", "0.5"], ()),
+    (["cp1-berezin", "--m-list", "4,8"], ()),
+    (["cp1-suite", "--m-list", "4,8"], ()),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_commands_load_only_what_they_run(argv, absent, tmp_path):
+    """No command without --config loads dataclasses or configparser, nor
+    inspect unless numpy loads it; the exact star-* commands load no numpy
+    and no sphere or graph module; and no starq module imports starq.cli,
+    which would then run a second time beside __main__."""
+    argv = argv + ["--out", str(tmp_path / "report")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MAIN, json.dumps(argv)],
+        env=_subprocess_env(), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = set(json.loads(proc.stdout))
+    assert "starq" in loaded
+    unwanted = {"dataclasses", "configparser", "starq.cli", *absent}
+    if "numpy" not in loaded:
+        unwanted.add("inspect")
+    assert not loaded & unwanted, sorted(loaded & unwanted)
+
+
+def test_config_file_alone_loads_configparser(tmp_path):
+    """configparser loads for --config, and only then."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\norder = 1\n")
+    argv = ["star-karabegov", "--config", str(cfg),
+            "--out", str(tmp_path / "report")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MAIN, json.dumps(argv)],
+        env=_subprocess_env(), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert "configparser" in json.loads(proc.stdout)
 
 
 def test_overflow_leaves_one_stderr_line():

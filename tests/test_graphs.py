@@ -1,7 +1,5 @@
 """Graph enumeration, numerical weights, and graph-built star products."""
 
-from dataclasses import replace
-
 import pytest
 
 import starq.jets
@@ -108,12 +106,18 @@ def test_order1_weights_half():
         assert w.error_estimate < cfg.tol
 
 
-def test_weight_deterministic():
+def test_weight_deterministic(monkeypatch):
+    """Two computations, not one computation and a cache hit, give the same
+    result."""
     cfg = IntegrationConfig(grid_nodes=400)
     g = KGraph(1, ((L, R),))
-    w1 = kontsevich_weight(g, cfg)
-    w2 = kontsevich_weight(g, cfg)
-    assert w1 == w2
+    results = []
+    for _ in range(2):
+        monkeypatch.setattr(starq.graphs, "_WEIGHT_CACHE", {})
+        w = kontsevich_weight(g, cfg)
+        results.append((w.value, w.error_estimate, w.samples_or_cells,
+                        w.seed))
+    assert results[0] == results[1]
 
 
 def test_weight_backends_agree():
@@ -501,8 +505,9 @@ def test_gammelgaard_crosscheck_detects_corruption(monkeypatch):
 
     def doubled(phi):
         m = exact(phi)
-        return replace(m, g_inv=tuple(tuple(x.scale(2) for x in row)
-                                      for row in m.g_inv))
+        return starq.jets.MetricJets(
+            g=m.g, g_inv=tuple(tuple(x.scale(2) for x in row)
+                               for row in m.g_inv))
     monkeypatch.setattr(starq.jets, "metric_from_potential", doubled)
     with pytest.raises(CrossCheckFailure):
         gammelgaard_star(fs_potential(14), 2)
