@@ -5,17 +5,19 @@ graphs at orders 1 and 2 and tabulate grid vs Monte Carlo backends.
 
 import argparse
 
+from starq import QUADRATURE_FIELDS
 from starq.graphs import (
     IntegrationConfig, enumerate_kgraphs, kontsevich_weight,
 )
 
 
 def main():
+    defaults = dict(QUADRATURE_FIELDS)
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--orders", default="1,2")
-    ap.add_argument("--grid-nodes", type=int, default=800)
-    ap.add_argument("--samples", type=int, default=200_000)
-    ap.add_argument("--seed", type=int, default=20260823)
+    ap.add_argument("--grid-nodes", type=int, default=defaults["grid_nodes"])
+    ap.add_argument("--samples", type=int, default=defaults["samples"])
+    ap.add_argument("--seed", type=int, default=defaults["seed"])
     args = ap.parse_args()
 
     grid = IntegrationConfig(method="grid", grid_nodes=args.grid_nodes,

@@ -23,6 +23,19 @@ class NonFiniteResult(ArithmeticError):
     ResourceGuard."""
 
 
+# The weight quadrature settings and their defaults.  cli.RUN_FIELDS splices
+# this table into the run configuration, graphs.IntegrationConfig fills
+# itself from it and scripts/weight_scan.py takes its defaults from it.
+QUADRATURE_FIELDS = (
+    ("method", "grid"),              # "grid" or "mc"
+    ("grid_nodes", 800),             # per axis, 2D integrals
+    ("samples", 200_000),            # Monte Carlo sample count
+    ("eta", 0.1),                    # excision radius (Richardson start)
+    ("tol", 5e-3),                   # largest accepted error estimate
+    ("seed", 20260823),
+)
+
+
 class Frozen:
     """Base of starq's immutable records.
 
@@ -37,6 +50,15 @@ class Frozen:
     def _set(self, **fields):
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+
+    def _set_defaults(self, defaults, values):
+        """Each field of the dict defaults from values, or else its default;
+        a name outside defaults raises TypeError like a keyword argument."""
+        for name in values:
+            if name not in defaults:
+                raise TypeError(f"{type(self).__name__}() got an unexpected "
+                                f"keyword argument {name!r}")
+        self._set(**(defaults | values))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen "

@@ -25,16 +25,21 @@ import math
 import os
 import sys
 
-from . import Frozen, NonFiniteResult, ValidationError, __version__
+from . import (QUADRATURE_FIELDS, Frozen, NonFiniteResult, ResourceGuard,
+               ValidationError, __version__)
 
 # Largest sphere level m that --m and --m-list accept: the Toeplitz matrix has
 # (m+1)^2 entries, allocated before anything else can fail.
 MAX_LEVEL = 2048
 
-# Largest --order and explicit --max-degree of the exact pipelines; the
-# derived default budget 3N + 6 stays within MAX_DEGREE for every order.
+# Largest --order and degree budget of the exact pipelines; the derived
+# default budget 3N + 6 stays within MAX_DEGREE for every order, and a
+# potential file's max_degree is held to it too.
 MAX_ORDER = 16
 MAX_DEGREE = 64
+# Most complex dimensions of a potential file: the metric's determinant and
+# cofactors expand n! permutations.
+MAX_N = 6
 
 COMMANDS = ("star-karabegov", "star-bt", "star-kontsevich",
             "star-gammelgaard", "graphs-enumerate", "weights",
@@ -65,12 +70,7 @@ RUN_FIELDS = (
     ("m_list", (8, 16, 32, 64, 128)),
     ("at", "0"),
     ("suite", "bms"),                # cp1-suite: bms | berezin
-    ("method", "grid"),
-    ("grid_nodes", 800),
-    ("samples", 200_000),
-    ("eta", 0.1),
-    ("tol", 5e-3),
-    ("seed", 20260823),
+    *QUADRATURE_FIELDS,
     ("format", "json"),
     ("out", ""),
 )
@@ -81,11 +81,7 @@ class RunConfig(Frozen):
     __slots__ = tuple(_DEFAULTS)
 
     def __init__(self, **values):
-        for name in values:
-            if name not in _DEFAULTS:
-                raise TypeError(f"RunConfig() got an unexpected keyword "
-                                f"argument {name!r}")
-        self._set(**(_DEFAULTS | values))
+        self._set_defaults(_DEFAULTS, values)
 
     def validate(self):
         if self.command not in COMMANDS:
@@ -189,6 +185,15 @@ def run(cfg):
         else:
             from .karabegov import karabegov_star as build
         P = load_potential(cfg.potential, cfg.max_degree or 3 * cfg.order + 6)
+        if P.D > MAX_DEGREE:
+            raise ValidationError(f"potential max_degree {P.D} is above "
+                                  f"{MAX_DEGREE}")
+        if cfg.max_degree and cfg.max_degree != P.D:
+            raise ValidationError(f"--max-degree {cfg.max_degree} differs "
+                                  f"from the potential's max_degree {P.D}")
+        if P.n > MAX_N:
+            raise ResourceGuard(f"potential has n = {P.n} complex "
+                                f"dimensions, above {MAX_N}")
         results = star_table_to_json(build(P, cfg.order))
     elif cmd == "star-kontsevich":
         from .graphs import (

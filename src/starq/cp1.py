@@ -35,8 +35,8 @@ import numpy as np
 
 from . import Frozen, NonFiniteResult, ResourceGuard, ValidationError
 from .symbols import (
-    TWO_PI, ObservableFn, laplacian_fn, make_context, parse_observable,
-    poisson_bracket_fn, toeplitz_band,
+    TWO_PI, ObservableFn, _diff_raw, laplacian_fn, make_context,
+    parse_observable, poisson_bracket_fn, toeplitz_band,
 )
 
 
@@ -72,10 +72,15 @@ def _section_matrix(ctx, z):
     return S
 
 
+def _grid_side(ctx):
+    """Side K of the K x K quadrature grid of a level-m context."""
+    return 2 * (ctx.m + 3)
+
+
 def _coherent_grid(ctx):
     """Quadrature nodes z and weights w of the context's grid, the coherent
     vectors E (one column per node) and their squared norms u."""
-    z, w = _build_grid(ctx.quad_nodes)
+    z, w = _build_grid(_grid_side(ctx))
     E = np.conjugate(_section_matrix(ctx, z))
     u = np.sum((E * np.conjugate(E)).real, axis=0)
     return z, w, E, u
@@ -173,24 +178,10 @@ def contravariant_reconstruct(f, ctx):
     return operator_norm(B - toeplitz_matrix(f, ctx))
 
 
-def twisted_product(f, g, z0, ctx, path="matrix"):
+def twisted_product(f, g, z0, ctx):
     """Covariant symbol of T_f T_g at z0."""
-    Tf = toeplitz_matrix(f, ctx)
-    Tg = toeplitz_matrix(g, ctx)
-    if path == "matrix":
-        return covariant_symbol(Tf @ Tg, z0, ctx)
-    if path != "integral":
-        raise ValueError(f"unknown path {path!r}")
-    # two-point integral form, regrouped through the resolution of identity
-    # so no antipodal exclusion is needed (excluded-pair count: 0)
-    e = coherent_vector(z0, ctx)
-    ux = np.vdot(e, e).real
-    _, w, E, u = _coherent_grid(ctx)
-    eps = ctx.dim / TWO_PI
-    left = np.conjugate(e) @ (Tf @ E)          # <e_x, T_f e_y> per node
-    right = np.einsum("in,i->n", np.conjugate(E), Tg @ e)
-    val = np.sum(left * right * eps * w / u) / ux
-    return complex(val)
+    return covariant_symbol(toeplitz_matrix(f, ctx) @ toeplitz_matrix(g, ctx),
+                            z0, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +189,9 @@ def twisted_product(f, g, z0, ctx, path="matrix"):
 
 def geometric_quantization(f, ctx):
     """Matrix of compress(covariant derivative along the Hamiltonian field
-    plus i f) in the orthonormal basis, by quadrature on the K x K grid of
-    ctx; raises QuadratureTolerance when the K + 8 grid moves an entry by
-    more than 1e-8."""
+    plus i f) in the orthonormal basis, by quadrature on the context's
+    K x K grid; raises QuadratureTolerance when the K + 8 grid moves an
+    entry by more than 1e-8."""
     m = ctx.m
 
     def assemble(grid_nodes):
@@ -208,8 +199,7 @@ def geometric_quantization(f, ctx):
         t = (z * z.conjugate()).real
         s = 1.0 / (1.0 + t)
         S = _section_matrix(ctx, z)
-        fzbar_terms = f._diff_terms("anti")
-        fzbar = _eval_raw_terms(fzbar_terms, z)
+        fzbar = ObservableFn(terms=_diff_raw(f.terms, "anti"))(z)
         Xz = 1j * fzbar / (s * s) / (2 * m)
         fv = np.asarray(f(z), dtype=complex)
         G = np.empty_like(S)
@@ -219,22 +209,13 @@ def geometric_quantization(f, ctx):
                 + 1j * fv * S[k]
         return np.conjugate(S) @ (G * w).T
 
-    K = ctx.quad_nodes
+    K = _grid_side(ctx)
     Q1 = assemble(K)
     Q2 = assemble(K + 8)
     if np.max(np.abs(Q1 - Q2)) > 1e-8:
         raise QuadratureTolerance(
             "quantization entries changed by more than 1e-8 under refinement")
     return Q2
-
-
-def _eval_raw_terms(raw, z):
-    t = (z * z.conjugate()).real
-    s = 1.0 / (1.0 + t)
-    out = np.zeros(z.shape, dtype=complex)
-    for coeff, a, b, c in raw:
-        out = out + coeff * z ** a * np.conjugate(z) ** b * s ** c
-    return out
 
 
 def tuynman_defect(f, ctx):

@@ -1,10 +1,13 @@
 """Formal nu-graded differential and bidifferential operators.
 
-A DiffOp is a finite sum coeff * d^holo_z d^anti_zbar with Jet coefficients.
-A NuDiffOp stacks DiffOps by nu power.  A StarTable holds bidifferential
-coefficients C_0..C_N of an associative deformed product together with a
-separation-of-variables convention flag.  tables_agree and ops_agree
-compare two tables or two series term by term, through a total degree.
+A DiffOp is a finite sum coeff * d^holo_z d^anti_zbar with Jet coefficients,
+and a BiDiffOp is the same for two arguments; one term-sum base keeps the
+terms of both merged and sorted and gives both their sums, negation,
+scaling and equality.  A NuDiffOp stacks DiffOps by nu power.  A StarTable
+holds bidifferential coefficients C_0..C_N of an associative deformed
+product together with a separation-of-variables convention flag.
+tables_agree and ops_agree compare two tables or two series term by term,
+through a total degree, by one shared check.
 """
 
 import itertools
@@ -28,10 +31,11 @@ class SingularSystem(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# DiffOp
+# term sums
 
-class DiffOp:
-    """sum_i coeff_i * d^{holo_i}_z d^{anti_i}_zbar with Jet coefficients."""
+class _TermSum:
+    """Terms (coeff, multi-index, ...) with Jet coefficients, merged on equal
+    multi-indices, without zero ones and sorted by multi-indices."""
 
     __slots__ = ("n", "D", "terms")
 
@@ -39,16 +43,47 @@ class DiffOp:
         self.n = n
         self.D = D
         merged = {}
-        for coeff, holo, anti in terms:
-            key = (tuple(holo), tuple(anti))
+        for coeff, *idx in terms:
+            key = tuple(map(tuple, idx))
             cur = merged.get(key)
             merged[key] = coeff if cur is None else cur + coeff
-        self.terms = tuple((c, h, a) for (h, a), c in sorted(merged.items())
+        self.terms = tuple((c,) + k for k, c in sorted(merged.items())
                            if not c.is_zero())
 
-    @staticmethod
-    def zero(n, D):
-        return DiffOp(n, D)
+    @classmethod
+    def zero(cls, n, D):
+        return cls(n, D)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        return type(self)(self.n, self.D, self.terms + other.terms)
+
+    def __neg__(self):
+        return type(self)(self.n, self.D,
+                          [(-t[0],) + t[1:] for t in self.terms])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, s):
+        return type(self)(self.n, self.D,
+                          [(t[0].scale(s),) + t[1:] for t in self.terms])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self.D, self.terms) == (other.n, other.D, other.terms)
+
+
+# ---------------------------------------------------------------------------
+# DiffOp
+
+class DiffOp(_TermSum):
+    """sum_i coeff_i * d^{holo_i}_z d^{anti_i}_zbar with Jet coefficients."""
+
+    __slots__ = ()
 
     @staticmethod
     def identity(n, D):
@@ -63,23 +98,8 @@ class DiffOp:
     def deriv(n, D, holo, anti):
         return DiffOp(n, D, [(Jet.constant(1, n, D), holo, anti)])
 
-    def is_zero(self):
-        return not self.terms
-
     def max_order(self):
         return max((mi_deg(h) + mi_deg(a) for _, h, a in self.terms), default=0)
-
-    def __add__(self, other):
-        return DiffOp(self.n, self.D, list(self.terms) + list(other.terms))
-
-    def __neg__(self):
-        return DiffOp(self.n, self.D, [(-c, h, a) for c, h, a in self.terms])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        return DiffOp(self.n, self.D, [(c.scale(s), h, a) for c, h, a in self.terms])
 
     def apply(self, f):
         out = Jet.zero(self.n, self.D)
@@ -102,11 +122,6 @@ class DiffOp:
                         coeff = (p * dq).scale(cb)
                         out.append((coeff, mi_add(a1, c), mi_add(b1, d)))
         return DiffOp(n, self.D, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return (self.n, self.D, self.terms) == (other.n, other.D, other.terms)
 
     def __repr__(self):
         return f"DiffOp({self.terms!r})"
@@ -182,42 +197,15 @@ class NuDiffOp:
 # ---------------------------------------------------------------------------
 # BiDiffOp
 
-class BiDiffOp:
+class BiDiffOp(_TermSum):
     """sum coeff * (d^{fh}_z d^{fa}_zbar f) * (d^{gh}_z d^{ga}_zbar g)."""
 
-    __slots__ = ("n", "D", "terms")
-
-    def __init__(self, n, D, terms=()):
-        self.n = n
-        self.D = D
-        merged = {}
-        for coeff, fh, fa, gh, ga in terms:
-            key = (tuple(fh), tuple(fa), tuple(gh), tuple(ga))
-            cur = merged.get(key)
-            merged[key] = coeff if cur is None else cur + coeff
-        self.terms = tuple((c,) + k for k, c in sorted(merged.items())
-                           if not c.is_zero())
-
-    @staticmethod
-    def zero(n, D):
-        return BiDiffOp(n, D)
+    __slots__ = ()
 
     @staticmethod
     def pointwise(n, D):
         z = mi_zero(n)
         return BiDiffOp(n, D, [(Jet.constant(1, n, D), z, z, z, z)])
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        return BiDiffOp(self.n, self.D, list(self.terms) + list(other.terms))
-
-    def __neg__(self):
-        return BiDiffOp(self.n, self.D, [(-t[0],) + t[1:] for t in self.terms])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def apply(self, f, g):
         out = Jet.zero(self.n, self.D)
@@ -275,11 +263,6 @@ class BiDiffOp:
         gh = max((mi_deg(t[3]) for t in self.terms), default=0)
         ga = max((mi_deg(t[4]) for t in self.terms), default=0)
         return fh, fa, gh, ga
-
-    def __eq__(self, other):
-        if not isinstance(other, BiDiffOp):
-            return NotImplemented
-        return (self.n, self.D, self.terms) == (other.n, other.D, other.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -468,28 +451,24 @@ def tables_agree(t1, t2, up_to=None):
     """Whether every coefficient jet of C_k(t1) - C_k(t2), k = 0..N, vanishes
     through total degree up_to (default D - 2N).  Tables of different N, n
     or D do not agree."""
-    if (t1.N, t1.n, t1.D) != (t2.N, t2.n, t2.D):
-        return False
-    if up_to is None:
-        up_to = t1.D - 2 * t1.N
-    return all(_vanishes(a - b, up_to) for a, b in zip(t1.C, t2.C))
+    return _agree(t1, t2, t1.C, t2.C,
+                  t1.D - 2 * t1.N if up_to is None else up_to)
 
 
 def ops_agree(A, B, up_to=None):
     """Whether every coefficient jet of A_k - B_k, k = 0..N, vanishes through
     total degree up_to (default D - N).  Series of different N, n or D do
     not agree."""
-    if (A.N, A.n, A.D) != (B.N, B.n, B.D):
+    return _agree(A, B, A.orders, B.orders,
+                  A.D - A.N if up_to is None else up_to)
+
+
+def _agree(x, y, xs, ys, up_to):
+    """The shared body of tables_agree (xs = x.C) and ops_agree (x.orders)."""
+    if (x.N, x.n, x.D) != (y.N, y.n, y.D):
         return False
-    if up_to is None:
-        up_to = A.D - A.N
-    return all(_vanishes(a - b, up_to) for a, b in zip(A.orders, B.orders))
-
-
-def _vanishes(op, up_to):
-    """Whether every coefficient of a DiffOp or BiDiffOp vanishes through
-    total degree up_to."""
-    return all(term[0].drop_above(up_to).is_zero() for term in op.terms)
+    return all(term[0].drop_above(up_to).is_zero()
+               for a, b in zip(xs, ys) for term in (a - b).terms)
 
 
 # ---------------------------------------------------------------------------

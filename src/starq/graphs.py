@@ -30,7 +30,7 @@ import json
 import math
 from fractions import Fraction
 
-from . import Frozen, ResourceGuard, ValidationError
+from . import QUADRATURE_FIELDS, Frozen, ResourceGuard, ValidationError
 
 # The exact core (jets, formal, karabegov) is imported inside the weighted-
 # graph functions: the Kontsevich commands never use it.
@@ -265,19 +265,17 @@ def d_gamma(G, a, f, g):
 # ---------------------------------------------------------------------------
 # weight integration
 
+_QUADRATURE_DEFAULTS = dict(QUADRATURE_FIELDS)
+
+
 class IntegrationConfig(Frozen):
-    """Weight quadrature settings; hashable, as part of the _WEIGHT_CACHE
-    key."""
+    """Weight quadrature settings, the fields of QUADRATURE_FIELDS; hashable,
+    as part of the _WEIGHT_CACHE key."""
 
-    __slots__ = ("method", "grid_nodes", "samples", "eta", "seed", "tol")
+    __slots__ = tuple(_QUADRATURE_DEFAULTS)
 
-    def __init__(self, method="grid",   # "grid" or "mc"
-                 grid_nodes=800,        # per axis, 2D integrals
-                 samples=200_000,       # Monte Carlo sample count
-                 eta=0.1,               # excision radius (Richardson start)
-                 seed=20260823, tol=5e-3):
-        self._set(method=method, grid_nodes=grid_nodes, samples=samples,
-                  eta=eta, seed=seed, tol=tol)
+    def __init__(self, **values):
+        self._set_defaults(_QUADRATURE_DEFAULTS, values)
 
     def _key(self):
         return tuple(getattr(self, k) for k in IntegrationConfig.__slots__)
@@ -443,9 +441,8 @@ def poly_json(p):
 
 def integration_config(cfg):
     """The IntegrationConfig of a run configuration's quadrature fields."""
-    return IntegrationConfig(method=cfg.method, grid_nodes=cfg.grid_nodes,
-                             samples=cfg.samples, eta=cfg.eta, seed=cfg.seed,
-                             tol=cfg.tol)
+    return IntegrationConfig(**{name: getattr(cfg, name)
+                                for name in _QUADRATURE_DEFAULTS})
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ A jet of max_degree D stores Gaussian-integer numerators for the terms
 (holo exponents, anti exponents) of total degree <= D over one shared
 denominator.  Multiplication truncates above D.  Scalar, an exact complex
 rational, is the coefficient type at the boundary: constructors,
-`constant_term`, `terms` and JSON.
+`constant_term`, `terms` and JSON.  Every derivative is one `diff_multi`
+pass, and `inverse` and `log` sum one series in r = a/a_0 - 1.
 """
 
 import itertools
@@ -72,9 +73,6 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
 
     def is_zero(self):
         return self.re == 0 and self.im == 0
@@ -300,10 +298,6 @@ class Jet:
         return (self.n == other.n and self.max_degree == other.max_degree
                 and self.den == other.den and self.num == other.num)
 
-    def __hash__(self):
-        return hash((self.n, self.max_degree, self.den,
-                     frozenset(self.num.items())))
-
     def is_zero(self):
         return not self.num
 
@@ -408,18 +402,9 @@ class Jet:
         return _reduced(self.n, self.max_degree, num, self.den * den)
 
     def diff(self, var, kind="holo"):
-        """Formal partial derivative; max_degree is kept as bookkeeping."""
-        out = {}
-        slot = 0 if kind == "holo" else 1
-        for key, (re, im) in self.num.items():
-            idx = key[slot]
-            e = idx[var]
-            if e == 0:
-                continue
-            new_idx = idx[:var] + (e - 1,) + idx[var + 1:]
-            new_key = (new_idx, key[1]) if slot == 0 else (key[0], new_idx)
-            out[new_key] = (re * e, im * e)
-        return _reduced(self.n, self.max_degree, out, self.den)
+        """d/dz_var (holo) or d/dzbar_var (anti), by diff_multi."""
+        e, z = unit_mi(self.n, var), mi_zero(self.n)
+        return self.diff_multi(e, z) if kind == "holo" else self.diff_multi(z, e)
 
     def diff_multi(self, holo, anti):
         """d^holo_z d^anti_zbar in one pass over the terms."""
@@ -454,30 +439,10 @@ class Jet:
         raise it)."""
         return self._cut(new_degree, min(self.max_degree, new_degree))
 
-    def inverse(self):
-        c0 = self.constant_term()
-        if c0.is_zero():
-            raise ZeroConstantTerm("jet has zero constant term")
-        n, D = self.n, self.max_degree
-        inv_c0 = ONE / c0
-        # a = c0 (1 + r) with r of positive valuation; 1/a = (1/c0) sum (-r)^k
-        r = self.scale(inv_c0) - Jet.constant(1, n, D)
-        out = Jet.constant(1, n, D)
-        power = Jet.constant(1, n, D)
-        for _ in range(D):
-            power = power * (-r)
-            if power.is_zero():
-                break
-            out = out + power
-        return out.scale(inv_c0)
-
-    def log(self):
-        """log(a / a_0) for a unit a with constant term a_0.
-
-        With a = a_0 (1 + r), r of positive valuation, this is the series
-        sum_k (-1)^(k+1) r^k / k, finite in the truncated ring.  It is log a
-        up to the constant log a_0, which is not rational in general.
-        """
+    def _unit_series(self, coeff):
+        """(sum_k coeff(k) r^k over k = 1..D, a_0) for a unit a = a_0 (1 + r)
+        with constant term a_0; r has positive valuation, so the series is
+        finite in the truncated ring."""
         c0 = self.constant_term()
         if c0.is_zero():
             raise ZeroConstantTerm("jet has zero constant term")
@@ -489,8 +454,20 @@ class Jet:
             power = power * r
             if power.is_zero():
                 break
-            out = out + power.scale(Fraction((-1) ** (k + 1), k))
-        return out
+            out = out + power.scale(coeff(k))
+        return out, c0
+
+    def inverse(self):
+        """1/a = (1/a_0) sum_k (-r)^k."""
+        series, c0 = self._unit_series(lambda k: (-1) ** k)
+        return (series + Jet.constant(1, self.n, self.max_degree)).scale(ONE / c0)
+
+    def log(self):
+        """log(a / a_0) = sum_k (-1)^(k+1) r^k / k for a unit a.
+
+        It is log a up to the constant log a_0, which is not rational in
+        general."""
+        return self._unit_series(lambda k: Fraction((-1) ** (k + 1), k))[0]
 
     def __repr__(self):
         if not self.num:

@@ -152,11 +152,7 @@ def _left_mult_builder(P, N):
             # RHS of [B_m, w_{-1,l} .] = -sum_{k<m} [A_k, rho_{m-k,l}]
             rhs_ops = []
             for l in range(n):
-                acc = DiffOp.zero(n, D)
-                for k in range(m):
-                    r = rho[m - k][l]
-                    acc = acc + (A[k].compose(r) - r.compose(A[k]))
-                acc = -acc
+                acc = -_commutator_sum(A, rho, m, l)
                 for _, h, a in acc.terms:
                     if mi_deg(a) > 0:
                         raise ArithmeticError(
@@ -217,14 +213,19 @@ def _verify_commutation(L, rho):
         return
     for l in range(n):
         for m in range(N + 1):
-            acc = DiffOp.zero(n, D)
-            for k in range(m + 1):
-                r = rho[m - k][l]
-                acc = acc + (L.orders[k].compose(r) - r.compose(L.orders[k]))
-            for c, h, a in acc.terms:
+            for c, h, a in _commutator_sum(L.orders[:m + 1], rho, m, l).terms:
                 if not c.truncate(window).is_zero():
                     raise ArithmeticError(
                         f"left multiplication operator fails commutation at nu^{m}")
+
+
+def _commutator_sum(A, rho, m, l):
+    """sum_k [A_k, rho_{m-k,l}] over the operators A_0, A_1, ... of A."""
+    acc = DiffOp.zero(A[0].n, A[0].D)
+    for k, a in enumerate(A):
+        r = rho[m - k][l]
+        acc = acc + (a.compose(r) - r.compose(a))
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ here, never loads numpy; starq.cp1 builds every dense Toeplitz matrix from
 the same band.  sup_norm draws its fixed sample of 4096 points with
 _uniform_draws, plain-Python PCG64 giving the doubles of numpy's
 default_rng, so no command loads numpy.random for it.
+
+Derivatives are unmerged term lists from _diff_raw; laplacian_fn and
+poisson_bracket_fn share one tail that multiplies by (1+|z|^2)^2 and
+reduces.  A context holds exact data only; cp1 sizes its grids from m.
 """
 
 import cmath
@@ -85,10 +89,6 @@ class ObservableFn(Frozen):
     def conj(self):
         return ObservableFn(terms=tuple((coeff.conjugate(), b, a, c)
                                         for coeff, a, b, c in self.terms))
-
-    def _diff_terms(self, kind):
-        """Raw term list of d/dz (holo) or d/dzbar (anti); may be unbounded."""
-        return _diff_raw(self.terms, kind)
 
     def __call__(self, z):
         import numpy as np
@@ -385,6 +385,7 @@ def _uniform_draws(seed, bounds, n):
 
 
 def _diff_raw(raw, kind):
+    """Unmerged term list of d/dz (holo) or d/dzbar (anti) of a term list."""
     out = []
     for coeff, a, b, c in raw:
         if kind == "holo":
@@ -398,11 +399,6 @@ def _diff_raw(raw, kind):
             if c:
                 out.append((-coeff * c, a + 1, b, c + 1))
     return out
-
-
-def multiply_by_one_plus_t_sq(raw):
-    """(1+|z|^2)^2 times a raw term list: c -> c - 2."""
-    return [(coeff, a, b, c - 2) for coeff, a, b, c in raw]
 
 
 def reduce_terms(raw):
@@ -427,15 +423,14 @@ def reduce_terms(raw):
 
 def laplacian_fn(f):
     """Delta f = (1+t)^2 f_{z zbar} within the symbol class."""
-    raw = _diff_raw(_diff_raw(f.terms, "holo"), "anti")
-    return ObservableFn(terms=tuple(reduce_terms(multiply_by_one_plus_t_sq(raw))))
+    return _times_one_plus_t_sq(_diff_raw(_diff_raw(f.terms, "holo"), "anti"))
 
 
 def poisson_bracket_fn(f, g):
     """{f, g} = i (1+t)^2 (f_zbar g_z - f_z g_zbar); raises UnboundedSymbol
     when the result leaves the symbol class."""
-    fa, fh = f._diff_terms("anti"), f._diff_terms("holo")
-    ga, gh = g._diff_terms("anti"), g._diff_terms("holo")
+    fa, fh = _diff_raw(f.terms, "anti"), _diff_raw(f.terms, "holo")
+    ga, gh = _diff_raw(g.terms, "anti"), _diff_raw(g.terms, "holo")
     raw = []
     for c1, a1, b1, k1 in fa:
         for c2, a2, b2, k2 in gh:
@@ -443,7 +438,13 @@ def poisson_bracket_fn(f, g):
     for c1, a1, b1, k1 in fh:
         for c2, a2, b2, k2 in ga:
             raw.append((-1j * c1 * c2, a1 + a2, b1 + b2, k1 + k2))
-    return ObservableFn(terms=tuple(reduce_terms(multiply_by_one_plus_t_sq(raw))))
+    return _times_one_plus_t_sq(raw)
+
+
+def _times_one_plus_t_sq(raw):
+    """The observable of (1+|z|^2)^2 times a raw term list, reduced."""
+    return ObservableFn(terms=tuple(reduce_terms(
+        [(coeff, a, b, c - 2) for coeff, a, b, c in raw])))
 
 
 def height_observable():
@@ -460,15 +461,13 @@ def coord_x_observable():
 # context and the exact Toeplitz band
 
 class Cp1Context(Frozen):
-    """Exact data of level m: dim = m + 1, norms_over_2pi[k] = n_k / (2 pi)
-    as exact Fractions, and quad_nodes K, the side of the K x K grid the
-    quadrature readers use."""
+    """Exact data of level m: dim = m + 1 and norms_over_2pi[k] = n_k / (2 pi)
+    as exact Fractions."""
 
-    __slots__ = ("m", "dim", "norms_over_2pi", "quad_nodes")
+    __slots__ = ("m", "dim", "norms_over_2pi")
 
-    def __init__(self, m, dim, norms_over_2pi, quad_nodes):
-        self._set(m=m, dim=dim, norms_over_2pi=norms_over_2pi,
-                  quad_nodes=quad_nodes)
+    def __init__(self, m, dim, norms_over_2pi):
+        self._set(m=m, dim=dim, norms_over_2pi=norms_over_2pi)
 
 
 def _factorials(n):
@@ -477,7 +476,7 @@ def _factorials(n):
                                      initial=1))
 
 
-def make_context(m, quad_nodes=None):
+def make_context(m):
     """Exact data of level m; no quadrature grid is built here."""
     if m < 1:
         raise ValueError("level m must be >= 1")
@@ -485,8 +484,7 @@ def make_context(m, quad_nodes=None):
     fact = _factorials(m + 1)
     norms = tuple(Fraction(1, fact[m + 1] // (fact[k] * fact[m - k]))
                   for k in range(m + 1))
-    return Cp1Context(m=m, dim=m + 1, norms_over_2pi=norms,
-                      quad_nodes=quad_nodes or 2 * (m + 3))
+    return Cp1Context(m=m, dim=m + 1, norms_over_2pi=norms)
 
 
 def toeplitz_band(f, ctx):

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import starq
 from starq.cli import (
-    MAX_DEGREE, MAX_LEVEL, MAX_ORDER, RunConfig, ValidationError,
+    MAX_DEGREE, MAX_LEVEL, MAX_N, MAX_ORDER, RunConfig, ValidationError,
     emit, load_config_file, main, run,
 )
 from starq.cp1 import toeplitz_matrix
@@ -411,6 +411,41 @@ def test_star_bt_zero_phi_is_no_phi(tmp_path):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def _diagonal_potential(n, max_degree=12):
+    """The potential file of z_1 zbar_1 + ... + z_n zbar_n."""
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    terms = [{"dz": e, "dzbar": e, "re": "1", "im": "0"} for e in unit]
+    return json.dumps({"phi_minus1": {"n": n, "max_degree": max_degree,
+                                      "terms": terms}})
+
+
+@pytest.mark.parametrize("command", ["star-karabegov", "star-bt"])
+@pytest.mark.parametrize("content, extra, error", [
+    pytest.param(_potential_file(max_degree=MAX_DEGREE + 1), [],
+                 "ValidationError", id="file-max-degree-above-cap"),
+    pytest.param(_potential_file(), ["--max-degree", "20"],
+                 "ValidationError", id="max-degree-not-the-file's"),
+    pytest.param(_diagonal_potential(MAX_N + 1), [], "ResourceGuard",
+                 id="n-above-cap"),
+])
+def test_potential_file_limits_exit_2(command, content, extra, error,
+                                      tmp_path, capsys):
+    """A potential file fixes its own degree budget: one above MAX_DEGREE,
+    or an explicit --max-degree other than the file's, exits 2, and so does
+    a file of more than MAX_N complex dimensions."""
+    path = tmp_path / "potential.json"
+    path.write_text(content)
+    assert_one_validation_error([command, "--potential", str(path),
+                                 "--order", "1", *extra], capsys, error)
+
+
+def test_named_potential_takes_max_degree():
+    code, out = invoke(["star-bt", "--potential", "fs", "--order", "2",
+                        "--max-degree", "16"])
+    assert code == 0
+    assert json.loads(out)["inputs"]["config"]["max_degree"] == 16
 
 
 @pytest.mark.parametrize("max_degree, exit_code", [(6, 2), (7, 2), (8, 0)])

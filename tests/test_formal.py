@@ -89,6 +89,20 @@ def test_op_compose_leibniz():
     assert comm.is_zero()
 
 
+def test_term_sums_keep_their_class():
+    """DiffOp and BiDiffOp share one term algebra, but an operator of one
+    class never equals one of the other, and arithmetic keeps the class."""
+    D = 4
+    assert DiffOp.zero(1, D) != BiDiffOp.zero(1, D)
+    assert BiDiffOp(1, D) != DiffOp(1, D)
+    for op in (DiffOp.deriv(1, D, (1,), (0,)), BiDiffOp.pointwise(1, D)):
+        cls = type(op)
+        outs = [cls.zero(1, D), op + op, -op, op - op, op.scale(2)]
+        assert all(type(out) is cls for out in outs)
+        assert outs[0].is_zero() and outs[3].is_zero()
+        assert outs[1] == outs[4] and outs[2] + op == outs[0]
+
+
 def test_op_compose_nu_graded():
     D = 8
     A = NuDiffOp(1, D, 2, [DiffOp.identity(1, D), flat_laplacian_op(D)])

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from starq import QUADRATURE_FIELDS
 from starq.cli import RunConfig, run
 from starq.cp1 import AsymSeries
 from starq.graphs import (
     _WEIGHT_CACHE, GGraph, IntegrationConfig, KGraph, L, R, WeightResult,
-    kontsevich_weight,
+    integration_config, kontsevich_weight,
 )
 from starq.jets import Jet, MetricJets
 from starq.symbols import ObservableFn, make_context
@@ -66,6 +67,18 @@ def test_equal_kgraphs_hash_equal_and_share_a_cached_weight():
 def test_runconfig_rejects_unknown_fields():
     with pytest.raises(TypeError, match="bogus"):
         RunConfig(bogus=1)
+
+
+def test_integration_config_shares_the_quadrature_table():
+    """IntegrationConfig and RunConfig take their quadrature defaults from
+    one table, and IntegrationConfig rejects a name outside it."""
+    with pytest.raises(TypeError, match="bogus"):
+        IntegrationConfig(bogus=1)
+    icfg, cfg = IntegrationConfig(), RunConfig()
+    names = [name for name, _ in QUADRATURE_FIELDS]
+    assert list(IntegrationConfig.__slots__) == names
+    assert [getattr(icfg, k) for k in names] == [getattr(cfg, k) for k in names]
+    assert integration_config(cfg) == icfg
 
 
 def test_runconfig_defaults_and_echo():
