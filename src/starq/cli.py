@@ -16,10 +16,10 @@ the weight quadrature load numpy, which the exact star-* commands and
 cp1-toeplitz never need; the exact core (jets, formal, karabegov) loads only
 for the star-* commands; configparser loads only for --config.  No starq
 module imports this one, which `python -m starq.cli` runs as __main__.
+COMMAND_FIELDS gives each command its flags and config-file keys.
 """
 
 import argparse
-import io
 import json
 import math
 import os
@@ -41,17 +41,13 @@ MAX_DEGREE = 64
 # cofactors expand n! permutations.
 MAX_N = 6
 
-COMMANDS = ("star-karabegov", "star-bt", "star-kontsevich",
-            "star-gammelgaard", "graphs-enumerate", "weights",
-            "cp1-toeplitz", "cp1-berezin", "cp1-suite")
-
 
 # ---------------------------------------------------------------------------
 # run configuration
 
 # Every RunConfig field and its default.  This one table makes RunConfig's
-# constructor, the command-line flags, the config-file keys, their coercion
-# (by the default's type) and the inputs.config echo of every report.
+# constructor, the coercion of flags and config-file keys (by the default's
+# type) and the inputs.config echo of every report.
 RUN_FIELDS = (
     ("command", ""),
     ("potential", "flat"),           # name or path to a potential JSON file
@@ -84,7 +80,7 @@ class RunConfig(Frozen):
         self._set_defaults(_DEFAULTS, values)
 
     def validate(self):
-        if self.command not in COMMANDS:
+        if self.command not in COMMAND_FIELDS:
             raise ValidationError(f"unknown command {self.command!r}")
         if self.format not in ("json", "csv"):
             raise ValidationError(f"unknown format {self.format!r}")
@@ -109,8 +105,9 @@ class RunConfig(Frozen):
             raise ValidationError(f"unknown suite {self.suite!r}")
         if self.family not in ("admissible", "weighted"):
             raise ValidationError(f"unknown family {self.family!r}")
-        if self.samples < 1:
-            raise ValidationError("samples must be >= 1")
+        # one sample has no spread, so its estimate passes any tol
+        if self.samples < 2:
+            raise ValidationError("samples must be >= 2")
         if self.grid_nodes < 2:
             raise ValidationError("grid_nodes must be >= 2")
         if not (math.isfinite(self.eta) and self.eta > 0):
@@ -119,8 +116,8 @@ class RunConfig(Frozen):
             raise ValidationError("tol must be finite and > 0")
 
 
-def load_config_file(path):
-    """Flat key=value sections; every key must be a RunConfig field."""
+def load_config_file(path, fields):
+    """Flat key=value sections; every key must be one of fields."""
     import configparser
     cp = configparser.ConfigParser()
     with open(path) as fh:
@@ -131,7 +128,7 @@ def load_config_file(path):
     out = {}
     for section in cp.sections():
         for key, val in cp.items(section):
-            if key not in _DEFAULTS:
+            if key not in fields:
                 raise ValidationError(f"unknown config key {key!r} in "
                                       f"section [{section}]")
             out[key] = _coerce(key, val)
@@ -208,12 +205,9 @@ def run(cfg):
         results = {"orders": [poly_json(p) for p in orders]}
     elif cmd == "graphs-enumerate":
         from .graphs import enumerate_ggraphs, enumerate_kgraphs
-        if cfg.family == "admissible":
-            gs = enumerate_kgraphs(cfg.n)
-            results = {"count": len(gs), "graphs": [g.to_json() for g in gs]}
-        else:
-            gs = enumerate_ggraphs(cfg.wmax)
-            results = {"count": len(gs), "graphs": [g.to_json() for g in gs]}
+        gs = (enumerate_kgraphs(cfg.n) if cfg.family == "admissible"
+              else enumerate_ggraphs(cfg.wmax))
+        results = {"count": len(gs), "graphs": [g.to_json() for g in gs]}
     elif cmd == "weights":
         from .graphs import (
             enumerate_kgraphs, integration_config, kontsevich_weight,
@@ -235,16 +229,43 @@ def run(cfg):
         for idx, v in toeplitz_band(parse_observable(cfg.expr), ctx).items():
             entries[idx] = (v.real, v.imag)
         results = {"m": cfg.m, "entries": entries}
-    elif cmd.startswith("cp1-"):
+    else:  # cp1-berezin, cp1-suite
         from .cp1 import command_results
         results = command_results(cfg)
-    else:  # pragma: no cover - guarded by validate()
-        raise ValidationError(cmd)
     return Report(command=cmd, inputs=inputs, results=results, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
 # emission
+
+def _series_csv(results):
+    yield "series,m,value,fit_limit,fit_slope,fit_residual"
+    for s in results["series"]:
+        fit = s["fit"]
+        for pt in s["points"]:
+            yield (f"{s['name']},{pt['m']},{pt['value']!r},{fit['limit']!r},"
+                   f"{fit['slope']!r},{fit['residual']!r}")
+
+
+def _points_csv(results):
+    yield "m,value"
+    for pt in results["points"]:
+        yield f"{pt['m']},{pt['value']!r}"
+
+
+def _weights_csv(results):
+    yield "graph,value,error_estimate,samples_or_cells,seed"
+    for row in results["weights"]:
+        gtxt = json.dumps(row["graph"], sort_keys=True,
+                          separators=(",", ":")).replace('"', "'")
+        yield (f"\"{gtxt}\",{row['value']!r},{row['error_estimate']!r},"
+               f"{row['samples_or_cells']},{row['seed']}")
+
+
+# The CSV lines of each command that has a CSV form.
+_CSV_WRITERS = {"cp1-suite": _series_csv, "cp1-berezin": _points_csv,
+                "weights": _weights_csv}
+
 
 def emit(report, fmt):
     try:
@@ -257,37 +278,31 @@ def emit(report, fmt):
             f"{report.command} computed a value that is not finite") from exc
     if fmt == "json":
         return (text + "\n").encode()
-    results = report.results
-    buf = io.StringIO()
-    if isinstance(results, dict) and "series" in results \
-            and isinstance(results["series"], list):
-        buf.write("series,m,value,fit_limit,fit_slope,fit_residual\n")
-        for s in results["series"]:
-            fit = s["fit"]
-            for pt in s["points"]:
-                buf.write(f"{s['name']},{pt['m']},{pt['value']!r},"
-                          f"{fit['limit']!r},{fit['slope']!r},"
-                          f"{fit['residual']!r}\n")
-    elif isinstance(results, dict) and "points" in results:
-        buf.write("m,value\n")
-        for pt in results["points"]:
-            buf.write(f"{pt['m']},{pt['value']!r}\n")
-    elif isinstance(results, dict) and "weights" in results:
-        buf.write("graph,value,error_estimate,samples_or_cells,seed\n")
-        for row in results["weights"]:
-            gtxt = json.dumps(row["graph"], sort_keys=True,
-                              separators=(",", ":")).replace('"', "'")
-            buf.write(f"\"{gtxt}\",{row['value']!r},"
-                      f"{row['error_estimate']!r},"
-                      f"{row['samples_or_cells']},{row['seed']}\n")
-    else:
-        raise ValidationError(
-            f"command {report.command!r} has no CSV representation")
-    return buf.getvalue().encode()
+    if report.command not in _CSV_WRITERS:
+        raise ValidationError(f"command {report.command!r} has no CSV form")
+    return "".join(line + "\n" for line in
+                   _CSV_WRITERS[report.command](report.results)).encode()
 
 
 # ---------------------------------------------------------------------------
-# entry point
+# commands and arguments
+
+# The RunConfig fields each command reads: its flags and config-file keys,
+# besides --config and --out.  --format goes to the commands with a CSV form.
+# An unread field keeps its default, which validate admits and the echo shows.
+_EXACT = ("potential", "order", "max_degree")
+_QUADRATURE = tuple(name for name, _ in QUADRATURE_FIELDS)
+COMMAND_FIELDS = {cmd: fields + ("format",) * (cmd in _CSV_WRITERS)
+                  for cmd, fields in (
+    ("star-karabegov", _EXACT), ("star-bt", _EXACT),
+    ("star-kontsevich", ("alpha_path", "f_poly", "g_poly", "order",
+                         *_QUADRATURE)),
+    ("star-gammelgaard", _EXACT),
+    ("graphs-enumerate", ("n", "family", "wmax")),
+    ("weights", ("n", *_QUADRATURE)), ("cp1-toeplitz", ("m", "expr")),
+    ("cp1-berezin", ("expr", "at", "m_list")),
+    ("cp1-suite", ("suite", "f_expr", "g_expr", "m_list")))}
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Argument errors raise ValidationError, so they end like every other
@@ -297,33 +312,28 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def build_parser():
-    p = _ArgumentParser(prog="starq", description=__doc__)
-    p.add_argument("command", choices=COMMANDS)
-    p.add_argument("--config", default="", help="key=value config file")
-    for name, _ in RUN_FIELDS:
-        if name == "command":
-            continue
-        flag = "--" + name.replace("_", "-")
-        if name == "m_list":
-            p.add_argument(flag, default=None,
-                           help="comma-separated levels, e.g. 8,16,32")
-        else:
-            p.add_argument(flag, default=None, type=str)
-    return p
-
-
 def config_from_args(argv):
-    args = build_parser().parse_args(argv)
-    values = load_config_file(args.config) if args.config else {}
-    for name, _ in RUN_FIELDS:
-        if name == "command":
-            continue
-        raw = getattr(args, name)
-        if raw is not None:
-            values[name] = _coerce(name, raw)
-    values["command"] = args.command
-    return RunConfig(**values)
+    """The command comes first, and only its own flags are parsed: a flag
+    left out keeps its default, and none may be abbreviated (`--m` must not
+    stand for `--m-list`)."""
+    top = _ArgumentParser(prog="starq", description=__doc__,
+                          allow_abbrev=False)
+    top.add_argument("command", choices=COMMAND_FIELDS)
+    top.add_argument("args", nargs=argparse.REMAINDER)
+    head = top.parse_args(argv)
+    fields = COMMAND_FIELDS[head.command] + ("out",)
+    p = _ArgumentParser(prog=f"starq {head.command}", allow_abbrev=False,
+                        argument_default=argparse.SUPPRESS)
+    p.add_argument("--config", default="", help="key=value config file")
+    for name in fields:
+        p.add_argument("--" + name.replace("_", "-"), help=(
+            "comma-separated levels, e.g. 8,16,32" if name == "m_list"
+            else None))
+    args = vars(p.parse_args(head.args))
+    config = args.pop("config")
+    values = load_config_file(config, fields) if config else {}
+    values |= {name: _coerce(name, raw) for name, raw in args.items()}
+    return RunConfig(command=head.command, **values)
 
 
 def main(argv=None):

@@ -7,6 +7,8 @@ import io
 import json
 import os
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -18,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 import starq
 from starq.cli import (
-    MAX_DEGREE, MAX_LEVEL, MAX_N, MAX_ORDER, RunConfig, ValidationError,
-    emit, load_config_file, main, run,
+    COMMAND_FIELDS, MAX_DEGREE, MAX_LEVEL, MAX_N, MAX_ORDER, RUN_FIELDS,
+    RunConfig, ValidationError, config_from_args, emit, load_config_file,
+    main, run,
 )
 from starq.cp1 import toeplitz_matrix
 from starq.symbols import (
@@ -151,7 +154,7 @@ def test_parse_budget_sums_every_product(monkeypatch):
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[run]\nm = 4\nexpr = (1 - zz) / (1+zz)\nseed = 7\n")
-    values = load_config_file(str(path))
+    values = load_config_file(str(path), ("m", "expr", "seed"))
     assert values == {"m": 4, "expr": "(1 - zz) / (1+zz)", "seed": 7}
 
 
@@ -159,7 +162,7 @@ def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[run]\nnot_a_key = 1\n")
     with pytest.raises(ValidationError):
-        load_config_file(str(path))
+        load_config_file(str(path), COMMAND_FIELDS["weights"])
 
 
 def test_runconfig_validation():
@@ -293,6 +296,8 @@ def test_exit_codes_and_stderr(capsys):
     ["star-kontsevich", "--f-poly", "[[1,[2]]]"],
     ["weights", "--n", "1", "--eta", "inf"],
     ["star-kontsevich", "--f-poly", "[[1e400,[1,0]]]"],
+    # one sample has no spread: its error estimate of 1e-12 passed any --tol
+    ["weights", "--n", "1", "--method", "mc", "--samples", "1"],
 ])
 def test_invalid_numeric_options_exit_2(argv, capsys):
     assert_one_validation_error(argv, capsys)
@@ -313,6 +318,13 @@ _V = "ValidationError"
     pytest.param(["weights", "--config", "FILE"], "n = 1\n", _V,
                  id="config-without-section"),
     pytest.param(["star-bt", "--jobs", "2"], None, _V, id="unknown-flag"),
+    pytest.param(["star-bt", "--config", "FILE"], "[run]\neta = 0.7\n", _V,
+                 id="config-key-of-another-command"),
+    # no abbreviations: --m is not --m-list, --ord is not --order
+    pytest.param(["cp1-berezin", "--m", "16"], None, _V, id="flag-not-m-list"),
+    pytest.param(["star-bt", "--ord", "3"], None, _V, id="abbreviated-flag"),
+    pytest.param(["star-bt", "--pot", "fs"], None, _V,
+                 id="abbreviated-flag-pot"),
     pytest.param(["nope"], None, _V, id="unknown-command"),
     pytest.param(["weights", "--n", "1", "--tol", "-1e-3"], None, _V,
                  id="flag-without-value"),
@@ -470,8 +482,8 @@ def assert_one_validation_error(argv, capsys, error="ValidationError"):
 
 
 # Each command starts from an argv that keeps it cheap (kontsevich at order
-# 1, sphere levels <= 16); fragments appended after it may override any of
-# its options.  None of them asks for n = 2 weights.
+# 1, sphere levels <= 16); fragments of its own flags appended after it may
+# override any of its options.  None of them asks for n = 2 weights.
 _ARGV_BASES = [
     ["star-karabegov"], ["star-bt"], ["star-gammelgaard"],
     ["star-kontsevich", "--order", "1"], ["graphs-enumerate"],
@@ -479,36 +491,58 @@ _ARGV_BASES = [
     ["cp1-toeplitz"], ["cp1-berezin", "--m-list", "8,16"],
     ["cp1-suite", "--m-list", "8,16"],
 ]
-_ARGV_FRAGMENTS = [
-    ["--order", "0"], ["--order", "1"], ["--order", "-1"], ["--order", "x"],
-    ["--potential", "fs"], ["--potential", "aniso"], ["--potential", "nope"],
-    ["--max-degree", "4"], ["--max-degree", "-1"],
-    ["--n", "0"], ["--n", "1"], ["--family", "weighted"], ["--wmax", "1"],
-    ["--m", "1"], ["--m", "16"], ["--m", "0"],
-    ["--m-list", "8"], ["--m-list", "16,8"], ["--m-list", "0"],
-    ["--m-list", "x"],
-    ["--expr", ""], ["--expr", "1e400"], ["--expr", "1e300*1e300"],
-    ["--expr", "-zbar"], ["--expr", "z^3/(1+zz)"], ["--expr", "z/(1-zz)"],
-    ["--expr", "(1 - zz) / (1+zz)"], ["--expr", "2j*zz/(1+zz)^2"],
-    ["--f-expr", "z^2"], ["--g-expr", "1e400"],
-    ["--at", "nan"], ["--at", "inf"], ["--at", "0.5+0.2j"],
-    ["--at", "1e200"], ["--at", "x"], ["--suite", "berezin"],
-    ["--method", "mc"], ["--samples", "1000"], ["--samples", "0"],
-    ["--grid-nodes", "1"], ["--eta", "nan"], ["--eta", "inf"],
-    ["--eta", "0.5"], ["--tol", "inf"], ["--tol", "1e-12"],
-    ["--format", "csv"], ["--format", "xml"], ["--seed", "3"],
-    ["--f-poly", "[[[1],[1,0]]]"], ["--f-poly", "[[1e400,[1,0]]]"],
-    ["--f-poly", "[[1,[2,1]]]"], ["--g-poly", "[[[1,-1],[1,1]]]"],
-    ["--g-poly", "[1]"], ["--jobs", "2"], ["--tol"],
-]
+_ARGV_FRAGMENTS = {
+    "order": [["--order", "0"], ["--order", "1"], ["--order", "-1"],
+              ["--order", "x"]],
+    "potential": [["--potential", "fs"], ["--potential", "aniso"],
+                  ["--potential", "nope"]],
+    "max_degree": [["--max-degree", "4"], ["--max-degree", "-1"]],
+    "n": [["--n", "0"], ["--n", "1"]],
+    "family": [["--family", "weighted"]],
+    "wmax": [["--wmax", "1"]],
+    "m": [["--m", "1"], ["--m", "16"], ["--m", "0"]],
+    "m_list": [["--m-list", "8"], ["--m-list", "16,8"], ["--m-list", "0"],
+               ["--m-list", "x"]],
+    "expr": [["--expr", ""], ["--expr", "1e400"], ["--expr", "1e300*1e300"],
+             ["--expr", "-zbar"], ["--expr", "z^3/(1+zz)"],
+             ["--expr", "z/(1-zz)"], ["--expr", "(1 - zz) / (1+zz)"],
+             ["--expr", "2j*zz/(1+zz)^2"]],
+    "f_expr": [["--f-expr", "z^2"]],
+    "g_expr": [["--g-expr", "1e400"]],
+    "at": [["--at", "nan"], ["--at", "inf"], ["--at", "0.5+0.2j"],
+           ["--at", "1e200"], ["--at", "x"]],
+    "suite": [["--suite", "berezin"]],
+    "method": [["--method", "mc"]],
+    "samples": [["--samples", "1000"], ["--samples", "0"],
+                ["--samples", "1"]],
+    "grid_nodes": [["--grid-nodes", "1"]],
+    "eta": [["--eta", "nan"], ["--eta", "inf"], ["--eta", "0.5"]],
+    "tol": [["--tol", "inf"], ["--tol", "1e-12"]],
+    "format": [["--format", "csv"], ["--format", "xml"]],
+    "seed": [["--seed", "3"]],
+    "f_poly": [["--f-poly", "[[[1],[1,0]]]"], ["--f-poly", "[[1e400,[1,0]]]"],
+               ["--f-poly", "[[1,[2,1]]]"]],
+    "g_poly": [["--g-poly", "[[[1,-1],[1,1]]]"], ["--g-poly", "[1]"]],
+}
+# Drawn for every command: an unknown flag, a flag without its value, and
+# --m, which only cp1-toeplitz takes (and cp1-berezin must not read as
+# --m-list).
+_ARGV_REJECTED = [["--jobs", "2"], ["--tol"], ["--m", "16"]]
+
+
+def _argv_draws(base):
+    frags = [frag for name in COMMAND_FIELDS[base[0]]
+             for frag in _ARGV_FRAGMENTS.get(name, ())] + _ARGV_REJECTED
+    return st.tuples(st.just(base),
+                     st.lists(st.sampled_from(frags), max_size=3))
 
 
 @settings(max_examples=40, deadline=None)
-@given(base=st.sampled_from(_ARGV_BASES),
-       extra=st.lists(st.sampled_from(_ARGV_FRAGMENTS), max_size=3))
-def test_any_argv_keeps_the_exit_contract(base, extra):
+@given(draw=st.sampled_from(_ARGV_BASES).flatmap(_argv_draws))
+def test_any_argv_keeps_the_exit_contract(draw):
     """Exit 0, 2 or 3; a failure leaves one JSON line on stderr and nothing
     on stdout; stdout never carries NaN or Infinity."""
+    base, extra = draw
     argv = base + [a for frag in extra for a in frag]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -519,6 +553,56 @@ def test_any_argv_keeps_the_exit_contract(base, extra):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and out == b"", argv
         assert set(json.loads(lines[0])) == {"error", "message"}, argv
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", COMMAND_FIELDS)
+def test_each_command_takes_only_its_flags(command, capsys):
+    """--help lists the command's own flags, --config and --out; every other
+    RunConfig flag, even at its default value, exits 2 in parsing."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z-]+", capsys.readouterr().out))
+    own = {_flag(name) for name in COMMAND_FIELDS[command]}
+    assert listed == own | {"--help", "--config", "--out"}
+    assert ("--format" in own) == (command in
+                                   ("weights", "cp1-berezin", "cp1-suite"))
+    for name, default in RUN_FIELDS:
+        if name in ("command", "out") or _flag(name) in own:
+            continue
+        value = (",".join(map(str, default)) if isinstance(default, tuple)
+                 else str(default))
+        assert_one_validation_error([command, _flag(name), value], capsys)
+
+
+def test_foreign_flag_is_refused_before_any_work(monkeypatch, capsys):
+    """--format on a command without a CSV form exits 2 before the table is
+    built (it used to compute for about 0.8 s first)."""
+    import starq.karabegov
+
+    def fail(*args):
+        raise AssertionError("the table was built")
+    monkeypatch.setattr(starq.karabegov, "karabegov_star", fail)
+    assert_one_validation_error(["star-karabegov", "--potential", "fs",
+                                 "--order", "10", "--format", "csv"], capsys)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_lines_parse():
+    """Each `starq ...` line of the README's CLI block names a command and
+    only flags that command takes."""
+    lines = [line for line in README.read_text().splitlines()
+             if line.startswith("starq ")]
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert config_from_args(argv).command == argv[0]
 
 
 def test_help_exits_0(capsys):
