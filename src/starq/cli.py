@@ -19,7 +19,6 @@ module imports this one, which `python -m starq.cli` runs as __main__.
 COMMAND_FIELDS gives each command its flags and config-file keys.
 """
 
-import argparse
 import json
 import math
 import os
@@ -304,36 +303,56 @@ COMMAND_FIELDS = {cmd: fields + ("format",) * (cmd in _CSV_WRITERS)
     ("cp1-suite", ("suite", "f_expr", "g_expr", "m_list")))}
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Argument errors raise ValidationError, so they end like every other
-    rejected input: exit 2 and one JSON line, not argparse's usage text."""
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
-    def error(self, message):
-        raise ValidationError(message)
+
+def _usage(command):
+    if command not in COMMAND_FIELDS:
+        return ("usage: starq COMMAND [--FLAG VALUE | --FLAG=VALUE ...]\n"
+                "       starq COMMAND --help\n\ncommands: "
+                + ", ".join(COMMAND_FIELDS) + "\n\n" + __doc__)
+    flags = "".join(f" [{_flag(name)} {name.upper()}]"
+                    for name in COMMAND_FIELDS[command] + ("out",))
+    text = f"usage: starq {command} [--help] [--config FILE]{flags}\n"
+    if "m_list" in COMMAND_FIELDS[command]:
+        text += "\nM_LIST: comma-separated levels, e.g. 8,16,32\n"
+    return text
 
 
 def config_from_args(argv):
-    """The command comes first, and only its own flags are parsed: a flag
+    """The command comes first, then only its own flags, --config and --out,
+    each as `--name VALUE` or `--name=VALUE`; VALUE is the next token unless
+    that begins with `--`, and a repeated flag keeps its last value.  A flag
     left out keeps its default, and none may be abbreviated (`--m` must not
-    stand for `--m-list`)."""
-    top = _ArgumentParser(prog="starq", description=__doc__,
-                          allow_abbrev=False)
-    top.add_argument("command", choices=COMMAND_FIELDS)
-    top.add_argument("args", nargs=argparse.REMAINDER)
-    head = top.parse_args(argv)
-    fields = COMMAND_FIELDS[head.command] + ("out",)
-    p = _ArgumentParser(prog=f"starq {head.command}", allow_abbrev=False,
-                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--config", default="", help="key=value config file")
-    for name in fields:
-        p.add_argument("--" + name.replace("_", "-"), help=(
-            "comma-separated levels, e.g. 8,16,32" if name == "m_list"
-            else None))
-    args = vars(p.parse_args(head.args))
-    config = args.pop("config")
+    stand for `--m-list`).  -h or --help anywhere prints the usage and exits
+    0; every other token raises ValidationError."""
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_usage(argv[0]))
+        raise SystemExit(0)
+    if not argv:
+        raise ValidationError("no command given")
+    command, *rest = argv
+    if command not in COMMAND_FIELDS:
+        raise ValidationError(f"unknown command {command!r}; the command "
+                              f"comes first, one of {', '.join(COMMAND_FIELDS)}")
+    fields = COMMAND_FIELDS[command] + ("out",)
+    names = {_flag(name): name for name in fields + ("config",)}
+    args = {}
+    tokens = iter(rest)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in names:
+            raise ValidationError(f"{command} takes no argument {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValidationError(f"argument {flag} expects a value")
+        args[names[flag]] = value
+    config = args.pop("config", "")
     values = load_config_file(config, fields) if config else {}
     values |= {name: _coerce(name, raw) for name, raw in args.items()}
-    return RunConfig(command=head.command, **values)
+    return RunConfig(command=command, **values)
 
 
 def main(argv=None):
@@ -346,15 +365,16 @@ def main(argv=None):
             path = os.path.join(out_dir, cfg.out) if out_dir else cfg.out
             with open(path, "wb") as fh:
                 fh.write(payload)
+        else:
+            # inside the try: a closed stdout exits 2 like any other OSError
+            sys.stdout.buffer.write(payload)
+            sys.stdout.buffer.flush()
     except (ValueError, OSError) as exc:
         _err(exc)
         return 2
     except ArithmeticError as exc:
         _err(exc)
         return 3
-    if not cfg.out:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
     return 0
 
 
@@ -365,4 +385,14 @@ def _err(exc):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # Exit without interpreter teardown: it does no work a run needs, and a
+    # process that loaded numpy would wait there for OpenBLAS's threads.
+    # A stream whose write already failed is skipped: main has written its
+    # error line.
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):
+            pass
+    os._exit(code)

@@ -149,6 +149,9 @@ def _left_mult_builder(P, N):
         gs = list(g_series) + [Jet.zero(n, D)] * (N + 1 - len(g_series))
         A = [DiffOp.mult(gs[0])]
         for m in range(1, N + 1):
+            # order m is reliable through degree D - (m + 2), the window of
+            # the j-route check; no term above it reaches a reported term
+            cut = D - (m + 2)
             # RHS of [B_m, w_{-1,l} .] = -sum_{k<m} [A_k, rho_{m-k,l}]
             rhs_ops = []
             for l in range(n):
@@ -157,7 +160,8 @@ def _left_mult_builder(P, N):
                     if mi_deg(a) > 0:
                         raise ArithmeticError(
                             "recursion right-hand side is not holomorphic")
-                rhs_ops.append({h: c for c, h, a_ in acc.terms})
+                rhs_ops.append({h: c.drop_above(cut)
+                                for c, h, a_ in acc.terms})
             coeffs = {}
             for s in range(m, 0, -1):
                 # u_{j,beta} = sum_l g^{-1}_lj v_{l,beta}
@@ -187,10 +191,11 @@ def _left_mult_builder(P, N):
                 for alpha in mi_range(n, s):
                     if mi_deg(alpha) < s:
                         continue
-                    x, *others = [u[j, mi_sub(alpha, unit_mi(n, j))].scale(
-                        Fraction(1, alpha[j])) for j in range(n) if alpha[j]]
+                    x, *others = [u[j, mi_sub(alpha, unit_mi(n, j))]
+                                  .drop_above(cut).scale(Fraction(1, alpha[j]))
+                                  for j in range(n) if alpha[j]]
                     for y in others:
-                        if not (y - x).truncate(D - (m + 2)).is_zero():
+                        if not (y - x).is_zero():
                             raise ArithmeticError(
                                 "inconsistent block in the recursion")
                     if not x.is_zero():
@@ -258,14 +263,11 @@ def karabegov_star(P, N):
                     mono = Jet.monomial(mi_zero(n), mi_sub(beta_p, beta), n, D,
                                         mi_falling(beta_p, beta))
                     val = val - acf * mono
-                val = val.scale(Fraction(1, mi_fact(beta_p)))
+                val = val.drop_above(cut).scale(Fraction(1, mi_fact(beta_p)))
                 if not val.is_zero():
                     a_coeffs[(alpha, beta_p)] = val
-        terms = []
-        for (alpha, beta), c in a_coeffs.items():
-            c_cut = c.drop_above(cut)
-            if not c_cut.is_zero():
-                terms.append((c_cut, mi_zero(n), beta, alpha, mi_zero(n)))
+        terms = [(c, mi_zero(n), beta, alpha, mi_zero(n))
+                 for (alpha, beta), c in a_coeffs.items()]
         C.append(BiDiffOp(n, D, terms))
     t = StarTable(N=N, C=C, convention="karabegov_anti_wick",
                   label="karabegov")

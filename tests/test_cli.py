@@ -612,6 +612,49 @@ def test_help_exits_0(capsys):
     assert "usage: starq" in capsys.readouterr().out
 
 
+def _echo(cfg):
+    return {name: getattr(cfg, name) for name, _ in RUN_FIELDS}
+
+
+def test_flag_value_forms():
+    """`--name=VALUE` reads as `--name VALUE`, and a repeated flag keeps its
+    last value."""
+    assert _echo(config_from_args(["star-bt", "--order=3"])) == \
+        _echo(config_from_args(["star-bt", "--order", "3"]))
+    assert config_from_args(["star-bt", "--order", "2", "--order",
+                             "3"]).order == 3
+
+
+def test_value_may_begin_with_a_dash():
+    code, out = invoke(["cp1-berezin", "--at", "-0.5+0.2j",
+                        "--m-list", "4,8"])
+    assert code == 0
+    assert json.loads(out)["inputs"]["config"]["at"] == "-0.5+0.2j"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cp1-toeplitz", "--", "--m", "1"],
+    ["star-bt", "--order"],
+    ["star-bt", "--order", "--max-degree", "12"],
+    ["star-bt", "-order", "2"],
+    ["star-bt", "2"],
+    ["--order", "2", "star-bt"],
+    [],
+], ids=["bare-dashes", "no-value", "flag-as-value", "one-dash",
+        "stray-token", "command-not-first", "empty"])
+def test_argv_outside_the_grammar_exits_2(argv, capsys):
+    """Besides the unknown and abbreviated flags and the unknown command of
+    test_malformed_input_exit_2."""
+    assert_one_validation_error(argv, capsys)
+
+
+def test_help_anywhere_prints_the_command_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["star-bt", "--order", "2", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: starq star-bt ")
+
+
 def test_every_exception_has_one_exit_code():
     """main maps ValueError to exit 2 and ArithmeticError to exit 3, so each
     starq exception subclasses exactly one of the two.  The package root
@@ -765,10 +808,18 @@ def test_numeric_commands_do_not_import_exact_core():
 
 # Run as `python -m starq.cli` runs it, in a fresh interpreter: argv, then
 # the names of every loaded module as one JSON line on stdout (the report
-# goes to --out).
+# goes to --out).  os._exit, which ends the __main__ block, raises
+# SystemExit here, so that the line can still be printed.
 _RUN_AS_MAIN = """\
-import json, runpy, sys
+import json, os, runpy, sys
 sys.argv = ["starq"] + json.loads(sys.argv[1])
+
+
+def _exit(code):
+    raise SystemExit(code)
+
+
+os._exit = _exit
 try:
     runpy.run_module("starq.cli", run_name="__main__")
 except SystemExit as exc:
@@ -793,8 +844,9 @@ _NOT_EXACT = ("numpy", "starq.symbols", "starq.cp1", "starq.graphs")
     (["cp1-suite", "--m-list", "4,8"], ()),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_commands_load_only_what_they_run(argv, absent, tmp_path):
-    """No command without --config loads dataclasses or configparser, nor
-    inspect unless numpy loads it; the exact star-* commands load no numpy
+    """No command without --config loads dataclasses or configparser, no
+    command loads argparse, gettext or locale, nor inspect unless numpy
+    loads it; the exact star-* commands load no numpy
     and no sphere or graph module; and no starq module imports starq.cli,
     which would then run a second time beside __main__."""
     argv = argv + ["--out", str(tmp_path / "report")]
@@ -804,7 +856,8 @@ def test_commands_load_only_what_they_run(argv, absent, tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
     loaded = set(json.loads(proc.stdout))
     assert "starq" in loaded
-    unwanted = {"dataclasses", "configparser", "starq.cli", *absent}
+    unwanted = {"dataclasses", "configparser", "argparse", "gettext",
+                "locale", "starq.cli", *absent}
     if "numpy" not in loaded:
         unwanted.add("inspect")
     assert not loaded & unwanted, sorted(loaded & unwanted)
@@ -870,6 +923,59 @@ def test_overflow_argvs_keep_the_exit_contract(argv, error):
     err = proc.stderr.decode().splitlines()
     assert len(err) == 1, err
     assert json.loads(err[0])["error"] == error
+
+
+def _cli_process(argv, stdout=subprocess.PIPE):
+    """`python -m starq.cli argv` in a fresh interpreter, stderr captured."""
+    return subprocess.run([sys.executable, "-m", "starq.cli"] + argv,
+                          env=_subprocess_env(), timeout=120, stdout=stdout,
+                          stderr=subprocess.PIPE)
+
+
+def test_fast_exit_keeps_the_report(tmp_path):
+    """The run ends in os._exit, past the interpreter's teardown: its report
+    is whole, through a pipe and through --out."""
+    argv = ["cp1-toeplitz", "--m", "512", "--expr", "(1 - zz) / (1+zz)"]
+    pin = json.loads(PINS.read_text())["toeplitz-512"]
+    proc = _cli_process(argv)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == pin
+    out = tmp_path / "toeplitz.json"
+    proc = _cli_process(argv + ["--out", str(out)])
+    assert proc.returncode == 0 and proc.stdout == b""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == pin
+
+
+def test_unknown_flag_exits_2_at_the_process_boundary():
+    """An argument error ends in os._exit too; the exit-3 case is
+    test_overflow_argvs_keep_the_exit_contract."""
+    proc = _cli_process(["star-bt", "--jobs", "2"])
+    assert proc.returncode == 2 and proc.stdout == b""
+    err = proc.stderr.decode().splitlines()
+    assert len(err) == 1, err
+    assert set(json.loads(err[0])) == {"error", "message"}
+
+
+def test_help_exits_0_at_the_process_boundary():
+    proc = _cli_process(["star-bt", "--help"])
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.startswith(b"usage: starq star-bt ")
+
+
+def test_closed_stdout_exits_2_with_one_stderr_line():
+    """A reader that has gone ends the run in exit 2 and one JSON line, not
+    in a BrokenPipeError traceback and exit 1."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(["cp1-toeplitz", "--m", "512", "--expr",
+                             "(1 - zz) / (1+zz)"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    err = proc.stderr.decode().splitlines()
+    assert len(err) == 1, err
+    assert json.loads(err[0])["error"] == "BrokenPipeError"
 
 
 SIX_MONOMIALS = ("((1.5 - 0.25j) + (0.75 + 2j)*z - 1.25j*zbar"

@@ -71,6 +71,18 @@ def test_left_mult_structurally_holomorphic():
             assert sum(a) == 0 or op is L.orders[0]
 
 
+@pytest.mark.parametrize("name, D, N", [("fs", 24, 6), ("dense", 12, 3)])
+def test_left_mult_keeps_each_order_to_its_window(name, D, N):
+    """Order m of L_g is reliable through degree D - (m + 2), and the
+    recursion keeps no coefficient term above it."""
+    P = fs_potential(D) if name == "fs" else dense_potential(D)
+    L = left_mult_operator([zbj(D) * zbj(D) + zj(D) * zbj(D)], P, N)
+    for m, op in enumerate(L.orders[1:], 1):
+        assert not op.is_zero()
+        for c, _, _ in op.terms:
+            assert c.drop_above(D - (m + 2)) == c, (m, c)
+
+
 # ---------------------------------------------------------------------------
 # star tables
 
