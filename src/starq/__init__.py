@@ -7,7 +7,7 @@ class ResourceGuard(ValueError):
     """Request exceeds the supported problem size.
 
     Defined in the package root, which imports nothing, so that jets, graphs
-    and cp1 share one class while each command loads only the modules it
+    and cli share one class while each command loads only the modules it
     uses."""
 
 

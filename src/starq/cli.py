@@ -30,6 +30,11 @@ from . import (QUADRATURE_FIELDS, Frozen, NonFiniteResult, ResourceGuard,
 # Largest sphere level m that --m and --m-list accept: the Toeplitz matrix has
 # (m+1)^2 entries, allocated before anything else can fail.
 MAX_LEVEL = 2048
+# Most --grid-nodes per axis and --samples of the weight quadrature: the 2D
+# grid and the Monte Carlo draws allocate before anything else can fail, and
+# each bound holds a run's quadrature to about 0.4 GB.
+MAX_GRID_NODES = 4096
+MAX_SAMPLES = 2_000_000
 
 # Largest --order and degree budget of the exact pipelines; the derived
 # default budget 3N + 6 stays within MAX_DEGREE for every order, and a
@@ -105,10 +110,11 @@ class RunConfig(Frozen):
         if self.family not in ("admissible", "weighted"):
             raise ValidationError(f"unknown family {self.family!r}")
         # one sample has no spread, so its estimate passes any tol
-        if self.samples < 2:
-            raise ValidationError("samples must be >= 2")
-        if self.grid_nodes < 2:
-            raise ValidationError("grid_nodes must be >= 2")
+        if not 2 <= self.samples <= MAX_SAMPLES:
+            raise ValidationError(f"samples must be in 2..{MAX_SAMPLES}")
+        if not 2 <= self.grid_nodes <= MAX_GRID_NODES:
+            raise ValidationError(
+                f"grid_nodes must be in 2..{MAX_GRID_NODES}")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValidationError("eta must be finite and > 0")
         if not (math.isfinite(self.tol) and self.tol > 0):

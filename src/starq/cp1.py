@@ -19,45 +19,30 @@ command_results builds the results of the cp1-berezin and cp1-suite
 commands from a run configuration, under one np.errstate; cp1-toeplitz reads
 only starq.symbols and never loads this module or numpy.
 
-Documented sign constants (pinned by the Tuynman and commutator decay tests):
+The paper's trace, adjointness, Rawnsley and geometric-quantization
+checks, which no command runs, are in tests/paper_checks.py; this module
+builds no quadrature grid on the sphere.
+
+Documented sign constants (pinned by the Tuynman check in
+tests/paper_checks.py and by the commutator decay tests):
   * Laplacian: Delta f = (1+|z|^2)^2 d^2 f / dz dzbar;
-  * Poisson bracket: {f, g} = i (1+|z|^2)^2 (f_zbar g_z - f_z g_zbar);
-  * Hamiltonian field at level m: X^z = i f_zbar (1+|z|^2)^2 / (2m),
-    the unique scaling for which the quantization operator equals
-    i T_{f - Delta f/(2m)} exactly.
+  * Poisson bracket: {f, g} = i (1+|z|^2)^2 (f_zbar g_z - f_z g_zbar).
 """
 
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from . import Frozen, NonFiniteResult, ResourceGuard, ValidationError
+from . import Frozen, NonFiniteResult, ValidationError
 from .symbols import (
-    TWO_PI, ObservableFn, _diff_raw, laplacian_fn, make_context,
-    parse_observable, poisson_bracket_fn, toeplitz_band,
+    TWO_PI, laplacian_fn, make_context, parse_observable, poisson_bracket_fn,
+    toeplitz_band,
 )
 
 
-class QuadratureTolerance(ArithmeticError):
-    """Grid refinement changed the result by more than the tolerance."""
-
-
 # ---------------------------------------------------------------------------
-# quadrature grid
-
-def _build_grid(K):
-    """Gauss-Legendre in cos(theta) times uniform azimuth, K x K nodes:
-    flattened chart points z and weights w summing to 2 pi (the volume)."""
-    c, w_c = np.polynomial.legendre.leggauss(K)
-    phi = TWO_PI * (np.arange(K) + 0.5) / K
-    C, PHI = np.meshgrid(c, phi, indexing="ij")
-    T = (1 - C) / (1 + C)
-    Z = np.sqrt(T) * np.exp(1j * PHI)
-    W = np.outer(w_c * 0.5, np.full(K, TWO_PI / K))
-    return Z.ravel(), W.ravel()
-
+# holomorphic sections
 
 def _section_matrix(ctx, z):
     """S[l, node] = z^l (1+|z|^2)^{-m/2} / sqrt(norm_l), stable recurrence."""
@@ -70,20 +55,6 @@ def _section_matrix(ctx, z):
     for l in range(m):
         S[l + 1] = S[l] * z * math.sqrt((m - l) / (l + 1))
     return S
-
-
-def _grid_side(ctx):
-    """Side K of the K x K quadrature grid of a level-m context."""
-    return 2 * (ctx.m + 3)
-
-
-def _coherent_grid(ctx):
-    """Quadrature nodes z and weights w of the context's grid, the coherent
-    vectors E (one column per node) and their squared norms u."""
-    z, w = _build_grid(_grid_side(ctx))
-    E = np.conjugate(_section_matrix(ctx, z))
-    u = np.sum((E * np.conjugate(E)).real, axis=0)
-    return z, w, E, u
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +81,11 @@ def operator_norm(A):
 # ---------------------------------------------------------------------------
 # coherent states and symbols
 
-def coherent_vector(z0, ctx, fiber_scale=1.0):
+def coherent_vector(z0, ctx):
     """Reproducing vector at the chart point z0 for the unit-norm frame;
-    rescaling the frame by c multiplies the vector by conj(c)^m."""
+    rescaling the frame by c would multiply it by conj(c)^m."""
     S = _section_matrix(ctx, np.asarray([z0], dtype=complex))[:, 0]
-    return np.conjugate(S) * (np.conjugate(fiber_scale) ** ctx.m)
+    return np.conjugate(S)
 
 
 def covariant_symbol(A, z0, ctx):
@@ -125,104 +96,6 @@ def covariant_symbol(A, z0, ctx):
 
 def berezin_transform_num(f, z0, ctx):
     return covariant_symbol(toeplitz_matrix(f, ctx), z0, ctx)
-
-
-def epsilon_function(z0, ctx):
-    """Rawnsley density; equals (m+1)/(2 pi) everywhere on the sphere."""
-    e = coherent_vector(z0, ctx)
-    u = np.vdot(e, e).real
-    # pointwise metric density of the coherent section at its own point
-    S = _section_matrix(ctx, np.asarray([z0], dtype=complex))[:, 0]
-    hval = abs(np.dot(e, S)) ** 2 / u
-    return float(hval)
-
-
-def integral_exact(f):
-    """Exact rational evaluation of the volume integral of a symbol-class f
-    (divided by nothing; total measure 2 pi)."""
-    out = 0.0
-    for coeff, a, b, c in f.terms:
-        if a != b:
-            continue
-        out += coeff * TWO_PI * float(
-            Fraction(math.factorial(a) * math.factorial(c - a),
-                     math.factorial(c + 1)))
-    return out
-
-
-def trace_identity(f, ctx):
-    lhs = complex(np.trace(toeplitz_matrix(f, ctx)))
-    rhs = (ctx.dim / TWO_PI) * integral_exact(f)
-    return lhs, rhs, abs(lhs - rhs)
-
-
-def adjointness_check(A, f, ctx):
-    """|Tr(A^dag T_f) - integral of conj(symbol(A)) f against the epsilon
-    measure|, the symbol integral by quadrature."""
-    lhs = complex(np.trace(A.conj().T @ toeplitz_matrix(f, ctx)))
-    z, w, E, u = _coherent_grid(ctx)
-    sigma = np.einsum("in,ij,jn->n", np.conjugate(E), A, E) / u
-    fv = np.asarray(f(z), dtype=complex)
-    eps = ctx.dim / TWO_PI
-    rhs = np.sum(np.conjugate(sigma) * fv * eps * w)
-    return abs(lhs - rhs)
-
-
-def contravariant_reconstruct(f, ctx):
-    """Norm defect of rebuilding T_f from coherent projectors weighted by f."""
-    z, w, E, u = _coherent_grid(ctx)
-    fv = np.asarray(f(z), dtype=complex)
-    eps = ctx.dim / TWO_PI
-    weights = fv * eps * w / u
-    B = (E * weights) @ E.conj().T
-    return operator_norm(B - toeplitz_matrix(f, ctx))
-
-
-def twisted_product(f, g, z0, ctx):
-    """Covariant symbol of T_f T_g at z0."""
-    return covariant_symbol(toeplitz_matrix(f, ctx) @ toeplitz_matrix(g, ctx),
-                            z0, ctx)
-
-
-# ---------------------------------------------------------------------------
-# geometric quantization
-
-def geometric_quantization(f, ctx):
-    """Matrix of compress(covariant derivative along the Hamiltonian field
-    plus i f) in the orthonormal basis, by quadrature on the context's
-    K x K grid; raises QuadratureTolerance when the K + 8 grid moves an
-    entry by more than 1e-8."""
-    m = ctx.m
-
-    def assemble(grid_nodes):
-        z, w = _build_grid(grid_nodes)
-        t = (z * z.conjugate()).real
-        s = 1.0 / (1.0 + t)
-        S = _section_matrix(ctx, z)
-        fzbar = ObservableFn(terms=_diff_raw(f.terms, "anti"))(z)
-        Xz = 1j * fzbar / (s * s) / (2 * m)
-        fv = np.asarray(f(z), dtype=complex)
-        G = np.empty_like(S)
-        for k in range(m + 1):
-            lower = S[k - 1] * math.sqrt((m - k + 1) / k) if k else 0.0
-            G[k] = Xz * (k * lower - m * np.conjugate(z) * s * S[k]) \
-                + 1j * fv * S[k]
-        return np.conjugate(S) @ (G * w).T
-
-    K = _grid_side(ctx)
-    Q1 = assemble(K)
-    Q2 = assemble(K + 8)
-    if np.max(np.abs(Q1 - Q2)) > 1e-8:
-        raise QuadratureTolerance(
-            "quantization entries changed by more than 1e-8 under refinement")
-    return Q2
-
-
-def tuynman_defect(f, ctx):
-    """Norm of Q_f - i T_{f - Delta f/(2m)}; zero up to quadrature error."""
-    Q = geometric_quantization(f, ctx)
-    corrected = f + laplacian_fn(f).scale(-1.0 / (2 * ctx.m))
-    return operator_norm(Q - 1j * toeplitz_matrix(corrected, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +209,6 @@ def berezin_defect_series(f, lap_f, sample_points, m_list):
             worst = max(worst, defect)
         pts.append((m, worst))
     return AsymSeries.from_points(pts)
-
-
-def surjectivity_rank(ctx):
-    """Rank of the span of Toeplitz matrices of the (m+1)^2 basis symbols."""
-    m = ctx.m
-    if m > 8:
-        raise ResourceGuard("surjectivity scan limited to m <= 8")
-    rows = []
-    for a in range(m + 1):
-        for b in range(m + 1):
-            f = ObservableFn(terms=((1.0, a, b, max(a, b)),))
-            rows.append(toeplitz_matrix(f, ctx).ravel())
-    return int(np.linalg.matrix_rank(np.array(rows), tol=1e-9))
 
 
 # ---------------------------------------------------------------------------

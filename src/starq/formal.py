@@ -6,14 +6,15 @@ terms of both merged and sorted and gives both their sums, negation,
 scaling and equality.  A NuDiffOp stacks DiffOps by nu power.  A StarTable
 holds bidifferential coefficients C_0..C_N of an associative deformed
 product together with a separation-of-variables convention flag.
-tables_agree and ops_agree compare two tables or two series term by term,
-through a total degree, by one shared check.
+tables_agree compares two tables term by term, through a total degree.
+Polarization, the opposite and dual products and the series comparison
+ops_agree are checked by tests/paper_checks.py: no command runs them.
 """
 
 import itertools
 
 from .jets import (
-    Jet, jet_to_json, jet_from_json,
+    Jet, jet_to_json,
     mi_add, mi_binom, mi_deg, mi_sub, mi_zero,
 )
 
@@ -350,25 +351,14 @@ def assoc_defect(t, f, g, h):
 
 
 # ---------------------------------------------------------------------------
-# polarization and transform extraction
-
-def polarize(I_k, k):
-    """Rebuild C_k from I_k: anti derivatives go to the first argument,
-    holomorphic derivatives to the second, coefficients carried over."""
-    n, D = I_k.n, I_k.D
-    z = mi_zero(n)
-    C_k = BiDiffOp(n, D, [(c, z, a, h, z) for c, h, a in I_k.terms])
-    if not _routes_as("karabegov_anti_wick", k, C_k.max_orders()):
-        raise OrderViolation(f"I_{k} has a term of order above ({k},{k})")
-    return C_k
-
+# transform extraction
 
 def transform_from_star(t):
     """Formal Berezin transform I, read off the anti-Wick table.
 
     C_k(bbar, a) = I_k(bbar a) for antiholomorphic bbar and holomorphic a,
     so the term coeff * d^b_zbar f * d^a_z g of C_k is the term
-    coeff * d^a_z d^b_zbar of I_k; `polarize` is the inverse.  Raises
+    coeff * d^a_z d^b_zbar of I_k; polarization is the inverse.  Raises
     SingularSystem if a term of C_k breaks the anti-Wick (k,k) shape.
     """
     if t.convention != "karabegov_anti_wick":
@@ -432,18 +422,6 @@ def conjugate_star(t, B):
                      label=t.label + "|conjugated" if t.label else "conjugated")
 
 
-def opposite_star(t):
-    C_out = [c.swap() for c in t.C]
-    conv = detect_convention(C_out)
-    return StarTable(N=t.N, C=C_out, convention=conv,
-                     label=t.label + "|opposite" if t.label else "opposite")
-
-
-def dual_star(t, I):
-    """f *~ g = I^{-1}(I(g) * I(f))."""
-    return conjugate_star(opposite_star(t), I)
-
-
 # ---------------------------------------------------------------------------
 # equality term by term
 
@@ -455,16 +433,9 @@ def tables_agree(t1, t2, up_to=None):
                   t1.D - 2 * t1.N if up_to is None else up_to)
 
 
-def ops_agree(A, B, up_to=None):
-    """Whether every coefficient jet of A_k - B_k, k = 0..N, vanishes through
-    total degree up_to (default D - N).  Series of different N, n or D do
-    not agree."""
-    return _agree(A, B, A.orders, B.orders,
-                  A.D - A.N if up_to is None else up_to)
-
-
 def _agree(x, y, xs, ys, up_to):
-    """The shared body of tables_agree (xs = x.C) and ops_agree (x.orders)."""
+    """The body of tables_agree (xs = x.C), shared with the tests' ops_agree
+    (xs = x.orders)."""
     if (x.N, x.n, x.D) != (y.N, y.n, y.D):
         return False
     return all(term[0].drop_above(up_to).is_zero()
@@ -487,19 +458,3 @@ def star_table_to_json(t):
             "coefficients": coeffs}
 
 
-def star_table_from_json(obj, n=None, D=None):
-    N = obj["order"]
-    C = []
-    for entry in sorted(obj["coefficients"], key=lambda e: e["k"]):
-        terms = []
-        for tm in entry["terms"]:
-            coeff = jet_from_json(tm["coeff"])
-            n = coeff.n if n is None else n
-            D = coeff.max_degree if D is None else D
-            terms.append((coeff, tuple(tm["f_dz"]), tuple(tm["f_dzbar"]),
-                          tuple(tm["g_dz"]), tuple(tm["g_dzbar"])))
-        if n is None:
-            raise ValueError("cannot infer dimensions from an empty table")
-        C.append(BiDiffOp(n, D, terms))
-    return StarTable(N=N, C=C, convention=obj["convention"],
-                     label=obj.get("label", ""))

@@ -351,43 +351,6 @@ def kontsevich_star(a, f, g, N, cfg=None):
     return out
 
 
-def star_poly_series(a, fs, gs, N, cfg=None):
-    """Product of two nu-polynomial series under the graph star product."""
-    out = [Poly(a.d, {}) for _ in range(N + 1)]
-    for i, f in enumerate(fs):
-        for j, g in enumerate(gs):
-            if i + j > N:
-                continue
-            prod = kontsevich_star(a, f, g, N - i - j, cfg)
-            for k, p in enumerate(prod):
-                out[i + j + k] = out[i + j + k] + p
-    return out
-
-
-def moyal_star(mat, f, g, N):
-    """Closed-form exponential product for a constant bivector matrix."""
-    d = len(mat)
-    out = [f * g]
-    prev = [(f, g)]
-    fact = 1
-    for n in range(1, N + 1):
-        nxt = []
-        for (pf, pg) in prev:
-            for i in range(d):
-                for j in range(d):
-                    if mat[i][j] == 0:
-                        continue
-                    nxt.append((pf.diff(i) * mat[i][j], pg.diff(j)))
-        # regroup: represent sum of tensor terms
-        prev = [(pf, pg) for pf, pg in nxt]
-        fact *= n
-        acc = Poly(d, {})
-        for pf, pg in prev:
-            acc = acc + pf * pg
-        out.append(acc * ((0.5j) ** n / fact))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # command inputs and outputs (star-kontsevich, weights)
 

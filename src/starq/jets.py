@@ -49,9 +49,6 @@ class Scalar:
     def __sub__(self, other):
         return self + (-_as_scalar(other))
 
-    def __rsub__(self, other):
-        return _as_scalar(other) + (-self)
-
     def __mul__(self, other):
         other = _as_scalar(other)
         return Scalar(self.re * other.re - self.im * other.im,
@@ -544,29 +541,6 @@ def metric_from_potential(phi):
     g_inv = tuple(tuple(cofactor(j, i) * inv_det for j in range(n))
                   for i in range(n))
     return MetricJets(g=tuple(tuple(row) for row in g), g_inv=g_inv)
-
-
-def laplacian(f, m):
-    """Sum_ij g_inv[j][i] d2 f / dz_i dzbar_j: g_inv[j][i] pairs dzbar_j
-    with dz_i, as in poisson_bracket."""
-    n = f.n
-    out = Jet.zero(n, f.max_degree)
-    for i in range(n):
-        for j in range(n):
-            out = out + m.g_inv[j][i] * f.diff(i, "holo").diff(j, "anti")
-    return out
-
-
-def poisson_bracket(f, g, m):
-    """{f,g} = i sum g^{ij} (df/dzbar_i dg/dz_j - df/dz_j dg/dzbar_i)."""
-    n = f.n
-    out = Jet.zero(n, f.max_degree)
-    for i in range(n):
-        for j in range(n):
-            term = (f.diff(i, "anti") * g.diff(j, "holo")
-                    - f.diff(j, "holo") * g.diff(i, "anti"))
-            out = out + m.g_inv[i][j] * term
-    return out.scale(I)
 
 
 # ---------------------------------------------------------------------------

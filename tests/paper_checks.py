@@ -1,0 +1,280 @@
+"""The paper's results that only the tests check, beside the library.
+
+No command, script or benchmark driver runs these, so they live here and
+not in starq: the Toeplitz trace formula, the adjointness of covariant and
+contravariant symbols, Rawnsley's constant epsilon, Tuynman's relation
+Q_f = i T_{f - Delta f/(2m)} for geometric quantization, the opposite and
+dual products, the Moyal product and the jet Laplacian and Poisson
+bracket.  The tests import them from this module; pytest puts tests/ on
+sys.path.
+
+Documented sign constant (pinned by the Tuynman test): the Hamiltonian
+field at level m is X^z = i f_zbar (1+|z|^2)^2 / (2m), the unique scaling
+for which the quantization operator equals i T_{f - Delta f/(2m)} exactly.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from starq import ResourceGuard
+from starq.cp1 import (
+    _section_matrix, coherent_vector, covariant_symbol, operator_norm,
+    toeplitz_matrix,
+)
+from starq.formal import (
+    BiDiffOp, OrderViolation, StarTable, _agree, _routes_as, conjugate_star,
+    detect_convention,
+)
+from starq.graphs import Poly, kontsevich_star
+from starq.jets import I, Jet, mi_zero
+from starq.symbols import TWO_PI, ObservableFn, _diff_raw, laplacian_fn
+
+
+# ---------------------------------------------------------------------------
+# sphere: quadrature grid
+
+class QuadratureTolerance(ArithmeticError):
+    """Grid refinement changed the result by more than the tolerance."""
+
+
+def _build_grid(K):
+    """Gauss-Legendre in cos(theta) times uniform azimuth, K x K nodes:
+    flattened chart points z and weights w summing to 2 pi (the volume)."""
+    c, w_c = np.polynomial.legendre.leggauss(K)
+    phi = TWO_PI * (np.arange(K) + 0.5) / K
+    C, PHI = np.meshgrid(c, phi, indexing="ij")
+    T = (1 - C) / (1 + C)
+    Z = np.sqrt(T) * np.exp(1j * PHI)
+    W = np.outer(w_c * 0.5, np.full(K, TWO_PI / K))
+    return Z.ravel(), W.ravel()
+
+
+def _grid_side(ctx):
+    """Side K of the K x K quadrature grid of a level-m context."""
+    return 2 * (ctx.m + 3)
+
+
+def _coherent_grid(ctx):
+    """Quadrature nodes z and weights w of the context's grid, the coherent
+    vectors E (one column per node) and their squared norms u."""
+    z, w = _build_grid(_grid_side(ctx))
+    E = np.conjugate(_section_matrix(ctx, z))
+    u = np.sum((E * np.conjugate(E)).real, axis=0)
+    return z, w, E, u
+
+
+# ---------------------------------------------------------------------------
+# sphere: coherent states, trace and symbols
+
+def epsilon_function(z0, ctx):
+    """Rawnsley density; equals (m+1)/(2 pi) everywhere on the sphere."""
+    e = coherent_vector(z0, ctx)
+    u = np.vdot(e, e).real
+    # pointwise metric density of the coherent section at its own point
+    S = _section_matrix(ctx, np.asarray([z0], dtype=complex))[:, 0]
+    hval = abs(np.dot(e, S)) ** 2 / u
+    return float(hval)
+
+
+def integral_exact(f):
+    """Exact rational evaluation of the volume integral of a symbol-class f
+    (divided by nothing; total measure 2 pi)."""
+    out = 0.0
+    for coeff, a, b, c in f.terms:
+        if a != b:
+            continue
+        out += coeff * TWO_PI * float(
+            Fraction(math.factorial(a) * math.factorial(c - a),
+                     math.factorial(c + 1)))
+    return out
+
+
+def trace_identity(f, ctx):
+    lhs = complex(np.trace(toeplitz_matrix(f, ctx)))
+    rhs = (ctx.dim / TWO_PI) * integral_exact(f)
+    return lhs, rhs, abs(lhs - rhs)
+
+
+def adjointness_check(A, f, ctx):
+    """|Tr(A^dag T_f) - integral of conj(symbol(A)) f against the epsilon
+    measure|, the symbol integral by quadrature."""
+    lhs = complex(np.trace(A.conj().T @ toeplitz_matrix(f, ctx)))
+    z, w, E, u = _coherent_grid(ctx)
+    sigma = np.einsum("in,ij,jn->n", np.conjugate(E), A, E) / u
+    fv = np.asarray(f(z), dtype=complex)
+    eps = ctx.dim / TWO_PI
+    rhs = np.sum(np.conjugate(sigma) * fv * eps * w)
+    return abs(lhs - rhs)
+
+
+def contravariant_reconstruct(f, ctx):
+    """Norm defect of rebuilding T_f from coherent projectors weighted by f."""
+    z, w, E, u = _coherent_grid(ctx)
+    fv = np.asarray(f(z), dtype=complex)
+    eps = ctx.dim / TWO_PI
+    weights = fv * eps * w / u
+    B = (E * weights) @ E.conj().T
+    return operator_norm(B - toeplitz_matrix(f, ctx))
+
+
+def twisted_product(f, g, z0, ctx):
+    """Covariant symbol of T_f T_g at z0."""
+    return covariant_symbol(toeplitz_matrix(f, ctx) @ toeplitz_matrix(g, ctx),
+                            z0, ctx)
+
+
+def surjectivity_rank(ctx):
+    """Rank of the span of Toeplitz matrices of the (m+1)^2 basis symbols."""
+    m = ctx.m
+    if m > 8:
+        raise ResourceGuard("surjectivity scan limited to m <= 8")
+    rows = []
+    for a in range(m + 1):
+        for b in range(m + 1):
+            f = ObservableFn(terms=((1.0, a, b, max(a, b)),))
+            rows.append(toeplitz_matrix(f, ctx).ravel())
+    return int(np.linalg.matrix_rank(np.array(rows), tol=1e-9))
+
+
+# ---------------------------------------------------------------------------
+# sphere: geometric quantization
+
+def geometric_quantization(f, ctx):
+    """Matrix of compress(covariant derivative along the Hamiltonian field
+    plus i f) in the orthonormal basis, by quadrature on the context's
+    K x K grid; raises QuadratureTolerance when the K + 8 grid moves an
+    entry by more than 1e-8."""
+    m = ctx.m
+
+    def assemble(grid_nodes):
+        z, w = _build_grid(grid_nodes)
+        t = (z * z.conjugate()).real
+        s = 1.0 / (1.0 + t)
+        S = _section_matrix(ctx, z)
+        fzbar = ObservableFn(terms=_diff_raw(f.terms, "anti"))(z)
+        Xz = 1j * fzbar / (s * s) / (2 * m)
+        fv = np.asarray(f(z), dtype=complex)
+        G = np.empty_like(S)
+        for k in range(m + 1):
+            lower = S[k - 1] * math.sqrt((m - k + 1) / k) if k else 0.0
+            G[k] = Xz * (k * lower - m * np.conjugate(z) * s * S[k]) \
+                + 1j * fv * S[k]
+        return np.conjugate(S) @ (G * w).T
+
+    K = _grid_side(ctx)
+    Q1 = assemble(K)
+    Q2 = assemble(K + 8)
+    if np.max(np.abs(Q1 - Q2)) > 1e-8:
+        raise QuadratureTolerance(
+            "quantization entries changed by more than 1e-8 under refinement")
+    return Q2
+
+
+def tuynman_defect(f, ctx):
+    """Norm of Q_f - i T_{f - Delta f/(2m)}; zero up to quadrature error."""
+    Q = geometric_quantization(f, ctx)
+    corrected = f + laplacian_fn(f).scale(-1.0 / (2 * ctx.m))
+    return operator_norm(Q - 1j * toeplitz_matrix(corrected, ctx))
+
+
+# ---------------------------------------------------------------------------
+# jets: Laplacian and Poisson bracket
+
+def laplacian(f, m):
+    """Sum_ij g_inv[j][i] d2 f / dz_i dzbar_j: g_inv[j][i] pairs dzbar_j
+    with dz_i, as in poisson_bracket."""
+    n = f.n
+    out = Jet.zero(n, f.max_degree)
+    for i in range(n):
+        for j in range(n):
+            out = out + m.g_inv[j][i] * f.diff(i, "holo").diff(j, "anti")
+    return out
+
+
+def poisson_bracket(f, g, m):
+    """{f,g} = i sum g^{ij} (df/dzbar_i dg/dz_j - df/dz_j dg/dzbar_i)."""
+    n = f.n
+    out = Jet.zero(n, f.max_degree)
+    for i in range(n):
+        for j in range(n):
+            term = (f.diff(i, "anti") * g.diff(j, "holo")
+                    - f.diff(j, "holo") * g.diff(i, "anti"))
+            out = out + m.g_inv[i][j] * term
+    return out.scale(I)
+
+
+# ---------------------------------------------------------------------------
+# formal: polarization, opposite and dual products
+
+def polarize(I_k, k):
+    """Rebuild C_k from I_k: anti derivatives go to the first argument,
+    holomorphic derivatives to the second, coefficients carried over."""
+    n, D = I_k.n, I_k.D
+    z = mi_zero(n)
+    C_k = BiDiffOp(n, D, [(c, z, a, h, z) for c, h, a in I_k.terms])
+    if not _routes_as("karabegov_anti_wick", k, C_k.max_orders()):
+        raise OrderViolation(f"I_{k} has a term of order above ({k},{k})")
+    return C_k
+
+
+def opposite_star(t):
+    C_out = [c.swap() for c in t.C]
+    conv = detect_convention(C_out)
+    return StarTable(N=t.N, C=C_out, convention=conv,
+                     label=t.label + "|opposite" if t.label else "opposite")
+
+
+def dual_star(t, I):
+    """f *~ g = I^{-1}(I(g) * I(f))."""
+    return conjugate_star(opposite_star(t), I)
+
+
+def ops_agree(A, B, up_to=None):
+    """Whether every coefficient jet of A_k - B_k, k = 0..N, vanishes through
+    total degree up_to (default D - N).  Series of different N, n or D do
+    not agree."""
+    return _agree(A, B, A.orders, B.orders,
+                  A.D - A.N if up_to is None else up_to)
+
+
+# ---------------------------------------------------------------------------
+# graphs: Moyal product and products of series
+
+def moyal_star(mat, f, g, N):
+    """Closed-form exponential product for a constant bivector matrix."""
+    d = len(mat)
+    out = [f * g]
+    prev = [(f, g)]
+    fact = 1
+    for n in range(1, N + 1):
+        nxt = []
+        for (pf, pg) in prev:
+            for i in range(d):
+                for j in range(d):
+                    if mat[i][j] == 0:
+                        continue
+                    nxt.append((pf.diff(i) * mat[i][j], pg.diff(j)))
+        # regroup: represent sum of tensor terms
+        prev = [(pf, pg) for pf, pg in nxt]
+        fact *= n
+        acc = Poly(d, {})
+        for pf, pg in prev:
+            acc = acc + pf * pg
+        out.append(acc * ((0.5j) ** n / fact))
+    return out
+
+
+def star_poly_series(a, fs, gs, N, cfg=None):
+    """Product of two nu-polynomial series under the graph star product."""
+    out = [Poly(a.d, {}) for _ in range(N + 1)]
+    for i, f in enumerate(fs):
+        for j, g in enumerate(gs):
+            if i + j > N:
+                continue
+            prod = kontsevich_star(a, f, g, N - i - j, cfg)
+            for k, p in enumerate(prod):
+                out[i + j + k] = out[i + j + k] + p
+    return out
+

@@ -15,13 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from starq.jets import (
-    I, Jet, Scalar, laplacian, metric_from_potential, mi_deg, mi_range,
-    poisson_bracket,
-)
+from starq.jets import I, Jet, Scalar, metric_from_potential, mi_deg, mi_range
 from starq.formal import (
-    DiffOp, NuDiffOp, assoc_defect, dual_star, invert_transform, ops_agree,
-    star_eval, tables_agree, transform_from_star,
+    DiffOp, NuDiffOp, assoc_defect, invert_transform, star_eval, tables_agree,
+    transform_from_star,
 )
 from starq.karabegov import (
     bt_star_from, flat_potential, fs_potential, karabegov_star,
@@ -30,19 +27,22 @@ from starq.karabegov import (
 from starq.graphs import (
     IntegrationConfig, L, PoissonBivector, Poly, R,
     enumerate_kgraphs, gammelgaard_star, kontsevich_star, kontsevich_weight,
-    moyal_star, star_poly_series,
 )
 from starq.cp1 import (
-    AsymSeries, adjointness_check, berezin_defect_series,
-    berezin_transform_num, bms_suite, contravariant_reconstruct,
-    epsilon_function, integral_exact, operator_norm, surjectivity_rank,
-    toeplitz_matrix, trace_identity, tuynman_defect,
+    AsymSeries, berezin_defect_series, berezin_transform_num, bms_suite,
+    operator_norm, toeplitz_matrix,
 )
 from starq.symbols import (
     ObservableFn, coord_x_observable, height_observable, laplacian_fn,
     make_context,
 )
 from starq.cli import main
+
+from paper_checks import (
+    adjointness_check, contravariant_reconstruct, dual_star, epsilon_function,
+    integral_exact, laplacian, moyal_star, ops_agree, poisson_bracket,
+    star_poly_series, surjectivity_rank, trace_identity, tuynman_defect,
+)
 
 TWO_PI = 2 * math.pi
 

@@ -1,5 +1,6 @@
 """CLI: expression parsing, config handling, pipelines, determinism."""
 
+import ast
 import contextlib
 import hashlib
 import importlib
@@ -298,6 +299,11 @@ def test_exit_codes_and_stderr(capsys):
     ["star-kontsevich", "--f-poly", "[[1e400,[1,0]]]"],
     # one sample has no spread: its error estimate of 1e-12 passed any --tol
     ["weights", "--n", "1", "--method", "mc", "--samples", "1"],
+    # past MAX_GRID_NODES and MAX_SAMPLES: refused before any allocation
+    ["weights", "--n", "1", "--grid-nodes", "100000000"],
+    ["weights", "--n", "1", "--method", "mc", "--samples", "100000000000000"],
+    ["weights", "--n", "1", "--grid-nodes", "4097"],
+    ["weights", "--n", "1", "--method", "mc", "--samples", "2000001"],
 ])
 def test_invalid_numeric_options_exit_2(argv, capsys):
     assert_one_validation_error(argv, capsys)
@@ -666,7 +672,7 @@ def test_every_exception_has_one_exit_code():
         found += [obj for obj in vars(mod).values()
                   if isinstance(obj, type) and issubclass(obj, BaseException)
                   and obj.__module__ == mod.__name__]
-    assert len(found) >= 13
+    assert len(found) >= 12
     for exc in found:
         assert issubclass(exc, ValueError) != \
             issubclass(exc, ArithmeticError), exc.__name__
@@ -798,8 +804,8 @@ def test_numeric_commands_do_not_import_exact_core():
         "    assert rc == 0, (argv, rc)\n"
         "    loaded = [m for m in exact if m in sys.modules]\n"
         "    assert not loaded, (argv, loaded)\n"
-        "import starq.cp1, starq.graphs, starq.jets\n"
-        "assert starq.jets.ResourceGuard is starq.cp1.ResourceGuard \\\n"
+        "import starq.graphs, starq.jets\n"
+        "assert starq.jets.ResourceGuard is starq.cli.ResourceGuard \\\n"
         "    is starq.graphs.ResourceGuard is starq.ResourceGuard\n")
     proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                           capture_output=True, timeout=120)
@@ -861,6 +867,59 @@ def test_commands_load_only_what_they_run(argv, absent, tmp_path):
     if "numpy" not in loaded:
         unwanted.add("inspect")
     assert not loaded & unwanted, sorted(loaded & unwanted)
+
+
+def _referenced_names(tree, dotted_strings=False):
+    """Every name a tree reads: each Name, each Attribute's attr, each part
+    of an import alias and, with dotted_strings, each part of a string
+    constant split on dots (how perfbench/spans.py names its targets).  A
+    docstring that mentions a def is no reference."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif dotted_strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_library_keeps_only_what_runs():
+    """Each module-level def and class of src/starq is read by a command, a
+    script or the benchmark driver, not only by the tests: some module-level
+    statement, script or perfbench file refers to it, or another def that is
+    itself kept does.  Found to a fixpoint, so a def read only by flagged
+    defs is flagged too; the paper's checks that no command runs belong in
+    tests/paper_checks.py."""
+    root = Path(__file__).resolve().parents[1]
+    body_refs = {}                 # (module, name) -> names its body reads
+    live = set()                   # names read outside the library's defs
+    for path in sorted((root / "src" / "starq").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node, "name", "")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not (name.startswith("__") and name.endswith("__")):
+                body_refs[path.stem, name] = _referenced_names(node) - {name}
+            else:
+                live |= _referenced_names(node)
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((root / folder).glob("*.py")):
+            live |= _referenced_names(ast.parse(path.read_text()),
+                                      dotted_strings=folder == "perfbench")
+    flagged = set()
+    while True:
+        read = live.union(*(refs for key, refs in body_refs.items()
+                            if key not in flagged))
+        unread = {key for key in body_refs
+                  if key not in flagged and key[1] not in read}
+        if not unread:
+            break
+        flagged |= unread
+    assert not flagged, sorted(flagged)
 
 
 def test_config_file_alone_loads_configparser(tmp_path):

@@ -10,8 +10,10 @@ from starq.graphs import (
     CrossCheckFailure, GGraph, IntegrationConfig, IntegrationFailure, KGraph,
     L, R, PoissonBivector, Poly, ResourceGuard, WeightResult,
     d_gamma, enumerate_ggraphs, enumerate_kgraphs, gammelgaard_star,
-    kontsevich_star, kontsevich_weight, moyal_star, star_poly_series,
+    kontsevich_star, kontsevich_weight,
 )
+
+from paper_checks import moyal_star, star_poly_series
 
 
 def xy():

@@ -7,18 +7,20 @@ from fractions import Fraction
 import pytest
 
 from starq.jets import (
-    DegenerateMetric, I, Jet, MetricJets, Scalar, jet_det, laplacian,
-    metric_from_potential, mi_range, mi_zero, poisson_bracket,
+    DegenerateMetric, I, Jet, MetricJets, Scalar, jet_det,
+    metric_from_potential, mi_range, mi_zero,
 )
 import starq.karabegov
 from starq.formal import (
-    BiDiffOp, DiffOp, NuDiffOp, assoc_defect, conjugate_star, ops_agree,
+    BiDiffOp, DiffOp, NuDiffOp, assoc_defect, conjugate_star,
     star_eval, star_table_to_json, transform_from_star,
 )
 from starq.karabegov import (
     FormalPotential, bt_star_from, flat_potential,
     fs_potential, karabegov_star, left_mult_operator, reference_potentials,
 )
+
+from paper_checks import laplacian, ops_agree, poisson_bracket
 
 
 def zj(D, n=1, i=0):
