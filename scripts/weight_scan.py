@@ -5,7 +5,7 @@ graphs at orders 1 and 2 and tabulate grid vs Monte Carlo backends.
 
 import argparse
 
-from starq import QUADRATURE_FIELDS
+from starq import QUADRATURE_FIELDS, ValidationError
 from starq.graphs import (
     IntegrationConfig, enumerate_kgraphs, kontsevich_weight,
 )
@@ -20,10 +20,13 @@ def main():
     ap.add_argument("--seed", type=int, default=defaults["seed"])
     args = ap.parse_args()
 
-    grid = IntegrationConfig(method="grid", grid_nodes=args.grid_nodes,
-                             seed=args.seed, tol=1.0)
-    mc = IntegrationConfig(method="mc", samples=args.samples,
-                           seed=args.seed, tol=1.0)
+    try:
+        grid = IntegrationConfig(method="grid", grid_nodes=args.grid_nodes,
+                                 seed=args.seed, tol=1.0)
+        mc = IntegrationConfig(method="mc", samples=args.samples,
+                               seed=args.seed, tol=1.0)
+    except ValidationError as exc:
+        ap.error(str(exc))
     print("order,targets,parity,grid_value,grid_err,mc_value,mc_err")
     for n in (int(x) for x in args.orders.split(",")):
         for g in enumerate_kgraphs(n):

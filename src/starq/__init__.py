@@ -25,7 +25,8 @@ class NonFiniteResult(ArithmeticError):
 
 # The weight quadrature settings and their defaults.  cli.RUN_FIELDS splices
 # this table into the run configuration, graphs.IntegrationConfig fills
-# itself from it and scripts/weight_scan.py takes its defaults from it.
+# itself from it and scripts/weight_scan.py takes its defaults from it;
+# check_quadrature bounds its values for both records.
 QUADRATURE_FIELDS = (
     ("method", "grid"),              # "grid" or "mc"
     ("grid_nodes", 800),             # per axis, 2D integrals
@@ -34,6 +35,29 @@ QUADRATURE_FIELDS = (
     ("tol", 5e-3),                   # largest accepted error estimate
     ("seed", 20260823),
 )
+
+# Most grid_nodes per axis and samples of the weight quadrature: the 2D
+# grid and the Monte Carlo draws allocate before anything else can fail, and
+# each bound holds a run's quadrature to about 0.4 GB.
+MAX_GRID_NODES = 4096
+MAX_SAMPLES = 2_000_000
+
+
+def check_quadrature(cfg):
+    """Raise ValidationError unless the quadrature fields of cfg (a run
+    configuration or an IntegrationConfig) are in range."""
+    if cfg.method not in ("grid", "mc"):
+        raise ValidationError(f"unknown method {cfg.method!r}")
+    # one sample has no spread, so its estimate passes any tol
+    if not 2 <= cfg.samples <= MAX_SAMPLES:
+        raise ValidationError(f"samples must be in 2..{MAX_SAMPLES}")
+    if not 2 <= cfg.grid_nodes <= MAX_GRID_NODES:
+        raise ValidationError(f"grid_nodes must be in 2..{MAX_GRID_NODES}")
+    # the chained comparison is false for a NaN and for an infinity
+    if not 0 < cfg.eta < float("inf"):
+        raise ValidationError("eta must be finite and > 0")
+    if not 0 < cfg.tol < float("inf"):
+        raise ValidationError("tol must be finite and > 0")
 
 
 class Frozen:

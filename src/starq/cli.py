@@ -20,21 +20,15 @@ COMMAND_FIELDS gives each command its flags and config-file keys.
 """
 
 import json
-import math
 import os
 import sys
 
 from . import (QUADRATURE_FIELDS, Frozen, NonFiniteResult, ResourceGuard,
-               ValidationError, __version__)
+               ValidationError, __version__, check_quadrature)
 
 # Largest sphere level m that --m and --m-list accept: the Toeplitz matrix has
 # (m+1)^2 entries, allocated before anything else can fail.
 MAX_LEVEL = 2048
-# Most --grid-nodes per axis and --samples of the weight quadrature: the 2D
-# grid and the Monte Carlo draws allocate before anything else can fail, and
-# each bound holds a run's quadrature to about 0.4 GB.
-MAX_GRID_NODES = 4096
-MAX_SAMPLES = 2_000_000
 
 # Largest --order and degree budget of the exact pipelines; the derived
 # default budget 3N + 6 stays within MAX_DEGREE for every order, and a
@@ -88,8 +82,6 @@ class RunConfig(Frozen):
             raise ValidationError(f"unknown command {self.command!r}")
         if self.format not in ("json", "csv"):
             raise ValidationError(f"unknown format {self.format!r}")
-        if self.method not in ("grid", "mc"):
-            raise ValidationError(f"unknown method {self.method!r}")
         if self.order < 0 or self.n < 0:
             raise ValidationError("order/n must be >= 0")
         if self.order > MAX_ORDER:
@@ -109,16 +101,7 @@ class RunConfig(Frozen):
             raise ValidationError(f"unknown suite {self.suite!r}")
         if self.family not in ("admissible", "weighted"):
             raise ValidationError(f"unknown family {self.family!r}")
-        # one sample has no spread, so its estimate passes any tol
-        if not 2 <= self.samples <= MAX_SAMPLES:
-            raise ValidationError(f"samples must be in 2..{MAX_SAMPLES}")
-        if not 2 <= self.grid_nodes <= MAX_GRID_NODES:
-            raise ValidationError(
-                f"grid_nodes must be in 2..{MAX_GRID_NODES}")
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValidationError("eta must be finite and > 0")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValidationError("tol must be finite and > 0")
+        check_quadrature(self)
 
 
 def load_config_file(path, fields):

@@ -30,7 +30,8 @@ import json
 import math
 from fractions import Fraction
 
-from . import QUADRATURE_FIELDS, Frozen, ResourceGuard, ValidationError
+from . import (QUADRATURE_FIELDS, Frozen, ResourceGuard, ValidationError,
+               check_quadrature)
 
 # The exact core (jets, formal, karabegov) is imported inside the weighted-
 # graph functions: the Kontsevich commands never use it.
@@ -269,13 +270,14 @@ _QUADRATURE_DEFAULTS = dict(QUADRATURE_FIELDS)
 
 
 class IntegrationConfig(Frozen):
-    """Weight quadrature settings, the fields of QUADRATURE_FIELDS; hashable,
-    as part of the _WEIGHT_CACHE key."""
+    """Weight quadrature settings, the fields of QUADRATURE_FIELDS, held to
+    check_quadrature's bounds; hashable, as part of the _WEIGHT_CACHE key."""
 
     __slots__ = tuple(_QUADRATURE_DEFAULTS)
 
     def __init__(self, **values):
         self._set_defaults(_QUADRATURE_DEFAULTS, values)
+        check_quadrature(self)
 
     def _key(self):
         return tuple(getattr(self, k) for k in IntegrationConfig.__slots__)

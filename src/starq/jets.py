@@ -116,26 +116,11 @@ def mi_deg(a):
     return sum(a)
 
 
-def mi_fact(a):
-    out = 1
-    for x in a:
-        out *= math.factorial(x)
-    return out
-
-
 def mi_binom(a, b):
     """Product of componentwise binomials C(a_i, b_i)."""
     out = 1
     for x, y in zip(a, b):
         out *= math.comb(x, y)
-    return out
-
-
-def mi_falling(a, b):
-    """Product of falling factorials a_i!/(a_i-b_i)!  (b <= a assumed)."""
-    out = 1
-    for x, y in zip(a, b):
-        out *= math.perm(x, y)
     return out
 
 

@@ -1,21 +1,23 @@
 """Separation-of-variables star products from a formal Kaehler potential.
 
-The left multiplication operator L_g is solved order by order in nu from the
-requirement that it commutes with the right multiplication operators
-R_l = dPhi/dzbar_l + d/dzbar_l.  Multiplied through by nu, the commutation
-equation at order nu^m gives, for the coefficients x_alpha of d^alpha/dz^alpha
-with |alpha| = s, one block of rows (l, beta), |beta| = s - 1:
+The anti-Wick table's operators A_k(f, g) = C_k(f, g) are solved order by
+order in nu from the requirement that, for every f, the left multiplication
+operator L_f = sum nu^k A_k(f, .) commutes with the right multiplication
+operators R_l = dPhi/dzbar_l + d/dzbar_l.  Multiplied through by nu, the
+commutation equation at order nu^m gives, with f as a spectator, for the
+coefficients x_{alpha,b} of dbar^b f d^alpha g with |alpha| = s, one block
+of rows (l, beta), |beta| = s - 1, for each b:
 
-    sum_j g_jl (beta_j + 1) x_{beta+e_j} = v_{l,beta},
+    sum_j g_jl (beta_j + 1) x_{beta+e_j,b} = v_{l,beta,b},
 
 with g = d dbar Phi_{-1} the metric and v the lower orders and the solved
 blocks |alpha| > s.  Blocks are solved from s = m down.  The jet inverse
 g^{-1} = adj(g) / det g turns each block into
-(beta_j + 1) x_{beta+e_j} = sum_l g^{-1}_lj v_{l,beta}, so x_alpha can be read
-off along every j with alpha_j > 0; the routes must agree, which is the
-consistency (null-row) check of the overdetermined block.
-left_mult_operator also checks that L_g commutes with every nu R_l;
-karabegov_star solves its columns through the same builder without that
+(beta_j + 1) x_{beta+e_j,b} = sum_l g^{-1}_lj v_{l,beta,b}, so x_{alpha,b}
+can be read off along every j with alpha_j > 0; the routes must agree,
+which is the consistency (null-row) check of the overdetermined block.
+left_mult_operator is the table contracted with g, after checking that the
+table's operators commute with every nu R_l; karabegov_star runs no such
 check.  load_potential reads the --potential of the star-* commands: a
 reference potential by name, or a potential JSON file.
 """
@@ -26,7 +28,7 @@ from fractions import Fraction
 from . import ValidationError
 from .jets import (
     Jet, hessian, jet_det, jet_from_json, metric_from_potential, mi_binom,
-    mi_deg, mi_falling, mi_fact, mi_le, mi_range, mi_sub, mi_zero, unit_mi,
+    mi_deg, mi_le, mi_range, mi_sub, mi_zero, unit_mi,
 )
 from .formal import BiDiffOp, BudgetExceeded, DiffOp, NuDiffOp, StarTable
 
@@ -107,29 +109,41 @@ def load_potential(name, D):
 
 
 # ---------------------------------------------------------------------------
-# left multiplication operator
+# the table's operators
 
 def left_mult_operator(g_series, P, N):
-    """L_g for a nu-series g (list of Jets), as a NuDiffOp through nu^N,
-    checked by _verify_commutation."""
-    build, rho = _left_mult_builder(P, N)
-    L = build(g_series)
-    _verify_commutation(L, rho)
-    return L
+    """L_g for a nu-series g (list of Jets), as a NuDiffOp through nu^N: the
+    table's operators, checked by _verify_commutation, contracted with g.
+    Order m is g_m + sum_{k>=1} sum (c dbar^b g_{m-k}) d^alpha over the terms
+    c dbar^b f d^alpha g of A_k, each cut at D - (m + 2)."""
+    A, rho = _anti_wick_ops(P, N)
+    _verify_commutation(A, rho)
+    n, D = P.n, P.D
+    z = mi_zero(n)
+    gs = list(g_series) + [Jet.zero(n, D)] * (N + 1 - len(g_series))
+    orders = []
+    for m in range(N + 1):
+        terms = [(gs[m], z, z)]
+        for k in range(1, m + 1):
+            terms += [((c * gs[m - k].diff_multi(z, b)).drop_above(D - (m + 2)),
+                       alpha, z) for c, _, b, alpha, _ in A[k].terms]
+        orders.append(DiffOp(n, D, terms))
+    return NuDiffOp(n, D, N, orders)
 
 
-def _left_mult_builder(P, N):
-    """L_g as a function of g_series for one potential and order, with the
-    operators rho it commutes with.
+def _anti_wick_ops(P, N):
+    """The anti-Wick table's operators A_0..A_N, A_k(f, g) = C_k(f, g), each
+    A_m kept through degree D - (m + 2), with the operators rho they commute
+    with.
 
     The right-multiplication data, graded after multiplying through by nu,
     nu R_l = w_{-1,l} + nu (w_{0,l} + d/dzbar_l) + nu^2 w_{1,l} + ..., and
-    g^{-1} depend on P and N alone, so they are built once, here, for every
-    g of a star table; rho[j][l] is the nu^j part of nu R_l as an operator.
-    The builder runs no commutation check."""
+    g^{-1} depend on P and N alone; rho[j][l] is the nu^j part of nu R_l as
+    an operator on g.  No commutation check runs here."""
     n, D = P.n, P.D
     if D < 3 * N:
         raise BudgetExceeded(f"degree budget D={D} below 3N={3 * N}")
+    z = mi_zero(n)
     w_lead = [P.phi_minus1.diff(l, "anti") for l in range(n)]
     g_inv = metric_from_potential(P.phi_minus1).g_inv
 
@@ -138,34 +152,33 @@ def _left_mult_builder(P, N):
             return DiffOp.mult(w_lead[l])
         op = DiffOp.mult(P.phi_k(j - 1).diff(l, "anti"))
         if j == 1:
-            op = op + DiffOp.deriv(n, D, mi_zero(n), unit_mi(n, l))
+            op = op + DiffOp.deriv(n, D, z, unit_mi(n, l))
         return op
 
     rho = [[rho_op(j, l) for l in range(n)] for j in range(N + 1)]
 
-    def build(g_series):
-        if isinstance(g_series, Jet):
-            g_series = [g_series]
-        gs = list(g_series) + [Jet.zero(n, D)] * (N + 1 - len(g_series))
-        A = [DiffOp.mult(gs[0])]
-        for m in range(1, N + 1):
-            # order m is reliable through degree D - (m + 2), the window of
-            # the j-route check; no term above it reaches a reported term
-            cut = D - (m + 2)
-            # RHS of [B_m, w_{-1,l} .] = -sum_{k<m} [A_k, rho_{m-k,l}]
-            rhs_ops = []
-            for l in range(n):
-                acc = -_commutator_sum(A, rho, m, l)
-                for _, h, a in acc.terms:
-                    if mi_deg(a) > 0:
-                        raise ArithmeticError(
-                            "recursion right-hand side is not holomorphic")
-                rhs_ops.append({h: c.drop_above(cut)
-                                for c, h, a_ in acc.terms})
+    A = [BiDiffOp.pointwise(n, D)]
+    for m in range(1, N + 1):
+        # order m is reliable through degree D - (m + 2), the window of the
+        # j-route check; no term above it reaches a reported term
+        cut = D - (m + 2)
+        # RHS of [A_m, w_{-1,l} .] = -sum_{k<m} [A_k, rho_{m-k,l}], keyed by
+        # (d^beta on g, dbar^b on f)
+        rhs = []
+        for l in range(n):
+            row = {}
+            for c, _, b, beta, ga in (-_commutator_sum(A, rho, m, l)).terms:
+                if mi_deg(ga) > 0:
+                    raise ArithmeticError(
+                        "recursion right-hand side is not holomorphic")
+                row[beta, b] = c.drop_above(cut)
+            rhs.append(row)
+        terms = []
+        for b in dict.fromkeys(b for row in rhs for _, b in row):
             coeffs = {}
             for s in range(m, 0, -1):
-                # u_{j,beta} = sum_l g^{-1}_lj v_{l,beta}
-                # = (beta_j + 1) x_{beta+e_j} for the block |alpha| = s
+                # u_{j,beta} = sum_l g^{-1}_lj v_{l,beta,b}
+                # = (beta_j + 1) x_{beta+e_j,b} for the block |alpha| = s
                 # (module docstring)
                 u = {}
                 for beta in mi_range(n, s - 1):
@@ -173,12 +186,13 @@ def _left_mult_builder(P, N):
                         continue
                     v = []
                     for l in range(n):
-                        val = rhs_ops[l].get(beta, Jet.zero(n, D))
+                        val = rhs[l].get((beta, b), Jet.zero(n, D))
+                        # coeffs holds the solved blocks |alpha| > s
                         for alpha, c in coeffs.items():
-                            gamma = mi_sub(alpha, beta)
-                            if mi_deg(alpha) <= s or not mi_le(beta, alpha):
+                            if not mi_le(beta, alpha):
                                 continue
-                            dw = w_lead[l].diff_multi(gamma, mi_zero(n))
+                            gamma = mi_sub(alpha, beta)
+                            dw = w_lead[l].diff_multi(gamma, z)
                             val = val - (c * dw).scale(mi_binom(alpha, gamma))
                         v.append(val)
                     for j in range(n):
@@ -186,8 +200,8 @@ def _left_mult_builder(P, N):
                         for l in range(n):
                             acc = acc + g_inv[l][j] * v[l]
                         u[j, beta] = acc
-                # x_alpha along the first j with alpha_j > 0; every other
-                # j-route must give the same x_alpha on the reliable window
+                # x_{alpha,b} along the first j with alpha_j > 0; every other
+                # j-route must give the same value on the reliable window
                 for alpha in mi_range(n, s):
                     if mi_deg(alpha) < s:
                         continue
@@ -200,75 +214,53 @@ def _left_mult_builder(P, N):
                                 "inconsistent block in the recursion")
                     if not x.is_zero():
                         coeffs[alpha] = x
-            B_m = DiffOp(n, D, [(c, alpha, mi_zero(n))
-                                for alpha, c in coeffs.items()])
-            A.append(DiffOp.mult(gs[m]) + B_m)
-
-        return NuDiffOp(n, D, N, A)
-
-    return build, rho
+            terms += [(c, z, b, alpha, z) for alpha, c in coeffs.items()]
+        A.append(BiDiffOp(n, D, terms))
+    return A, rho
 
 
-def _verify_commutation(L, rho):
-    """Residual check: [L, nu R_l] vanishes through nu^N on the reliable
-    degree window (exact for polynomial potentials)."""
-    n, D, N = L.n, L.D, L.N
+def _verify_commutation(A, rho):
+    """Residual check: [A, nu R_l] vanishes through nu^N for the operators
+    A_0..A_N of _anti_wick_ops, on the reliable degree window
+    D - (2N + 2) (exact for polynomial potentials)."""
+    n, D, N = A[0].n, A[0].D, len(A) - 1
     window = D - (2 * N + 2)
     if window < 0:
         return
     for l in range(n):
         for m in range(N + 1):
-            for c, h, a in _commutator_sum(L.orders[:m + 1], rho, m, l).terms:
-                if not c.truncate(window).is_zero():
+            for tm in _commutator_sum(A[:m + 1], rho, m, l).terms:
+                if not tm[0].truncate(window).is_zero():
                     raise ArithmeticError(
                         f"left multiplication operator fails commutation at nu^{m}")
 
 
 def _commutator_sum(A, rho, m, l):
-    """sum_k [A_k, rho_{m-k,l}] over the operators A_0, A_1, ... of A."""
-    acc = DiffOp.zero(A[0].n, A[0].D)
+    """sum_k [A_k, rho_{m-k,l}] over the operators A_0, A_1, ... of A, with
+    [A, r](f, g) = A(f, r g) - r(A(f, g))."""
+    n, D = A[0].n, A[0].D
+    ident = DiffOp.identity(n, D)
+    acc = BiDiffOp.zero(n, D)
     for k, a in enumerate(A):
         r = rho[m - k][l]
-        acc = acc + (a.compose(r) - r.compose(a))
+        acc = acc + (a.precompose(ident, r) - a.postcompose(r))
     return acc
 
 
 # ---------------------------------------------------------------------------
 # star product assembly
 
-def karabegov_star(P, N):
-    """Anti-Wick star table through nu^N from a formal potential."""
-    n, D = P.n, P.D
-    cut = D - (N + 2)
-    left_mult, _ = _left_mult_builder(P, N)
-    Ls = {}
-    for beta in mi_range(n, N):
-        f = Jet.monomial(mi_zero(n), beta, n, D)
-        Ls[beta] = left_mult([f])
+def _drop_above(op, degree):
+    """The BiDiffOp op with each coefficient cut at the degree."""
+    return BiDiffOp(op.n, op.D, [(tm[0].drop_above(degree),) + tm[1:]
+                                 for tm in op.terms])
 
-    C = [BiDiffOp.pointwise(n, D)]
-    for k in range(1, N + 1):
-        # B_k for f = zbar^beta' determines a^k_{alpha,beta} triangularly
-        a_coeffs = {}
-        for beta_p in mi_range(n, k):
-            bmap = {}
-            for c, h, a in Ls[beta_p].orders[k].terms:
-                bmap[h] = c
-            seen_alphas = set(bmap) | {al for (al, _) in a_coeffs}
-            for alpha in seen_alphas:
-                val = bmap.get(alpha, Jet.zero(n, D))
-                for (al, beta), acf in list(a_coeffs.items()):
-                    if al != alpha or not mi_le(beta, beta_p) or beta == beta_p:
-                        continue
-                    mono = Jet.monomial(mi_zero(n), mi_sub(beta_p, beta), n, D,
-                                        mi_falling(beta_p, beta))
-                    val = val - acf * mono
-                val = val.drop_above(cut).scale(Fraction(1, mi_fact(beta_p)))
-                if not val.is_zero():
-                    a_coeffs[(alpha, beta_p)] = val
-        terms = [(c, mi_zero(n), beta, alpha, mi_zero(n))
-                 for (alpha, beta), c in a_coeffs.items()]
-        C.append(BiDiffOp(n, D, terms))
+
+def karabegov_star(P, N):
+    """Anti-Wick star table through nu^N from a formal potential: the
+    operators of _anti_wick_ops, C_k for k >= 1 cut at D - (N + 2)."""
+    A, _ = _anti_wick_ops(P, N)
+    C = A[:1] + [_drop_above(op, P.D - (N + 2)) for op in A[1:]]
     t = StarTable(N=N, C=C, convention="karabegov_anti_wick",
                   label="karabegov")
     t.check_convention()
@@ -302,8 +294,7 @@ def bt_star_from(P, N):
     t = karabegov_star(FormalPotential(phi_minus1=P.phi_minus1,
                                        phi=[log_det]), N)
     ops = [op.swap() if k % 2 == 0 else -op.swap() for k, op in enumerate(t.C)]
-    C = [BiDiffOp(P.n, P.D, [(tm[0].drop_above(cut),) + tm[1:]
-                             for tm in op.terms]) for op in ops]
+    C = [_drop_above(op, cut) for op in ops]
     bt = StarTable(N=N, C=C, convention="wick", label="berezin-toeplitz")
     bt.check_convention()
     return bt

@@ -16,8 +16,9 @@ from starq.formal import (
     star_eval, star_table_to_json, transform_from_star,
 )
 from starq.karabegov import (
-    FormalPotential, bt_star_from, flat_potential,
-    fs_potential, karabegov_star, left_mult_operator, reference_potentials,
+    FormalPotential, _anti_wick_ops, _verify_commutation, bt_star_from,
+    flat_potential, fs_potential, karabegov_star, left_mult_operator,
+    reference_potentials,
 )
 
 from paper_checks import laplacian, ops_agree, poisson_bracket
@@ -394,3 +395,30 @@ def test_bt_direct_route_matches_conjugation(P, N):
     bt = bt_star_from(P, N)
     assert bt.C == conjugation_route(P, N)
     assert bt.convention == "wick"
+
+
+# ---------------------------------------------------------------------------
+# commutation of the table's own operators
+
+@pytest.mark.parametrize("P, N", [
+    pytest.param(flat_potential(14), 3, id="flat-3"),
+    pytest.param(fs_potential(16), 4, id="fs-4"),
+    pytest.param(flat_potential(14, n=2, weights=[1, 2]), 3, id="aniso-3"),
+    pytest.param(dense_potential(12), 3, id="dense-3"),
+    pytest.param(nonflat_n2_potential(12), 2, id="nonflat-n2-2"),
+    pytest.param(nondiagonal_n3_potential(10), 2, id="n3-2"),
+])
+def test_table_operators_commute_with_right_multiplication(P, N):
+    """Every A(f, .) = sum nu^k C_k(f, .) commutes with every nu R_l, on
+    the window D - (2N + 2) that _verify_commutation reads."""
+    assert P.D - (2 * N + 2) >= 2
+    _verify_commutation(*_anti_wick_ops(P, N))
+
+
+def test_corrupted_table_operator_fails_commutation():
+    P, N = fs_potential(14), 3
+    A, rho = _anti_wick_ops(P, N)
+    c, *idx = A[2].terms[0]
+    A[2] = A[2] + BiDiffOp(P.n, P.D, [(Jet.constant(1, P.n, P.D), *idx)])
+    with pytest.raises(ArithmeticError, match="fails commutation"):
+        _verify_commutation(A, rho)

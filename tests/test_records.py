@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from starq import QUADRATURE_FIELDS
+from starq import QUADRATURE_FIELDS, ValidationError
 from starq.cli import RunConfig, run
 from starq.cp1 import AsymSeries
 from starq.graphs import (
@@ -79,6 +79,17 @@ def test_integration_config_shares_the_quadrature_table():
     assert list(IntegrationConfig.__slots__) == names
     assert [getattr(icfg, k) for k in names] == [getattr(cfg, k) for k in names]
     assert integration_config(cfg) == icfg
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"samples": 1}, "samples must be in 2..2000000"),
+    ({"grid_nodes": 0}, "grid_nodes must be in 2..4096"),
+])
+def test_integration_config_holds_the_quadrature_bounds(values, message):
+    """IntegrationConfig refuses what the CLI refuses: one Monte Carlo
+    sample has no spread, and zero grid nodes make no grid."""
+    with pytest.raises(ValidationError, match=message):
+        IntegrationConfig(**values)
 
 
 def test_runconfig_defaults_and_echo():
