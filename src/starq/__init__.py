@@ -42,6 +42,11 @@ QUADRATURE_FIELDS = (
 MAX_GRID_NODES = 4096
 MAX_SAMPLES = 2_000_000
 
+# Most complex dimensions of a potential file, whose metric's determinant
+# and cofactors expand n! permutations; a bivector file may have the real
+# dimension 2 * MAX_N, since d_gamma walks d^(2n) index labelings.
+MAX_N = 6
+
 
 def check_quadrature(cfg):
     """Raise ValidationError unless the quadrature fields of cfg (a run

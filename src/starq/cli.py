@@ -23,8 +23,8 @@ import json
 import os
 import sys
 
-from . import (QUADRATURE_FIELDS, Frozen, NonFiniteResult, ResourceGuard,
-               ValidationError, __version__, check_quadrature)
+from . import (MAX_N, QUADRATURE_FIELDS, Frozen, NonFiniteResult,
+               ResourceGuard, ValidationError, __version__, check_quadrature)
 
 # Largest sphere level m that --m and --m-list accept: the Toeplitz matrix has
 # (m+1)^2 entries, allocated before anything else can fail.
@@ -35,9 +35,6 @@ MAX_LEVEL = 2048
 # potential file's max_degree is held to it too.
 MAX_ORDER = 16
 MAX_DEGREE = 64
-# Most complex dimensions of a potential file: the metric's determinant and
-# cofactors expand n! permutations.
-MAX_N = 6
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,16 @@ Two families:
     inverse metric of a Kaehler potential reproduce the recursion-built star
     product through nu^2 (gammelgaard_star derives that metric itself).
 
+The weighted graphs are generated from their rules, not filtered.  Every
+internal vertex has an in-edge and an out-edge, and a weight -1 vertex has
+valence >= 3; the first vertex's in-edge leaves the source and the last
+one's out-edge enters the sink.  So a graph with k internal vertices, a of
+weight -1, has 2|E| >= 3a + 2(k - a) + 2, and its total weight
+W = |E| + sum of vertex weights is at least (k + 2)/2: k <= 2W - 2.
+Internal edges run only from a lower to a higher vertex, a topological
+numbering, so each graph is acyclic by construction.  A class is kept once,
+as its least relabelling by str, with |Aut| attached.
+
 Sign bookkeeping (documented constants):
   * the angle form of an edge is d phi(z, w) with
     phi(z, w) = Im[log(w - z) - log(w - zbar)];
@@ -30,8 +40,8 @@ import json
 import math
 from fractions import Fraction
 
-from . import (QUADRATURE_FIELDS, Frozen, ResourceGuard, ValidationError,
-               check_quadrature)
+from . import (MAX_N, QUADRATURE_FIELDS, Frozen, ResourceGuard,
+               ValidationError, check_quadrature)
 
 # The exact core (jets, formal, karabegov) is imported inside the weighted-
 # graph functions: the Kontsevich commands never use it.
@@ -313,7 +323,8 @@ def kontsevich_weight(G, cfg=None):
         raise ResourceGuard("weights implemented for n <= 2")
     if G.n == 0:
         return WeightResult(1.0, 0.0, 0, cfg.seed)
-    key = (G.canonical(), cfg)
+    G = G.canonical()
+    key = (G, cfg)
     if key in _WEIGHT_CACHE:
         return _WEIGHT_CACHE[key]
     from .quadrature import grid_weight, mc_weight   # loads numpy
@@ -357,8 +368,9 @@ def kontsevich_star(a, f, g, N, cfg=None):
 # command inputs and outputs (star-kontsevich, weights)
 
 def load_bivector(path):
-    """The constant bivector of a JSON file {"constant": square matrix}, or
-    the standard symplectic form on R^2 when path is empty."""
+    """The constant bivector of a JSON file {"constant": square matrix} of
+    size at most 2 * MAX_N, or the standard symplectic form on R^2 when path
+    is empty."""
     if not path:
         return PoissonBivector.constant([[0.0, 1.0], [-1.0, 0.0]])
     with open(path) as fh:
@@ -369,6 +381,9 @@ def load_bivector(path):
             and all(type(x) in (int, float) for x in row) for row in mat)):
         raise ValidationError(f"bivector file {path} has no square "
                               f"numeric 'constant' matrix")
+    if len(mat) > 2 * MAX_N:
+        raise ResourceGuard(f"bivector has dimension {len(mat)}, above "
+                            f"{2 * MAX_N}")
     return PoissonBivector.constant(mat)
 
 
@@ -441,83 +456,50 @@ def enumerate_ggraphs(Wmax):
     up to isomorphism fixing source and sink, with |Aut| attached."""
     if Wmax > 2:
         raise ResourceGuard("enumeration supported for total weight <= 2")
+    return _generate_ggraphs(Wmax)
+
+
+def _generate_ggraphs(Wmax):
+    """The graphs of enumerate_ggraphs, without its weight guard, from the
+    rules of the module docstring, sorted by weight, weights and edges."""
     found = {}
-
-    def consider(weights, mult):
-        """weights: tuple of internal weights; mult: dict (u,v)->m."""
-        k = len(weights)
-        ne = sum(mult.values())
-        W = ne + sum(weights)
-        if W > Wmax:
-            return
-        # degree constraints (every internal vertex has an in- and an
-        # out-edge: the enumeration below passes no other multiset)
-        for v in range(k):
-            if weights[v] == -1 and sum(
-                    m for (a, b), m in mult.items() if v in (a, b)) < 3:
-                return
-        # acyclicity among internal vertices (edges only S->, ->T, v->v')
-        order = {}
-        rem = set(range(k))
-        internal = {(a, b): m for (a, b), m in mult.items()
-                    if isinstance(a, int) and isinstance(b, int)}
-        while rem:
-            progress = False
-            for v in list(rem):
-                if all(a not in rem for (a, b) in internal if b == v):
-                    rem.discard(v)
-                    progress = True
-            if not progress:
-                return  # cycle
-        # canonical form and automorphisms over internal permutations
-        best = None
-        auts = 0
-        for perm in itertools.permutations(range(k)):
-            pw = tuple(weights[perm.index(i)] for i in range(k))
-            pm = {}
-            for (a, b), m in mult.items():
-                aa = perm[a] if isinstance(a, int) else a
-                bb = perm[b] if isinstance(b, int) else b
-                pm[(aa, bb)] = m
-            key = (pw, tuple(sorted(pm.items(), key=lambda kv: str(kv[0]))))
-            if key == (tuple(weights),
-                       tuple(sorted(mult.items(), key=lambda kv: str(kv[0])))):
-                auts += 1
-            if best is None or str(key) < str(best):
-                best = key
-        mult_fact = 1
-        for m in mult.values():
-            mult_fact *= math.factorial(m)
-        aut = auts * mult_fact
-        if best not in found:
-            pw, pm = best
-            edges = tuple((u, v, m) for (u, v), m in pm)
-            found[best] = GGraph(weights=pw, edges=edges, aut=aut)
-
-    # brute force: k internal vertices, edge multisets over all allowed pairs;
-    # a weight -1 vertex buys one extra edge, so |E| <= Wmax + k
-    for k in range(0, 4):
-        pairs = [("S", "T")]
-        pairs += [("S", v) for v in range(k)]
+    for k in range(max(0, 2 * Wmax - 2) + 1):
+        pairs = [("S", "T")] + [("S", v) for v in range(k)]
         pairs += [(v, "T") for v in range(k)]
-        pairs += [(u, v) for u in range(k) for v in range(k) if u != v]
-        max_edges = Wmax + k
-        inner = set(range(k))
+        pairs += [(u, v) for u in range(k) for v in range(u + 1, k)]
         for weights in itertools.product(range(-1, Wmax + 1), repeat=k):
-            lo = max(1 if k else 0, -sum(weights))
-            for ne in range(lo, max_edges + 1):
-                if ne + sum(weights) > Wmax:
-                    continue
+            # 2|E| >= 3a + 2(k - a) + 2 for a weight -1 vertices
+            lo = (weights.count(-1) + 2 * k + 3) // 2 if k else 0
+            for ne in range(lo, Wmax - sum(weights) + 1):
                 for combo in itertools.combinations_with_replacement(pairs, ne):
-                    if not inner <= {b for _, b in combo} \
-                            or not inner <= {a for a, _ in combo}:
+                    ends = [x for e in combo for x in e]
+                    tails = [u for u, _ in combo]
+                    if not all(v in tails and ends.count(v) > tails.count(v)
+                               and (w >= 0 or ends.count(v) >= 3)
+                               for v, w in enumerate(weights)):
                         continue
-                    mult = {}
-                    for e in combo:
-                        mult[e] = mult.get(e, 0) + 1
-                    consider(tuple(weights), mult)
+                    key, aut = _canonical(weights,
+                                          {e: combo.count(e) for e in combo})
+                    if key not in found:
+                        pw, pm = key
+                        found[key] = GGraph(weights=pw, aut=aut, edges=tuple(
+                            (u, v, m) for (u, v), m in pm))
     return sorted(found.values(),
                   key=lambda G: (G.total_weight(), str(G.weights), str(G.edges)))
+
+
+def _canonical(weights, mult):
+    """The least relabelling by str of a graph (weights, {(u, v): m}) over
+    the permutations of its internal vertices, and its |Aut|."""
+    keys = []
+    for perm in itertools.permutations(range(len(weights))):
+        at = dict(enumerate(perm))
+        pm = {(at.get(u, u), at.get(v, v)): m for (u, v), m in mult.items()}
+        keys.append((tuple(weights[perm.index(i)] for i in range(len(perm))),
+                     tuple(sorted(pm.items(), key=lambda kv: str(kv[0])))))
+    # keys[0] is the identity relabelling
+    aut = keys.count(keys[0]) * math.prod(map(math.factorial, mult.values()))
+    return min(keys, key=str), aut
 
 
 def gammelgaard_star(P, N):
@@ -537,13 +519,9 @@ def gammelgaard_star(P, N):
         raise ResourceGuard("graph expansion implemented through order 2")
     n, D = P.n, P.D
     g_inv = metric_from_potential(P.phi_minus1).g_inv
-    C = [BiDiffOp.zero(n, D) for _ in range(N + 1)]
-    C[0] = BiDiffOp.pointwise(n, D)
-    for G in enumerate_ggraphs(N):
-        W = G.total_weight()
-        if W == 0 or W > N:
-            continue
-        C[W] = C[W] + _ggraph_operator(G, P, g_inv)
+    C = [BiDiffOp.pointwise(n, D)] + [BiDiffOp.zero(n, D)] * N
+    for G in enumerate_ggraphs(N)[1:]:      # [0] is the empty graph, C_0
+        C[G.total_weight()] += _ggraph_operator(G, P, g_inv)
     table = StarTable(N=N, C=C, convention="karabegov_anti_wick",
                       label="graph-expansion")
     table.check_convention()
@@ -553,44 +531,34 @@ def gammelgaard_star(P, N):
 
 
 def _ggraph_operator(G, P, g_inv):
-    """Contraction of one weighted graph into a bidifferential operator."""
+    """Contraction of one weighted graph into a bidifferential operator.
+
+    An index assignment gives each edge an anti-holomorphic index at its
+    tail and a holomorphic one at its head; it contributes only if every
+    vertex jet -Phi_w keeps a nonzero derivative.  The operator is scaled
+    by 1/|Aut| once."""
     from .formal import BiDiffOp
-    from .jets import Jet, mi_zero
-    n, D = P.n, P.D
-    edge_slots = []
-    for u, v, m in G.edges:
-        edge_slots += [(u, v)] * m
-    k = len(G.weights)
+    from .jets import mi_zero
+    n = P.n
+    slots = [(u, v) for u, v, m in G.edges for _ in range(m)]
+    phis = [-(P.phi_k(w) if w >= 0 else P.phi_minus1) for w in G.weights]
     terms = []
     for assign in itertools.product(
-            itertools.product(range(n), repeat=2), repeat=len(edge_slots)):
-        # edge e: (anti index at tail, holo index at head)
-        coeff = Jet.constant(Fraction(1, G.aut), n, D)
-        for (b, a) in assign:
-            coeff = coeff * g_inv[b][a]
-        ok = True
-        for v in range(k):
-            holo = [0] * n
-            anti = [0] * n
-            for (u, w), (b, a) in zip(edge_slots, assign):
-                if w == v:
-                    holo[a] += 1
-                if u == v:
-                    anti[b] += 1
-            vert = (-P.phi_k(G.weights[v]) if G.weights[v] >= 0
-                    else -P.phi_minus1).diff_multi(tuple(holo), tuple(anti))
+            itertools.product(range(n), repeat=2), repeat=len(slots)):
+        holo = {v: [0] * n for v in ("T", *range(len(phis)))}
+        anti = {u: [0] * n for u in ("S", *range(len(phis)))}
+        for (u, v), (b, a) in zip(slots, assign):
+            anti[u][b] += 1
+            holo[v][a] += 1
+        coeff = 1
+        for v, phi in enumerate(phis):
+            vert = phi.diff_multi(tuple(holo[v]), tuple(anti[v]))
             if vert.is_zero():
-                ok = False
                 break
-            coeff = coeff * vert
-        if not ok or coeff.is_zero():
-            continue
-        f_anti = [0] * n
-        g_holo = [0] * n
-        for (u, w), (b, a) in zip(edge_slots, assign):
-            if u == "S":
-                f_anti[b] += 1
-            if w == "T":
-                g_holo[a] += 1
-        terms.append((coeff, mi_zero(n), tuple(f_anti), tuple(g_holo), mi_zero(n)))
-    return BiDiffOp(n, D, terms)
+            coeff = vert * coeff
+        else:
+            for b, a in assign:
+                coeff = g_inv[b][a] * coeff
+            terms.append((coeff, mi_zero(n), tuple(anti["S"]),
+                          tuple(holo["T"]), mi_zero(n)))
+    return BiDiffOp(n, P.D, terms).scale(Fraction(1, G.aut))

@@ -222,11 +222,13 @@ def _anti_wick_ops(P, N):
 def _verify_commutation(A, rho):
     """Residual check: [A, nu R_l] vanishes through nu^N for the operators
     A_0..A_N of _anti_wick_ops, on the reliable degree window
-    D - (2N + 2) (exact for polynomial potentials)."""
+    D - (2N + 2) (exact for polynomial potentials).  A budget below 2N + 2
+    leaves no window to check and raises BudgetExceeded."""
     n, D, N = A[0].n, A[0].D, len(A) - 1
     window = D - (2 * N + 2)
     if window < 0:
-        return
+        raise BudgetExceeded(f"degree budget D={D} below 2N+2={2 * N + 2}: "
+                             f"no window to check commutation on")
     for l in range(n):
         for m in range(N + 1):
             for tm in _commutator_sum(A[:m + 1], rho, m, l).terms:

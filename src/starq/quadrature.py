@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .graphs import L, R, WeightResult, _target_key
+from .graphs import L, R, WeightResult
 
 _GRID_NODES_4D = 24               # per axis, non-factorizable 4D integrals
 _DET_BLOCK = 16384                # points per np.linalg.det call
@@ -100,7 +100,7 @@ def _pair_integral_2d(p, q, M, eta):
 
 def _vertex_boundary_points(G, i):
     pts = []
-    for t in sorted(G.targets[i - 1], key=_target_key):
+    for t in G.targets[i - 1]:
         if t == L:
             pts.append(0.0)
         elif t == R:
@@ -146,12 +146,6 @@ def _chart(flat):
     has the broadcast shape."""
     pos, factors = _chart_factors(flat)
     return pos, _product(factors)
-
-
-def _edges(G):
-    """(vertex, target) per edge, in the canonical per-vertex order."""
-    return [(i, t) for i in range(1, G.n + 1)
-            for t in sorted(G.targets[i - 1], key=_target_key)]
 
 
 def _edge_field(i, t, pos):
@@ -284,7 +278,8 @@ def _norm(n):
 
 
 # ---------------------------------------------------------------------------
-# entry points (called by graphs.kontsevich_weight)
+# entry points (called by graphs.kontsevich_weight, with the canonical graph,
+# so each vertex's edges come in the order L < R < 1 < 2 ...)
 
 def grid_weight(G, cfg):
     n = G.n
@@ -306,7 +301,7 @@ def grid_weight(G, cfg):
         norm = _norm(2)
         return WeightResult(total / norm, abs(total) * err_rel / norm + 1e-12,
                             2 * cfg.grid_nodes ** 2, cfg.seed)
-    edges = _edges(G)
+    edges = G.edge_list()
     pos, factors = _grid_4d()
     integrand = _integrand([_grid_edge_field(i, t) for i, t in edges],
                            factors)
@@ -322,7 +317,7 @@ def mc_weight(G, cfg):
     rng = np.random.default_rng(cfg.seed)
     count = cfg.samples
     pos, weight = _chart([rng.random(count) for _ in range(2 * G.n)])
-    edges = _edges(G)
+    edges = G.edge_list()
     integrand = _integrand([_edge_field(i, t, pos) for i, t in edges],
                            (weight,))
     masks = _masks(edges, pos, cfg.eta)

@@ -459,6 +459,23 @@ def test_potential_file_limits_exit_2(command, content, extra, error,
                                  "--order", "1", *extra], capsys, error)
 
 
+
+def test_bivector_dimension_above_cap_exits_2(tmp_path, capsys):
+    """d_gamma walks d^(2n) labelings, so a bivector file of dimension
+    above 2 * MAX_N, the real dimension of the largest potential, exits 2
+    before any work; one of dimension 2 * MAX_N loads."""
+    from starq.graphs import load_bivector
+    for d in (2 * MAX_N, 2 * MAX_N + 1):
+        path = tmp_path / f"alpha{d}.json"
+        path.write_text(json.dumps({"constant": [
+            [(j > i) - (j < i) for j in range(d)] for i in range(d)]}))
+    assert load_bivector(str(tmp_path / f"alpha{2 * MAX_N}.json")).d \
+        == 2 * MAX_N
+    assert_one_validation_error(
+        ["star-kontsevich", "--order", "1", "--alpha-path",
+         str(tmp_path / f"alpha{2 * MAX_N + 1}.json")], capsys,
+        "ResourceGuard")
+
 def test_named_potential_takes_max_degree():
     code, out = invoke(["star-bt", "--potential", "fs", "--order", "2",
                         "--max-degree", "16"])

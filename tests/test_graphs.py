@@ -1,10 +1,13 @@
 """Graph enumeration, numerical weights, and graph-built star products."""
 
+from fractions import Fraction
+
 import pytest
 
 import starq.jets
 from starq.karabegov import (
-    flat_potential, fs_potential, karabegov_star, reference_potentials,
+    FormalPotential, flat_potential, fs_potential, karabegov_star,
+    reference_potentials,
 )
 from starq.graphs import (
     CrossCheckFailure, GGraph, IntegrationConfig, IntegrationFailure, KGraph,
@@ -14,6 +17,7 @@ from starq.graphs import (
 )
 
 from paper_checks import moyal_star, star_poly_series
+from test_karabegov import dense_potential, nonflat_n2_potential
 
 
 def xy():
@@ -308,7 +312,7 @@ def test_blockwise_masks_match_full_grid_distances(monkeypatch, block):
     mc_pos, _ = quadrature._chart([rng.random(40000) for _ in range(4)])
     grid_pos = quadrature._grid_4d()[0]
     for G in enumerate_kgraphs(2):
-        edges = quadrature._edges(G)
+        edges = G.edge_list()
         for pos in (grid_pos, mc_pos):
             got = quadrature._masks(edges, pos, eta)
             want = _full_grid_masks(edges, pos, eta)
@@ -354,7 +358,7 @@ def test_blockwise_determinant_matches_one_call(monkeypatch, block):
     _, grid_weight = _meshgrid_chart()
     internal = [g for g in enumerate_kgraphs(2) if g.has_internal_edge()]
     for G in (internal[0], internal[-1]):
-        edges = quadrature._edges(G)
+        edges = G.edge_list()
         grid_fields = [quadrature._grid_edge_field(i, t) for i, t in edges]
         mc_fields = [quadrature._edge_field(i, t, mc_pos) for i, t in edges]
         cases = ((grid_fields, quadrature._grid_4d()[1], grid_weight),
@@ -492,9 +496,26 @@ def test_ggraph_json_shape():
     assert blob["aut"] == 1
 
 
+def fs_phi_potential(D):
+    """Fubini-Study Phi_{-1} with Phi_0 = z zbar / 3 + z zbar (z + zbar) / 2
+    and Phi_1 = (z zbar)^2 / 5."""
+    z = starq.jets.Jet.variable(0, 1, D)
+    zb = starq.jets.Jet.variable(0, 1, D, "anti")
+    zz = z * zb
+    return FormalPotential(fs_potential(D).phi_minus1, [
+        zz.scale(Fraction(1, 3)) + (zz * (z + zb)).scale(Fraction(1, 2)),
+        (zz * zz).scale(Fraction(1, 5))])
+
+
 def test_gammelgaard_matches_recursion():
+    """The reference potentials have a diagonal g^{-1} and no weight >= 0
+    vertex jet; g^{-1} is off the diagonal for non-flat n = 2, the dense
+    n = 1 metric is not radial, and fs-phi has nonzero Phi_0 and Phi_1."""
     D = 14
-    for name, P in reference_potentials(D).items():
+    potentials = dict(reference_potentials(D),
+                      nonflat_n2=nonflat_n2_potential(D),
+                      dense=dense_potential(D), fs_phi=fs_phi_potential(D))
+    for name, P in potentials.items():
         t = gammelgaard_star(P, 2)  # raises CrossCheckFailure if off
         assert t.convention == "karabegov_anti_wick", name
 

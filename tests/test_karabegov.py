@@ -12,7 +12,7 @@ from starq.jets import (
 )
 import starq.karabegov
 from starq.formal import (
-    BiDiffOp, DiffOp, NuDiffOp, assoc_defect, conjugate_star,
+    BiDiffOp, BudgetExceeded, DiffOp, NuDiffOp, assoc_defect, conjugate_star,
     star_eval, star_table_to_json, transform_from_star,
 )
 from starq.karabegov import (
@@ -422,3 +422,17 @@ def test_corrupted_table_operator_fails_commutation():
     A[2] = A[2] + BiDiffOp(P.n, P.D, [(Jet.constant(1, P.n, P.D), *idx)])
     with pytest.raises(ArithmeticError, match="fails commutation"):
         _verify_commutation(A, rho)
+
+
+def test_commutation_check_refuses_a_negative_window():
+    """At N = 1 and D = 3 the window D - (2N + 2) is -1: the check reads no
+    degree, so it raises rather than pass a table whose A_1 has 5 added to
+    one coefficient, and left_mult_operator returns no unchecked operator."""
+    P, N = fs_potential(3), 1
+    A, rho = _anti_wick_ops(P, N)
+    c, *idx = A[1].terms[0]
+    A[1] = A[1] + BiDiffOp(P.n, P.D, [(Jet.constant(5, P.n, P.D), *idx)])
+    with pytest.raises(BudgetExceeded):
+        _verify_commutation(A, rho)
+    with pytest.raises(BudgetExceeded):
+        left_mult_operator([zbj(P.D)], P, N)
