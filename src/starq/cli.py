@@ -79,8 +79,8 @@ class RunConfig(Frozen):
             raise ValidationError(f"unknown command {self.command!r}")
         if self.format not in ("json", "csv"):
             raise ValidationError(f"unknown format {self.format!r}")
-        if self.order < 0 or self.n < 0:
-            raise ValidationError("order/n must be >= 0")
+        if min(self.order, self.n, self.max_degree, self.wmax) < 0:
+            raise ValidationError("order/n/max_degree/wmax must be >= 0")
         if self.order > MAX_ORDER:
             raise ValidationError(f"order {self.order} is above {MAX_ORDER}")
         if self.max_degree > MAX_DEGREE:

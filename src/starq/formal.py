@@ -91,11 +91,6 @@ class DiffOp(_TermSum):
         return DiffOp(n, D, [(Jet.constant(1, n, D), mi_zero(n), mi_zero(n))])
 
     @staticmethod
-    def mult(jet):
-        return DiffOp(jet.n, jet.max_degree,
-                      [(jet, mi_zero(jet.n), mi_zero(jet.n))])
-
-    @staticmethod
     def deriv(n, D, holo, anti):
         return DiffOp(n, D, [(Jet.constant(1, n, D), holo, anti)])
 

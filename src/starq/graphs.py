@@ -513,12 +513,12 @@ def gammelgaard_star(P, N):
     degree D - (N + 2) - 2, or CrossCheckFailure is raised.
     """
     from .formal import BiDiffOp, StarTable, tables_agree
-    from .jets import metric_from_potential
+    from .jets import inverse_metric
     from .karabegov import karabegov_star
     if N > 2:
         raise ResourceGuard("graph expansion implemented through order 2")
     n, D = P.n, P.D
-    g_inv = metric_from_potential(P.phi_minus1).g_inv
+    g_inv = inverse_metric(P.phi_minus1)
     C = [BiDiffOp.pointwise(n, D)] + [BiDiffOp.zero(n, D)] * N
     for G in enumerate_ggraphs(N)[1:]:      # [0] is the empty graph, C_0
         C[G.total_weight()] += _ggraph_operator(G, P, g_inv)

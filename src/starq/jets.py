@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from operator import add as _add, itemgetter, sub as _sub
 
-from . import Frozen, ResourceGuard  # ResourceGuard is re-exported
+from . import ResourceGuard  # re-exported
 
 
 class ZeroConstantTerm(ArithmeticError):
@@ -108,10 +108,6 @@ def mi_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def mi_le(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
 def mi_deg(a):
     return sum(a)
 
@@ -121,24 +117,6 @@ def mi_binom(a, b):
     out = 1
     for x, y in zip(a, b):
         out *= math.comb(x, y)
-    return out
-
-
-def mi_range(n, max_deg):
-    """All multi-indices of length n with total degree <= max_deg, graded lex."""
-    out = []
-    for d in range(max_deg + 1):
-        tier = []
-
-        def rec_exact(prefix, remaining):
-            if len(prefix) == n - 1:
-                tier.append(tuple(prefix) + (remaining,))
-                return
-            for v in range(remaining + 1):
-                rec_exact(prefix + [v], remaining - v)
-
-        rec_exact([], d)
-        out.extend(sorted(tier))
     return out
 
 
@@ -473,16 +451,6 @@ class Jet:
 # ---------------------------------------------------------------------------
 # metric data
 
-class MetricJets(Frozen):
-    """g: n x n tuple-of-tuples of Jet, g[i][j] = d2 Phi / dz_i dzbar_j;
-    g_inv: its jet inverse matrix."""
-
-    __slots__ = ("g", "g_inv")
-
-    def __init__(self, g, g_inv):
-        self._set(g=g, g_inv=g_inv)
-
-
 def hessian(phi):
     """g_ij = d2 Phi / dz_i dzbar_j as an n x n list of jets."""
     return [[phi.diff(i, "holo").diff(j, "anti") for j in range(phi.n)]
@@ -504,28 +472,27 @@ def jet_det(mat):
     return out
 
 
-def metric_from_potential(phi):
-    """Hessian metric g_ij = d2 Phi / dz_i dzbar_j and its jet inverse
-    g^{-1} = adj(g) / det g; raises DegenerateMetric when det g has no
-    constant term."""
-    n, D = phi.n, phi.max_degree
+def inverse_metric(phi):
+    """The jet inverse g^{-1} = adj(g) / det g of the Hessian metric
+    g_ij = d2 Phi / dz_i dzbar_j, as an n x n tuple of tuples of jets;
+    raises DegenerateMetric when det g has no constant term."""
+    n = phi.n
     g = hessian(phi)
     det = jet_det(g)
     if det.constant_term().is_zero():
         raise DegenerateMetric("degree-0 Hessian block is singular")
     inv_det = det.inverse()
+    if n == 1:
+        return ((inv_det,),)
 
     def cofactor(i, j):
         """(-1)^(i+j) times the minor of g without row i and column j."""
-        if n == 1:
-            return Jet.constant(1, n, D)
         minor = [row[:j] + row[j + 1:] for r, row in enumerate(g) if r != i]
         c = jet_det(minor)
         return -c if (i + j) % 2 else c
 
-    g_inv = tuple(tuple(cofactor(j, i) * inv_det for j in range(n))
-                  for i in range(n))
-    return MetricJets(g=tuple(tuple(row) for row in g), g_inv=g_inv)
+    return tuple(tuple(cofactor(j, i) * inv_det for j in range(n))
+                 for i in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,30 @@
 The anti-Wick table's operators A_k(f, g) = C_k(f, g) are solved order by
 order in nu from the requirement that, for every f, the left multiplication
 operator L_f = sum nu^k A_k(f, .) commutes with the right multiplication
-operators R_l = dPhi/dzbar_l + d/dzbar_l.  Multiplied through by nu, the
-commutation equation at order nu^m gives, with f as a spectator, for the
-coefficients x_{alpha,b} of dbar^b f d^alpha g with |alpha| = s, one block
-of rows (l, beta), |beta| = s - 1, for each b:
+operators R_l = dPhi/dzbar_l + d/dzbar_l.  Multiplied through by nu,
+nu R_l = sum_j nu^j rho_{j,l} with rho_{j,l} the multiplication by
+w[j][l] = dPhi_{j-1}/dzbar_l, plus d/dzbar_l for j = 1, and the equation
+at order nu^m is
 
-    sum_j g_jl (beta_j + 1) x_{beta+e_j,b} = v_{l,beta,b},
+    [A_m, w[0][l]] = -sum_{k<m} [A_k, rho_{m-k,l}],
 
-with g = d dbar Phi_{-1} the metric and v the lower orders and the solved
-blocks |alpha| > s.  Blocks are solved from s = m down.  The jet inverse
-g^{-1} = adj(g) / det g turns each block into
-(beta_j + 1) x_{beta+e_j,b} = sum_l g^{-1}_lj v_{l,beta,b}, so x_{alpha,b}
-can be read off along every j with alpha_j > 0; the routes must agree,
-which is the consistency (null-row) check of the overdetermined block.
-left_mult_operator is the table contracted with g, after checking that the
-table's operators commute with every nu R_l; karabegov_star runs no such
-check.  load_potential reads the --potential of the star-* commands: a
-reference potential by name, or a potential JSON file.
+each commutator in closed form by Leibniz.  With f as a spectator, the
+coefficients x_{alpha,b} of dbar^b f d^alpha g with |alpha| = s enter the
+rows (l, b, beta), |beta| = s - 1, of the left side as
+sum_j g_jl (beta_j + 1) x_{beta+e_j,b}, with g = d dbar Phi_{-1} the
+metric, and lower rows through higher derivatives of w[0][l].  So order m
+is one back-substitution on the residual of its equation, which starts as
+the right side's negative: for s = m down to 1, the jet inverse
+g^{-1} = adj(g) / det g reads (beta_j + 1) x_{beta+e_j,b} =
+-sum_l g^{-1}_lj r_{l,b,beta} off the residual rows r along the first j
+with alpha_j > 0, and the block's commutator joins the residual.  The
+residual is then the whole commutator at order nu^m, and it must vanish
+through D - (m + 2), the degree order m is reliable through: that checks
+the other j-routes of each overdetermined block and every row no block
+solves, so every table carries its commutation certificate.
+left_mult_operator is the table contracted with g.  load_potential reads
+the --potential of the star-* commands: a reference potential by name, or
+a potential JSON file.
 """
 
 import json
@@ -27,10 +34,12 @@ from fractions import Fraction
 
 from . import ValidationError
 from .jets import (
-    Jet, hessian, jet_det, jet_from_json, metric_from_potential, mi_binom,
-    mi_deg, mi_le, mi_range, mi_sub, mi_zero, unit_mi,
+    Jet, hessian, inverse_metric, jet_det, jet_from_json, mi_add, mi_binom,
+    mi_sub, mi_zero, unit_mi,
 )
-from .formal import BiDiffOp, BudgetExceeded, DiffOp, NuDiffOp, StarTable
+from .formal import (
+    BiDiffOp, BudgetExceeded, DiffOp, NuDiffOp, StarTable, _sub_indices,
+)
 
 
 class FormalPotential:
@@ -113,11 +122,11 @@ def load_potential(name, D):
 
 def left_mult_operator(g_series, P, N):
     """L_g for a nu-series g (list of Jets), as a NuDiffOp through nu^N: the
-    table's operators, checked by _verify_commutation, contracted with g.
-    Order m is g_m + sum_{k>=1} sum (c dbar^b g_{m-k}) d^alpha over the terms
-    c dbar^b f d^alpha g of A_k, each cut at D - (m + 2)."""
-    A, rho = _anti_wick_ops(P, N)
-    _verify_commutation(A, rho)
+    table's operators, which the recursion has checked to commute with
+    every nu R_l, contracted with g.  Order m is g_m + sum_{k>=1} sum
+    (c dbar^b g_{m-k}) d^alpha over the terms c dbar^b f d^alpha g of A_k,
+    each cut at D - (m + 2)."""
+    A, _ = _anti_wick_ops(P, N)
     n, D = P.n, P.D
     z = mi_zero(n)
     gs = list(g_series) + [Jet.zero(n, D)] * (N + 1 - len(g_series))
@@ -133,120 +142,91 @@ def left_mult_operator(g_series, P, N):
 
 def _anti_wick_ops(P, N):
     """The anti-Wick table's operators A_0..A_N, A_k(f, g) = C_k(f, g), each
-    A_m kept through degree D - (m + 2), with the operators rho they commute
-    with.
-
-    The right-multiplication data, graded after multiplying through by nu,
-    nu R_l = w_{-1,l} + nu (w_{0,l} + d/dzbar_l) + nu^2 w_{1,l} + ..., and
-    g^{-1} depend on P and N alone; rho[j][l] is the nu^j part of nu R_l as
-    an operator on g.  No commutation check runs here."""
+    A_m kept through degree D - (m + 2), with the multipliers w they
+    commute with: w[j][l] = dPhi_{j-1}/dzbar_l, the nu^j part of nu R_l
+    besides the d/dzbar_l of nu^1.  Order m is solved by back-substitution
+    on the residual of its equation (module docstring) and raises
+    ArithmeticError unless the residual vanishes through D - (m + 2)."""
     n, D = P.n, P.D
     if D < 3 * N:
         raise BudgetExceeded(f"degree budget D={D} below 3N={3 * N}")
     z = mi_zero(n)
-    w_lead = [P.phi_minus1.diff(l, "anti") for l in range(n)]
-    g_inv = metric_from_potential(P.phi_minus1).g_inv
-
-    def rho_op(j, l):
-        if j == 0:
-            return DiffOp.mult(w_lead[l])
-        op = DiffOp.mult(P.phi_k(j - 1).diff(l, "anti"))
-        if j == 1:
-            op = op + DiffOp.deriv(n, D, z, unit_mi(n, l))
-        return op
-
-    rho = [[rho_op(j, l) for l in range(n)] for j in range(N + 1)]
-
+    g_inv = inverse_metric(P.phi_minus1)
+    w = [[phi.diff(l, "anti") for l in range(n)]
+         for phi in [P.phi_minus1] + [P.phi_k(j) for j in range(N)]]
     A = [BiDiffOp.pointwise(n, D)]
     for m in range(1, N + 1):
-        # order m is reliable through degree D - (m + 2), the window of the
-        # j-route check; no term above it reaches a reported term
         cut = D - (m + 2)
-        # RHS of [A_m, w_{-1,l} .] = -sum_{k<m} [A_k, rho_{m-k,l}], keyed by
-        # (d^beta on g, dbar^b on f)
-        rhs = []
-        for l in range(n):
-            row = {}
-            for c, _, b, beta, ga in (-_commutator_sum(A, rho, m, l)).terms:
-                if mi_deg(ga) > 0:
-                    raise ArithmeticError(
-                        "recursion right-hand side is not holomorphic")
-                row[beta, b] = c.drop_above(cut)
-            rhs.append(row)
+        res = [_commutator_sum(A, w, m, l) for l in range(n)]
         terms = []
-        for b in dict.fromkeys(b for row in rhs for _, b in row):
-            coeffs = {}
-            for s in range(m, 0, -1):
-                # u_{j,beta} = sum_l g^{-1}_lj v_{l,beta,b}
-                # = (beta_j + 1) x_{beta+e_j,b} for the block |alpha| = s
-                # (module docstring)
-                u = {}
-                for beta in mi_range(n, s - 1):
-                    if mi_deg(beta) < s - 1:
-                        continue
-                    v = []
-                    for l in range(n):
-                        val = rhs[l].get((beta, b), Jet.zero(n, D))
-                        # coeffs holds the solved blocks |alpha| > s
-                        for alpha, c in coeffs.items():
-                            if not mi_le(beta, alpha):
-                                continue
-                            gamma = mi_sub(alpha, beta)
-                            dw = w_lead[l].diff_multi(gamma, z)
-                            val = val - (c * dw).scale(mi_binom(alpha, gamma))
-                        v.append(val)
-                    for j in range(n):
-                        acc = Jet.zero(n, D)
-                        for l in range(n):
-                            acc = acc + g_inv[l][j] * v[l]
-                        u[j, beta] = acc
-                # x_{alpha,b} along the first j with alpha_j > 0; every other
-                # j-route must give the same value on the reliable window
-                for alpha in mi_range(n, s):
-                    if mi_deg(alpha) < s:
-                        continue
-                    x, *others = [u[j, mi_sub(alpha, unit_mi(n, j))]
-                                  .drop_above(cut).scale(Fraction(1, alpha[j]))
-                                  for j in range(n) if alpha[j]]
-                    for y in others:
-                        if not (y - x).is_zero():
-                            raise ArithmeticError(
-                                "inconsistent block in the recursion")
+        for s in range(m, 0, -1):
+            # the rows (b, beta), |beta| = s - 1, of the block |alpha| = s,
+            # with the solved blocks |alpha| > s already in the residual
+            rows = {}
+            for l, r in enumerate(res):
+                for c, fh, b, beta, ga in r.terms:
+                    if fh == z and ga == z and sum(beta) == s - 1:
+                        c = c.drop_above(cut)
+                        if not c.is_zero():
+                            rows.setdefault((b, beta), []).append((l, c))
+            block = []
+            for (b, beta), row in rows.items():
+                # x_alpha along the first j with alpha_j > 0
+                for j in range(n):
+                    acc = Jet.zero(n, D)
+                    for l, c in row:
+                        acc = acc + g_inv[l][j] * c
+                    x = acc.drop_above(cut).scale(Fraction(-1, beta[j] + 1))
                     if not x.is_zero():
-                        coeffs[alpha] = x
-            terms += [(c, z, b, alpha, z) for alpha, c in coeffs.items()]
+                        block.append((x, z, b, mi_add(beta, unit_mi(n, j)), z))
+                    if beta[j]:
+                        break
+            block = BiDiffOp(n, D, block)
+            terms += block.terms
+            res = [r + _commutator(block, w[0][l]) for l, r in enumerate(res)]
+        if any(not tm[0].drop_above(cut).is_zero()
+               for r in res for tm in r.terms):
+            raise ArithmeticError("inconsistent block in the recursion")
         A.append(BiDiffOp(n, D, terms))
-    return A, rho
+    return A, w
 
 
-def _verify_commutation(A, rho):
-    """Residual check: [A, nu R_l] vanishes through nu^N for the operators
-    A_0..A_N of _anti_wick_ops, on the reliable degree window
-    D - (2N + 2) (exact for polynomial potentials).  A budget below 2N + 2
-    leaves no window to check and raises BudgetExceeded."""
-    n, D, N = A[0].n, A[0].D, len(A) - 1
-    window = D - (2 * N + 2)
-    if window < 0:
-        raise BudgetExceeded(f"degree budget D={D} below 2N+2={2 * N + 2}: "
-                             f"no window to check commutation on")
-    for l in range(n):
-        for m in range(N + 1):
-            for tm in _commutator_sum(A[:m + 1], rho, m, l).terms:
-                if not tm[0].truncate(window).is_zero():
-                    raise ArithmeticError(
-                        f"left multiplication operator fails commutation at nu^{m}")
-
-
-def _commutator_sum(A, rho, m, l):
-    """sum_k [A_k, rho_{m-k,l}] over the operators A_0, A_1, ... of A, with
-    [A, r](f, g) = A(f, r g) - r(A(f, g))."""
-    n, D = A[0].n, A[0].D
-    ident = DiffOp.identity(n, D)
-    acc = BiDiffOp.zero(n, D)
+def _commutator_sum(A, w, m, l):
+    """The nu^m part of [sum_k nu^k A_k, nu R_l] over the operators A_0,
+    A_1, ... of A: sum_k [A_k, w[m-k][l]], plus [A_{m-1}, d/dzbar_l]."""
+    acc = BiDiffOp.zero(A[0].n, A[0].D)
     for k, a in enumerate(A):
-        r = rho[m - k][l]
-        acc = acc + (a.precompose(ident, r) - a.postcompose(r))
+        acc = acc + _commutator(a, w[m - k][l], l if m - k == 1 else None)
     return acc
+
+
+def _commutator(op, w, l=None):
+    """[op, w] for a BiDiffOp op and the multiplication by a jet w, plus
+    [op, d/dzbar_l] when l is given, with [op, r](f, g) = op(f, r g) -
+    r(op(f, g)).  By Leibniz, a term c (d^fh dbar^fa f)(d^gh dbar^ga g) of
+    op gives C(gh, gamma) C(ga, delta) c d^gamma dbar^delta w times
+    (d^fh dbar^fa f)(d^(gh-gamma) dbar^(ga-delta) g) for each nonzero
+    (gamma, delta) <= (gh, ga), and -(dbar_l c)(d^fh dbar^fa f)(d^gh dbar^ga g)
+    and -c (d^fh dbar^(fa+e_l) f)(d^gh dbar^ga g)."""
+    n = op.n
+    dw = {}
+    out = []
+    for c, fh, fa, gh, ga in op.terms:
+        for gamma in _sub_indices(gh):
+            for delta in _sub_indices(ga):
+                if not any(gamma + delta):
+                    continue        # op(f, w g) - w op(f, g) cancels it
+                d = dw.get((gamma, delta))
+                if d is None:
+                    d = dw[gamma, delta] = w.diff_multi(gamma, delta)
+                if not d.is_zero():
+                    out.append(((c * d).scale(mi_binom(gh, gamma)
+                                              * mi_binom(ga, delta)),
+                                fh, fa, mi_sub(gh, gamma), mi_sub(ga, delta)))
+        if l is not None:
+            out.append((-c.diff(l, "anti"), fh, fa, gh, ga))
+            out.append((-c, fh, mi_add(fa, unit_mi(n, l)), gh, ga))
+    return BiDiffOp(n, op.D, out)
 
 
 # ---------------------------------------------------------------------------

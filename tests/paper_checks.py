@@ -4,9 +4,9 @@ No command, script or benchmark driver runs these, so they live here and
 not in starq: the Toeplitz trace formula, the adjointness of covariant and
 contravariant symbols, Rawnsley's constant epsilon, Tuynman's relation
 Q_f = i T_{f - Delta f/(2m)} for geometric quantization, the opposite and
-dual products, the Moyal product and the jet Laplacian and Poisson
-bracket.  The tests import them from this module; pytest puts tests/ on
-sys.path.
+dual products, the Moyal product, the multi-index range and the jet
+Laplacian and Poisson bracket.  The tests import them from this module;
+pytest puts tests/ on sys.path.
 
 Documented sign constant (pinned by the Tuynman test): the Hamiltonian
 field at level m is X^z = i f_zbar (1+|z|^2)^2 / (2m), the unique scaling
@@ -24,8 +24,8 @@ from starq.cp1 import (
     toeplitz_matrix,
 )
 from starq.formal import (
-    BiDiffOp, OrderViolation, StarTable, _agree, _routes_as, conjugate_star,
-    detect_convention,
+    BiDiffOp, DiffOp, OrderViolation, StarTable, _agree, _routes_as,
+    conjugate_star, detect_convention,
 )
 from starq.graphs import Poly, kontsevich_star
 from starq.jets import I, Jet, mi_zero
@@ -180,20 +180,38 @@ def tuynman_defect(f, ctx):
 
 
 # ---------------------------------------------------------------------------
-# jets: Laplacian and Poisson bracket
+# jets: multi-indices, Laplacian and Poisson bracket
 
-def laplacian(f, m):
+def mi_range(n, max_deg):
+    """All multi-indices of length n with total degree <= max_deg, graded lex."""
+    out = []
+    for d in range(max_deg + 1):
+        tier = []
+
+        def rec_exact(prefix, remaining):
+            if len(prefix) == n - 1:
+                tier.append(tuple(prefix) + (remaining,))
+                return
+            for v in range(remaining + 1):
+                rec_exact(prefix + [v], remaining - v)
+
+        rec_exact([], d)
+        out.extend(sorted(tier))
+    return out
+
+
+def laplacian(f, g_inv):
     """Sum_ij g_inv[j][i] d2 f / dz_i dzbar_j: g_inv[j][i] pairs dzbar_j
     with dz_i, as in poisson_bracket."""
     n = f.n
     out = Jet.zero(n, f.max_degree)
     for i in range(n):
         for j in range(n):
-            out = out + m.g_inv[j][i] * f.diff(i, "holo").diff(j, "anti")
+            out = out + g_inv[j][i] * f.diff(i, "holo").diff(j, "anti")
     return out
 
 
-def poisson_bracket(f, g, m):
+def poisson_bracket(f, g, g_inv):
     """{f,g} = i sum g^{ij} (df/dzbar_i dg/dz_j - df/dz_j dg/dzbar_i)."""
     n = f.n
     out = Jet.zero(n, f.max_degree)
@@ -201,12 +219,18 @@ def poisson_bracket(f, g, m):
         for j in range(n):
             term = (f.diff(i, "anti") * g.diff(j, "holo")
                     - f.diff(j, "holo") * g.diff(i, "anti"))
-            out = out + m.g_inv[i][j] * term
+            out = out + g_inv[i][j] * term
     return out.scale(I)
 
 
 # ---------------------------------------------------------------------------
-# formal: polarization, opposite and dual products
+# formal: multiplication operators, polarization, opposite and dual products
+
+def mult_op(jet):
+    """The multiplication by a jet, as a DiffOp."""
+    z = mi_zero(jet.n)
+    return DiffOp(jet.n, jet.max_degree, [(jet, z, z)])
+
 
 def polarize(I_k, k):
     """Rebuild C_k from I_k: anti derivatives go to the first argument,

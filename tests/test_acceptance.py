@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from starq.jets import I, Jet, Scalar, metric_from_potential, mi_deg, mi_range
+from starq.jets import I, Jet, Scalar, inverse_metric, mi_deg
 from starq.formal import (
     DiffOp, NuDiffOp, assoc_defect, invert_transform, star_eval, tables_agree,
     transform_from_star,
@@ -40,8 +40,9 @@ from starq.cli import main
 
 from paper_checks import (
     adjointness_check, contravariant_reconstruct, dual_star, epsilon_function,
-    integral_exact, laplacian, moyal_star, ops_agree, poisson_bracket,
-    star_poly_series, surjectivity_rank, trace_identity, tuynman_defect,
+    integral_exact, laplacian, mi_range, moyal_star, ops_agree,
+    poisson_bracket, star_poly_series, surjectivity_rank, trace_identity,
+    tuynman_defect,
 )
 
 TWO_PI = 2 * math.pi
@@ -138,7 +139,7 @@ def test_03_first_order_coefficient_identities():
                 t = bt_star_from(P, N)
                 assert t.convention == "wick", name
                 window = D - (3 * N + 2) - 2
-            m = metric_from_potential(P.phi_minus1)
+            g_inv = inverse_metric(P.phi_minus1)
             probes = [Jet.monomial(h, a, n, D)
                       for h in mi_range(n, 2) for a in mi_range(n, 2)]
             for f in probes[:6]:
@@ -147,18 +148,18 @@ def test_03_first_order_coefficient_identities():
                     for i in range(n):
                         for j in range(n):
                             if flavor == "anti_wick":
-                                expect = expect + (m.g_inv[i][j]
+                                expect = expect + (g_inv[i][j]
                                                    * f.diff(i, "anti")
                                                    * g.diff(j, "holo"))
                             else:
-                                expect = expect - (m.g_inv[i][j]
+                                expect = expect - (g_inv[i][j]
                                                    * f.diff(i, "holo")
                                                    * g.diff(j, "anti"))
                     got = t.C[1].apply(f, g)
                     assert (got - expect).truncate(window).is_zero(), name
                     # bracket from the antisymmetrized first coefficient
                     anti = t.C[1].apply(f, g) - t.C[1].apply(g, f)
-                    br = poisson_bracket(f, g, m)
+                    br = poisson_bracket(f, g, g_inv)
                     assert (br - anti.scale(I)).truncate(window).is_zero(), name
 
 
@@ -172,13 +173,13 @@ def test_04_transform_orders():
         t = karabegov_star(P, N)
         Iop = transform_from_star(t)
         assert Iop.orders[0] == DiffOp.identity(n, D), name
-        m = metric_from_potential(P.phi_minus1)
+        g_inv = inverse_metric(P.phi_minus1)
         window = D - (N + 2) - 4
         probes = [Jet.monomial(h, a, n, D)
                   for h in mi_range(n, 2) for a in mi_range(n, 2)]
         for f in probes:
             got = Iop.orders[1].apply(f)
-            assert (got - laplacian(f, m)).truncate(window).is_zero(), name
+            assert (got - laplacian(f, g_inv)).truncate(window).is_zero(), name
     # flat second order is half the squared Laplace operator
     t = karabegov_star(flat_potential(D), N)
     Iop = transform_from_star(t)

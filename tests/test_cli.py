@@ -304,6 +304,10 @@ def test_exit_codes_and_stderr(capsys):
     ["weights", "--n", "1", "--method", "mc", "--samples", "100000000000000"],
     ["weights", "--n", "1", "--grid-nodes", "4097"],
     ["weights", "--n", "1", "--method", "mc", "--samples", "2000001"],
+    # a negative degree budget or graph weight is refused, not run
+    ["star-gammelgaard", "--potential", "fs", "--order", "0",
+     "--max-degree", "-1"],
+    ["graphs-enumerate", "--family", "weighted", "--wmax", "-1"],
 ])
 def test_invalid_numeric_options_exit_2(argv, capsys):
     assert_one_validation_error(argv, capsys)

@@ -524,13 +524,10 @@ def test_gammelgaard_crosscheck_detects_corruption(monkeypatch):
     """A graph expansion contracted against a doubled inverse metric fails
     the cross-check; the recursion it is checked against keeps the true
     metric."""
-    exact = starq.jets.metric_from_potential
+    exact = starq.jets.inverse_metric
 
     def doubled(phi):
-        m = exact(phi)
-        return starq.jets.MetricJets(
-            g=m.g, g_inv=tuple(tuple(x.scale(2) for x in row)
-                               for row in m.g_inv))
-    monkeypatch.setattr(starq.jets, "metric_from_potential", doubled)
+        return tuple(tuple(x.scale(2) for x in row) for row in exact(phi))
+    monkeypatch.setattr(starq.jets, "inverse_metric", doubled)
     with pytest.raises(CrossCheckFailure):
         gammelgaard_star(fs_potential(14), 2)

@@ -8,11 +8,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from starq.jets import (
     I, ONE, Jet, Scalar, ZeroConstantTerm, DegenerateMetric,
-    hessian, jet_det, jet_from_json, jet_to_json,
-    metric_from_potential, mi_range,
+    hessian, inverse_metric, jet_det, jet_from_json, jet_to_json,
 )
 
-from paper_checks import laplacian, poisson_bracket
+from paper_checks import laplacian, mi_range, poisson_bracket
 
 
 def jz(n=1, D=6):
@@ -135,22 +134,21 @@ def test_det_anisotropic_and_3x3():
 def test_metric_flat():
     D = 6
     phi = jz(1, D) * jzb(1, D)
-    m = metric_from_potential(phi)
-    assert m.g[0][0] == Jet.constant(1, 1, D)
-    assert m.g_inv[0][0] == Jet.constant(1, 1, D)
+    assert hessian(phi)[0][0] == Jet.constant(1, 1, D)
+    assert inverse_metric(phi)[0][0] == Jet.constant(1, 1, D)
 
 
 def test_metric_fs():
     D = 8
     phi = log1p_jet(D)
-    m = metric_from_potential(phi)
     # g = (1+z zbar)^{-2} = 1 - 2 t + 3 t^2 - ..., reliable through D-2
     expect_g = Jet(1, D, {((k,), (k,)): Scalar((-1) ** k * (k + 1)) for k in range(4)})
-    assert m.g[0][0].truncate(D - 2) == expect_g.truncate(D - 2)
+    assert hessian(phi)[0][0].truncate(D - 2) == expect_g.truncate(D - 2)
     # g_inv = (1 + z zbar)^2
     expect_ginv = Jet(1, D, {((0,), (0,)): Scalar(1), ((1,), (1,)): Scalar(2),
                              ((2,), (2,)): Scalar(1)})
-    assert m.g_inv[0][0].truncate(D - 2) == expect_ginv.truncate(D - 2)
+    assert inverse_metric(phi)[0][0].truncate(D - 2) == \
+        expect_ginv.truncate(D - 2)
 
 
 def test_metric_anisotropic():
@@ -160,45 +158,45 @@ def test_metric_anisotropic():
     zb1 = Jet.variable(0, 2, D, "anti")
     zb2 = Jet.variable(1, 2, D, "anti")
     phi = z1 * zb1 + (z2 * zb2).scale(2)
-    m = metric_from_potential(phi)
-    assert m.g[0][0] == Jet.constant(1, 2, D)
-    assert m.g[1][1] == Jet.constant(2, 2, D)
-    assert m.g[0][1].is_zero() and m.g[1][0].is_zero()
-    assert m.g_inv[1][1] == Jet.constant(Scalar(Fraction(1, 2)), 2, D)
+    g = hessian(phi)
+    assert g[0][0] == Jet.constant(1, 2, D)
+    assert g[1][1] == Jet.constant(2, 2, D)
+    assert g[0][1].is_zero() and g[1][0].is_zero()
+    assert inverse_metric(phi)[1][1] == Jet.constant(Fraction(1, 2), 2, D)
 
 
 def test_metric_degenerate():
     D = 4
     phi = jz(1, D) * jz(1, D)  # no mixed hessian
     with pytest.raises(DegenerateMetric):
-        metric_from_potential(phi)
+        inverse_metric(phi)
 
 
 def test_laplacian_flat():
     D = 6
-    m = metric_from_potential(jz(1, D) * jzb(1, D))
-    assert laplacian(jz(1, D) * jzb(1, D), m) == Jet.constant(1, 1, D)
+    g_inv = inverse_metric(jz(1, D) * jzb(1, D))
+    assert laplacian(jz(1, D) * jzb(1, D), g_inv) == Jet.constant(1, 1, D)
     f = Jet.monomial((2,), (2,), 1, D)
-    assert laplacian(f, m) == Jet.monomial((1,), (1,), 1, D, Scalar(4))
+    assert laplacian(f, g_inv) == Jet.monomial((1,), (1,), 1, D, Scalar(4))
 
 
 def test_laplacian_fs_height_at_zero():
     D = 10
     phi = log1p_jet(D)
-    m = metric_from_potential(phi)
+    g_inv = inverse_metric(phi)
     t = jz(1, D) * jzb(1, D)
     f = (Jet.constant(1, 1, D) - t) * (Jet.constant(1, 1, D) + t).inverse()
-    lap = laplacian(f, m)
+    lap = laplacian(f, g_inv)
     assert lap.constant_term() == Scalar(-2)
 
 
 def test_poisson_flat_examples():
     D = 6
-    m = metric_from_potential(jz(1, D) * jzb(1, D))
-    assert poisson_bracket(jzb(1, D), jz(1, D), m) == Jet.constant(I, 1, D)
+    g_inv = inverse_metric(jz(1, D) * jzb(1, D))
+    assert poisson_bracket(jzb(1, D), jz(1, D), g_inv) == Jet.constant(I, 1, D)
     f = jz(1, D) * jzb(1, D) + jz(1, D)
-    assert poisson_bracket(f, f, m).is_zero()
-    assert poisson_bracket(jz(1, D), jz(1, D), m).is_zero()
+    assert poisson_bracket(f, f, g_inv).is_zero()
+    assert poisson_bracket(jz(1, D), jz(1, D), g_inv).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +261,15 @@ def test_metric_inverse_roundtrip(bump):
     pert = Jet(2, D, {k: c for k, c in bump.terms.items()
                       if sum(k[0]) + sum(k[1]) >= 3})
     real_pert = pert + pert.conj()
-    m = metric_from_potential(quad + real_pert)
+    g, g_inv = hessian(quad + real_pert), inverse_metric(quad + real_pert)
     for i in range(2):
         for j in range(2):
             acc = Jet.zero(2, D)
             for k in range(2):
-                acc = acc + m.g_inv[i][k] * m.g[k][j]
+                acc = acc + g_inv[i][k] * g[k][j]
             expect = Jet.constant(1 if i == j else 0, 2, D)
             assert acc == expect
-    assert jet_det(m.g) * jet_det(m.g_inv) == Jet.constant(1, 2, D)
+    assert jet_det(g) * jet_det(g_inv) == Jet.constant(1, 2, D)
 
 
 def test_metric_inverse_non_diagonal_n3():
@@ -284,10 +282,10 @@ def test_metric_inverse_non_diagonal_n3():
            + z[0] * zb[0] * z[2] * zb[2]
            + (z[0] * zb[2] + z[2] * zb[0]).scale(Fraction(1, 4))
            + (z[0] * zb[1]).scale(I) - (z[1] * zb[0]).scale(I))
-    m = metric_from_potential(phi)
+    g, g_inv = hessian(phi), inverse_metric(phi)
     for i in range(3):
         for j in range(3):
-            for a, b in ((m.g, m.g_inv), (m.g_inv, m.g)):
+            for a, b in ((g, g_inv), (g_inv, g)):
                 acc = Jet.zero(3, D)
                 for k in range(3):
                     acc = acc + a[i][k] * b[k][j]
@@ -298,12 +296,12 @@ def test_metric_inverse_non_diagonal_n3():
 @given(jets(D=6, max_terms=3), jets(D=6, max_terms=3), jets(D=6, max_terms=3))
 def test_poisson_antisymmetry_leibniz(f, g, h):
     D = 6
-    m = metric_from_potential(jz(1, D) * jzb(1, D))
-    assert poisson_bracket(f, g, m) == -poisson_bracket(g, f, m)
+    g_inv = inverse_metric(jz(1, D) * jzb(1, D))
+    assert poisson_bracket(f, g, g_inv) == -poisson_bracket(g, f, g_inv)
     # bracket consumes one derivative per slot; products are exact in the
     # truncated ring, so compare below the top two degrees
-    lhs = poisson_bracket(h, f * g, m)
-    rhs = poisson_bracket(h, f, m) * g + f * poisson_bracket(h, g, m)
+    lhs = poisson_bracket(h, f * g, g_inv)
+    rhs = poisson_bracket(h, f, g_inv) * g + f * poisson_bracket(h, g, g_inv)
     assert lhs.truncate(D - 2) == rhs.truncate(D - 2)
 
 

@@ -7,21 +7,24 @@ from fractions import Fraction
 import pytest
 
 from starq.jets import (
-    DegenerateMetric, I, Jet, MetricJets, Scalar, jet_det,
-    metric_from_potential, mi_range, mi_zero,
+    DegenerateMetric, I, Jet, Scalar, hessian, inverse_metric, jet_det,
+    jet_to_json, mi_zero, unit_mi,
 )
 import starq.karabegov
 from starq.formal import (
-    BiDiffOp, BudgetExceeded, DiffOp, NuDiffOp, assoc_defect, conjugate_star,
-    star_eval, star_table_to_json, transform_from_star,
+    BiDiffOp, DiffOp, NuDiffOp, assoc_defect, conjugate_star, star_eval,
+    star_table_to_json, transform_from_star,
 )
+from starq.graphs import gammelgaard_star
 from starq.karabegov import (
-    FormalPotential, _anti_wick_ops, _verify_commutation, bt_star_from,
-    flat_potential, fs_potential, karabegov_star, left_mult_operator,
-    reference_potentials,
+    FormalPotential, _anti_wick_ops, _commutator, _commutator_sum,
+    bt_star_from, flat_potential, fs_potential, karabegov_star,
+    left_mult_operator, reference_potentials,
 )
 
-from paper_checks import laplacian, ops_agree, poisson_bracket
+from paper_checks import (
+    laplacian, mi_range, mult_op, ops_agree, poisson_bracket,
+)
 
 
 def zj(D, n=1, i=0):
@@ -39,7 +42,7 @@ def test_left_mult_flat_zbar():
     D, N = 12, 2
     P = flat_potential(D)
     L = left_mult_operator([zbj(D)], P, N)
-    assert L.orders[0] == DiffOp.mult(zbj(D))
+    assert L.orders[0] == mult_op(zbj(D))
     assert L.orders[1] == DiffOp.deriv(1, D, (1,), (0,))
     assert L.orders[2].is_zero()
 
@@ -49,7 +52,7 @@ def test_left_mult_holomorphic_is_mult():
     for P in (flat_potential(D), fs_potential(D)):
         a = zj(D) * zj(D) + zj(D)
         L = left_mult_operator([a], P, N)
-        assert L.orders[0] == DiffOp.mult(a)
+        assert L.orders[0] == mult_op(a)
         for k in range(1, N + 1):
             assert L.orders[k].is_zero()
 
@@ -60,7 +63,7 @@ def test_left_mult_closed_form():
     for P in (flat_potential(D), fs_potential(D)):
         w = P.phi_minus1.diff(0, "holo")
         L = left_mult_operator([w], P, N)
-        expect = NuDiffOp(1, D, N, [DiffOp.mult(w),
+        expect = NuDiffOp(1, D, N, [mult_op(w),
                                     DiffOp.deriv(1, D, (1,), (0,))])
         assert ops_agree(L, expect, up_to=D - 2 * N - 2)
 
@@ -120,7 +123,7 @@ def test_c1_matches_metric_contraction():
     for name, P in reference_potentials(D).items():
         n = P.n
         t = karabegov_star(P, N)
-        m = metric_from_potential(P.phi_minus1)
+        g_inv = inverse_metric(P.phi_minus1)
         window = D - (N + 2)
         probes = [Jet.monomial(h, a, n, D)
                   for h in mi_range(n, 2) for a in mi_range(n, 2)]
@@ -129,7 +132,7 @@ def test_c1_matches_metric_contraction():
                 expect = Jet.zero(n, D)
                 for i in range(n):
                     for j in range(n):
-                        expect = expect + m.g_inv[i][j] * f.diff(i, "anti") * g.diff(j, "holo")
+                        expect = expect + g_inv[i][j] * f.diff(i, "anti") * g.diff(j, "holo")
                 got = t.C[1].apply(f, g)
                 assert (got - expect).truncate(window - 2).is_zero(), name
 
@@ -139,14 +142,14 @@ def test_poisson_from_c1():
     for name, P in reference_potentials(D).items():
         n = P.n
         t = karabegov_star(P, N)
-        m = metric_from_potential(P.phi_minus1)
+        g_inv = inverse_metric(P.phi_minus1)
         window = D - (N + 2) - 2
         probes = [Jet.monomial(h, a, n, D)
                   for h in mi_range(n, 2) for a in mi_range(n, 2)]
         for f in probes[:6]:
             for g in probes[:6]:
                 anti = t.C[1].apply(f, g) - t.C[1].apply(g, f)
-                br = poisson_bracket(f, g, m)
+                br = poisson_bracket(f, g, g_inv)
                 assert (br - anti.scale(I)).truncate(window).is_zero(), name
 
 
@@ -187,7 +190,8 @@ def nonflat_n2_potential(D):
 
 def test_nonflat_n2_recursion():
     # the off-diagonal metric gives blocks with several j-routes to one
-    # unknown; the null-row check compares them through D - (m + 2)
+    # unknown; the recursion's residual check compares them through
+    # D - (m + 2)
     D, N = 16, 2
     P = nonflat_n2_potential(D)
     t = karabegov_star(P, N)
@@ -241,16 +245,15 @@ def test_multi_index_block_pins(build, P, N, digest):
 
 
 def test_corrupted_inverse_metric_fails_the_block_check(monkeypatch):
-    exact = starq.karabegov.metric_from_potential
+    exact = starq.karabegov.inverse_metric
 
     def corrupted(phi):
-        m = exact(phi)
-        rows = [list(row) for row in m.g_inv]
+        rows = [list(row) for row in exact(phi)]
         rows[0][1] = rows[0][1] + Jet.constant(Fraction(1, 7), phi.n,
                                                phi.max_degree)
-        return MetricJets(g=m.g, g_inv=tuple(map(tuple, rows)))
+        return tuple(map(tuple, rows))
 
-    monkeypatch.setattr(starq.karabegov, "metric_from_potential", corrupted)
+    monkeypatch.setattr(starq.karabegov, "inverse_metric", corrupted)
     with pytest.raises(ArithmeticError, match="inconsistent block"):
         karabegov_star(nonflat_n2_potential(16), 2)
 
@@ -285,13 +288,13 @@ def test_transform_i1_is_laplacian():
         n, D = P.n, P.D
         t = karabegov_star(P, N)
         Iop = transform_from_star(t)
-        m = metric_from_potential(P.phi_minus1)
+        g_inv = inverse_metric(P.phi_minus1)
         window = D - (N + 2) - 4
         probes = [Jet.monomial(h, a, n, D)
                   for h in mi_range(n, 2) for a in mi_range(n, 2)]
         for f in probes:
             got = Iop.orders[1].apply(f)
-            assert (got - laplacian(f, m)).truncate(window).is_zero(), name
+            assert (got - laplacian(f, g_inv)).truncate(window).is_zero(), name
 
 
 def test_fs_transform_on_height():
@@ -324,7 +327,7 @@ def test_bt_c1_identity():
         n = P.n
         bt = bt_star_from(P, N)
         assert bt.convention == "wick", name
-        m = metric_from_potential(P.phi_minus1)
+        g_inv = inverse_metric(P.phi_minus1)
         window = P.D - (3 * N + 2) - 2
         probes = [Jet.monomial(h, a, n, D)
                   for h in mi_range(n, 2) for a in mi_range(n, 2)]
@@ -333,7 +336,7 @@ def test_bt_c1_identity():
                 expect = Jet.zero(n, D)
                 for i in range(n):
                     for j in range(n):
-                        expect = expect - m.g_inv[i][j] * f.diff(i, "holo") * g.diff(j, "anti")
+                        expect = expect - g_inv[i][j] * f.diff(i, "holo") * g.diff(j, "anti")
                 got = bt.C[1].apply(f, g)
                 assert (got - expect).truncate(window).is_zero(), name
 
@@ -359,12 +362,12 @@ def berezin_potential(P, N):
     b_1 = a_1 = R/2, R = -Delta log det g.  b_k first reaches C_{k+2}, so
     b_2 enters only from N = 4, and then as Lu's n = 1 value
     b_2 = a_2 - a_1^2/2 = Delta R / 3 - R^2 / 8."""
-    m = metric_from_potential(P.phi_minus1)
-    R = -laplacian(jet_det(m.g).log(), m)
+    g_inv = inverse_metric(P.phi_minus1)
+    R = -laplacian(jet_det(hessian(P.phi_minus1)).log(), g_inv)
     phi = [Jet.zero(P.n, P.D), R.scale(Fraction(1, 2))]
     if N >= 4:
         assert P.n == 1, "b_2 is known here for n = 1 only"
-        phi.append(laplacian(R, m).scale(Fraction(1, 3))
+        phi.append(laplacian(R, g_inv).scale(Fraction(1, 3))
                    - (R * R).scale(Fraction(1, 8)))
     return FormalPotential(phi_minus1=P.phi_minus1, phi=phi)
 
@@ -409,30 +412,120 @@ def test_bt_direct_route_matches_conjugation(P, N):
     pytest.param(nondiagonal_n3_potential(10), 2, id="n3-2"),
 ])
 def test_table_operators_commute_with_right_multiplication(P, N):
-    """Every A(f, .) = sum nu^k C_k(f, .) commutes with every nu R_l, on
-    the window D - (2N + 2) that _verify_commutation reads."""
-    assert P.D - (2 * N + 2) >= 2
-    _verify_commutation(*_anti_wick_ops(P, N))
+    """Every A(f, .) = sum nu^k C_k(f, .) commutes with every nu R_l: the
+    nu^m part of the commutator vanishes through D - (m + 2), the window
+    the recursion checks at order m, though the lower orders' part alone
+    does not."""
+    A, w = _anti_wick_ops(P, N)
+    for m in range(1, N + 1):
+        for l in range(P.n):
+            assert not _commutator_sum(A[:m], w, m, l).is_zero()
+            for tm in _commutator_sum(A[:m + 1], w, m, l).terms:
+                assert tm[0].drop_above(P.D - (m + 2)).is_zero(), (m, l)
 
 
 def test_corrupted_table_operator_fails_commutation():
     P, N = fs_potential(14), 3
-    A, rho = _anti_wick_ops(P, N)
+    A, w = _anti_wick_ops(P, N)
     c, *idx = A[2].terms[0]
     A[2] = A[2] + BiDiffOp(P.n, P.D, [(Jet.constant(1, P.n, P.D), *idx)])
-    with pytest.raises(ArithmeticError, match="fails commutation"):
-        _verify_commutation(A, rho)
+    assert any(not tm[0].drop_above(P.D - 4).is_zero()
+               for tm in _commutator_sum(A[:3], w, 2, 0).terms)
 
 
-def test_commutation_check_refuses_a_negative_window():
-    """At N = 1 and D = 3 the window D - (2N + 2) is -1: the check reads no
-    degree, so it raises rather than pass a table whose A_1 has 5 added to
-    one coefficient, and left_mult_operator returns no unchecked operator."""
-    P, N = fs_potential(3), 1
-    A, rho = _anti_wick_ops(P, N)
-    c, *idx = A[1].terms[0]
-    A[1] = A[1] + BiDiffOp(P.n, P.D, [(Jet.constant(5, P.n, P.D), *idx)])
-    with pytest.raises(BudgetExceeded):
-        _verify_commutation(A, rho)
-    with pytest.raises(BudgetExceeded):
-        left_mult_operator([zbj(P.D)], P, N)
+def test_recursion_checks_the_degree_zero_window(monkeypatch):
+    """At N = 1 and D = 3, the smallest budget the D >= 3N guard admits,
+    order 1 is checked through degree 0: left_mult_operator returns the
+    checked operator, and a doubled g^{-1} raises."""
+    P = fs_potential(3)
+    L = left_mult_operator([zbj(3)], P, 1)
+    assert L.orders[1] == DiffOp.deriv(1, 3, (1,), (0,))
+    exact = starq.karabegov.inverse_metric
+    monkeypatch.setattr(starq.karabegov, "inverse_metric", lambda phi: tuple(
+        tuple(x.scale(2) for x in row) for row in exact(phi)))
+    with pytest.raises(ArithmeticError, match="inconsistent block"):
+        left_mult_operator([zbj(3)], P, 1)
+
+
+def _shape_ops(n, D):
+    """BiDiffOps of each term shape, with non-constant coefficients and
+    second derivatives, so every binomial above 1 is exercised."""
+    z = mi_zero(n)
+    e0, e1 = unit_mi(n, 0), unit_mi(n, n - 1)
+    two, both = tuple(2 * x for x in e0), tuple(a + b for a, b in zip(e0, e1))
+    zs = [Jet.variable(i, n, D) for i in range(n)]
+    zbs = [Jet.variable(i, n, D, "anti") for i in range(n)]
+    c1 = Jet.constant(1, n, D) + zs[0] * zbs[-1] + (zs[-1] * zbs[0]).scale(I)
+    c2 = zs[0] * zs[-1] + (zbs[0] * zbs[0]).scale(Fraction(1, 3))
+    return {
+        "anti-wick": [(c1, z, e0, two, z), (c2, z, both, e1, z)],
+        "wick": [(c1, e0, z, z, two), (c2, both, z, z, e1)],
+        "mixed": [(c1, e0, e1, two, both), (c2, z, z, both, two)],
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("shape", ["anti-wick", "wick", "mixed"])
+def test_commutator_matches_generic_composition(n, shape):
+    """_commutator(op, w, l) is [op, r](f, g) = op(f, r g) - r(op(f, g)),
+    composed by the generic Leibniz rules, with r the multiplication by w,
+    plus d/dzbar_l when l is given."""
+    D = 8
+    op = BiDiffOp(n, D, _shape_ops(n, D)[shape])
+    zs = [Jet.variable(i, n, D) for i in range(n)]
+    zbs = [Jet.variable(i, n, D, "anti") for i in range(n)]
+    w = (zs[0] * zbs[-1] * zs[-1] * zbs[0] + zs[0] * zs[0] * zbs[-1]
+         + (zbs[0] * zbs[0] * zs[-1]).scale(I) + zs[-1] * zs[-1] * zs[-1])
+    ident = DiffOp.identity(n, D)
+    for l in (None, *range(n)):
+        r = mult_op(w)
+        if l is not None:
+            r = r + DiffOp.deriv(n, D, mi_zero(n), unit_mi(n, l))
+        expect = op.precompose(ident, r) - op.postcompose(r)
+        assert not expect.is_zero()
+        assert _commutator(op, w, l) == expect, l
+
+
+def left_mult_sha256(L):
+    text = json.dumps([[[jet_to_json(c), list(h), list(a)]
+                        for c, h, a in op.terms] for op in L.orders],
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("P, digests", [
+    pytest.param(fs_potential(12), ("6737be9754277b4a", "5ddb893c7365e8b8",
+                                    "dfe7ab98131361d2", "24873c795cd61ace"),
+                 id="fs"),
+    pytest.param(flat_potential(12, n=2, weights=[1, 2]),
+                 ("d2fe2341f5300f9a", "74e022977cfaa0f0", "7071eb972cec7a01",
+                  "04e1ef48a629927a"), id="aniso"),
+    pytest.param(dense_potential(12), ("3db5dba0d002fc45", "d0e53aed3efbec3d",
+                                       "6423254a03e4867a", "ea6a1054efcbb028"),
+                 id="dense"),
+    pytest.param(nonflat_n2_potential(12),
+                 ("753e7dfc5705bf90", "858601418fc1e218", "429423cf02d33aeb",
+                  "a0c166a77af9c259"), id="nonflat-n2"),
+    pytest.param(nondiagonal_n3_potential(12),
+                 ("88768b8e8148d669", "ba07a75bb3659e0a", "5ef8cfd68ddf0345",
+                  "087c9a1605759a40"), id="n3"),
+])
+def test_tables_build_without_generic_composition(P, digests, monkeypatch):
+    """The recursion reads every commutator in closed form: with
+    BiDiffOp.precompose, BiDiffOp.postcompose and DiffOp.compose refusing,
+    karabegov_star, bt_star_from, gammelgaard_star and left_mult_operator
+    still build their N = 2 tables, with the first 16 hex digits of their
+    sha256 pinned."""
+    def refuse(*args):
+        raise AssertionError("generic operator composition")
+
+    monkeypatch.setattr(BiDiffOp, "precompose", refuse)
+    monkeypatch.setattr(BiDiffOp, "postcompose", refuse)
+    monkeypatch.setattr(DiffOp, "compose", refuse)
+    n, D = P.n, P.D
+    zb0, zb1 = Jet.variable(0, n, D, "anti"), Jet.variable(n - 1, n, D, "anti")
+    g = zb0 * zb1 + Jet.variable(0, n, D) * zb1
+    got = [table_sha256(build(P, 2))
+           for build in (karabegov_star, bt_star_from, gammelgaard_star)]
+    got.append(left_mult_sha256(left_mult_operator([g], P, 2)))
+    assert tuple(h[:16] for h in got) == digests

@@ -1,8 +1,6 @@
 """starq's records: immutability, hashing of the weight-cache keys, and the
 one field table behind RunConfig."""
 
-from fractions import Fraction
-
 import pytest
 
 from starq import QUADRATURE_FIELDS, ValidationError
@@ -12,10 +10,8 @@ from starq.graphs import (
     _WEIGHT_CACHE, GGraph, IntegrationConfig, KGraph, L, R, WeightResult,
     integration_config, kontsevich_weight,
 )
-from starq.jets import Jet, MetricJets
 from starq.symbols import ObservableFn, make_context
 
-ONE = Jet.constant(Fraction(1), 1, 2)
 FROZEN = [
     pytest.param(lambda: RunConfig(command="weights"), "order",
                  id="RunConfig"),
@@ -29,8 +25,6 @@ FROZEN = [
     pytest.param(lambda: make_context(4), "m", id="Cp1Context"),
     pytest.param(lambda: AsymSeries(points=((8, 1.0),), fit=(0.0, 0.0, 0.0)),
                  "fit", id="AsymSeries"),
-    pytest.param(lambda: MetricJets(g=((ONE,),), g_inv=((ONE,),)), "g_inv",
-                 id="MetricJets"),
 ]
 
 
