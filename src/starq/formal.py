@@ -3,9 +3,12 @@
 A DiffOp is a finite sum coeff * d^holo_z d^anti_zbar with Jet coefficients,
 and a BiDiffOp is the same for two arguments; one term-sum base keeps the
 terms of both merged and sorted and gives both their sums, negation,
-scaling and equality.  A NuDiffOp stacks DiffOps by nu power.  A StarTable
-holds bidifferential coefficients C_0..C_N of an associative deformed
-product together with a separation-of-variables convention flag.
+scaling and equality.  A formal series sum_k nu^k A_k of operators, such as
+the Berezin transform I, is the plain tuple (A_0, ..., A_N) of its DiffOps;
+series_compose composes two such series through nu^N.  A StarTable holds
+bidifferential coefficients C_0..C_N of an associative deformed product
+together with a separation-of-variables convention flag, and refuses, at
+construction, a C_k whose derivative orders break that convention.
 tables_agree compares two tables term by term, through a total degree.
 Polarization, the opposite and dual products and the series comparison
 ops_agree are checked by tests/paper_checks.py: no command runs them.
@@ -24,11 +27,8 @@ class BudgetExceeded(ValueError):
 
 
 class OrderViolation(ValueError):
-    """Operator order incompatible with the requested polarization."""
-
-
-class SingularSystem(ArithmeticError):
-    """A star table's terms lack the shape the transform is read off from."""
+    """Operator orders incompatible with a polarization or with the
+    separation of variables of a star table's convention."""
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +94,6 @@ class DiffOp(_TermSum):
     def deriv(n, D, holo, anti):
         return DiffOp(n, D, [(Jet.constant(1, n, D), holo, anti)])
 
-    def max_order(self):
-        return max((mi_deg(h) + mi_deg(a) for _, h, a in self.terms), default=0)
-
     def apply(self, f):
         out = Jet.zero(self.n, self.D)
         for coeff, h, a in self.terms:
@@ -128,66 +125,18 @@ def _sub_indices(a):
     return itertools.product(*(range(x + 1) for x in a))
 
 
-# ---------------------------------------------------------------------------
-# NuDiffOp
-
-class NuDiffOp:
-    """Formal series sum_k nu^k A_k of DiffOps, truncated at order N."""
-
-    __slots__ = ("n", "D", "N", "orders")
-
-    def __init__(self, n, D, N, orders):
-        self.n = n
-        self.D = D
-        self.N = N
-        orders = list(orders)
-        if len(orders) < N + 1:
-            orders += [DiffOp.zero(n, D)] * (N + 1 - len(orders))
-        self.orders = tuple(orders[:N + 1])
-
-    @staticmethod
-    def identity(n, D, N):
-        return NuDiffOp(n, D, N, [DiffOp.identity(n, D)])
-
-    def is_identity_leading(self):
-        return self.orders[0] == DiffOp.identity(self.n, self.D)
-
-    def check_budget(self):
-        for k, op in enumerate(self.orders):
-            if op.max_order() > self.D:
-                raise BudgetExceeded(
-                    f"order-{k} operator derivative order {op.max_order()} "
-                    f"exceeds degree budget {self.D}")
-
-    def apply(self, fseries):
-        """Apply to a nu-series of jets (list of length <= N+1)."""
-        self.check_budget()
-        out = [Jet.zero(self.n, self.D) for _ in range(self.N + 1)]
-        for i, op in enumerate(self.orders):
-            for j, f in enumerate(fseries):
-                if i + j > self.N:
-                    break
-                out[i + j] = out[i + j] + op.apply(f)
-        return out
-
-    def compose(self, other):
-        if self.N != other.N:
-            raise ValueError("nu-order mismatch in composition")
-        orders = [DiffOp.zero(self.n, self.D) for _ in range(self.N + 1)]
-        for i, a in enumerate(self.orders):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.orders):
-                if i + j > self.N or b.is_zero():
-                    continue
-                orders[i + j] = orders[i + j] + a.compose(b)
-        return NuDiffOp(self.n, self.D, self.N, orders)
-
-    def __eq__(self, other):
-        if not isinstance(other, NuDiffOp):
-            return NotImplemented
-        return (self.n, self.D, self.N) == (other.n, other.D, other.N) and \
-            all(a == b for a, b in zip(self.orders, other.orders))
+def series_compose(a, b):
+    """The nu-series of operators (sum_k nu^k a_k) o (sum_k nu^k b_k), each
+    a tuple of DiffOps, through nu^N with N = len(a) - 1."""
+    N = len(a) - 1
+    out = [DiffOp.zero(a[0].n, a[0].D)] * (N + 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b[:N + 1 - i]):
+            if not y.is_zero():
+                out[i + j] = out[i + j] + x.compose(y)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +220,15 @@ class StarTable:
     __slots__ = ("N", "C", "convention", "label")
 
     def __init__(self, N, C, convention, label=""):
+        """Raises OrderViolation if a C_k, k >= 1, breaks the convention's
+        separation of variables."""
         if convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {convention!r}")
         if len(C) != N + 1:
             raise ValueError("need exactly N+1 coefficient operators")
+        for k in range(1, N + 1):
+            if not _routes_as(convention, k, C[k].max_orders()):
+                raise OrderViolation(f"C_{k} violates convention {convention}")
         self.N = N
         self.C = C                # BiDiffOp, C[0] .. C[N]
         self.convention = convention
@@ -287,13 +241,6 @@ class StarTable:
     @property
     def D(self):
         return self.C[0].D
-
-    def check_convention(self):
-        """Structural separation-of-variables check on C_k, k >= 1."""
-        for k in range(1, self.N + 1):
-            if not _routes_as(self.convention, k, self.C[k].max_orders()):
-                raise OrderViolation(
-                    f"C_{k} violates convention {self.convention}")
 
 
 def _routes_as(convention, k, orders):
@@ -349,41 +296,33 @@ def assoc_defect(t, f, g, h):
 # transform extraction
 
 def transform_from_star(t):
-    """Formal Berezin transform I, read off the anti-Wick table.
+    """Formal Berezin transform I = (I_0, ..., I_N), read off the anti-Wick
+    table.
 
     C_k(bbar, a) = I_k(bbar a) for antiholomorphic bbar and holomorphic a,
     so the term coeff * d^b_zbar f * d^a_z g of C_k is the term
-    coeff * d^a_z d^b_zbar of I_k; polarization is the inverse.  Raises
-    SingularSystem if a term of C_k breaks the anti-Wick (k,k) shape.
+    coeff * d^a_z d^b_zbar of I_k; polarization is the inverse.  The table
+    checked the anti-Wick (k, k) shape of each C_k when it was built.
     """
     if t.convention != "karabegov_anti_wick":
         raise ValueError("transform extraction requires an anti-Wick table")
-    n, D, N = t.n, t.D, t.N
-    orders = [DiffOp.identity(n, D)]
-    for k in range(1, N + 1):
-        if not _routes_as("karabegov_anti_wick", k, t.C[k].max_orders()):
-            raise SingularSystem(
-                f"C_{k} is not of separation-of-variables order ({k},{k})")
-        orders.append(DiffOp(n, D, [(c, gh, fa)
-                                    for c, _, fa, gh, _ in t.C[k].terms]))
-    return NuDiffOp(n, D, N, orders)
+    n, D = t.n, t.D
+    return (DiffOp.identity(n, D),) + tuple(
+        DiffOp(n, D, [(c, gh, fa) for c, _, fa, gh, _ in op.terms])
+        for op in t.C[1:])
 
 
 def invert_transform(I):
-    """Neumann inverse of a transform with identity leading order."""
-    if not I.is_identity_leading():
+    """Neumann inverse sum_k (-P)^k, P = I - I_0, of a transform tuple with
+    identity leading order."""
+    n, D, N = I[0].n, I[0].D, len(I) - 1
+    if I[0] != DiffOp.identity(n, D):
         raise ValueError("transform must start with the identity")
-    n, D, N = I.n, I.D, I.N
-    ident = NuDiffOp.identity(n, D, N)
-    P = NuDiffOp(n, D, N, [DiffOp.zero(n, D)] + list(I.orders[1:]))
-    out = ident
-    power = ident
-    sign = -1
-    for _ in range(N):
-        power = power.compose(P)
-        term = NuDiffOp(n, D, N, [op.scale(sign) for op in power.orders])
-        out = NuDiffOp(n, D, N, [a + b for a, b in zip(out.orders, term.orders)])
-        sign = -sign
+    P = (DiffOp.zero(n, D),) + tuple(I[1:])
+    out = power = (DiffOp.identity(n, D),) + (DiffOp.zero(n, D),) * N
+    for k in range(1, N + 1):
+        power = series_compose(power, P)
+        out = tuple(a + b.scale((-1) ** k) for a, b in zip(out, power))
     return out
 
 
@@ -391,10 +330,11 @@ def invert_transform(I):
 # star-product transforms
 
 def conjugate_star(t, B):
-    """Equivalent product f *' g = B^{-1}(B f * B g)."""
-    if not B.is_identity_leading():
-        raise ValueError("equivalence transform must start with the identity")
+    """Equivalent product f *' g = B^{-1}(B f * B g) for a transform tuple
+    B = (B_0, ..., B_N)."""
     n, D, N = t.n, t.D, t.N
+    if B[0] != DiffOp.identity(n, D):
+        raise ValueError("equivalence transform must start with the identity")
     Binv = invert_transform(B)
     # C'_k = sum_{a+j=k} Binv_a o S_j with S_j = sum_{b+c+d=j} C_b(B_c ., B_d .):
     # each (b, c, d) is precomposed once, and postcomposition is linear, so
@@ -404,13 +344,13 @@ def conjugate_star(t, B):
         acc = BiDiffOp.zero(n, D)
         for b in range(j + 1):
             for c in range(j + 1 - b):
-                acc = acc + t.C[b].precompose(B.orders[c], B.orders[j - b - c])
+                acc = acc + t.C[b].precompose(B[c], B[j - b - c])
         S.append(acc)
     C_out = []
     for k in range(N + 1):
         acc = S[k]
         for a in range(1, k + 1):
-            acc = acc + S[k - a].postcompose(Binv.orders[a])
+            acc = acc + S[k - a].postcompose(Binv[a])
         C_out.append(acc)
     conv = detect_convention(C_out)
     return StarTable(N=N, C=C_out, convention=conv,
@@ -424,14 +364,14 @@ def tables_agree(t1, t2, up_to=None):
     """Whether every coefficient jet of C_k(t1) - C_k(t2), k = 0..N, vanishes
     through total degree up_to (default D - 2N).  Tables of different N, n
     or D do not agree."""
-    return _agree(t1, t2, t1.C, t2.C,
-                  t1.D - 2 * t1.N if up_to is None else up_to)
+    return _agree(t1.C, t2.C, t1.D - 2 * t1.N if up_to is None else up_to)
 
 
-def _agree(x, y, xs, ys, up_to):
-    """The body of tables_agree (xs = x.C), shared with the tests' ops_agree
-    (xs = x.orders)."""
-    if (x.N, x.n, x.D) != (y.N, y.n, y.D):
+def _agree(xs, ys, up_to):
+    """Whether two operator sequences, the C of two tables or two nu-series
+    of DiffOps, have one length, n and D, and every coefficient jet of
+    x_k - y_k vanishes through total degree up_to."""
+    if len(xs) != len(ys) or (xs[0].n, xs[0].D) != (ys[0].n, ys[0].D):
         return False
     return all(term[0].drop_above(up_to).is_zero()
                for a, b in zip(xs, ys) for term in (a - b).terms)

@@ -510,22 +510,26 @@ def gammelgaard_star(P, N):
     its tail against a holomorphic derivative at its head through the inverse
     metric g^{-1} of Phi_{-1}; internal vertices of weight k carry -Phi_k.
     Every coefficient jet must agree with karabegov_star(P, N) through total
-    degree D - (N + 2) - 2, or CrossCheckFailure is raised.
+    degree D - (N + 2) - 2, or CrossCheckFailure is raised; a budget that
+    leaves that window below degree 0 for N >= 1 raises BudgetExceeded.
     """
-    from .formal import BiDiffOp, StarTable, tables_agree
+    from .formal import BiDiffOp, BudgetExceeded, StarTable, tables_agree
     from .jets import inverse_metric
     from .karabegov import karabegov_star
     if N > 2:
         raise ResourceGuard("graph expansion implemented through order 2")
     n, D = P.n, P.D
+    window = D - (N + 2) - 2
+    if N >= 1 and window < 0:
+        raise BudgetExceeded(f"degree budget D={D} leaves the cross-check "
+                             f"window D-(N+2)-2={window} below 0")
     g_inv = inverse_metric(P.phi_minus1)
     C = [BiDiffOp.pointwise(n, D)] + [BiDiffOp.zero(n, D)] * N
     for G in enumerate_ggraphs(N)[1:]:      # [0] is the empty graph, C_0
         C[G.total_weight()] += _ggraph_operator(G, P, g_inv)
     table = StarTable(N=N, C=C, convention="karabegov_anti_wick",
                       label="graph-expansion")
-    table.check_convention()
-    if not tables_agree(table, karabegov_star(P, N), D - (N + 2) - 2):
+    if not tables_agree(table, karabegov_star(P, N), window):
         raise CrossCheckFailure("graph expansion disagrees with the recursion")
     return table
 

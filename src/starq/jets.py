@@ -2,10 +2,11 @@
 
 Coefficients are complex rationals; no floats ever enter this module.
 A jet of max_degree D stores Gaussian-integer numerators for the terms
-(holo exponents, anti exponents) of total degree <= D over one shared
-denominator.  Multiplication truncates above D.  Scalar, an exact complex
-rational, is the coefficient type at the boundary: constructors,
-`constant_term`, `terms` and JSON.  Every derivative is one `diff_multi`
+of total degree <= D over one shared denominator, each term keyed by one
+exponent tuple, holo exponents then anti exponents, so a product adds keys
+and a derivative subtracts them.  Multiplication truncates above D.
+Scalar, an exact complex rational, is the coefficient type at the
+boundary: constructors, `constant_term`, `terms` and JSON.  Every derivative is one `diff_multi`
 pass, and `inverse` and `log` sum one series in r = a/a_0 - 1.
 """
 
@@ -140,26 +141,6 @@ def _gaussian(c):
     return c.re.numerator * (den // qr), c.im.numerator * (den // qi), den
 
 
-def _deg(key):
-    return sum(key[0]) + sum(key[1])
-
-
-def _add_keys(k1, k2):
-    """Exponent key of the product of two monomials."""
-    return tuple(map(_add, k1[0], k2[0])), tuple(map(_add, k1[1], k2[1]))
-
-
-# unrolled for the common dimensions, where map() dominates a product
-_KEY_ADDERS = {
-    1: lambda k1, k2: ((k1[0][0] + k2[0][0],), (k1[1][0] + k2[1][0],)),
-    2: lambda k1, k2: ((k1[0][0] + k2[0][0], k1[0][1] + k2[0][1]),
-                       (k1[1][0] + k2[1][0], k1[1][1] + k2[1][1])),
-    3: lambda k1, k2: ((k1[0][0] + k2[0][0], k1[0][1] + k2[0][1],
-                        k1[0][2] + k2[0][2]),
-                       (k1[1][0] + k2[1][0], k1[1][1] + k2[1][1],
-                        k1[1][2] + k2[1][2])),
-}
-
 _first = itemgetter(0)
 _new = object.__new__
 
@@ -195,11 +176,13 @@ def _reduced(n, D, num, den):
 class Jet:
     """Truncated power series in (z_1..z_n, zbar_1..zbar_n).
 
-    A jet stores Gaussian-integer numerators `num` = {(holo, anti): (re, im)}
-    over one positive denominator `den`, with no zero pair and no factor
-    common to den and every numerator, so equal jets have equal fields.
-    Every term has total degree <= max_degree.  `terms` presents the same
-    coefficients as reduced Scalars.
+    A jet stores Gaussian-integer numerators `num` = {holo + anti: (re, im)},
+    keyed by one exponent tuple of length 2n, over one positive denominator
+    `den`, with no zero pair and no factor common to den and every
+    numerator, so equal jets have equal fields.  Every term has total
+    degree <= max_degree.  The constructors, `terms` and JSON take and give
+    (holo, anti) pairs; `terms` presents the coefficients as reduced
+    Scalars.
     """
 
     __slots__ = ("n", "max_degree", "num", "den")
@@ -208,9 +191,10 @@ class Jet:
         self.n = n
         self.max_degree = max_degree
         kept = []
-        for key, coeff in (terms or {}).items():
+        for (holo, anti), coeff in (terms or {}).items():
             coeff = _as_scalar(coeff)
-            if not coeff.is_zero() and _deg(key) <= max_degree:
+            key = tuple(holo) + tuple(anti)
+            if not coeff.is_zero() and sum(key) <= max_degree:
                 kept.append((key, coeff.re, coeff.im))
         # the lcm of reduced denominators shares no factor with all of the
         # rescaled numerators, so the result is already reduced
@@ -238,14 +222,14 @@ class Jet:
 
     @staticmethod
     def monomial(holo, anti, n, max_degree, coeff=ONE):
-        return Jet(n, max_degree, {(tuple(holo), tuple(anti)): _as_scalar(coeff)})
+        return Jet(n, max_degree, {(holo, anti): _as_scalar(coeff)})
 
     # basics ---------------------------------------------------------------
     @property
     def terms(self):
         """{(holo, anti): Scalar} with reduced Fraction parts."""
-        den = self.den
-        return {k: Scalar(Fraction(re, den), Fraction(im, den))
+        n, den = self.n, self.den
+        return {(k[:n], k[n:]): Scalar(Fraction(re, den), Fraction(im, den))
                 for k, (re, im) in self.num.items()}
 
     def _check(self, other):
@@ -262,8 +246,7 @@ class Jet:
         return not self.num
 
     def constant_term(self):
-        z = mi_zero(self.n)
-        re, im = self.num.get((z, z), (0, 0))
+        re, im = self.num.get(mi_zero(2 * self.n), (0, 0))
         return Scalar(Fraction(re, self.den), Fraction(im, self.den))
 
     def __add__(self, other):
@@ -309,7 +292,7 @@ class Jet:
 
     def _graded(self):
         """[(degree, key, re, im)] in increasing degree."""
-        return sorted(((sum(k[0]) + sum(k[1]), k, re, im)
+        return sorted(((sum(k), k, re, im)
                        for k, (re, im) in self.num.items()), key=_first)
 
     def __mul__(self, other):
@@ -319,7 +302,6 @@ class Jet:
         n, D = self.n, self.max_degree
         if not self.num or not other.num:
             return _jet(n, D, {}, 1)
-        add_keys = _KEY_ADDERS.get(n, _add_keys)
         right = other._graded()
         lowest = right[0][0]
         out = {}
@@ -331,7 +313,7 @@ class Jet:
             for d2, k2, r2, i2 in right:
                 if d2 > room:
                     break
-                key = add_keys(k1, k2)
+                key = tuple(map(_add, k1, k2))
                 re = r1 * r2 - i1 * i2
                 im = r1 * i2 + i1 * r2
                 cur = get(key)
@@ -368,26 +350,27 @@ class Jet:
 
     def diff_multi(self, holo, anti):
         """d^holo_z d^anti_zbar in one pass over the terms."""
-        if not any(holo) and not any(anti):
+        d = tuple(holo) + tuple(anti)
+        if not any(d):
             return self
         out = {}
-        for (h, a), (re, im) in self.num.items():
-            hd = tuple(map(_sub, h, holo))
-            ad = tuple(map(_sub, a, anti))
-            if min(hd) < 0 or min(ad) < 0:
+        for k, (re, im) in self.num.items():
+            kd = tuple(map(_sub, k, d))
+            if min(kd) < 0:
                 continue
-            f = math.prod(map(math.perm, h, holo)) * math.prod(map(math.perm, a, anti))
-            out[(hd, ad)] = (re * f, im * f)
+            f = math.prod(map(math.perm, k, d))
+            out[kd] = (re * f, im * f)
         return _reduced(self.n, self.max_degree, out, self.den)
 
     def conj(self):
-        return _jet(self.n, self.max_degree,
-                    {(a, h): (re, -im) for (h, a), (re, im) in self.num.items()},
+        n = self.n
+        return _jet(n, self.max_degree,
+                    {k[n:] + k[:n]: (re, -im) for k, (re, im) in self.num.items()},
                     self.den)
 
     def _cut(self, degree, max_degree):
         return _reduced(self.n, max_degree,
-                        {k: v for k, v in self.num.items() if _deg(k) <= degree},
+                        {k: v for k, v in self.num.items() if sum(k) <= degree},
                         self.den)
 
     def drop_above(self, degree):
@@ -512,9 +495,10 @@ def _frac_parse(s):
 
 
 def jet_to_json(jet):
+    n = jet.n
     terms = []
-    for (h, a), (re, im) in sorted(jet.num.items()):
-        terms.append({"dz": list(h), "dzbar": list(a),
+    for k, (re, im) in sorted(jet.num.items()):
+        terms.append({"dz": list(k[:n]), "dzbar": list(k[n:]),
                       "re": _frac_str(Fraction(re, jet.den)),
                       "im": _frac_str(Fraction(im, jet.den))})
     return {"n": jet.n, "max_degree": jet.max_degree, "terms": terms}
@@ -527,7 +511,8 @@ def _json_int(x, least, what):
 
 
 def jet_from_json(obj):
-    """Jet from jet_to_json's form; a ValueError names what is malformed."""
+    """Jet from jet_to_json's form; a ValueError names what is malformed,
+    a repeated monomial included."""
     n = _json_int(obj["n"], 1, "n")
     D = _json_int(obj["max_degree"], 0, "max_degree")
 
@@ -540,5 +525,8 @@ def jet_from_json(obj):
     terms = {}
     for t in obj["terms"]:
         key = (exponents(t["dz"]), exponents(t["dzbar"]))
+        if key in terms:
+            raise ValueError(f"jet repeats the monomial with exponents "
+                             f"dz {list(key[0])}, dzbar {list(key[1])}")
         terms[key] = Scalar(_frac_parse(t["re"]), _frac_parse(t["im"]))
     return Jet(n, D, terms)

@@ -24,9 +24,11 @@ residual is then the whole commutator at order nu^m, and it must vanish
 through D - (m + 2), the degree order m is reliable through: that checks
 the other j-routes of each overdetermined block and every row no block
 solves, so every table carries its commutation certificate.
-left_mult_operator is the table contracted with g.  load_potential reads
-the --potential of the star-* commands: a reference potential by name, or
-a potential JSON file.
+left_mult_operator is the table contracted with g, as the tuple
+(L_0, ..., L_N) of its DiffOps by nu power.  Each StarTable checks its own
+separation of variables when it is built, so no builder repeats that check.
+load_potential reads the --potential of the star-* commands: a reference
+potential by name, or a potential JSON file.
 """
 
 import json
@@ -38,7 +40,7 @@ from .jets import (
     mi_sub, mi_zero, unit_mi,
 )
 from .formal import (
-    BiDiffOp, BudgetExceeded, DiffOp, NuDiffOp, StarTable, _sub_indices,
+    BiDiffOp, BudgetExceeded, DiffOp, StarTable, _sub_indices,
 )
 
 
@@ -79,12 +81,7 @@ def flat_potential(D, n=1, weights=None):
 def fs_potential(D):
     """Phi = log(1 + z zbar) truncated at D (n = 1)."""
     t = Jet.variable(0, 1, D) * Jet.variable(0, 1, D, "anti")
-    out = Jet.zero(1, D)
-    power = Jet.constant(1, 1, D)
-    for j in range(1, D // 2 + 1):
-        power = power * t
-        out = out + power.scale(Fraction((-1) ** (j + 1), j))
-    return FormalPotential(phi_minus1=out)
+    return FormalPotential(phi_minus1=(Jet.constant(1, 1, D) + t).log())
 
 
 def reference_potentials(D):
@@ -121,11 +118,11 @@ def load_potential(name, D):
 # the table's operators
 
 def left_mult_operator(g_series, P, N):
-    """L_g for a nu-series g (list of Jets), as a NuDiffOp through nu^N: the
-    table's operators, which the recursion has checked to commute with
-    every nu R_l, contracted with g.  Order m is g_m + sum_{k>=1} sum
-    (c dbar^b g_{m-k}) d^alpha over the terms c dbar^b f d^alpha g of A_k,
-    each cut at D - (m + 2)."""
+    """L_g for a nu-series g (list of Jets), as the tuple (L_0, ..., L_N) of
+    DiffOps by nu power: the table's operators, which the recursion has
+    checked to commute with every nu R_l, contracted with g.  Order m is
+    g_m + sum_{k>=1} sum (c dbar^b g_{m-k}) d^alpha over the terms
+    c dbar^b f d^alpha g of A_k, each cut at D - (m + 2)."""
     A, _ = _anti_wick_ops(P, N)
     n, D = P.n, P.D
     z = mi_zero(n)
@@ -137,7 +134,7 @@ def left_mult_operator(g_series, P, N):
             terms += [((c * gs[m - k].diff_multi(z, b)).drop_above(D - (m + 2)),
                        alpha, z) for c, _, b, alpha, _ in A[k].terms]
         orders.append(DiffOp(n, D, terms))
-    return NuDiffOp(n, D, N, orders)
+    return tuple(orders)
 
 
 def _anti_wick_ops(P, N):
@@ -243,10 +240,8 @@ def karabegov_star(P, N):
     operators of _anti_wick_ops, C_k for k >= 1 cut at D - (N + 2)."""
     A, _ = _anti_wick_ops(P, N)
     C = A[:1] + [_drop_above(op, P.D - (N + 2)) for op in A[1:]]
-    t = StarTable(N=N, C=C, convention="karabegov_anti_wick",
-                  label="karabegov")
-    t.check_convention()
-    return t
+    return StarTable(N=N, C=C, convention="karabegov_anti_wick",
+                     label="karabegov")
 
 
 def bt_star_from(P, N):
@@ -277,6 +272,4 @@ def bt_star_from(P, N):
                                        phi=[log_det]), N)
     ops = [op.swap() if k % 2 == 0 else -op.swap() for k, op in enumerate(t.C)]
     C = [_drop_above(op, cut) for op in ops]
-    bt = StarTable(N=N, C=C, convention="wick", label="berezin-toeplitz")
-    bt.check_convention()
-    return bt
+    return StarTable(N=N, C=C, convention="wick", label="berezin-toeplitz")

@@ -257,10 +257,9 @@ def dual_star(t, I):
 
 def ops_agree(A, B, up_to=None):
     """Whether every coefficient jet of A_k - B_k, k = 0..N, vanishes through
-    total degree up_to (default D - N).  Series of different N, n or D do
-    not agree."""
-    return _agree(A, B, A.orders, B.orders,
-                  A.D - A.N if up_to is None else up_to)
+    total degree up_to (default D - N) for two nu-series of DiffOps, tuples
+    (A_0, ..., A_N).  Series of different N, n or D do not agree."""
+    return _agree(A, B, A[0].D - (len(A) - 1) if up_to is None else up_to)
 
 
 # ---------------------------------------------------------------------------

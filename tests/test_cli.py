@@ -390,6 +390,12 @@ _PHI_N2 = {"n": 2, "max_degree": 12,
                                            terms=[])]),
                  id="phi-other-max-degree"),
     pytest.param(_potential_file(re="1/0"), id="zero-denominator"),
+    # z zbar with 1, then again with 1/2: no copy may silently win
+    pytest.param(json.dumps({"phi_minus1": {
+        "n": 1, "max_degree": 12, "terms": [
+            {"dz": [1], "dzbar": [1], "re": "1", "im": "0"},
+            {"dz": [1], "dzbar": [1], "re": "1/2", "im": "0"}]}}),
+        id="repeated-monomial"),
 ])
 def test_malformed_potential_file_exit_2(command, content, tmp_path, capsys):
     path = tmp_path / "potential.json"
@@ -498,6 +504,21 @@ def test_star_bt_degree_budget(max_degree, exit_code, capsys):
         code, out = invoke(argv)
         assert code == 0
         assert json.loads(out)["results"]["convention"] == "wick"
+
+
+@pytest.mark.parametrize("max_degree, exit_code", [(3, 2), (4, 2), (5, 0)])
+def test_star_gammelgaard_degree_budget(max_degree, exit_code, capsys):
+    """Order 1 cross-checks the graphs against the recursion through
+    D - (N + 2) - 2: at D = 3 and 4 that window is below degree 0, so
+    nothing would be checked, and the command exits 2 before any work."""
+    argv = ["star-gammelgaard", "--potential", "fs", "--order", "1",
+            "--max-degree", str(max_degree)]
+    if exit_code:
+        assert_one_validation_error(argv, capsys, "BudgetExceeded")
+    else:
+        code, out = invoke(argv)
+        assert code == 0
+        assert json.loads(out)["results"]["label"] == "graph-expansion"
 
 
 def assert_one_validation_error(argv, capsys, error="ValidationError"):
@@ -693,7 +714,7 @@ def test_every_exception_has_one_exit_code():
         found += [obj for obj in vars(mod).values()
                   if isinstance(obj, type) and issubclass(obj, BaseException)
                   and obj.__module__ == mod.__name__]
-    assert len(found) >= 12
+    assert len(found) >= 11
     for exc in found:
         assert issubclass(exc, ValueError) != \
             issubclass(exc, ArithmeticError), exc.__name__

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import starq.jets
+from starq.formal import BudgetExceeded
 from starq.karabegov import (
     FormalPotential, flat_potential, fs_potential, karabegov_star,
     reference_potentials,
@@ -531,3 +532,18 @@ def test_gammelgaard_crosscheck_detects_corruption(monkeypatch):
     monkeypatch.setattr(starq.jets, "inverse_metric", doubled)
     with pytest.raises(CrossCheckFailure):
         gammelgaard_star(fs_potential(14), 2)
+
+
+def test_gammelgaard_refuses_a_negative_window(monkeypatch):
+    """At N = 1 the cross-check window D - (N + 2) - 2 is below degree 0
+    for D = 3 and 4, where it would pass graphs contracted against a doubled
+    inverse metric: those budgets raise BudgetExceeded instead, and D = 5,
+    whose window is degree 0, catches the doubling."""
+    exact = starq.jets.inverse_metric
+    monkeypatch.setattr(starq.jets, "inverse_metric", lambda phi: tuple(
+        tuple(x.scale(2) for x in row) for row in exact(phi)))
+    for D in (3, 4):
+        with pytest.raises(BudgetExceeded):
+            gammelgaard_star(fs_potential(D), 1)
+    with pytest.raises(CrossCheckFailure):
+        gammelgaard_star(fs_potential(5), 1)

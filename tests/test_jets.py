@@ -311,6 +311,14 @@ def test_json_roundtrip():
     assert jet_from_json(jet_to_json(f)) == f
 
 
+def test_json_refuses_a_repeated_monomial():
+    """A monomial listed twice is refused, not read as its last copy."""
+    obj = jet_to_json(Jet(2, 4, {((1, 0), (0, 1)): Scalar(1)}))
+    obj["terms"].append(dict(obj["terms"][0], re="1/2"))
+    with pytest.raises(ValueError, match=r"dz \[1, 0\], dzbar \[0, 1\]"):
+        jet_from_json(obj)
+
+
 # ---------------------------------------------------------------------------
 # integer-numerator core against a plain Fraction reference
 
@@ -377,7 +385,8 @@ def ref_diff_multi(a, holo, anti):
 def assert_canonical(jet):
     assert jet.den > 0
     assert all(re or im for re, im in jet.num.values())
-    assert all(sum(h) + sum(a) <= jet.max_degree for h, a in jet.num)
+    assert all(len(k) == 2 * jet.n and sum(k) <= jet.max_degree
+               for k in jet.num)
     assert math.gcd(jet.den, *(x for v in jet.num.values() for x in v)) == 1
 
 

@@ -1,5 +1,6 @@
 """Recursion-built star products: flat oracles, commutation, transforms."""
 
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -12,7 +13,7 @@ from starq.jets import (
 )
 import starq.karabegov
 from starq.formal import (
-    BiDiffOp, DiffOp, NuDiffOp, assoc_defect, conjugate_star, star_eval,
+    BiDiffOp, DiffOp, StarTable, assoc_defect, conjugate_star, star_eval,
     star_table_to_json, transform_from_star,
 )
 from starq.graphs import gammelgaard_star
@@ -42,9 +43,9 @@ def test_left_mult_flat_zbar():
     D, N = 12, 2
     P = flat_potential(D)
     L = left_mult_operator([zbj(D)], P, N)
-    assert L.orders[0] == mult_op(zbj(D))
-    assert L.orders[1] == DiffOp.deriv(1, D, (1,), (0,))
-    assert L.orders[2].is_zero()
+    assert L[0] == mult_op(zbj(D))
+    assert L[1] == DiffOp.deriv(1, D, (1,), (0,))
+    assert L[2].is_zero()
 
 
 def test_left_mult_holomorphic_is_mult():
@@ -52,9 +53,9 @@ def test_left_mult_holomorphic_is_mult():
     for P in (flat_potential(D), fs_potential(D)):
         a = zj(D) * zj(D) + zj(D)
         L = left_mult_operator([a], P, N)
-        assert L.orders[0] == mult_op(a)
+        assert L[0] == mult_op(a)
         for k in range(1, N + 1):
-            assert L.orders[k].is_zero()
+            assert L[k].is_zero()
 
 
 def test_left_mult_closed_form():
@@ -63,8 +64,8 @@ def test_left_mult_closed_form():
     for P in (flat_potential(D), fs_potential(D)):
         w = P.phi_minus1.diff(0, "holo")
         L = left_mult_operator([w], P, N)
-        expect = NuDiffOp(1, D, N, [mult_op(w),
-                                    DiffOp.deriv(1, D, (1,), (0,))])
+        expect = (mult_op(w), DiffOp.deriv(1, D, (1,), (0,))) \
+            + (DiffOp.zero(1, D),) * (N - 1)
         assert ops_agree(L, expect, up_to=D - 2 * N - 2)
 
 
@@ -72,9 +73,9 @@ def test_left_mult_structurally_holomorphic():
     D, N = 14, 3
     P = fs_potential(D)
     L = left_mult_operator([zbj(D) * zbj(D)], P, N)
-    for op in L.orders:
+    for op in L:
         for _, h, a in op.terms:
-            assert sum(a) == 0 or op is L.orders[0]
+            assert sum(a) == 0 or op is L[0]
 
 
 @pytest.mark.parametrize("name, D, N", [("fs", 24, 6), ("dense", 12, 3)])
@@ -83,7 +84,7 @@ def test_left_mult_keeps_each_order_to_its_window(name, D, N):
     recursion keeps no coefficient term above it."""
     P = fs_potential(D) if name == "fs" else dense_potential(D)
     L = left_mult_operator([zbj(D) * zbj(D) + zj(D) * zbj(D)], P, N)
-    for m, op in enumerate(L.orders[1:], 1):
+    for m, op in enumerate(L[1:], 1):
         assert not op.is_zero()
         for c, _, _ in op.terms:
             assert c.drop_above(D - (m + 2)) == c, (m, c)
@@ -160,7 +161,7 @@ def test_left_right_reconstruction():
     f = zbj(D) * zbj(D) + zj(D) * zbj(D)
     L = left_mult_operator([f], P, N)
     g = zj(D) * zj(D) + zbj(D)
-    via_L = L.apply([g])
+    via_L = [op.apply(g) for op in L]
     via_t = star_eval(t, f, g)
     window = D - (N + 2) - N
     for a, b in zip(via_L, via_t):
@@ -273,8 +274,8 @@ def test_transform_flat():
     t = karabegov_star(flat_potential(D), N)
     Iop = transform_from_star(t)
     lap = DiffOp(1, D, [(Jet.constant(1, 1, D), (1,), (1,))])
-    expect = NuDiffOp(1, D, N, [DiffOp.identity(1, D), lap,
-                                lap.compose(lap).scale(Scalar(Fraction(1, 2)))])
+    expect = (DiffOp.identity(1, D), lap,
+              lap.compose(lap).scale(Scalar(Fraction(1, 2))))
     assert ops_agree(Iop, expect)
 
 
@@ -293,7 +294,7 @@ def test_transform_i1_is_laplacian():
         probes = [Jet.monomial(h, a, n, D)
                   for h in mi_range(n, 2) for a in mi_range(n, 2)]
         for f in probes:
-            got = Iop.orders[1].apply(f)
+            got = Iop[1].apply(f)
             assert (got - laplacian(f, g_inv)).truncate(window).is_zero(), name
 
 
@@ -304,7 +305,82 @@ def test_fs_transform_on_height():
     Iop = transform_from_star(t)
     tt = zj(D) * zbj(D)
     f = (Jet.constant(1, 1, D) - tt) * (Jet.constant(1, 1, D) + tt).inverse()
-    assert Iop.orders[1].apply(f).constant_term() == Scalar(-2)
+    assert Iop[1].apply(f).constant_term() == Scalar(-2)
+
+
+# ---------------------------------------------------------------------------
+# the CP^n spectrum of the transform
+
+def one_plus_norm(n, D):
+    """The jet s = 1 + |z_1|^2 + ... + |z_n|^2."""
+    s = Jet.constant(1, n, D)
+    for i in range(n):
+        s = s + zj(D, n, i) * zbj(D, n, i)
+    return s
+
+
+def cpn_potential(n, D):
+    """Phi_{-1} = log s, the Fubini-Study potential of CP^n, by Jet.log."""
+    return FormalPotential(phi_minus1=one_plus_norm(n, D).log())
+
+
+def cpn_eigenvalue(n, l, N):
+    """[nu^0 .. nu^N] of lambda_l(1/nu), lambda_l(m) = m!(m+n)! /
+    ((m-l)!(m+n+l)!): with m = 1/nu, the product over j < l of
+    (1 - j nu) / (1 + (n + j + 1) nu), as Fractions."""
+    out = [Fraction(1)] + [Fraction(0)] * N
+    for j in range(l):
+        factor = [Fraction(-(n + j + 1)) ** k for k in range(N + 1)]
+        factor = [x - j * y for x, y in zip(factor, [Fraction(0)] + factor)]
+        out = [sum(out[i] * factor[k - i] for i in range(k + 1))
+               for k in range(N + 1)]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def cpn_table(n, D, N):
+    return karabegov_star(cpn_potential(n, D), N)
+
+
+def cpn_spectrum_misses(t, n, D, N):
+    """The (l, k) at which I_k of t does not map a harmonic of bidegree
+    (l, l) to the nu^k coefficient of lambda_l(1/nu) times itself, through
+    degree D - 2N - 4, over z1 zbar2 / s, z1^2 zbar2^2 / s^2 and z1 / s,
+    s = 1 + |z|^2."""
+    I = transform_from_star(t)
+    inv = one_plus_norm(n, D).inverse()
+    z1, zb2 = zj(D, n, 0), zbj(D, n, 1)
+    probes = ((1, z1 * zb2 * inv), (2, z1 * z1 * zb2 * zb2 * inv * inv),
+              (1, z1 * inv))
+    lam = {l: cpn_eigenvalue(n, l, N) for l in (1, 2)}
+    return [(l, k) for l, f in probes for k in range(N + 1)
+            if not (I[k].apply(f) - f.scale(lam[l][k]))
+            .truncate(D - 2 * N - 4).is_zero()]
+
+
+@pytest.mark.parametrize("n, D, N, lam1, lam2", [
+    pytest.param(2, 20, 4, (1, -3, 9, -27, 81), (1, -8, 44, -212, 956),
+                 id="cp2-4"),
+    pytest.param(3, 14, 3, (1, -4, 16, -64), (1, -10, 70, -430), id="cp3-3"),
+])
+def test_transform_has_the_cpn_spectrum(n, D, N, lam1, lam2):
+    """On CP^n the transform acts on each harmonic of bidegree (l, l) by
+    lambda_l(1/nu) (Zhang 1998), at every order the table reaches: a closed
+    form that shares nothing with the recursion."""
+    assert tuple(cpn_eigenvalue(n, 1, N)) == lam1
+    assert tuple(cpn_eigenvalue(n, 2, N)) == lam2
+    assert cpn_spectrum_misses(cpn_table(n, D, N), n, D, N) == []
+
+
+def test_cpn_spectrum_sees_one_changed_coefficient():
+    """One coefficient of C_2 changed by a constant breaks the spectrum at
+    nu^2, on each probe."""
+    n, D, N = 2, 20, 4
+    t = cpn_table(n, D, N)
+    c, *idx = t.C[2].terms[0]
+    C2 = t.C[2] + BiDiffOp(n, D, [(Jet.constant(1, n, D), *idx)])
+    bad = StarTable(N, t.C[:2] + [C2] + t.C[3:], t.convention)
+    assert cpn_spectrum_misses(bad, n, D, N) == [(1, 2), (2, 2), (1, 2)]
 
 
 def test_bt_star_flat():
@@ -439,7 +515,7 @@ def test_recursion_checks_the_degree_zero_window(monkeypatch):
     checked operator, and a doubled g^{-1} raises."""
     P = fs_potential(3)
     L = left_mult_operator([zbj(3)], P, 1)
-    assert L.orders[1] == DiffOp.deriv(1, 3, (1,), (0,))
+    assert L[1] == DiffOp.deriv(1, 3, (1,), (0,))
     exact = starq.karabegov.inverse_metric
     monkeypatch.setattr(starq.karabegov, "inverse_metric", lambda phi: tuple(
         tuple(x.scale(2) for x in row) for row in exact(phi)))
@@ -488,7 +564,7 @@ def test_commutator_matches_generic_composition(n, shape):
 
 def left_mult_sha256(L):
     text = json.dumps([[[jet_to_json(c), list(h), list(a)]
-                        for c, h, a in op.terms] for op in L.orders],
+                        for c, h, a in op.terms] for op in L],
                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -509,6 +585,10 @@ def left_mult_sha256(L):
     pytest.param(nondiagonal_n3_potential(12),
                  ("88768b8e8148d669", "ba07a75bb3659e0a", "5ef8cfd68ddf0345",
                   "087c9a1605759a40"), id="n3"),
+    # n = 4: jets of every dimension share one exponent-key path
+    pytest.param(flat_potential(12, n=4, weights=[1, 2, 3, 4]),
+                 ("d56b4ab96573ad5a", "c6b252262cf4e10a", "0a9456c4c80977f7",
+                  "ea22e2324b875b19"), id="flat-n4"),
 ])
 def test_tables_build_without_generic_composition(P, digests, monkeypatch):
     """The recursion reads every commutator in closed form: with
