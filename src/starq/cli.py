@@ -15,8 +15,9 @@ integration_config; symbols.parse_observable; cp1.command_results).  cp1 and
 the weight quadrature load numpy, which the exact star-* commands and
 cp1-toeplitz never need; the exact core (jets, formal, karabegov) loads only
 for the star-* commands; configparser loads only for --config.  No starq
-module imports this one, which `python -m starq.cli` runs as __main__.
-COMMAND_FIELDS gives each command its flags and config-file keys.
+module imports this one, which `python -m starq.cli` runs as __main__; run
+so, it sets OPENBLAS_THREAD_TIMEOUT to BLAS_THREAD_TIMEOUT unless its caller
+set one.  COMMAND_FIELDS gives each command its flags and config-file keys.
 """
 
 import json
@@ -35,6 +36,19 @@ MAX_LEVEL = 2048
 # potential file's max_degree is held to it too.
 MAX_ORDER = 16
 MAX_DEGREE = 64
+
+# OPENBLAS_THREAD_TIMEOUT of a `python -m starq.cli` process, unless its
+# caller set one.  numpy's OpenBLAS keeps a worker thread that busy-waits
+# 2^28 cycles (about 0.1 s) at start-up and after each threaded BLAS call
+# before it sleeps; at 2^20 (well under 1 ms) an idle worker sleeps almost at
+# once.  Chosen from 10 alternating runs of `cp1-suite --suite bms --m-list
+# 64,128,256,512`, whose SVDs and matrix products make back-to-back threaded
+# calls: median CPU 1.10 s at 28, 0.99 s at 24, 0.94 s at 20, 0.92 s at 16
+# and 0.95 s at 12, whose wall time grew (0.66 s, against 0.59-0.62 s),
+# since a sleeping worker is slower to wake (2 vCPU, numpy 2.4.6).  Only when
+# a worker sleeps changes: the thread count and how OpenBLAS splits each call
+# do not, so every report keeps its bytes.
+BLAS_THREAD_TIMEOUT = "20"
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +385,12 @@ def _err(exc):
 
 
 if __name__ == "__main__":
+    # Set before anything imports numpy: OpenBLAS reads it once, when numpy
+    # loads it.  A caller of main() in its own process keeps its environment.
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_THREAD_TIMEOUT)
     code = main()
-    # Exit without interpreter teardown: it does no work a run needs, and a
-    # process that loaded numpy would wait there for OpenBLAS's threads.
+    # Exit without interpreter teardown: it does no work a run needs, and
+    # after numpy it takes about 30 ms.
     # A stream whose write already failed is skipped: main has written its
     # error line.
     for stream in (sys.stdout, sys.stderr):

@@ -94,12 +94,6 @@ class DiffOp(_TermSum):
     def deriv(n, D, holo, anti):
         return DiffOp(n, D, [(Jet.constant(1, n, D), holo, anti)])
 
-    def apply(self, f):
-        out = Jet.zero(self.n, self.D)
-        for coeff, h, a in self.terms:
-            out = out + coeff * f.diff_multi(h, a)
-        return out
-
     def compose(self, other):
         """Leibniz composition: (self o other)(f) = self(other(f))."""
         n = self.n

@@ -121,9 +121,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def max_abs_coeff(self):
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented

@@ -75,9 +75,6 @@ class Scalar:
     def is_zero(self):
         return self.re == 0 and self.im == 0
 
-    def conj(self):
-        return Scalar(self.re, -self.im)
-
     def __repr__(self):
         return f"Scalar({self.re}, {self.im})"
 
@@ -220,10 +217,6 @@ class Jet:
         key = (unit_mi(n, i), mi_zero(n)) if kind == "holo" else (mi_zero(n), unit_mi(n, i))
         return Jet(n, max_degree, {key: ONE})
 
-    @staticmethod
-    def monomial(holo, anti, n, max_degree, coeff=ONE):
-        return Jet(n, max_degree, {(holo, anti): _as_scalar(coeff)})
-
     # basics ---------------------------------------------------------------
     @property
     def terms(self):
@@ -361,12 +354,6 @@ class Jet:
             f = math.prod(map(math.perm, k, d))
             out[kd] = (re * f, im * f)
         return _reduced(self.n, self.max_degree, out, self.den)
-
-    def conj(self):
-        n = self.n
-        return _jet(n, self.max_degree,
-                    {k[n:] + k[:n]: (re, -im) for k, (re, im) in self.num.items()},
-                    self.den)
 
     def _cut(self, degree, max_degree):
         return _reduced(self.n, max_degree,

@@ -9,7 +9,7 @@ products of one parse, and raises a positioned ParseError past any bound.
 It lives here, not in starq.cli, so the exact star-* commands, which take
 no observable, never compile it.
 
-Only ObservableFn.__call__, is_real and sup_norm need numpy, and they import
+Only ObservableFn.__call__ and sup_norm need numpy, and they import
 it when called, so cp1-toeplitz, which reads the band and nothing else from
 here, never loads numpy; starq.cp1 builds every dense Toeplitz matrix from
 the same band.  sup_norm draws its fixed sample of 4096 points with
@@ -64,14 +64,6 @@ class ObservableFn(Frozen):
     def constant(c):
         return ObservableFn(terms=((complex(c), 0, 0, 0),))
 
-    def is_real(self):
-        import numpy as np
-        lookup = {(a, b, c): coeff for coeff, a, b, c in self.terms}
-        for coeff, a, b, c in self.terms:
-            if not np.isclose(lookup.get((b, a, c), 0), coeff.conjugate()):
-                return False
-        return True
-
     def __add__(self, other):
         return ObservableFn(terms=self.terms + other.terms)
 
@@ -85,10 +77,6 @@ class ObservableFn(Frozen):
             for c2, a2, b2, k2 in other.terms:
                 out.append((c1 * c2, a1 + a2, b1 + b2, k1 + k2))
         return ObservableFn(terms=tuple(out))
-
-    def conj(self):
-        return ObservableFn(terms=tuple((coeff.conjugate(), b, a, c)
-                                        for coeff, a, b, c in self.terms))
 
     def __call__(self, z):
         import numpy as np

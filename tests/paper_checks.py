@@ -5,8 +5,10 @@ not in starq: the Toeplitz trace formula, the adjointness of covariant and
 contravariant symbols, Rawnsley's constant epsilon, Tuynman's relation
 Q_f = i T_{f - Delta f/(2m)} for geometric quantization, the opposite and
 dual products, the Moyal product, the multi-index range and the jet
-Laplacian and Poisson bracket.  The tests import them from this module;
-pytest puts tests/ on sys.path.
+Laplacian and Poisson bracket, with the helpers that only the tests call:
+monomial and conjugate jets, a DiffOp applied to a jet, the reality of an
+observable and the largest coefficient of a graph polynomial.  The tests
+import them from this module; pytest puts tests/ on sys.path.
 
 Documented sign constant (pinned by the Tuynman test): the Hamiltonian
 field at level m is X^z = i f_zbar (1+|z|^2)^2 / (2m), the unique scaling
@@ -28,7 +30,7 @@ from starq.formal import (
     conjugate_star, detect_convention,
 )
 from starq.graphs import Poly, kontsevich_star
-from starq.jets import I, Jet, mi_zero
+from starq.jets import I, ONE, Jet, Scalar, _as_scalar, mi_zero
 from starq.symbols import TWO_PI, ObservableFn, _diff_raw, laplacian_fn
 
 
@@ -138,6 +140,16 @@ def surjectivity_rank(ctx):
     return int(np.linalg.matrix_rank(np.array(rows), tol=1e-9))
 
 
+def is_real(h):
+    """Whether the observable h is real: each term's conjugate, with a and b
+    exchanged, is a term of h, up to numpy's isclose."""
+    lookup = {(a, b, c): coeff for coeff, a, b, c in h.terms}
+    for coeff, a, b, c in h.terms:
+        if not np.isclose(lookup.get((b, a, c), 0), coeff.conjugate()):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # sphere: geometric quantization
 
@@ -180,7 +192,18 @@ def tuynman_defect(f, ctx):
 
 
 # ---------------------------------------------------------------------------
-# jets: multi-indices, Laplacian and Poisson bracket
+# jets: monomials, conjugates, multi-indices, Laplacian and Poisson bracket
+
+def jet_monomial(holo, anti, n, max_degree, coeff=ONE):
+    return Jet(n, max_degree, {(holo, anti): _as_scalar(coeff)})
+
+
+def jet_conj(f):
+    """The complex conjugate of f: each coefficient conjugated, its holo and
+    anti exponents exchanged."""
+    return Jet(f.n, f.max_degree, {(anti, holo): Scalar(c.re, -c.im)
+                                   for (holo, anti), c in f.terms.items()})
+
 
 def mi_range(n, max_deg):
     """All multi-indices of length n with total degree <= max_deg, graded lex."""
@@ -224,7 +247,16 @@ def poisson_bracket(f, g, g_inv):
 
 
 # ---------------------------------------------------------------------------
-# formal: multiplication operators, polarization, opposite and dual products
+# formal: applied operators, multiplication operators, polarization, opposite
+# and dual products
+
+def apply_op(op, f):
+    """The DiffOp op applied to the jet f."""
+    out = Jet.zero(op.n, op.D)
+    for coeff, h, a in op.terms:
+        out = out + coeff * f.diff_multi(h, a)
+    return out
+
 
 def mult_op(jet):
     """The multiplication by a jet, as a DiffOp."""
@@ -263,7 +295,7 @@ def ops_agree(A, B, up_to=None):
 
 
 # ---------------------------------------------------------------------------
-# graphs: Moyal product and products of series
+# graphs: largest coefficient, Moyal product and products of series
 
 def moyal_star(mat, f, g, N):
     """Closed-form exponential product for a constant bivector matrix."""
@@ -287,6 +319,12 @@ def moyal_star(mat, f, g, N):
             acc = acc + pf * pg
         out.append(acc * ((0.5j) ** n / fact))
     return out
+
+
+def max_abs_coeff(p):
+    """The largest coefficient modulus of the graph polynomial p, 0.0 if it
+    has none."""
+    return max((abs(v) for v in p.coeffs.values()), default=0.0)
 
 
 def star_poly_series(a, fs, gs, N, cfg=None):

@@ -21,9 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 import starq
 from starq.cli import (
-    COMMAND_FIELDS, MAX_DEGREE, MAX_LEVEL, MAX_N, MAX_ORDER, RUN_FIELDS,
-    RunConfig, ValidationError, config_from_args, emit, load_config_file,
-    main, run,
+    BLAS_THREAD_TIMEOUT, COMMAND_FIELDS, MAX_DEGREE, MAX_LEVEL, MAX_N,
+    MAX_ORDER, RUN_FIELDS, RunConfig, ValidationError, config_from_args, emit,
+    load_config_file, main, run,
 )
 from starq.cp1 import toeplitz_matrix
 from starq.symbols import (
@@ -855,24 +855,35 @@ def test_numeric_commands_do_not_import_exact_core():
 
 
 # Run as `python -m starq.cli` runs it, in a fresh interpreter: argv, then
-# the names of every loaded module as one JSON line on stdout (the report
-# goes to --out).  os._exit, which ends the __main__ block, raises
-# SystemExit here, so that the line can still be printed.
+# one JSON line on stdout (the report goes to --out) with the names of every
+# loaded module and the OPENBLAS_THREAD_TIMEOUT the process had when it first
+# imported numpy, which is when OpenBLAS reads it ([] if numpy never loaded).
+# os._exit, which ends the __main__ block, raises SystemExit here, so that
+# the line can still be printed.
 _RUN_AS_MAIN = """\
 import json, os, runpy, sys
 sys.argv = ["starq"] + json.loads(sys.argv[1])
+timeout_at_numpy = []
+
+
+class _Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not timeout_at_numpy:
+            timeout_at_numpy.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
 
 
 def _exit(code):
     raise SystemExit(code)
 
 
+sys.meta_path.insert(0, _Spy())
 os._exit = _exit
 try:
     runpy.run_module("starq.cli", run_name="__main__")
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-print(json.dumps(sorted(sys.modules)))
+print(json.dumps({"modules": sorted(sys.modules),
+                  "timeout_at_numpy": timeout_at_numpy}))
 """
 
 _NOT_EXACT = ("numpy", "starq.symbols", "starq.cp1", "starq.graphs")
@@ -902,13 +913,63 @@ def test_commands_load_only_what_they_run(argv, absent, tmp_path):
         [sys.executable, "-c", _RUN_AS_MAIN, json.dumps(argv)],
         env=_subprocess_env(), capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
-    loaded = set(json.loads(proc.stdout))
+    loaded = set(json.loads(proc.stdout)["modules"])
     assert "starq" in loaded
     unwanted = {"dataclasses", "configparser", "argparse", "gettext",
                 "locale", "starq.cli", *absent}
     if "numpy" not in loaded:
         unwanted.add("inspect")
     assert not loaded & unwanted, sorted(loaded & unwanted)
+
+
+def _blas_env(timeout):
+    """The subprocess environment with two OpenBLAS threads, as the benchmark
+    runs them, and OPENBLAS_THREAD_TIMEOUT as given (None: unset)."""
+    env = dict(_subprocess_env(), OPENBLAS_NUM_THREADS="2")
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+    return env
+
+
+@pytest.mark.parametrize("argv", [
+    ["cp1-suite", "--suite", "bms", "--m-list", "8,16,32"],
+    ["weights", "--n", "1"],
+], ids=lambda v: v[0])
+def test_blas_idle_policy_keeps_every_byte(argv):
+    """How long an idle OpenBLAS worker spins before it sleeps moves no byte:
+    a report is the same under the CLI's own OPENBLAS_THREAD_TIMEOUT and
+    under OpenBLAS's default, 28, set by the caller."""
+    outs = []
+    for timeout in (None, "28"):
+        proc = subprocess.run([sys.executable, "-m", "starq.cli"] + argv,
+                              env=_blas_env(timeout), capture_output=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("caller, expect", [
+    (None, BLAS_THREAD_TIMEOUT), ("28", "28"), ("4", "4")])
+def test_caller_blas_thread_timeout_wins(caller, expect, tmp_path):
+    """`python -m starq.cli` sets OPENBLAS_THREAD_TIMEOUT before numpy loads,
+    unless its caller set one, which it keeps as is."""
+    argv = ["cp1-suite", "--m-list", "4,8", "--out", str(tmp_path / "report")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MAIN, json.dumps(argv)],
+        env=_blas_env(caller), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout)["timeout_at_numpy"] == [expect]
+
+
+def test_main_in_process_keeps_the_callers_environment(monkeypatch):
+    """Only the `python -m starq.cli` process sets OPENBLAS_THREAD_TIMEOUT:
+    a caller of main() in its own process keeps its environment."""
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    code, _ = invoke(["cp1-suite", "--m-list", "4,8"])
+    assert code == 0
+    assert "OPENBLAS_THREAD_TIMEOUT" not in os.environ
 
 
 def _referenced_names(tree, dotted_strings=False):
@@ -931,12 +992,14 @@ def _referenced_names(tree, dotted_strings=False):
 
 
 def test_library_keeps_only_what_runs():
-    """Each module-level def and class of src/starq is read by a command, a
-    script or the benchmark driver, not only by the tests: some module-level
-    statement, script or perfbench file refers to it, or another def that is
-    itself kept does.  Found to a fixpoint, so a def read only by flagged
-    defs is flagged too; the paper's checks that no command runs belong in
-    tests/paper_checks.py."""
+    """Each module-level def and class of src/starq, and each public method
+    of its classes, is read by a command, a script or the benchmark driver,
+    not only by the tests: some module-level statement, script or perfbench
+    file refers to it, or another def that is itself kept does.  A method is
+    matched by its name alone, so it is kept if any kept code reads an
+    attribute of that name.  Found to a fixpoint, so a def read only by
+    flagged defs is flagged too; the paper's checks that no command runs
+    belong in tests/paper_checks.py."""
     root = Path(__file__).resolve().parents[1]
     body_refs = {}                 # (module, name) -> names its body reads
     live = set()                   # names read outside the library's defs
@@ -945,6 +1008,16 @@ def test_library_keeps_only_what_runs():
             name = getattr(node, "name", "")
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     and not (name.startswith("__") and name.endswith("__")):
+                if isinstance(node, ast.ClassDef):
+                    methods = [part for part in node.body
+                               if isinstance(part, ast.FunctionDef)
+                               and not part.name.startswith("_")]
+                    for part in methods:
+                        body_refs[path.stem, f"{name}.{part.name}"] = \
+                            _referenced_names(part) - {part.name}
+                    # the class keeps what the rest of its body reads
+                    node.body = [part for part in node.body
+                                 if part not in methods]
                 body_refs[path.stem, name] = _referenced_names(node) - {name}
             else:
                 live |= _referenced_names(node)
@@ -957,7 +1030,7 @@ def test_library_keeps_only_what_runs():
         read = live.union(*(refs for key, refs in body_refs.items()
                             if key not in flagged))
         unread = {key for key in body_refs
-                  if key not in flagged and key[1] not in read}
+                  if key not in flagged and key[1].split(".")[-1] not in read}
         if not unread:
             break
         flagged |= unread
@@ -974,7 +1047,7 @@ def test_config_file_alone_loads_configparser(tmp_path):
         [sys.executable, "-c", _RUN_AS_MAIN, json.dumps(argv)],
         env=_subprocess_env(), capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert "configparser" in json.loads(proc.stdout)
+    assert "configparser" in json.loads(proc.stdout)["modules"]
 
 
 def test_overflow_leaves_one_stderr_line():

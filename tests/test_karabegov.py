@@ -24,7 +24,8 @@ from starq.karabegov import (
 )
 
 from paper_checks import (
-    laplacian, mi_range, mult_op, ops_agree, poisson_bracket,
+    apply_op, jet_monomial, laplacian, mi_range, mult_op, ops_agree,
+    poisson_bracket,
 )
 
 
@@ -126,7 +127,7 @@ def test_c1_matches_metric_contraction():
         t = karabegov_star(P, N)
         g_inv = inverse_metric(P.phi_minus1)
         window = D - (N + 2)
-        probes = [Jet.monomial(h, a, n, D)
+        probes = [jet_monomial(h, a, n, D)
                   for h in mi_range(n, 2) for a in mi_range(n, 2)]
         for f in probes:
             for g in probes:
@@ -145,7 +146,7 @@ def test_poisson_from_c1():
         t = karabegov_star(P, N)
         g_inv = inverse_metric(P.phi_minus1)
         window = D - (N + 2) - 2
-        probes = [Jet.monomial(h, a, n, D)
+        probes = [jet_monomial(h, a, n, D)
                   for h in mi_range(n, 2) for a in mi_range(n, 2)]
         for f in probes[:6]:
             for g in probes[:6]:
@@ -161,7 +162,7 @@ def test_left_right_reconstruction():
     f = zbj(D) * zbj(D) + zj(D) * zbj(D)
     L = left_mult_operator([f], P, N)
     g = zj(D) * zj(D) + zbj(D)
-    via_L = [op.apply(g) for op in L]
+    via_L = [apply_op(op, g) for op in L]
     via_t = star_eval(t, f, g)
     window = D - (N + 2) - N
     for a, b in zip(via_L, via_t):
@@ -174,7 +175,7 @@ def test_assoc_defect_zero():
         n = P.n
         t = karabegov_star(P, N)
         window = D - (N + 2) - 2 * N
-        f = Jet.monomial((1,) + (0,) * (n - 1), (1,) + (0,) * (n - 1), n, D)
+        f = jet_monomial((1,) + (0,) * (n - 1), (1,) + (0,) * (n - 1), n, D)
         g = Jet.variable(0, n, D, "anti")
         h = Jet.variable(0, n, D)
         for d in assoc_defect(t, f, g, h):
@@ -291,10 +292,10 @@ def test_transform_i1_is_laplacian():
         Iop = transform_from_star(t)
         g_inv = inverse_metric(P.phi_minus1)
         window = D - (N + 2) - 4
-        probes = [Jet.monomial(h, a, n, D)
+        probes = [jet_monomial(h, a, n, D)
                   for h in mi_range(n, 2) for a in mi_range(n, 2)]
         for f in probes:
-            got = Iop[1].apply(f)
+            got = apply_op(Iop[1], f)
             assert (got - laplacian(f, g_inv)).truncate(window).is_zero(), name
 
 
@@ -305,7 +306,7 @@ def test_fs_transform_on_height():
     Iop = transform_from_star(t)
     tt = zj(D) * zbj(D)
     f = (Jet.constant(1, 1, D) - tt) * (Jet.constant(1, 1, D) + tt).inverse()
-    assert Iop[1].apply(f).constant_term() == Scalar(-2)
+    assert apply_op(Iop[1], f).constant_term() == Scalar(-2)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +355,7 @@ def cpn_spectrum_misses(t, n, D, N):
               (1, z1 * inv))
     lam = {l: cpn_eigenvalue(n, l, N) for l in (1, 2)}
     return [(l, k) for l, f in probes for k in range(N + 1)
-            if not (I[k].apply(f) - f.scale(lam[l][k]))
+            if not (apply_op(I[k], f) - f.scale(lam[l][k]))
             .truncate(D - 2 * N - 4).is_zero()]
 
 
@@ -372,15 +373,92 @@ def test_transform_has_the_cpn_spectrum(n, D, N, lam1, lam2):
     assert cpn_spectrum_misses(cpn_table(n, D, N), n, D, N) == []
 
 
+def with_changed_c2(t):
+    """t with the constant 1 added to the coefficient of the first term of
+    C_2, and that term's derivative multi-indices (fh, fa, gh, ga)."""
+    n, D = t.n, t.D
+    _, *idx = t.C[2].terms[0]
+    C2 = t.C[2] + BiDiffOp(n, D, [(Jet.constant(1, n, D), *idx)])
+    return StarTable(t.N, t.C[:2] + [C2] + t.C[3:], t.convention), idx
+
+
 def test_cpn_spectrum_sees_one_changed_coefficient():
     """One coefficient of C_2 changed by a constant breaks the spectrum at
     nu^2, on each probe."""
     n, D, N = 2, 20, 4
-    t = cpn_table(n, D, N)
-    c, *idx = t.C[2].terms[0]
-    C2 = t.C[2] + BiDiffOp(n, D, [(Jet.constant(1, n, D), *idx)])
-    bad = StarTable(N, t.C[:2] + [C2] + t.C[3:], t.convention)
+    bad, _ = with_changed_c2(cpn_table(n, D, N))
     assert cpn_spectrum_misses(bad, n, D, N) == [(1, 2), (2, 2), (1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# I_1 and I_2 in closed form
+
+def ricci_raised(phi):
+    """R^{ab̄} = sum_ij g^{aj̄} R_{ij̄} g^{ib̄} as R[a][b], with the Ricci
+    form R_{ij̄} = -d_i dbar_j log det g; g^{ij̄} is g_inv[j][i], as in
+    laplacian."""
+    n, D = phi.n, phi.max_degree
+    g_inv = inverse_metric(phi)
+    log_det = jet_det(hessian(phi)).log()
+    ric = [[log_det.diff(i, "holo").diff(j, "anti").scale(-1)
+            for j in range(n)] for i in range(n)]
+    return [[sum((g_inv[j][a] * ric[i][j] * g_inv[b][i]
+                  for i in range(n) for j in range(n)), Jet.zero(n, D))
+             for b in range(n)] for a in range(n)]
+
+
+def closed_form_misses(t, phi):
+    """The (k, holo, anti) at which I_k of the N = 2 table t differs on the
+    monomial z^holo zbar^anti, |holo|, |anti| <= 2, from I_1 = Delta or
+    I_2 = Delta^2 / 2 - R^{ab̄} d_a dbar_b / 2, through degree D - 2N - 4.
+    The closed forms hold when Phi_k = 0 for k >= 0, as in every potential
+    here; they read only the metric, not the recursion."""
+    n, D, N = t.n, t.D, t.N
+    I = transform_from_star(t)
+    g_inv = inverse_metric(phi)
+    R = ricci_raised(phi)
+    half = Scalar(Fraction(1, 2))
+    misses = []
+    for h in mi_range(n, 2):
+        for a in mi_range(n, 2):
+            f = jet_monomial(h, a, n, D)
+            lap = laplacian(f, g_inv)
+            ricci = Jet.zero(n, D)
+            for i in range(n):
+                for j in range(n):
+                    ricci = ricci + R[i][j] * f.diff(i, "holo").diff(j, "anti")
+            expect = (lap, (laplacian(lap, g_inv) - ricci).scale(half))
+            misses += [(k, h, a) for k in (1, 2)
+                       if not (apply_op(I[k], f) - expect[k - 1])
+                       .truncate(D - 2 * N - 4).is_zero()]
+    return misses
+
+
+CLOSED_FORM_POTENTIALS = {"fs": lambda: fs_potential(16),
+                          "dense": lambda: dense_potential(16),
+                          "nonflat-n2": lambda: nonflat_n2_potential(16)}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_POTENTIALS)
+def test_transform_has_the_first_two_closed_forms(name):
+    """I_1 = Delta and I_2 = Delta^2/2 - R^{ab̄} d_a dbar_b / 2 on a radial,
+    a non-radial and an off-diagonal n = 2 metric."""
+    P = CLOSED_FORM_POTENTIALS[name]()
+    assert closed_form_misses(karabegov_star(P, 2), P.phi_minus1) == []
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_POTENTIALS)
+def test_closed_forms_see_one_changed_coefficient(name):
+    """The constant 1 added to the coefficient of the term d^fa_zbar f
+    d^gh_z g of C_2 adds d^gh_z d^fa_zbar to I_2: the check fails at
+    k = 2 on each monomial that operator does not kill, and nowhere else."""
+    P = CLOSED_FORM_POTENTIALS[name]()
+    bad, (_, fa, gh, _) = with_changed_c2(karabegov_star(P, 2))
+    n = P.n
+    expect = [(2, h, a) for h in mi_range(n, 2) for a in mi_range(n, 2)
+              if all(map(int.__ge__, h, gh)) and all(map(int.__ge__, a, fa))]
+    assert expect
+    assert closed_form_misses(bad, P.phi_minus1) == expect
 
 
 def test_bt_star_flat():
@@ -405,7 +483,7 @@ def test_bt_c1_identity():
         assert bt.convention == "wick", name
         g_inv = inverse_metric(P.phi_minus1)
         window = P.D - (3 * N + 2) - 2
-        probes = [Jet.monomial(h, a, n, D)
+        probes = [jet_monomial(h, a, n, D)
                   for h in mi_range(n, 2) for a in mi_range(n, 2)]
         for f in probes[:6]:
             for g in probes[:6]:
