@@ -63,36 +63,7 @@ def check_quadrature(cfg):
         raise ValidationError("eta must be finite and > 0")
     if not 0 < cfg.tol < float("inf"):
         raise ValidationError("tol must be finite and > 0")
-
-
-class Frozen:
-    """Base of starq's immutable records.
-
-    The records are plain __slots__ classes: the standard library's record
-    decorator imports inspect, ast, dis and tokenize, which every short CLI
-    run would pay for.  A subclass lists its fields in __slots__ and sets
-    each once, in __init__, through _set; a later assignment or deletion
-    raises AttributeError."""
-
-    __slots__ = ()
-
-    def _set(self, **fields):
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def _set_defaults(self, defaults, values):
-        """Each field of the dict defaults from values, or else its default;
-        a name outside defaults raises TypeError like a keyword argument."""
-        for name in values:
-            if name not in defaults:
-                raise TypeError(f"{type(self).__name__}() got an unexpected "
-                                f"keyword argument {name!r}")
-        self._set(**(defaults | values))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen "
-                             f"{type(self).__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen "
-                             f"{type(self).__name__}")
+    # a grid run would stamp a negative seed on every row, and numpy's
+    # SeedSequence refuses one with a message that names no field
+    if cfg.seed < 0:
+        raise ValidationError("seed must be >= 0")

@@ -23,9 +23,10 @@ set one.  COMMAND_FIELDS gives each command its flags and config-file keys.
 import json
 import os
 import sys
+from collections import namedtuple
 
-from . import (MAX_N, QUADRATURE_FIELDS, Frozen, NonFiniteResult,
-               ResourceGuard, ValidationError, __version__, check_quadrature)
+from . import (MAX_N, QUADRATURE_FIELDS, NonFiniteResult, ResourceGuard,
+               ValidationError, __version__, check_quadrature)
 
 # Largest sphere level m that --m and --m-list accept: the Toeplitz matrix has
 # (m+1)^2 entries, allocated before anything else can fail.
@@ -82,11 +83,9 @@ RUN_FIELDS = (
 _DEFAULTS = dict(RUN_FIELDS)
 
 
-class RunConfig(Frozen):
-    __slots__ = tuple(_DEFAULTS)
-
-    def __init__(self, **values):
-        self._set_defaults(_DEFAULTS, values)
+class RunConfig(namedtuple("RunConfig", _DEFAULTS,
+                           defaults=_DEFAULTS.values())):
+    __slots__ = ()
 
     def validate(self):
         if self.command not in COMMAND_FIELDS:
@@ -148,29 +147,14 @@ def _coerce(key, val):
 # ---------------------------------------------------------------------------
 # pipelines
 
-class Report:
-    __slots__ = ("command", "inputs", "results", "seed")
-
-    def __init__(self, command, inputs, results, seed):
-        self.command = command
-        self.inputs = inputs
-        self.results = results
-        self.seed = seed
-
-    def as_dict(self):
-        return {"tool": "starq", "version": __version__,
-                "command": self.command, "inputs": self.inputs,
-                "seed": self.seed, "results": self.results}
-
-
 def run(cfg):
+    """Validate cfg and build its report, the dict that emit serialises."""
     cfg.validate()
     cmd = cfg.command
     # out is an execution detail: reports must be byte-identical across
     # output destinations
-    echo = {k: getattr(cfg, k) for k, _ in RUN_FIELDS if k != "out"}
     inputs = {"config": {k: (list(v) if isinstance(v, tuple) else v)
-                         for k, v in echo.items()}}
+                         for k, v in cfg._asdict().items() if k != "out"}}
     if cmd in ("star-karabegov", "star-bt", "star-gammelgaard"):
         from .formal import star_table_to_json
         from .karabegov import load_potential
@@ -231,7 +215,8 @@ def run(cfg):
     else:  # cp1-berezin, cp1-suite
         from .cp1 import command_results
         results = command_results(cfg)
-    return Report(command=cmd, inputs=inputs, results=results, seed=cfg.seed)
+    return {"tool": "starq", "version": __version__, "command": cmd,
+            "inputs": inputs, "seed": cfg.seed, "results": results}
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +252,20 @@ _CSV_WRITERS = {"cp1-suite": _series_csv, "cp1-berezin": _points_csv,
 
 
 def emit(report, fmt):
+    command = report["command"]
     try:
         # the report is a tree starq builds itself: no circular reference
-        text = json.dumps(report.as_dict(), sort_keys=True,
-                          separators=(",", ":"), allow_nan=False,
-                          check_circular=False)
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False, check_circular=False)
     except ValueError as exc:
         raise NonFiniteResult(
-            f"{report.command} computed a value that is not finite") from exc
+            f"{command} computed a value that is not finite") from exc
     if fmt == "json":
         return (text + "\n").encode()
-    if report.command not in _CSV_WRITERS:
-        raise ValidationError(f"command {report.command!r} has no CSV form")
+    if command not in _CSV_WRITERS:
+        raise ValidationError(f"command {command!r} has no CSV form")
     return "".join(line + "\n" for line in
-                   _CSV_WRITERS[report.command](report.results)).encode()
+                   _CSV_WRITERS[command](report["results"])).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,11 @@ tests/paper_checks.py and by the commutator decay tests):
 
 import cmath
 import math
+from collections import namedtuple
 
 import numpy as np
 
-from . import Frozen, NonFiniteResult, ValidationError
+from . import NonFiniteResult, ValidationError
 from .symbols import (
     TWO_PI, laplacian_fn, make_context, parse_observable, poisson_bracket_fn,
     toeplitz_band,
@@ -101,12 +102,9 @@ def berezin_transform_num(f, z0, ctx):
 # ---------------------------------------------------------------------------
 # asymptotic harness
 
-class AsymSeries(Frozen):
-    __slots__ = ("points",        # ((m, value), ...)
-                 "fit")           # (limit, slope, residual)
-
-    def __init__(self, points, fit):
-        self._set(points=points, fit=fit)
+class AsymSeries(namedtuple("AsymSeries", "points fit")):
+    # points is ((m, value), ...) and fit is (limit, slope, residual)
+    __slots__ = ()
 
     @staticmethod
     def from_points(points):

@@ -38,10 +38,11 @@ import cmath
 import itertools
 import json
 import math
+from collections import namedtuple
 from fractions import Fraction
 
-from . import (MAX_N, QUADRATURE_FIELDS, Frozen, ResourceGuard,
-               ValidationError, check_quadrature)
+from . import (MAX_N, QUADRATURE_FIELDS, ResourceGuard, ValidationError,
+               check_quadrature)
 
 # The exact core (jets, formal, karabegov) is imported inside the weighted-
 # graph functions: the Kontsevich commands never use it.
@@ -151,14 +152,14 @@ class PoissonBivector:
 # ---------------------------------------------------------------------------
 # admissible graphs
 
-class KGraph(Frozen):
+class KGraph(namedtuple("KGraph", "n targets")):
     """Admissible graph: targets holds, per internal vertex i (1-based), its
     ordered pair of targets.  Equal graphs hash equal: they key
     _WEIGHT_CACHE."""
 
-    __slots__ = ("n", "targets")
+    __slots__ = ()
 
-    def __init__(self, n, targets):
+    def __new__(cls, n, targets):
         if len(targets) != n:
             raise ValueError("one target pair per internal vertex")
         for i, (a, b) in enumerate(targets, start=1):
@@ -166,15 +167,7 @@ class KGraph(Frozen):
             allowed.discard(i)
             if a == b or a not in allowed or b not in allowed:
                 raise ValueError(f"invalid target pair for vertex {i}")
-        self._set(n=n, targets=targets)
-
-    def __eq__(self, other):
-        if type(other) is not KGraph:
-            return NotImplemented
-        return (self.n, self.targets) == (other.n, other.targets)
-
-    def __hash__(self):
-        return hash((self.n, self.targets))
+        return super().__new__(cls, n, targets)
 
     def edge_list(self):
         """Edges in per-vertex order: (source, target)."""
@@ -276,34 +269,22 @@ def d_gamma(G, a, f, g):
 _QUADRATURE_DEFAULTS = dict(QUADRATURE_FIELDS)
 
 
-class IntegrationConfig(Frozen):
+class IntegrationConfig(namedtuple(
+        "IntegrationConfig", _QUADRATURE_DEFAULTS,
+        defaults=_QUADRATURE_DEFAULTS.values())):
     """Weight quadrature settings, the fields of QUADRATURE_FIELDS, held to
     check_quadrature's bounds; hashable, as part of the _WEIGHT_CACHE key."""
 
-    __slots__ = tuple(_QUADRATURE_DEFAULTS)
+    __slots__ = ()
 
-    def __init__(self, **values):
-        self._set_defaults(_QUADRATURE_DEFAULTS, values)
-        check_quadrature(self)
-
-    def _key(self):
-        return tuple(getattr(self, k) for k in IntegrationConfig.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not IntegrationConfig:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    def __new__(cls, **values):
+        cfg = super().__new__(cls, **values)
+        check_quadrature(cfg)
+        return cfg
 
 
-class WeightResult(Frozen):
-    __slots__ = ("value", "error_estimate", "samples_or_cells", "seed")
-
-    def __init__(self, value, error_estimate, samples_or_cells, seed):
-        self._set(value=value, error_estimate=error_estimate,
-                  samples_or_cells=samples_or_cells, seed=seed)
+WeightResult = namedtuple("WeightResult",
+                          "value error_estimate samples_or_cells seed")
 
 
 _WEIGHT_CACHE = {}                # (G.canonical(), cfg) -> WeightResult
@@ -425,15 +406,12 @@ def integration_config(cfg):
 # ---------------------------------------------------------------------------
 # weighted acyclic source/sink graphs
 
-class GGraph(Frozen):
+class GGraph(namedtuple("GGraph", "weights edges aut")):
     """Weighted source/sink graph: weights are the internal vertex weights
     in canonical order, edges are ((u, v, multiplicity), ...) over the
     vertices "S", "T", 0..k, and aut is |Aut|."""
 
-    __slots__ = ("weights", "edges", "aut")
-
-    def __init__(self, weights, edges, aut):
-        self._set(weights=weights, edges=edges, aut=aut)
+    __slots__ = ()
 
     def total_weight(self):
         ne = sum(m for _, _, m in self.edges)

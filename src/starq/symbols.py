@@ -26,9 +26,10 @@ import itertools
 import math
 import operator
 import re
+from collections import namedtuple
 from fractions import Fraction
 
-from . import Frozen, NonFiniteResult
+from . import NonFiniteResult
 
 TWO_PI = 2 * math.pi
 
@@ -40,16 +41,17 @@ class UnboundedSymbol(ValueError):
 # ---------------------------------------------------------------------------
 # observables
 
-class ObservableFn(Frozen):
+class ObservableFn(namedtuple("ObservableFn", "terms")):
     """Sum of terms coeff * z^a zbar^b (1+|z|^2)^{-c}.
 
     The term form is closed under products, derivatives, and the Poisson
     bracket, and integrates exactly against the quantization measures.
+    terms is ((coeff complex, a, b, c), ...).
     """
 
-    __slots__ = ("terms",)       # ((coeff complex, a, b, c), ...)
+    __slots__ = ()
 
-    def __init__(self, terms=()):
+    def __new__(cls, terms=()):
         merged = {}
         for coeff, a, b, c in terms:
             if a + b > 2 * c:
@@ -57,8 +59,8 @@ class ObservableFn(Frozen):
                     f"term z^{a} zbar^{b} (1+zz)^{-c} is unbounded")
             key = (a, b, c)
             merged[key] = merged.get(key, 0) + complex(coeff)
-        self._set(terms=tuple((v, *k) for k, v in sorted(merged.items())
-                              if v != 0))
+        return super().__new__(cls, tuple(
+            (v, *k) for k, v in sorted(merged.items()) if v != 0))
 
     @staticmethod
     def constant(c):
@@ -448,14 +450,9 @@ def coord_x_observable():
 # ---------------------------------------------------------------------------
 # context and the exact Toeplitz band
 
-class Cp1Context(Frozen):
-    """Exact data of level m: dim = m + 1 and norms_over_2pi[k] = n_k / (2 pi)
-    as exact Fractions."""
-
-    __slots__ = ("m", "dim", "norms_over_2pi")
-
-    def __init__(self, m, dim, norms_over_2pi):
-        self._set(m=m, dim=dim, norms_over_2pi=norms_over_2pi)
+# Exact data of level m: dim = m + 1 and norms_over_2pi[k] = n_k / (2 pi) as
+# exact Fractions.
+Cp1Context = namedtuple("Cp1Context", "m dim norms_over_2pi")
 
 
 def _factorials(n):

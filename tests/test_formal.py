@@ -3,13 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from starq.jets import I, ONE, Jet, Scalar
+from starq.jets import Jet, Scalar
 from starq.formal import (
     BiDiffOp, DiffOp, OrderViolation, StarTable, assoc_defect,
     conjugate_star, detect_convention, invert_transform, series_compose,
-    star_eval, star_series, tables_agree, transform_from_star,
+    star_eval, tables_agree, transform_from_star,
 )
 from starq.karabegov import flat_potential, fs_potential, karabegov_star
 

@@ -6,15 +6,11 @@ import pytest
 
 import starq.jets
 from starq.formal import BudgetExceeded
-from starq.karabegov import (
-    FormalPotential, flat_potential, fs_potential, karabegov_star,
-    reference_potentials,
-)
+from starq.karabegov import FormalPotential, fs_potential, reference_potentials
 from starq.graphs import (
-    CrossCheckFailure, GGraph, IntegrationConfig, IntegrationFailure, KGraph,
-    L, R, PoissonBivector, Poly, ResourceGuard, WeightResult,
-    d_gamma, enumerate_ggraphs, enumerate_kgraphs, gammelgaard_star,
-    kontsevich_star, kontsevich_weight,
+    CrossCheckFailure, IntegrationConfig, IntegrationFailure, KGraph, L, R,
+    PoissonBivector, Poly, ResourceGuard, d_gamma, enumerate_ggraphs,
+    enumerate_kgraphs, gammelgaard_star, kontsevich_star, kontsevich_weight,
 )
 
 from paper_checks import max_abs_coeff, moyal_star, star_poly_series

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from starq.jets import (
-    I, ONE, Jet, Scalar, ZeroConstantTerm, DegenerateMetric,
+    I, Jet, Scalar, ZeroConstantTerm, DegenerateMetric,
     hessian, inverse_metric, jet_det, jet_from_json, jet_to_json,
 )
 

@@ -70,7 +70,7 @@ def test_integration_config_shares_the_quadrature_table():
         IntegrationConfig(bogus=1)
     icfg, cfg = IntegrationConfig(), RunConfig()
     names = [name for name, _ in QUADRATURE_FIELDS]
-    assert list(IntegrationConfig.__slots__) == names
+    assert list(IntegrationConfig._fields) == names
     assert [getattr(icfg, k) for k in names] == [getattr(cfg, k) for k in names]
     assert integration_config(cfg) == icfg
 
@@ -78,10 +78,12 @@ def test_integration_config_shares_the_quadrature_table():
 @pytest.mark.parametrize("values, message", [
     ({"samples": 1}, "samples must be in 2..2000000"),
     ({"grid_nodes": 0}, "grid_nodes must be in 2..4096"),
+    ({"seed": -1}, "seed must be >= 0"),
 ])
 def test_integration_config_holds_the_quadrature_bounds(values, message):
     """IntegrationConfig refuses what the CLI refuses: one Monte Carlo
-    sample has no spread, and zero grid nodes make no grid."""
+    sample has no spread, zero grid nodes make no grid, and numpy's
+    SeedSequence takes no negative seed."""
     with pytest.raises(ValidationError, match=message):
         IntegrationConfig(**values)
 
@@ -91,7 +93,7 @@ def test_runconfig_defaults_and_echo():
     cfg = RunConfig(command="graphs-enumerate", n=0)
     assert (cfg.order, cfg.m_list, cfg.tol, cfg.out) == \
         (2, (8, 16, 32, 64, 128), 5e-3, "")
-    echo = run(cfg).as_dict()["inputs"]["config"]
+    echo = run(cfg)["inputs"]["config"]
     assert echo == {
         "command": "graphs-enumerate", "potential": "flat", "alpha_path": "",
         "expr": "1", "f_expr": "(1 - zz) / (1+zz)",
