@@ -1,25 +1,24 @@
 """Formal nu-graded differential and bidifferential operators.
 
 A DiffOp is a finite sum coeff * d^holo_z d^anti_zbar with Jet coefficients,
-and a BiDiffOp is the same for two arguments; one term-sum base keeps the
-terms of both merged and sorted and gives both their sums, negation,
-scaling and equality.  A formal series sum_k nu^k A_k of operators, such as
-the Berezin transform I, is the plain tuple (A_0, ..., A_N) of its DiffOps;
-series_compose composes two such series through nu^N.  A StarTable holds
-bidifferential coefficients C_0..C_N of an associative deformed product
-together with a separation-of-variables convention flag, and refuses, at
-construction, a C_k whose derivative orders break that convention.
+and a BiDiffOp is the same for two arguments.  Each derivative is keyed as a
+jet keys its terms, by one exponent tuple holo + anti of length 2n, so a
+DiffOp term is (coeff, d) and a BiDiffOp term (coeff, df, dg), and
+jets.mi_splits is the one Leibniz split of every composition.  One term-sum
+base keeps the terms of both merged and sorted and gives both their sums,
+negation, scaling, equality and cut at a degree.  A formal series
+sum_k nu^k A_k of operators, such as the Berezin transform I, is the plain
+tuple (A_0, ..., A_N) of its DiffOps; series_compose composes two such
+series through nu^N.  A StarTable holds bidifferential coefficients
+C_0..C_N of an associative deformed product, N = len(C) - 1, together with
+a separation-of-variables convention flag, and refuses, at construction, a
+C_k whose derivative orders break that convention.
 tables_agree compares two tables term by term, through a total degree.
 Polarization, the opposite and dual products and the series comparison
 ops_agree are checked by tests/paper_checks.py: no command runs them.
 """
 
-import itertools
-
-from .jets import (
-    Jet, jet_to_json,
-    mi_add, mi_binom, mi_deg, mi_sub, mi_zero,
-)
+from .jets import Jet, jet_to_json, mi_add, mi_splits, mi_zero
 
 
 class BudgetExceeded(ValueError):
@@ -35,8 +34,8 @@ class OrderViolation(ValueError):
 # term sums
 
 class _TermSum:
-    """Terms (coeff, multi-index, ...) with Jet coefficients, merged on equal
-    multi-indices, without zero ones and sorted by multi-indices."""
+    """Terms (coeff, exponent tuple, ...) with Jet coefficients, merged on
+    equal exponent tuples, without zero ones and sorted by them."""
 
     __slots__ = ("n", "D", "terms")
 
@@ -72,6 +71,12 @@ class _TermSum:
         return type(self)(self.n, self.D,
                           [(t[0].scale(s),) + t[1:] for t in self.terms])
 
+    def drop_above(self, degree):
+        """Each coefficient cut at total degree `degree`."""
+        return type(self)(self.n, self.D,
+                          [(t[0].drop_above(degree),) + t[1:]
+                           for t in self.terms])
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -82,41 +87,31 @@ class _TermSum:
 # DiffOp
 
 class DiffOp(_TermSum):
-    """sum_i coeff_i * d^{holo_i}_z d^{anti_i}_zbar with Jet coefficients."""
+    """sum_i coeff_i * d^{d_i} with Jet coefficients, d_i = holo_i + anti_i."""
 
     __slots__ = ()
 
     @staticmethod
     def identity(n, D):
-        return DiffOp(n, D, [(Jet.constant(1, n, D), mi_zero(n), mi_zero(n))])
+        return DiffOp(n, D, [(Jet.constant(1, n, D), mi_zero(2 * n))])
 
     @staticmethod
-    def deriv(n, D, holo, anti):
-        return DiffOp(n, D, [(Jet.constant(1, n, D), holo, anti)])
+    def deriv(n, D, d):
+        return DiffOp(n, D, [(Jet.constant(1, n, D), d)])
 
     def compose(self, other):
         """Leibniz composition: (self o other)(f) = self(other(f))."""
-        n = self.n
         out = []
-        for p, a, b in self.terms:
-            for q, c, d in other.terms:
-                for a1 in _sub_indices(a):
-                    for b1 in _sub_indices(b):
-                        cb = mi_binom(a, a1) * mi_binom(b, b1)
-                        dq = q.diff_multi(mi_sub(a, a1), mi_sub(b, b1))
-                        if dq.is_zero():
-                            continue
-                        coeff = (p * dq).scale(cb)
-                        out.append((coeff, mi_add(a1, c), mi_add(b1, d)))
-        return DiffOp(n, self.D, out)
+        for p, a in self.terms:
+            for q, c in other.terms:
+                for a1, a2, cb in mi_splits(a):
+                    dq = q.diff_multi(a2)
+                    if not dq.is_zero():
+                        out.append(((p * dq).scale(cb), mi_add(a1, c)))
+        return DiffOp(self.n, self.D, out)
 
     def __repr__(self):
         return f"DiffOp({self.terms!r})"
-
-
-def _sub_indices(a):
-    """All multi-indices componentwise <= a."""
-    return itertools.product(*(range(x + 1) for x in a))
 
 
 def series_compose(a, b):
@@ -137,71 +132,61 @@ def series_compose(a, b):
 # BiDiffOp
 
 class BiDiffOp(_TermSum):
-    """sum coeff * (d^{fh}_z d^{fa}_zbar f) * (d^{gh}_z d^{ga}_zbar g)."""
+    """sum coeff * (d^{df} f) * (d^{dg} g), df and dg each holo + anti."""
 
     __slots__ = ()
 
     @staticmethod
     def pointwise(n, D):
-        z = mi_zero(n)
-        return BiDiffOp(n, D, [(Jet.constant(1, n, D), z, z, z, z)])
+        z = mi_zero(2 * n)
+        return BiDiffOp(n, D, [(Jet.constant(1, n, D), z, z)])
 
     def apply(self, f, g):
         out = Jet.zero(self.n, self.D)
-        for coeff, fh, fa, gh, ga in self.terms:
-            out = out + coeff * f.diff_multi(fh, fa) * g.diff_multi(gh, ga)
+        for coeff, df, dg in self.terms:
+            out = out + coeff * f.diff_multi(df) * g.diff_multi(dg)
         return out
 
     def swap(self):
         """Arguments exchanged: C'(f,g) = C(g,f)."""
         return BiDiffOp(self.n, self.D,
-                        [(c, gh, ga, fh, fa) for c, fh, fa, gh, ga in self.terms])
+                        [(c, dg, df) for c, df, dg in self.terms])
 
     def precompose(self, A1, A2):
         """C'(f,g) = C(A1 f, A2 g) for DiffOps A1, A2."""
         out = []
-        for coeff, fh, fa, gh, ga in self.terms:
-            d1 = DiffOp.deriv(self.n, self.D, fh, fa).compose(A1)
-            d2 = DiffOp.deriv(self.n, self.D, gh, ga).compose(A2)
-            for c1, h1, a1 in d1.terms:
+        for coeff, df, dg in self.terms:
+            d1 = DiffOp.deriv(self.n, self.D, df).compose(A1)
+            d2 = DiffOp.deriv(self.n, self.D, dg).compose(A2)
+            for c1, k1 in d1.terms:
                 cc1 = coeff * c1
-                for c2, h2, a2 in d2.terms:
-                    out.append((cc1 * c2, h1, a1, h2, a2))
+                for c2, k2 in d2.terms:
+                    out.append((cc1 * c2, k1, k2))
         return BiDiffOp(self.n, self.D, out)
 
     def postcompose(self, P):
         """C'(f,g) = P(C(f,g)) for a DiffOp P, by trinomial Leibniz."""
         out = []
-        for p, a, b in P.terms:
-            for coeff, fh, fa, gh, ga in self.terms:
-                for a1 in _sub_indices(a):
-                    rest_a = mi_sub(a, a1)
-                    for b1 in _sub_indices(b):
-                        dc = coeff.diff_multi(a1, b1)
-                        if dc.is_zero():
-                            continue
-                        # p * d^(a1, b1) coeff is shared by every split of
-                        # the remaining derivatives between f and g
-                        pdc = p * dc
-                        rest_b = mi_sub(b, b1)
-                        m1 = mi_binom(a, a1) * mi_binom(b, b1)
-                        for a2 in _sub_indices(rest_a):
-                            a3 = mi_sub(rest_a, a2)
-                            ma = m1 * mi_binom(rest_a, a2)
-                            for b2 in _sub_indices(rest_b):
-                                b3 = mi_sub(rest_b, b2)
-                                out.append((pdc.scale(ma * mi_binom(rest_b, b2)),
-                                            mi_add(fh, a2), mi_add(fa, b2),
-                                            mi_add(gh, a3), mi_add(ga, b3)))
+        for p, a in P.terms:
+            for coeff, df, dg in self.terms:
+                for a1, rest, m1 in mi_splits(a):
+                    dc = coeff.diff_multi(a1)
+                    if dc.is_zero():
+                        continue
+                    # p * d^a1 coeff is shared by every split of the
+                    # remaining derivatives between f and g
+                    pdc = p * dc
+                    for a2, a3, m2 in mi_splits(rest):
+                        out.append((pdc.scale(m1 * m2),
+                                    mi_add(df, a2), mi_add(dg, a3)))
         return BiDiffOp(self.n, self.D, out)
 
     def max_orders(self):
         """(f_holo, f_anti, g_holo, g_anti) maximal derivative orders."""
-        fh = max((mi_deg(t[1]) for t in self.terms), default=0)
-        fa = max((mi_deg(t[2]) for t in self.terms), default=0)
-        gh = max((mi_deg(t[3]) for t in self.terms), default=0)
-        ga = max((mi_deg(t[4]) for t in self.terms), default=0)
-        return fh, fa, gh, ga
+        n = self.n
+        orders = [(sum(df[:n]), sum(df[n:]), sum(dg[:n]), sum(dg[n:]))
+                  for _, df, dg in self.terms]
+        return tuple(map(max, zip((0, 0, 0, 0), *orders)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,22 +196,23 @@ CONVENTIONS = ("karabegov_anti_wick", "wick", "none")
 
 
 class StarTable:
-    __slots__ = ("N", "C", "convention", "label")
+    __slots__ = ("C", "convention", "label")
 
-    def __init__(self, N, C, convention, label=""):
+    def __init__(self, C, convention, label=""):
         """Raises OrderViolation if a C_k, k >= 1, breaks the convention's
         separation of variables."""
         if convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {convention!r}")
-        if len(C) != N + 1:
-            raise ValueError("need exactly N+1 coefficient operators")
-        for k in range(1, N + 1):
+        for k in range(1, len(C)):
             if not _routes_as(convention, k, C[k].max_orders()):
                 raise OrderViolation(f"C_{k} violates convention {convention}")
-        self.N = N
         self.C = C                # BiDiffOp, C[0] .. C[N]
         self.convention = convention
         self.label = label
+
+    @property
+    def N(self):
+        return len(self.C) - 1
 
     @property
     def n(self):
@@ -294,15 +280,16 @@ def transform_from_star(t):
     table.
 
     C_k(bbar, a) = I_k(bbar a) for antiholomorphic bbar and holomorphic a,
-    so the term coeff * d^b_zbar f * d^a_z g of C_k is the term
-    coeff * d^a_z d^b_zbar of I_k; polarization is the inverse.  The table
-    checked the anti-Wick (k, k) shape of each C_k when it was built.
+    so the term coeff * d^b_zbar f * d^a_z g of C_k, keyed (0, b) and
+    (a, 0), is the term coeff * d^a_z d^b_zbar of I_k, keyed (a, b), their
+    sum; polarization is the inverse.  The table checked the anti-Wick
+    (k, k) shape of each C_k when it was built.
     """
     if t.convention != "karabegov_anti_wick":
         raise ValueError("transform extraction requires an anti-Wick table")
     n, D = t.n, t.D
     return (DiffOp.identity(n, D),) + tuple(
-        DiffOp(n, D, [(c, gh, fa) for c, _, fa, gh, _ in op.terms])
+        DiffOp(n, D, [(c, mi_add(df, dg)) for c, df, dg in op.terms])
         for op in t.C[1:])
 
 
@@ -347,7 +334,7 @@ def conjugate_star(t, B):
             acc = acc + S[k - a].postcompose(Binv[a])
         C_out.append(acc)
     conv = detect_convention(C_out)
-    return StarTable(N=N, C=C_out, convention=conv,
+    return StarTable(C=C_out, convention=conv,
                      label=t.label + "|conjugated" if t.label else "conjugated")
 
 
@@ -367,21 +354,21 @@ def _agree(xs, ys, up_to):
     x_k - y_k vanishes through total degree up_to."""
     if len(xs) != len(ys) or (xs[0].n, xs[0].D) != (ys[0].n, ys[0].D):
         return False
-    return all(term[0].drop_above(up_to).is_zero()
-               for a, b in zip(xs, ys) for term in (a - b).terms)
+    return all((a - b).drop_above(up_to).is_zero() for a, b in zip(xs, ys))
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 def star_table_to_json(t):
+    n = t.n
     coeffs = []
     for k, op in enumerate(t.C):
         terms = []
-        for coeff, fh, fa, gh, ga in op.terms:
+        for coeff, df, dg in op.terms:
             terms.append({"coeff": jet_to_json(coeff),
-                          "f_dz": list(fh), "f_dzbar": list(fa),
-                          "g_dz": list(gh), "g_dzbar": list(ga)})
+                          "f_dz": list(df[:n]), "f_dzbar": list(df[n:]),
+                          "g_dz": list(dg[:n]), "g_dzbar": list(dg[n:])})
         coeffs.append({"k": k, "terms": terms})
     return {"order": t.N, "convention": t.convention, "label": t.label,
             "coefficients": coeffs}

@@ -308,10 +308,8 @@ def kontsevich_weight(G, cfg=None):
     from .quadrature import grid_weight, mc_weight   # loads numpy
     if cfg.method == "grid":
         res = grid_weight(G, cfg)
-    elif cfg.method == "mc":
-        res = mc_weight(G, cfg)
     else:
-        raise ValueError(f"unknown integration method {cfg.method!r}")
+        res = mc_weight(G, cfg)
     if res.error_estimate > cfg.tol:
         raise IntegrationFailure(
             f"weight error estimate {res.error_estimate:.2e} exceeds "
@@ -502,7 +500,7 @@ def gammelgaard_star(P, N):
     C = [BiDiffOp.pointwise(n, D)] + [BiDiffOp.zero(n, D)] * N
     for G in enumerate_ggraphs(N)[1:]:      # [0] is the empty graph, C_0
         C[G.total_weight()] += _ggraph_operator(G, P, g_inv)
-    table = StarTable(N=N, C=C, convention="karabegov_anti_wick",
+    table = StarTable(C=C, convention="karabegov_anti_wick",
                       label="graph-expansion")
     if not tables_agree(table, karabegov_star(P, N), window):
         raise CrossCheckFailure("graph expansion disagrees with the recursion")
@@ -514,30 +512,28 @@ def _ggraph_operator(G, P, g_inv):
 
     An index assignment gives each edge an anti-holomorphic index at its
     tail and a holomorphic one at its head; it contributes only if every
-    vertex jet -Phi_w keeps a nonzero derivative.  The operator is scaled
-    by 1/|Aut| once."""
+    vertex jet -Phi_w keeps a nonzero derivative.  Each vertex keeps one
+    exponent list, holo then anti, as an operator key.  The operator is
+    scaled by 1/|Aut| once."""
     from .formal import BiDiffOp
-    from .jets import mi_zero
     n = P.n
     slots = [(u, v) for u, v, m in G.edges for _ in range(m)]
     phis = [-(P.phi_k(w) if w >= 0 else P.phi_minus1) for w in G.weights]
     terms = []
     for assign in itertools.product(
             itertools.product(range(n), repeat=2), repeat=len(slots)):
-        holo = {v: [0] * n for v in ("T", *range(len(phis)))}
-        anti = {u: [0] * n for u in ("S", *range(len(phis)))}
+        exps = {v: [0] * (2 * n) for v in ("S", "T", *range(len(phis)))}
         for (u, v), (b, a) in zip(slots, assign):
-            anti[u][b] += 1
-            holo[v][a] += 1
+            exps[u][n + b] += 1
+            exps[v][a] += 1
         coeff = 1
         for v, phi in enumerate(phis):
-            vert = phi.diff_multi(tuple(holo[v]), tuple(anti[v]))
+            vert = phi.diff_multi(tuple(exps[v]))
             if vert.is_zero():
                 break
             coeff = vert * coeff
         else:
             for b, a in assign:
                 coeff = g_inv[b][a] * coeff
-            terms.append((coeff, mi_zero(n), tuple(anti["S"]),
-                          tuple(holo["T"]), mi_zero(n)))
+            terms.append((coeff, tuple(exps["S"]), tuple(exps["T"])))
     return BiDiffOp(n, P.D, terms).scale(Fraction(1, G.aut))

@@ -6,8 +6,12 @@ of total degree <= D over one shared denominator, each term keyed by one
 exponent tuple, holo exponents then anti exponents, so a product adds keys
 and a derivative subtracts them.  Multiplication truncates above D.
 Scalar, an exact complex rational, is the coefficient type at the
-boundary: constructors, `constant_term`, `terms` and JSON.  Every derivative is one `diff_multi`
-pass, and `inverse` and `log` sum one series in r = a/a_0 - 1.
+boundary: constructors, `constant_term`, `terms` and JSON.  Every
+derivative is one `diff_multi` pass over one exponent tuple, and `inverse`
+and `log` sum one series in r = a/a_0 - 1.  The operators of formal and
+karabegov key their derivatives by the same tuples, and `mi_splits` is the
+one Leibniz split they all use.  `metric_det` is the one check that a
+Hessian metric is nondegenerate.
 """
 
 import itertools
@@ -102,20 +106,12 @@ def mi_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mi_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mi_deg(a):
-    return sum(a)
-
-
-def mi_binom(a, b):
-    """Product of componentwise binomials C(a_i, b_i)."""
-    out = 1
-    for x, y in zip(a, b):
-        out *= math.comb(x, y)
-    return out
+def mi_splits(a):
+    """(b, a - b, C(a, b)) for every multi-index b <= a, C(a, b) the product
+    of componentwise binomials: the terms of the Leibniz rule
+    d^a (u v) = sum_b C(a, b) d^b u d^(a-b) v."""
+    for b in itertools.product(*(range(x + 1) for x in a)):
+        yield b, tuple(map(_sub, a, b)), math.prod(map(math.comb, a, b))
 
 
 def unit_mi(n, i):
@@ -338,12 +334,12 @@ class Jet:
 
     def diff(self, var, kind="holo"):
         """d/dz_var (holo) or d/dzbar_var (anti), by diff_multi."""
-        e, z = unit_mi(self.n, var), mi_zero(self.n)
-        return self.diff_multi(e, z) if kind == "holo" else self.diff_multi(z, e)
+        i = var if kind == "holo" else self.n + var
+        return self.diff_multi(unit_mi(2 * self.n, i))
 
-    def diff_multi(self, holo, anti):
-        """d^holo_z d^anti_zbar in one pass over the terms."""
-        d = tuple(holo) + tuple(anti)
+    def diff_multi(self, d):
+        """d^holo_z d^anti_zbar for one exponent tuple d = holo + anti, in
+        one pass over the terms."""
         if not any(d):
             return self
         out = {}
@@ -442,16 +438,22 @@ def jet_det(mat):
     return out
 
 
-def inverse_metric(phi):
-    """The jet inverse g^{-1} = adj(g) / det g of the Hessian metric
-    g_ij = d2 Phi / dz_i dzbar_j, as an n x n tuple of tuples of jets;
-    raises DegenerateMetric when det g has no constant term."""
-    n = phi.n
-    g = hessian(phi)
+def metric_det(g):
+    """det g of a Hessian metric g; raises DegenerateMetric when det g has
+    no constant term, that is when g is singular at the origin."""
     det = jet_det(g)
     if det.constant_term().is_zero():
         raise DegenerateMetric("degree-0 Hessian block is singular")
-    inv_det = det.inverse()
+    return det
+
+
+def inverse_metric(phi):
+    """The jet inverse g^{-1} = adj(g) / det g of the Hessian metric
+    g_ij = d2 Phi / dz_i dzbar_j, as an n x n tuple of tuples of jets;
+    metric_det raises DegenerateMetric when det g has no constant term."""
+    n = phi.n
+    g = hessian(phi)
+    inv_det = metric_det(g).inverse()
     if n == 1:
         return ((inv_det,),)
 

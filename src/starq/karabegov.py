@@ -36,12 +36,10 @@ from fractions import Fraction
 
 from . import ValidationError
 from .jets import (
-    Jet, hessian, inverse_metric, jet_det, jet_from_json, mi_add, mi_binom,
-    mi_sub, mi_zero, unit_mi,
+    Jet, hessian, inverse_metric, jet_from_json, metric_det, mi_add,
+    mi_splits, mi_zero, unit_mi,
 )
-from .formal import (
-    BiDiffOp, BudgetExceeded, DiffOp, StarTable, _sub_indices,
-)
+from .formal import BiDiffOp, BudgetExceeded, DiffOp, StarTable
 
 
 class FormalPotential:
@@ -125,14 +123,14 @@ def left_mult_operator(g_series, P, N):
     c dbar^b f d^alpha g of A_k, each cut at D - (m + 2)."""
     A, _ = _anti_wick_ops(P, N)
     n, D = P.n, P.D
-    z = mi_zero(n)
     gs = list(g_series) + [Jet.zero(n, D)] * (N + 1 - len(g_series))
     orders = []
     for m in range(N + 1):
-        terms = [(gs[m], z, z)]
+        terms = [(gs[m], mi_zero(2 * n))]
         for k in range(1, m + 1):
-            terms += [((c * gs[m - k].diff_multi(z, b)).drop_above(D - (m + 2)),
-                       alpha, z) for c, _, b, alpha, _ in A[k].terms]
+            # an anti-Wick term differentiates f by (0, b) and g by (alpha, 0)
+            terms += [((c * gs[m - k].diff_multi(df)).drop_above(D - (m + 2)),
+                       dg) for c, df, dg in A[k].terms]
         orders.append(DiffOp(n, D, terms))
     return tuple(orders)
 
@@ -147,7 +145,6 @@ def _anti_wick_ops(P, N):
     n, D = P.n, P.D
     if D < 3 * N:
         raise BudgetExceeded(f"degree budget D={D} below 3N={3 * N}")
-    z = mi_zero(n)
     g_inv = inverse_metric(P.phi_minus1)
     w = [[phi.diff(l, "anti") for l in range(n)]
          for phi in [P.phi_minus1] + [P.phi_k(j) for j in range(N)]]
@@ -158,16 +155,18 @@ def _anti_wick_ops(P, N):
         terms = []
         for s in range(m, 0, -1):
             # the rows (b, beta), |beta| = s - 1, of the block |alpha| = s,
-            # with the solved blocks |alpha| > s already in the residual
+            # keyed (0, b) and (beta, 0), with the solved blocks |alpha| > s
+            # already in the residual
             rows = {}
             for l, r in enumerate(res):
-                for c, fh, b, beta, ga in r.terms:
-                    if fh == z and ga == z and sum(beta) == s - 1:
+                for c, df, dg in r.terms:
+                    if (not any(df[:n]) and not any(dg[n:])
+                            and sum(dg) == s - 1):
                         c = c.drop_above(cut)
                         if not c.is_zero():
-                            rows.setdefault((b, beta), []).append((l, c))
+                            rows.setdefault((df, dg), []).append((l, c))
             block = []
-            for (b, beta), row in rows.items():
+            for (df, beta), row in rows.items():
                 # x_alpha along the first j with alpha_j > 0
                 for j in range(n):
                     acc = Jet.zero(n, D)
@@ -175,14 +174,13 @@ def _anti_wick_ops(P, N):
                         acc = acc + g_inv[l][j] * c
                     x = acc.drop_above(cut).scale(Fraction(-1, beta[j] + 1))
                     if not x.is_zero():
-                        block.append((x, z, b, mi_add(beta, unit_mi(n, j)), z))
+                        block.append((x, df, mi_add(beta, unit_mi(2 * n, j))))
                     if beta[j]:
                         break
             block = BiDiffOp(n, D, block)
             terms += block.terms
             res = [r + _commutator(block, w[0][l]) for l, r in enumerate(res)]
-        if any(not tm[0].drop_above(cut).is_zero()
-               for r in res for tm in r.terms):
+        if any(not r.drop_above(cut).is_zero() for r in res):
             raise ArithmeticError("inconsistent block in the recursion")
         A.append(BiDiffOp(n, D, terms))
     return A, w
@@ -200,47 +198,38 @@ def _commutator_sum(A, w, m, l):
 def _commutator(op, w, l=None):
     """[op, w] for a BiDiffOp op and the multiplication by a jet w, plus
     [op, d/dzbar_l] when l is given, with [op, r](f, g) = op(f, r g) -
-    r(op(f, g)).  By Leibniz, a term c (d^fh dbar^fa f)(d^gh dbar^ga g) of
-    op gives C(gh, gamma) C(ga, delta) c d^gamma dbar^delta w times
-    (d^fh dbar^fa f)(d^(gh-gamma) dbar^(ga-delta) g) for each nonzero
-    (gamma, delta) <= (gh, ga), and -(dbar_l c)(d^fh dbar^fa f)(d^gh dbar^ga g)
-    and -c (d^fh dbar^(fa+e_l) f)(d^gh dbar^ga g)."""
+    r(op(f, g)).  By Leibniz (jets.mi_splits), a term c (d^df f)(d^dg g) of
+    op, each key holo + anti, gives C(dg, gamma) c (d^gamma w)
+    (d^df f)(d^(dg-gamma) g) for each nonzero gamma <= dg, and
+    -(dbar_l c)(d^df f)(d^dg g) and -c (d^(df+e) f)(d^dg g), e the key of
+    dbar_l."""
     n = op.n
     dw = {}
     out = []
-    for c, fh, fa, gh, ga in op.terms:
-        for gamma in _sub_indices(gh):
-            for delta in _sub_indices(ga):
-                if not any(gamma + delta):
-                    continue        # op(f, w g) - w op(f, g) cancels it
-                d = dw.get((gamma, delta))
-                if d is None:
-                    d = dw[gamma, delta] = w.diff_multi(gamma, delta)
-                if not d.is_zero():
-                    out.append(((c * d).scale(mi_binom(gh, gamma)
-                                              * mi_binom(ga, delta)),
-                                fh, fa, mi_sub(gh, gamma), mi_sub(ga, delta)))
+    for c, df, dg in op.terms:
+        for gamma, rest, binom in mi_splits(dg):
+            if not any(gamma):
+                continue        # op(f, w g) - w op(f, g) cancels it
+            d = dw.get(gamma)
+            if d is None:
+                d = dw[gamma] = w.diff_multi(gamma)
+            if not d.is_zero():
+                out.append(((c * d).scale(binom), df, rest))
         if l is not None:
-            out.append((-c.diff(l, "anti"), fh, fa, gh, ga))
-            out.append((-c, fh, mi_add(fa, unit_mi(n, l)), gh, ga))
+            out.append((-c.diff(l, "anti"), df, dg))
+            out.append((-c, mi_add(df, unit_mi(2 * n, n + l)), dg))
     return BiDiffOp(n, op.D, out)
 
 
 # ---------------------------------------------------------------------------
 # star product assembly
 
-def _drop_above(op, degree):
-    """The BiDiffOp op with each coefficient cut at the degree."""
-    return BiDiffOp(op.n, op.D, [(tm[0].drop_above(degree),) + tm[1:]
-                                 for tm in op.terms])
-
-
 def karabegov_star(P, N):
     """Anti-Wick star table through nu^N from a formal potential: the
     operators of _anti_wick_ops, C_k for k >= 1 cut at D - (N + 2)."""
     A, _ = _anti_wick_ops(P, N)
-    C = A[:1] + [_drop_above(op, P.D - (N + 2)) for op in A[1:]]
-    return StarTable(N=N, C=C, convention="karabegov_anti_wick",
+    C = A[:1] + [op.drop_above(P.D - (N + 2)) for op in A[1:]]
+    return StarTable(C=C, convention="karabegov_anti_wick",
                      label="karabegov")
 
 
@@ -259,7 +248,8 @@ def bt_star_from(P, N):
     product by its transform composes up to 2N derivatives of coefficients
     reliable through D - (N + 2), so this is the window on which the table
     and that conjugation agree term for term.  A budget below 3N + 2 leaves
-    no degree and raises BudgetExceeded.
+    no degree and raises BudgetExceeded, and a metric singular at the
+    origin raises DegenerateMetric before the log of det g is taken.
     """
     if any(not phi.is_zero() for phi in P.phi):
         raise ValueError("the Berezin-Toeplitz product depends on omega "
@@ -267,9 +257,9 @@ def bt_star_from(P, N):
     cut = P.D - (3 * N + 2)
     if cut < 0:
         raise BudgetExceeded(f"degree budget D={P.D} below 3N+2={3 * N + 2}")
-    log_det = jet_det(hessian(P.phi_minus1)).log()
+    log_det = metric_det(hessian(P.phi_minus1)).log()
     t = karabegov_star(FormalPotential(phi_minus1=P.phi_minus1,
                                        phi=[log_det]), N)
     ops = [op.swap() if k % 2 == 0 else -op.swap() for k, op in enumerate(t.C)]
-    C = [_drop_above(op, cut) for op in ops]
-    return StarTable(N=N, C=C, convention="wick", label="berezin-toeplitz")
+    C = [op.drop_above(cut) for op in ops]
+    return StarTable(C=C, convention="wick", label="berezin-toeplitz")

@@ -253,15 +253,14 @@ def poisson_bracket(f, g, g_inv):
 def apply_op(op, f):
     """The DiffOp op applied to the jet f."""
     out = Jet.zero(op.n, op.D)
-    for coeff, h, a in op.terms:
-        out = out + coeff * f.diff_multi(h, a)
+    for coeff, d in op.terms:
+        out = out + coeff * f.diff_multi(d)
     return out
 
 
 def mult_op(jet):
     """The multiplication by a jet, as a DiffOp."""
-    z = mi_zero(jet.n)
-    return DiffOp(jet.n, jet.max_degree, [(jet, z, z)])
+    return DiffOp(jet.n, jet.max_degree, [(jet, mi_zero(2 * jet.n))])
 
 
 def polarize(I_k, k):
@@ -269,7 +268,7 @@ def polarize(I_k, k):
     holomorphic derivatives to the second, coefficients carried over."""
     n, D = I_k.n, I_k.D
     z = mi_zero(n)
-    C_k = BiDiffOp(n, D, [(c, z, a, h, z) for c, h, a in I_k.terms])
+    C_k = BiDiffOp(n, D, [(c, z + d[n:], d[:n] + z) for c, d in I_k.terms])
     if not _routes_as("karabegov_anti_wick", k, C_k.max_orders()):
         raise OrderViolation(f"I_{k} has a term of order above ({k},{k})")
     return C_k
@@ -278,7 +277,7 @@ def polarize(I_k, k):
 def opposite_star(t):
     C_out = [c.swap() for c in t.C]
     conv = detect_convention(C_out)
-    return StarTable(N=t.N, C=C_out, convention=conv,
+    return StarTable(C=C_out, convention=conv,
                      label=t.label + "|opposite" if t.label else "opposite")
 
 

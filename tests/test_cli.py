@@ -446,6 +446,26 @@ def test_star_bt_zero_phi_is_no_phi(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("command", ["star-karabegov", "star-bt",
+                                     "star-gammelgaard"])
+@pytest.mark.parametrize("phi", [
+    pytest.param({"n": 1, "max_degree": 12, "terms": [
+        {"dz": [2], "dzbar": [2], "re": "1", "im": "0"}]}, id="z2-zbar2"),
+    pytest.param(_PHI_N2, id="z1-zbar1-n2"),
+])
+def test_degenerate_metric_exits_3(command, phi, tmp_path, capsys):
+    """A metric singular at the origin exits 3 as DegenerateMetric from
+    every star command: star-bt once took log det g before any check and
+    named the error ZeroConstantTerm."""
+    path = tmp_path / "potential.json"
+    path.write_text(json.dumps({"phi_minus1": phi}))
+    code, out = invoke([command, "--potential", str(path), "--order", "1"])
+    assert code == 3 and out == b""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "DegenerateMetric"
+
+
 def _diagonal_potential(n, max_degree=12):
     """The potential file of z_1 zbar_1 + ... + z_n zbar_n."""
     unit = [[int(i == j) for j in range(n)] for i in range(n)]

@@ -1,6 +1,8 @@
 """Exact jet arithmetic, metric, Laplacian and Poisson bracket checks."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from starq.jets import (
     I, Jet, Scalar, ZeroConstantTerm, DegenerateMetric,
-    hessian, inverse_metric, jet_det, jet_from_json, jet_to_json,
+    hessian, inverse_metric, jet_det, jet_from_json, jet_to_json, mi_splits,
 )
 
 from paper_checks import (
@@ -73,6 +75,39 @@ def test_diff_log_series():
     expect = Jet(1, D, {((k,), (k,)): Scalar((-1) ** k * (k + 1)) for k in range(0, 3)})
     # derivative trustworthy through degree D-2
     assert d.truncate(D - 2) == expect.truncate(D - 2)
+
+
+def seeded_jet(rng, n, D):
+    """A jet with about half of its monomials of degree <= D present, each
+    with a small exact complex coefficient."""
+    keys = [(h, a) for h in mi_range(n, D) for a in mi_range(n, D)
+            if sum(h) + sum(a) <= D]
+    return Jet(n, D, {k: Scalar(Fraction(rng.randint(-5, 5),
+                                         rng.randint(1, 4)),
+                                rng.randint(-3, 3))
+                      for k in keys if rng.random() < 0.5})
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mi_splits_is_the_leibniz_rule(n):
+    """d^a (u v) = sum_b C(a, b) d^b u d^(a-b) v over mi_splits(a), for
+    every exponent tuple a with |a| <= 3, through degree D - |a|, the
+    degree the truncated product keeps exact."""
+    D = 5
+    rng = random.Random(n)
+    u, v = seeded_jet(rng, n, D), seeded_jet(rng, n, D)
+    uv = u * v
+    orders = [a for a in itertools.product(range(4), repeat=2 * n)
+              if sum(a) <= 3]
+    assert len(orders) == (10 if n == 1 else 35)
+    for a in orders:
+        expect = Jet.zero(n, D)
+        for b, rest, binom in mi_splits(a):
+            expect = expect + (u.diff_multi(b)
+                               * v.diff_multi(rest)).scale(binom)
+        got = uv.diff_multi(a)
+        assert not got.is_zero()
+        assert got.drop_above(D - sum(a)) == expect.drop_above(D - sum(a)), a
 
 
 def test_inverse_examples():
@@ -410,7 +445,7 @@ def test_core_matches_fraction_reference(n, D, data):
         (a * b, ref_mul(ref(a), ref(b), D)),
         (a * cancel, ref_mul(ref(a), ref(cancel), D)),
         (a.scale(c), ref_scale(ref(a), c)),
-        (a.diff_multi(holo, anti), ref_diff_multi(ref(a), holo, anti)),
+        (a.diff_multi(holo + anti), ref_diff_multi(ref(a), holo, anti)),
         (jet_conj(a), {(an, h): (re, -im) for (h, an), (re, im) in ref(a).items()}),
     ]
     for got, expect in cases:
