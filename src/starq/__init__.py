@@ -24,9 +24,8 @@ class NonFiniteResult(ArithmeticError):
 
 
 # The weight quadrature settings and their defaults.  cli.RUN_FIELDS splices
-# this table into the run configuration, graphs.IntegrationConfig fills
-# itself from it and scripts/weight_scan.py takes its defaults from it;
-# check_quadrature bounds its values for both records.
+# this table into the run configuration and graphs.IntegrationConfig fills
+# itself from it; check_quadrature bounds its values for both records.
 QUADRATURE_FIELDS = (
     ("method", "grid"),              # "grid" or "mc"
     ("grid_nodes", 800),             # per axis, 2D integrals

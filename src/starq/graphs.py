@@ -488,7 +488,7 @@ def gammelgaard_star(P, N):
     """
     from .formal import BiDiffOp, BudgetExceeded, StarTable, tables_agree
     from .jets import inverse_metric
-    from .karabegov import karabegov_star
+    from .karabegov import _anti_wick_ops
     if N > 2:
         raise ResourceGuard("graph expansion implemented through order 2")
     n, D = P.n, P.D
@@ -500,9 +500,9 @@ def gammelgaard_star(P, N):
     C = [BiDiffOp.pointwise(n, D)] + [BiDiffOp.zero(n, D)] * N
     for G in enumerate_ggraphs(N)[1:]:      # [0] is the empty graph, C_0
         C[G.total_weight()] += _ggraph_operator(G, P, g_inv)
-    table = StarTable(C=C, convention="karabegov_anti_wick",
-                      label="graph-expansion")
-    if not tables_agree(table, karabegov_star(P, N), window):
+    table = StarTable(C, "karabegov_anti_wick", "graph-expansion")
+    recursion = StarTable(_anti_wick_ops(P, N, g_inv)[0], table.convention)
+    if not tables_agree(table, recursion, window):
         raise CrossCheckFailure("graph expansion disagrees with the recursion")
     return table
 

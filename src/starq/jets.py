@@ -448,12 +448,14 @@ def metric_det(g):
 
 
 def inverse_metric(phi):
-    """The jet inverse g^{-1} = adj(g) / det g of the Hessian metric
-    g_ij = d2 Phi / dz_i dzbar_j, as an n x n tuple of tuples of jets;
-    metric_det raises DegenerateMetric when det g has no constant term."""
-    n = phi.n
+    """metric_inverse of the Hessian metric g_ij = d2 Phi / dz_i dzbar_j."""
     g = hessian(phi)
-    inv_det = metric_det(g).inverse()
+    return metric_inverse(g, metric_det(g))
+
+
+def metric_inverse(g, det):
+    """g^{-1} = adj(g) / det g, an n x n tuple of tuples of jets."""
+    n, inv_det = len(g), det.inverse()
     if n == 1:
         return ((inv_det,),)
 

@@ -36,8 +36,8 @@ from fractions import Fraction
 
 from . import ValidationError
 from .jets import (
-    Jet, hessian, inverse_metric, jet_from_json, metric_det, mi_add,
-    mi_splits, mi_zero, unit_mi,
+    Jet, hessian, inverse_metric, jet_from_json, metric_det, metric_inverse,
+    mi_add, mi_splits, mi_zero, unit_mi,
 )
 from .formal import BiDiffOp, BudgetExceeded, DiffOp, StarTable
 
@@ -121,7 +121,7 @@ def left_mult_operator(g_series, P, N):
     checked to commute with every nu R_l, contracted with g.  Order m is
     g_m + sum_{k>=1} sum (c dbar^b g_{m-k}) d^alpha over the terms
     c dbar^b f d^alpha g of A_k, each cut at D - (m + 2)."""
-    A, _ = _anti_wick_ops(P, N)
+    A, _ = _anti_wick_ops(P, N, inverse_metric(P.phi_minus1))
     n, D = P.n, P.D
     gs = list(g_series) + [Jet.zero(n, D)] * (N + 1 - len(g_series))
     orders = []
@@ -135,17 +135,17 @@ def left_mult_operator(g_series, P, N):
     return tuple(orders)
 
 
-def _anti_wick_ops(P, N):
+def _anti_wick_ops(P, N, g_inv):
     """The anti-Wick table's operators A_0..A_N, A_k(f, g) = C_k(f, g), each
     A_m kept through degree D - (m + 2), with the multipliers w they
     commute with: w[j][l] = dPhi_{j-1}/dzbar_l, the nu^j part of nu R_l
-    besides the d/dzbar_l of nu^1.  Order m is solved by back-substitution
-    on the residual of its equation (module docstring) and raises
-    ArithmeticError unless the residual vanishes through D - (m + 2)."""
+    besides the d/dzbar_l of nu^1, for g_inv the inverse metric of Phi_{-1}.
+    Order m, solved by back-substitution on the residual of its equation
+    (module docstring), raises ArithmeticError unless that residual
+    vanishes through D - (m + 2)."""
     n, D = P.n, P.D
     if D < 3 * N:
         raise BudgetExceeded(f"degree budget D={D} below 3N={3 * N}")
-    g_inv = inverse_metric(P.phi_minus1)
     w = [[phi.diff(l, "anti") for l in range(n)]
          for phi in [P.phi_minus1] + [P.phi_k(j) for j in range(N)]]
     A = [BiDiffOp.pointwise(n, D)]
@@ -227,7 +227,7 @@ def _commutator(op, w, l=None):
 def karabegov_star(P, N):
     """Anti-Wick star table through nu^N from a formal potential: the
     operators of _anti_wick_ops, C_k for k >= 1 cut at D - (N + 2)."""
-    A, _ = _anti_wick_ops(P, N)
+    A, _ = _anti_wick_ops(P, N, inverse_metric(P.phi_minus1))
     C = A[:1] + [op.drop_above(P.D - (N + 2)) for op in A[1:]]
     return StarTable(C=C, convention="karabegov_anti_wick",
                      label="karabegov")
@@ -241,8 +241,8 @@ def bt_star_from(P, N):
     omega_can = i d dbar log det g (Karabegov-Schlichenmaier).  It depends on
     omega alone, so a potential with a nonzero Phi_k entry raises ValueError.
     With P' = (Phi_{-1}, Phi'_0 = log det g), C_k = (-1)^k swap(C'_k) for the
-    anti-Wick table C' of P'.  The constant of the log is dropped, since only
-    derivatives of Phi'_0 enter the recursion.
+    anti-Wick table C' of P', whose g^{-1} reuses the log's g and det g.  The
+    constant of the log is dropped: only derivatives of Phi'_0 enter.
 
     Each coefficient is cut at degree D - (3N + 2): conjugating the Berezin
     product by its transform composes up to 2N derivatives of coefficients
@@ -257,9 +257,10 @@ def bt_star_from(P, N):
     cut = P.D - (3 * N + 2)
     if cut < 0:
         raise BudgetExceeded(f"degree budget D={P.D} below 3N+2={3 * N + 2}")
-    log_det = metric_det(hessian(P.phi_minus1)).log()
-    t = karabegov_star(FormalPotential(phi_minus1=P.phi_minus1,
-                                       phi=[log_det]), N)
-    ops = [op.swap() if k % 2 == 0 else -op.swap() for k, op in enumerate(t.C)]
-    C = [op.drop_above(cut) for op in ops]
+    g = hessian(P.phi_minus1)
+    det = metric_det(g)
+    P_log = FormalPotential(phi_minus1=P.phi_minus1, phi=[det.log()])
+    A, _ = _anti_wick_ops(P_log, N, metric_inverse(g, det))
+    C = [(op.swap() if k % 2 == 0 else -op.swap()).drop_above(cut)
+         for k, op in enumerate(A)]
     return StarTable(C=C, convention="wick", label="berezin-toeplitz")

@@ -437,16 +437,6 @@ def _times_one_plus_t_sq(raw):
         [(coeff, a, b, c - 2) for coeff, a, b, c in raw])))
 
 
-def height_observable():
-    """(1 - |z|^2)/(1 + |z|^2), the third sphere coordinate."""
-    return ObservableFn(terms=((1.0, 0, 0, 1), (-1.0, 1, 1, 1)))
-
-
-def coord_x_observable():
-    """(z + zbar)/(1 + |z|^2), the first sphere coordinate."""
-    return ObservableFn(terms=((1.0, 1, 0, 1), (1.0, 0, 1, 1)))
-
-
 # ---------------------------------------------------------------------------
 # context and the exact Toeplitz band
 

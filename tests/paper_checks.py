@@ -1,13 +1,14 @@
 """The paper's results that only the tests check, beside the library.
 
-No command, script or benchmark driver runs these, so they live here and
-not in starq: the Toeplitz trace formula, the adjointness of covariant and
+No command or benchmark driver runs these, so they live here and not in
+starq: the Toeplitz trace formula, the adjointness of covariant and
 contravariant symbols, Rawnsley's constant epsilon, Tuynman's relation
 Q_f = i T_{f - Delta f/(2m)} for geometric quantization, the opposite and
 dual products, the Moyal product, the multi-index range and the jet
 Laplacian and Poisson bracket, with the helpers that only the tests call:
-monomial and conjugate jets, a DiffOp applied to a jet, the reality of an
-observable and the largest coefficient of a graph polynomial.  The tests
+the sphere's height and first coordinate as observables, monomial and
+conjugate jets, a DiffOp applied to a jet, the reality of an observable
+and the largest coefficient of a graph polynomial.  The tests
 import them from this module; pytest puts tests/ on sys.path.
 
 Documented sign constant (pinned by the Tuynman test): the Hamiltonian
@@ -32,6 +33,19 @@ from starq.formal import (
 from starq.graphs import Poly, kontsevich_star
 from starq.jets import I, ONE, Jet, Scalar, _as_scalar, mi_zero
 from starq.symbols import TWO_PI, ObservableFn, _diff_raw, laplacian_fn
+
+
+# ---------------------------------------------------------------------------
+# sphere: coordinate observables
+
+def height_observable():
+    """(1 - |z|^2)/(1 + |z|^2), the third sphere coordinate."""
+    return ObservableFn(terms=((1.0, 0, 0, 1), (-1.0, 1, 1, 1)))
+
+
+def coord_x_observable():
+    """(z + zbar)/(1 + |z|^2), the first sphere coordinate."""
+    return ObservableFn(terms=((1.0, 1, 0, 1), (1.0, 0, 1, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,17 +32,15 @@ from starq.cp1 import (
     AsymSeries, berezin_defect_series, berezin_transform_num, bms_suite,
     operator_norm, toeplitz_matrix,
 )
-from starq.symbols import (
-    ObservableFn, coord_x_observable, height_observable, laplacian_fn,
-    make_context,
-)
+from starq.symbols import ObservableFn, laplacian_fn, make_context
 from starq.cli import main
 
 from paper_checks import (
-    adjointness_check, apply_op, contravariant_reconstruct, dual_star,
-    epsilon_function, integral_exact, jet_monomial, laplacian, max_abs_coeff,
-    mi_range, moyal_star, ops_agree, poisson_bracket, star_poly_series,
-    surjectivity_rank, trace_identity, tuynman_defect,
+    adjointness_check, apply_op, contravariant_reconstruct, coord_x_observable,
+    dual_star, epsilon_function, height_observable, integral_exact,
+    jet_monomial, laplacian, max_abs_coeff, mi_range, moyal_star, ops_agree,
+    poisson_bracket, star_poly_series, surjectivity_rank, trace_identity,
+    tuynman_defect,
 )
 
 TWO_PI = 2 * math.pi

@@ -667,6 +667,32 @@ def test_foreign_flag_is_refused_before_any_work(monkeypatch, capsys):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _recipes():
+    """The `starq ...` lines of the README's Recipes section."""
+    section = README.read_text().split("\n## Recipes\n")[1].split("\n## ")[0]
+    lines = [line for line in section.splitlines()
+             if line.startswith("starq ")]
+    assert lines, "the README's Recipes section lists no starq line"
+    return lines
+
+
+@pytest.mark.parametrize("line", _recipes())
+def test_readme_recipe_runs(line):
+    """Each recipe runs through cli.main and exits 0: a CSV recipe prints
+    its command's CSV header first, a JSON recipe a report of its command."""
+    argv = shlex.split(line, comments=True)[1:]
+    code, out = invoke(argv)
+    assert code == 0, line
+    if config_from_args(argv).format == "csv":
+        header = {"cp1-suite": "series,m,value,fit_limit,fit_slope,"
+                               "fit_residual",
+                  "weights": "graph,value,error_estimate,samples_or_cells,"
+                             "seed"}[argv[0]]
+        assert out.decode().splitlines()[0] == header
+    else:
+        assert json.loads(out)["command"] == argv[0]
+
+
 def test_readme_cli_lines_parse():
     """Each `starq ...` line of the README's CLI block names a command and
     only flags that command takes."""
@@ -1018,13 +1044,13 @@ def _referenced_names(tree, dotted_strings=False):
 
 def test_library_keeps_only_what_runs():
     """Each module-level def and class of src/starq, and each public method
-    of its classes, is read by a command, a script or the benchmark driver,
-    not only by the tests: some module-level statement, script or perfbench
-    file refers to it, or another def that is itself kept does.  A method is
-    matched by its name alone, so it is kept if any kept code reads an
-    attribute of that name.  Found to a fixpoint, so a def read only by
-    flagged defs is flagged too; the paper's checks that no command runs
-    belong in tests/paper_checks.py."""
+    of its classes, is read by a command or the benchmark driver, not only
+    by the tests: some module-level statement or perfbench file refers to
+    it, or another def that is itself kept does.  A method is matched by
+    its name alone, so it is kept if any kept code reads an attribute of
+    that name.  Found to a fixpoint, so a def read only by flagged defs is
+    flagged too; the paper's checks that no command runs belong in
+    tests/paper_checks.py."""
     root = Path(__file__).resolve().parents[1]
     body_refs = {}                 # (module, name) -> names its body reads
     live = set()                   # names read outside the library's defs
@@ -1046,10 +1072,9 @@ def test_library_keeps_only_what_runs():
                 body_refs[path.stem, name] = _referenced_names(node) - {name}
             else:
                 live |= _referenced_names(node)
-    for folder in ("scripts", "perfbench"):
-        for path in sorted((root / folder).glob("*.py")):
-            live |= _referenced_names(ast.parse(path.read_text()),
-                                      dotted_strings=folder == "perfbench")
+    for path in sorted((root / "perfbench").glob("*.py")):
+        live |= _referenced_names(ast.parse(path.read_text()),
+                                  dotted_strings=True)
     flagged = set()
     while True:
         read = live.union(*(refs for key, refs in body_refs.items()
@@ -1065,13 +1090,10 @@ def test_library_keeps_only_what_runs():
 def test_library_never_builds_a_record_past_its_checks():
     """A record's _make and _replace build it without its __new__, so past
     the checks there (KGraph's targets, IntegrationConfig's bounds,
-    ObservableFn's boundedness): neither src/starq nor scripts/ reads
-    them."""
+    ObservableFn's boundedness): src/starq never reads them."""
     root = Path(__file__).resolve().parents[1]
-    paths = sorted((root / "src" / "starq").glob("*.py")) \
-        + sorted((root / "scripts").glob("*.py"))
     readers = {}
-    for path in paths:
+    for path in sorted((root / "src" / "starq").glob("*.py")):
         names = _referenced_names(ast.parse(path.read_text()))
         if names & {"_make", "_replace"}:
             readers[path.name] = sorted(names & {"_make", "_replace"})
@@ -1209,15 +1231,3 @@ def test_toeplitz_entries_match_dense_matrix_bitwise(m, expr):
     A = toeplitz_matrix(parse_observable(expr), make_context(m))
     assert np.array(entries, dtype=float).tobytes() \
         == A.reshape(-1).view(float).tobytes()
-
-
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
-
-
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_script_help(script):
-    """Each script imports only names that starq still defines."""
-    proc = subprocess.run([sys.executable, str(script), "--help"],
-                          env=_subprocess_env(), capture_output=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()

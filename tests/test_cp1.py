@@ -12,16 +12,17 @@ from starq.cp1 import (
     coherent_vector, covariant_symbol, operator_norm, toeplitz_matrix,
 )
 from starq.symbols import (
-    ObservableFn, UnboundedSymbol, coord_x_observable, height_observable,
-    laplacian_fn, make_context, poisson_bracket_fn, reduce_terms,
+    ObservableFn, UnboundedSymbol, laplacian_fn, make_context,
+    poisson_bracket_fn, reduce_terms,
 )
 from starq import cp1
 from starq.cp1 import _section_matrix
 
 from paper_checks import (
     _coherent_grid, adjointness_check, contravariant_reconstruct,
-    epsilon_function, geometric_quantization, integral_exact, is_real,
-    surjectivity_rank, trace_identity, tuynman_defect, twisted_product,
+    coord_x_observable, epsilon_function, geometric_quantization,
+    height_observable, integral_exact, is_real, surjectivity_rank,
+    trace_identity, tuynman_defect, twisted_product,
 )
 
 TWO_PI = 2 * math.pi

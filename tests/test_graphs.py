@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import starq.graphs
 import starq.jets
 from starq.formal import BudgetExceeded
 from starq.karabegov import FormalPotential, fs_potential, reference_potentials
@@ -517,15 +518,20 @@ def test_gammelgaard_matches_recursion():
         assert t.convention == "karabegov_anti_wick", name
 
 
+def _contract_with_doubled_metric(monkeypatch):
+    """Make each graph contract against a doubled inverse metric, while the
+    recursion gammelgaard_star checks it against keeps the true one."""
+    exact = starq.graphs._ggraph_operator
+    monkeypatch.setattr(starq.graphs, "_ggraph_operator", lambda G, P, g_inv:
+                        exact(G, P, tuple(tuple(x.scale(2) for x in row)
+                                          for row in g_inv)))
+
+
 def test_gammelgaard_crosscheck_detects_corruption(monkeypatch):
     """A graph expansion contracted against a doubled inverse metric fails
     the cross-check; the recursion it is checked against keeps the true
     metric."""
-    exact = starq.jets.inverse_metric
-
-    def doubled(phi):
-        return tuple(tuple(x.scale(2) for x in row) for row in exact(phi))
-    monkeypatch.setattr(starq.jets, "inverse_metric", doubled)
+    _contract_with_doubled_metric(monkeypatch)
     with pytest.raises(CrossCheckFailure):
         gammelgaard_star(fs_potential(14), 2)
 
@@ -535,9 +541,7 @@ def test_gammelgaard_refuses_a_negative_window(monkeypatch):
     for D = 3 and 4, where it would pass graphs contracted against a doubled
     inverse metric: those budgets raise BudgetExceeded instead, and D = 5,
     whose window is degree 0, catches the doubling."""
-    exact = starq.jets.inverse_metric
-    monkeypatch.setattr(starq.jets, "inverse_metric", lambda phi: tuple(
-        tuple(x.scale(2) for x in row) for row in exact(phi)))
+    _contract_with_doubled_metric(monkeypatch)
     for D in (3, 4):
         with pytest.raises(BudgetExceeded):
             gammelgaard_star(fs_potential(D), 1)

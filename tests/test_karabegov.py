@@ -11,6 +11,7 @@ from starq.jets import (
     DegenerateMetric, I, Jet, Scalar, hessian, inverse_metric, jet_det,
     jet_to_json, mi_zero, unit_mi,
 )
+import starq.jets
 import starq.karabegov
 from starq.formal import (
     BiDiffOp, DiffOp, StarTable, assoc_defect, conjugate_star, star_eval,
@@ -244,6 +245,33 @@ def table_sha256(t):
 def test_multi_index_block_pins(build, P, N, digest):
     # blocks with more than one j-route; no benchmark pin reaches them
     assert table_sha256(build(P, N)) == digest
+
+
+@pytest.mark.parametrize("build, P, N", [
+    pytest.param(bt_star_from, fs_potential(16), 4, id="bt-fs-4"),
+    pytest.param(bt_star_from, flat_potential(12, n=2, weights=[1, 2]), 2,
+                 id="bt-aniso-2"),
+    pytest.param(gammelgaard_star, flat_potential(12, n=2, weights=[1, 2]), 2,
+                 id="gammelgaard-aniso-2"),
+])
+def test_each_table_builds_the_metric_once(build, P, N, monkeypatch):
+    """One Hessian of Phi_{-1} per table, one det g and, at n > 1, the n^2
+    cofactors of g^{-1}: bt_star_from takes log det g and g^{-1} from the
+    same g and det g, and gammelgaard_star hands the g^{-1} it contracts to
+    the recursion it is checked against."""
+    counts = dict.fromkeys(("jet_det", "hessian"), 0)
+    for name in counts:
+        exact = getattr(starq.jets, name)
+
+        def counted(*args, name=name, exact=exact):
+            counts[name] += 1
+            return exact(*args)
+        for module in (starq.jets, starq.karabegov):
+            if getattr(module, name, None) is exact:
+                monkeypatch.setattr(module, name, counted)
+    build(P, N)
+    n = P.n
+    assert counts == {"jet_det": 1 + n * n * (n > 1), "hessian": 1}
 
 
 def test_corrupted_inverse_metric_fails_the_block_check(monkeypatch):
@@ -570,7 +598,7 @@ def test_table_operators_commute_with_right_multiplication(P, N):
     nu^m part of the commutator vanishes through D - (m + 2), the window
     the recursion checks at order m, though the lower orders' part alone
     does not."""
-    A, w = _anti_wick_ops(P, N)
+    A, w = _anti_wick_ops(P, N, inverse_metric(P.phi_minus1))
     for m in range(1, N + 1):
         for l in range(P.n):
             assert not _commutator_sum(A[:m], w, m, l).is_zero()
@@ -580,7 +608,7 @@ def test_table_operators_commute_with_right_multiplication(P, N):
 
 def test_corrupted_table_operator_fails_commutation():
     P, N = fs_potential(14), 3
-    A, w = _anti_wick_ops(P, N)
+    A, w = _anti_wick_ops(P, N, inverse_metric(P.phi_minus1))
     c, *idx = A[2].terms[0]
     A[2] = A[2] + BiDiffOp(P.n, P.D, [(Jet.constant(1, P.n, P.D), *idx)])
     assert any(not tm[0].drop_above(P.D - 4).is_zero()
