@@ -9,11 +9,14 @@ dense array of zeros, so every Toeplitz matrix comes from the band.  The
 band takes each rational Beta integral to a float in one correctly rounded
 division and divides it by sqrt(n_j n_k), formed from the float norms; that
 product goes subnormal near m = 512 and to zero (a ZeroDivisionError) from
-m = 534 on.  bms_suite keeps at most three dense
-matrices live per level: it overwrites T_g with T_g T_f in row blocks and
-subtracts the bands of T_br and T_fg in place, without dense copies of
-them.  operator_norm and the Berezin defect raise NonFiniteResult on inf or
-NaN rather than pass it on.
+m = 534 on.  bms_suite keeps at most two dense matrices live per level,
+LAPACK's copy for an SVD included: it takes the norm of T_f before building
+T_g, overwrites T_f with P = T_f T_g in row blocks and keeps only P's
+entries that are not +0.0, overwrites T_g with T_g T_f against a rebuilt
+T_f, and scatters P back into zeros for each defect; the bands of T_br and
+T_fg are subtracted in place, without dense copies of them.  operator_norm
+and the Berezin defect raise NonFiniteResult on inf or NaN rather than pass
+it on.
 
 command_results builds the results of the cp1-berezin and cp1-suite
 commands from a run configuration, under one np.errstate; cp1-toeplitz reads
@@ -163,6 +166,23 @@ def _subtract_band(A, f, ctx):
     A[rows, cols] -= np.array(list(band.values()), dtype=complex)
 
 
+def _entries(A):
+    """Flat indices and values of A's entries whose bits are not +0.0; a
+    -0.0 is kept, so _scatter gives A back bit for bit."""
+    flat = A.reshape(-1)
+    bits = flat.view(np.uint64).reshape(flat.size, -1)
+    idx = np.flatnonzero(bits.any(axis=1))
+    return idx, flat[idx]
+
+
+def _scatter(entries, shape):
+    """The matrix of the given shape holding entries, zeros elsewhere."""
+    idx, values = entries
+    A = np.zeros(math.prod(shape), dtype=values.dtype)
+    A[idx] = values
+    return A.reshape(shape)
+
+
 def bms_suite(f, g, m_list):
     """Semiclassical defect series: norm lower bound, commutator vs bracket,
     and product vs pointwise product, each with a log-log fit."""
@@ -171,21 +191,22 @@ def bms_suite(f, g, m_list):
     sup_f = f.sup_norm()
     for m in m_list:
         ctx = make_context(m)
+        # two matrices live, an SVD's copy included; operands in the order
+        # of comm = m i (Tf Tg - Tg Tf) - T_br and P = Tf Tg - T_fg
         Tf = toeplitz_matrix(f, ctx)
-        Tg = toeplitz_matrix(g, ctx)
         pa.append((m, sup_f - operator_norm(Tf)))
-        # three matrices live; in place, operands in the order of
-        # comm = m i (Tf Tg - Tg Tf) - T_br and P = Tf Tg - T_fg
-        P = Tf @ Tg
-        comm = _right_multiply(Tg, Tf)
-        del Tf, Tg
-        np.subtract(P, comm, out=comm)
+        Tg = toeplitz_matrix(g, ctx)
+        P = _entries(_right_multiply(Tf, Tg))
+        del Tf
+        comm = _right_multiply(Tg, toeplitz_matrix(f, ctx))
+        np.subtract(_scatter(P, (ctx.dim, ctx.dim)), comm, out=comm)
         np.multiply(m * 1j, comm, out=comm)
         _subtract_band(comm, br, ctx)
         pb.append((m, operator_norm(comm)))
-        del comm
-        _subtract_band(P, f * g, ctx)
-        pc.append((m, operator_norm(P)))
+        del comm, Tg
+        prod = _scatter(P, (ctx.dim, ctx.dim))
+        _subtract_band(prod, f * g, ctx)
+        pc.append((m, operator_norm(prod)))
     return (AsymSeries.from_points(pa), AsymSeries.from_points(pb),
             AsymSeries.from_points(pc))
 

@@ -501,7 +501,7 @@ def gammelgaard_star(P, N):
     for G in enumerate_ggraphs(N)[1:]:      # [0] is the empty graph, C_0
         C[G.total_weight()] += _ggraph_operator(G, P, g_inv)
     table = StarTable(C, "karabegov_anti_wick", "graph-expansion")
-    recursion = StarTable(_anti_wick_ops(P, N, g_inv)[0], table.convention)
+    recursion = StarTable(_anti_wick_ops(P, N, g_inv), table.convention)
     if not tables_agree(table, recursion, window):
         raise CrossCheckFailure("graph expansion disagrees with the recursion")
     return table

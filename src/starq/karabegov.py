@@ -121,7 +121,7 @@ def left_mult_operator(g_series, P, N):
     checked to commute with every nu R_l, contracted with g.  Order m is
     g_m + sum_{k>=1} sum (c dbar^b g_{m-k}) d^alpha over the terms
     c dbar^b f d^alpha g of A_k, each cut at D - (m + 2)."""
-    A, _ = _anti_wick_ops(P, N, inverse_metric(P.phi_minus1))
+    A = _anti_wick_ops(P, N, inverse_metric(P.phi_minus1))
     n, D = P.n, P.D
     gs = list(g_series) + [Jet.zero(n, D)] * (N + 1 - len(g_series))
     orders = []
@@ -137,9 +137,10 @@ def left_mult_operator(g_series, P, N):
 
 def _anti_wick_ops(P, N, g_inv):
     """The anti-Wick table's operators A_0..A_N, A_k(f, g) = C_k(f, g), each
-    A_m kept through degree D - (m + 2), with the multipliers w they
-    commute with: w[j][l] = dPhi_{j-1}/dzbar_l, the nu^j part of nu R_l
-    besides the d/dzbar_l of nu^1, for g_inv the inverse metric of Phi_{-1}.
+    A_m kept through degree D - (m + 2), for g_inv the inverse metric of
+    Phi_{-1}.  They commute with every nu R_l, whose multipliers are
+    w[j][l] = dPhi_{j-1}/dzbar_l, the nu^j part of nu R_l besides the
+    d/dzbar_l of nu^1.
     Order m, solved by back-substitution on the residual of its equation
     (module docstring), raises ArithmeticError unless that residual
     vanishes through D - (m + 2)."""
@@ -183,7 +184,7 @@ def _anti_wick_ops(P, N, g_inv):
         if any(not r.drop_above(cut).is_zero() for r in res):
             raise ArithmeticError("inconsistent block in the recursion")
         A.append(BiDiffOp(n, D, terms))
-    return A, w
+    return A
 
 
 def _commutator_sum(A, w, m, l):
@@ -227,7 +228,7 @@ def _commutator(op, w, l=None):
 def karabegov_star(P, N):
     """Anti-Wick star table through nu^N from a formal potential: the
     operators of _anti_wick_ops, C_k for k >= 1 cut at D - (N + 2)."""
-    A, _ = _anti_wick_ops(P, N, inverse_metric(P.phi_minus1))
+    A = _anti_wick_ops(P, N, inverse_metric(P.phi_minus1))
     C = A[:1] + [op.drop_above(P.D - (N + 2)) for op in A[1:]]
     return StarTable(C=C, convention="karabegov_anti_wick",
                      label="karabegov")
@@ -260,7 +261,7 @@ def bt_star_from(P, N):
     g = hessian(P.phi_minus1)
     det = metric_det(g)
     P_log = FormalPotential(phi_minus1=P.phi_minus1, phi=[det.log()])
-    A, _ = _anti_wick_ops(P_log, N, metric_inverse(g, det))
+    A = _anti_wick_ops(P_log, N, metric_inverse(g, det))
     C = [(op.swap() if k % 2 == 0 else -op.swap()).drop_above(cut)
          for k, op in enumerate(A)]
     return StarTable(C=C, convention="wick", label="berezin-toeplitz")

@@ -8,19 +8,19 @@ over eta, eta/2, eta/4.  The unit cube is mapped onto H^n by tangents.
 
 Both grids are products of midpoint axes, so the chart works on the axes and
 broadcasts.  What is built once per process and kept read-only: each 2D
-pair integral, the 4D grid's axes and per-axis chart weight factors, and
-each edge's gradient columns (on its vertex's M x M plane for an edge to L
-or R).  No full 4D weight or squared distance is kept.  The working sets
+pair integral, and the 4D grid's axes and per-axis chart weight factors.
+No full 4D weight, squared distance or edge field is kept.  The working sets
 stay bounded: the pair integral fills its integrand and masks in row
-blocks, the (1, 2) field is built in slices of the first axis, and the
-(2, 1) field is a transposed view of it.  A graph then fills a reused
-Jacobian buffer block by block from these fields, takes the determinants
-and scales each block by its slice of the weight, formed from the factors
-in the chart's order.  Its three excision masks are filled by the same
-blocks from distances taken on the block, and each is summed over the whole
-grid, so every sum runs in the order of one full-grid pass.  The Monte
-Carlo path goes through the same field and assembly code on fresh samples,
-uncached.
+blocks, and a graph fills a reused Jacobian buffer block by block, each
+block whole slices of the first axis, with each edge's gradient columns
+taken on the block's slices of the axes.  It takes the determinants and
+scales each block by its slice of the weight, formed from the factors in
+the chart's order.  Its three excision masks are filled by the same blocks
+from distances taken on the block.  The masks are nested, so the integrand
+is multiplied by each in place, the widest first, and summed over the whole
+grid after each product: every sum runs in the order of one full-grid pass
+on the integrand times that mask alone.  The Monte Carlo path goes through
+the same assembly code on fresh samples.
 Only starq.graphs imports this module, and only when it integrates a
 weight, so the exact commands never load numpy.
 """
@@ -34,7 +34,7 @@ from .graphs import L, R, WeightResult
 
 _GRID_NODES_4D = 24               # per axis, non-factorizable 4D integrals
 _DET_BLOCK = 16384                # points per np.linalg.det call
-_PAIR_ROWS = 64                   # rows per block of a 2D pair integral
+_PAIR_ROWS = 16                   # rows per block of a 2D pair integral
 
 
 def _frozen(a):
@@ -78,24 +78,45 @@ def _pair_integral_2d(p, q, M, eta):
     """int_H d phi(z,p) ^ d phi(z,q) with eta-excision and Richardson in eta.
 
     The integrand J and the three excision masks are filled _PAIR_ROWS rows
-    at a time, with the chart taken on each row block; each sum still runs
-    over the whole M x M array, so its pairwise order is that of one
-    full-grid pass."""
+    at a time by _pair_rows, with the chart taken on each row block.  J is
+    multiplied by the masks in place, and each sum still runs over the
+    whole M x M array, so its pairwise order is that of one full-grid
+    pass."""
     s = (np.arange(M) + 0.5) / M
     J = np.empty((M, M))
     eps2 = [e ** 2 for e in (eta, eta / 2, eta / 4)]
     masks = [np.empty((M, M), dtype=bool) for _ in eps2]
     for lo in range(0, M, _PAIR_ROWS):
         rows = slice(lo, lo + _PAIR_ROWS)
-        ((X, Y),), W = _chart([s[rows, None], s[None, :]])
-        d1x, d1y = _grad_phi_boundary(X, Y, p)
-        d2x, d2y = _grad_phi_boundary(X, Y, q)
-        J[rows] = (d1x * d2y - d1y * d2x) * (W / (M * M))
-        dist_p = (X - p) ** 2 + Y ** 2
-        dist_q = (X - q) ** 2 + Y ** 2
-        for mask, e2 in zip(masks, eps2):
-            np.logical_and(dist_p > e2, dist_q > e2, out=mask[rows])
-    return _richardson([float(np.sum(J * mask)) for mask in masks])
+        _pair_rows(s[rows, None], s[None, :], p, q, eps2, J[rows],
+                   [mask[rows] for mask in masks])
+    return _richardson([float(np.sum(a)) for a in _excised(J, masks)][::-1])
+
+
+def _pair_rows(u, v, p, q, eps2, J, masks):
+    """One row block of the M x M pair integral, M = v.size: J and the
+    masks at the chart of the unit-square rows u and columns v.  The
+    block's temporaries end with the call, so none outlives its block."""
+    M = v.size
+    ((X, Y),), W = _chart([u, v])
+    d1x, d1y = _grad_phi_boundary(X, Y, p)
+    d2x, d2y = _grad_phi_boundary(X, Y, q)
+    J[...] = (d1x * d2y - d1y * d2x) * (W / (M * M))
+    dist_p = (X - p) ** 2 + Y ** 2
+    dist_q = (X - q) ** 2 + Y ** 2
+    for mask, e2 in zip(masks, eps2):
+        np.logical_and(dist_p > e2, dist_q > e2, out=mask)
+
+
+def _excised(J, masks):
+    """J * mask for each of the masks in reverse order, eta/4 first, each
+    product written over J and returned before the next is taken.
+
+    The masks are nested (eta within eta/2 within eta/4), and x * 1 * 0 is
+    x * 0, the same signed zero, so each product equals J * mask alone bit
+    for bit, with no full-size temporary."""
+    for mask in reversed(masks):
+        yield np.multiply(J, mask, out=J)
 
 
 def _vertex_boundary_points(G, i):
@@ -180,35 +201,44 @@ def _blocks(shape):
     return [(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step)]
 
 
-def _integrand(fields, factors):
-    """det(Jacobian) times the chart weight, the product of factors, at
-    every point of their broadcast shape.
+def _block_pos(pos, shape, lo, hi):
+    """The points pos with every array cut to the slices lo:hi of shape's
+    first axis; an array of first axis 1 is broadcast along it first, and
+    its other axes are left as they are."""
+    return tuple(tuple(np.broadcast_to(a, shape[:1] + a.shape[1:])[lo:hi]
+                       for a in xy) for xy in pos)
 
-    Each field broadcasts to that shape.  The rows fill one reused
-    (dim, dim, points) buffer, a block of whole first-axis slices at a time;
-    np.linalg.det reads it through a (points, dim, dim) view and copies each
-    matrix for LAPACK, so each determinant is the one a single call on the
-    full stack gives.  Each block is scaled by its slice of the weight,
-    the product of the factors' slices in the same order."""
-    dim = len(fields)
+
+def _integrand(edges, pos, factors):
+    """det(Jacobian) times the chart weight, the product of factors, at
+    every point of their broadcast shape, which pos broadcasts to.
+
+    The rows fill one reused (dim, dim, points) buffer, a block of whole
+    first-axis slices at a time, each edge's row from _edge_field on the
+    block's slices of pos; np.linalg.det reads the buffer through a
+    (points, dim, dim) view and copies each matrix for LAPACK, so each
+    determinant is the one a single call on the full stack gives.  Each
+    block is scaled by its slice of the weight, the product of the
+    factors' slices in the same order."""
+    dim = len(edges)
     shape = np.broadcast_shapes(*(f.shape for f in factors))
     blocks = _blocks(shape)
     step = blocks[0][1]
     inner = math.prod(shape[1:])
-    entries = [(r, c, np.broadcast_to(values, shape))
-               for r, cols in enumerate(fields) for c, values in cols]
     buf = np.zeros((dim, dim, step * inner))
     slices = buf.reshape((dim, dim, step) + shape[1:])
     det = np.empty(shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo, hi in blocks:
             n = hi - lo
-            for r, c, values in entries:
-                slices[r, c, :n] = values[lo:hi]
-            block = buf[:, :, :n * inner].transpose(2, 0, 1)
+            block = _block_pos(pos, shape, lo, hi)
+            for r, (i, t) in enumerate(edges):
+                for c, values in _edge_field(i, t, block):
+                    slices[r, c, :n] = values
+            stack = buf[:, :, :n * inner].transpose(2, 0, 1)
             weight = _product(np.broadcast_to(f, shape)[lo:hi]
                               for f in factors)
-            np.multiply(np.linalg.det(block).reshape(weight.shape), weight,
+            np.multiply(np.linalg.det(stack).reshape(weight.shape), weight,
                         out=det[lo:hi])
     return np.nan_to_num(det, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
 
@@ -221,8 +251,7 @@ def _masks(edges, pos, eta):
     eps2 = [e ** 2 for e in (eta, eta / 2, eta / 4)]
     masks = [np.empty(shape, dtype=bool) for _ in eps2]
     for lo, hi in _blocks(shape):
-        block = tuple(tuple(np.broadcast_to(a, shape)[lo:hi] for a in xy)
-                      for xy in pos)
+        block = _block_pos(pos, shape, lo, hi)
         dists = [_edge_dist2(i, t, block) for i, t in edges]
         for mask, e2 in zip(masks, eps2):
             np.greater(dists[0], e2, out=mask[lo:hi])
@@ -242,34 +271,6 @@ def _grid_4d():
          for k in range(4)])
     return (tuple((_frozen(x), _frozen(y)) for x, y in pos),
             tuple(_frozen(f) for f in factors))
-
-
-@functools.cache
-def _grid_edge_field(i, t):
-    """_edge_field on the 4D grid, built once per edge.
-
-    Both vertices share the grid's axis values, so the edge (2, 1) at
-    (a, b, c, d) is the edge (1, 2) at (c, d, a, b) with columns 0, 1 and
-    2, 3 swapped, bit for bit: its columns are read-only transposed views of
-    the (1, 2) arrays.  The (1, 2) field is built one slice of the first
-    axis at a time into preallocated arrays; a boundary-edge field lives on
-    its vertex's plane, copied out of its complex temporary."""
-    if t not in (L, R) and t < i:
-        return tuple(((c + 2) % 4, _frozen(v.transpose(2, 3, 0, 1)))
-                     for c, v in _grid_edge_field(t, i))
-    pos, _ = _grid_4d()
-    if t in (L, R):
-        return tuple((c, _frozen(np.ascontiguousarray(v)))
-                     for c, v in _edge_field(i, t, pos))
-    # the edge (1, 2): vertex 1's x runs along the first axis
-    (x1, y1), vertex2 = pos
-    shape = (_GRID_NODES_4D,) * 4
-    cols = tuple((c, np.empty(shape)) for c in range(4))
-    for a in range(shape[0]):
-        slab = _edge_field(1, 2, ((x1[a:a + 1], y1), vertex2))
-        for (_, out), (_, values) in zip(cols, slab):
-            out[a] = values[0]
-    return tuple((c, _frozen(v)) for c, v in cols)
 
 
 def _norm(n):
@@ -303,12 +304,11 @@ def grid_weight(G, cfg):
                             2 * cfg.grid_nodes ** 2, cfg.seed)
     edges = G.edge_list()
     pos, factors = _grid_4d()
-    integrand = _integrand([_grid_edge_field(i, t) for i, t in edges],
-                           factors)
+    integrand = _integrand(edges, pos, factors)
     cells = _GRID_NODES_4D ** 4
-    vals = [float(np.sum(integrand * mask)) / cells
-            for mask in _masks(edges, pos, cfg.eta)]
-    r2, err = _richardson(vals)
+    vals = [float(np.sum(a)) / cells
+            for a in _excised(integrand, _masks(edges, pos, cfg.eta))]
+    r2, err = _richardson(vals[::-1])
     norm = _norm(n)
     return WeightResult(r2 / norm, err / norm + 1e-12, cells, cfg.seed)
 
@@ -318,12 +318,13 @@ def mc_weight(G, cfg):
     count = cfg.samples
     pos, weight = _chart([rng.random(count) for _ in range(2 * G.n)])
     edges = G.edge_list()
-    integrand = _integrand([_edge_field(i, t, pos) for i, t in edges],
-                           (weight,))
-    masks = _masks(edges, pos, cfg.eta)
-    vals = [float(np.mean(integrand * mask)) for mask in masks]
-    r2, err = _richardson(vals)
+    integrand = _integrand(edges, pos, (weight,))
+    vals = []
+    for a in _excised(integrand, _masks(edges, pos, cfg.eta)):
+        if not vals:                # the eta/4 product
+            sd = float(np.std(a)) / math.sqrt(count)
+        vals.append(float(np.mean(a)))
+    r2, err = _richardson(vals[::-1])
     norm = _norm(G.n)
-    sd = float(np.std(integrand * masks[2])) / math.sqrt(count)
     return WeightResult(r2 / norm, err / norm + sd / norm + 1e-12, count,
                         cfg.seed)

@@ -375,14 +375,16 @@ _BMS_PAIRS = [
 
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 100, 512])
 def test_row_blocked_product_and_band_subtraction_match_dense(m):
-    """T_g overwritten by T_g T_f in row blocks equals one T_g @ T_f call,
-    and subtracting a band in place equals subtracting its dense matrix,
-    in tobytes(), for real and complex observables and an empty band (g =
-    0), on either side of the 64-row block and with a one-row tail (m = 512)
-    folded in."""
+    """T_g overwritten by T_g T_f, and T_f by T_f T_g, in row blocks equal
+    one T_g @ T_f and one T_f @ T_g call, and subtracting a band in place
+    equals subtracting its dense matrix, in tobytes(), for real and complex
+    observables and an empty band (g = 0), on either side of the 64-row
+    block and with a one-row tail (m = 512) folded in."""
     ctx = make_context(m)
     for f, g in _BMS_PAIRS:
         Tf, Tg = toeplitz_matrix(f, ctx), toeplitz_matrix(g, ctx)
+        want = Tf @ Tg
+        assert cp1._right_multiply(Tf.copy(), Tg).tobytes() == want.tobytes()
         want = Tg @ Tf
         got = cp1._right_multiply(Tg.copy(), Tf)
         assert got.tobytes() == want.tobytes()
@@ -393,9 +395,47 @@ def test_row_blocked_product_and_band_subtraction_match_dense(m):
             assert in_place.tobytes() == dense.tobytes()
 
 
+def test_product_entries_round_trip_bit_for_bit():
+    """_scatter(_entries(A)) gives A back in tobytes(), a -0.0 in either
+    part included: on a matrix built to hold them, and on T_f T_g, where
+    zgemm writes -0.0 at (m, m) but a rebuild from the band of f g would
+    give +0.0."""
+    z = -0.0
+    A = np.array([[0j, complex(z, 0.0), complex(0.0, z)],
+                  [complex(z, z), 1.5 - 2j, complex(0.0, 3.0)],
+                  [complex(-4.0, z), 0j, 5e-320 + 0j]])
+    idx, values = cp1._entries(A)
+    assert idx.tolist() == [1, 2, 3, 4, 5, 6, 8]
+    assert cp1._scatter((idx, values), A.shape).tobytes() == A.tobytes()
+    h, x = height_observable(), coord_x_observable()
+    for m in (8, 512):
+        ctx = make_context(m)
+        P = toeplitz_matrix(h, ctx) @ toeplitz_matrix(x, ctx)
+        assert P[m, m] == 0 and math.copysign(1.0, P[m, m].real) == -1.0
+        entries = cp1._entries(P)
+        assert len(entries[0]) < 2 * ctx.dim
+        assert cp1._scatter(entries, P.shape).tobytes() == P.tobytes()
+        band = toeplitz_matrix(h * x, ctx)
+        assert math.copysign(1.0, band[m, m].real) == 1.0
+
+
+def _dense_bms_points(f, g, m):
+    """The three BMS defects at level m from dense matrices, each product
+    one matmul call."""
+    ctx = make_context(m)
+    Tf, Tg = toeplitz_matrix(f, ctx), toeplitz_matrix(g, ctx)
+    comm = (m * 1j) * (Tf @ Tg - Tg @ Tf) \
+        - toeplitz_matrix(poisson_bracket_fn(f, g), ctx)
+    prod = Tf @ Tg - toeplitz_matrix(f * g, ctx)
+    return (f.sup_norm() - operator_norm(Tf), operator_norm(comm),
+            operator_norm(prod))
+
+
 def test_bms_suite_builds_no_dense_bracket_or_product(monkeypatch):
-    """bms_suite builds only T_f and T_g densely at each level; T_br and
-    T_fg are subtracted as bands."""
+    """bms_suite builds only T_f, T_g and T_f again densely at each level;
+    T_br and T_fg are subtracted as bands.  Its points equal those of the
+    dense formulas bit for bit, for real and complex observables, an empty
+    g, and levels on either side of the 64-row block."""
     built = []
 
     def counted(f, ctx, _toeplitz=cp1.toeplitz_matrix):
@@ -404,7 +444,30 @@ def test_bms_suite_builds_no_dense_bracket_or_product(monkeypatch):
     monkeypatch.setattr(cp1, "toeplitz_matrix", counted)
     h, x = height_observable(), coord_x_observable()
     bms_suite(h, x, (8, 16))
-    assert built == [h, x, h, x]
+    assert built == [h, x, h, h, x, h]
+    monkeypatch.undo()
+    levels = (8, 63, 65)
+    for f, g in _BMS_PAIRS:
+        got = [[v.hex() for _, v in s.points] for s in bms_suite(f, g, levels)]
+        want = zip(*(_dense_bms_points(f, g, m) for m in levels))
+        assert got == [[v.hex() for v in series] for series in want]
+
+
+def test_bms_suite_peaks_under_two_and_a_half_matrices():
+    """At m = 512 the numpy arrays and Python objects bms_suite allocates
+    peak under 2.5 level-m matrices; three live matrices would pass it.
+    LAPACK's copy for an SVD is malloc'd outside tracemalloc."""
+    import tracemalloc
+    h, x = height_observable(), coord_x_observable()
+    h.sup_norm()
+    level = 513 * 513 * 16
+    tracemalloc.start()
+    try:
+        bms_suite(h, x, (512,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2 * level < peak < 2.5 * level
 
 
 def test_uniform_draws_match_numpy_default_rng():

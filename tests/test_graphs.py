@@ -1,5 +1,6 @@
 """Graph enumeration, numerical weights, and graph-built star products."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -145,30 +146,37 @@ def test_order2_boundary_weights():
 
 def test_weight_grid_fields_built_once(monkeypatch, capsys):
     """weights --n 2 takes one 2D pair integral, whose two boundary
-    gradients cover each of its 800 rows exactly once; each 4D boundary
-    field once; the (1, 2) field once per slice of the first axis; and no
-    gradient for the (2, 1) field.  With only the weight cache emptied, a
-    second run evaluates nothing and prints the same bytes.  Cached 4D
-    arrays are read-only, and the only full-grid arrays among them are the
-    four (1, 2) columns: no full weight and no squared distance."""
+    gradients cover each of its 800 rows exactly once, and builds the 4D
+    grid's axes once.  Each 4D integrand takes every edge's field once per
+    det block, a single slice of the first axis, so every gradient works on
+    at most 24^3 points and the slices of each edge concatenate to vertex
+    1's x axis.  With only the weight cache emptied, a second run takes no
+    pair-integral gradient, takes the same 4D fields again and prints the
+    same bytes.  The cached axis arrays are read-only."""
     import numpy as np
     from starq import graphs, quadrature
     from starq.cli import main
-    edges, grads = [], []
+    graphs_edges, grads = [], []
+
+    def counted_integrand(edges, pos, factors,
+                          _integrand=quadrature._integrand):
+        graphs_edges.append((edges, []))
+        return _integrand(edges, pos, factors)
 
     def counted_field(i, t, pos, _field=quadrature._edge_field):
-        edges.append((i, t))
+        graphs_edges[-1][1].append((i, t, np.array(pos[0][0])))
         return _field(i, t, pos)
+    monkeypatch.setattr(quadrature, "_integrand", counted_integrand)
     monkeypatch.setattr(quadrature, "_edge_field", counted_field)
     for name in ("_grad_phi_boundary", "_grad_phi_full"):
         def counted(zx, zy, *rest, _name=name, _grad=getattr(quadrature, name)):
-            shape = np.broadcast_shapes(np.shape(zx), np.shape(zy))
+            shape = np.broadcast_shapes(np.shape(zx), np.shape(zy),
+                                        *map(np.shape, rest))
             grads.append((_name, shape, np.array(zx), rest))
             return _grad(zx, zy, *rest)
         monkeypatch.setattr(quadrature, name, counted)
     graphs._WEIGHT_CACHE.clear()
-    for cached in (quadrature._pair_integral_2d, quadrature._grid_4d,
-                   quadrature._grid_edge_field):
+    for cached in (quadrature._pair_integral_2d, quadrature._grid_4d):
         cached.cache_clear()
     assert main(["weights", "--n", "2"]) == 0
     first = capsys.readouterr().out
@@ -176,6 +184,7 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
     # one pair integral; per target, its row blocks concatenate to the 800
     # chart rows in order, each row once
     assert quadrature._pair_integral_2d.cache_info().misses == 1
+    assert quadrature._grid_4d.cache_info().misses == 1
     s = (np.arange(800) + 0.5) / 800
     ((X, _),), _ = quadrature._chart([s[:, None], s[None, :]])
     pair = [g for g in grads if g[1][-1] == 800]
@@ -185,28 +194,29 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
         rows = [zx.ravel() for *_, zx, rest in pair if rest == (w,)]
         assert np.concatenate(rows).tobytes() == X.ravel().tobytes()
 
-    # 4D fields: each (vertex, boundary target) once; every full gradient
-    # belongs to the (1, 2) field (vertex 1 at z, vertex 2's axes at w) and
-    # its slices of vertex 1's x axis concatenate to that axis, each once
+    # 4D fields: per graph, each edge once per first-axis slice, in order
     grid = [g for g in grads if g[1][-1] != 800]
-    (x1, _), (x2, y2) = quadrature._grid_4d()[0]
-    boundary = [(zx.shape, rest) for name, _, zx, rest in grid
-                if name == "_grad_phi_boundary"]
-    assert 0 < len(boundary) == len(set(boundary)) <= 4
-    full = [(zx, rest) for name, _, zx, rest in grid
-            if name == "_grad_phi_full"]
-    assert full and all(rest[0] is x2 and rest[1] is y2 for _, rest in full)
-    assert np.concatenate([zx.ravel() for zx, _ in full]).tobytes() \
-        == x1.ravel().tobytes()
-    assert (2, 1) not in edges
-    assert edges.count((1, 2)) == len(full)
-    assert len(grads) == len(edges) + len(pair)
+    assert grid and all(shape[0] == 1 and math.prod(shape) <= 24 ** 3
+                        for _, shape, *_ in grid)
+    assert any(name == "_grad_phi_full" for name, *_ in grid)
+    (x1, _), _ = quadrature._grid_4d()[0]
+    assert graphs_edges
+    for edges, calls in graphs_edges:
+        assert [(i, t) for i, t, _ in calls] == list(edges) * 24
+        for k in range(len(edges)):
+            xs = [x.ravel() for _, _, x in calls[k::len(edges)]]
+            assert np.concatenate(xs).tobytes() == x1.ravel().tobytes()
+    assert len(grads) == len(pair) + sum(len(c) for _, c in graphs_edges)
 
+    calls = [(edges, [(i, t, x.tobytes()) for i, t, x in c])
+             for edges, c in graphs_edges]
     graphs._WEIGHT_CACHE.clear()
-    edges.clear()
+    graphs_edges.clear()
     grads.clear()
     assert main(["weights", "--n", "2"]) == 0
-    assert edges == [] and grads == []
+    assert [g for g in grads if g[1][-1] == 800] == []
+    assert [(edges, [(i, t, x.tobytes()) for i, t, x in c])
+            for edges, c in graphs_edges] == calls
     assert capsys.readouterr().out == first
 
     pos, factors = quadrature._grid_4d()
@@ -215,16 +225,46 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
     for a in axis_arrays:
         with pytest.raises(ValueError):
             a[0] = 0.0
-    owned = []
-    for edge in ((1, L), (1, R), (2, L), (2, R), (1, 2), (2, 1)):
-        for _, values in quadrature._grid_edge_field(*edge):
-            with pytest.raises(ValueError):
-                values[0] = 0.0
-            if values.size == 24 ** 4 and values.base is None:
-                owned.append(values)
-    assert len(owned) == 4
-    assert all(a is b for a, (_, b) in
-               zip(owned, quadrature._grid_edge_field(1, 2)))
+
+
+def test_weights_keep_no_full_grid_array(capsys):
+    """After weights --n 2 from empty caches, no block that a line of
+    starq allocated is as large as a full-grid bool array (24^4 bytes):
+    nothing of the 4D grid but its axes stays cached."""
+    import os
+    import tracemalloc
+    from starq import graphs, quadrature
+    from starq.cli import main
+    package = tracemalloc.Filter(
+        True, os.path.join(os.path.dirname(starq.__file__), "*"))
+    graphs._WEIGHT_CACHE.clear()
+    for cached in (quadrature._pair_integral_2d, quadrature._grid_4d):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        assert main(["weights", "--n", "2"]) == 0
+        kept = tracemalloc.take_snapshot().filter_traces([package]).traces
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert len(kept) and max(trace.size for trace in kept) < 24 ** 4
+
+
+def test_pair_integral_peaks_under_integrand_masks_and_a_megabyte():
+    """The 800 x 800 pair integral allocates its integrand and three masks
+    and less than 1 MB besides: no full-grid product with a mask, and row
+    blocks of _PAIR_ROWS rows."""
+    import tracemalloc
+    from starq import quadrature
+    quadrature._chart([0.5, 0.5])
+    M = 800
+    tracemalloc.start()
+    try:
+        quadrature._pair_integral_2d.__wrapped__(0.0, 1.0, M, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert M * M * 8 + 3 * M * M < peak < M * M * 8 + 3 * M * M + 10 ** 6
 
 
 def _full_grid_pair_integral(p, q, M, eta):
@@ -258,27 +298,42 @@ def test_row_blocked_pair_integral_matches_full_grid(M, p, q):
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
-def test_reverse_internal_edge_is_a_view_of_the_forward_field():
-    """The 4D field of the edge (2, 1) is read-only transposed views of the
-    (1, 2) columns, and both fields equal a direct _edge_field build bit
-    for bit."""
+@pytest.mark.parametrize("block", [None, 5 * 24 ** 3])
+def test_edge_fields_per_block_match_the_full_grid(monkeypatch, block):
+    """Every edge's field taken on the blocks' slices of the 4D grid
+    concatenates to its field on the whole grid, bit for bit and with the
+    same columns (blocks of one slice, or of five with a short last one).
+    Both vertices share the axis values, so the edge (2, 1) at (a, b, c, d)
+    is the edge (1, 2) at (c, d, a, b) with columns 0, 1 and 2, 3
+    swapped."""
     import numpy as np
     from starq import quadrature
+    if block is not None:
+        monkeypatch.setattr(quadrature, "_DET_BLOCK", block)
     pos = quadrature._grid_4d()[0]
-    fields = {e: quadrature._grid_edge_field(*e) for e in ((1, 2), (2, 1))}
-    for (i, t), cols in fields.items():
-        want_cols = quadrature._edge_field(i, t, pos)
-        assert [c for c, _ in cols] == [c for c, _ in want_cols]
-        for (_, got), (_, want) in zip(cols, want_cols):
-            assert got.shape == want.shape
-            assert np.ascontiguousarray(got).tobytes() \
-                == np.ascontiguousarray(want).tobytes()
-    for (_, rev), (_, fwd) in zip(fields[2, 1], fields[1, 2]):
-        assert np.shares_memory(rev, fwd)
-        assert not rev.flags.writeable
-        assert not rev.flags.c_contiguous
-        with pytest.raises(ValueError):
-            rev[0, 0, 0, 0] = 0.0
+    shape = (24,) * 4
+    blocks = quadrature._blocks(shape)
+
+    def whole(values, rows=24):
+        return np.ascontiguousarray(
+            np.broadcast_to(values, (rows,) + shape[1:]))
+    full = {}
+    for i, t in ((1, L), (1, R), (2, L), (2, R), (1, 2), (2, 1)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = quadrature._edge_field(i, t, pos)
+            parts = [quadrature._edge_field(
+                i, t, quadrature._block_pos(pos, shape, lo, hi))
+                for lo, hi in blocks]
+        assert all([c for c, _ in part] == [c for c, _ in want]
+                   for part in parts)
+        for k, (_, values) in enumerate(want):
+            got = np.concatenate([whole(part[k][1], hi - lo)
+                                  for part, (lo, hi) in zip(parts, blocks)])
+            assert got.tobytes() == whole(values).tobytes()
+        full[i, t] = {c: whole(values) for c, values in want}
+    for c, rev in full[2, 1].items():
+        fwd = full[1, 2][(c + 2) % 4].transpose(2, 3, 0, 1)
+        assert rev.tobytes() == np.ascontiguousarray(fwd).tobytes()
 
 
 def _full_grid_masks(edges, pos, eta):
@@ -339,12 +394,13 @@ def _one_det_integrand(fields, weight):
 
 @pytest.mark.parametrize("block", [None, 5 * 24 ** 3])
 def test_blockwise_determinant_matches_one_call(monkeypatch, block):
-    """Blockwise determinants, each block scaled by its slice of the
-    weight, equal one np.linalg.det call over the full stack times the full
-    weight, bit for bit: on the 24^4 grid against the meshgrid weight (24
-    leading slices in blocks of one, or of five with a short last block),
-    and on 40000 Monte Carlo samples, which are not a multiple of the
-    block, with the weight given whole or as its four factors."""
+    """Blockwise determinants, each block's fields taken on its slices of
+    the points and each block scaled by its slice of the weight, equal one
+    np.linalg.det call over the full stack of whole-grid fields times the
+    full weight, bit for bit: on the 24^4 grid against the meshgrid weight
+    (24 leading slices in blocks of one, or of five with a short last
+    block), and on 40000 Monte Carlo samples, which are not a multiple of
+    the block, with the weight given whole or as its four factors."""
     import numpy as np
     from starq import quadrature
     if block is not None:
@@ -355,17 +411,125 @@ def test_blockwise_determinant_matches_one_call(monkeypatch, block):
     _, mc_factors = quadrature._chart_factors(mc_flat)
     _, grid_weight = _meshgrid_chart()
     internal = [g for g in enumerate_kgraphs(2) if g.has_internal_edge()]
+    grid_pos, grid_factors = quadrature._grid_4d()
     for G in (internal[0], internal[-1]):
         edges = G.edge_list()
-        grid_fields = [quadrature._grid_edge_field(i, t) for i, t in edges]
-        mc_fields = [quadrature._edge_field(i, t, mc_pos) for i, t in edges]
-        cases = ((grid_fields, quadrature._grid_4d()[1], grid_weight),
-                 (mc_fields, (mc_weight,), mc_weight),
-                 (mc_fields, mc_factors, mc_weight))
-        for fields, factors, weight in cases:
-            got = quadrature._integrand(fields, factors)
+        cases = ((grid_pos, grid_factors, grid_weight),
+                 (mc_pos, (mc_weight,), mc_weight),
+                 (mc_pos, mc_factors, mc_weight))
+        for pos, factors, weight in cases:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fields = [quadrature._edge_field(i, t, pos) for i, t in edges]
+            got = quadrature._integrand(edges, pos, factors)
             want = _one_det_integrand(fields, weight)
             assert got.tobytes() == want.tobytes()
+
+
+def _pair_masks(monkeypatch, p, q, M, eta):
+    """The three excision masks the pair integral builds, copied as
+    _excised receives them."""
+    from starq import quadrature
+    seen = []
+
+    def recording(J, masks, _excised=quadrature._excised):
+        seen.extend(m.copy() for m in masks)
+        return _excised(J, masks)
+    monkeypatch.setattr(quadrature, "_excised", recording)
+    quadrature._pair_integral_2d.__wrapped__(p, q, M, eta)
+    monkeypatch.undo()
+    return seen
+
+
+def test_excision_masks_are_nested(monkeypatch):
+    """The eta mask lies within the eta/2 mask and that within the eta/4
+    mask, and the eta/4 mask strictly contains the eta mask: on the 2D pair
+    grid, and for every n = 2 graph on the 4D grid and on 40000 Monte Carlo
+    samples."""
+    import numpy as np
+    from starq import quadrature
+    eta = IntegrationConfig().eta
+    cases = [_pair_masks(monkeypatch, p, q, 800, eta)
+             for p, q in ((0.0, 1.0), (1.0, 1.0))]
+    rng = np.random.default_rng(5)
+    mc_pos, _ = quadrature._chart([rng.random(40000) for _ in range(4)])
+    for G in enumerate_kgraphs(2):
+        for pos in (quadrature._grid_4d()[0], mc_pos):
+            cases.append(quadrature._masks(G.edge_list(), pos, eta))
+    for masks in cases:
+        assert len(masks) == 3
+        for inner, outer in zip(masks, masks[1:]):
+            assert not (inner & ~outer).any()
+        assert (masks[2] & ~masks[0]).any()
+
+
+def _old_grid_weight(G, cfg):
+    """grid_weight on an internal-edge graph with each mask's product a
+    fresh full-grid array."""
+    import numpy as np
+    from starq import quadrature
+    edges = G.edge_list()
+    pos, factors = quadrature._grid_4d()
+    integrand = quadrature._integrand(edges, pos, factors)
+    cells = 24 ** 4
+    vals = [float(np.sum(integrand * mask)) / cells
+            for mask in quadrature._masks(edges, pos, cfg.eta)]
+    r2, err = quadrature._richardson(vals)
+    norm = quadrature._norm(G.n)
+    return starq.graphs.WeightResult(r2 / norm, err / norm + 1e-12, cells,
+                                     cfg.seed)
+
+
+def _old_mc_weight(G, cfg):
+    """mc_weight with each mask's product a fresh array."""
+    import numpy as np
+    from starq import quadrature
+    rng = np.random.default_rng(cfg.seed)
+    pos, weight = quadrature._chart([rng.random(cfg.samples)
+                                     for _ in range(2 * G.n)])
+    edges = G.edge_list()
+    integrand = quadrature._integrand(edges, pos, (weight,))
+    masks = quadrature._masks(edges, pos, cfg.eta)
+    vals = [float(np.mean(integrand * mask)) for mask in masks]
+    r2, err = quadrature._richardson(vals)
+    norm = quadrature._norm(G.n)
+    sd = float(np.std(integrand * masks[2])) / math.sqrt(cfg.samples)
+    return starq.graphs.WeightResult(r2 / norm, err / norm + sd / norm + 1e-12,
+                                     cfg.samples, cfg.seed)
+
+
+def test_in_place_masked_sums_match_fresh_products(monkeypatch):
+    """Each in-place product of _excised equals the integrand times that
+    mask alone in tobytes(), and grid_weight and mc_weight give the values
+    of sums over fresh products, bit for bit: on the 4D grid and on 40000
+    Monte Carlo samples, for the first and last internal-edge graphs, and
+    on the 2D pair grid through the pair integral."""
+    import numpy as np
+    from starq import quadrature
+    cfg = IntegrationConfig(samples=40000)
+    internal = [g for g in enumerate_kgraphs(2) if g.has_internal_edge()]
+    rng = np.random.default_rng(5)
+    mc_pos, mc_weight = quadrature._chart([rng.random(40000)
+                                           for _ in range(4)])
+    grid_pos, grid_factors = quadrature._grid_4d()
+    for G in (internal[0], internal[-1]):
+        edges = G.edge_list()
+        for pos, factors in ((grid_pos, grid_factors), (mc_pos, (mc_weight,))):
+            J = quadrature._integrand(edges, pos, factors)
+            masks = quadrature._masks(edges, pos, cfg.eta)
+            assert (J < 0).any() and (J > 0).any()
+            want = [(J * mask).tobytes() for mask in masks]
+            got = [a.tobytes() for a in quadrature._excised(J, masks)]
+            assert got[::-1] == want
+        for new, old in ((quadrature.grid_weight, _old_grid_weight),
+                         (quadrature.mc_weight, _old_mc_weight)):
+            got, want = new(G, cfg), old(G, cfg)
+            assert (got.value.hex(), got.error_estimate.hex()) \
+                == (want.value.hex(), want.error_estimate.hex())
+            assert got == want
+    for p, q in ((0.0, 1.0), (1.0, 1.0)):
+        got = quadrature._pair_integral_2d.__wrapped__(p, q, 800, cfg.eta)
+        want = _full_grid_pair_integral(p, q, 800, cfg.eta)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def _meshgrid_chart():

@@ -585,6 +585,13 @@ def test_bt_direct_route_matches_conjugation(P, N):
 # ---------------------------------------------------------------------------
 # commutation of the table's own operators
 
+def _multipliers(P, N):
+    """w[j][l] = dPhi_{j-1}/dzbar_l for j <= N: the nu^j part of nu R_l
+    besides the d/dzbar_l of nu^1."""
+    return [[phi.diff(l, "anti") for l in range(P.n)]
+            for phi in [P.phi_minus1] + [P.phi_k(j) for j in range(N)]]
+
+
 @pytest.mark.parametrize("P, N", [
     pytest.param(flat_potential(14), 3, id="flat-3"),
     pytest.param(fs_potential(16), 4, id="fs-4"),
@@ -598,7 +605,8 @@ def test_table_operators_commute_with_right_multiplication(P, N):
     nu^m part of the commutator vanishes through D - (m + 2), the window
     the recursion checks at order m, though the lower orders' part alone
     does not."""
-    A, w = _anti_wick_ops(P, N, inverse_metric(P.phi_minus1))
+    A = _anti_wick_ops(P, N, inverse_metric(P.phi_minus1))
+    w = _multipliers(P, N)
     for m in range(1, N + 1):
         for l in range(P.n):
             assert not _commutator_sum(A[:m], w, m, l).is_zero()
@@ -608,7 +616,8 @@ def test_table_operators_commute_with_right_multiplication(P, N):
 
 def test_corrupted_table_operator_fails_commutation():
     P, N = fs_potential(14), 3
-    A, w = _anti_wick_ops(P, N, inverse_metric(P.phi_minus1))
+    A = _anti_wick_ops(P, N, inverse_metric(P.phi_minus1))
+    w = _multipliers(P, N)
     c, *idx = A[2].terms[0]
     A[2] = A[2] + BiDiffOp(P.n, P.D, [(Jet.constant(1, P.n, P.D), *idx)])
     assert any(not tm[0].drop_above(P.D - 4).is_zero()
