@@ -193,17 +193,15 @@ def run(cfg):
         results = {"count": len(gs), "graphs": [g.to_json() for g in gs]}
     elif cmd == "weights":
         from .graphs import (
-            enumerate_kgraphs, integration_config, kontsevich_weight,
+            enumerate_kgraphs, integration_config, kontsevich_weights,
         )
-        icfg = integration_config(cfg)
-        rows = []
-        for g in enumerate_kgraphs(cfg.n):
-            w = kontsevich_weight(g, icfg)
-            rows.append({"graph": g.to_json(), "value": w.value,
-                         "error_estimate": w.error_estimate,
-                         "samples_or_cells": w.samples_or_cells,
-                         "seed": w.seed})
-        results = {"weights": rows}
+        gs = enumerate_kgraphs(cfg.n)
+        ws = kontsevich_weights(gs, integration_config(cfg))
+        results = {"weights": [
+            {"graph": g.to_json(), "value": w.value,
+             "error_estimate": w.error_estimate,
+             "samples_or_cells": w.samples_or_cells, "seed": w.seed}
+            for g, w in zip(gs, ws)]}
     elif cmd == "cp1-toeplitz":
         # plain Python floats, no numpy: the entries off the band are zero
         from .symbols import make_context, parse_observable, toeplitz_band

@@ -27,6 +27,10 @@ Sign bookkeeping (documented constants):
     multiplies the edge-order parity back in;
   * order-n term prefactor is (i nu / 2)^n.
 
+kontsevich_weights integrates a batch of weights: in this process, and on
+a multi-CPU machine in forked children too (see its docstring); no value
+depends on the CPU count.
+
 The star-kontsevich and weights commands read their inputs here as well:
 load_bivector and load_poly parse the --alpha-path file and the --f-poly and
 --g-poly JSON, poly_json writes a product's orders, and integration_config
@@ -38,6 +42,7 @@ import cmath
 import itertools
 import json
 import math
+import os
 from collections import namedtuple
 from fractions import Fraction
 
@@ -282,6 +287,10 @@ class IntegrationConfig(namedtuple(
         check_quadrature(cfg)
         return cfg
 
+    def __getnewargs_ex__(self):
+        # copy and pickle rebuild the record through __new__, by keyword
+        return (), self._asdict()
+
 
 WeightResult = namedtuple("WeightResult",
                           "value error_estimate samples_or_cells seed")
@@ -291,31 +300,142 @@ _WEIGHT_CACHE = {}                # (G.canonical(), cfg) -> WeightResult
 
 
 def kontsevich_weight(G, cfg=None):
-    """Configuration-space weight of an admissible graph, n <= 2.
+    """Configuration-space weight of an admissible graph, n <= 2: the
+    one-graph case of kontsevich_weights.
 
     The reported value uses the canonical per-vertex edge ordering; combine
     with order_parity() to pair against the literal operator convention.
     """
+    return kontsevich_weights([G], cfg)[0]
+
+
+def kontsevich_weights(graphs, cfg=None):
+    """The weights of admissible graphs, n <= 2, in the order given.
+
+    Each graph is looked up in _WEIGHT_CACHE by its canonical form.  The
+    misses that need no 4D or Monte Carlo integrand, the grid graphs
+    without an internal edge, whose weights are products of 2D pair
+    integrals, are integrated in this process first; that also fills the
+    quadrature's caches.  The other misses are dealt round-robin over
+    k = min(usable CPUs, their number) shares, integrated at once by this
+    process and k - 1 forked children (_in_workers).  Each graph still
+    goes through grid_weight or mc_weight alone, so no value depends on k.
+    The results are checked in the order given: the first graph whose
+    integration raised, or whose error estimate exceeds cfg.tol, raises as
+    it would one graph at a time, and only the graphs before it are cached.
+    """
     cfg = cfg or IntegrationConfig()
-    if G.n > 2:
+    keys = [G.canonical() for G in graphs]
+    if any(G.n > 2 for G in keys):
         raise ResourceGuard("weights implemented for n <= 2")
-    if G.n == 0:
-        return WeightResult(1.0, 0.0, 0, cfg.seed)
-    G = G.canonical()
-    key = (G, cfg)
-    if key in _WEIGHT_CACHE:
-        return _WEIGHT_CACHE[key]
-    from .quadrature import grid_weight, mc_weight   # loads numpy
-    if cfg.method == "grid":
-        res = grid_weight(G, cfg)
-    else:
-        res = mc_weight(G, cfg)
-    if res.error_estimate > cfg.tol:
-        raise IntegrationFailure(
-            f"weight error estimate {res.error_estimate:.2e} exceeds "
-            f"tolerance {cfg.tol:.2e}")
-    _WEIGHT_CACHE[key] = res
-    return res
+    misses = [G for G in dict.fromkeys(keys)
+              if G.n and (G, cfg) not in _WEIGHT_CACHE]
+    pooled = [G for G in misses
+              if cfg.method == "mc" or G.has_internal_edge()]
+    outcomes = {}
+    if misses:
+        from .quadrature import _grid_4d          # loads numpy
+        local = [G for G in misses if G not in pooled]
+        outcomes.update(zip(local, _integrate(local, cfg)))
+        if pooled and cfg.method == "grid":
+            _grid_4d()                # built once, before any fork
+    k = min(_usable_cpus(), len(pooled))
+    shares = [pooled[j::k] for j in range(k)]
+    for share, results in zip(shares, _in_workers(
+            lambda share: _integrate(share, cfg), shares)):
+        outcomes.update(zip(share, results))
+    out = []
+    for G in keys:
+        if G.n == 0:
+            out.append(WeightResult(1.0, 0.0, 0, cfg.seed))
+            continue
+        if (G, cfg) not in _WEIGHT_CACHE:
+            res = outcomes[G]
+            if isinstance(res, Exception):
+                raise res
+            if res.error_estimate > cfg.tol:
+                raise IntegrationFailure(
+                    f"weight error estimate {res.error_estimate:.2e} exceeds "
+                    f"tolerance {cfg.tol:.2e}")
+            _WEIGHT_CACHE[G, cfg] = res
+        out.append(_WEIGHT_CACHE[G, cfg])
+    return out
+
+
+def _integrate(graphs, cfg):
+    """The WeightResult of each canonical graph in turn, up to the first
+    that fails: one whose error estimate exceeds cfg.tol, or one whose
+    integration raises, which gives its exception instead."""
+    from . import quadrature
+    out = []
+    for G in graphs:
+        try:
+            out.append(quadrature.grid_weight(G, cfg) if cfg.method == "grid"
+                       else quadrature.mc_weight(G, cfg))
+        except Exception as exc:
+            out.append(exc)
+            break
+        if out[-1].error_estimate > cfg.tol:
+            break
+    return out
+
+
+def _usable_cpus():
+    """The CPUs this process may run on (1 where the OS does not say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _in_workers(work, shares):
+    """[work(share) for share in shares], the first share worked in this
+    process while each other runs in one forked child.
+
+    A child pickles its result down a pipe and leaves by os._exit, so it
+    neither prints nor runs its parent's cleanup.  Every child is reaped
+    before this returns or raises; on an exception here the children left
+    are killed first.  A child that ends without a result raises
+    IntegrationFailure once all are reaped."""
+    if len(shares) < 2:
+        return [work(share) for share in shares]
+    import pickle
+    import signal
+    pipes, pids = [], []          # pids: the children not yet reaped
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        sink.write(pickle.dumps(work(share)))
+                        sink.close()
+                        code = 0
+                    finally:
+                        os._exit(code)
+            pids.append(pid)
+        results = [work(shares[0])]
+        payloads = [pipe.read() for pipe in pipes]
+        lost = []                 # exit statuses of children without one
+        for payload in payloads:
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            try:
+                results.append(pickle.loads(payload))
+            except Exception:         # no result, or one cut short
+                lost.append(os.waitstatus_to_exitcode(status))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if lost:
+        raise IntegrationFailure(f"a weight worker exited with status "
+                                 f"{lost[0]} and no result")
+    return results
 
 
 # ---------------------------------------------------------------------------

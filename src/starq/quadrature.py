@@ -22,7 +22,10 @@ grid after each product: every sum runs in the order of one full-grid pass
 on the integrand times that mask alone.  The Monte Carlo path goes through
 the same assembly code on fresh samples.
 Only starq.graphs imports this module, and only when it integrates a
-weight, so the exact commands never load numpy.
+weight, so the exact commands never load numpy.  graphs.kontsevich_weights
+calls grid_weight and mc_weight one graph at a time, in its own process or
+in forked children: the caches here are filled before any fork, and each
+process holds one graph's working set at a time.
 """
 
 import functools
@@ -279,8 +282,8 @@ def _norm(n):
 
 
 # ---------------------------------------------------------------------------
-# entry points (called by graphs.kontsevich_weight, with the canonical graph,
-# so each vertex's edges come in the order L < R < 1 < 2 ...)
+# entry points (called by graphs.kontsevich_weights, with the canonical
+# graph, so each vertex's edges come in the order L < R < 1 < 2 ...)
 
 def grid_weight(G, cfg):
     n = G.n

@@ -832,6 +832,43 @@ def test_star_reports_match_benchmark_pins(name, argv):
     assert hashlib.sha256(out).hexdigest() == json.loads(PINS.read_text())[name]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["weights", "--n", "2"], 0),
+    (["weights", "--n", "2", "--method", "mc", "--samples", "20000",
+      "--tol", "0.5"], 0),
+    (["weights", "--n", "2", "--method", "mc", "--samples", "20000"], 3),
+], ids=["grid", "mc", "mc-failing"])
+def test_weights_bytes_do_not_depend_on_the_cpu_count(argv, code):
+    """weights prints the same stdout and stderr and exits alike pinned to
+    one CPU, where it forks nothing, and on every CPU this process may
+    use: the grid report is the benchmark's pin, and a failing Monte Carlo
+    run fails on its first graph in enumeration order."""
+    one = {min(os.sched_getaffinity(0))}
+    runs = []
+    for preexec in (lambda: os.sched_setaffinity(0, one), None):
+        proc = subprocess.run([sys.executable, "-m", "starq.cli"] + argv,
+                              env=_subprocess_env(), capture_output=True,
+                              timeout=120, preexec_fn=preexec)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
+    rc, out, err = runs[0]
+    assert rc == code
+    if argv == ["weights", "--n", "2"]:
+        assert hashlib.sha256(out).hexdigest() == \
+            json.loads(PINS.read_text())["weights-n2"]
+    if code:
+        from starq.graphs import (
+            IntegrationConfig, IntegrationFailure, enumerate_kgraphs,
+            kontsevich_weight,
+        )
+        with pytest.raises(IntegrationFailure) as first:
+            kontsevich_weight(enumerate_kgraphs(2)[0],
+                              IntegrationConfig(method="mc", samples=20000))
+        assert out == b""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"error": "IntegrationFailure", "message": str(first.value)}]
+
+
 def test_out_path_that_cannot_be_opened_exits_2(tmp_path, capsys):
     code, out = invoke(["cp1-toeplitz", "--m", "2",
                         "--out", str(tmp_path / "missing" / "x.json")])
@@ -848,21 +885,32 @@ def _subprocess_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+# Process and thread pools: no command loads them, and only weights forks.
+_POOLS = "'multiprocessing', 'concurrent.futures'"
+
+
 def test_exact_commands_do_not_import_numpy():
     """Only cp1 and the weight quadrature need numpy; importing the CLI and
-    running an exact star-* command or cp1-toeplitz loads neither."""
+    running an exact star-* command or cp1-toeplitz loads neither, nor a
+    process or thread pool."""
     code = (
         "import sys, starq.cli\n"
-        "assert 'numpy' not in sys.modules, 'loaded by import starq.cli'\n"
+        f"unwanted = ('numpy', {_POOLS})\n"
+        "loaded = [m for m in unwanted if m in sys.modules]\n"
+        "assert not loaded, ('loaded by import starq.cli', loaded)\n"
         "for argv in (['star-gammelgaard', '--potential', 'aniso',"
         " '--order', '2'],\n"
+        "             ['star-karabegov', '--potential', 'fs',"
+        " '--order', '2'],\n"
+        "             ['star-bt', '--potential', 'fs', '--order', '2'],\n"
         "             ['cp1-toeplitz', '--m', '8', '--expr',"
         " '(1 - zz) / (1+zz)'],\n"
         "             ['cp1-toeplitz', '--m', '8', '--expr',"
         " '(2 - zbar^2*z) / (1+zz)^3']):\n"
         "    rc = starq.cli.main(argv)\n"
         "    assert rc == 0, (argv, rc)\n"
-        "    assert 'numpy' not in sys.modules, ('loaded by', argv)\n")
+        "    loaded = [m for m in unwanted if m in sys.modules]\n"
+        "    assert not loaded, ('loaded by', argv, loaded)\n")
     proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
@@ -885,11 +933,14 @@ def test_bms_suite_does_not_import_numpy_random():
 
 def test_numeric_commands_do_not_import_exact_core():
     """The cp1-*, graphs-enumerate and star-kontsevich commands never load
-    the exact core; ResourceGuard is one class wherever it is imported."""
+    the exact core, nor a process or thread pool; ResourceGuard is one
+    class wherever it is imported."""
     code = (
         "import sys, starq.cli\n"
-        "exact = ('starq.jets', 'starq.formal', 'starq.karabegov')\n"
+        "exact = ('starq.jets', 'starq.formal', 'starq.karabegov',"
+        f" {_POOLS})\n"
         "for argv in (['cp1-toeplitz', '--m', '8'],\n"
+        "             ['cp1-berezin', '--m-list', '4,8'],\n"
         "             ['cp1-suite', '--m-list', '4,8'],\n"
         "             ['graphs-enumerate', '--n', '2'],\n"
         "             ['star-kontsevich', '--order', '2']):\n"

@@ -1,6 +1,9 @@
 """Graph enumeration, numerical weights, and graph-built star products."""
 
+import json
 import math
+import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +20,12 @@ from starq.graphs import (
 
 from paper_checks import max_abs_coeff, moyal_star, star_poly_series
 from test_karabegov import dense_potential, nonflat_n2_potential
+
+
+def _usable_cpus(monkeypatch, count):
+    """Make kontsevich_weights see count usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
 
 
 def xy():
@@ -152,10 +161,12 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
     at most 24^3 points and the slices of each edge concatenate to vertex
     1's x axis.  With only the weight cache emptied, a second run takes no
     pair-integral gradient, takes the same 4D fields again and prints the
-    same bytes.  The cached axis arrays are read-only."""
+    same bytes.  The cached axis arrays are read-only.  One usable CPU
+    keeps every graph in this process, where the counters are."""
     import numpy as np
     from starq import graphs, quadrature
     from starq.cli import main
+    _usable_cpus(monkeypatch, 1)
     graphs_edges, grads = [], []
 
     def counted_integrand(edges, pos, factors,
@@ -227,14 +238,15 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
             a[0] = 0.0
 
 
-def test_weights_keep_no_full_grid_array(capsys):
+def test_weights_keep_no_full_grid_array(monkeypatch, capsys):
     """After weights --n 2 from empty caches, no block that a line of
     starq allocated is as large as a full-grid bool array (24^4 bytes):
-    nothing of the 4D grid but its axes stays cached."""
-    import os
+    nothing of the 4D grid but its axes stays cached.  One usable CPU
+    keeps every graph in the traced process."""
     import tracemalloc
     from starq import graphs, quadrature
     from starq.cli import main
+    _usable_cpus(monkeypatch, 1)
     package = tracemalloc.Filter(
         True, os.path.join(os.path.dirname(starq.__file__), "*"))
     graphs._WEIGHT_CACHE.clear()
@@ -606,6 +618,142 @@ def test_weight_guard_and_failure():
     with pytest.raises(IntegrationFailure):
         kontsevich_weight(KGraph(1, ((L, R),)),
                           IntegrationConfig(grid_nodes=40, tol=1e-6))
+
+
+def _internal_graphs():
+    """The canonical n = 2 graphs with an internal edge in enumeration
+    order: the misses that kontsevich_weights deals over its workers."""
+    return list(dict.fromkeys(G.canonical() for G in enumerate_kgraphs(2)
+                              if G.has_internal_edge()))
+
+
+def _labelled_weight(G, cfg):
+    """A stand-in for grid_weight: the first place of the graph among the
+    canonical n = 2 graphs as its value, the process's pid as its cell
+    count."""
+    graphs = [g.canonical() for g in enumerate_kgraphs(2)]
+    return starq.graphs.WeightResult(float(graphs.index(G)), 0.0,
+                                     os.getpid(), cfg.seed)
+
+
+def test_weights_deal_internal_edge_graphs_over_forked_workers(monkeypatch):
+    """On two usable CPUs the internal-edge graphs alternate between this
+    process and one child, every other graph stays here, each result comes
+    back to its own graph, and the results equal those on one CPU; no
+    child is left."""
+    from starq import quadrature
+    from starq.graphs import kontsevich_weights
+    monkeypatch.setattr(quadrature, "grid_weight", _labelled_weight)
+    graphs = enumerate_kgraphs(2)
+    runs = {}
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(starq.graphs, "_WEIGHT_CACHE", {})
+        runs[cpus] = kontsevich_weights(graphs)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    here = os.getpid()
+    canonical = [G.canonical() for G in graphs]
+    assert [w.value for w in runs[2]] == [w.value for w in runs[1]] == [
+        float(canonical.index(G)) for G in canonical]
+    assert {w.samples_or_cells for w in runs[1]} == {here}
+    pids = {G.canonical(): w.samples_or_cells
+            for G, w in zip(graphs, runs[2])}
+    internal = _internal_graphs()
+    assert {pids[G] for G in internal[0::2]} == {here}
+    (child,) = {pids[G] for G in internal[1::2]}
+    assert child != here
+    assert {pids[G] for G in pids if G not in internal} == {here}
+
+
+_TOL_MESSAGE = "weight error estimate 1.00e+00 exceeds tolerance 5.00e-03"
+
+
+@pytest.mark.parametrize("failing, error, message", [
+    ({1: "raise"}, "FloatingPointError", "child 1"),
+    ({0: "raise"}, "FloatingPointError", "here 0"),
+    ({1: "raise", 2: "raise"}, "FloatingPointError", "child 1"),
+    ({2: "raise", 3: "tol"}, "FloatingPointError", "here 2"),
+    ({1: "tol", 2: "raise"}, "IntegrationFailure", _TOL_MESSAGE),
+    ({0: "tol", 1: "raise"}, "IntegrationFailure", _TOL_MESSAGE),
+])
+def test_weights_fail_on_the_first_failing_graph_in_order(
+        monkeypatch, capsys, failing, error, message):
+    """With two usable CPUs the even internal-edge graphs run here and the
+    odd ones in a child.  An exception raised in either process, or an
+    error estimate above tol, fails weights --n 2 as one graph at a time
+    would: the first failing graph in enumeration order decides, with exit
+    3 and one JSON line, and no child is left."""
+    from starq import quadrature
+    from starq.cli import main
+    internal = _internal_graphs()
+    here = os.getpid()
+
+    def failing_weight(G, cfg):
+        kind = failing.get(internal.index(G)) if G in internal else None
+        if kind == "raise":
+            where = "here" if os.getpid() == here else "child"
+            raise FloatingPointError(f"{where} {internal.index(G)}")
+        return starq.graphs.WeightResult(0.0, float(kind == "tol"), 1,
+                                         cfg.seed)
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(quadrature, "grid_weight", failing_weight)
+    monkeypatch.setattr(starq.graphs, "_WEIGHT_CACHE", {})
+    code = main(["weights", "--n", "2"])
+    out, err = capsys.readouterr()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert (code, out) == (3, "")
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": error, "message": message}]
+
+
+def test_weights_fail_when_a_worker_dies(monkeypatch, capsys):
+    """A child that leaves by os._exit(1) before it sends its result fails
+    weights --n 2 with exit 3 and one JSON line, and is reaped."""
+    from starq import quadrature
+    from starq.cli import main
+    here = os.getpid()
+
+    def dying_weight(G, cfg):
+        if os.getpid() != here:
+            os._exit(1)
+        return _labelled_weight(G, cfg)
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(quadrature, "grid_weight", dying_weight)
+    monkeypatch.setattr(starq.graphs, "_WEIGHT_CACHE", {})
+    code = main(["weights", "--n", "2"])
+    out, err = capsys.readouterr()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert (code, out) == (3, "")
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "IntegrationFailure",
+         "message": "a weight worker exited with status 1 and no result"}]
+
+
+def test_interrupted_weights_kill_their_workers(monkeypatch):
+    """An interrupt in this process's share ends the children at once, and
+    reaps them, before it propagates."""
+    from starq import quadrature
+    from starq.graphs import kontsevich_weights
+    here = os.getpid()
+
+    def interrupted_weight(G, cfg):
+        if os.getpid() != here:
+            time.sleep(60)
+        elif G.has_internal_edge():
+            raise KeyboardInterrupt
+        return _labelled_weight(G, cfg)
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(quadrature, "grid_weight", interrupted_weight)
+    monkeypatch.setattr(starq.graphs, "_WEIGHT_CACHE", {})
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        kontsevich_weights(enumerate_kgraphs(2))
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """starq's records: immutability, hashing of the weight-cache keys, and the
 one field table behind RunConfig."""
 
+import copy
+import pickle
+
 import pytest
 
+import starq.graphs
 from starq import QUADRATURE_FIELDS, ValidationError
 from starq.cli import RunConfig, run
 from starq.cp1 import AsymSeries
@@ -39,6 +43,27 @@ def test_frozen_records_reject_assignment(make, field):
     with pytest.raises(AttributeError):
         rec.extra = 1           # __slots__: no attribute outside the fields
     assert getattr(rec, field) is before
+
+
+@pytest.mark.parametrize("make, field", FROZEN)
+def test_records_survive_copy_and_pickle(make, field):
+    """copy.copy, copy.deepcopy and a pickle round trip each give an equal
+    record of the same type, with an equal hash."""
+    rec = make()
+    for twin in (copy.copy(rec), copy.deepcopy(rec),
+                 pickle.loads(pickle.dumps(rec))):
+        assert type(twin) is type(rec)
+        assert twin == rec and hash(twin) == hash(rec)
+
+
+def test_copies_of_an_integration_config_pass_its_checks(monkeypatch):
+    """A copied or unpickled IntegrationConfig is built by keyword through
+    __new__, so check_quadrature sees it like any other."""
+    seen = []
+    monkeypatch.setattr(starq.graphs, "check_quadrature", seen.append)
+    cfg = IntegrationConfig(tol=1.0)
+    copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))
+    assert seen == [cfg] * 4
 
 
 def test_equal_kgraphs_hash_equal_and_share_a_cached_weight():
