@@ -57,9 +57,10 @@ def check_quadrature(cfg):
         raise ValidationError(f"samples must be in 2..{MAX_SAMPLES}")
     if not 2 <= cfg.grid_nodes <= MAX_GRID_NODES:
         raise ValidationError(f"grid_nodes must be in 2..{MAX_GRID_NODES}")
-    # the chained comparison is false for a NaN and for an infinity
-    if not 0 < cfg.eta < float("inf"):
-        raise ValidationError("eta must be finite and > 0")
+    # the chained comparison is false for a NaN and for an infinity, and
+    # the excision compares squared distances with eta ** 2
+    if not 0 < cfg.eta < float("inf") or cfg.eta * cfg.eta == float("inf"):
+        raise ValidationError("eta must be > 0 with a finite square")
     if not 0 < cfg.tol < float("inf"):
         raise ValidationError("tol must be finite and > 0")
     # a grid run would stamp a negative seed on every row, and numpy's

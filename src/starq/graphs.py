@@ -58,7 +58,9 @@ R = -2
 
 
 class IntegrationFailure(ArithmeticError):
-    """Weight integration error estimate exceeds the configured tolerance."""
+    """A weight integration that cannot be trusted: its error estimate
+    exceeds the configured tolerance, its excision radius measures nothing,
+    or its worker ended without a result."""
 
 
 class CrossCheckFailure(ArithmeticError):
@@ -313,16 +315,14 @@ def kontsevich_weights(graphs, cfg=None):
     """The weights of admissible graphs, n <= 2, in the order given.
 
     Each graph is looked up in _WEIGHT_CACHE by its canonical form.  The
-    misses that need no 4D or Monte Carlo integrand, the grid graphs
-    without an internal edge, whose weights are products of 2D pair
-    integrals, are integrated in this process first; that also fills the
-    quadrature's caches.  The other misses are dealt round-robin over
-    k = min(usable CPUs, their number) shares, integrated at once by this
-    process and k - 1 forked children (_in_workers).  Each graph still
-    goes through grid_weight or mc_weight alone, so no value depends on k.
-    The results are checked in the order given: the first graph whose
-    integration raised, or whose error estimate exceeds cfg.tol, raises as
-    it would one graph at a time, and only the graphs before it are cached.
+    misses are dealt round-robin over k = min(usable CPUs, their number)
+    shares, integrated at once by this process and k - 1 forked children
+    (_in_workers); numpy is loaded before the fork, so no child loads it
+    again.  Each graph goes through grid_weight or mc_weight alone, so no
+    value depends on k.  The results are checked in the order given: the
+    first graph whose integration raised, or whose error estimate exceeds
+    cfg.tol, raises as it would one graph at a time, and only the graphs
+    before it are cached.
     """
     cfg = cfg or IntegrationConfig()
     keys = [G.canonical() for G in graphs]
@@ -330,20 +330,16 @@ def kontsevich_weights(graphs, cfg=None):
         raise ResourceGuard("weights implemented for n <= 2")
     misses = [G for G in dict.fromkeys(keys)
               if G.n and (G, cfg) not in _WEIGHT_CACHE]
-    pooled = [G for G in misses
-              if cfg.method == "mc" or G.has_internal_edge()]
     outcomes = {}
     if misses:
-        from .quadrature import _grid_4d          # loads numpy
-        local = [G for G in misses if G not in pooled]
-        outcomes.update(zip(local, _integrate(local, cfg)))
-        if pooled and cfg.method == "grid":
-            _grid_4d()                # built once, before any fork
-    k = min(_usable_cpus(), len(pooled))
-    shares = [pooled[j::k] for j in range(k)]
-    for share, results in zip(shares, _in_workers(
-            lambda share: _integrate(share, cfg), shares)):
-        outcomes.update(zip(share, results))
+        from . import quadrature              # loads numpy, before any fork
+        weight = (quadrature.grid_weight if cfg.method == "grid"
+                  else quadrature.mc_weight)
+        k = min(_usable_cpus(), len(misses))
+        shares = [misses[j::k] for j in range(k)]
+        for share, results in zip(shares, _in_workers(
+                lambda share: _integrate(weight, share, cfg), shares)):
+            outcomes.update(zip(share, results))
     out = []
     for G in keys:
         if G.n == 0:
@@ -362,16 +358,14 @@ def kontsevich_weights(graphs, cfg=None):
     return out
 
 
-def _integrate(graphs, cfg):
-    """The WeightResult of each canonical graph in turn, up to the first
+def _integrate(weight, graphs, cfg):
+    """weight(G, cfg) for each canonical graph in turn, up to the first
     that fails: one whose error estimate exceeds cfg.tol, or one whose
     integration raises, which gives its exception instead."""
-    from . import quadrature
     out = []
     for G in graphs:
         try:
-            out.append(quadrature.grid_weight(G, cfg) if cfg.method == "grid"
-                       else quadrature.mc_weight(G, cfg))
+            out.append(weight(G, cfg))
         except Exception as exc:
             out.append(exc)
             break
@@ -477,6 +471,10 @@ def load_bivector(path):
             and all(type(x) in (int, float) for x in row) for row in mat)):
         raise ValidationError(f"bivector file {path} has no square "
                               f"numeric 'constant' matrix")
+    for r, c in itertools.product(range(len(mat)), repeat=2):
+        if type(mat[r][c]) is float and not math.isfinite(mat[r][c]):
+            raise ValidationError(f"bivector entry [{r}][{c}] = "
+                                  f"{mat[r][c]!r} is not finite")
     if len(mat) > 2 * MAX_N:
         raise ResourceGuard(f"bivector has dimension {len(mat)}, above "
                             f"{2 * MAX_N}")

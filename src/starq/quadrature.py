@@ -7,25 +7,19 @@ points nearer than eta to an edge's target excised and a Richardson step
 over eta, eta/2, eta/4.  The unit cube is mapped onto H^n by tangents.
 
 Both grids are products of midpoint axes, so the chart works on the axes and
-broadcasts.  What is built once per process and kept read-only: each 2D
-pair integral, and the 4D grid's axes and per-axis chart weight factors.
-No full 4D weight, squared distance or edge field is kept.  The working sets
-stay bounded: the pair integral fills its integrand and masks in row
-blocks, and a graph fills a reused Jacobian buffer block by block, each
-block whole slices of the first axis, with each edge's gradient columns
-taken on the block's slices of the axes.  It takes the determinants and
-scales each block by its slice of the weight, formed from the factors in
-the chart's order.  Its three excision masks are filled by the same blocks
-from distances taken on the block.  The masks are nested, so the integrand
-is multiplied by each in place, the widest first, and summed over the whole
-grid after each product: every sum runs in the order of one full-grid pass
-on the integrand times that mask alone.  The Monte Carlo path goes through
-the same assembly code on fresh samples.
-Only starq.graphs imports this module, and only when it integrates a
-weight, so the exact commands never load numpy.  graphs.kontsevich_weights
-calls grid_weight and mc_weight one graph at a time, in its own process or
-in forked children: the caches here are filled before any fork, and each
-process holds one graph's working set at a time.
+broadcasts.  Each process builds once, read-only, each 2D pair integral and
+the 4D grid's axes and per-axis chart weight factors, and keeps no full 4D
+array.  Each integral is one pass over blocks (rows of the pair grid, whole
+first-axis slices of the 4D grid or of the samples).  On a block, _edge
+gives each edge's gradient columns and squared distance; the distances fill
+the three excision masks (_fill_masks) and the gradients the integrand, a
+graph's through a reused Jacobian buffer whose determinants are scaled by
+the block's slice of the chart weight.  The nested masks multiply the
+integrand in place, the widest first, and each sum runs over the whole grid
+(_excised), in the order of one full-grid pass.  Only starq.graphs imports
+this module, and only to integrate a weight, so the exact commands never
+load numpy; graphs.kontsevich_weights calls grid_weight or mc_weight one
+graph at a time, in its own process or a forked child.
 """
 
 import functools
@@ -33,17 +27,11 @@ import math
 
 import numpy as np
 
-from .graphs import L, R, WeightResult
+from .graphs import L, R, IntegrationFailure, WeightResult
 
 _GRID_NODES_4D = 24               # per axis, non-factorizable 4D integrals
 _DET_BLOCK = 16384                # points per np.linalg.det call
 _PAIR_ROWS = 16                   # rows per block of a 2D pair integral
-
-
-def _frozen(a):
-    """Mark a cached array read-only, so an in-place edit raises."""
-    a.flags.writeable = False
-    return a
 
 
 # With A = w - z and B = w - zbar, the z-gradient is Im(-1/A + 1/B) and
@@ -74,68 +62,7 @@ def _richardson(vals):
 
 
 # ---------------------------------------------------------------------------
-# 2D pair integrals
-
-@functools.cache
-def _pair_integral_2d(p, q, M, eta):
-    """int_H d phi(z,p) ^ d phi(z,q) with eta-excision and Richardson in eta.
-
-    The integrand J and the three excision masks are filled _PAIR_ROWS rows
-    at a time by _pair_rows, with the chart taken on each row block.  J is
-    multiplied by the masks in place, and each sum still runs over the
-    whole M x M array, so its pairwise order is that of one full-grid
-    pass."""
-    s = (np.arange(M) + 0.5) / M
-    J = np.empty((M, M))
-    eps2 = [e ** 2 for e in (eta, eta / 2, eta / 4)]
-    masks = [np.empty((M, M), dtype=bool) for _ in eps2]
-    for lo in range(0, M, _PAIR_ROWS):
-        rows = slice(lo, lo + _PAIR_ROWS)
-        _pair_rows(s[rows, None], s[None, :], p, q, eps2, J[rows],
-                   [mask[rows] for mask in masks])
-    return _richardson([float(np.sum(a)) for a in _excised(J, masks)][::-1])
-
-
-def _pair_rows(u, v, p, q, eps2, J, masks):
-    """One row block of the M x M pair integral, M = v.size: J and the
-    masks at the chart of the unit-square rows u and columns v.  The
-    block's temporaries end with the call, so none outlives its block."""
-    M = v.size
-    ((X, Y),), W = _chart([u, v])
-    d1x, d1y = _grad_phi_boundary(X, Y, p)
-    d2x, d2y = _grad_phi_boundary(X, Y, q)
-    J[...] = (d1x * d2y - d1y * d2x) * (W / (M * M))
-    dist_p = (X - p) ** 2 + Y ** 2
-    dist_q = (X - q) ** 2 + Y ** 2
-    for mask, e2 in zip(masks, eps2):
-        np.logical_and(dist_p > e2, dist_q > e2, out=mask)
-
-
-def _excised(J, masks):
-    """J * mask for each of the masks in reverse order, eta/4 first, each
-    product written over J and returned before the next is taken.
-
-    The masks are nested (eta within eta/2 within eta/4), and x * 1 * 0 is
-    x * 0, the same signed zero, so each product equals J * mask alone bit
-    for bit, with no full-size temporary."""
-    for mask in reversed(masks):
-        yield np.multiply(J, mask, out=J)
-
-
-def _vertex_boundary_points(G, i):
-    pts = []
-    for t in G.targets[i - 1]:
-        if t == L:
-            pts.append(0.0)
-        elif t == R:
-            pts.append(1.0)
-        else:
-            return None
-    return pts
-
-
-# ---------------------------------------------------------------------------
-# Jacobian assembly, shared by the 4D grid and Monte Carlo
+# chart, edges and excision, shared by every integral
 
 def _chart_factors(flat):
     """Points of H^n and the Jacobian of the unit-cube map, one factor per
@@ -165,36 +92,80 @@ def _product(factors):
     return weight
 
 
-def _chart(flat):
-    """Points of H^n and the Jacobian weight of the unit-cube map, which
-    has the broadcast shape."""
-    pos, factors = _chart_factors(flat)
-    return pos, _product(factors)
-
-
-def _edge_field(i, t, pos):
-    """The edge (i, t)'s row of the Jacobian, as (column, values) pairs for
-    its nonzero columns."""
+def _edge(i, t, pos):
+    """The edge (i, t) at the points pos: its row of the Jacobian, as
+    (column, values) pairs for its nonzero columns, and the squared
+    distance from vertex i to the target t."""
     zx, zy = pos[i - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         if t in (L, R):
-            dx, dy = _grad_phi_boundary(zx, zy, 0.0 if t == L else 1.0)
-            return ((2 * i - 2, dx), (2 * i - 1, dy))
+            w = 0.0 if t == L else 1.0
+            dx, dy = _grad_phi_boundary(zx, zy, w)
+            return ((2 * i - 2, dx), (2 * i - 1, dy)), (zx - w) ** 2 + zy ** 2
         wx, wy = pos[t - 1]
         dzx, dzy, dwx, dwy = _grad_phi_full(zx, zy, wx, wy)
-        return ((2 * i - 2, dzx), (2 * i - 1, dzy),
-                (2 * t - 2, dwx), (2 * t - 1, dwy))
+        return (((2 * i - 2, dzx), (2 * i - 1, dzy),
+                 (2 * t - 2, dwx), (2 * t - 1, dwy)),
+                (zx - wx) ** 2 + (zy - wy) ** 2)
 
 
-def _edge_dist2(i, t, pos):
-    """Squared distance from vertex i to the edge's target t."""
-    zx, zy = pos[i - 1]
-    if t in (L, R):
-        w = 0.0 if t == L else 1.0
-        return (zx - w) ** 2 + zy ** 2
-    wx, wy = pos[t - 1]
-    return (zx - wx) ** 2 + (zy - wy) ** 2
+def _fill_masks(masks, dists, eta):
+    """Set the masks, for e = eta, eta/2, eta/4, to the points whose
+    squared distances dists to every edge's target exceed e^2."""
+    for mask, e in zip(masks, (eta, eta / 2, eta / 4)):
+        e2 = e ** 2
+        np.greater(dists[0], e2, out=mask)
+        for dist2 in dists[1:]:
+            mask &= dist2 > e2
 
+
+def _excised(J, masks, eta):
+    """J * mask for each of the masks in reverse order, eta/4 first, each
+    product written over J and returned before the next is taken.
+
+    The masks are nested (eta within eta/2 within eta/4), and x * 1 * 0 is
+    x * 0, the same signed zero, so each product equals J * mask alone bit
+    for bit, with no full-size temporary.  Nested masks are equal when
+    their counts are: if the eta mask keeps what the eta/4 mask keeps, the
+    Richardson step would measure nothing, and this raises
+    IntegrationFailure instead."""
+    if np.count_nonzero(masks[0]) == np.count_nonzero(masks[-1]):
+        raise IntegrationFailure(
+            f"eta {eta!r} excises the same points as eta/4, so the "
+            f"Richardson step in eta measures nothing")
+    return (np.multiply(J, mask, out=J) for mask in reversed(masks))
+
+
+# ---------------------------------------------------------------------------
+# 2D pair integrals
+
+@functools.cache
+def _pair_integral_2d(a, b, M, eta):
+    """int_H d phi(z,a) ^ d phi(z,b), a and b each L or R, with
+    eta-excision and Richardson in eta.
+
+    J and the masks are filled _PAIR_ROWS rows at a time, from the chart
+    and both edges on the rows.  The distances are dropped once they fill
+    the masks, and the gradients once they fill J, so no block's arrays
+    meet the next block's; each sum runs over the whole M x M array."""
+    s = (np.arange(M) + 0.5) / M
+    J = np.empty((M, M))
+    masks = [np.empty((M, M), dtype=bool) for _ in range(3)]
+    for lo in range(0, M, _PAIR_ROWS):
+        rows = slice(lo, lo + _PAIR_ROWS)
+        pos, factors = _chart_factors([s[rows, None], s[None, :]])
+        (((_, d1x), (_, d1y)), dist_a) = _edge(1, a, pos)
+        (((_, d2x), (_, d2y)), dist_b) = _edge(1, b, pos)
+        _fill_masks([mask[rows] for mask in masks], (dist_a, dist_b), eta)
+        del dist_a, dist_b
+        J[rows] = (d1x * d2y - d1y * d2x) * (_product(factors) / (M * M))
+        del d1x, d1y, d2x, d2y
+    return _richardson(
+        [float(np.sum(v)) for v in _excised(J, masks, eta)][::-1])
+
+
+# ---------------------------------------------------------------------------
+# Jacobian determinants, shared by the 4D grid and Monte Carlo
 
 def _blocks(shape):
     """(lo, hi) ranges of shape's first axis holding about _DET_BLOCK
@@ -212,17 +183,16 @@ def _block_pos(pos, shape, lo, hi):
                        for a in xy) for xy in pos)
 
 
-def _integrand(edges, pos, factors):
+def _integrand(edges, pos, factors, eta):
     """det(Jacobian) times the chart weight, the product of factors, at
-    every point of their broadcast shape, which pos broadcasts to.
+    every point of their broadcast shape, which pos broadcasts to, and the
+    three excision masks there, filled in one pass over _blocks.
 
-    The rows fill one reused (dim, dim, points) buffer, a block of whole
-    first-axis slices at a time, each edge's row from _edge_field on the
-    block's slices of pos; np.linalg.det reads the buffer through a
-    (points, dim, dim) view and copies each matrix for LAPACK, so each
+    On each block, _edge gives every edge's row of one reused (dim, dim,
+    points) buffer and its distances for the masks.  np.linalg.det copies
+    each matrix of the buffer's (points, dim, dim) view for LAPACK, so each
     determinant is the one a single call on the full stack gives.  Each
-    block is scaled by its slice of the weight, the product of the
-    factors' slices in the same order."""
+    block is scaled by the product of the factors' slices, in order."""
     dim = len(edges)
     shape = np.broadcast_shapes(*(f.shape for f in factors))
     blocks = _blocks(shape)
@@ -231,36 +201,25 @@ def _integrand(edges, pos, factors):
     buf = np.zeros((dim, dim, step * inner))
     slices = buf.reshape((dim, dim, step) + shape[1:])
     det = np.empty(shape)
+    masks = [np.empty(shape, dtype=bool) for _ in range(3)]
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo, hi in blocks:
             n = hi - lo
             block = _block_pos(pos, shape, lo, hi)
+            dists = []
             for r, (i, t) in enumerate(edges):
-                for c, values in _edge_field(i, t, block):
+                columns, dist2 = _edge(i, t, block)
+                for c, values in columns:
                     slices[r, c, :n] = values
+                dists.append(dist2)
+            _fill_masks([mask[lo:hi] for mask in masks], dists, eta)
             stack = buf[:, :, :n * inner].transpose(2, 0, 1)
             weight = _product(np.broadcast_to(f, shape)[lo:hi]
                               for f in factors)
             np.multiply(np.linalg.det(stack).reshape(weight.shape), weight,
                         out=det[lo:hi])
-    return np.nan_to_num(det, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
-
-
-def _masks(edges, pos, eta):
-    """Points farther than e from every edge's target, e = eta, eta/2,
-    eta/4, filled by the blocks of _integrand from distances taken on each
-    block."""
-    shape = np.broadcast_shapes(*(a.shape for xy in pos for a in xy))
-    eps2 = [e ** 2 for e in (eta, eta / 2, eta / 4)]
-    masks = [np.empty(shape, dtype=bool) for _ in eps2]
-    for lo, hi in _blocks(shape):
-        block = _block_pos(pos, shape, lo, hi)
-        dists = [_edge_dist2(i, t, block) for i, t in edges]
-        for mask, e2 in zip(masks, eps2):
-            np.greater(dists[0], e2, out=mask[lo:hi])
-            for dist2 in dists[1:]:
-                mask[lo:hi] &= dist2 > e2
-    return masks
+    np.nan_to_num(det, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
+    return det, masks
 
 
 @functools.cache
@@ -272,8 +231,9 @@ def _grid_4d():
     pos, factors = _chart_factors(
         [axis.reshape([M if d == k else 1 for d in range(4)])
          for k in range(4)])
-    return (tuple((_frozen(x), _frozen(y)) for x, y in pos),
-            tuple(_frozen(f) for f in factors))
+    for a in [a for xy in pos for a in xy] + list(factors):
+        a.flags.writeable = False         # an in-place edit raises
+    return pos, factors
 
 
 def _norm(n):
@@ -288,8 +248,7 @@ def _norm(n):
 def grid_weight(G, cfg):
     n = G.n
     if n == 1:
-        p, q = _vertex_boundary_points(G, 1)
-        val, err = _pair_integral_2d(p, q, cfg.grid_nodes, cfg.eta)
+        val, err = _pair_integral_2d(*G.targets[0], cfg.grid_nodes, cfg.eta)
         norm = _norm(1)
         return WeightResult(val / norm, err / norm + 1e-12,
                             cfg.grid_nodes ** 2, cfg.seed)
@@ -297,20 +256,18 @@ def grid_weight(G, cfg):
         # factorizes into independent per-vertex 2D integrals
         total = 1.0
         err_rel = 0.0
-        for i in (1, 2):
-            p, q = _vertex_boundary_points(G, i)
-            val, err = _pair_integral_2d(p, q, cfg.grid_nodes, cfg.eta)
+        for targets in G.targets:
+            val, err = _pair_integral_2d(*targets, cfg.grid_nodes, cfg.eta)
             err_rel += err / max(abs(val), 1e-30)
             total *= val
         norm = _norm(2)
         return WeightResult(total / norm, abs(total) * err_rel / norm + 1e-12,
                             2 * cfg.grid_nodes ** 2, cfg.seed)
-    edges = G.edge_list()
     pos, factors = _grid_4d()
-    integrand = _integrand(edges, pos, factors)
+    integrand, masks = _integrand(G.edge_list(), pos, factors, cfg.eta)
     cells = _GRID_NODES_4D ** 4
     vals = [float(np.sum(a)) / cells
-            for a in _excised(integrand, _masks(edges, pos, cfg.eta))]
+            for a in _excised(integrand, masks, cfg.eta)]
     r2, err = _richardson(vals[::-1])
     norm = _norm(n)
     return WeightResult(r2 / norm, err / norm + 1e-12, cells, cfg.seed)
@@ -319,11 +276,11 @@ def grid_weight(G, cfg):
 def mc_weight(G, cfg):
     rng = np.random.default_rng(cfg.seed)
     count = cfg.samples
-    pos, weight = _chart([rng.random(count) for _ in range(2 * G.n)])
-    edges = G.edge_list()
-    integrand = _integrand(edges, pos, (weight,))
+    pos, factors = _chart_factors([rng.random(count)
+                                   for _ in range(2 * G.n)])
+    integrand, masks = _integrand(G.edge_list(), pos, factors, cfg.eta)
     vals = []
-    for a in _excised(integrand, _masks(edges, pos, cfg.eta)):
+    for a in _excised(integrand, masks, cfg.eta):
         if not vals:                # the eta/4 product
             sd = float(np.std(a)) / math.sqrt(count)
         vals.append(float(np.mean(a)))

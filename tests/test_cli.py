@@ -371,6 +371,60 @@ def test_malformed_input_exit_2(argv, content, error, tmp_path, capsys):
         [str(path) if a == "FILE" else a for a in argv], capsys, error)
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_bivector_entry_exit_2(entry, tmp_path, capsys):
+    """A bivector entry that is not finite is named as such, not reported
+    as a bivector that fails to be antisymmetric."""
+    path = tmp_path / "alpha.json"
+    path.write_text('{"constant": [[0, %s], [-1, 0]]}' % entry)
+    code, out = invoke(["star-kontsevich", "--order", "1", "--alpha-path",
+                        str(path)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert (code, out) == (2, b"")
+    assert [json.loads(line) for line in err] == [
+        {"error": "ValidationError",
+         "message": f"bivector entry [0][1] = {float(entry)!r} is not "
+                    f"finite"}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--n", "1", "--eta", "1e-5"],
+    ["weights", "--n", "1", "--eta", "1e153"],
+    ["weights", "--n", "1", "--method", "mc", "--tol", "1", "--eta", "1e-5"],
+    ["weights", "--n", "1", "--method", "mc", "--tol", "1", "--eta",
+     "1e153"],
+], ids=lambda argv: " ".join(argv[3:]))
+def test_excision_radius_that_measures_nothing_exits_3(argv, capsys):
+    """An eta that excises no grid point or sample beyond eta/4 (1e-5), or
+    every one (1e153), gives three equal integrals: the Richardson step
+    measures nothing, so the run fails instead of reporting its error
+    estimate of 1e-12."""
+    code, out = invoke(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert (code, out, len(err)) == (3, b"", 1)
+    eta = float(argv[argv.index("--eta") + 1])
+    assert json.loads(err[0]) == {
+        "error": "IntegrationFailure",
+        "message": f"eta {eta!r} excises the same points as eta/4, so the "
+                   f"Richardson step in eta measures nothing"}
+
+
+def test_eta_with_an_overflowing_square_exits_2_before_numpy():
+    """An eta whose square overflows is refused as input before numpy
+    loads; the excision's eta ** 2 raised OverflowError (exit 3)."""
+    code = (
+        "import sys, starq.cli\n"
+        "rc = starq.cli.main(['weights', '--n', '1', '--eta', '1e155'])\n"
+        "assert rc == 2, rc\n"
+        "assert 'numpy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+        {"error": "ValidationError",
+         "message": "eta must be > 0 with a finite square"}]
+
+
 def _potential_file(n=1, max_degree=12, dz=(1,), re="1", phi=()):
     """An n = 1 potential file z zbar, with one field of the jet replaced."""
     term = {"dz": list(dz), "dzbar": [1], "re": re, "im": "0"}

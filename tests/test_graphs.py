@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -169,16 +171,17 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
     _usable_cpus(monkeypatch, 1)
     graphs_edges, grads = [], []
 
-    def counted_integrand(edges, pos, factors,
+    def counted_integrand(edges, pos, factors, eta,
                           _integrand=quadrature._integrand):
         graphs_edges.append((edges, []))
-        return _integrand(edges, pos, factors)
+        return _integrand(edges, pos, factors, eta)
 
-    def counted_field(i, t, pos, _field=quadrature._edge_field):
-        graphs_edges[-1][1].append((i, t, np.array(pos[0][0])))
-        return _field(i, t, pos)
+    def counted_edge(i, t, pos, _edge=quadrature._edge):
+        if len(pos) == 2:             # a 4D block, not a pair-integral row
+            graphs_edges[-1][1].append((i, t, np.array(pos[0][0])))
+        return _edge(i, t, pos)
     monkeypatch.setattr(quadrature, "_integrand", counted_integrand)
-    monkeypatch.setattr(quadrature, "_edge_field", counted_field)
+    monkeypatch.setattr(quadrature, "_edge", counted_edge)
     for name in ("_grad_phi_boundary", "_grad_phi_full"):
         def counted(zx, zy, *rest, _name=name, _grad=getattr(quadrature, name)):
             shape = np.broadcast_shapes(np.shape(zx), np.shape(zy),
@@ -197,7 +200,7 @@ def test_weight_grid_fields_built_once(monkeypatch, capsys):
     assert quadrature._pair_integral_2d.cache_info().misses == 1
     assert quadrature._grid_4d.cache_info().misses == 1
     s = (np.arange(800) + 0.5) / 800
-    ((X, _),), _ = quadrature._chart([s[:, None], s[None, :]])
+    ((X, _),), _ = quadrature._chart_factors([s[:, None], s[None, :]])
     pair = [g for g in grads if g[1][-1] == 800]
     assert {g[0] for g in pair} == {"_grad_phi_boundary"}
     assert {rest for *_, rest in pair} == {(0.0,), (1.0,)}
@@ -268,15 +271,20 @@ def test_pair_integral_peaks_under_integrand_masks_and_a_megabyte():
     blocks of _PAIR_ROWS rows."""
     import tracemalloc
     from starq import quadrature
-    quadrature._chart([0.5, 0.5])
+    quadrature._chart_factors([0.5, 0.5])
     M = 800
     tracemalloc.start()
     try:
-        quadrature._pair_integral_2d.__wrapped__(0.0, 1.0, M, 0.1)
+        quadrature._pair_integral_2d.__wrapped__(L, R, M, 0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert M * M * 8 + 3 * M * M < peak < M * M * 8 + 3 * M * M + 10 ** 6
+
+
+# The boundary target of each point of the real axis that a pair integral
+# takes: L at 0, R at 1.
+_TARGET = {0.0: L, 1.0: R}
 
 
 def _full_grid_pair_integral(p, q, M, eta):
@@ -284,7 +292,8 @@ def _full_grid_pair_integral(p, q, M, eta):
     import numpy as np
     from starq import quadrature
     s = (np.arange(M) + 0.5) / M
-    ((X, Y),), W = quadrature._chart([s[:, None], s[None, :]])
+    ((X, Y),), factors = quadrature._chart_factors([s[:, None], s[None, :]])
+    W = quadrature._product(factors)
     d1x, d1y = quadrature._grad_phi_boundary(X, Y, p)
     d2x, d2y = quadrature._grad_phi_boundary(X, Y, q)
     J = (d1x * d2y - d1y * d2x) * (W / (M * M))
@@ -305,7 +314,8 @@ def test_row_blocked_pair_integral_matches_full_grid(M, p, q):
     rows) and at M = 128, a multiple of the block."""
     from starq import quadrature
     eta = IntegrationConfig().eta
-    got = quadrature._pair_integral_2d.__wrapped__(p, q, M, eta)
+    got = quadrature._pair_integral_2d.__wrapped__(_TARGET[p], _TARGET[q], M,
+                                                   eta)
     want = _full_grid_pair_integral(p, q, M, eta)
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -332,9 +342,9 @@ def test_edge_fields_per_block_match_the_full_grid(monkeypatch, block):
     full = {}
     for i, t in ((1, L), (1, R), (2, L), (2, R), (1, 2), (2, 1)):
         with np.errstate(divide="ignore", invalid="ignore"):
-            want = quadrature._edge_field(i, t, pos)
-            parts = [quadrature._edge_field(
-                i, t, quadrature._block_pos(pos, shape, lo, hi))
+            want = quadrature._edge(i, t, pos)[0]
+            parts = [quadrature._edge(
+                i, t, quadrature._block_pos(pos, shape, lo, hi))[0]
                 for lo, hi in blocks]
         assert all([c for c, _ in part] == [c for c, _ in want]
                    for part in parts)
@@ -355,10 +365,22 @@ def _full_grid_masks(edges, pos, eta):
     for e in (eta, eta / 2, eta / 4):
         mask = None
         for i, t in edges:
-            far = quadrature._edge_dist2(i, t, pos) > e ** 2
+            far = quadrature._edge(i, t, pos)[1] > e ** 2
             mask = far if mask is None else mask & far
         out.append(mask)
     return out
+
+
+def _skip_jacobians(monkeypatch):
+    """Make every angle gradient and determinant zero: the excision masks
+    read neither, and the 36 graphs' 24^4 Jacobians would take seconds."""
+    import numpy as np
+    from starq import quadrature
+    monkeypatch.setattr(quadrature, "_grad_phi_boundary",
+                        lambda zx, zy, w: (0.0, 0.0))
+    monkeypatch.setattr(quadrature, "_grad_phi_full",
+                        lambda zx, zy, wx, wy: (0.0,) * 4)
+    monkeypatch.setattr(np.linalg, "det", lambda a: np.zeros(a.shape[:-2]))
 
 
 @pytest.mark.parametrize("block", [None, 5 * 24 ** 3])
@@ -372,20 +394,21 @@ def test_blockwise_masks_match_full_grid_distances(monkeypatch, block):
     from starq import quadrature
     if block is not None:
         monkeypatch.setattr(quadrature, "_DET_BLOCK", block)
+    _skip_jacobians(monkeypatch)
     eta = IntegrationConfig().eta
     rng = np.random.default_rng(5)
-    mc_pos, _ = quadrature._chart([rng.random(40000) for _ in range(4)])
+    mc = quadrature._chart_factors([rng.random(40000) for _ in range(4)])
     grid_pos = quadrature._grid_4d()[0]
     for G in enumerate_kgraphs(2):
         edges = G.edge_list()
-        for pos in (grid_pos, mc_pos):
-            got = quadrature._masks(edges, pos, eta)
+        for pos, factors in (quadrature._grid_4d(), mc):
+            got = quadrature._integrand(edges, pos, factors, eta)[1]
             want = _full_grid_masks(edges, pos, eta)
             assert [m.shape for m in got] == [m.shape for m in want]
             assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
     ref, _ = _meshgrid_chart()
     for i, t in ((1, 2), (2, 1)):
-        dist2 = np.broadcast_to(quadrature._edge_dist2(i, t, grid_pos),
+        dist2 = np.broadcast_to(quadrature._edge(i, t, grid_pos)[1],
                                 ref[0].shape)
         want = (ref[0] - ref[2]) ** 2 + (ref[1] - ref[3]) ** 2
         assert np.ascontiguousarray(dist2).tobytes() == want.tobytes()
@@ -418,9 +441,9 @@ def test_blockwise_determinant_matches_one_call(monkeypatch, block):
     if block is not None:
         monkeypatch.setattr(quadrature, "_DET_BLOCK", block)
     rng = np.random.default_rng(5)
-    mc_flat = [rng.random(40000) for _ in range(4)]
-    mc_pos, mc_weight = quadrature._chart(mc_flat)
-    _, mc_factors = quadrature._chart_factors(mc_flat)
+    mc_pos, mc_factors = quadrature._chart_factors(
+        [rng.random(40000) for _ in range(4)])
+    mc_weight = quadrature._product(mc_factors)
     _, grid_weight = _meshgrid_chart()
     internal = [g for g in enumerate_kgraphs(2) if g.has_internal_edge()]
     grid_pos, grid_factors = quadrature._grid_4d()
@@ -431,8 +454,8 @@ def test_blockwise_determinant_matches_one_call(monkeypatch, block):
                  (mc_pos, mc_factors, mc_weight))
         for pos, factors, weight in cases:
             with np.errstate(divide="ignore", invalid="ignore"):
-                fields = [quadrature._edge_field(i, t, pos) for i, t in edges]
-            got = quadrature._integrand(edges, pos, factors)
+                fields = [quadrature._edge(i, t, pos)[0] for i, t in edges]
+            got, _ = quadrature._integrand(edges, pos, factors, 0.1)
             want = _one_det_integrand(fields, weight)
             assert got.tobytes() == want.tobytes()
 
@@ -443,9 +466,9 @@ def _pair_masks(monkeypatch, p, q, M, eta):
     from starq import quadrature
     seen = []
 
-    def recording(J, masks, _excised=quadrature._excised):
+    def recording(J, masks, eta, _excised=quadrature._excised):
         seen.extend(m.copy() for m in masks)
-        return _excised(J, masks)
+        return _excised(J, masks, eta)
     monkeypatch.setattr(quadrature, "_excised", recording)
     quadrature._pair_integral_2d.__wrapped__(p, q, M, eta)
     monkeypatch.undo()
@@ -461,12 +484,14 @@ def test_excision_masks_are_nested(monkeypatch):
     from starq import quadrature
     eta = IntegrationConfig().eta
     cases = [_pair_masks(monkeypatch, p, q, 800, eta)
-             for p, q in ((0.0, 1.0), (1.0, 1.0))]
+             for p, q in ((L, R), (R, R))]
+    _skip_jacobians(monkeypatch)
     rng = np.random.default_rng(5)
-    mc_pos, _ = quadrature._chart([rng.random(40000) for _ in range(4)])
+    mc = quadrature._chart_factors([rng.random(40000) for _ in range(4)])
     for G in enumerate_kgraphs(2):
-        for pos in (quadrature._grid_4d()[0], mc_pos):
-            cases.append(quadrature._masks(G.edge_list(), pos, eta))
+        for pos, factors in (quadrature._grid_4d(), mc):
+            cases.append(quadrature._integrand(G.edge_list(), pos, factors,
+                                               eta)[1])
     for masks in cases:
         assert len(masks) == 3
         for inner, outer in zip(masks, masks[1:]):
@@ -481,10 +506,9 @@ def _old_grid_weight(G, cfg):
     from starq import quadrature
     edges = G.edge_list()
     pos, factors = quadrature._grid_4d()
-    integrand = quadrature._integrand(edges, pos, factors)
+    integrand, masks = quadrature._integrand(edges, pos, factors, cfg.eta)
     cells = 24 ** 4
-    vals = [float(np.sum(integrand * mask)) / cells
-            for mask in quadrature._masks(edges, pos, cfg.eta)]
+    vals = [float(np.sum(integrand * mask)) / cells for mask in masks]
     r2, err = quadrature._richardson(vals)
     norm = quadrature._norm(G.n)
     return starq.graphs.WeightResult(r2 / norm, err / norm + 1e-12, cells,
@@ -492,15 +516,15 @@ def _old_grid_weight(G, cfg):
 
 
 def _old_mc_weight(G, cfg):
-    """mc_weight with each mask's product a fresh array."""
+    """mc_weight with the chart weight formed whole and each mask's product
+    a fresh array."""
     import numpy as np
     from starq import quadrature
     rng = np.random.default_rng(cfg.seed)
-    pos, weight = quadrature._chart([rng.random(cfg.samples)
-                                     for _ in range(2 * G.n)])
-    edges = G.edge_list()
-    integrand = quadrature._integrand(edges, pos, (weight,))
-    masks = quadrature._masks(edges, pos, cfg.eta)
+    pos, factors = quadrature._chart_factors([rng.random(cfg.samples)
+                                              for _ in range(2 * G.n)])
+    integrand, masks = quadrature._integrand(
+        G.edge_list(), pos, (quadrature._product(factors),), cfg.eta)
     vals = [float(np.mean(integrand * mask)) for mask in masks]
     r2, err = quadrature._richardson(vals)
     norm = quadrature._norm(G.n)
@@ -520,17 +544,15 @@ def test_in_place_masked_sums_match_fresh_products(monkeypatch):
     cfg = IntegrationConfig(samples=40000)
     internal = [g for g in enumerate_kgraphs(2) if g.has_internal_edge()]
     rng = np.random.default_rng(5)
-    mc_pos, mc_weight = quadrature._chart([rng.random(40000)
-                                           for _ in range(4)])
-    grid_pos, grid_factors = quadrature._grid_4d()
+    mc = quadrature._chart_factors([rng.random(40000) for _ in range(4)])
     for G in (internal[0], internal[-1]):
         edges = G.edge_list()
-        for pos, factors in ((grid_pos, grid_factors), (mc_pos, (mc_weight,))):
-            J = quadrature._integrand(edges, pos, factors)
-            masks = quadrature._masks(edges, pos, cfg.eta)
+        for pos, factors in (quadrature._grid_4d(), mc):
+            J, masks = quadrature._integrand(edges, pos, factors, cfg.eta)
             assert (J < 0).any() and (J > 0).any()
             want = [(J * mask).tobytes() for mask in masks]
-            got = [a.tobytes() for a in quadrature._excised(J, masks)]
+            got = [a.tobytes()
+                   for a in quadrature._excised(J, masks, cfg.eta)]
             assert got[::-1] == want
         for new, old in ((quadrature.grid_weight, _old_grid_weight),
                          (quadrature.mc_weight, _old_mc_weight)):
@@ -539,7 +561,8 @@ def test_in_place_masked_sums_match_fresh_products(monkeypatch):
                 == (want.value.hex(), want.error_estimate.hex())
             assert got == want
     for p, q in ((0.0, 1.0), (1.0, 1.0)):
-        got = quadrature._pair_integral_2d.__wrapped__(p, q, 800, cfg.eta)
+        got = quadrature._pair_integral_2d.__wrapped__(_TARGET[p], _TARGET[q],
+                                                       800, cfg.eta)
         want = _full_grid_pair_integral(p, q, 800, cfg.eta)
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -593,8 +616,8 @@ def test_angle_gradients_match_two_division_formulas():
     from starq import quadrature
     rng = np.random.default_rng(3)
     s = (np.arange(800) + 0.5) / 800
-    ((X, Y),), _ = quadrature._chart([s[:, None], s[None, :]])
-    mc, _ = quadrature._chart([rng.random(20000) for _ in range(4)])
+    ((X, Y),), _ = quadrature._chart_factors([s[:, None], s[None, :]])
+    mc, _ = quadrature._chart_factors([rng.random(20000) for _ in range(4)])
     grid, _ = quadrature._grid_4d()
     with np.errstate(divide="ignore", invalid="ignore"):
         for (zx, zy), w in [((X, Y), 0.0), ((X, Y), 1.0), (mc[0], 1.0),
@@ -620,11 +643,10 @@ def test_weight_guard_and_failure():
                           IntegrationConfig(grid_nodes=40, tol=1e-6))
 
 
-def _internal_graphs():
-    """The canonical n = 2 graphs with an internal edge in enumeration
-    order: the misses that kontsevich_weights deals over its workers."""
-    return list(dict.fromkeys(G.canonical() for G in enumerate_kgraphs(2)
-                              if G.has_internal_edge()))
+def _misses():
+    """The canonical n = 2 graphs in enumeration order: the misses that
+    kontsevich_weights deals over its workers from an empty cache."""
+    return list(dict.fromkeys(G.canonical() for G in enumerate_kgraphs(2)))
 
 
 def _labelled_weight(G, cfg):
@@ -636,11 +658,10 @@ def _labelled_weight(G, cfg):
                                      os.getpid(), cfg.seed)
 
 
-def test_weights_deal_internal_edge_graphs_over_forked_workers(monkeypatch):
-    """On two usable CPUs the internal-edge graphs alternate between this
-    process and one child, every other graph stays here, each result comes
-    back to its own graph, and the results equal those on one CPU; no
-    child is left."""
+def test_weights_deal_every_miss_over_forked_workers(monkeypatch):
+    """On two usable CPUs the misses alternate between this process and
+    one child, each result comes back to its own graph, and the results
+    equal those on one CPU; no child is left."""
     from starq import quadrature
     from starq.graphs import kontsevich_weights
     monkeypatch.setattr(quadrature, "grid_weight", _labelled_weight)
@@ -659,11 +680,11 @@ def test_weights_deal_internal_edge_graphs_over_forked_workers(monkeypatch):
     assert {w.samples_or_cells for w in runs[1]} == {here}
     pids = {G.canonical(): w.samples_or_cells
             for G, w in zip(graphs, runs[2])}
-    internal = _internal_graphs()
-    assert {pids[G] for G in internal[0::2]} == {here}
-    (child,) = {pids[G] for G in internal[1::2]}
+    misses = _misses()
+    assert set(pids) == set(misses)
+    assert {pids[G] for G in misses[0::2]} == {here}
+    (child,) = {pids[G] for G in misses[1::2]}
     assert child != here
-    assert {pids[G] for G in pids if G not in internal} == {here}
 
 
 _TOL_MESSAGE = "weight error estimate 1.00e+00 exceeds tolerance 5.00e-03"
@@ -679,21 +700,21 @@ _TOL_MESSAGE = "weight error estimate 1.00e+00 exceeds tolerance 5.00e-03"
 ])
 def test_weights_fail_on_the_first_failing_graph_in_order(
         monkeypatch, capsys, failing, error, message):
-    """With two usable CPUs the even internal-edge graphs run here and the
-    odd ones in a child.  An exception raised in either process, or an
-    error estimate above tol, fails weights --n 2 as one graph at a time
-    would: the first failing graph in enumeration order decides, with exit
-    3 and one JSON line, and no child is left."""
+    """With two usable CPUs the even misses run here and the odd ones in a
+    child.  An exception raised in either process, or an error estimate
+    above tol, fails weights --n 2 as one graph at a time would: the first
+    failing graph in enumeration order decides, with exit 3 and one JSON
+    line, and no child is left."""
     from starq import quadrature
     from starq.cli import main
-    internal = _internal_graphs()
+    misses = _misses()
     here = os.getpid()
 
     def failing_weight(G, cfg):
-        kind = failing.get(internal.index(G)) if G in internal else None
+        kind = failing.get(misses.index(G))
         if kind == "raise":
             where = "here" if os.getpid() == here else "child"
-            raise FloatingPointError(f"{where} {internal.index(G)}")
+            raise FloatingPointError(f"{where} {misses.index(G)}")
         return starq.graphs.WeightResult(0.0, float(kind == "tol"), 1,
                                          cfg.seed)
     _usable_cpus(monkeypatch, 2)
@@ -754,6 +775,49 @@ def test_interrupted_weights_kill_their_workers(monkeypatch):
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# Run weights --n 2 in a fresh interpreter that sees two usable CPUs, with
+# the report sent to the file argv[1], and print one JSON line: per fork of
+# this process, whether numpy was loaded and how many pair integrals and 4D
+# grids quadrature had cached.
+_FORK_SPY = """\
+import json, os, sys
+from starq.cli import main
+os.sched_getaffinity = lambda pid: {0, 1}
+forks = []
+_fork = os.fork
+
+
+def fork():
+    quadrature = sys.modules.get("starq.quadrature")
+    forks.append({"numpy": "numpy" in sys.modules, "cached": quadrature and [
+        quadrature._pair_integral_2d.cache_info().currsize,
+        quadrature._grid_4d.cache_info().currsize]})
+    return _fork()
+
+
+os.fork = fork
+assert main(["weights", "--n", "2", "--out", sys.argv[1]]) == 0
+print(json.dumps(forks))
+"""
+
+
+def test_weights_load_numpy_and_integrate_nothing_before_forking(tmp_path):
+    """On two usable CPUs weights --n 2 forks one child, with numpy loaded,
+    so the child does not import it again, and with nothing integrated or
+    built: every miss, the pair-integral graphs too, is dealt, and each
+    process fills its own caches.  The report keeps the weights-n2 pin."""
+    import hashlib
+    from test_cli import PINS, _subprocess_env
+    report = tmp_path / "weights.json"
+    proc = subprocess.run([sys.executable, "-c", _FORK_SPY, str(report)],
+                          env=_subprocess_env(), capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [{"numpy": True, "cached": [0, 0]}]
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == json.loads(
+        PINS.read_text())["weights-n2"]
 
 
 # ---------------------------------------------------------------------------
