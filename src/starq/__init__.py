@@ -46,6 +46,8 @@ MAX_SAMPLES = 2_000_000
 # dimension 2 * MAX_N, since d_gamma walks d^(2n) index labelings.
 MAX_N = 6
 
+FLOAT_MAX = 1.7976931348623157e308        # sys.float_info.max
+
 
 def check_quadrature(cfg):
     """Raise ValidationError unless the quadrature fields of cfg (a run
@@ -57,11 +59,11 @@ def check_quadrature(cfg):
         raise ValidationError(f"samples must be in 2..{MAX_SAMPLES}")
     if not 2 <= cfg.grid_nodes <= MAX_GRID_NODES:
         raise ValidationError(f"grid_nodes must be in 2..{MAX_GRID_NODES}")
-    # the chained comparison is false for a NaN and for an infinity, and
-    # the excision compares squared distances with eta ** 2
-    if not 0 < cfg.eta < float("inf") or cfg.eta * cfg.eta == float("inf"):
+    # false for a NaN, an infinity and an int beyond the float range; the
+    # excision compares squared distances with eta ** 2
+    if not 0 < cfg.eta <= FLOAT_MAX or cfg.eta * cfg.eta > FLOAT_MAX:
         raise ValidationError("eta must be > 0 with a finite square")
-    if not 0 < cfg.tol < float("inf"):
+    if not 0 < cfg.tol <= FLOAT_MAX:
         raise ValidationError("tol must be finite and > 0")
     # a grid run would stamp a negative seed on every row, and numpy's
     # SeedSequence refuses one with a message that names no field

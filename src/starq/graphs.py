@@ -46,8 +46,8 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 
-from . import (MAX_N, QUADRATURE_FIELDS, ResourceGuard, ValidationError,
-               check_quadrature)
+from . import (FLOAT_MAX, MAX_N, QUADRATURE_FIELDS, ResourceGuard,
+               ValidationError, check_quadrature)
 
 # The exact core (jets, formal, karabegov) is imported inside the weighted-
 # graph functions: the Kontsevich commands never use it.
@@ -472,9 +472,11 @@ def load_bivector(path):
         raise ValidationError(f"bivector file {path} has no square "
                               f"numeric 'constant' matrix")
     for r, c in itertools.product(range(len(mat)), repeat=2):
-        if type(mat[r][c]) is float and not math.isfinite(mat[r][c]):
-            raise ValidationError(f"bivector entry [{r}][{c}] = "
-                                  f"{mat[r][c]!r} is not finite")
+        x = mat[r][c]
+        if not abs(x) <= FLOAT_MAX:
+            raise ValidationError(f"bivector entry [{r}][{c}] " + (
+                "is an integer beyond the float range" if type(x) is int
+                else f"= {x!r} is not finite"))
     if len(mat) > 2 * MAX_N:
         raise ResourceGuard(f"bivector has dimension {len(mat)}, above "
                             f"{2 * MAX_N}")
@@ -496,6 +498,10 @@ def load_poly(text, d):
             if isinstance(coeff, bool) or isinstance(coeff, list) \
                     and any(isinstance(x, bool) for x in coeff):
                 raise ValidationError(f"coefficient {coeff!r} is a boolean")
+            if any(type(x) is int and abs(x) > FLOAT_MAX for x in
+                   (coeff if isinstance(coeff, list) else [coeff])):
+                raise ValidationError(f"coefficient of {exps!r} has an "
+                                      f"integer beyond the float range")
             c = complex(*coeff) if isinstance(coeff, list) \
                 and len(coeff) == 2 else coeff
             # a TypeError for anything but a number or a [re, im] pair

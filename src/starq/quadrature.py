@@ -7,7 +7,7 @@ points nearer than eta to an edge's target excised and a Richardson step
 over eta, eta/2, eta/4.  The unit cube is mapped onto H^n by tangents.
 
 Both grids are products of midpoint axes, so the chart works on the axes and
-broadcasts.  Each process builds once, read-only, each 2D pair integral and
+broadcasts.  Each process builds once, read-only, the 2D pair integral and
 the 4D grid's axes and per-axis chart weight factors, and keeps no full 4D
 array.  Each integral is one pass over blocks (rows of the pair grid, whole
 first-axis slices of the 4D grid or of the samples).  On a block, _edge
@@ -140,9 +140,9 @@ def _excised(J, masks, eta):
 # 2D pair integrals
 
 @functools.cache
-def _pair_integral_2d(a, b, M, eta):
-    """int_H d phi(z,a) ^ d phi(z,b), a and b each L or R, with
-    eta-excision and Richardson in eta.
+def _pair_integral_2d(M, eta):
+    """int_H d phi(z,L) ^ d phi(z,R), with eta-excision and Richardson in
+    eta: a vertex with no internal edge has the canonical targets (L, R).
 
     J and the masks are filled _PAIR_ROWS rows at a time, from the chart
     and both edges on the rows.  The distances are dropped once they fill
@@ -154,10 +154,10 @@ def _pair_integral_2d(a, b, M, eta):
     for lo in range(0, M, _PAIR_ROWS):
         rows = slice(lo, lo + _PAIR_ROWS)
         pos, factors = _chart_factors([s[rows, None], s[None, :]])
-        (((_, d1x), (_, d1y)), dist_a) = _edge(1, a, pos)
-        (((_, d2x), (_, d2y)), dist_b) = _edge(1, b, pos)
-        _fill_masks([mask[rows] for mask in masks], (dist_a, dist_b), eta)
-        del dist_a, dist_b
+        (((_, d1x), (_, d1y)), dist_l) = _edge(1, L, pos)
+        (((_, d2x), (_, d2y)), dist_r) = _edge(1, R, pos)
+        _fill_masks([mask[rows] for mask in masks], (dist_l, dist_r), eta)
+        del dist_l, dist_r
         J[rows] = (d1x * d2y - d1y * d2x) * (_product(factors) / (M * M))
         del d1x, d1y, d2x, d2y
     return _richardson(
@@ -246,30 +246,25 @@ def _norm(n):
 # graph, so each vertex's edges come in the order L < R < 1 < 2 ...)
 
 def grid_weight(G, cfg):
-    n = G.n
-    if n == 1:
-        val, err = _pair_integral_2d(*G.targets[0], cfg.grid_nodes, cfg.eta)
-        norm = _norm(1)
-        return WeightResult(val / norm, err / norm + 1e-12,
-                            cfg.grid_nodes ** 2, cfg.seed)
+    M = cfg.grid_nodes
     if not G.has_internal_edge():
-        # factorizes into independent per-vertex 2D integrals
-        total = 1.0
-        err_rel = 0.0
-        for targets in G.targets:
-            val, err = _pair_integral_2d(*targets, cfg.grid_nodes, cfg.eta)
-            err_rel += err / max(abs(val), 1e-30)
-            total *= val
-        norm = _norm(2)
-        return WeightResult(total / norm, abs(total) * err_rel / norm + 1e-12,
-                            2 * cfg.grid_nodes ** 2, cfg.seed)
+        # factorizes into the (L, R) pair integral of each vertex
+        val, err = _pair_integral_2d(M, cfg.eta)
+        if G.n == 1:
+            return WeightResult(val / _norm(1), err / _norm(1) + 1e-12,
+                                M ** 2, cfg.seed)
+        total = val * val
+        err_rel = 2 * (err / max(abs(val), 1e-30))
+        return WeightResult(total / _norm(2),
+                            abs(total) * err_rel / _norm(2) + 1e-12,
+                            2 * M ** 2, cfg.seed)
     pos, factors = _grid_4d()
     integrand, masks = _integrand(G.edge_list(), pos, factors, cfg.eta)
     cells = _GRID_NODES_4D ** 4
     vals = [float(np.sum(a)) / cells
             for a in _excised(integrand, masks, cfg.eta)]
     r2, err = _richardson(vals[::-1])
-    norm = _norm(n)
+    norm = _norm(G.n)
     return WeightResult(r2 / norm, err / norm + 1e-12, cells, cfg.seed)
 
 

@@ -12,9 +12,9 @@ no observable, never compile it.
 Only ObservableFn.__call__ and sup_norm need numpy, and they import
 it when called, so cp1-toeplitz, which reads the band and nothing else from
 here, never loads numpy; starq.cp1 builds every dense Toeplitz matrix from
-the same band.  sup_norm draws its fixed sample of 4096 points with
-_uniform_draws, plain-Python PCG64 giving the doubles of numpy's
-default_rng, so no command loads numpy.random for it.
+the same band.  sup_norm samples 4096 points for every observable, constants
+included, with _uniform_draws: plain-Python PCG64 from numpy's state for
+seed 7, giving default_rng(7)'s doubles, so no command loads numpy.random.
 
 Derivatives are unmerged term lists from _diff_raw; laplacian_fn and
 poisson_bracket_fn share one tail that multiplies by (1+|z|^2)^2 and
@@ -90,13 +90,11 @@ class ObservableFn(namedtuple("ObservableFn", "terms")):
         return out
 
     def sup_norm(self):
-        """Supremum over a fixed sample of 4096 sphere points (exact for
-        constants)."""
-        if all(a == b == 0 for _, a, b, _ in self.terms):
-            return max(abs(sum(co * 1.0 for co, _, _, _ in self.terms)), 0.0)
+        """Supremum over a fixed sample of 4096 sphere points; a constant c
+        gives abs(c) bit for bit."""
         import numpy as np
         cth, phi = map(np.array, _uniform_draws(
-            7, ((-1.0, 1.0), (0.0, TWO_PI)), 4096))
+            ((-1.0, 1.0), (0.0, TWO_PI)), 4096))
         t = (1 - cth) / (1 + cth)
         z = np.sqrt(t) * np.exp(1j * phi)
         return float(np.max(np.abs(self(z))))
@@ -126,26 +124,18 @@ MAX_PRODUCTS = 1 << 22
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?j?)|(?P<name>zbar|zz|z)"
-    r"|(?P<op>[-+*/^()]))")
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
 def _tokenize(text):
+    # every non-space character begins a match, so none is skipped
     out = []
-    pos = 0
-    while pos < len(text):
-        mt = _TOKEN_RE.match(text, pos)
-        if mt is None or mt.end() == pos:
-            bad = pos
-            while bad < len(text) and text[bad].isspace():
-                bad += 1
-            if bad == len(text):
-                break
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        if mt.lastgroup is None:
-            break
+    for mt in _TOKEN_RE.finditer(text):
         kind = mt.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {mt.group(kind)!r}",
+                             mt.start(kind))
         out.append((kind, mt.group(kind), mt.start(kind)))
-        pos = mt.end()
     out.append(("end", "", len(text)))
     return out
 
@@ -305,67 +295,34 @@ def _as_one_plus_zz_power(val):
 
 def parse_observable(text):
     raw = _ExprParser(text).parse()
-    terms = tuple((co, a, b, c) for (a, b, c), co in sorted(raw.items())
-                  if co != 0)
+    # ObservableFn sorts, but would bound-check a zero term ("z - z")
+    terms = tuple((co, a, b, c) for (a, b, c), co in raw.items() if co != 0)
     return ObservableFn(terms=terms)
 
 
 # ---------------------------------------------------------------------------
-# numpy's default_rng in plain Python (SeedSequence, PCG64, uniform doubles)
+# numpy's default_rng(7) in plain Python (PCG64, uniform doubles)
 
-_MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# np.random.default_rng(7).bit_generator.state: SeedSequence(7)'s hash
+_PCG_STATE = 208745520555909116978795849195383758904
+_PCG_INC = 261136684632268670825940853076396136793
 
 
-def _seed_state(seed):
-    """SeedSequence(seed).generate_state(4, uint64) for 0 <= seed < 2**32,
-    a seed of one 32-bit entropy word."""
-    hash_const = 0x43b0d7e5
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931e8875 & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = (0xca01f9dd * x - 0x4973f715 * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(word) for word in (seed, 0, 0, 0)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    hash_const = 0x8b51f9dd
-    words = []
-    for k in range(8):
-        value = pool[k % 4] ^ hash_const
-        hash_const = hash_const * 0x58f38ded & _MASK32
-        value = value * hash_const & _MASK32
-        words.append(value ^ value >> 16)
-    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
-
-
-def _uniform_draws(seed, bounds, n):
+def _uniform_draws(bounds, n):
     """For each (low, high) in bounds in turn, the n doubles that
-    np.random.default_rng(seed).uniform(low, high, n) gives, bit for bit.
-
-    PCG64 is seeded by pcg_setseq_128_srandom_r(w0:w1, w2:w3) from the
-    SeedSequence words; each draw steps the 128-bit LCG state and takes the
-    XSL-RR output x; the double is low + (high - low) * (x >> 11) 2^-53."""
-    w0, w1, w2, w3 = _seed_state(seed)
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    state = (inc + (w0 << 64 | w1)) * _PCG_MULT + inc & _MASK128
+    np.random.default_rng(7).uniform(low, high, n) gives, bit for bit: each
+    draw steps the 128-bit LCG state, takes the XSL-RR output x and gives
+    low + (high - low) * (x >> 11) 2^-53."""
+    state = _PCG_STATE
     out = []
     for low, high in bounds:
         span = high - low
         draws = []
         for _ in range(n):
-            state = state * _PCG_MULT + inc & _MASK128
+            state = state * _PCG_MULT + _PCG_INC & _MASK128
             rot = state >> 122
             x = (state >> 64 ^ state) & _MASK64
             x = (x >> rot | x << (64 - rot)) & _MASK64

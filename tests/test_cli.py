@@ -28,7 +28,7 @@ from starq.cli import (
 from starq.cp1 import toeplitz_matrix
 from starq.symbols import (
     MAX_EXPONENT, MAX_POWER, MAX_PRODUCTS, ParseError, UnboundedSymbol,
-    make_context, parse_observable,
+    _tokenize, make_context, parse_observable,
 )
 
 
@@ -85,6 +85,65 @@ def test_parse_errors():
         parse_observable("z / (1 - zz)")  # only (1+zz)^k denominators
     with pytest.raises(ParseError):
         parse_observable("(1 + zz")
+
+
+# Edge inputs of the tokenizer: each one's tokens as kind:text@position
+# words or the tokenizer's error, then what parse_observable gives, terms or
+# "Error: message".
+_NO_TERM = "expected a number, variable, or '(', found ''"
+_TOKEN_EDGES = [
+    ("", "end:@0", f"ParseError: {_NO_TERM} (at position 0)"),
+    ("   ", "end:@3", f"ParseError: {_NO_TERM} (at position 3)"),
+    ("1", "num:1@0 end:@1", (((1 + 0j), 0, 0, 0),)),
+    ("1 @", "unexpected character '@' (at position 2)", None),
+    (".5", "unexpected character '.' (at position 0)", None),
+    ("zbarz", "name:zbar@0 name:z@4 end:@5",
+     "UnboundedSymbol: term z^1 zbar^1 (1+zz)^0 is unbounded"),
+    ("\u00e9", "unexpected character '\u00e9' (at position 0)", None),
+    ("1e400", "num:1e400@0 end:@5",
+     "ParseError: number '1e400' is not finite (at position 0)"),
+    ("z  ", "name:z@0 end:@3",
+     "UnboundedSymbol: term z^1 zbar^0 (1+zz)^0 is unbounded"),
+    ("\t z \n", "name:z@2 end:@5",
+     "UnboundedSymbol: term z^1 zbar^0 (1+zz)^0 is unbounded"),
+    ("2.5e-3j", "num:2.5e-3j@0 end:@7", ((0.0025j, 0, 0, 0),)),
+    ("j", "unexpected character 'j' (at position 0)", None),
+    ("1..2", "unexpected character '.' (at position 2)", None),
+    ("zz^2 / (1+zz)^2", "name:zz@0 op:^@2 num:2@3 op:/@5 op:(@7 num:1@8 "
+     "op:+@9 name:zz@10 op:)@12 op:^@13 num:2@14 end:@15",
+     (((1 + 0j), 2, 2, 2),)),
+    ("z + @", "unexpected character '@' (at position 4)", None),
+    ("(1 + zz", "op:(@0 num:1@1 op:+@3 name:zz@5 end:@7",
+     "ParseError: expected ')', found '' (at position 7)"),
+    ("3 z zbar / (1+zz)", "num:3@0 name:z@2 name:zbar@4 op:/@9 op:(@11 "
+     "num:1@12 op:+@13 name:zz@14 op:)@16 end:@17", (((3 + 0j), 1, 1, 1),)),
+    ("1e5e", "unexpected character 'e' (at position 3)", None),
+    ("z^-1", "name:z@0 op:^@1 op:-@2 num:1@3 end:@4",
+     "ParseError: exponent must be a nonnegative integer (at position 2)"),
+    ("1 +", "num:1@0 op:+@2 end:@3",
+     f"ParseError: {_NO_TERM} (at position 3)"),
+    ("z - z", "name:z@0 op:-@2 name:z@4 end:@5", ()),
+]
+
+
+@pytest.mark.parametrize("text, tokens, parsed", _TOKEN_EDGES,
+                         ids=[repr(text) for text, _, _ in _TOKEN_EDGES])
+def test_tokenizer_edge_inputs(text, tokens, parsed):
+    """Empty and blank text, trailing whitespace, a leading dot, names run
+    together, a non-ASCII character and an overflowing literal keep their
+    tokens, parses and positioned messages; where the tokenizer refuses the
+    text (parsed None), parse_observable raises its error."""
+    try:
+        got = " ".join(f"{kind}:{val}@{pos}"
+                       for kind, val, pos in _tokenize(text))
+    except ParseError as exc:
+        got = str(exc)
+    assert got == tokens
+    try:
+        result = parse_observable(text).terms
+    except (ParseError, UnboundedSymbol) as exc:
+        result = f"{type(exc).__name__}: {exc}"
+    assert result == (f"ParseError: {tokens}" if parsed is None else parsed)
 
 
 @pytest.mark.parametrize("expr, pos, match", [
@@ -275,6 +334,21 @@ def test_cp1_suite_pipeline():
     assert len(csv.splitlines()) == 10
 
 
+def test_radial_observable_norm_gap_is_nonnegative():
+    """||T_f|| <= ||f||_inf, so norm_gap >= 0.  For f = 4/(1+zz) -
+    4/(1+zz)^2, zero at z = 0 and 1 on |z| = 1, T_f is diagonal with largest
+    entry 1 - 1/(m + 3), so the gap is about 1/(m + 3).  sup_norm took every
+    observable without z or zbar for a constant and returned |f(0)| = 0:
+    gaps -0.909 and -0.947."""
+    code, out = invoke(["cp1-suite", "--suite", "bms", "--f-expr",
+                        "4/(1+zz) - 4/(1+zz)^2", "--m-list", "8,16"])
+    assert code == 0
+    series = {s["name"]: s for s in json.loads(out)["results"]["series"]}
+    for point in series["norm_gap"]["points"]:
+        assert 0 <= point["value"] < 1 / (point["m"] + 3)
+        assert abs(point["value"] - 1 / (point["m"] + 3)) < 1e-6
+
+
 def test_exit_codes_and_stderr(capsys):
     code, _ = invoke(["cp1-berezin", "--expr", "z^5"])
     assert code == 2
@@ -385,6 +459,36 @@ def test_non_finite_bivector_entry_exit_2(entry, tmp_path, capsys):
         {"error": "ValidationError",
          "message": f"bivector entry [0][1] = {float(entry)!r} is not "
                     f"finite"}]
+
+
+_BIG = "1" + "0" * 400            # 10**400 in JSON digits, beyond any float
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    pytest.param(["--alpha-path", "FILE"],
+                 '{"constant": [[0, %s], [-%s, 0]]}' % (_BIG, _BIG),
+                 "bivector entry [0][1] is an integer beyond the float range",
+                 id="bivector-entry"),
+    pytest.param(["--f-poly", "[[%s,[2,1]]]" % _BIG], None,
+                 "coefficient of [2, 1] has an integer beyond the float range",
+                 id="poly-coeff"),
+    pytest.param(["--f-poly", "[[[1,%s],[2,1]]]" % _BIG], None,
+                 "coefficient of [2, 1] has an integer beyond the float range",
+                 id="poly-coeff-pair-part"),
+])
+def test_json_integer_beyond_the_float_range_exits_2(argv, content, message,
+                                                     tmp_path, capsys):
+    """A JSON integer too large for a float is refused as input and named;
+    it exited 3 with OverflowError once arithmetic reached it."""
+    path = tmp_path / "alpha.json"
+    if content is not None:
+        path.write_text(content)
+    code, out = invoke(["star-kontsevich", "--order", "1"]
+                       + [str(path) if a == "FILE" else a for a in argv])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert (code, out) == (2, b"")
+    assert [json.loads(line) for line in err] == [
+        {"error": "ValidationError", "message": message}]
 
 
 @pytest.mark.parametrize("argv", [

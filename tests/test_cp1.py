@@ -471,18 +471,33 @@ def test_bms_suite_peaks_under_two_and_a_half_matrices():
 
 
 def test_uniform_draws_match_numpy_default_rng():
-    """The plain-Python sampler gives numpy's default_rng(seed).uniform
-    doubles byte for byte: sup_norm's seed 7 with 4096 draws per bound,
-    and two other seeds (the ends of the one-word range) and sizes."""
+    """The plain-Python sampler gives numpy's default_rng(7).uniform
+    doubles byte for byte: sup_norm's 4096 draws per bound, and another
+    size over three bounds."""
     from starq.symbols import _uniform_draws
-    for seed, n, bounds in ((7, 4096, ((-1.0, 1.0), (0.0, TWO_PI))),
-                            (0, 5, ((0.0, 1.0),)),
-                            (2 ** 32 - 1, 777, ((-3.5, 2.25), (1.0, 1.5),
-                                                (0.0, TWO_PI)))):
-        rng = np.random.default_rng(seed)
-        for got, (low, high) in zip(_uniform_draws(seed, bounds, n), bounds):
+    for n, bounds in ((4096, ((-1.0, 1.0), (0.0, TWO_PI))),
+                      (777, ((-3.5, 2.25), (1.0, 1.5), (0.0, TWO_PI)))):
+        rng = np.random.default_rng(7)
+        for got, (low, high) in zip(_uniform_draws(bounds, n), bounds):
             assert np.array(got).tobytes() \
                 == rng.uniform(low, high, n).tobytes()
+
+
+def test_pcg_constants_are_numpys_seeded_state():
+    """The sampler starts from the PCG64 state and increment numpy's
+    SeedSequence hashes seed 7 into."""
+    from starq.symbols import _PCG_INC, _PCG_STATE
+    state = np.random.default_rng(7).bit_generator.state["state"]
+    assert (_PCG_STATE, _PCG_INC) == (state["state"], state["inc"])
+
+
+@pytest.mark.parametrize("c", [3, -2.5, 1e-300, 1.7 - 2.3j, 1e300 + 1e300j,
+                               0])
+def test_sup_norm_of_a_constant_is_its_modulus(c):
+    """A constant goes through the sample like any observable and gives
+    abs(c) bit for bit; 0 makes the observable with no terms."""
+    got = ObservableFn.constant(c).sup_norm()
+    assert (type(got), got.hex()) == (float, float(abs(c)).hex())
 
 
 def test_trace_scaling():

@@ -275,16 +275,11 @@ def test_pair_integral_peaks_under_integrand_masks_and_a_megabyte():
     M = 800
     tracemalloc.start()
     try:
-        quadrature._pair_integral_2d.__wrapped__(L, R, M, 0.1)
+        quadrature._pair_integral_2d.__wrapped__(M, 0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert M * M * 8 + 3 * M * M < peak < M * M * 8 + 3 * M * M + 10 ** 6
-
-
-# The boundary target of each point of the real axis that a pair integral
-# takes: L at 0, R at 1.
-_TARGET = {0.0: L, 1.0: R}
 
 
 def _full_grid_pair_integral(p, q, M, eta):
@@ -307,15 +302,15 @@ def _full_grid_pair_integral(p, q, M, eta):
 
 
 @pytest.mark.parametrize("M, p, q", [(800, 0.0, 1.0), (200, 0.0, 1.0),
-                                     (200, 1.0, 1.0), (128, 0.0, 1.0)])
+                                     (128, 0.0, 1.0)])
 def test_row_blocked_pair_integral_matches_full_grid(M, p, q):
-    """The pair integral filled in row blocks equals one full-grid pass bit
-    for bit: at the default M = 800, at M = 200 (three blocks and eight
-    rows) and at M = 128, a multiple of the block."""
+    """The pair integral filled in row blocks equals one full-grid pass to
+    the boundary points p = 0 (L) and q = 1 (R) bit for bit: at the default
+    M = 800, at M = 200 (three blocks and eight rows) and at M = 128, a
+    multiple of the block."""
     from starq import quadrature
     eta = IntegrationConfig().eta
-    got = quadrature._pair_integral_2d.__wrapped__(_TARGET[p], _TARGET[q], M,
-                                                   eta)
+    got = quadrature._pair_integral_2d.__wrapped__(M, eta)
     want = _full_grid_pair_integral(p, q, M, eta)
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -460,7 +455,7 @@ def test_blockwise_determinant_matches_one_call(monkeypatch, block):
             assert got.tobytes() == want.tobytes()
 
 
-def _pair_masks(monkeypatch, p, q, M, eta):
+def _pair_masks(monkeypatch, M, eta):
     """The three excision masks the pair integral builds, copied as
     _excised receives them."""
     from starq import quadrature
@@ -470,7 +465,7 @@ def _pair_masks(monkeypatch, p, q, M, eta):
         seen.extend(m.copy() for m in masks)
         return _excised(J, masks, eta)
     monkeypatch.setattr(quadrature, "_excised", recording)
-    quadrature._pair_integral_2d.__wrapped__(p, q, M, eta)
+    quadrature._pair_integral_2d.__wrapped__(M, eta)
     monkeypatch.undo()
     return seen
 
@@ -483,8 +478,7 @@ def test_excision_masks_are_nested(monkeypatch):
     import numpy as np
     from starq import quadrature
     eta = IntegrationConfig().eta
-    cases = [_pair_masks(monkeypatch, p, q, 800, eta)
-             for p, q in ((L, R), (R, R))]
+    cases = [_pair_masks(monkeypatch, 800, eta)]
     _skip_jacobians(monkeypatch)
     rng = np.random.default_rng(5)
     mc = quadrature._chart_factors([rng.random(40000) for _ in range(4)])
@@ -560,11 +554,9 @@ def test_in_place_masked_sums_match_fresh_products(monkeypatch):
             assert (got.value.hex(), got.error_estimate.hex()) \
                 == (want.value.hex(), want.error_estimate.hex())
             assert got == want
-    for p, q in ((0.0, 1.0), (1.0, 1.0)):
-        got = quadrature._pair_integral_2d.__wrapped__(_TARGET[p], _TARGET[q],
-                                                       800, cfg.eta)
-        want = _full_grid_pair_integral(p, q, 800, cfg.eta)
-        assert [v.hex() for v in got] == [v.hex() for v in want]
+    got = quadrature._pair_integral_2d.__wrapped__(800, cfg.eta)
+    want = _full_grid_pair_integral(0.0, 1.0, 800, cfg.eta)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def _meshgrid_chart():

@@ -104,11 +104,17 @@ def test_integration_config_shares_the_quadrature_table():
     ({"samples": 1}, "samples must be in 2..2000000"),
     ({"grid_nodes": 0}, "grid_nodes must be in 2..4096"),
     ({"seed": -1}, "seed must be >= 0"),
+    ({"eta": 10 ** 400}, "eta must be > 0 with a finite square"),
+    ({"eta": 10 ** 200}, "eta must be > 0 with a finite square"),
+    ({"tol": 10 ** 400}, "tol must be finite and > 0"),
 ])
 def test_integration_config_holds_the_quadrature_bounds(values, message):
     """IntegrationConfig refuses what the CLI refuses: one Monte Carlo
     sample has no spread, zero grid nodes make no grid, and numpy's
-    SeedSequence takes no negative seed."""
+    SeedSequence takes no negative seed.  An int eta or tol beyond the
+    float range, or an int eta whose square is, compares below inf
+    exactly: eta = 10**400 raised OverflowError in the excision, and
+    tol = 10**400 was accepted."""
     with pytest.raises(ValidationError, match=message):
         IntegrationConfig(**values)
 
