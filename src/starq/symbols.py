@@ -123,7 +123,7 @@ MAX_POWER = 128
 MAX_PRODUCTS = 1 << 22
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?j?)|(?P<name>zbar|zz|z)"
+    r"\s*(?:(?P<num>[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?j?)|(?P<name>zbar|zz|z)"
     r"|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 

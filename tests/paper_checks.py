@@ -23,16 +23,15 @@ import numpy as np
 
 from starq import ResourceGuard
 from starq.cp1 import (
-    _section_matrix, coherent_vector, covariant_symbol, operator_norm,
-    toeplitz_matrix,
+    coherent_vector, covariant_symbol, operator_norm, toeplitz_matrix,
 )
 from starq.formal import (
-    BiDiffOp, DiffOp, OrderViolation, StarTable, _agree, _routes_as,
-    conjugate_star, detect_convention,
+    BiDiffOp, DiffOp, OrderViolation, StarTable, conjugate_star,
+    detect_convention,
 )
 from starq.graphs import Poly, kontsevich_star
-from starq.jets import I, ONE, Jet, Scalar, _as_scalar, mi_zero
-from starq.symbols import TWO_PI, ObservableFn, _diff_raw, laplacian_fn
+from starq.jets import I, ONE, Jet, Scalar, mi_zero
+from starq.symbols import TWO_PI, ObservableFn, laplacian_fn
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +47,33 @@ def coord_x_observable():
     return ObservableFn(terms=((1.0, 1, 0, 1), (1.0, 0, 1, 1)))
 
 
+def dzbar_observable(f):
+    """d f/d zbar: z^a zbar^b (1+zz)^{-c} gives b z^a zbar^{b-1} (1+zz)^{-c}
+    - c z^{a+1} zbar^b (1+zz)^{-c-1}."""
+    terms = []
+    for coeff, a, b, c in f.terms:
+        if b:
+            terms.append((coeff * b, a, b - 1, c))
+        if c:
+            terms.append((-coeff * c, a + 1, b, c + 1))
+    return ObservableFn(terms=tuple(terms))
+
+
 # ---------------------------------------------------------------------------
-# sphere: quadrature grid
+# sphere: holomorphic sections and the quadrature grid
+
+def section_matrix(ctx, z):
+    """S[l, node]: the unit-norm monomial section z^l of level m in the unit
+    frame, z^l (1+|z|^2)^{-m/2} sqrt((m+1) C(m, l) / (2 pi)), from the
+    closed-form norm 2 pi l!(m-l)!/(m+1)!, written as u^l v^{m-l} with u =
+    z/sqrt(1+|z|^2) and v = 1/sqrt(1+|z|^2) so that no power overflows."""
+    m = ctx.m
+    z = np.asarray(z, dtype=complex)
+    v = 1.0 / np.sqrt(1.0 + (z * z.conjugate()).real)
+    u = z * v
+    return np.array([u ** l * v ** (m - l)
+                     * math.sqrt((m + 1) * math.comb(m, l) / TWO_PI)
+                     for l in range(m + 1)])
 
 class QuadratureTolerance(ArithmeticError):
     """Grid refinement changed the result by more than the tolerance."""
@@ -76,7 +100,7 @@ def _coherent_grid(ctx):
     """Quadrature nodes z and weights w of the context's grid, the coherent
     vectors E (one column per node) and their squared norms u."""
     z, w = _build_grid(_grid_side(ctx))
-    E = np.conjugate(_section_matrix(ctx, z))
+    E = np.conjugate(section_matrix(ctx, z))
     u = np.sum((E * np.conjugate(E)).real, axis=0)
     return z, w, E, u
 
@@ -89,7 +113,7 @@ def epsilon_function(z0, ctx):
     e = coherent_vector(z0, ctx)
     u = np.vdot(e, e).real
     # pointwise metric density of the coherent section at its own point
-    S = _section_matrix(ctx, np.asarray([z0], dtype=complex))[:, 0]
+    S = section_matrix(ctx, np.asarray([z0], dtype=complex))[:, 0]
     hval = abs(np.dot(e, S)) ** 2 / u
     return float(hval)
 
@@ -178,8 +202,8 @@ def geometric_quantization(f, ctx):
         z, w = _build_grid(grid_nodes)
         t = (z * z.conjugate()).real
         s = 1.0 / (1.0 + t)
-        S = _section_matrix(ctx, z)
-        fzbar = ObservableFn(terms=_diff_raw(f.terms, "anti"))(z)
+        S = section_matrix(ctx, z)
+        fzbar = dzbar_observable(f)(z)
         Xz = 1j * fzbar / (s * s) / (2 * m)
         fv = np.asarray(f(z), dtype=complex)
         G = np.empty_like(S)
@@ -209,7 +233,9 @@ def tuynman_defect(f, ctx):
 # jets: monomials, conjugates, multi-indices, Laplacian and Poisson bracket
 
 def jet_monomial(holo, anti, n, max_degree, coeff=ONE):
-    return Jet(n, max_degree, {(holo, anti): _as_scalar(coeff)})
+    if not isinstance(coeff, Scalar):
+        coeff = Scalar(coeff)
+    return Jet(n, max_degree, {(holo, anti): coeff})
 
 
 def jet_conj(f):
@@ -283,7 +309,8 @@ def polarize(I_k, k):
     n, D = I_k.n, I_k.D
     z = mi_zero(n)
     C_k = BiDiffOp(n, D, [(c, z + d[n:], d[:n] + z) for c, d in I_k.terms])
-    if not _routes_as("karabegov_anti_wick", k, C_k.max_orders()):
+    f_holo, f_anti, g_holo, g_anti = C_k.max_orders()
+    if f_holo or g_anti or f_anti > k or g_holo > k:
         raise OrderViolation(f"I_{k} has a term of order above ({k},{k})")
     return C_k
 
@@ -304,7 +331,10 @@ def ops_agree(A, B, up_to=None):
     """Whether every coefficient jet of A_k - B_k, k = 0..N, vanishes through
     total degree up_to (default D - N) for two nu-series of DiffOps, tuples
     (A_0, ..., A_N).  Series of different N, n or D do not agree."""
-    return _agree(A, B, A[0].D - (len(A) - 1) if up_to is None else up_to)
+    if len(A) != len(B) or (A[0].n, A[0].D) != (B[0].n, B[0].D):
+        return False
+    up_to = A[0].D - (len(A) - 1) if up_to is None else up_to
+    return all((a - b).drop_above(up_to).is_zero() for a, b in zip(A, B))
 
 
 # ---------------------------------------------------------------------------

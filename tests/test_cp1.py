@@ -16,13 +16,12 @@ from starq.symbols import (
     poisson_bracket_fn, reduce_terms,
 )
 from starq import cp1
-from starq.cp1 import _section_matrix
 
 from paper_checks import (
     _coherent_grid, adjointness_check, contravariant_reconstruct,
     coord_x_observable, epsilon_function, geometric_quantization,
-    height_observable, integral_exact, is_real, surjectivity_rank,
-    trace_identity, tuynman_defect, twisted_product,
+    height_observable, integral_exact, is_real, section_matrix,
+    surjectivity_rank, trace_identity, tuynman_defect, twisted_product,
 )
 
 TWO_PI = 2 * math.pi
@@ -194,7 +193,7 @@ def test_coherent_reproducing_property():
     ctx = make_context(7)
     for z0 in sample_points(50):
         e = coherent_vector(z0, ctx)
-        S = _section_matrix(ctx, np.array([z0]))[:, 0]
+        S = section_matrix(ctx, np.array([z0]))[:, 0]
         for l in (0, 3, 7):
             basis = np.zeros(8, dtype=complex)
             basis[l] = 1
@@ -373,52 +372,6 @@ _BMS_PAIRS = [
 ]
 
 
-@pytest.mark.parametrize("m", [1, 63, 64, 65, 100, 512])
-def test_row_blocked_product_and_band_subtraction_match_dense(m):
-    """T_g overwritten by T_g T_f, and T_f by T_f T_g, in row blocks equal
-    one T_g @ T_f and one T_f @ T_g call, and subtracting a band in place
-    equals subtracting its dense matrix, in tobytes(), for real and complex
-    observables and an empty band (g = 0), on either side of the 64-row
-    block and with a one-row tail (m = 512) folded in."""
-    ctx = make_context(m)
-    for f, g in _BMS_PAIRS:
-        Tf, Tg = toeplitz_matrix(f, ctx), toeplitz_matrix(g, ctx)
-        want = Tf @ Tg
-        assert cp1._right_multiply(Tf.copy(), Tg).tobytes() == want.tobytes()
-        want = Tg @ Tf
-        got = cp1._right_multiply(Tg.copy(), Tf)
-        assert got.tobytes() == want.tobytes()
-        for h in (poisson_bracket_fn(f, g), f * g):
-            in_place = got.copy()
-            cp1._subtract_band(in_place, h, ctx)
-            dense = got - toeplitz_matrix(h, ctx)
-            assert in_place.tobytes() == dense.tobytes()
-
-
-def test_product_entries_round_trip_bit_for_bit():
-    """_scatter(_entries(A)) gives A back in tobytes(), a -0.0 in either
-    part included: on a matrix built to hold them, and on T_f T_g, where
-    zgemm writes -0.0 at (m, m) but a rebuild from the band of f g would
-    give +0.0."""
-    z = -0.0
-    A = np.array([[0j, complex(z, 0.0), complex(0.0, z)],
-                  [complex(z, z), 1.5 - 2j, complex(0.0, 3.0)],
-                  [complex(-4.0, z), 0j, 5e-320 + 0j]])
-    idx, values = cp1._entries(A)
-    assert idx.tolist() == [1, 2, 3, 4, 5, 6, 8]
-    assert cp1._scatter((idx, values), A.shape).tobytes() == A.tobytes()
-    h, x = height_observable(), coord_x_observable()
-    for m in (8, 512):
-        ctx = make_context(m)
-        P = toeplitz_matrix(h, ctx) @ toeplitz_matrix(x, ctx)
-        assert P[m, m] == 0 and math.copysign(1.0, P[m, m].real) == -1.0
-        entries = cp1._entries(P)
-        assert len(entries[0]) < 2 * ctx.dim
-        assert cp1._scatter(entries, P.shape).tobytes() == P.tobytes()
-        band = toeplitz_matrix(h * x, ctx)
-        assert math.copysign(1.0, band[m, m].real) == 1.0
-
-
 def _dense_bms_points(f, g, m):
     """The three BMS defects at level m from dense matrices, each product
     one matmul call."""
@@ -433,9 +386,7 @@ def _dense_bms_points(f, g, m):
 
 def test_bms_suite_builds_no_dense_bracket_or_product(monkeypatch):
     """bms_suite builds only T_f, T_g and T_f again densely at each level;
-    T_br and T_fg are subtracted as bands.  Its points equal those of the
-    dense formulas bit for bit, for real and complex observables, an empty
-    g, and levels on either side of the 64-row block."""
+    T_br and T_fg are subtracted as bands."""
     built = []
 
     def counted(f, ctx, _toeplitz=cp1.toeplitz_matrix):
@@ -445,12 +396,18 @@ def test_bms_suite_builds_no_dense_bracket_or_product(monkeypatch):
     h, x = height_observable(), coord_x_observable()
     bms_suite(h, x, (8, 16))
     assert built == [h, x, h, h, x, h]
-    monkeypatch.undo()
-    levels = (8, 63, 65)
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 100, 512])
+def test_row_blocked_product_and_band_subtraction_match_dense(m):
+    """bms_suite's products in row blocks, overwriting T_f and T_g, and its
+    bands subtracted in place give the points of one T_f @ T_g and one
+    T_g @ T_f call and dense subtractions, bit for bit: for real and
+    complex observables and an empty band (g = 0), on either side of the
+    64-row block and with a one-row tail (m = 512) folded in."""
     for f, g in _BMS_PAIRS:
-        got = [[v.hex() for _, v in s.points] for s in bms_suite(f, g, levels)]
-        want = zip(*(_dense_bms_points(f, g, m) for m in levels))
-        assert got == [[v.hex() for v in series] for series in want]
+        got = [s.points[0][1].hex() for s in bms_suite(f, g, (m,))]
+        assert got == [v.hex() for v in _dense_bms_points(f, g, m)]
 
 
 def test_bms_suite_peaks_under_two_and_a_half_matrices():
@@ -470,25 +427,32 @@ def test_bms_suite_peaks_under_two_and_a_half_matrices():
     assert 2 * level < peak < 2.5 * level
 
 
+def _peaked_at(w):
+    """(1 + conj(w) z)(1 + w zbar)/(1 + z zbar): its modulus falls with the
+    distance from w on the sphere, so its largest value over a sample is at
+    the sample point nearest w."""
+    return ObservableFn(terms=((1.0, 0, 0, 1), (w.conjugate(), 1, 0, 1),
+                               (w, 0, 1, 1), (abs(w) ** 2, 1, 1, 1)))
+
+
 def test_uniform_draws_match_numpy_default_rng():
-    """The plain-Python sampler gives numpy's default_rng(7).uniform
-    doubles byte for byte: sup_norm's 4096 draws per bound, and another
-    size over three bounds."""
-    from starq.symbols import _uniform_draws
-    for n, bounds in ((4096, ((-1.0, 1.0), (0.0, TWO_PI))),
-                      (777, ((-3.5, 2.25), (1.0, 1.5), (0.0, TWO_PI)))):
-        rng = np.random.default_rng(7)
-        for got, (low, high) in zip(_uniform_draws(bounds, n), bounds):
-            assert np.array(got).tobytes() \
-                == rng.uniform(low, high, n).tobytes()
-
-
-def test_pcg_constants_are_numpys_seeded_state():
-    """The sampler starts from the PCG64 state and increment numpy's
-    SeedSequence hashes seed 7 into."""
-    from starq.symbols import _PCG_INC, _PCG_STATE
-    state = np.random.default_rng(7).bit_generator.state["state"]
-    assert (_PCG_STATE, _PCG_INC) == (state["state"], state["inc"])
+    """sup_norm is the largest |f| over 4096 sphere points, bit for bit: cos
+    theta and phi are the doubles numpy's default_rng(7) draws by
+    uniform(-1, 1, 4096) and then uniform(0, 2 pi, 4096).  The height, the
+    first coordinate, a complex observable and observables peaked at ten
+    directions each take their largest modulus at another sample point."""
+    rng = np.random.default_rng(7)
+    cth = rng.uniform(-1.0, 1.0, 4096)
+    phi = rng.uniform(0.0, TWO_PI, 4096)
+    z = np.sqrt((1 - cth) / (1 + cth)) * np.exp(1j * phi)
+    observables = [_BMS_PAIRS[0][0], _BMS_PAIRS[0][1], _BMS_PAIRS[1][0]]
+    observables += [_peaked_at(w) for w in (
+        1j, -1j, 0.3 + 0.4j, -2 + 1j, 0.1 - 3j, 5j, 0.5 - 0.5j, -0.2 - 0.1j,
+        3 + 3j, -1.5 - 0.5j)]
+    argmax = {int(np.argmax(np.abs(f(z)))) for f in observables}
+    assert len(argmax) == len(observables)
+    for f in observables:
+        assert f.sup_norm().hex() == float(np.max(np.abs(f(z)))).hex()
 
 
 @pytest.mark.parametrize("c", [3, -2.5, 1e-300, 1.7 - 2.3j, 1e300 + 1e300j,
@@ -498,6 +462,18 @@ def test_sup_norm_of_a_constant_is_its_modulus(c):
     abs(c) bit for bit; 0 makes the observable with no terms."""
     got = ObservableFn.constant(c).sup_norm()
     assert (type(got), got.hex()) == (float, float(abs(c)).hex())
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect, ROADMAP item 14: from about m = 507 the band divides by "
+    "a subnormal product of float norms"))
+def test_toeplitz_of_one_is_the_identity_at_levels_512_and_533():
+    """T_1 is the identity, exactly: the Beta integral of each diagonal
+    entry is the norm it is divided by.  Today the largest |diag T_1 - 1|
+    is 4.4e-14 at m = 512 and 0.216 at m = 533."""
+    for m in (512, 533):
+        T = toeplitz_matrix(ObservableFn.constant(1), make_context(m))
+        assert np.array_equal(T, np.eye(m + 1)), m
 
 
 def test_trace_scaling():

@@ -1,7 +1,7 @@
 """Graph enumeration, numerical weights, and graph-built star products."""
 
+import inspect
 import json
-import math
 import os
 import subprocess
 import sys
@@ -124,16 +124,49 @@ def test_order1_weights_half():
 
 def test_weight_deterministic(monkeypatch):
     """Two computations, not one computation and a cache hit, give the same
-    result."""
+    result: on the pair grid, and on the 4D grid, whose axes the first
+    computation leaves cached for the second."""
     cfg = IntegrationConfig(grid_nodes=400)
-    g = KGraph(1, ((L, R),))
-    results = []
+    for g in (KGraph(1, ((L, R),)), KGraph(2, ((2, L), (L, R)))):
+        results = []
+        for _ in range(2):
+            monkeypatch.setattr(starq.graphs, "_WEIGHT_CACHE", {})
+            w = kontsevich_weight(g, cfg)
+            results.append((w.value.hex(), w.error_estimate.hex(),
+                            w.samples_or_cells, w.seed))
+        assert results[0] == results[1]
+
+
+def test_weights_fill_each_quadrature_cache_once(monkeypatch, capsys):
+    """weights --n 2 fills the functools caches of starq.quadrature with two
+    entries, the pair integral and the 4D grid; with only the weight cache
+    emptied, a second run fills none and prints the same bytes.  What a
+    cache that takes no argument holds is read-only.  One usable CPU keeps
+    every graph in this process, where the caches are."""
+    import numpy as np
+    from starq import quadrature
+    from starq.cli import main
+    _usable_cpus(monkeypatch, 1)
+    caches = [f for f in vars(quadrature).values() if hasattr(f, "cache_info")]
+    for f in caches:
+        f.cache_clear()
+    outs = []
     for _ in range(2):
         monkeypatch.setattr(starq.graphs, "_WEIGHT_CACHE", {})
-        w = kontsevich_weight(g, cfg)
-        results.append((w.value, w.error_estimate, w.samples_or_cells,
-                        w.seed))
-    assert results[0] == results[1]
+        assert main(["weights", "--n", "2"]) == 0
+        outs.append(capsys.readouterr().out)
+        assert sum(f.cache_info().misses for f in caches) == 2
+    assert outs[0] == outs[1]
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        if isinstance(value, (tuple, list)):
+            return [a for item in value for a in arrays(item)]
+        return []
+    held = [a for f in caches if f.cache_info().currsize
+            and not inspect.signature(f).parameters for a in arrays(f())]
+    assert held and not any(a.flags.writeable for a in held)
 
 
 def test_weight_backends_agree():
@@ -155,476 +188,58 @@ def test_order2_boundary_weights():
     assert g2.order_parity() == -1
 
 
-def test_weight_grid_fields_built_once(monkeypatch, capsys):
-    """weights --n 2 takes one 2D pair integral, whose two boundary
-    gradients cover each of its 800 rows exactly once, and builds the 4D
-    grid's axes once.  Each 4D integrand takes every edge's field once per
-    det block, a single slice of the first axis, so every gradient works on
-    at most 24^3 points and the slices of each edge concatenate to vertex
-    1's x axis.  With only the weight cache emptied, a second run takes no
-    pair-integral gradient, takes the same 4D fields again and prints the
-    same bytes.  The cached axis arrays are read-only.  One usable CPU
-    keeps every graph in this process, where the counters are."""
-    import numpy as np
-    from starq import graphs, quadrature
-    from starq.cli import main
-    _usable_cpus(monkeypatch, 1)
-    graphs_edges, grads = [], []
-
-    def counted_integrand(edges, pos, factors, eta,
-                          _integrand=quadrature._integrand):
-        graphs_edges.append((edges, []))
-        return _integrand(edges, pos, factors, eta)
-
-    def counted_edge(i, t, pos, _edge=quadrature._edge):
-        if len(pos) == 2:             # a 4D block, not a pair-integral row
-            graphs_edges[-1][1].append((i, t, np.array(pos[0][0])))
-        return _edge(i, t, pos)
-    monkeypatch.setattr(quadrature, "_integrand", counted_integrand)
-    monkeypatch.setattr(quadrature, "_edge", counted_edge)
-    for name in ("_grad_phi_boundary", "_grad_phi_full"):
-        def counted(zx, zy, *rest, _name=name, _grad=getattr(quadrature, name)):
-            shape = np.broadcast_shapes(np.shape(zx), np.shape(zy),
-                                        *map(np.shape, rest))
-            grads.append((_name, shape, np.array(zx), rest))
-            return _grad(zx, zy, *rest)
-        monkeypatch.setattr(quadrature, name, counted)
-    graphs._WEIGHT_CACHE.clear()
-    for cached in (quadrature._pair_integral_2d, quadrature._grid_4d):
-        cached.cache_clear()
-    assert main(["weights", "--n", "2"]) == 0
-    first = capsys.readouterr().out
-
-    # one pair integral; per target, its row blocks concatenate to the 800
-    # chart rows in order, each row once
-    assert quadrature._pair_integral_2d.cache_info().misses == 1
-    assert quadrature._grid_4d.cache_info().misses == 1
-    s = (np.arange(800) + 0.5) / 800
-    ((X, _),), _ = quadrature._chart_factors([s[:, None], s[None, :]])
-    pair = [g for g in grads if g[1][-1] == 800]
-    assert {g[0] for g in pair} == {"_grad_phi_boundary"}
-    assert {rest for *_, rest in pair} == {(0.0,), (1.0,)}
-    for w in (0.0, 1.0):
-        rows = [zx.ravel() for *_, zx, rest in pair if rest == (w,)]
-        assert np.concatenate(rows).tobytes() == X.ravel().tobytes()
-
-    # 4D fields: per graph, each edge once per first-axis slice, in order
-    grid = [g for g in grads if g[1][-1] != 800]
-    assert grid and all(shape[0] == 1 and math.prod(shape) <= 24 ** 3
-                        for _, shape, *_ in grid)
-    assert any(name == "_grad_phi_full" for name, *_ in grid)
-    (x1, _), _ = quadrature._grid_4d()[0]
-    assert graphs_edges
-    for edges, calls in graphs_edges:
-        assert [(i, t) for i, t, _ in calls] == list(edges) * 24
-        for k in range(len(edges)):
-            xs = [x.ravel() for _, _, x in calls[k::len(edges)]]
-            assert np.concatenate(xs).tobytes() == x1.ravel().tobytes()
-    assert len(grads) == len(pair) + sum(len(c) for _, c in graphs_edges)
-
-    calls = [(edges, [(i, t, x.tobytes()) for i, t, x in c])
-             for edges, c in graphs_edges]
-    graphs._WEIGHT_CACHE.clear()
-    graphs_edges.clear()
-    grads.clear()
-    assert main(["weights", "--n", "2"]) == 0
-    assert [g for g in grads if g[1][-1] == 800] == []
-    assert [(edges, [(i, t, x.tobytes()) for i, t, x in c])
-            for edges, c in graphs_edges] == calls
-    assert capsys.readouterr().out == first
-
-    pos, factors = quadrature._grid_4d()
-    axis_arrays = [a for xy in pos for a in xy] + list(factors)
-    assert all(a.size == 24 for a in axis_arrays)
-    for a in axis_arrays:
-        with pytest.raises(ValueError):
-            a[0] = 0.0
-
-
-def test_weights_keep_no_full_grid_array(monkeypatch, capsys):
-    """After weights --n 2 from empty caches, no block that a line of
-    starq allocated is as large as a full-grid bool array (24^4 bytes):
-    nothing of the 4D grid but its axes stays cached.  One usable CPU
-    keeps every graph in the traced process."""
-    import tracemalloc
-    from starq import graphs, quadrature
-    from starq.cli import main
-    _usable_cpus(monkeypatch, 1)
+# Trace one weight run in a fresh interpreter, where no cache of starq's is
+# warm, on one usable CPU.  argv[1] "pair" prints the peak traced memory of
+# the n = 1 weight on the default 800-node grid, after a 40-node weight has
+# loaded numpy and the quadrature; "n2" runs weights --n 2 with its report
+# sent to the file argv[2], and prints the size of each block that a line
+# of starq allocated and still holds.
+_TRACED_WEIGHTS = """\
+import json, os, sys, tracemalloc
+import starq.quadrature
+from starq.cli import main
+from starq.graphs import IntegrationConfig, KGraph, L, R, kontsevich_weight
+os.sched_getaffinity = lambda pid: {0}
+if sys.argv[1] == "pair":
+    G = KGraph(1, ((L, R),))
+    kontsevich_weight(G, IntegrationConfig(grid_nodes=40, tol=1.0))
+    tracemalloc.start()
+    kontsevich_weight(G)
+    print(json.dumps(tracemalloc.get_traced_memory()[1]))
+else:
     package = tracemalloc.Filter(
         True, os.path.join(os.path.dirname(starq.__file__), "*"))
-    graphs._WEIGHT_CACHE.clear()
-    for cached in (quadrature._pair_integral_2d, quadrature._grid_4d):
-        cached.cache_clear()
     tracemalloc.start()
-    try:
-        assert main(["weights", "--n", "2"]) == 0
-        kept = tracemalloc.take_snapshot().filter_traces([package]).traces
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
-    assert len(kept) and max(trace.size for trace in kept) < 24 ** 4
+    assert main(["weights", "--n", "2", "--out", sys.argv[2]]) == 0
+    kept = tracemalloc.take_snapshot().filter_traces([package]).traces
+    print(json.dumps([trace.size for trace in kept]))
+"""
+
+
+def _traced_weights(*argv):
+    from test_cli import _subprocess_env
+    proc = subprocess.run([sys.executable, "-c", _TRACED_WEIGHTS, *argv],
+                          env=_subprocess_env(), capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout)
+
+
+def test_weights_keep_no_full_grid_array(tmp_path):
+    """After weights --n 2 in a fresh process, no block that a line of
+    starq allocated is as large as a full-grid bool array (24^4 bytes):
+    nothing of the 4D grid but its axes stays cached."""
+    kept = _traced_weights("n2", str(tmp_path / "weights.json"))
+    assert len(kept) and max(kept) < 24 ** 4
 
 
 def test_pair_integral_peaks_under_integrand_masks_and_a_megabyte():
-    """The 800 x 800 pair integral allocates its integrand and three masks
-    and less than 1 MB besides: no full-grid product with a mask, and row
-    blocks of _PAIR_ROWS rows."""
-    import tracemalloc
-    from starq import quadrature
-    quadrature._chart_factors([0.5, 0.5])
+    """An n = 1 weight on the 800 x 800 pair grid, from a cold cache,
+    allocates the integrand and three masks and less than 1 MB besides: no
+    full-grid product with a mask, and the grid taken in row blocks."""
     M = 800
-    tracemalloc.start()
-    try:
-        quadrature._pair_integral_2d.__wrapped__(M, 0.1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _traced_weights("pair")
     assert M * M * 8 + 3 * M * M < peak < M * M * 8 + 3 * M * M + 10 ** 6
-
-
-def _full_grid_pair_integral(p, q, M, eta):
-    """The 2D pair integral on the full M x M grid in one pass."""
-    import numpy as np
-    from starq import quadrature
-    s = (np.arange(M) + 0.5) / M
-    ((X, Y),), factors = quadrature._chart_factors([s[:, None], s[None, :]])
-    W = quadrature._product(factors)
-    d1x, d1y = quadrature._grad_phi_boundary(X, Y, p)
-    d2x, d2y = quadrature._grad_phi_boundary(X, Y, q)
-    J = (d1x * d2y - d1y * d2x) * (W / (M * M))
-    dist_p = (X - p) ** 2 + Y ** 2
-    dist_q = (X - q) ** 2 + Y ** 2
-    vals = []
-    for e in (eta, eta / 2, eta / 4):
-        mask = (dist_p > e ** 2) & (dist_q > e ** 2)
-        vals.append(float(np.sum(J * mask)))
-    return quadrature._richardson(vals)
-
-
-@pytest.mark.parametrize("M, p, q", [(800, 0.0, 1.0), (200, 0.0, 1.0),
-                                     (128, 0.0, 1.0)])
-def test_row_blocked_pair_integral_matches_full_grid(M, p, q):
-    """The pair integral filled in row blocks equals one full-grid pass to
-    the boundary points p = 0 (L) and q = 1 (R) bit for bit: at the default
-    M = 800, at M = 200 (three blocks and eight rows) and at M = 128, a
-    multiple of the block."""
-    from starq import quadrature
-    eta = IntegrationConfig().eta
-    got = quadrature._pair_integral_2d.__wrapped__(M, eta)
-    want = _full_grid_pair_integral(p, q, M, eta)
-    assert [v.hex() for v in got] == [v.hex() for v in want]
-
-
-@pytest.mark.parametrize("block", [None, 5 * 24 ** 3])
-def test_edge_fields_per_block_match_the_full_grid(monkeypatch, block):
-    """Every edge's field taken on the blocks' slices of the 4D grid
-    concatenates to its field on the whole grid, bit for bit and with the
-    same columns (blocks of one slice, or of five with a short last one).
-    Both vertices share the axis values, so the edge (2, 1) at (a, b, c, d)
-    is the edge (1, 2) at (c, d, a, b) with columns 0, 1 and 2, 3
-    swapped."""
-    import numpy as np
-    from starq import quadrature
-    if block is not None:
-        monkeypatch.setattr(quadrature, "_DET_BLOCK", block)
-    pos = quadrature._grid_4d()[0]
-    shape = (24,) * 4
-    blocks = quadrature._blocks(shape)
-
-    def whole(values, rows=24):
-        return np.ascontiguousarray(
-            np.broadcast_to(values, (rows,) + shape[1:]))
-    full = {}
-    for i, t in ((1, L), (1, R), (2, L), (2, R), (1, 2), (2, 1)):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want = quadrature._edge(i, t, pos)[0]
-            parts = [quadrature._edge(
-                i, t, quadrature._block_pos(pos, shape, lo, hi))[0]
-                for lo, hi in blocks]
-        assert all([c for c, _ in part] == [c for c, _ in want]
-                   for part in parts)
-        for k, (_, values) in enumerate(want):
-            got = np.concatenate([whole(part[k][1], hi - lo)
-                                  for part, (lo, hi) in zip(parts, blocks)])
-            assert got.tobytes() == whole(values).tobytes()
-        full[i, t] = {c: whole(values) for c, values in want}
-    for c, rev in full[2, 1].items():
-        fwd = full[1, 2][(c + 2) % 4].transpose(2, 3, 0, 1)
-        assert rev.tobytes() == np.ascontiguousarray(fwd).tobytes()
-
-
-def _full_grid_masks(edges, pos, eta):
-    """The excision masks from full-grid squared distances in one pass."""
-    from starq import quadrature
-    out = []
-    for e in (eta, eta / 2, eta / 4):
-        mask = None
-        for i, t in edges:
-            far = quadrature._edge(i, t, pos)[1] > e ** 2
-            mask = far if mask is None else mask & far
-        out.append(mask)
-    return out
-
-
-def _skip_jacobians(monkeypatch):
-    """Make every angle gradient and determinant zero: the excision masks
-    read neither, and the 36 graphs' 24^4 Jacobians would take seconds."""
-    import numpy as np
-    from starq import quadrature
-    monkeypatch.setattr(quadrature, "_grad_phi_boundary",
-                        lambda zx, zy, w: (0.0, 0.0))
-    monkeypatch.setattr(quadrature, "_grad_phi_full",
-                        lambda zx, zy, wx, wy: (0.0,) * 4)
-    monkeypatch.setattr(np.linalg, "det", lambda a: np.zeros(a.shape[:-2]))
-
-
-@pytest.mark.parametrize("block", [None, 5 * 24 ** 3])
-def test_blockwise_masks_match_full_grid_distances(monkeypatch, block):
-    """Masks filled block by block from distances taken on each block equal
-    those of full-grid distances, bit for bit: for every n = 2 graph on the
-    24^4 grid (blocks of one slice, or of five with a short last one), and
-    on 40000 Monte Carlo samples; the squared distance of an internal edge
-    is (x1 - x2)^2 + (y1 - y2)^2 on the meshgrid."""
-    import numpy as np
-    from starq import quadrature
-    if block is not None:
-        monkeypatch.setattr(quadrature, "_DET_BLOCK", block)
-    _skip_jacobians(monkeypatch)
-    eta = IntegrationConfig().eta
-    rng = np.random.default_rng(5)
-    mc = quadrature._chart_factors([rng.random(40000) for _ in range(4)])
-    grid_pos = quadrature._grid_4d()[0]
-    for G in enumerate_kgraphs(2):
-        edges = G.edge_list()
-        for pos, factors in (quadrature._grid_4d(), mc):
-            got = quadrature._integrand(edges, pos, factors, eta)[1]
-            want = _full_grid_masks(edges, pos, eta)
-            assert [m.shape for m in got] == [m.shape for m in want]
-            assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
-    ref, _ = _meshgrid_chart()
-    for i, t in ((1, 2), (2, 1)):
-        dist2 = np.broadcast_to(quadrature._edge(i, t, grid_pos)[1],
-                                ref[0].shape)
-        want = (ref[0] - ref[2]) ** 2 + (ref[1] - ref[3]) ** 2
-        assert np.ascontiguousarray(dist2).tobytes() == want.tobytes()
-
-
-def _one_det_integrand(fields, weight):
-    """_integrand as one np.linalg.det call on the full, flattened stack."""
-    import numpy as np
-    dim = len(fields)
-    buf = np.zeros((dim, dim, weight.size))
-    for r, cols in enumerate(fields):
-        for c, values in cols:
-            buf[r, c] = np.broadcast_to(values, weight.shape).ravel()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        det = np.linalg.det(buf.transpose(2, 0, 1)).reshape(weight.shape)
-        return np.nan_to_num(det * weight, nan=0.0, posinf=0.0, neginf=0.0)
-
-
-@pytest.mark.parametrize("block", [None, 5 * 24 ** 3])
-def test_blockwise_determinant_matches_one_call(monkeypatch, block):
-    """Blockwise determinants, each block's fields taken on its slices of
-    the points and each block scaled by its slice of the weight, equal one
-    np.linalg.det call over the full stack of whole-grid fields times the
-    full weight, bit for bit: on the 24^4 grid against the meshgrid weight
-    (24 leading slices in blocks of one, or of five with a short last
-    block), and on 40000 Monte Carlo samples, which are not a multiple of
-    the block, with the weight given whole or as its four factors."""
-    import numpy as np
-    from starq import quadrature
-    if block is not None:
-        monkeypatch.setattr(quadrature, "_DET_BLOCK", block)
-    rng = np.random.default_rng(5)
-    mc_pos, mc_factors = quadrature._chart_factors(
-        [rng.random(40000) for _ in range(4)])
-    mc_weight = quadrature._product(mc_factors)
-    _, grid_weight = _meshgrid_chart()
-    internal = [g for g in enumerate_kgraphs(2) if g.has_internal_edge()]
-    grid_pos, grid_factors = quadrature._grid_4d()
-    for G in (internal[0], internal[-1]):
-        edges = G.edge_list()
-        cases = ((grid_pos, grid_factors, grid_weight),
-                 (mc_pos, (mc_weight,), mc_weight),
-                 (mc_pos, mc_factors, mc_weight))
-        for pos, factors, weight in cases:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fields = [quadrature._edge(i, t, pos)[0] for i, t in edges]
-            got, _ = quadrature._integrand(edges, pos, factors, 0.1)
-            want = _one_det_integrand(fields, weight)
-            assert got.tobytes() == want.tobytes()
-
-
-def _pair_masks(monkeypatch, M, eta):
-    """The three excision masks the pair integral builds, copied as
-    _excised receives them."""
-    from starq import quadrature
-    seen = []
-
-    def recording(J, masks, eta, _excised=quadrature._excised):
-        seen.extend(m.copy() for m in masks)
-        return _excised(J, masks, eta)
-    monkeypatch.setattr(quadrature, "_excised", recording)
-    quadrature._pair_integral_2d.__wrapped__(M, eta)
-    monkeypatch.undo()
-    return seen
-
-
-def test_excision_masks_are_nested(monkeypatch):
-    """The eta mask lies within the eta/2 mask and that within the eta/4
-    mask, and the eta/4 mask strictly contains the eta mask: on the 2D pair
-    grid, and for every n = 2 graph on the 4D grid and on 40000 Monte Carlo
-    samples."""
-    import numpy as np
-    from starq import quadrature
-    eta = IntegrationConfig().eta
-    cases = [_pair_masks(monkeypatch, 800, eta)]
-    _skip_jacobians(monkeypatch)
-    rng = np.random.default_rng(5)
-    mc = quadrature._chart_factors([rng.random(40000) for _ in range(4)])
-    for G in enumerate_kgraphs(2):
-        for pos, factors in (quadrature._grid_4d(), mc):
-            cases.append(quadrature._integrand(G.edge_list(), pos, factors,
-                                               eta)[1])
-    for masks in cases:
-        assert len(masks) == 3
-        for inner, outer in zip(masks, masks[1:]):
-            assert not (inner & ~outer).any()
-        assert (masks[2] & ~masks[0]).any()
-
-
-def _old_grid_weight(G, cfg):
-    """grid_weight on an internal-edge graph with each mask's product a
-    fresh full-grid array."""
-    import numpy as np
-    from starq import quadrature
-    edges = G.edge_list()
-    pos, factors = quadrature._grid_4d()
-    integrand, masks = quadrature._integrand(edges, pos, factors, cfg.eta)
-    cells = 24 ** 4
-    vals = [float(np.sum(integrand * mask)) / cells for mask in masks]
-    r2, err = quadrature._richardson(vals)
-    norm = quadrature._norm(G.n)
-    return starq.graphs.WeightResult(r2 / norm, err / norm + 1e-12, cells,
-                                     cfg.seed)
-
-
-def _old_mc_weight(G, cfg):
-    """mc_weight with the chart weight formed whole and each mask's product
-    a fresh array."""
-    import numpy as np
-    from starq import quadrature
-    rng = np.random.default_rng(cfg.seed)
-    pos, factors = quadrature._chart_factors([rng.random(cfg.samples)
-                                              for _ in range(2 * G.n)])
-    integrand, masks = quadrature._integrand(
-        G.edge_list(), pos, (quadrature._product(factors),), cfg.eta)
-    vals = [float(np.mean(integrand * mask)) for mask in masks]
-    r2, err = quadrature._richardson(vals)
-    norm = quadrature._norm(G.n)
-    sd = float(np.std(integrand * masks[2])) / math.sqrt(cfg.samples)
-    return starq.graphs.WeightResult(r2 / norm, err / norm + sd / norm + 1e-12,
-                                     cfg.samples, cfg.seed)
-
-
-def test_in_place_masked_sums_match_fresh_products(monkeypatch):
-    """Each in-place product of _excised equals the integrand times that
-    mask alone in tobytes(), and grid_weight and mc_weight give the values
-    of sums over fresh products, bit for bit: on the 4D grid and on 40000
-    Monte Carlo samples, for the first and last internal-edge graphs, and
-    on the 2D pair grid through the pair integral."""
-    import numpy as np
-    from starq import quadrature
-    cfg = IntegrationConfig(samples=40000)
-    internal = [g for g in enumerate_kgraphs(2) if g.has_internal_edge()]
-    rng = np.random.default_rng(5)
-    mc = quadrature._chart_factors([rng.random(40000) for _ in range(4)])
-    for G in (internal[0], internal[-1]):
-        edges = G.edge_list()
-        for pos, factors in (quadrature._grid_4d(), mc):
-            J, masks = quadrature._integrand(edges, pos, factors, cfg.eta)
-            assert (J < 0).any() and (J > 0).any()
-            want = [(J * mask).tobytes() for mask in masks]
-            got = [a.tobytes()
-                   for a in quadrature._excised(J, masks, cfg.eta)]
-            assert got[::-1] == want
-        for new, old in ((quadrature.grid_weight, _old_grid_weight),
-                         (quadrature.mc_weight, _old_mc_weight)):
-            got, want = new(G, cfg), old(G, cfg)
-            assert (got.value.hex(), got.error_estimate.hex()) \
-                == (want.value.hex(), want.error_estimate.hex())
-            assert got == want
-    got = quadrature._pair_integral_2d.__wrapped__(800, cfg.eta)
-    want = _full_grid_pair_integral(0.0, 1.0, 800, cfg.eta)
-    assert [v.hex() for v in got] == [v.hex() for v in want]
-
-
-def _meshgrid_chart():
-    """The four chart coordinates and the chart weight on the full 24^4
-    meshgrid."""
-    import numpy as np
-    from starq import quadrature
-    M = quadrature._GRID_NODES_4D
-    axis = (np.arange(M) + 0.5) / M
-    U = np.meshgrid(axis, axis, axis, axis, indexing="ij")
-    ref = [np.tan(np.pi * (U[0] - 0.5)), np.tan(np.pi * U[1] / 2),
-           np.tan(np.pi * (U[2] - 0.5)), np.tan(np.pi * U[3] / 2)]
-    weight = np.ones(U[0].shape)
-    for k, x in enumerate(ref):
-        weight = weight * ((np.pi if k % 2 == 0 else np.pi / 2)
-                           * (1 + x ** 2))
-    return ref, weight
-
-
-def test_grid_4d_matches_meshgrid_reference():
-    """The broadcast 4D coordinates are those of the chart on the full
-    meshgrid, bit for bit; each weight factor lies along its own axis, and
-    the factors' product, whole or one first-axis slice at a time, is the
-    meshgrid weight."""
-    import numpy as np
-    from starq import quadrature
-    ref, weight = _meshgrid_chart()
-    pos, factors = quadrature._grid_4d()
-    got = [np.broadcast_to(c, weight.shape) for xy in pos for c in xy]
-    for g, r in zip(got, ref):
-        assert np.ascontiguousarray(g).tobytes() == r.tobytes()
-    M = quadrature._GRID_NODES_4D
-    assert [f.shape for f in factors] == [
-        tuple(M if d == k else 1 for d in range(4)) for k in range(4)]
-    whole = quadrature._product(factors)
-    sliced = np.concatenate([
-        quadrature._product(np.broadcast_to(f, weight.shape)[a:a + 1]
-                            for f in factors) for a in range(M)])
-    for got_weight in (whole, sliced):
-        assert got_weight.shape == weight.shape
-        assert got_weight.tobytes() == weight.tobytes()
-
-
-def test_angle_gradients_match_two_division_formulas():
-    """The one-division gradients equal Im(-1/A + 1/B), -Re(1/A + 1/B) and
-    their w-counterparts bit for bit, on both grids and on Monte Carlo
-    samples."""
-    import numpy as np
-    from starq import quadrature
-    rng = np.random.default_rng(3)
-    s = (np.arange(800) + 0.5) / 800
-    ((X, Y),), _ = quadrature._chart_factors([s[:, None], s[None, :]])
-    mc, _ = quadrature._chart_factors([rng.random(20000) for _ in range(4)])
-    grid, _ = quadrature._grid_4d()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for (zx, zy), w in [((X, Y), 0.0), ((X, Y), 1.0), (mc[0], 1.0),
-                            (grid[1], 0.0)]:
-            A, B = (w - zx) - 1j * zy, (w - zx) + 1j * zy
-            want = (np.imag(-1.0 / A + 1.0 / B), -np.real(1.0 / A + 1.0 / B))
-            got = quadrature._grad_phi_boundary(zx, zy, w)
-            assert all(g.tobytes() == v.tobytes() for g, v in zip(got, want))
-        for (zx, zy), (wx, wy) in [mc, mc[::-1], grid, grid[::-1]]:
-            A = (wx - zx) + 1j * (wy - zy)
-            B = (wx - zx) + 1j * (wy + zy)
-            want = (np.imag(-1.0 / A + 1.0 / B), -np.real(1.0 / A + 1.0 / B),
-                    np.imag(1.0 / A - 1.0 / B), np.real(1.0 / A - 1.0 / B))
-            got = quadrature._grad_phi_full(zx, zy, wx, wy)
-            assert all(g.tobytes() == v.tobytes() for g, v in zip(got, want))
 
 
 def test_weight_guard_and_failure():
@@ -771,8 +386,8 @@ def test_interrupted_weights_kill_their_workers(monkeypatch):
 
 # Run weights --n 2 in a fresh interpreter that sees two usable CPUs, with
 # the report sent to the file argv[1], and print one JSON line: per fork of
-# this process, whether numpy was loaded and how many pair integrals and 4D
-# grids quadrature had cached.
+# this process, whether numpy was loaded and how many entries the
+# functools caches of starq.quadrature held between them.
 _FORK_SPY = """\
 import json, os, sys
 from starq.cli import main
@@ -783,9 +398,10 @@ _fork = os.fork
 
 def fork():
     quadrature = sys.modules.get("starq.quadrature")
-    forks.append({"numpy": "numpy" in sys.modules, "cached": quadrature and [
-        quadrature._pair_integral_2d.cache_info().currsize,
-        quadrature._grid_4d.cache_info().currsize]})
+    cached = quadrature and sum(
+        f.cache_info().currsize for f in vars(quadrature).values()
+        if hasattr(f, "cache_info"))
+    forks.append({"numpy": "numpy" in sys.modules, "cached": cached})
     return _fork()
 
 
@@ -807,7 +423,7 @@ def test_weights_load_numpy_and_integrate_nothing_before_forking(tmp_path):
                           env=_subprocess_env(), capture_output=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert json.loads(proc.stdout) == [{"numpy": True, "cached": [0, 0]}]
+    assert json.loads(proc.stdout) == [{"numpy": True, "cached": 0}]
     assert hashlib.sha256(report.read_bytes()).hexdigest() == json.loads(
         PINS.read_text())["weights-n2"]
 
