@@ -46,22 +46,6 @@ from .symbols import (
 
 
 # ---------------------------------------------------------------------------
-# holomorphic sections
-
-def _section_matrix(ctx, z):
-    """S[l, node] = z^l (1+|z|^2)^{-m/2} / sqrt(norm_l), stable recurrence."""
-    m = ctx.m
-    z = np.asarray(z, dtype=complex)
-    t = (z * z.conjugate()).real
-    s = 1.0 / (1.0 + t)
-    S = np.empty((m + 1,) + z.shape, dtype=complex)
-    S[0] = math.sqrt((m + 1) / TWO_PI) * s ** (m / 2)
-    for l in range(m):
-        S[l + 1] = S[l] * z * math.sqrt((m - l) / (l + 1))
-    return S
-
-
-# ---------------------------------------------------------------------------
 # Toeplitz matrices
 
 def toeplitz_matrix(f, ctx):
@@ -86,10 +70,19 @@ def operator_norm(A):
 # coherent states and symbols
 
 def coherent_vector(z0, ctx):
-    """Reproducing vector at the chart point z0 for the unit-norm frame;
-    rescaling the frame by c would multiply it by conj(c)^m."""
-    S = _section_matrix(ctx, np.asarray([z0], dtype=complex))[:, 0]
-    return np.conjugate(S)
+    """Reproducing vector at the chart point z0 for the unit-norm frame:
+    the conjugate of the sections S[l] = z0^l (1+|z0|^2)^{-m/2} /
+    sqrt(norm_l), by a stable recurrence; rescaling the frame by c would
+    multiply it by conj(c)^m."""
+    m = ctx.m
+    z = np.asarray([z0], dtype=complex)
+    t = (z * z.conjugate()).real
+    s = 1.0 / (1.0 + t)
+    S = np.empty((m + 1, 1), dtype=complex)
+    S[0] = math.sqrt((m + 1) / TWO_PI) * s ** (m / 2)
+    for l in range(m):
+        S[l + 1] = S[l] * z * math.sqrt((m - l) / (l + 1))
+    return np.conjugate(S)[:, 0]
 
 
 def covariant_symbol(A, z0, ctx):

@@ -345,16 +345,10 @@ def tables_agree(t1, t2, up_to=None):
     """Whether every coefficient jet of C_k(t1) - C_k(t2), k = 0..N, vanishes
     through total degree up_to (default D - 2N).  Tables of different N, n
     or D do not agree."""
-    return _agree(t1.C, t2.C, t1.D - 2 * t1.N if up_to is None else up_to)
-
-
-def _agree(xs, ys, up_to):
-    """Whether two operator sequences, the C of two tables or two nu-series
-    of DiffOps, have one length, n and D, and every coefficient jet of
-    x_k - y_k vanishes through total degree up_to."""
-    if len(xs) != len(ys) or (xs[0].n, xs[0].D) != (ys[0].n, ys[0].D):
+    if (t1.N, t1.n, t1.D) != (t2.N, t2.n, t2.D):
         return False
-    return all((a - b).drop_above(up_to).is_zero() for a, b in zip(xs, ys))
+    up_to = t1.D - 2 * t1.N if up_to is None else up_to
+    return all((a - b).drop_above(up_to).is_zero() for a, b in zip(t1.C, t2.C))
 
 
 # ---------------------------------------------------------------------------

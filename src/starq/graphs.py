@@ -16,7 +16,8 @@ weight -1, has 2|E| >= 3a + 2(k - a) + 2, and its total weight
 W = |E| + sum of vertex weights is at least (k + 2)/2: k <= 2W - 2.
 Internal edges run only from a lower to a higher vertex, a topological
 numbering, so each graph is acyclic by construction.  A class is kept once,
-as its least relabelling by str, with |Aut| attached.
+as its least relabelling by str, with |Aut| attached.  enumerate_ggraphs
+lists them through total weight 3; gammelgaard_star contracts through 2.
 
 Sign bookkeeping (documented constants):
   * the angle form of an edge is d phi(z, w) with
@@ -170,8 +171,7 @@ class KGraph(namedtuple("KGraph", "n targets")):
         if len(targets) != n:
             raise ValueError("one target pair per internal vertex")
         for i, (a, b) in enumerate(targets, start=1):
-            allowed = set(range(1, n + 1)) | {L, R}
-            allowed.discard(i)
+            allowed = _allowed_targets(n, i)
             if a == b or a not in allowed or b not in allowed:
                 raise ValueError(f"invalid target pair for vertex {i}")
         return super().__new__(cls, n, targets)
@@ -212,21 +212,18 @@ def _target_key(t):
     return (1, t)
 
 
+def _allowed_targets(n, i):
+    """The targets an edge of vertex i may have, of n internal, sorted."""
+    return sorted((set(range(1, n + 1)) | {L, R}) - {i})
+
+
 def enumerate_kgraphs(n):
     """All admissible graphs with n internal vertices, deterministic order."""
     if n > 3:
         raise ResourceGuard("enumeration supported for n <= 3")
-    if n == 0:
-        return [KGraph(0, ())]
-    out = []
-    choices = []
-    for i in range(1, n + 1):
-        allowed = sorted((set(range(1, n + 1)) | {L, R}) - {i})
-        pairs = [(a, b) for a in allowed for b in allowed if a != b]
-        choices.append(pairs)
-    for combo in itertools.product(*choices):
-        out.append(KGraph(n, tuple(combo)))
-    return out
+    choices = [itertools.permutations(_allowed_targets(n, i), 2)
+               for i in range(1, n + 1)]
+    return [KGraph(n, combo) for combo in itertools.product(*choices)]
 
 
 def d_gamma(G, a, f, g):
@@ -238,35 +235,25 @@ def d_gamma(G, a, f, g):
     """
     d = a.d
     edges = G.edge_list()
+
+    def into(p, v, labels):
+        # p differentiated by the labels of the edges into v, in edge order
+        for (_, tgt), label in zip(edges, labels):
+            if tgt == v:
+                p = p.diff(label)
+        return p
+
     total = Poly(d, {})
     for labels in itertools.product(range(d), repeat=len(edges)):
-        prod = Poly.constant(1.0, d)
-        ok = True
-        for i in range(1, G.n + 1):
-            la, lb = labels[2 * (i - 1)], labels[2 * (i - 1) + 1]
-            factor = a.alpha[la][lb]
-            for j, (src, tgt) in enumerate(edges):
-                if tgt == i:
-                    factor = factor.diff(labels[j])
-            if factor.is_zero():
-                ok = False
+        vertices = [(a.alpha[labels[2 * i - 2]][labels[2 * i - 1]], i)
+                    for i in range(1, G.n + 1)] + [(f, L), (g, R)]
+        factors = []
+        for p, v in vertices:             # up to the first zero factor
+            factors.append(into(p, v, labels))
+            if factors[-1].is_zero():
                 break
-            prod = prod * factor
-        if not ok:
-            continue
-        ff = f
-        for j, (src, tgt) in enumerate(edges):
-            if tgt == L:
-                ff = ff.diff(labels[j])
-        if ff.is_zero():
-            continue
-        gg = g
-        for j, (src, tgt) in enumerate(edges):
-            if tgt == R:
-                gg = gg.diff(labels[j])
-        if gg.is_zero():
-            continue
-        total = total + prod * ff * gg
+        else:
+            total = total + math.prod(factors, start=Poly.constant(1.0, d))
     return total
 
 
@@ -319,10 +306,10 @@ def kontsevich_weights(graphs, cfg=None):
     shares, integrated at once by this process and k - 1 forked children
     (_in_workers); numpy is loaded before the fork, so no child loads it
     again.  Each graph goes through grid_weight or mc_weight alone, so no
-    value depends on k.  The results are checked in the order given: the
-    first graph whose integration raised, or whose error estimate exceeds
-    cfg.tol, raises as it would one graph at a time, and only the graphs
-    before it are cached.
+    value depends on k.  The misses are settled in the order given: each
+    result is cached, and the first exception met, an integration that
+    raised or an error estimate above cfg.tol (_integrate), is raised as it
+    would be one graph at a time, with only the graphs before it cached.
     """
     cfg = cfg or IntegrationConfig()
     keys = [G.canonical() for G in graphs]
@@ -340,37 +327,30 @@ def kontsevich_weights(graphs, cfg=None):
         for share, results in zip(shares, _in_workers(
                 lambda share: _integrate(weight, share, cfg), shares)):
             outcomes.update(zip(share, results))
-    out = []
-    for G in keys:
-        if G.n == 0:
-            out.append(WeightResult(1.0, 0.0, 0, cfg.seed))
-            continue
-        if (G, cfg) not in _WEIGHT_CACHE:
-            res = outcomes[G]
-            if isinstance(res, Exception):
-                raise res
-            if res.error_estimate > cfg.tol:
-                raise IntegrationFailure(
-                    f"weight error estimate {res.error_estimate:.2e} exceeds "
-                    f"tolerance {cfg.tol:.2e}")
-            _WEIGHT_CACHE[G, cfg] = res
-        out.append(_WEIGHT_CACHE[G, cfg])
-    return out
+    # a miss without an outcome comes after a failed miss of its share
+    for G in misses:
+        if isinstance(outcomes[G], Exception):
+            raise outcomes[G]
+        _WEIGHT_CACHE[G, cfg] = outcomes[G]
+    return [_WEIGHT_CACHE[G, cfg] if G.n else
+            WeightResult(1.0, 0.0, 0, cfg.seed) for G in keys]
 
 
 def _integrate(weight, graphs, cfg):
     """weight(G, cfg) for each canonical graph in turn, up to the first
-    that fails: one whose error estimate exceeds cfg.tol, or one whose
-    integration raises, which gives its exception instead."""
+    that fails, which gives its exception instead: the one its integration
+    raised, or IntegrationFailure if its error estimate exceeds cfg.tol."""
     out = []
-    for G in graphs:
-        try:
-            out.append(weight(G, cfg))
-        except Exception as exc:
-            out.append(exc)
-            break
-        if out[-1].error_estimate > cfg.tol:
-            break
+    try:
+        for G in graphs:
+            res = weight(G, cfg)
+            if res.error_estimate > cfg.tol:
+                raise IntegrationFailure(
+                    f"weight error estimate {res.error_estimate:.2e} exceeds "
+                    f"tolerance {cfg.tol:.2e}")
+            out.append(res)
+    except Exception as exc:
+        out.append(exc)
     return out
 
 
@@ -389,9 +369,7 @@ def _in_workers(work, shares):
     neither prints nor runs its parent's cleanup.  Every child is reaped
     before this returns or raises; on an exception here the children left
     are killed first.  A child that ends without a result raises
-    IntegrationFailure once all are reaped."""
-    if len(shares) < 2:
-        return [work(share) for share in shares]
+    IntegrationFailure once all are reaped.  One share forks nothing."""
     import pickle
     import signal
     pipes, pids = [], []          # pids: the children not yet reaped
@@ -550,15 +528,10 @@ class GGraph(namedtuple("GGraph", "weights edges aut")):
 
 def enumerate_ggraphs(Wmax):
     """All weighted acyclic source/sink graphs of total weight <= Wmax,
-    up to isomorphism fixing source and sink, with |Aut| attached."""
-    if Wmax > 2:
-        raise ResourceGuard("enumeration supported for total weight <= 2")
-    return _generate_ggraphs(Wmax)
-
-
-def _generate_ggraphs(Wmax):
-    """The graphs of enumerate_ggraphs, without its weight guard, from the
+    up to isomorphism fixing source and sink, with |Aut| attached, from the
     rules of the module docstring, sorted by weight, weights and edges."""
+    if Wmax > 3:
+        raise ResourceGuard("enumeration supported for total weight <= 3")
     found = {}
     for k in range(max(0, 2 * Wmax - 2) + 1):
         pairs = [("S", "T")] + [("S", v) for v in range(k)]

@@ -7,19 +7,19 @@ points nearer than eta to an edge's target excised and a Richardson step
 over eta, eta/2, eta/4.  The unit cube is mapped onto H^n by tangents.
 
 Both grids are products of midpoint axes, so the chart works on the axes and
-broadcasts.  Each process builds once, read-only, the 2D pair integral and
-the 4D grid's axes and per-axis chart weight factors, and keeps no full 4D
-array.  Each integral is one pass over blocks (rows of the pair grid, whole
-first-axis slices of the 4D grid or of the samples).  On a block, _edge
-gives each edge's gradient columns and squared distance; the distances fill
-the three excision masks (_fill_masks) and the gradients the integrand, a
-graph's through a reused Jacobian buffer whose determinants are scaled by
-the block's slice of the chart weight.  The nested masks multiply the
-integrand in place, the widest first, and each sum runs over the whole grid
-(_excised), in the order of one full-grid pass.  Only starq.graphs imports
-this module, and only to integrate a weight, so the exact commands never
-load numpy; graphs.kontsevich_weights calls grid_weight or mc_weight one
-graph at a time, in its own process or a forked child.
+broadcasts.  Each process caches the 2D pair integral, two floats, and builds
+the 4D grid's axes and per-axis chart weight factors for each graph; it keeps
+no full 4D array.  Each integral is one pass over blocks (rows of the pair
+grid, whole first-axis slices of the 4D grid or of the samples).  On a block,
+_edge gives each edge's gradient columns and squared distance; the distances
+fill the three excision masks (_fill_masks) and the gradients the integrand, a
+graph's through a reused Jacobian buffer whose determinants are scaled by the
+block's slice of the chart weight.  The nested masks multiply the integrand in
+place, the widest first, and each sum runs over the whole grid (_excised), in
+the order of one full-grid pass.  Only starq.graphs imports this module, and
+only to integrate a weight, so the exact commands never load numpy;
+graphs.kontsevich_weights calls grid_weight or mc_weight one graph at a time,
+in its own process or a forked child.
 """
 
 import functools
@@ -82,14 +82,6 @@ def _chart_factors(flat):
             factors.append(np.pi / 2 * (1 + x ** 2))
         coords.append(x)
     return tuple(zip(coords[0::2], coords[1::2])), tuple(factors)
-
-
-def _product(factors):
-    """The chart weight: 1.0 times each factor in turn."""
-    weight = 1.0
-    for factor in factors:
-        weight = weight * factor
-    return weight
 
 
 def _edge(i, t, pos):
@@ -158,7 +150,8 @@ def _pair_integral_2d(M, eta):
         (((_, d2x), (_, d2y)), dist_r) = _edge(1, R, pos)
         _fill_masks([mask[rows] for mask in masks], (dist_l, dist_r), eta)
         del dist_l, dist_r
-        J[rows] = (d1x * d2y - d1y * d2x) * (_product(factors) / (M * M))
+        J[rows] = (d1x * d2y - d1y * d2x) * (math.prod(factors, start=1.0)
+                                             / (M * M))
         del d1x, d1y, d2x, d2y
     return _richardson(
         [float(np.sum(v)) for v in _excised(J, masks, eta)][::-1])
@@ -214,26 +207,22 @@ def _integrand(edges, pos, factors, eta):
                 dists.append(dist2)
             _fill_masks([mask[lo:hi] for mask in masks], dists, eta)
             stack = buf[:, :, :n * inner].transpose(2, 0, 1)
-            weight = _product(np.broadcast_to(f, shape)[lo:hi]
-                              for f in factors)
+            weight = math.prod((np.broadcast_to(f, shape)[lo:hi]
+                                for f in factors), start=1.0)
             np.multiply(np.linalg.det(stack).reshape(weight.shape), weight,
                         out=det[lo:hi])
     np.nan_to_num(det, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
     return det, masks
 
 
-@functools.cache
 def _grid_4d():
     """Midpoint grid of the unit 4-cube mapped onto H^2: per-axis points
     and per-axis weight factors."""
     M = _GRID_NODES_4D
     axis = (np.arange(M) + 0.5) / M
-    pos, factors = _chart_factors(
+    return _chart_factors(
         [axis.reshape([M if d == k else 1 for d in range(4)])
          for k in range(4)])
-    for a in [a for xy in pos for a in xy] + list(factors):
-        a.flags.writeable = False         # an in-place edit raises
-    return pos, factors
 
 
 def _norm(n):

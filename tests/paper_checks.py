@@ -7,9 +7,11 @@ Q_f = i T_{f - Delta f/(2m)} for geometric quantization, the opposite and
 dual products, the Moyal product, the multi-index range and the jet
 Laplacian and Poisson bracket, with the helpers that only the tests call:
 the sphere's height and first coordinate as observables, monomial and
-conjugate jets, a DiffOp applied to a jet, the reality of an observable
-and the largest coefficient of a graph polynomial.  The tests
-import them from this module; pytest puts tests/ on sys.path.
+conjugate jets, a DiffOp applied to a jet, the reality of an observable,
+a dense non-radial potential, the Berezin product's potential, the
+Berezin-Toeplitz table by conjugating that product with its transform, and
+the largest coefficient of a graph polynomial.  The tests and CI import
+them from this module; pytest puts tests/ on sys.path.
 
 Documented sign constant (pinned by the Tuynman test): the Hamiltonian
 field at level m is X^z = i f_zbar (1+|z|^2)^2 / (2m), the unique scaling
@@ -27,10 +29,13 @@ from starq.cp1 import (
 )
 from starq.formal import (
     BiDiffOp, DiffOp, OrderViolation, StarTable, conjugate_star,
-    detect_convention,
+    detect_convention, transform_from_star,
 )
 from starq.graphs import Poly, kontsevich_star
-from starq.jets import I, ONE, Jet, Scalar, mi_zero
+from starq.jets import (
+    I, ONE, Jet, Scalar, hessian, inverse_metric, jet_det, mi_zero,
+)
+from starq.karabegov import FormalPotential, karabegov_star
 from starq.symbols import TWO_PI, ObservableFn, laplacian_fn
 
 
@@ -335,6 +340,49 @@ def ops_agree(A, B, up_to=None):
         return False
     up_to = A[0].D - (len(A) - 1) if up_to is None else up_to
     return all((a - b).drop_above(up_to).is_zero() for a, b in zip(A, B))
+
+
+# ---------------------------------------------------------------------------
+# karabegov: a dense potential and the Berezin-Toeplitz table by conjugation
+
+def dense_potential(D):
+    """Real non-radial n = 1 potential z zbar + sum c_ab z^a zbar^b over
+    3 <= a + b <= 4, with fixed coefficients of modulus 1/4 and 1/4 sqrt 2."""
+    terms = {((1,), (1,)): Scalar(1)}
+    for a in range(5):
+        for b in range(a, 5):
+            if 3 <= a + b <= 4:
+                sign = (-1) ** (a + 2 * b)
+                im = Fraction(0) if a == b else Fraction(-sign, 4)
+                terms[((a,), (b,))] = Scalar(Fraction(sign, 4), im)
+                terms[((b,), (a,))] = Scalar(Fraction(sign, 4), -im)
+    return FormalPotential(phi_minus1=Jet(1, D, terms))
+
+
+def berezin_potential(P, N):
+    """Karabegov potential of the Berezin product, through the orders an
+    N-table reads: Phi_{-1}/nu + nu b_1 + nu^2 b_2 with log rho_nu =
+    sum nu^k b_k for the Bergman density rho_nu = 1 + nu a_1 + nu^2 a_2 + ...
+    b_1 = a_1 = R/2, R = -Delta log det g.  b_k first reaches C_{k+2}, so
+    b_2 enters only from N = 4, and then as Lu's n = 1 value
+    b_2 = a_2 - a_1^2/2 = Delta R / 3 - R^2 / 8."""
+    g_inv = inverse_metric(P.phi_minus1)
+    R = -laplacian(jet_det(hessian(P.phi_minus1)).log(), g_inv)
+    phi = [Jet.zero(P.n, P.D), R.scale(Fraction(1, 2))]
+    if N >= 4:
+        assert P.n == 1, "b_2 is known here for n = 1 only"
+        phi.append(laplacian(R, g_inv).scale(Fraction(1, 3))
+                   - (R * R).scale(Fraction(1, 8)))
+    return FormalPotential(phi_minus1=P.phi_minus1, phi=phi)
+
+
+def conjugation_route(P, N):
+    """The BT table f * g = I^{-1}(I f *_B I g), by conjugating the Berezin
+    product *_B with its transform I, cut as bt_star_from cuts."""
+    t = karabegov_star(berezin_potential(P, N), N)
+    cut = P.D - (3 * N + 2)
+    return [op.drop_above(cut)
+            for op in conjugate_star(t, transform_from_star(t)).C]
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ test named for it.
     python tests/seeded_faults.py      # about 50 s on 2 vCPU
 
 The first five faults are the ones ROADMAP item 24 seeded.  Each fault
-after them was caught by a test that read a private helper of starq, named
-in its "why" field: a retired test, now replaced by the contract tests
-that catch its fault, or a test ported to the contract, which still
-catches it.  pytest does not collect this file: its name does not match
-test_*.py.
+after them, up to the last two, was caught by a test that read a private
+helper of starq, named in its "why" field: a retired test, now replaced by
+the contract tests that catch its fault, or a test ported to the contract,
+which still catches it.  The last two seed decisions that the graph backend
+makes in one place, named in their "why" field.  pytest does not collect
+this file: its name does not match test_*.py.
 """
 
 import os
@@ -80,14 +81,6 @@ FAULTS = [
     Fault("pair-integral-not-cached", "src/starq/quadrature.py",
           "@functools.cache\ndef _pair_integral_2d",
           "def _pair_integral_2d",
-          [QUADRATURE_CACHES],
-          "retired test_weight_grid_fields_built_once"),
-    Fault("grid-4d-not-cached", "src/starq/quadrature.py",
-          "@functools.cache\ndef _grid_4d", "def _grid_4d",
-          [QUADRATURE_CACHES],
-          "retired test_weight_grid_fields_built_once"),
-    Fault("cached-grid-axes-writeable", "src/starq/quadrature.py",
-          "a.flags.writeable = False", "a.flags.writeable = True",
           [QUADRATURE_CACHES],
           "retired test_weight_grid_fields_built_once"),
     Fault("pair-integral-first-row-block-skipped", "src/starq/quadrature.py",
@@ -156,19 +149,33 @@ FAULTS = [
           ["tests/test_graphs.py::"
            "test_pair_integral_peaks_under_integrand_masks_and_a_megabyte"],
           "ported"),
-    Fault("full-grid-mask-kept-with-the-axes", "src/starq/quadrature.py",
-          "    return pos, factors",
-          "    return pos, factors + (np.array([True]).repeat(M ** 4)"
-          ".reshape((M,) * 4),)",
+    Fault("full-grid-integrand-kept", "src/starq/quadrature.py",
+          "    cells = _GRID_NODES_4D ** 4",
+          "    cells = _GRID_NODES_4D ** 4; "
+          "globals().setdefault('_kept', []).append(integrand)",
           ["tests/test_graphs.py::test_weights_keep_no_full_grid_array"],
           "ported"),
-    Fault("grid-built-before-the-fork", "src/starq/graphs.py",
+    Fault("pair-integral-before-the-fork", "src/starq/graphs.py",
           "from . import quadrature              # loads numpy, "
           "before any fork",
-          "from . import quadrature; quadrature._grid_4d()",
+          "from . import quadrature; "
+          "quadrature._pair_integral_2d(cfg.grid_nodes, cfg.eta)",
           ["tests/test_graphs.py::"
            "test_weights_load_numpy_and_integrate_nothing_before_forking"],
           "ported"),
+    # decisions the graph backend makes in one place
+    Fault("tolerance-read-from-eta", "src/starq/graphs.py",
+          "if res.error_estimate > cfg.tol:",
+          "if res.error_estimate > cfg.eta:",
+          ["tests/test_graphs.py::test_weight_guard_and_failure",
+           "tests/test_cli.py::test_exit_codes_and_stderr"],
+          "the tolerance, checked once in _integrate"),
+    Fault("vertex-1-matched-as-L", "src/starq/graphs.py",
+          "if tgt == v:", "if abs(tgt) == abs(v):",
+          ["tests/test_graphs.py::test_d_gamma_single_edge",
+           "tests/test_graphs.py::test_kontsevich_star_matches_moyal",
+           KONTSEVICH_PIN],
+          "the derivative rule, one helper in d_gamma"),
 ]
 
 ROOT = Path(__file__).resolve().parents[1]

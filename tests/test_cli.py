@@ -327,6 +327,15 @@ def test_graphs_enumerate_pipeline():
     assert report["results"]["count"] == 7
 
 
+def test_weighted_graphs_enumerate_through_weight_3(capsys):
+    """graphs-enumerate lists the 49 weighted graphs through total weight
+    3 and refuses weight 4."""
+    argv = ["graphs-enumerate", "--family", "weighted", "--wmax", "3"]
+    code, out = invoke(argv)
+    assert code == 0 and json.loads(out)["results"]["count"] == 49
+    assert_one_validation_error(argv[:-1] + ["4"], capsys, "ResourceGuard")
+
+
 def test_cp1_suite_pipeline():
     report = run(RunConfig(command="cp1-suite", suite="bms",
                            m_list=(8, 16, 32)))

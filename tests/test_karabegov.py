@@ -14,8 +14,8 @@ from starq.jets import (
 import starq.jets
 import starq.karabegov
 from starq.formal import (
-    BiDiffOp, DiffOp, StarTable, assoc_defect, conjugate_star, star_eval,
-    star_table_to_json, transform_from_star,
+    BiDiffOp, DiffOp, StarTable, assoc_defect, star_eval, star_table_to_json,
+    transform_from_star,
 )
 from starq.graphs import gammelgaard_star
 from starq.karabegov import (
@@ -25,8 +25,8 @@ from starq.karabegov import (
 )
 
 from paper_checks import (
-    apply_op, jet_monomial, laplacian, mi_range, mult_op, ops_agree,
-    poisson_bracket,
+    apply_op, conjugation_route, dense_potential, jet_monomial, laplacian,
+    mi_range, mult_op, ops_agree, poisson_bracket,
 )
 
 
@@ -522,46 +522,6 @@ def test_bt_c1_identity():
                         expect = expect - g_inv[i][j] * f.diff(i, "holo") * g.diff(j, "anti")
                 got = bt.C[1].apply(f, g)
                 assert (got - expect).truncate(window).is_zero(), name
-
-
-def dense_potential(D):
-    """Real non-radial n = 1 potential z zbar + sum c_ab z^a zbar^b over
-    3 <= a + b <= 4, with fixed coefficients of modulus 1/4 and 1/4 sqrt 2."""
-    terms = {((1,), (1,)): Scalar(1)}
-    for a in range(5):
-        for b in range(a, 5):
-            if 3 <= a + b <= 4:
-                sign = (-1) ** (a + 2 * b)
-                im = Fraction(0) if a == b else Fraction(-sign, 4)
-                terms[((a,), (b,))] = Scalar(Fraction(sign, 4), im)
-                terms[((b,), (a,))] = Scalar(Fraction(sign, 4), -im)
-    return FormalPotential(phi_minus1=Jet(1, D, terms))
-
-
-def berezin_potential(P, N):
-    """Karabegov potential of the Berezin product, through the orders an
-    N-table reads: Phi_{-1}/nu + nu b_1 + nu^2 b_2 with log rho_nu =
-    sum nu^k b_k for the Bergman density rho_nu = 1 + nu a_1 + nu^2 a_2 + ...
-    b_1 = a_1 = R/2, R = -Delta log det g.  b_k first reaches C_{k+2}, so
-    b_2 enters only from N = 4, and then as Lu's n = 1 value
-    b_2 = a_2 - a_1^2/2 = Delta R / 3 - R^2 / 8."""
-    g_inv = inverse_metric(P.phi_minus1)
-    R = -laplacian(jet_det(hessian(P.phi_minus1)).log(), g_inv)
-    phi = [Jet.zero(P.n, P.D), R.scale(Fraction(1, 2))]
-    if N >= 4:
-        assert P.n == 1, "b_2 is known here for n = 1 only"
-        phi.append(laplacian(R, g_inv).scale(Fraction(1, 3))
-                   - (R * R).scale(Fraction(1, 8)))
-    return FormalPotential(phi_minus1=P.phi_minus1, phi=phi)
-
-
-def conjugation_route(P, N):
-    """The BT table f * g = I^{-1}(I f *_B I g), by conjugating the Berezin
-    product *_B with its transform I, cut as bt_star_from cuts."""
-    t = karabegov_star(berezin_potential(P, N), N)
-    cut = P.D - (3 * N + 2)
-    return [op.drop_above(cut)
-            for op in conjugate_star(t, transform_from_star(t)).C]
 
 
 @pytest.mark.parametrize("P, N", [
