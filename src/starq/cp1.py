@@ -91,10 +91,6 @@ def covariant_symbol(A, z0, ctx):
     return complex(np.vdot(e, A @ e) / denom)
 
 
-def berezin_transform_num(f, z0, ctx):
-    return covariant_symbol(toeplitz_matrix(f, ctx), z0, ctx)
-
-
 # ---------------------------------------------------------------------------
 # asymptotic harness
 
@@ -246,7 +242,8 @@ def _berezin_results(cfg):
         raise ValidationError(f"--at {cfg.at!r} is not finite")
     points = []
     for m in cfg.m_list:
-        val = berezin_transform_num(f, z0, make_context(m))
+        ctx = make_context(m)
+        val = covariant_symbol(toeplitz_matrix(f, ctx), z0, ctx)
         points.append({"m": m, "value": val.real, "imag": val.imag})
     return {"series": "berezin", "at": cfg.at, "points": points}
 

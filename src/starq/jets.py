@@ -92,7 +92,6 @@ def _as_scalar(x):
 
 
 ONE = Scalar(1)
-I = Scalar(0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from starq.formal import (
 )
 from starq.graphs import Poly, kontsevich_star
 from starq.jets import (
-    I, ONE, Jet, Scalar, hessian, inverse_metric, jet_det, mi_zero,
+    ONE, Jet, Scalar, hessian, inverse_metric, jet_det, mi_zero,
 )
 from starq.karabegov import FormalPotential, karabegov_star
 from starq.symbols import TWO_PI, ObservableFn, laplacian_fn
@@ -288,7 +288,7 @@ def poisson_bracket(f, g, g_inv):
             term = (f.diff(i, "anti") * g.diff(j, "holo")
                     - f.diff(j, "holo") * g.diff(i, "anti"))
             out = out + g_inv[i][j] * term
-    return out.scale(I)
+    return out.scale(Scalar(0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -51,16 +51,12 @@ FAULTS = [
           "ROADMAP item 24"),
     Fault("berezin-defect-m-plus-2", "src/starq/cp1.py",
           "defect = abs(m * (val", "defect = abs((m + 2) * (val",
-          ["tests/test_cp1.py::test_berezin_asymptotics",
-           "tests/test_acceptance.py::"
-           "test_09_averaging_transform_asymptotics"],
+          ["tests/test_cp1.py::test_berezin_asymptotics"],
           "ROADMAP item 24"),
     Fault("bms-commutator-m-plus-2", "src/starq/cp1.py",
           "np.multiply(m * 1j, comm, out=comm)",
           "np.multiply((m + 2) * 1j, comm, out=comm)",
-          ["tests/test_cp1.py::test_bms_suite_slopes",
-           "tests/test_acceptance.py::"
-           "test_10_commutator_and_product_asymptotics"],
+          ["tests/test_cp1.py::test_bms_suite_slopes"],
           "ROADMAP item 24"),
     Fault("kontsevich-order-parity-dropped", "src/starq/graphs.py",
           "acc = acc + D * (w.value * G.order_parity())",
@@ -71,7 +67,7 @@ FAULTS = [
     Fault("coherent-vector-unconjugated", "src/starq/cp1.py",
           "    return np.conjugate(S)", "    return S",
           ["tests/test_cp1.py::test_coherent_reproducing_property",
-           "tests/test_acceptance.py::test_07_sphere_exact_structure"],
+           "tests/test_cp1.py::test_epsilon_function"],
           "ROADMAP item 24"),
     # the weight quadrature, once pinned by its private helpers
     Fault("pair-integral-second-edge-to-L", "src/starq/quadrature.py",

@@ -34,10 +34,7 @@ from starq.symbols import (
 
 def invoke(argv):
     """Run the CLI in-process, capturing stdout bytes and the exit code."""
-    class _Buf(io.BytesIO):
-        pass
-
-    buf = _Buf()
+    buf = io.BytesIO()
 
     class _Stdout:
         buffer = buf
@@ -57,6 +54,33 @@ def invoke(argv):
     finally:
         sys.stdout = old
     return code, buf.getvalue()
+
+
+def _assert_one_error_line(err, error, message):
+    """err is one JSON line {"error": error, "message": ...}, with the given
+    message unless that is None."""
+    lines = err.splitlines()
+    assert len(lines) == 1, lines
+    blob = json.loads(lines[0])
+    assert set(blob) == {"error", "message"} and blob["error"] == error, blob
+    assert message is None or blob["message"] == message, blob
+
+
+def assert_fails(argv, capsys, error="ValidationError", code=2, message=None):
+    """The exit contract in-process: main(argv) returns code, prints nothing
+    on stdout and one JSON line naming error on stderr."""
+    got, out = invoke(argv)
+    assert (got, out) == (code, b""), argv
+    _assert_one_error_line(capsys.readouterr().err, error, message)
+
+
+def assert_process_fails(argv, error, code=2, stdout=subprocess.PIPE):
+    """The exit contract at the process boundary, for
+    `python -m starq.cli argv`; with stdout given, the run writes there."""
+    proc = _cli_process(argv, stdout)
+    assert proc.returncode == code, proc.stderr.decode()
+    assert not proc.stdout
+    _assert_one_error_line(proc.stderr.decode(), error, None)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +197,7 @@ def test_large_powers_end_at_once(expr, code, capsys):
     start = time.perf_counter()
     argv = ["cp1-toeplitz", "--m", "4", "--expr", expr]
     if code == 2:
-        assert_one_validation_error(argv, capsys, "ParseError")
+        assert_fails(argv, capsys, "ParseError")
     else:
         assert invoke(argv)[0] == 0
     assert time.perf_counter() - start < 1
@@ -188,16 +212,11 @@ def test_parse_bounds_total_products(capsys):
     a positioned ParseError.  ^2, about 1.2 M products, still parses."""
     f = parse_observable(QUAD_POWER.format(k=2, c=64))
     assert len(f.terms) == 65 * 65
-    code, out = invoke(["cp1-toeplitz", "--m", "4", "--expr",
-                        QUAD_POWER.format(k=4, c=128)])
-    assert code == 2 and out == b""
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
     # position 19 is the exponent of ^4
-    assert json.loads(err[0]) == {
-        "error": "ParseError",
-        "message": f"expression needs more than {MAX_PRODUCTS} term "
-                   f"products (at position 19)"}
+    assert_fails(["cp1-toeplitz", "--m", "4", "--expr",
+                  QUAD_POWER.format(k=4, c=128)], capsys, "ParseError",
+                 message=f"expression needs more than {MAX_PRODUCTS} term "
+                         f"products (at position 19)")
 
 
 def test_parse_budget_sums_every_product(monkeypatch):
@@ -280,14 +299,7 @@ def test_runconfig_admits_order_and_degree_bounds():
 def test_repeated_level_exits_2_with_one_stderr_line(argv):
     """A repeated level used to reach np.polyfit, whose RankWarnings went to
     stderr ahead of an exit-3 error line."""
-    proc = subprocess.run([sys.executable, "-m", "starq.cli"] + argv,
-                          env=_subprocess_env(), capture_output=True,
-                          timeout=120)
-    assert proc.returncode == 2
-    assert proc.stdout == b""
-    err = proc.stderr.decode().splitlines()
-    assert len(err) == 1, err
-    assert json.loads(err[0])["error"] == "ValidationError"
+    assert_process_fails(argv, "ValidationError")
 
 
 def test_runconfig_admits_benchmark_levels():
@@ -333,7 +345,7 @@ def test_weighted_graphs_enumerate_through_weight_3(capsys):
     argv = ["graphs-enumerate", "--family", "weighted", "--wmax", "3"]
     code, out = invoke(argv)
     assert code == 0 and json.loads(out)["results"]["count"] == 49
-    assert_one_validation_error(argv[:-1] + ["4"], capsys, "ResourceGuard")
+    assert_fails(argv[:-1] + ["4"], capsys, "ResourceGuard")
 
 
 def test_cp1_suite_pipeline():
@@ -363,13 +375,9 @@ def test_radial_observable_norm_gap_is_nonnegative():
 
 
 def test_exit_codes_and_stderr(capsys):
-    code, _ = invoke(["cp1-berezin", "--expr", "z^5"])
-    assert code == 2
-    err = capsys.readouterr().err.strip().splitlines()[-1]
-    assert json.loads(err)["error"] == "UnboundedSymbol"
-    code, _ = invoke(["weights", "--n", "1", "--grid-nodes", "40",
-                      "--tol", "1e-9"])
-    assert code == 3
+    assert_fails(["cp1-berezin", "--expr", "z^5"], capsys, "UnboundedSymbol")
+    assert_fails(["weights", "--n", "1", "--grid-nodes", "40", "--tol",
+                  "1e-9"], capsys, "IntegrationFailure", 3)
 
 
 @pytest.mark.parametrize("argv", [
@@ -400,9 +408,21 @@ def test_exit_codes_and_stderr(capsys):
     ["star-gammelgaard", "--potential", "fs", "--order", "0",
      "--max-degree", "-1"],
     ["graphs-enumerate", "--family", "weighted", "--wmax", "-1"],
+    # argv outside the grammar, besides the unknown and abbreviated flags
+    # and the unknown command of test_malformed_input_exit_2
+    pytest.param(["cp1-toeplitz", "--", "--m", "1"], id="bare-dashes"),
+    pytest.param(["star-bt", "--order"], id="no-value"),
+    pytest.param(["star-bt", "--order", "--max-degree", "12"],
+                 id="flag-as-value"),
+    pytest.param(["star-bt", "-order", "2"], id="one-dash"),
+    pytest.param(["star-bt", "2"], id="stray-token"),
+    pytest.param(["--order", "2", "star-bt"], id="command-not-first"),
+    pytest.param([], id="empty"),
 ])
 def test_invalid_numeric_options_exit_2(argv, capsys):
-    assert_one_validation_error(argv, capsys)
+    """Invalid numeric options, and argvs outside the grammar, exit 2 with
+    one ValidationError line."""
+    assert_fails(argv, capsys)
 
 
 _V = "ValidationError"
@@ -456,8 +476,8 @@ def test_malformed_input_exit_2(argv, content, error, tmp_path, capsys):
     path = tmp_path / "input"
     if content is not None:
         path.write_text(content)
-    assert_one_validation_error(
-        [str(path) if a == "FILE" else a for a in argv], capsys, error)
+    assert_fails([str(path) if a == "FILE" else a for a in argv], capsys,
+                 error)
 
 
 @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
@@ -466,14 +486,10 @@ def test_non_finite_bivector_entry_exit_2(entry, tmp_path, capsys):
     as a bivector that fails to be antisymmetric."""
     path = tmp_path / "alpha.json"
     path.write_text('{"constant": [[0, %s], [-1, 0]]}' % entry)
-    code, out = invoke(["star-kontsevich", "--order", "1", "--alpha-path",
-                        str(path)])
-    err = capsys.readouterr().err.strip().splitlines()
-    assert (code, out) == (2, b"")
-    assert [json.loads(line) for line in err] == [
-        {"error": "ValidationError",
-         "message": f"bivector entry [0][1] = {float(entry)!r} is not "
-                    f"finite"}]
+    assert_fails(["star-kontsevich", "--order", "1", "--alpha-path",
+                  str(path)], capsys,
+                 message=f"bivector entry [0][1] = {float(entry)!r} is not "
+                         f"finite")
 
 
 _BIG = "1" + "0" * 400            # 10**400 in JSON digits, beyond any float
@@ -498,12 +514,9 @@ def test_json_integer_beyond_the_float_range_exits_2(argv, content, message,
     path = tmp_path / "alpha.json"
     if content is not None:
         path.write_text(content)
-    code, out = invoke(["star-kontsevich", "--order", "1"]
-                       + [str(path) if a == "FILE" else a for a in argv])
-    err = capsys.readouterr().err.strip().splitlines()
-    assert (code, out) == (2, b"")
-    assert [json.loads(line) for line in err] == [
-        {"error": "ValidationError", "message": message}]
+    assert_fails(["star-kontsevich", "--order", "1"]
+                 + [str(path) if a == "FILE" else a for a in argv], capsys,
+                 message=message)
 
 
 @pytest.mark.parametrize("argv", [
@@ -518,14 +531,10 @@ def test_excision_radius_that_measures_nothing_exits_3(argv, capsys):
     every one (1e153), gives three equal integrals: the Richardson step
     measures nothing, so the run fails instead of reporting its error
     estimate of 1e-12."""
-    code, out = invoke(argv)
-    err = capsys.readouterr().err.strip().splitlines()
-    assert (code, out, len(err)) == (3, b"", 1)
     eta = float(argv[argv.index("--eta") + 1])
-    assert json.loads(err[0]) == {
-        "error": "IntegrationFailure",
-        "message": f"eta {eta!r} excises the same points as eta/4, so the "
-                   f"Richardson step in eta measures nothing"}
+    assert_fails(argv, capsys, "IntegrationFailure", 3,
+                 f"eta {eta!r} excises the same points as eta/4, so the "
+                 f"Richardson step in eta measures nothing")
 
 
 def test_eta_with_an_overflowing_square_exits_2_before_numpy():
@@ -539,9 +548,8 @@ def test_eta_with_an_overflowing_square_exits_2_before_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert [json.loads(line) for line in proc.stderr.splitlines()] == [
-        {"error": "ValidationError",
-         "message": "eta must be > 0 with a finite square"}]
+    _assert_one_error_line(proc.stderr.decode(), "ValidationError",
+                           "eta must be > 0 with a finite square")
 
 
 def _potential_file(n=1, max_degree=12, dz=(1,), re="1", phi=()):
@@ -578,8 +586,8 @@ _PHI_N2 = {"n": 2, "max_degree": 12,
 def test_malformed_potential_file_exit_2(command, content, tmp_path, capsys):
     path = tmp_path / "potential.json"
     path.write_text(content)
-    assert_one_validation_error([command, "--potential", str(path), "--order",
-                                 "2", "--max-degree", "12"], capsys)
+    assert_fails([command, "--potential", str(path), "--order", "2",
+                  "--max-degree", "12"], capsys)
 
 
 def test_well_formed_potential_file_loads(tmp_path):
@@ -595,9 +603,8 @@ def test_star_bt_rejects_nonzero_phi(tmp_path, capsys):
     path = tmp_path / "potential.json"
     phi0 = json.loads(_potential_file(re="1/3"))["phi_minus1"]
     path.write_text(_potential_file(phi=[phi0]))
-    assert_one_validation_error(["star-bt", "--potential", str(path),
-                                 "--order", "2", "--max-degree", "12"],
-                                capsys, "ValueError")
+    assert_fails(["star-bt", "--potential", str(path), "--order", "2",
+                  "--max-degree", "12"], capsys, "ValueError")
 
 
 def test_star_bt_zero_phi_is_no_phi(tmp_path):
@@ -632,11 +639,8 @@ def test_degenerate_metric_exits_3(command, phi, tmp_path, capsys):
     named the error ZeroConstantTerm."""
     path = tmp_path / "potential.json"
     path.write_text(json.dumps({"phi_minus1": phi}))
-    code, out = invoke([command, "--potential", str(path), "--order", "1"])
-    assert code == 3 and out == b""
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0])["error"] == "DegenerateMetric"
+    assert_fails([command, "--potential", str(path), "--order", "1"], capsys,
+                 "DegenerateMetric", 3)
 
 
 def _diagonal_potential(n, max_degree=12):
@@ -663,8 +667,8 @@ def test_potential_file_limits_exit_2(command, content, extra, error,
     a file of more than MAX_N complex dimensions."""
     path = tmp_path / "potential.json"
     path.write_text(content)
-    assert_one_validation_error([command, "--potential", str(path),
-                                 "--order", "1", *extra], capsys, error)
+    assert_fails([command, "--potential", str(path), "--order", "1", *extra],
+                 capsys, error)
 
 
 
@@ -679,10 +683,9 @@ def test_bivector_dimension_above_cap_exits_2(tmp_path, capsys):
             [(j > i) - (j < i) for j in range(d)] for i in range(d)]}))
     assert load_bivector(str(tmp_path / f"alpha{2 * MAX_N}.json")).d \
         == 2 * MAX_N
-    assert_one_validation_error(
-        ["star-kontsevich", "--order", "1", "--alpha-path",
-         str(tmp_path / f"alpha{2 * MAX_N + 1}.json")], capsys,
-        "ResourceGuard")
+    assert_fails(["star-kontsevich", "--order", "1", "--alpha-path",
+                  str(tmp_path / f"alpha{2 * MAX_N + 1}.json")], capsys,
+                 "ResourceGuard")
 
 def test_named_potential_takes_max_degree():
     code, out = invoke(["star-bt", "--potential", "fs", "--order", "2",
@@ -697,7 +700,7 @@ def test_star_bt_degree_budget(max_degree, exit_code, capsys):
     argv = ["star-bt", "--potential", "fs", "--order", "2",
             "--max-degree", str(max_degree)]
     if exit_code:
-        assert_one_validation_error(argv, capsys, "BudgetExceeded")
+        assert_fails(argv, capsys, "BudgetExceeded")
     else:
         code, out = invoke(argv)
         assert code == 0
@@ -712,19 +715,11 @@ def test_star_gammelgaard_degree_budget(max_degree, exit_code, capsys):
     argv = ["star-gammelgaard", "--potential", "fs", "--order", "1",
             "--max-degree", str(max_degree)]
     if exit_code:
-        assert_one_validation_error(argv, capsys, "BudgetExceeded")
+        assert_fails(argv, capsys, "BudgetExceeded")
     else:
         code, out = invoke(argv)
         assert code == 0
         assert json.loads(out)["results"]["label"] == "graph-expansion"
-
-
-def assert_one_validation_error(argv, capsys, error="ValidationError"):
-    code, out = invoke(argv)
-    assert code == 2 and out == b""
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0])["error"] == error
 
 
 # Each command starts from an argv that keeps it cheap (kontsevich at order
@@ -822,7 +817,7 @@ def test_each_command_takes_only_its_flags(command, capsys):
             continue
         value = (",".join(map(str, default)) if isinstance(default, tuple)
                  else str(default))
-        assert_one_validation_error([command, _flag(name), value], capsys)
+        assert_fails([command, _flag(name), value], capsys)
 
 
 def test_foreign_flag_is_refused_before_any_work(monkeypatch, capsys):
@@ -833,8 +828,8 @@ def test_foreign_flag_is_refused_before_any_work(monkeypatch, capsys):
     def fail(*args):
         raise AssertionError("the table was built")
     monkeypatch.setattr(starq.karabegov, "karabegov_star", fail)
-    assert_one_validation_error(["star-karabegov", "--potential", "fs",
-                                 "--order", "10", "--format", "csv"], capsys)
+    assert_fails(["star-karabegov", "--potential", "fs", "--order", "10",
+                  "--format", "csv"], capsys)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -929,22 +924,6 @@ def test_value_may_begin_with_a_dash():
     assert json.loads(out)["inputs"]["config"]["at"] == "-0.5+0.2j"
 
 
-@pytest.mark.parametrize("argv", [
-    ["cp1-toeplitz", "--", "--m", "1"],
-    ["star-bt", "--order"],
-    ["star-bt", "--order", "--max-degree", "12"],
-    ["star-bt", "-order", "2"],
-    ["star-bt", "2"],
-    ["--order", "2", "star-bt"],
-    [],
-], ids=["bare-dashes", "no-value", "flag-as-value", "one-dash",
-        "stray-token", "command-not-first", "empty"])
-def test_argv_outside_the_grammar_exits_2(argv, capsys):
-    """Besides the unknown and abbreviated flags and the unknown command of
-    test_malformed_input_exit_2."""
-    assert_one_validation_error(argv, capsys)
-
-
 def test_help_anywhere_prints_the_command_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["star-bt", "--order", "2", "-h"])
@@ -969,13 +948,25 @@ def test_every_exception_has_one_exit_code():
             issubclass(exc, ArithmeticError), exc.__name__
 
 
+# One cheap argv per command.
+PIPELINES = [
+    ["star-karabegov", "--potential", "flat", "--order", "2"],
+    ["star-bt", "--potential", "flat", "--order", "2"],
+    ["star-gammelgaard", "--potential", "flat", "--order", "2"],
+    ["star-kontsevich", "--order", "1"],
+    ["graphs-enumerate", "--n", "2"],
+    ["weights", "--n", "1"],
+    ["cp1-toeplitz", "--m", "4", "--expr", "(1 - zz) / (1+zz)"],
+    ["cp1-berezin", "--expr", "(1 - zz) / (1+zz)", "--m-list", "8,16"],
+    ["cp1-suite", "--suite", "bms", "--m-list", "8,16"],
+]
+
+
 def test_determinism_across_runs():
-    argv = ["cp1-suite", "--suite", "bms", "--m-list", "8,16"]
-    code1, out1 = invoke(argv)
-    code2, out2 = invoke(argv)
-    code3, out3 = invoke(argv)
-    assert code1 == code2 == code3 == 0
-    assert out1 == out2 == out3
+    """Three in-process runs of each command exit 0 with the same bytes."""
+    for argv in PIPELINES:
+        runs = [invoke(argv) for _ in range(3)]
+        assert runs[0][0] == 0 and runs.count(runs[0]) == 3, argv
 
 
 def test_weights_determinism_mc():
@@ -1083,17 +1074,14 @@ def test_weights_bytes_do_not_depend_on_the_cpu_count(argv, code):
             kontsevich_weight(enumerate_kgraphs(2)[0],
                               IntegrationConfig(method="mc", samples=20000))
         assert out == b""
-        assert [json.loads(line) for line in err.splitlines()] == [
-            {"error": "IntegrationFailure", "message": str(first.value)}]
+        _assert_one_error_line(err.decode(), "IntegrationFailure",
+                               str(first.value))
 
 
 def test_out_path_that_cannot_be_opened_exits_2(tmp_path, capsys):
-    code, out = invoke(["cp1-toeplitz", "--m", "2",
-                        "--out", str(tmp_path / "missing" / "x.json")])
-    assert code == 2 and out == b""
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0])["error"] == "FileNotFoundError"
+    assert_fails(["cp1-toeplitz", "--m", "2",
+                  "--out", str(tmp_path / "missing" / "x.json")], capsys,
+                 "FileNotFoundError")
 
 
 def _subprocess_env():
@@ -1438,6 +1426,20 @@ def test_tests_read_only_the_allowed_private_names():
     assert set().union(*reads.values()) == PRIVATE_READS_ALLOWED
 
 
+def test_no_two_tests_share_a_body():
+    """Each check has one home: no two test_* functions of tests/ have the
+    same body, compared as an AST dump without the docstring."""
+    homes = {}
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name.startswith("test_"):
+                body = node.body[ast.get_docstring(node) is not None:]
+                homes.setdefault(ast.dump(ast.Module(body, [])), []).append(
+                    f"{path.name}::{node.name}")
+    assert not [names for names in homes.values() if len(names) > 1]
+
+
 def test_config_file_alone_loads_configparser(tmp_path):
     """configparser loads for --config, and only then."""
     cfg = tmp_path / "run.cfg"
@@ -1454,16 +1456,9 @@ def test_config_file_alone_loads_configparser(tmp_path):
 def test_overflow_leaves_one_stderr_line():
     """numpy's floating-point warnings stay off stderr: an overflowed
     cp1 run exits 3 with its JSON error line alone."""
-    argv = ["cp1-berezin", "--expr", "(1 - zz) / (1+zz)", "--at", "1e200",
-            "--m-list", "8"]
-    proc = subprocess.run([sys.executable, "-m", "starq.cli"] + argv,
-                          env=_subprocess_env(), capture_output=True,
-                          timeout=120)
-    assert proc.returncode == 3
-    assert proc.stdout == b""
-    err = proc.stderr.decode().splitlines()
-    assert len(err) == 1, err
-    assert json.loads(err[0])["error"] == "NonFiniteResult"
+    assert_process_fails(["cp1-berezin", "--expr", "(1 - zz) / (1+zz)",
+                          "--at", "1e200", "--m-list", "8"],
+                         "NonFiniteResult", 3)
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -1486,18 +1481,16 @@ def test_overflow_leaves_one_stderr_line():
     # finite coefficients whose Laplacian overflows to inf - inf
     (["cp1-suite", "--suite", "berezin", "--m-list", "4,8", "--f-expr",
       "1e308*(1-zz)/(1+zz)"], "NonFiniteResult"),
+    # an excision radius that excises no grid point beyond eta/4, or every
+    # one: the numpy quadrature's Richardson step measures nothing
+    (["weights", "--n", "1", "--eta", "1e-5"], "IntegrationFailure"),
+    (["weights", "--n", "1", "--eta", "1e153"], "IntegrationFailure"),
 ])
 def test_overflow_argvs_keep_the_exit_contract(argv, error):
-    """An overflowing sphere run, with or without numpy, exits 3 with one
-    JSON line on stderr and nothing on stdout."""
-    proc = subprocess.run([sys.executable, "-m", "starq.cli"] + argv,
-                          env=_subprocess_env(), capture_output=True,
-                          timeout=120)
-    assert proc.returncode == 3
-    assert proc.stdout == b""
-    err = proc.stderr.decode().splitlines()
-    assert len(err) == 1, err
-    assert json.loads(err[0])["error"] == error
+    """An overflowing sphere run, with or without numpy, and a weight
+    quadrature that measures nothing exit 3 with one JSON line on stderr and
+    nothing on stdout."""
+    assert_process_fails(argv, error, 3)
 
 
 def _cli_process(argv, stdout=subprocess.PIPE):
@@ -1524,11 +1517,7 @@ def test_fast_exit_keeps_the_report(tmp_path):
 def test_unknown_flag_exits_2_at_the_process_boundary():
     """An argument error ends in os._exit too; the exit-3 case is
     test_overflow_argvs_keep_the_exit_contract."""
-    proc = _cli_process(["star-bt", "--jobs", "2"])
-    assert proc.returncode == 2 and proc.stdout == b""
-    err = proc.stderr.decode().splitlines()
-    assert len(err) == 1, err
-    assert set(json.loads(err[0])) == {"error", "message"}
+    assert_process_fails(["star-bt", "--jobs", "2"], "ValidationError")
 
 
 def test_help_exits_0_at_the_process_boundary():
@@ -1543,14 +1532,11 @@ def test_closed_stdout_exits_2_with_one_stderr_line():
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = _cli_process(["cp1-toeplitz", "--m", "512", "--expr",
-                             "(1 - zz) / (1+zz)"], stdout=write_end)
+        assert_process_fails(["cp1-toeplitz", "--m", "512", "--expr",
+                              "(1 - zz) / (1+zz)"], "BrokenPipeError",
+                             stdout=write_end)
     finally:
         os.close(write_end)
-    assert proc.returncode == 2
-    err = proc.stderr.decode().splitlines()
-    assert len(err) == 1, err
-    assert json.loads(err[0])["error"] == "BrokenPipeError"
 
 
 SIX_MONOMIALS = ("((1.5 - 0.25j) + (0.75 + 2j)*z - 1.25j*zbar"

@@ -8,8 +8,8 @@ import pytest
 
 from starq import NonFiniteResult, ResourceGuard
 from starq.cp1 import (
-    AsymSeries, berezin_defect_series, berezin_transform_num, bms_suite,
-    coherent_vector, covariant_symbol, operator_norm, toeplitz_matrix,
+    AsymSeries, berezin_defect_series, bms_suite, coherent_vector,
+    covariant_symbol, operator_norm, toeplitz_matrix,
 )
 from starq.symbols import (
     ObservableFn, UnboundedSymbol, laplacian_fn, make_context,
@@ -54,7 +54,8 @@ def test_context_builds_no_grid():
     h, x = height_observable(), coord_x_observable()
     ctx = make_context(8)
     assert abs(toeplitz_matrix(h, ctx)[0, 0] - 8 / 10) < 1e-12
-    assert abs(berezin_transform_num(h, 0j, ctx) - 8 / 10) < 1e-12
+    assert abs(covariant_symbol(toeplitz_matrix(h, ctx), 0j, ctx) - 8 / 10) \
+        < 1e-12
     assert all(len(s.points) == 2 for s in bms_suite(h, x, [8, 16]))
 
 
@@ -157,12 +158,15 @@ def test_toeplitz_matches_fraction_reference_bitwise(m):
 
 
 def test_toeplitz_hermitian_and_positive():
-    ctx = make_context(8)
     f = ObservableFn(terms=((1.0, 1, 0, 1), (1.0, 0, 1, 1), (2.0, 0, 0, 0)))
-    T = toeplitz_matrix(f, ctx)
     assert is_real(f)
-    assert np.max(np.abs(T - T.conj().T)) < 1e-12
+    for m in (6, 8, 9):
+        for g in (ObservableFn.constant(1), height_observable(),
+                  coord_x_observable(), f):
+            T = toeplitz_matrix(g, make_context(m))
+            assert np.max(np.abs(T - T.conj().T)) < 1e-12
     # f = 2 + x >= 1 > 0 on the sphere
+    T = toeplitz_matrix(f, make_context(8))
     assert np.min(np.linalg.eigvalsh(T)) > -1e-10
 
 
@@ -226,13 +230,14 @@ def test_covariant_symbol_phase_independent():
 
 
 def test_epsilon_function():
-    ctx = make_context(8)
-    vals = [epsilon_function(z0, ctx) for z0 in sample_points(50)]
-    assert max(vals) - min(vals) < 1e-10
-    assert abs(vals[0] - ctx.dim / TWO_PI) < 1e-10
-    # integral of the epsilon measure = dimension
-    total = (ctx.dim / TWO_PI) * integral_exact(ObservableFn.constant(1))
-    assert abs(total - ctx.dim) < 1e-8
+    for m in (6, 8, 9):
+        ctx = make_context(m)
+        vals = [epsilon_function(z0, ctx) for z0 in sample_points(50)]
+        assert max(vals) - min(vals) < 1e-10
+        assert abs(vals[0] - ctx.dim / TWO_PI) < 1e-10
+        # integral of the epsilon measure = dimension
+        total = (ctx.dim / TWO_PI) * integral_exact(ObservableFn.constant(1))
+        assert abs(total - ctx.dim) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +246,11 @@ def test_epsilon_function():
 def test_berezin_transform_values():
     ctx = make_context(10)
     h = height_observable()
-    assert abs(berezin_transform_num(ObservableFn.constant(1), 0.4j, ctx) - 1) < 1e-12
-    assert abs(berezin_transform_num(h, 0j, ctx) - 10 / 12) < 1e-10
-    # symbol bound chain on sampled points
+    one = toeplitz_matrix(ObservableFn.constant(1), ctx)
+    assert abs(covariant_symbol(one, 0.4j, ctx) - 1) < 1e-12
     T = toeplitz_matrix(h, ctx)
+    assert abs(covariant_symbol(T, 0j, ctx) - 10 / 12) < 1e-10
+    # symbol bound chain on sampled points
     nrm = operator_norm(T)
     for z0 in sample_points(20):
         assert abs(covariant_symbol(T, z0, ctx)) <= nrm + 1e-12
@@ -252,11 +258,13 @@ def test_berezin_transform_values():
 
 
 def test_trace_identity():
-    ctx = make_context(9)
-    lhs, rhs, defect = trace_identity(ObservableFn.constant(1), ctx)
-    assert abs(lhs - ctx.dim) < 1e-10 and defect < 1e-10
-    _, _, defect = trace_identity(height_observable(), ctx)
-    assert defect < 1e-10
+    for m in (6, 9):
+        ctx = make_context(m)
+        lhs, rhs, defect = trace_identity(ObservableFn.constant(1), ctx)
+        assert abs(lhs - ctx.dim) < 1e-10 and defect < 1e-10
+        for f in (height_observable(), coord_x_observable()):
+            _, _, defect = trace_identity(f, ctx)
+            assert defect < 1e-10
 
 
 def test_adjointness():
@@ -283,7 +291,7 @@ def test_twisted_product():
     one = ObservableFn.constant(1)
     z0 = 0.3 + 0.1j
     assert abs(twisted_product(h, one, z0, ctx)
-               - berezin_transform_num(h, z0, ctx)) < 1e-12
+               - covariant_symbol(toeplitz_matrix(h, ctx), z0, ctx)) < 1e-12
     assert abs(twisted_product(h, h, 0j, ctx) - (8 / 10) ** 2) < 1e-10
     # reference: the two-point integral form, regrouped through the
     # resolution of identity so no antipodal exclusion is needed
@@ -298,8 +306,8 @@ def test_twisted_product():
 
 
 def test_surjectivity_rank():
-    assert surjectivity_rank(make_context(1)) == 4
-    assert surjectivity_rank(make_context(2)) == 9
+    for m in range(1, 9):
+        assert surjectivity_rank(make_context(m)) == (m + 1) ** 2
     with pytest.raises(ResourceGuard):
         surjectivity_rank(make_context(9))
 
@@ -343,12 +351,16 @@ def test_norm_asymptotics():
 
 
 def test_berezin_asymptotics():
+    """m (I_m h - h) - Delta h decays like 1/m, and I_m h(0) = m/(m + 2)."""
     h = height_observable()
+    levels = (8, 16, 32, 64, 128)
     series = berezin_defect_series(h, laplacian_fn(h), sample_points(12),
-                                   (8, 16, 32, 64, 128))
+                                   levels)
     assert abs(series.fit[1] + 1) < 0.15
-    ctx = make_context(16)
-    assert abs(berezin_transform_num(h, 0j, ctx) - 16 / 18) < 1e-10
+    for m in levels:
+        ctx = make_context(m)
+        assert abs(covariant_symbol(toeplitz_matrix(h, ctx), 0j, ctx)
+                   - m / (m + 2)) < 1e-10
 
 
 def test_bms_suite_slopes():

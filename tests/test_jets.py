@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from starq.jets import (
-    I, Jet, Scalar, ZeroConstantTerm, DegenerateMetric,
+    Jet, Scalar, ZeroConstantTerm, DegenerateMetric,
     hessian, inverse_metric, jet_det, jet_from_json, jet_to_json, mi_splits,
 )
 
@@ -230,7 +230,7 @@ def test_laplacian_fs_height_at_zero():
 def test_poisson_flat_examples():
     D = 6
     g_inv = inverse_metric(jz(1, D) * jzb(1, D))
-    assert poisson_bracket(jzb(1, D), jz(1, D), g_inv) == Jet.constant(I, 1, D)
+    assert poisson_bracket(jzb(1, D), jz(1, D), g_inv) == Jet.constant(Scalar(0, 1), 1, D)
     f = jz(1, D) * jzb(1, D) + jz(1, D)
     assert poisson_bracket(f, f, g_inv).is_zero()
     assert poisson_bracket(jz(1, D), jz(1, D), g_inv).is_zero()
@@ -318,7 +318,8 @@ def test_metric_inverse_non_diagonal_n3():
     phi = (z[0] * zb[0] + (z[1] * zb[1]).scale(2) + z[2] * zb[2]
            + z[0] * zb[0] * z[2] * zb[2]
            + (z[0] * zb[2] + z[2] * zb[0]).scale(Fraction(1, 4))
-           + (z[0] * zb[1]).scale(I) - (z[1] * zb[0]).scale(I))
+           + (z[0] * zb[1]).scale(Scalar(0, 1))
+           - (z[1] * zb[0]).scale(Scalar(0, 1)))
     g, g_inv = hessian(phi), inverse_metric(phi)
     for i in range(3):
         for j in range(3):
