@@ -12,12 +12,12 @@ test named for it.
     python tests/seeded_faults.py      # about 50 s on 2 vCPU
 
 The first five faults are the ones ROADMAP item 24 seeded.  Each fault
-after them, up to the last two, was caught by a test that read a private
-helper of starq, named in its "why" field: a retired test, now replaced by
-the contract tests that catch its fault, or a test ported to the contract,
-which still catches it.  The last two seed decisions that the graph backend
-makes in one place, named in their "why" field.  pytest does not collect
-this file: its name does not match test_*.py.
+after them, up to the graph backend's, was caught by a test that read a
+private helper of starq: a retired test, now replaced by the contract tests
+that catch its fault, or a test ported to the contract.  The last four seed
+decisions the graph backend makes in one place, the exit contract with
+numpy absent and the tokenizer's parses.  Each "why" field says which.
+pytest does not collect this file: its name does not match test_*.py.
 """
 
 import os
@@ -172,6 +172,19 @@ FAULTS = [
            "tests/test_graphs.py::test_kontsevich_star_matches_moyal",
            KONTSEVICH_PIN],
           "the derivative rule, one helper in d_gamma"),
+    # the exit contract with numpy absent, and the parses of the tokenizer
+    Fault("numpy-before-kontsevich-inputs", "src/starq/cli.py",
+          "        alpha = load_bivector(cfg.alpha_path)",
+          "        from . import quadrature; "
+          "alpha = load_bivector(cfg.alpha_path)",
+          ["tests/test_cli.py::test_non_finite_bivector_entry_exit_2[NaN]",
+           "tests/test_cli.py::"
+           "test_json_integer_beyond_the_float_range_exits_2[poly-coeff]"],
+          "a no-numpy row of tests/cli_contract.py, run with numpy blocked"),
+    Fault("tokenizer-reads-z-before-zbar", "src/starq/symbols.py",
+          "(?P<name>zbar|zz|z)", "(?P<name>z|zbar|zz)",
+          ["tests/test_cli.py::test_tokenizer_edge_inputs"],
+          "ported: the edge inputs pin parses and messages alone"),
 ]
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -207,9 +207,9 @@ else:
 
 
 def _traced_weights(*argv):
-    from test_cli import _subprocess_env
+    from cli_contract import subprocess_env
     proc = subprocess.run([sys.executable, "-c", _TRACED_WEIGHTS, *argv],
-                          env=_subprocess_env(), capture_output=True,
+                          env=subprocess_env(), capture_output=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     return json.loads(proc.stdout)
@@ -407,10 +407,11 @@ def test_weights_load_numpy_and_integrate_nothing_before_forking(tmp_path):
     built: every miss, the pair-integral graphs too, is dealt, and each
     process fills its own caches.  The report keeps the weights-n2 pin."""
     import hashlib
-    from test_cli import PINS, _subprocess_env
+    from cli_contract import subprocess_env
+    from test_cli import PINS
     report = tmp_path / "weights.json"
     proc = subprocess.run([sys.executable, "-c", _FORK_SPY, str(report)],
-                          env=_subprocess_env(), capture_output=True,
+                          env=subprocess_env(), capture_output=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert json.loads(proc.stdout) == [{"numpy": True, "cached": 0}]
