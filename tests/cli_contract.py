@@ -139,7 +139,7 @@ REFUSALS = [
         _row("poly-not-terms", "star-kontsevich --f-poly [1]"),
         _row("config-without-section", "weights --config TMP/input",
              file="n = 1\n"),
-        _row("unknown-flag", "star-bt --jobs 2", boundary="no-numpy"),
+        _row("unknown-flag", "star-bt --jobs 2"),
         _row("config-key-of-another-command", "star-bt --config TMP/input",
              file="[run]\neta = 0.7\n"),
         # no abbreviations: --m is not --m-list, --ord is not --order
@@ -192,8 +192,7 @@ REFUSALS = [
     # of reporting its error estimate of 1e-12
     *_under("test_excision_radius_that_measures_nothing_exits_3", *(
         _row(f"{flags}--eta {eta}", f"weights --n 1 {flags}--eta {eta}",
-             "IntegrationFailure", 3, f"eta {float(eta)!r} {_EXCISION}",
-             boundary=None if flags else "numpy")
+             "IntegrationFailure", 3, f"eta {float(eta)!r} {_EXCISION}")
         for flags in ("", "--method mc --tol 1 ")
         for eta in ("1e-5", "1e153"))),
     # refused as input before numpy loads: the excision's eta ** 2 raised
@@ -252,7 +251,7 @@ REFUSALS = [
             _row(None, "weights --n 1 --grid-nodes 40 --tol 1e-9",
                  "IntegrationFailure", 3)),
     # an overflowing sphere run, with or without numpy, whose floating-point
-    # warnings stay off stderr
+    # warnings stay off stderr, and a grid quadrature that measures nothing
     *_under(
         "test_overflow_argvs_keep_the_exit_contract",
         _row("argv0-NonFiniteResult",
@@ -280,9 +279,15 @@ REFUSALS = [
         # finite coefficients whose Laplacian overflows to inf - inf
         _row("argv7-NonFiniteResult", "cp1-suite --suite berezin --m-list 4,8 "
              "--f-expr 1e308*(1-zz)/(1+zz)", **_OVERFLOW),
+        *(_row(f"argv{i}-IntegrationFailure", f"weights --n 1 --eta {eta}",
+               **dict(_OVERFLOW, error="IntegrationFailure"))
+          for i, eta in ((8, "1e-5"), (9, "1e153"))),
         _row("cp1-berezin-at-1e200",
              f"cp1-berezin --expr {_HALF_SPHERE} --at 1e200 --m-list 8",
              **_OVERFLOW)),
+    # an argument error ends in os._exit too
+    *_under("test_unknown_flag_exits_2_at_the_process_boundary",
+            _row(None, "star-bt --jobs 2", boundary="no-numpy")),
     # a reader that has gone: not a BrokenPipeError traceback and exit 1
     *_under("test_closed_stdout_exits_2_with_one_stderr_line",
             _row(None, f"cp1-toeplitz --m 512 --expr {_HALF_SPHERE}",

@@ -1,7 +1,7 @@
 """End-to-end acceptance checks of the exact engine.
 
 Associativity through fourth order for both product families on three
-reference potentials, and the formal transform's round trips.
+reference potentials, and the formal transform's orders and round trips.
 Each other headline claim has one home in its module's tests; README.md's
 Tests section lists where.  Tolerances and time budgets are asserted
 explicitly.
@@ -11,15 +11,18 @@ import random
 import time
 from fractions import Fraction
 
-from starq.jets import Jet, Scalar
+from starq.jets import Jet, Scalar, inverse_metric
 from starq.formal import (
-    assoc_defect, invert_transform, tables_agree, transform_from_star,
+    DiffOp, assoc_defect, invert_transform, tables_agree, transform_from_star,
 )
 from starq.karabegov import (
     bt_star_from, flat_potential, fs_potential, karabegov_star,
+    reference_potentials,
 )
 
-from paper_checks import dual_star, mi_range
+from paper_checks import (
+    apply_op, dual_star, jet_monomial, laplacian, mi_range, ops_agree,
+)
 
 
 def random_jet(rng, n, D, deg=2):
@@ -66,7 +69,30 @@ def test_02_associativity_through_order_four():
 
 
 # ---------------------------------------------------------------------------
-# 4. formal transform round trips
+# 4. formal transform structure and round trips
+
+def test_04_transform_orders():
+    D, N = 14, 2
+    for name, P in reference_potentials(D).items():
+        n = P.n
+        t = karabegov_star(P, N)
+        Iop = transform_from_star(t)
+        assert Iop[0] == DiffOp.identity(n, D), name
+        g_inv = inverse_metric(P.phi_minus1)
+        window = D - (N + 2) - 4
+        probes = [jet_monomial(h, a, n, D)
+                  for h in mi_range(n, 2) for a in mi_range(n, 2)]
+        for f in probes:
+            got = apply_op(Iop[1], f)
+            assert (got - laplacian(f, g_inv)).truncate(window).is_zero(), name
+    # flat second order is half the squared Laplace operator
+    t = karabegov_star(flat_potential(D), N)
+    Iop = transform_from_star(t)
+    lap = DiffOp(1, D, [(Jet.constant(1, 1, D), (1, 1))])
+    expect = (DiffOp.identity(1, D), lap,
+              lap.compose(lap).scale(Scalar(Fraction(1, 2))))
+    assert ops_agree(Iop, expect)
+
 
 def test_04_round_trips_through_order_four():
     N = 4

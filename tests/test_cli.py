@@ -780,14 +780,14 @@ def test_weights_bytes_do_not_depend_on_the_cpu_count(argv, code):
                                   str(first.value)), rc, out, err.decode())
 
 
-# Run as `python -m starq.cli` runs it, in a fresh interpreter: argv, then
-# one JSON line, last on stdout, with the exit code, every loaded module and
-# the OPENBLAS_THREAD_TIMEOUT when numpy first loaded, which is when OpenBLAS
-# reads it ([] if never).  os._exit raises SystemExit here, so that the line
-# can still be printed.
+# Run each argv in turn as `python -m starq.cli` runs it, in one fresh
+# interpreter, then print one JSON line, last on stdout, with the exit codes,
+# every loaded module and the OPENBLAS_THREAD_TIMEOUT when numpy first
+# loaded, which is when OpenBLAS reads it ([] if never).  os._exit raises
+# SystemExit here, so that the line can still be printed.
 _RUN_AS_MAIN = """\
 import json, os, runpy, sys
-sys.argv = ["starq"] + json.loads(sys.argv[1])
+argvs = json.loads(sys.argv[1])
 timeout_at_numpy = []
 
 
@@ -803,20 +803,24 @@ def _exit(code):
 
 sys.meta_path.insert(0, _Spy())
 os._exit = _exit
-code = None
-try:
-    runpy.run_module("starq.cli", run_name="__main__")
-except SystemExit as exc:
-    code = exc.code
-print(json.dumps({"code": code, "modules": sorted(sys.modules),
+codes = []
+for argv in argvs:
+    sys.argv = ["starq"] + argv
+    code = None
+    try:
+        runpy.run_module("starq.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+    codes.append(code)
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules),
                   "timeout_at_numpy": timeout_at_numpy}))
 """
 
 
-def _run_as_main(argv, env):
-    """_RUN_AS_MAIN's line for argv."""
+def _run_as_main(argvs, env):
+    """_RUN_AS_MAIN's line for the argvs."""
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_AS_MAIN, json.dumps(argv)], env=env,
+        [sys.executable, "-c", _RUN_AS_MAIN, json.dumps(argvs)], env=env,
         capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     return json.loads(proc.stdout.splitlines()[-1])
@@ -869,9 +873,9 @@ def test_commands_load_only_what_they_run(argv, code, absent, present,
     __main__."""
     # TMP/input is the --config row's file
     argv = place(shlex.split(argv), "[run]\norder = 1\n", tmp_path)
-    report = _run_as_main(argv + ["--out", str(tmp_path / "report")],
+    report = _run_as_main([argv + ["--out", str(tmp_path / "report")]],
                           subprocess_env())
-    assert report["code"] == code
+    assert report["codes"] == [code]
     loaded = set(report["modules"])
     assert {"starq", *present} <= loaded
     unwanted = {"dataclasses", "configparser", "argparse", "gettext",
@@ -880,6 +884,32 @@ def test_commands_load_only_what_they_run(argv, code, absent, present,
     if "numpy" not in loaded:
         unwanted.add("inspect")
     assert not loaded & unwanted, sorted(loaded & unwanted)
+
+
+def test_bms_suite_does_not_import_numpy_random(tmp_path):
+    """sup_norm draws its sample without numpy.random, which the BMS suite
+    would otherwise load for that alone."""
+    report = _run_as_main([["cp1-suite", "--suite", "bms", "--m-list", "8",
+                            "--out", str(tmp_path / "report")]],
+                          subprocess_env())
+    assert report["codes"] == [0]
+    assert "numpy" in report["modules"]
+    assert "numpy.random" not in report["modules"]
+
+
+def test_numeric_commands_do_not_import_exact_core(tmp_path):
+    """The cp1-*, graphs-enumerate and star-kontsevich commands, run one
+    after another in one interpreter, never load the exact core, nor a
+    process or thread pool."""
+    argvs = [shlex.split(argv) + ["--out", str(tmp_path / "report")]
+             for argv in ("cp1-toeplitz --m 8", "cp1-berezin --m-list 4,8",
+                          "cp1-suite --m-list 4,8", "graphs-enumerate --n 2",
+                          "star-kontsevich --order 2")]
+    report = _run_as_main(argvs, subprocess_env())
+    assert report["codes"] == [0] * len(argvs)
+    loaded = set(report["modules"]) & {
+        *_EXACT_CORE, "multiprocessing", "concurrent.futures"}
+    assert not loaded, sorted(loaded)
 
 
 def _blas_env(timeout):
@@ -914,8 +944,8 @@ def test_caller_blas_thread_timeout_wins(caller, expect, tmp_path):
     """`python -m starq.cli` sets OPENBLAS_THREAD_TIMEOUT before numpy loads,
     unless its caller set one, which it keeps as is."""
     argv = ["cp1-suite", "--m-list", "4,8", "--out", str(tmp_path / "report")]
-    report = _run_as_main(argv, _blas_env(caller))
-    assert report["code"] == 0 and report["timeout_at_numpy"] == [expect]
+    report = _run_as_main([argv], _blas_env(caller))
+    assert report["codes"] == [0] and report["timeout_at_numpy"] == [expect]
 
 
 def test_main_in_process_keeps_the_callers_environment(monkeypatch):

@@ -314,8 +314,7 @@ def test_transform_flat():
 
 def test_transform_i1_is_laplacian():
     # the non-flat n = 2 metric is off the diagonal, so it tells the
-    # contraction g_inv[j][i] d_i dbar_j from its transpose; I_0 is the
-    # identity
+    # contraction g_inv[j][i] d_i dbar_j from its transpose
     N = 2
     potentials = dict(reference_potentials(14),
                       nonflat_n2=nonflat_n2_potential(12))
@@ -323,7 +322,6 @@ def test_transform_i1_is_laplacian():
         n, D = P.n, P.D
         t = karabegov_star(P, N)
         Iop = transform_from_star(t)
-        assert Iop[0] == DiffOp.identity(n, D), name
         g_inv = inverse_metric(P.phi_minus1)
         window = D - (N + 2) - 4
         probes = [jet_monomial(h, a, n, D)
