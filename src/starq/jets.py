@@ -286,8 +286,16 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return self.scale(other)
+        return self.mul_to(other, self.max_degree)
+
+    __rmul__ = __mul__
+
+    def mul_to(self, other, degree):
+        """self * other without forming any term above total degree
+        min(degree, max_degree)."""
         self._check(other)
         n, D = self.n, self.max_degree
+        top = min(degree, D)
         if not self.num or not other.num:
             return _jet(n, D, {}, 1)
         right = other._graded()
@@ -295,7 +303,7 @@ class Jet:
         out = {}
         get = out.get
         for d1, k1, r1, i1 in self._graded():
-            room = D - d1
+            room = top - d1
             if lowest > room:
                 break
             for d2, k2, r2, i2 in right:
@@ -311,8 +319,6 @@ class Jet:
                 out[key] = (re, im)
         return _reduced(n, D, {k: v for k, v in out.items() if v[0] or v[1]},
                         self.den * other.den)
-
-    __rmul__ = __mul__
 
     def scale(self, c):
         """c * self for an int, Fraction or Scalar c."""

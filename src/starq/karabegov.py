@@ -152,7 +152,7 @@ def _anti_wick_ops(P, N, g_inv):
     A = [BiDiffOp.pointwise(n, D)]
     for m in range(1, N + 1):
         cut = D - (m + 2)
-        res = [_commutator_sum(A, w, m, l) for l in range(n)]
+        res = [_commutator_sum(A, w, m, l, cut) for l in range(n)]
         terms = []
         for s in range(m, 0, -1):
             # the rows (b, beta), |beta| = s - 1, of the block |alpha| = s,
@@ -172,7 +172,7 @@ def _anti_wick_ops(P, N, g_inv):
                 for j in range(n):
                     acc = Jet.zero(n, D)
                     for l, c in row:
-                        acc = acc + g_inv[l][j] * c
+                        acc = acc + g_inv[l][j].mul_to(c, cut)
                     x = acc.drop_above(cut).scale(Fraction(-1, beta[j] + 1))
                     if not x.is_zero():
                         block.append((x, df, mi_add(beta, unit_mi(2 * n, j))))
@@ -180,31 +180,36 @@ def _anti_wick_ops(P, N, g_inv):
                         break
             block = BiDiffOp(n, D, block)
             terms += block.terms
-            res = [r + _commutator(block, w[0][l]) for l, r in enumerate(res)]
+            res = [r + _commutator(block, w[0][l], cut=cut)
+                   for l, r in enumerate(res)]
         if any(not r.drop_above(cut).is_zero() for r in res):
             raise ArithmeticError("inconsistent block in the recursion")
         A.append(BiDiffOp(n, D, terms))
     return A
 
 
-def _commutator_sum(A, w, m, l):
+def _commutator_sum(A, w, m, l, cut=None):
     """The nu^m part of [sum_k nu^k A_k, nu R_l] over the operators A_0,
-    A_1, ... of A: sum_k [A_k, w[m-k][l]], plus [A_{m-1}, d/dzbar_l]."""
+    A_1, ... of A: sum_k [A_k, w[m-k][l]], plus [A_{m-1}, d/dzbar_l]; with
+    cut, no product forms a term above degree cut."""
     acc = BiDiffOp.zero(A[0].n, A[0].D)
     for k, a in enumerate(A):
-        acc = acc + _commutator(a, w[m - k][l], l if m - k == 1 else None)
+        acc = acc + _commutator(a, w[m - k][l], l if m - k == 1 else None,
+                                cut)
     return acc
 
 
-def _commutator(op, w, l=None):
+def _commutator(op, w, l=None, cut=None):
     """[op, w] for a BiDiffOp op and the multiplication by a jet w, plus
     [op, d/dzbar_l] when l is given, with [op, r](f, g) = op(f, r g) -
     r(op(f, g)).  By Leibniz (jets.mi_splits), a term c (d^df f)(d^dg g) of
     op, each key holo + anti, gives C(dg, gamma) c (d^gamma w)
     (d^df f)(d^(dg-gamma) g) for each nonzero gamma <= dg, and
     -(dbar_l c)(d^df f)(d^dg g) and -c (d^(df+e) f)(d^dg g), e the key of
-    dbar_l."""
+    dbar_l.  With cut, no c (d^gamma w) product forms a term above degree
+    cut."""
     n = op.n
+    bound = op.D if cut is None else cut
     dw = {}
     out = []
     for c, df, dg in op.terms:
@@ -215,7 +220,7 @@ def _commutator(op, w, l=None):
             if d is None:
                 d = dw[gamma] = w.diff_multi(gamma)
             if not d.is_zero():
-                out.append(((c * d).scale(binom), df, rest))
+                out.append((c.mul_to(d, bound).scale(binom), df, rest))
         if l is not None:
             out.append((-c.diff(l, "anti"), df, dg))
             out.append((-c, mi_add(df, unit_mi(2 * n, n + l)), dg))

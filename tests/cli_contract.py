@@ -1,4 +1,4 @@
-"""The exit contract of the starq CLI: every refusal, in one table.
+"""The CLI's contracts in two tables: every refusal, and every pinned report.
 
 Each row of REFUSALS is an argv that starq must refuse: exit 2 (bad input)
 or 3 (a computation that cannot finish), nothing on stdout, and one JSON
@@ -10,22 +10,37 @@ starq.cli`, through run_at_the_boundary, with numpy blocked for a no-numpy
 row.  An argv token that begins with TMP/ names a path in a scratch
 directory, where a row's file, if it has one, is written as TMP/input.
 
+Each row of PINS is a report whose bytes are fixed: run_pin runs it as
+`python -m starq.cli` once per variant, which must all exit alike and
+print the same bytes, with the row's sha256 where it has one.  Tier-1 runs
+every row under the test id it names.
+
 This module imports only the standard library and parses on Python 3.10,
 so it runs on a bare interpreter:
 
-    python tests/cli_contract.py    # the no-numpy rows, at the boundary
+    python tests/cli_contract.py                  # every row it can run
+    python tests/cli_contract.py --without-numpy  # fails if numpy imports
+
+It alone enforces a pin's peak-RSS ceiling: through exec, a child reports
+its parent's high-water RSS, under tier-1 pytest's.
 """
 
+import hashlib
+import importlib.util
+import itertools
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
 import tempfile
+import threading
 from collections import namedtuple
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # test: the tier-1 test, id: its parameter id (None: an unparametrized test
 # of one row); boundary: None (in-process only), "numpy" or "no-numpy".
@@ -316,6 +331,84 @@ REFUSALS = [
 ]
 
 
+# test and id: as in Refusal; sha256: the report's digest (None: its
+# variants need only agree); variants: any of "one-cpu", "timeout-28" and
+# "--out", run besides every usable CPU, the CLI's own
+# OPENBLAS_THREAD_TIMEOUT and stdout, in every combination; numpy: whether
+# the command loads it (if not, it runs with numpy blocked); ceiling: a
+# peak RSS in MB; code: every variant's exit code.
+Pin = namedtuple("Pin", "test id argv sha256 variants numpy ceiling code",
+                 defaults=((), False, None, 0))
+_VARIANTS = (("every-cpu", "one-cpu"), ("own-timeout", "timeout-28"),
+             ("stdout", "--out"))
+_OPS = runpy.run_path(str(ROOT / "perfbench" / "ops.py"))
+_ARGVS = {op["name"]: op["argv"]
+          for op in _OPS["exact_tables"](1)[0] + _OPS["numeric"](1)[0]}
+_EXPECTED = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+
+
+def _pin(test, id, argv, sha256=None, **kwargs):
+    """A row of PINS: argv is a command line, or the name of a benchmark op,
+    whose argv and pin (read from perfbench/) the row takes."""
+    if argv in _ARGVS:
+        return Pin(test, id, _ARGVS[argv], _EXPECTED[argv], **kwargs)
+    return Pin(test, id, shlex.split(argv), sha256, **kwargs)
+
+
+_BENCH = "test_star_reports_match_benchmark_pins"
+_CPUS = "test_weights_bytes_do_not_depend_on_the_cpu_count"
+_IDLE = "test_blas_idle_policy_keeps_every_byte"
+# the timeout decides only when an idle OpenBLAS worker sleeps
+_TIMEOUTS = dict(variants=("timeout-28",), numpy=True)
+_ONE_CPU = dict(variants=("one-cpu",), numpy=True)
+
+PINS = [
+    _pin(_BENCH, "readme-karabegov-flat-2-argv0", "readme-karabegov-flat-2"),
+    _pin(_BENCH, "readme-bt-fs-2-argv1", "readme-bt-fs-2"),
+    _pin(_BENCH, "bt-aniso-3-argv2", "bt-aniso-3"),
+    # peaks of about 37.5, 36 and 43 MB (2 vCPU, numpy 2.4.6)
+    _pin(_BENCH, "weights-n2-argv3", "weights-n2", ceiling=40, **_TIMEOUTS),
+    _pin(_BENCH, "readme-kontsevich-argv4", "readme-kontsevich", ceiling=40,
+         **_TIMEOUTS),
+    _pin(_BENCH, "suite-bms-512", "suite-bms-512", ceiling=46, **_TIMEOUTS),
+    *(_pin(_BENCH, op, op) for op in (
+        "karabegov-fs-6", "bt-fs-4", "gammelgaard-aniso-2",
+        "readme-toeplitz-8", "readme-enumerate-n2",
+        "readme-enumerate-weighted")),
+    # tables deep enough for the Karabegov recursion's own time to show
+    *(_pin(_BENCH, id, argv, sha256) for id, argv, sha256 in (
+        ("karabegov-fs-14", "star-karabegov --potential fs --order 14",
+         "809c5ff4a53f623f14b2a07dd8d84b7a0ddeb137ba020efd570cd62b1bafed78"),
+        ("bt-fs-12", "star-bt --potential fs --order 12",
+         "9c9639c43d45614096ce156a3afa5a8da5869e283495e233816461914f8adf26"),
+        ("karabegov-aniso-10", "star-karabegov --potential aniso --order 10",
+         "0c463712ec9822c6cba4b39ac53b067b0ca54ce60353463af5acf3fcca60e202"),
+        ("bt-aniso-8", "star-bt --potential aniso --order 8",
+         "067e049c24fba2b41b3a490c1a3b2e5e964fe62ddc1bf2823651ca561a42a3de"),
+        )),
+    # the n = 1 pair integral on a 200-node grid, in row blocks whose last
+    # is 8 rows short, as full-grid products, sums and determinants give it
+    _pin("test_pair_integral_with_a_short_last_row_block_keeps_its_pin", None,
+         "weights --n 1 --grid-nodes 200",
+         "74bacd595febd313e00ef914e2f4648cd6773347af0068ea47aaf61ca53d6a89",
+         numpy=True),
+    # weights forks nothing on one CPU; the Monte Carlo report spans one
+    # determinant block of samples and a short one
+    _pin(_CPUS, "grid", "weights-n2", **_ONE_CPU),
+    _pin(_CPUS, "mc", "weights --n 2 --method mc --samples 20000 --tol 1",
+         "5d2ea9142cde47ae3e7c46867aefbec1e913b522a5435ff5bced36c79529cab1",
+         **_ONE_CPU),
+    _pin(_CPUS, "mc-failing", "weights --n 2 --method mc --samples 20000",
+         code=3, **_ONE_CPU),
+    # the run ends in os._exit, past the interpreter's teardown
+    _pin("test_fast_exit_keeps_the_report", None, "toeplitz-512",
+         variants=("--out",)),
+    _pin(_IDLE, "cp1-suite", "cp1-suite --suite bms --m-list 8,16,32",
+         **_TIMEOUTS),
+    _pin(_IDLE, "weights", "weights --n 1", **_TIMEOUTS),
+]
+
+
 def place(argv, file, directory):
     """argv with each TMP/ token placed in directory, after writing file,
     when given, to TMP/input."""
@@ -354,43 +447,126 @@ _NUMPY_BLOCKED = ("import runpy, sys; sys.modules['numpy'] = None; "
                   "alter_sys=True)")
 
 
-def run_at_the_boundary(row, directory):
-    """breach() of row run as `python -m starq.cli` in a fresh interpreter,
-    numpy blocked for a no-numpy row, its stdout a closed pipe if the row
-    says so; files go to directory."""
-    head = (["-c", _NUMPY_BLOCKED] if row.boundary == "no-numpy"
-            else ["-m", "starq.cli"])
-    stdout = subprocess.PIPE
-    if row.stdout_closed:
-        read_end, stdout = os.pipe()
-        os.close(read_end)
+def run_cli(argv, directory, numpy=True, env=None, one_cpu=False,
+            stdout_closed=False):
+    """`python -m starq.cli argv` in a fresh interpreter, numpy blocked
+    unless numpy, pinned to one CPU if one_cpu; its stdout (a closed pipe
+    if stdout_closed) and stderr go to files in directory.  Its exit code,
+    stdout, stderr, and wait4 peak RSS in MB and CPU seconds."""
+    head = ["-m", "starq.cli"] if numpy else ["-c", _NUMPY_BLOCKED]
+    cpu = {min(os.sched_getaffinity(0))}
+    out, err = Path(directory, "stdout"), Path(directory, "stderr")
+    with open(out, "wb") as fout, open(err, "wb") as ferr:
+        if stdout_closed:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+        proc = subprocess.Popen(
+            [sys.executable, *head, *argv], stderr=ferr,
+            stdout=write_end if stdout_closed else fout,
+            env=env or subprocess_env(), preexec_fn=(
+                lambda: os.sched_setaffinity(0, cpu)) if one_cpu else None)
+        if stdout_closed:
+            os.close(write_end)
+    timer = threading.Timer(300, proc.kill)
+    timer.start()
     try:
-        proc = subprocess.run(
-            [sys.executable, *head, *place(row.argv, row.file, directory)],
-            stdout=stdout, stderr=subprocess.PIPE, env=subprocess_env(),
-            timeout=120)
+        _, status, usage = os.wait4(proc.pid, 0)
     finally:
-        if row.stdout_closed:
-            os.close(stdout)
-    return breach(row, proc.returncode, proc.stdout or b"",
-                  proc.stderr.decode())
+        timer.cancel()
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return (proc.returncode, out.read_bytes(), err.read_bytes(),
+            usage.ru_maxrss / 1024, usage.ru_utime + usage.ru_stime)
 
 
-def main():
-    rows = [row for row in REFUSALS if row.boundary == "no-numpy"]
-    print(f"{len(rows)} of {len(REFUSALS)} refusals, each as python -m "
-          f"starq.cli with numpy blocked")
+def run_at_the_boundary(row, directory):
+    """breach() of row run through run_cli, numpy blocked for a no-numpy
+    row."""
+    code, out, err, _, _ = run_cli(
+        place(row.argv, row.file, directory), directory,
+        row.boundary != "no-numpy", stdout_closed=row.stdout_closed)
+    return breach(row, code, out, err.decode())
+
+
+def pin_env(timeout=None):
+    """subprocess_env() with two OpenBLAS threads, as the benchmark runs
+    them, and OPENBLAS_THREAD_TIMEOUT as given (None: unset)."""
+    env = dict(subprocess_env(), OPENBLAS_NUM_THREADS="2",
+               OPENBLAS_THREAD_TIMEOUT=timeout)
+    return {name: value for name, value in env.items() if value is not None}
+
+
+# One variant's run: its exit code, stdout, report (stdout, or the --out
+# file), stderr, and its wait4 peak RSS in MB and CPU seconds.
+Run = namedtuple("Run", "variant code stdout report stderr rss_mb cpu_s")
+
+
+def run_pin(row, directory):
+    """row's Runs through run_cli, one per variant."""
+    report = Path(directory, "report")
+    runs = []
+    for variant in itertools.product(*(
+            axis[:1 + (axis[1] in row.variants)] for axis in _VARIANTS)):
+        cpus, timeout, to = variant
+        code, out, err, rss_mb, cpu_s = run_cli(
+            row.argv + ["--out", str(report)] * (to == "--out"), directory,
+            row.numpy, pin_env("28" if timeout == "timeout-28" else None),
+            cpus == "one-cpu")
+        runs.append(Run(variant, code, out, report.read_bytes()
+                        if to == "--out" else out, err, rss_mb, cpu_s))
+    return runs
+
+
+def pin_breach(row, runs, ceilings=False):
+    """How row's runs break its pin, or '' if they keep it; its peak-RSS
+    ceiling counts only with ceilings."""
+    for run in runs:
+        if run.code != row.code or run.code == 0 and run.stderr \
+                or run.variant[2] == "--out" and run.stdout:
+            return (f"{run.variant}: exit {run.code}, not {row.code}; stdout "
+                    f"{run.stdout[:80]!r}; stderr {run.stderr[-300:]!r}")
+        if ceilings and row.ceiling and run.rss_mb > row.ceiling:
+            return f"{run.variant}: peak RSS {run.rss_mb:.1f} MB"
+    digests = [hashlib.sha256(run.report).hexdigest() for run in runs]
+    if len({(run.report, run.stderr) for run in runs}) > 1:
+        return f"variants differ: {digests}"
+    if row.sha256 not in (None, digests[0]):
+        return f"sha256 {digests[0]}, not {row.sha256}"
+    return ""
+
+
+def _name(row):
+    return row.test if row.id is None else f"{row.test}[{row.id}]"
+
+
+def main(argv):
+    has_numpy = importlib.util.find_spec("numpy") is not None
+    if argv not in ([], ["--without-numpy"]) or argv and has_numpy:
+        print("numpy is importable" if argv == ["--without-numpy"] else
+              "usage: python tests/cli_contract.py [--without-numpy]")
+        return 2
+    refusals = [row for row in REFUSALS if row.boundary == "no-numpy"]
+    pins = [row for row in PINS if has_numpy or not row.numpy]
+    print(f"{len(refusals)} of {len(REFUSALS)} refusals, each as python -m "
+          f"starq.cli with numpy blocked; {len(pins)} of {len(PINS)} pins")
     broken = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for row in rows:
+        for row in refusals:
             problem = run_at_the_boundary(row, tmp)
             broken += bool(problem)
-            test = row.test if row.id is None else f"{row.test}[{row.id}]"
-            print(f"{test}: {shlex.join(row.argv)}"
+            print(f"{_name(row)}: {shlex.join(row.argv)}"
                   f"{' (stdout closed)' * row.stdout_closed} -> "
                   f"{problem or f'exit {row.code}, one {row.error} line'}")
+        for row in pins:
+            runs = run_pin(row, tmp)
+            problem = pin_breach(row, runs, ceilings=True)
+            broken += bool(problem)
+            print(f"{_name(row)}: {shlex.join(row.argv)} -> "
+                  f"{problem or 'keeps its pin'}; peak RSS "
+                  f"{max(run.rss_mb for run in runs):.1f} MB"
+                  f"{f' (ceiling {row.ceiling})' * bool(row.ceiling)}; CPU "
+                  f"{' '.join(f'{run.cpu_s:.2f}' for run in runs)} s")
     return 1 if broken else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

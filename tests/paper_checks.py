@@ -10,8 +10,10 @@ the sphere's height and first coordinate as observables, monomial and
 conjugate jets, a DiffOp applied to a jet, the reality of an observable,
 a dense non-radial potential, the Berezin product's potential, the
 Berezin-Toeplitz table by conjugating that product with its transform, and
-the largest coefficient of a graph polynomial.  The tests and CI import
-them from this module; pytest puts tests/ on sys.path.
+the largest coefficient of a graph polynomial.  The tests import them from
+this module; pytest puts tests/ on sys.path.  `PYTHONPATH=src python
+tests/paper_checks.py` checks star-bt's table against the Berezin
+product at order 4, about 20 s (2 vCPU), too slow for tier-1.
 
 Documented sign constant (pinned by the Tuynman test): the Hamiltonian
 field at level m is X^z = i f_zbar (1+|z|^2)^2 / (2m), the unique scaling
@@ -430,3 +432,8 @@ def star_poly_series(a, fs, gs, N, cfg=None):
                 out[i + j + k] = out[i + j + k] + p
     return out
 
+
+if __name__ == "__main__":
+    from starq.karabegov import bt_star_from
+    P = dense_potential(18)
+    assert bt_star_from(P, 4).C == conjugation_route(P, 4)

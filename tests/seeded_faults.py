@@ -14,9 +14,10 @@ test named for it.
 The first five faults are the ones ROADMAP item 24 seeded.  Each fault
 after them, up to the graph backend's, was caught by a test that read a
 private helper of starq: a retired test, now replaced by the contract tests
-that catch its fault, or a test ported to the contract.  The last four seed
-decisions the graph backend makes in one place, the exit contract with
-numpy absent and the tokenizer's parses.  Each "why" field says which.
+that catch its fault, or a test ported to the contract.  The last five seed
+decisions the graph backend makes in one place, the window of the Karabegov
+recursion's products, the exit contract with numpy absent and the
+tokenizer's parses.  Each "why" field says which.
 pytest does not collect this file: its name does not match test_*.py.
 """
 
@@ -46,7 +47,8 @@ QUADRATURE_CACHES = ("tests/test_graphs.py::"
 
 FAULTS = [
     Fault("recursion-g-inverse-transposed", "src/starq/karabegov.py",
-          "acc = acc + g_inv[l][j] * c", "acc = acc + g_inv[j][l] * c",
+          "acc = acc + g_inv[l][j].mul_to(c, cut)",
+          "acc = acc + g_inv[j][l].mul_to(c, cut)",
           ["tests/test_karabegov.py::test_nonflat_n2_recursion"],
           "ROADMAP item 24"),
     Fault("berezin-defect-m-plus-2", "src/starq/cp1.py",
@@ -172,6 +174,14 @@ FAULTS = [
            "tests/test_graphs.py::test_kontsevich_star_matches_moyal",
            KONTSEVICH_PIN],
           "the derivative rule, one helper in d_gamma"),
+    # the window of the recursion's products
+    Fault("recursion-g-inverse-product-one-degree-short",
+          "src/starq/karabegov.py",
+          "acc = acc + g_inv[l][j].mul_to(c, cut)",
+          "acc = acc + g_inv[l][j].mul_to(c, cut - 1)",
+          [_PIN + "[karabegov-fs-6]", _PIN + "[bt-fs-4]",
+           _PIN + "[karabegov-fs-14]", _PIN + "[bt-fs-12]"],
+          "ROADMAP item 13: a product stopped below its window"),
     # the exit contract with numpy absent, and the parses of the tokenizer
     Fault("numpy-before-kontsevich-inputs", "src/starq/cli.py",
           "        alpha = load_bivector(cfg.alpha_path)",

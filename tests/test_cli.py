@@ -2,7 +2,6 @@
 
 import ast
 import contextlib
-import hashlib
 import importlib
 import io
 import json
@@ -21,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 import starq
 from cli_contract import (
-    PHI_N2, REFUSALS, Refusal, breach, place, potential_file,
-    run_at_the_boundary, subprocess_env,
+    PHI_N2, PINS, REFUSALS, Refusal, breach, pin_breach, pin_env, place,
+    potential_file, run_at_the_boundary, run_cli, run_pin, subprocess_env,
 )
 from starq.cli import (
     BLAS_THREAD_TIMEOUT, COMMAND_FIELDS, MAX_DEGREE, MAX_LEVEL, MAX_N,
@@ -65,14 +64,6 @@ def assert_fails(argv, capsys, error="ValidationError", code=2, message=None,
     assert not problem, (argv, problem)
 
 
-def _cli_process(argv, env=None, **kwargs):
-    """`python -m starq.cli argv` in a fresh interpreter, output captured;
-    env defaults to subprocess_env()."""
-    return subprocess.run([sys.executable, "-m", "starq.cli"] + argv,
-                          env=env or subprocess_env(), capture_output=True,
-                          timeout=120, **kwargs)
-
-
 def _keeps_the_contract(row, tmp_path, capsys):
     """A REFUSALS row in-process, and as `python -m starq.cli` too if the
     row is marked for the process boundary."""
@@ -84,18 +75,27 @@ def _keeps_the_contract(row, tmp_path, capsys):
         assert not problem, (row.argv, problem)
 
 
-def _runs_its_rows(test):
-    """The tier-1 test named test: one item per REFUSALS row filed under it,
-    with the row's id, or one plain item for a row without one."""
-    rows = [row for row in REFUSALS if row.test == test]
+def _keeps_its_pin(row, tmp_path, capsys=None):
+    """The runs of a PINS row, one per variant, which keep its pin."""
+    runs = run_pin(row, tmp_path)
+    problem = pin_breach(row, runs)
+    assert not problem, (row.argv, problem)
+    return runs
+
+
+def _runs_its_rows(table, test, keeps):
+    """The tier-1 test named test: one item per row of table filed under it,
+    with the row's id, or one plain item for a row without one, each
+    checked by keeps(row, tmp_path, capsys)."""
+    rows = [row for row in table if row.test == test]
     if rows[0].id is None:
         def check(tmp_path, capsys):
-            _keeps_the_contract(rows[0], tmp_path, capsys)
+            keeps(rows[0], tmp_path, capsys)
         return check
 
     @pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])
     def check(row, tmp_path, capsys):
-        _keeps_the_contract(row, tmp_path, capsys)
+        keeps(row, tmp_path, capsys)
     return check
 
 
@@ -704,71 +704,17 @@ def test_berezin_pipeline_csv():
     assert m == "8" and abs(float(v) - 8 / 10) < 1e-10
 
 
-PINS = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
-
-
-@pytest.mark.parametrize("name, argv", [
-    ("readme-karabegov-flat-2",
-     ["star-karabegov", "--potential", "flat", "--order", "2"]),
-    ("readme-bt-fs-2",
-     ["star-bt", "--potential", "fs", "--order", "2", "--max-degree", "16"]),
-    ("bt-aniso-3", ["star-bt", "--potential", "aniso", "--order", "3"]),
-    ("weights-n2", ["weights", "--n", "2"]),
-    ("readme-kontsevich",
-     ["star-kontsevich", "--order", "2", "--f-poly", "[[1,[2,1]]]",
-      "--g-poly", "[[1,[1,1]]]"]),
-])
-def test_star_reports_match_benchmark_pins(name, argv):
-    """Exact-table and graph-weight reports are byte-identical to the
-    benchmark's pins."""
-    code, out = invoke(argv)
-    assert code == 0
-    assert hashlib.sha256(out).hexdigest() == json.loads(PINS.read_text())[name]
-
-
-# sha256 of the stdout of two weights runs that no benchmark op pins: the
-# Monte Carlo estimates of the n = 2 graphs, over 20000 samples in one
-# determinant block and a short one, and the n = 1 pair integral on a
-# 200-node grid, in row blocks whose last is 8 rows short.  Each report is
-# that of full-grid (full-sample) products, sums and determinants.
-MC_N2_PIN = "5d2ea9142cde47ae3e7c46867aefbec1e913b522a5435ff5bced36c79529cab1"
-GRID_200_PIN = \
-    "74bacd595febd313e00ef914e2f4648cd6773347af0068ea47aaf61ca53d6a89"
-
-
-def test_pair_integral_with_a_short_last_row_block_keeps_its_pin():
-    """weights --n 1 on 200 nodes prints GRID_200_PIN."""
-    code, out = invoke(["weights", "--n", "1", "--grid-nodes", "200"])
-    assert code == 0
-    assert hashlib.sha256(out).hexdigest() == GRID_200_PIN
-
-
-@pytest.mark.parametrize("argv, code", [
-    (["weights", "--n", "2"], 0),
-    (["weights", "--n", "2", "--method", "mc", "--samples", "20000",
-      "--tol", "1"], 0),
-    (["weights", "--n", "2", "--method", "mc", "--samples", "20000"], 3),
-], ids=["grid", "mc", "mc-failing"])
-def test_weights_bytes_do_not_depend_on_the_cpu_count(argv, code):
+@pytest.mark.parametrize("row", [
+    row for row in PINS
+    if row.test == "test_weights_bytes_do_not_depend_on_the_cpu_count"],
+    ids=lambda row: row.id)
+def test_weights_bytes_do_not_depend_on_the_cpu_count(row, tmp_path):
     """weights prints the same stdout and stderr and exits alike pinned to
-    one CPU, where it forks nothing, and on every CPU this process may
-    use: the grid report is the benchmark's pin, the Monte Carlo report is
-    MC_N2_PIN, and a failing Monte Carlo run fails on its first graph in
+    one CPU, where it forks nothing, and on every CPU this process may use
+    (its PINS row); a failing Monte Carlo run fails on its first graph in
     enumeration order."""
-    one = {min(os.sched_getaffinity(0))}
-    runs = []
-    for preexec in (lambda: os.sched_setaffinity(0, one), None):
-        proc = _cli_process(argv, preexec_fn=preexec)
-        runs.append((proc.returncode, proc.stdout, proc.stderr))
-    assert runs[0] == runs[1]
-    rc, out, err = runs[0]
-    assert rc == code
-    if argv == ["weights", "--n", "2"]:
-        assert hashlib.sha256(out).hexdigest() == \
-            json.loads(PINS.read_text())["weights-n2"]
-    elif code == 0:
-        assert hashlib.sha256(out).hexdigest() == MC_N2_PIN
-    if code:
+    runs = _keeps_its_pin(row, tmp_path)
+    if row.code:
         from starq.graphs import (
             IntegrationConfig, IntegrationFailure, enumerate_kgraphs,
             kontsevich_weight,
@@ -776,8 +722,9 @@ def test_weights_bytes_do_not_depend_on_the_cpu_count(argv, code):
         with pytest.raises(IntegrationFailure) as first:
             kontsevich_weight(enumerate_kgraphs(2)[0],
                               IntegrationConfig(method="mc", samples=20000))
-        assert not breach(Refusal(None, argv, "IntegrationFailure", 3,
-                                  str(first.value)), rc, out, err.decode())
+        assert not breach(Refusal(None, row.argv, "IntegrationFailure", 3,
+                                  str(first.value)), runs[0].code,
+                          runs[0].stdout, runs[0].stderr.decode())
 
 
 # Run each argv in turn as `python -m starq.cli` runs it, in one fresh
@@ -886,17 +833,6 @@ def test_commands_load_only_what_they_run(argv, code, absent, present,
     assert not loaded & unwanted, sorted(loaded & unwanted)
 
 
-def test_bms_suite_does_not_import_numpy_random(tmp_path):
-    """sup_norm draws its sample without numpy.random, which the BMS suite
-    would otherwise load for that alone."""
-    report = _run_as_main([["cp1-suite", "--suite", "bms", "--m-list", "8",
-                            "--out", str(tmp_path / "report")]],
-                          subprocess_env())
-    assert report["codes"] == [0]
-    assert "numpy" in report["modules"]
-    assert "numpy.random" not in report["modules"]
-
-
 def test_numeric_commands_do_not_import_exact_core(tmp_path):
     """The cp1-*, graphs-enumerate and star-kontsevich commands, run one
     after another in one interpreter, never load the exact core, nor a
@@ -912,39 +848,13 @@ def test_numeric_commands_do_not_import_exact_core(tmp_path):
     assert not loaded, sorted(loaded)
 
 
-def _blas_env(timeout):
-    """The subprocess environment with two OpenBLAS threads, as the benchmark
-    runs them, and OPENBLAS_THREAD_TIMEOUT as given (None: unset)."""
-    env = dict(subprocess_env(), OPENBLAS_NUM_THREADS="2")
-    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
-    if timeout is not None:
-        env["OPENBLAS_THREAD_TIMEOUT"] = timeout
-    return env
-
-
-@pytest.mark.parametrize("argv", [
-    ["cp1-suite", "--suite", "bms", "--m-list", "8,16,32"],
-    ["weights", "--n", "1"],
-], ids=lambda v: v[0])
-def test_blas_idle_policy_keeps_every_byte(argv):
-    """How long an idle OpenBLAS worker spins before it sleeps moves no byte:
-    a report is the same under the CLI's own OPENBLAS_THREAD_TIMEOUT and
-    under OpenBLAS's default, 28, set by the caller."""
-    outs = []
-    for timeout in (None, "28"):
-        proc = _cli_process(argv, env=_blas_env(timeout))
-        assert proc.returncode == 0, proc.stderr.decode()
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
-
-
 @pytest.mark.parametrize("caller, expect", [
     (None, BLAS_THREAD_TIMEOUT), ("28", "28"), ("4", "4")])
 def test_caller_blas_thread_timeout_wins(caller, expect, tmp_path):
     """`python -m starq.cli` sets OPENBLAS_THREAD_TIMEOUT before numpy loads,
     unless its caller set one, which it keeps as is."""
     argv = ["cp1-suite", "--m-list", "4,8", "--out", str(tmp_path / "report")]
-    report = _run_as_main([argv], _blas_env(caller))
+    report = _run_as_main([argv], pin_env(caller))
     assert report["codes"] == [0] and report["timeout_at_numpy"] == [expect]
 
 
@@ -1103,6 +1013,45 @@ def test_tests_read_only_the_allowed_private_names():
     assert set().union(*reads.values()) == PRIVATE_READS_ALLOWED
 
 
+def pin_lists(root):
+    """The files of tests/*.py but cli_contract.py, and the CI workflow, that
+    keep a pin of a CLI report.  A test module keeps one if a string of it
+    names expected.json, or it imports from a module that does, or if it
+    reaches the CLI (a string or import names starq.cli or cli_contract)
+    and a string of it is a 64-hex digest; the workflow, if it holds a hex
+    digest or a python -c script of more than one line."""
+    modules = {}
+    for path in sorted((root / "tests").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        modules[path.name] = (
+            {node.value for node in nodes if isinstance(node, ast.Constant)
+             and isinstance(node.value, str)},
+            {name for node in nodes if isinstance(node, ast.ImportFrom)
+             for name in [node.module, *(a.name for a in node.names)]}
+            | {a.name for node in nodes if isinstance(node, ast.Import)
+               for a in node.names})
+    readers = {name[:-3] for name, (strings, _) in modules.items()
+               if any(re.fullmatch(r"\S*expected\.json", text)
+                      for text in strings)} - {"cli_contract"}
+    found = {name for name, (strings, imports) in modules.items()
+             if imports & readers or name[:-3] in readers
+             or (imports & {"starq.cli", "cli_contract"}
+                 or any("starq.cli" in text for text in strings))
+             and any(re.fullmatch("[0-9a-f]{64}", text) for text in strings)}
+    if re.search(r"\b[0-9a-f]{16,}\b|python3? -c ['\"]\s*\n",
+                 (root / ".github" / "workflows" / "ci.yml").read_text()):
+        found.add("ci.yml")
+    return found - {"cli_contract.py"}
+
+
+def test_only_the_contract_table_keeps_report_pins():
+    """Every pin of a CLI report is a row of PINS in tests/cli_contract.py:
+    no other test module reads perfbench/expected.json or holds a report's
+    sha256, and CI holds no digest and no script of its own.  The library
+    digests of tests/test_karabegov.py are no CLI report's."""
+    assert not pin_lists(Path(__file__).resolve().parents[1])
+
+
 def test_no_two_tests_share_a_body():
     """Each check has one home: no two test_* functions of tests/ have the
     same body, compared as an AST dump without the docstring."""
@@ -1117,24 +1066,10 @@ def test_no_two_tests_share_a_body():
     assert not [names for names in homes.values() if len(names) > 1]
 
 
-def test_fast_exit_keeps_the_report(tmp_path):
-    """The run ends in os._exit, past the interpreter's teardown: its report
-    is whole, through a pipe and through --out."""
-    argv = ["cp1-toeplitz", "--m", "512", "--expr", "(1 - zz) / (1+zz)"]
-    pin = json.loads(PINS.read_text())["toeplitz-512"]
-    proc = _cli_process(argv)
-    assert proc.returncode == 0 and proc.stderr == b""
-    assert hashlib.sha256(proc.stdout).hexdigest() == pin
-    out = tmp_path / "toeplitz.json"
-    proc = _cli_process(argv + ["--out", str(out)])
-    assert proc.returncode == 0 and proc.stdout == b""
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == pin
-
-
-def test_help_exits_0_at_the_process_boundary():
-    proc = _cli_process(["star-bt", "--help"])
-    assert proc.returncode == 0 and proc.stderr == b""
-    assert proc.stdout.startswith(b"usage: starq star-bt ")
+def test_help_exits_0_at_the_process_boundary(tmp_path):
+    code, out, err, _, _ = run_cli(["star-bt", "--help"], tmp_path)
+    assert code == 0 and err == b""
+    assert out.startswith(b"usage: starq star-bt ")
 
 
 SIX_MONOMIALS = ("((1.5 - 0.25j) + (0.75 + 2j)*z - 1.25j*zbar"
@@ -1155,9 +1090,12 @@ def test_toeplitz_entries_match_dense_matrix_bitwise(m, expr):
         == A.reshape(-1).view(float).tobytes()
 
 
-# Every row of the refusal table runs under the tier-1 test id it names;
-# no name may shadow a test defined above.
-assert len({(row.test, row.id) for row in REFUSALS}) == len(REFUSALS)
-for _test in dict.fromkeys(row.test for row in REFUSALS):
-    assert _test not in globals(), _test
-    globals()[_test] = _runs_its_rows(_test)
+# Every row of the two tables runs under the tier-1 test id it names; no
+# refusal test may shadow a test defined above, and a pin test defined
+# above runs its own rows.
+for _table, _keeps in ((REFUSALS, _keeps_the_contract),
+                       (PINS, _keeps_its_pin)):
+    assert len({(row.test, row.id) for row in _table}) == len(_table)
+    for _test in dict.fromkeys(row.test for row in _table):
+        assert _table is PINS or _test not in globals(), _test
+        globals().setdefault(_test, _runs_its_rows(_table, _test, _keeps))

@@ -407,16 +407,16 @@ def test_weights_load_numpy_and_integrate_nothing_before_forking(tmp_path):
     built: every miss, the pair-integral graphs too, is dealt, and each
     process fills its own caches.  The report keeps the weights-n2 pin."""
     import hashlib
-    from cli_contract import subprocess_env
-    from test_cli import PINS
+    from cli_contract import PINS, subprocess_env
+    (pin,) = {row.sha256 for row in PINS
+              if row.argv == ["weights", "--n", "2"]}
     report = tmp_path / "weights.json"
     proc = subprocess.run([sys.executable, "-c", _FORK_SPY, str(report)],
                           env=subprocess_env(), capture_output=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert json.loads(proc.stdout) == [{"numpy": True, "cached": 0}]
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == json.loads(
-        PINS.read_text())["weights-n2"]
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == pin
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,18 @@ def test_truncation_drops_high_degree():
     assert (z2 * z).is_zero()
 
 
+@pytest.mark.parametrize("n, D", [(1, 8), (2, 6)])
+def test_bounded_product_is_the_product_cut_at_its_bound(n, D):
+    """mul_to(other, bound) is the full product cut at bound, from below the
+    lowest degree sum of its factors, 3, where it is zero, through D."""
+    z, zb = Jet.variable(0, n, D), Jet.variable(n - 1, n, D, "anti")
+    a = z + (zb * zb).scale(Fraction(1, 2)) + (z * z * zb).scale(Scalar(0, 3))
+    b = zb * z - (z * zb * zb).scale(5)
+    assert a.mul_to(b, 2).is_zero() and not (a * b).is_zero()
+    for bound in range(-1, D + 1):
+        assert a.mul_to(b, bound) == (a * b).drop_above(bound), bound
+
+
 def test_diff_examples():
     f = jet_monomial((2,), (1,), 1, 6)  # z^2 zbar
     assert f.diff(0, "holo") == jet_monomial((1,), (1,), 1, 6, Scalar(2))

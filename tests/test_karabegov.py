@@ -322,6 +322,7 @@ def test_transform_i1_is_laplacian():
         n, D = P.n, P.D
         t = karabegov_star(P, N)
         Iop = transform_from_star(t)
+        assert Iop[0] == DiffOp.identity(n, D), name
         g_inv = inverse_metric(P.phi_minus1)
         window = D - (N + 2) - 4
         probes = [jet_monomial(h, a, n, D)
