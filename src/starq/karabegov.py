@@ -180,7 +180,7 @@ def _anti_wick_ops(P, N, g_inv):
                         break
             block = BiDiffOp(n, D, block)
             terms += block.terms
-            res = [r + _commutator(block, w[0][l], cut=cut)
+            res = [r + _commutator(block, w[0][l], cut)
                    for l, r in enumerate(res)]
         if any(not r.drop_above(cut).is_zero() for r in res):
             raise ArithmeticError("inconsistent block in the recursion")
@@ -188,28 +188,26 @@ def _anti_wick_ops(P, N, g_inv):
     return A
 
 
-def _commutator_sum(A, w, m, l, cut=None):
+def _commutator_sum(A, w, m, l, cut):
     """The nu^m part of [sum_k nu^k A_k, nu R_l] over the operators A_0,
-    A_1, ... of A: sum_k [A_k, w[m-k][l]], plus [A_{m-1}, d/dzbar_l]; with
-    cut, no product forms a term above degree cut."""
+    A_1, ... of A: sum_k [A_k, w[m-k][l]], plus [A_{m-1}, d/dzbar_l], with
+    no product forming a term above degree cut."""
     acc = BiDiffOp.zero(A[0].n, A[0].D)
     for k, a in enumerate(A):
-        acc = acc + _commutator(a, w[m - k][l], l if m - k == 1 else None,
-                                cut)
+        acc = acc + _commutator(a, w[m - k][l], cut,
+                                l if m - k == 1 else None)
     return acc
 
 
-def _commutator(op, w, l=None, cut=None):
+def _commutator(op, w, cut, l=None):
     """[op, w] for a BiDiffOp op and the multiplication by a jet w, plus
     [op, d/dzbar_l] when l is given, with [op, r](f, g) = op(f, r g) -
     r(op(f, g)).  By Leibniz (jets.mi_splits), a term c (d^df f)(d^dg g) of
     op, each key holo + anti, gives C(dg, gamma) c (d^gamma w)
     (d^df f)(d^(dg-gamma) g) for each nonzero gamma <= dg, and
     -(dbar_l c)(d^df f)(d^dg g) and -c (d^(df+e) f)(d^dg g), e the key of
-    dbar_l.  With cut, no c (d^gamma w) product forms a term above degree
-    cut."""
+    dbar_l.  No c (d^gamma w) product forms a term above degree cut."""
     n = op.n
-    bound = op.D if cut is None else cut
     dw = {}
     out = []
     for c, df, dg in op.terms:
@@ -220,7 +218,7 @@ def _commutator(op, w, l=None, cut=None):
             if d is None:
                 d = dw[gamma] = w.diff_multi(gamma)
             if not d.is_zero():
-                out.append((c.mul_to(d, bound).scale(binom), df, rest))
+                out.append((c.mul_to(d, cut).scale(binom), df, rest))
         if l is not None:
             out.append((-c.diff(l, "anti"), df, dg))
             out.append((-c, mi_add(df, unit_mi(2 * n, n + l)), dg))

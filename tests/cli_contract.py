@@ -11,23 +11,18 @@ row.  An argv token that begins with TMP/ names a path in a scratch
 directory, where a row's file, if it has one, is written as TMP/input.
 
 Each row of PINS is a report whose bytes are fixed: run_pin runs it as
-`python -m starq.cli` once per variant, which must all exit alike and
-print the same bytes, with the row's sha256 where it has one.  Tier-1 runs
-every row under the test id it names.
+`python -m starq.cli`, and again as its variant if it has one; both runs
+must exit alike and print the same bytes, with the row's sha256 where it
+has one.  Tier-1 runs every row under the test id it names.
 
 This module imports only the standard library and parses on Python 3.10,
-so it runs on a bare interpreter:
-
-    python tests/cli_contract.py                  # every row it can run
-    python tests/cli_contract.py --without-numpy  # fails if numpy imports
-
-It alone enforces a pin's peak-RSS ceiling: through exec, a child reports
-its parent's high-water RSS, under tier-1 pytest's.
+so `python tests/cli_contract.py` runs every row it can on a bare
+interpreter.  It alone enforces a pin's peak-RSS ceiling: through exec, a
+child reports its parent's high-water RSS, under tier-1 pytest's.
 """
 
 import hashlib
 import importlib.util
-import itertools
 import json
 import os
 import runpy
@@ -331,16 +326,13 @@ REFUSALS = [
 ]
 
 
-# test and id: as in Refusal; sha256: the report's digest (None: its
-# variants need only agree); variants: any of "one-cpu", "timeout-28" and
-# "--out", run besides every usable CPU, the CLI's own
-# OPENBLAS_THREAD_TIMEOUT and stdout, in every combination; numpy: whether
-# the command loads it (if not, it runs with numpy blocked); ceiling: a
-# peak RSS in MB; code: every variant's exit code.
-Pin = namedtuple("Pin", "test id argv sha256 variants numpy ceiling code",
-                 defaults=((), False, None, 0))
-_VARIANTS = (("every-cpu", "one-cpu"), ("own-timeout", "timeout-28"),
-             ("stdout", "--out"))
+# test and id: as in Refusal; sha256: the report's digest (None: its runs
+# need only agree); variant: "one-cpu", "timeout-28" or "--out", run beside
+# the plain run (every usable CPU, the CLI's own OPENBLAS_THREAD_TIMEOUT,
+# stdout), or None; numpy: whether the command loads it (else it runs with
+# numpy blocked); ceiling: a peak RSS in MB; code: both runs' exit code.
+Pin = namedtuple("Pin", "test id argv sha256 variant numpy ceiling code",
+                 defaults=(None, False, None, 0))
 _OPS = runpy.run_path(str(ROOT / "perfbench" / "ops.py"))
 _ARGVS = {op["name"]: op["argv"]
           for op in _OPS["exact_tables"](1)[0] + _OPS["numeric"](1)[0]}
@@ -356,11 +348,12 @@ def _pin(test, id, argv, sha256=None, **kwargs):
 
 
 _BENCH = "test_star_reports_match_benchmark_pins"
-_CPUS = "test_weights_bytes_do_not_depend_on_the_cpu_count"
+# the one PINS test that tests/test_cli.py writes out, for its own asserts
+CPU_COUNT_TEST = "test_weights_bytes_do_not_depend_on_the_cpu_count"
 _IDLE = "test_blas_idle_policy_keeps_every_byte"
 # the timeout decides only when an idle OpenBLAS worker sleeps
-_TIMEOUTS = dict(variants=("timeout-28",), numpy=True)
-_ONE_CPU = dict(variants=("one-cpu",), numpy=True)
+_TIMEOUTS = dict(variant="timeout-28", numpy=True)
+_ONE_CPU = dict(variant="one-cpu", numpy=True)
 
 PINS = [
     _pin(_BENCH, "readme-karabegov-flat-2-argv0", "readme-karabegov-flat-2"),
@@ -376,16 +369,15 @@ PINS = [
         "readme-toeplitz-8", "readme-enumerate-n2",
         "readme-enumerate-weighted")),
     # tables deep enough for the Karabegov recursion's own time to show
-    *(_pin(_BENCH, id, argv, sha256) for id, argv, sha256 in (
-        ("karabegov-fs-14", "star-karabegov --potential fs --order 14",
+    _pin(_BENCH, "karabegov-fs-14", "star-karabegov --potential fs --order 14",
          "809c5ff4a53f623f14b2a07dd8d84b7a0ddeb137ba020efd570cd62b1bafed78"),
-        ("bt-fs-12", "star-bt --potential fs --order 12",
+    _pin(_BENCH, "bt-fs-12", "star-bt --potential fs --order 12",
          "9c9639c43d45614096ce156a3afa5a8da5869e283495e233816461914f8adf26"),
-        ("karabegov-aniso-10", "star-karabegov --potential aniso --order 10",
+    _pin(_BENCH, "karabegov-aniso-10",
+         "star-karabegov --potential aniso --order 10",
          "0c463712ec9822c6cba4b39ac53b067b0ca54ce60353463af5acf3fcca60e202"),
-        ("bt-aniso-8", "star-bt --potential aniso --order 8",
+    _pin(_BENCH, "bt-aniso-8", "star-bt --potential aniso --order 8",
          "067e049c24fba2b41b3a490c1a3b2e5e964fe62ddc1bf2823651ca561a42a3de"),
-        )),
     # the n = 1 pair integral on a 200-node grid, in row blocks whose last
     # is 8 rows short, as full-grid products, sums and determinants give it
     _pin("test_pair_integral_with_a_short_last_row_block_keeps_its_pin", None,
@@ -394,15 +386,20 @@ PINS = [
          numpy=True),
     # weights forks nothing on one CPU; the Monte Carlo report spans one
     # determinant block of samples and a short one
-    _pin(_CPUS, "grid", "weights-n2", **_ONE_CPU),
-    _pin(_CPUS, "mc", "weights --n 2 --method mc --samples 20000 --tol 1",
+    _pin(CPU_COUNT_TEST, "grid", "weights-n2", **_ONE_CPU),
+    _pin(CPU_COUNT_TEST, "mc",
+         "weights --n 2 --method mc --samples 20000 --tol 1",
          "5d2ea9142cde47ae3e7c46867aefbec1e913b522a5435ff5bced36c79529cab1",
          **_ONE_CPU),
-    _pin(_CPUS, "mc-failing", "weights --n 2 --method mc --samples 20000",
-         code=3, **_ONE_CPU),
+    _pin(CPU_COUNT_TEST, "mc-failing",
+         "weights --n 2 --method mc --samples 20000", code=3, **_ONE_CPU),
+    _pin("test_weights_determinism_mc", None, "weights --n 1 --method mc "
+         "--tol 0.05 --format csv",
+         "92efea6305caef295d70e990b5282ee689210b4618d7215f7240148fd7ed5f58",
+         **_ONE_CPU),
     # the run ends in os._exit, past the interpreter's teardown
     _pin("test_fast_exit_keeps_the_report", None, "toeplitz-512",
-         variants=("--out",)),
+         variant="--out"),
     _pin(_IDLE, "cp1-suite", "cp1-suite --suite bms --m-list 8,16,32",
          **_TIMEOUTS),
     _pin(_IDLE, "weights", "weights --n 1", **_TIMEOUTS),
@@ -487,7 +484,7 @@ def run_at_the_boundary(row, directory):
     return breach(row, code, out, err.decode())
 
 
-def pin_env(timeout=None):
+def blas_env(timeout=None):
     """subprocess_env() with two OpenBLAS threads, as the benchmark runs
     them, and OPENBLAS_THREAD_TIMEOUT as given (None: unset)."""
     env = dict(subprocess_env(), OPENBLAS_NUM_THREADS="2",
@@ -495,24 +492,25 @@ def pin_env(timeout=None):
     return {name: value for name, value in env.items() if value is not None}
 
 
-# One variant's run: its exit code, stdout, report (stdout, or the --out
-# file), stderr, and its wait4 peak RSS in MB and CPU seconds.
+# One run of a pin (variant None: the plain run): its exit code, stdout,
+# report (stdout or the --out file), stderr, wait4 peak RSS in MB and CPU s.
 Run = namedtuple("Run", "variant code stdout report stderr rss_mb cpu_s")
 
 
 def run_pin(row, directory):
-    """row's Runs through run_cli, one per variant."""
+    """row's plain Run through run_cli, then its variant's if it has one.
+    A timeout-28 row runs both with two OpenBLAS threads; any other row
+    inherits the caller's, so one CPU may mean one BLAS thread."""
     report = Path(directory, "report")
     runs = []
-    for variant in itertools.product(*(
-            axis[:1 + (axis[1] in row.variants)] for axis in _VARIANTS)):
-        cpus, timeout, to = variant
+    for variant in dict.fromkeys([None, row.variant]):
+        env = blas_env("28" if variant else None) \
+            if row.variant == "timeout-28" else None
         code, out, err, rss_mb, cpu_s = run_cli(
-            row.argv + ["--out", str(report)] * (to == "--out"), directory,
-            row.numpy, pin_env("28" if timeout == "timeout-28" else None),
-            cpus == "one-cpu")
+            row.argv + ["--out", str(report)] * (variant == "--out"),
+            directory, row.numpy, env, variant == "one-cpu")
         runs.append(Run(variant, code, out, report.read_bytes()
-                        if to == "--out" else out, err, rss_mb, cpu_s))
+                        if variant == "--out" else out, err, rss_mb, cpu_s))
     return runs
 
 
@@ -521,14 +519,14 @@ def pin_breach(row, runs, ceilings=False):
     ceiling counts only with ceilings."""
     for run in runs:
         if run.code != row.code or run.code == 0 and run.stderr \
-                or run.variant[2] == "--out" and run.stdout:
+                or run.variant == "--out" and run.stdout:
             return (f"{run.variant}: exit {run.code}, not {row.code}; stdout "
                     f"{run.stdout[:80]!r}; stderr {run.stderr[-300:]!r}")
         if ceilings and row.ceiling and run.rss_mb > row.ceiling:
             return f"{run.variant}: peak RSS {run.rss_mb:.1f} MB"
     digests = [hashlib.sha256(run.report).hexdigest() for run in runs]
     if len({(run.report, run.stderr) for run in runs}) > 1:
-        return f"variants differ: {digests}"
+        return f"runs differ: {digests}"
     if row.sha256 not in (None, digests[0]):
         return f"sha256 {digests[0]}, not {row.sha256}"
     return ""
@@ -538,12 +536,8 @@ def _name(row):
     return row.test if row.id is None else f"{row.test}[{row.id}]"
 
 
-def main(argv):
+def main():
     has_numpy = importlib.util.find_spec("numpy") is not None
-    if argv not in ([], ["--without-numpy"]) or argv and has_numpy:
-        print("numpy is importable" if argv == ["--without-numpy"] else
-              "usage: python tests/cli_contract.py [--without-numpy]")
-        return 2
     refusals = [row for row in REFUSALS if row.boundary == "no-numpy"]
     pins = [row for row in PINS if has_numpy or not row.numpy]
     print(f"{len(refusals)} of {len(REFUSALS)} refusals, each as python -m "
@@ -569,4 +563,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

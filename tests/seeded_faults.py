@@ -174,9 +174,7 @@ FAULTS = [
            "tests/test_graphs.py::test_kontsevich_star_matches_moyal",
            KONTSEVICH_PIN],
           "the derivative rule, one helper in d_gamma"),
-    # the window of the recursion's products
-    Fault("recursion-g-inverse-product-one-degree-short",
-          "src/starq/karabegov.py",
+    Fault("recursion-product-window-short", "src/starq/karabegov.py",
           "acc = acc + g_inv[l][j].mul_to(c, cut)",
           "acc = acc + g_inv[l][j].mul_to(c, cut - 1)",
           [_PIN + "[karabegov-fs-6]", _PIN + "[bt-fs-4]",

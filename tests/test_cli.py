@@ -20,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 import starq
 from cli_contract import (
-    PHI_N2, PINS, REFUSALS, Refusal, breach, pin_breach, pin_env, place,
-    potential_file, run_at_the_boundary, run_cli, run_pin, subprocess_env,
+    CPU_COUNT_TEST, PHI_N2, PINS, REFUSALS, Refusal, blas_env, breach,
+    pin_breach, place, potential_file, run_at_the_boundary, run_cli, run_pin,
+    subprocess_env,
 )
 from starq.cli import (
     BLAS_THREAD_TIMEOUT, COMMAND_FIELDS, MAX_DEGREE, MAX_LEVEL, MAX_N,
@@ -76,7 +77,7 @@ def _keeps_the_contract(row, tmp_path, capsys):
 
 
 def _keeps_its_pin(row, tmp_path, capsys=None):
-    """The runs of a PINS row, one per variant, which keep its pin."""
+    """The runs of a PINS row, plain and its variant's, which keep its pin."""
     runs = run_pin(row, tmp_path)
     problem = pin_breach(row, runs)
     assert not problem, (row.argv, problem)
@@ -674,15 +675,6 @@ def test_determinism_across_runs():
         assert runs[0][0] == 0 and runs.count(runs[0]) == 3, argv
 
 
-def test_weights_determinism_mc():
-    argv = ["weights", "--n", "1", "--method", "mc", "--tol", "0.05",
-            "--format", "csv"]
-    code1, out1 = invoke(argv)
-    code2, out2 = invoke(argv)
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_out_file_and_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
     code, out = invoke(["cp1-toeplitz", "--m", "2", "--expr", "1",
@@ -705,9 +697,7 @@ def test_berezin_pipeline_csv():
 
 
 @pytest.mark.parametrize("row", [
-    row for row in PINS
-    if row.test == "test_weights_bytes_do_not_depend_on_the_cpu_count"],
-    ids=lambda row: row.id)
+    row for row in PINS if row.test == CPU_COUNT_TEST], ids=lambda row: row.id)
 def test_weights_bytes_do_not_depend_on_the_cpu_count(row, tmp_path):
     """weights prints the same stdout and stderr and exits alike pinned to
     one CPU, where it forks nothing, and on every CPU this process may use
@@ -854,7 +844,7 @@ def test_caller_blas_thread_timeout_wins(caller, expect, tmp_path):
     """`python -m starq.cli` sets OPENBLAS_THREAD_TIMEOUT before numpy loads,
     unless its caller set one, which it keeps as is."""
     argv = ["cp1-suite", "--m-list", "4,8", "--out", str(tmp_path / "report")]
-    report = _run_as_main([argv], pin_env(caller))
+    report = _run_as_main([argv], blas_env(caller))
     assert report["codes"] == [0] and report["timeout_at_numpy"] == [expect]
 
 
@@ -1015,29 +1005,19 @@ def test_tests_read_only_the_allowed_private_names():
 
 def pin_lists(root):
     """The files of tests/*.py but cli_contract.py, and the CI workflow, that
-    keep a pin of a CLI report.  A test module keeps one if a string of it
-    names expected.json, or it imports from a module that does, or if it
-    reaches the CLI (a string or import names starq.cli or cli_contract)
-    and a string of it is a 64-hex digest; the workflow, if it holds a hex
-    digest or a python -c script of more than one line."""
-    modules = {}
-    for path in sorted((root / "tests").glob("*.py")):
-        nodes = list(ast.walk(ast.parse(path.read_text())))
-        modules[path.name] = (
-            {node.value for node in nodes if isinstance(node, ast.Constant)
-             and isinstance(node.value, str)},
-            {name for node in nodes if isinstance(node, ast.ImportFrom)
-             for name in [node.module, *(a.name for a in node.names)]}
-            | {a.name for node in nodes if isinstance(node, ast.Import)
-               for a in node.names})
-    readers = {name[:-3] for name, (strings, _) in modules.items()
-               if any(re.fullmatch(r"\S*expected\.json", text)
-                      for text in strings)} - {"cli_contract"}
-    found = {name for name, (strings, imports) in modules.items()
-             if imports & readers or name[:-3] in readers
-             or (imports & {"starq.cli", "cli_contract"}
-                 or any("starq.cli" in text for text in strings))
-             and any(re.fullmatch("[0-9a-f]{64}", text) for text in strings)}
+    keep a pin of a CLI report: a test module that quotes expected.json or
+    imports from one that does, or that names starq.cli or cli_contract and
+    holds a 64-hex digest; the workflow, if it holds a hex digest or a
+    python -c script of more than one line."""
+    texts = {path.name: path.read_text()
+             for path in (root / "tests").glob("*.py")}
+    readers = {name[:-3] for name, text in texts.items()
+               if re.search(r"expected\.json[\"']", text)} - {"cli_contract"}
+    found = {name for name, text in texts.items() if name[:-3] in readers
+             or any(re.search(rf"^\s*(from|import) {reader}\b", text, re.M)
+                    for reader in readers)
+             or re.search(r"starq\.cli|cli_contract", text)
+             and re.search(r"\b[0-9a-f]{64}\b", text)}
     if re.search(r"\b[0-9a-f]{16,}\b|python3? -c ['\"]\s*\n",
                  (root / ".github" / "workflows" / "ci.yml").read_text()):
         found.add("ci.yml")
@@ -1091,11 +1071,11 @@ def test_toeplitz_entries_match_dense_matrix_bitwise(m, expr):
 
 
 # Every row of the two tables runs under the tier-1 test id it names; no
-# refusal test may shadow a test defined above, and a pin test defined
-# above runs its own rows.
+# name may shadow a test defined above, but for CPU_COUNT_TEST, which runs
+# its own rows.
 for _table, _keeps in ((REFUSALS, _keeps_the_contract),
                        (PINS, _keeps_its_pin)):
     assert len({(row.test, row.id) for row in _table}) == len(_table)
     for _test in dict.fromkeys(row.test for row in _table):
-        assert _table is PINS or _test not in globals(), _test
+        assert _test not in globals() or _test == CPU_COUNT_TEST, _test
         globals().setdefault(_test, _runs_its_rows(_table, _test, _keeps))

@@ -580,8 +580,8 @@ def test_table_operators_commute_with_right_multiplication(P, N):
     w = _multipliers(P, N)
     for m in range(1, N + 1):
         for l in range(P.n):
-            assert not _commutator_sum(A[:m], w, m, l).is_zero()
-            for tm in _commutator_sum(A[:m + 1], w, m, l).terms:
+            assert not _commutator_sum(A[:m], w, m, l, P.D).is_zero()
+            for tm in _commutator_sum(A[:m + 1], w, m, l, P.D).terms:
                 assert tm[0].drop_above(P.D - (m + 2)).is_zero(), (m, l)
 
 
@@ -592,7 +592,7 @@ def test_corrupted_table_operator_fails_commutation():
     c, *idx = A[2].terms[0]
     A[2] = A[2] + BiDiffOp(P.n, P.D, [(Jet.constant(1, P.n, P.D), *idx)])
     assert any(not tm[0].drop_above(P.D - 4).is_zero()
-               for tm in _commutator_sum(A[:3], w, 2, 0).terms)
+               for tm in _commutator_sum(A[:3], w, 2, 0, P.D).terms)
 
 
 def test_recursion_checks_the_degree_zero_window(monkeypatch):
@@ -630,7 +630,7 @@ def _shape_ops(n, D):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("shape", ["anti-wick", "wick", "mixed"])
 def test_commutator_matches_generic_composition(n, shape):
-    """_commutator(op, w, l) is [op, r](f, g) = op(f, r g) - r(op(f, g)),
+    """_commutator(op, w, D, l) is [op, r](f, g) = op(f, r g) - r(op(f, g)),
     composed by the generic Leibniz rules, with r the multiplication by w,
     plus d/dzbar_l when l is given."""
     D = 8
@@ -647,7 +647,7 @@ def test_commutator_matches_generic_composition(n, shape):
             r = r + DiffOp.deriv(n, D, mi_zero(n) + unit_mi(n, l))
         expect = op.precompose(ident, r) - op.postcompose(r)
         assert not expect.is_zero()
-        assert _commutator(op, w, l) == expect, l
+        assert _commutator(op, w, D, l) == expect, l
 
 
 def left_mult_sha256(L):
