@@ -6,7 +6,7 @@ or OSError (rejected input: every starq input error is a ValueError), 3 for
 an ArithmeticError (every starq tolerance, cross-check and singularity error).
 Errors, argument errors included, are emitted as one JSON line on stderr;
 stdout (or --out) carries the primary artifact.  Reports are byte-identical
-for identical configs and seeds.
+for identical configs.
 
 Each command loads only what it runs, from the branch of run that handles
 it: the input loaders and result builders live beside the code they feed
@@ -77,6 +77,11 @@ RUN_FIELDS = (
     ("at", "0"),
     ("suite", "bms"),                # cp1-suite: bms | berezin
     *QUADRATURE_FIELDS,
+    # Set by no flag: read only by the inputs.config echo and the "seed" of
+    # each report and weights row, until the echo shrinks (ROADMAP item 4a).
+    ("method", "grid"),
+    ("samples", 200_000),
+    ("seed", 20260823),
     ("format", "json"),
     ("out", ""),
 )
@@ -200,7 +205,7 @@ def run(cfg):
         results = {"weights": [
             {"graph": g.to_json(), "value": w.value,
              "error_estimate": w.error_estimate,
-             "samples_or_cells": w.samples_or_cells, "seed": w.seed}
+             "samples_or_cells": w.samples_or_cells, "seed": cfg.seed}
             for g, w in zip(gs, ws)]}
     elif cmd == "cp1-toeplitz":
         # plain Python floats, no numpy: the entries off the band are zero

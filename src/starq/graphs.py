@@ -1,8 +1,8 @@
 """Graph-expansion star products.
 
 Two families:
-  * admissible directed graphs on R^d with numerically integrated
-    upper-half-plane angle weights (orders n <= 2; the quadrature, the only
+  * admissible directed graphs on R^d with upper-half-plane angle weights
+    integrated on a midpoint grid (orders n <= 2; the quadrature, the only
     numpy code on this path, is in starq.quadrature);
   * weighted acyclic source/sink graphs whose contractions against the
     inverse metric of a Kaehler potential reproduce the recursion-built star
@@ -282,7 +282,7 @@ class IntegrationConfig(namedtuple(
 
 
 WeightResult = namedtuple("WeightResult",
-                          "value error_estimate samples_or_cells seed")
+                          "value error_estimate samples_or_cells")
 
 
 _WEIGHT_CACHE = {}                # (G.canonical(), cfg) -> WeightResult
@@ -305,11 +305,11 @@ def kontsevich_weights(graphs, cfg=None):
     misses are dealt round-robin over k = min(usable CPUs, their number)
     shares, integrated at once by this process and k - 1 forked children
     (_in_workers); numpy is loaded before the fork, so no child loads it
-    again.  Each graph goes through grid_weight or mc_weight alone, so no
-    value depends on k.  The misses are settled in the order given: each
-    result is cached, and the first exception met, an integration that
-    raised or an error estimate above cfg.tol (_integrate), is raised as it
-    would be one graph at a time, with only the graphs before it cached.
+    again.  Each graph goes through grid_weight alone, so no value depends
+    on k.  The misses are settled in the order given: each result is
+    cached, and the first exception met, an integration that raised or an
+    error estimate above cfg.tol (_integrate), is raised as it would be one
+    graph at a time, with only the graphs before it cached.
     """
     cfg = cfg or IntegrationConfig()
     keys = [G.canonical() for G in graphs]
@@ -320,12 +320,10 @@ def kontsevich_weights(graphs, cfg=None):
     outcomes = {}
     if misses:
         from . import quadrature              # loads numpy, before any fork
-        weight = (quadrature.grid_weight if cfg.method == "grid"
-                  else quadrature.mc_weight)
         k = min(_usable_cpus(), len(misses))
         shares = [misses[j::k] for j in range(k)]
         for share, results in zip(shares, _in_workers(
-                lambda share: _integrate(weight, share, cfg), shares)):
+                lambda share: _integrate(share, cfg), shares)):
             outcomes.update(zip(share, results))
     # a miss without an outcome comes after a failed miss of its share
     for G in misses:
@@ -333,17 +331,19 @@ def kontsevich_weights(graphs, cfg=None):
             raise outcomes[G]
         _WEIGHT_CACHE[G, cfg] = outcomes[G]
     return [_WEIGHT_CACHE[G, cfg] if G.n else
-            WeightResult(1.0, 0.0, 0, cfg.seed) for G in keys]
+            WeightResult(1.0, 0.0, 0) for G in keys]
 
 
-def _integrate(weight, graphs, cfg):
-    """weight(G, cfg) for each canonical graph in turn, up to the first
-    that fails, which gives its exception instead: the one its integration
-    raised, or IntegrationFailure if its error estimate exceeds cfg.tol."""
+def _integrate(graphs, cfg):
+    """quadrature.grid_weight(G, cfg) for each canonical graph in turn, up
+    to the first that fails, which gives its exception instead: the one its
+    integration raised, or IntegrationFailure if its error estimate exceeds
+    cfg.tol."""
+    from . import quadrature
     out = []
     try:
         for G in graphs:
-            res = weight(G, cfg)
+            res = quadrature.grid_weight(G, cfg)
             if res.error_estimate > cfg.tol:
                 raise IntegrationFailure(
                     f"weight error estimate {res.error_estimate:.2e} exceeds "

@@ -10,16 +10,16 @@ Both grids are products of midpoint axes, so the chart works on the axes and
 broadcasts.  Each process caches the 2D pair integral, two floats, and builds
 the 4D grid's axes and per-axis chart weight factors for each graph; it keeps
 no full 4D array.  Each integral is one pass over blocks (rows of the pair
-grid, whole first-axis slices of the 4D grid or of the samples).  On a block,
-_edge gives each edge's gradient columns and squared distance; the distances
-fill the three excision masks (_fill_masks) and the gradients the integrand, a
-graph's through a reused Jacobian buffer whose determinants are scaled by the
-block's slice of the chart weight.  The nested masks multiply the integrand in
-place, the widest first, and each sum runs over the whole grid (_excised), in
-the order of one full-grid pass.  Only starq.graphs imports this module, and
-only to integrate a weight, so the exact commands never load numpy;
-graphs.kontsevich_weights calls grid_weight or mc_weight one graph at a time,
-in its own process or a forked child.
+grid, first-axis slices of the 4D grid).  On a block, _edge gives each edge's
+gradient columns and squared distance; the distances fill the three excision
+masks (_fill_masks) and the gradients the integrand, a graph's through a
+reused Jacobian buffer whose determinants are scaled by the block's slice of
+the chart weight.  The nested masks multiply the integrand in place, the
+widest first, and each sum runs over the whole grid (_excised), in the order
+of one full-grid pass.  Only starq.graphs imports this module, and only to
+integrate a weight, so the exact commands never load numpy;
+graphs.kontsevich_weights calls grid_weight one graph at a time, in its own
+process or a forked child.
 """
 
 import functools
@@ -30,7 +30,6 @@ import numpy as np
 from .graphs import L, R, IntegrationFailure, WeightResult
 
 _GRID_NODES_4D = 24               # per axis, non-factorizable 4D integrals
-_DET_BLOCK = 16384                # points per np.linalg.det call
 _PAIR_ROWS = 16                   # rows per block of a 2D pair integral
 
 
@@ -158,59 +157,43 @@ def _pair_integral_2d(M, eta):
 
 
 # ---------------------------------------------------------------------------
-# Jacobian determinants, shared by the 4D grid and Monte Carlo
-
-def _blocks(shape):
-    """(lo, hi) ranges of shape's first axis holding about _DET_BLOCK
-    points each, in whole slices."""
-    inner = math.prod(shape[1:])
-    step = min(shape[0], max(1, _DET_BLOCK // inner))
-    return [(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step)]
-
-
-def _block_pos(pos, shape, lo, hi):
-    """The points pos with every array cut to the slices lo:hi of shape's
-    first axis; an array of first axis 1 is broadcast along it first, and
-    its other axes are left as they are."""
-    return tuple(tuple(np.broadcast_to(a, shape[:1] + a.shape[1:])[lo:hi]
-                       for a in xy) for xy in pos)
-
+# Jacobian determinants on the 4D grid
 
 def _integrand(edges, pos, factors, eta):
     """det(Jacobian) times the chart weight, the product of factors, at
     every point of their broadcast shape, which pos broadcasts to, and the
-    three excision masks there, filled in one pass over _blocks.
+    three excision masks there, filled one first-axis slice at a time.
 
-    On each block, _edge gives every edge's row of one reused (dim, dim,
+    On each slice, _edge gives every edge's row of one reused (dim, dim,
     points) buffer and its distances for the masks.  np.linalg.det copies
     each matrix of the buffer's (points, dim, dim) view for LAPACK, so each
     determinant is the one a single call on the full stack gives.  Each
-    block is scaled by the product of the factors' slices, in order."""
+    slice is scaled by the product of the factors' slices, in order."""
     dim = len(edges)
     shape = np.broadcast_shapes(*(f.shape for f in factors))
-    blocks = _blocks(shape)
-    step = blocks[0][1]
-    inner = math.prod(shape[1:])
-    buf = np.zeros((dim, dim, step * inner))
-    slices = buf.reshape((dim, dim, step) + shape[1:])
+    buf = np.zeros((dim, dim, math.prod(shape[1:])))
+    rows = buf.reshape((dim, dim, 1) + shape[1:])
+    stack = buf.transpose(2, 0, 1)
     det = np.empty(shape)
     masks = [np.empty(shape, dtype=bool) for _ in range(3)]
+
+    def at(a, k):
+        # slice k of a's first axis, or all of a if that axis is 1 long
+        return a[k:k + 1] if len(a) > 1 else a
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo, hi in blocks:
-            n = hi - lo
-            block = _block_pos(pos, shape, lo, hi)
+        for k in range(shape[0]):
+            block = tuple(tuple(at(a, k) for a in xy) for xy in pos)
             dists = []
             for r, (i, t) in enumerate(edges):
                 columns, dist2 = _edge(i, t, block)
                 for c, values in columns:
-                    slices[r, c, :n] = values
+                    rows[r, c] = values
                 dists.append(dist2)
-            _fill_masks([mask[lo:hi] for mask in masks], dists, eta)
-            stack = buf[:, :, :n * inner].transpose(2, 0, 1)
-            weight = math.prod((np.broadcast_to(f, shape)[lo:hi]
-                                for f in factors), start=1.0)
-            np.multiply(np.linalg.det(stack).reshape(weight.shape), weight,
-                        out=det[lo:hi])
+            _fill_masks([mask[k:k + 1] for mask in masks], dists, eta)
+            weight = math.prod((at(f, k) for f in factors), start=1.0)
+            np.multiply(np.linalg.det(stack).reshape(rows.shape[2:]), weight,
+                        out=det[k:k + 1])
     np.nan_to_num(det, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
     return det, masks
 
@@ -241,12 +224,12 @@ def grid_weight(G, cfg):
         val, err = _pair_integral_2d(M, cfg.eta)
         if G.n == 1:
             return WeightResult(val / _norm(1), err / _norm(1) + 1e-12,
-                                M ** 2, cfg.seed)
+                                M ** 2)
         total = val * val
         err_rel = 2 * (err / max(abs(val), 1e-30))
         return WeightResult(total / _norm(2),
                             abs(total) * err_rel / _norm(2) + 1e-12,
-                            2 * M ** 2, cfg.seed)
+                            2 * M ** 2)
     pos, factors = _grid_4d()
     integrand, masks = _integrand(G.edge_list(), pos, factors, cfg.eta)
     cells = _GRID_NODES_4D ** 4
@@ -254,21 +237,5 @@ def grid_weight(G, cfg):
             for a in _excised(integrand, masks, cfg.eta)]
     r2, err = _richardson(vals[::-1])
     norm = _norm(G.n)
-    return WeightResult(r2 / norm, err / norm + 1e-12, cells, cfg.seed)
+    return WeightResult(r2 / norm, err / norm + 1e-12, cells)
 
-
-def mc_weight(G, cfg):
-    rng = np.random.default_rng(cfg.seed)
-    count = cfg.samples
-    pos, factors = _chart_factors([rng.random(count)
-                                   for _ in range(2 * G.n)])
-    integrand, masks = _integrand(G.edge_list(), pos, factors, cfg.eta)
-    vals = []
-    for a in _excised(integrand, masks, cfg.eta):
-        if not vals:                # the eta/4 product
-            sd = float(np.std(a)) / math.sqrt(count)
-        vals.append(float(np.mean(a)))
-    r2, err = _richardson(vals[::-1])
-    norm = _norm(G.n)
-    return WeightResult(r2 / norm, err / norm + sd / norm + 1e-12, count,
-                        cfg.seed)

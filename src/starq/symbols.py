@@ -14,11 +14,12 @@ it when called, so cp1-toeplitz, which reads the band and nothing else from
 here, never loads numpy; starq.cp1 builds every dense Toeplitz matrix from
 the same band.  sup_norm samples 4096 points for every observable, constants
 included, with _uniform_draws: plain-Python PCG64 from numpy's state for
-seed 7, giving default_rng(7)'s doubles, so no command loads numpy.random.
+seed 7, giving Generator(PCG64(7))'s doubles, so no command loads
+numpy.random.
 
 Derivatives are unmerged term lists from _diff_raw; laplacian_fn and
 poisson_bracket_fn share one tail that multiplies by (1+|z|^2)^2 and
-reduces.  A context holds exact data only; cp1 sizes its grids from m.
+reduces.  A context holds exact data only.
 """
 
 import cmath
@@ -301,21 +302,21 @@ def parse_observable(text):
 
 
 # ---------------------------------------------------------------------------
-# numpy's default_rng(7) in plain Python (PCG64, uniform doubles)
+# numpy's Generator(PCG64(7)) in plain Python (uniform doubles)
 
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# np.random.default_rng(7).bit_generator.state: SeedSequence(7)'s hash
+# np.random.PCG64(7).state: SeedSequence(7)'s hash
 _PCG_STATE = 208745520555909116978795849195383758904
 _PCG_INC = 261136684632268670825940853076396136793
 
 
 def _uniform_draws(bounds, n):
     """For each (low, high) in bounds in turn, the n doubles that
-    np.random.default_rng(7).uniform(low, high, n) gives, bit for bit: each
-    draw steps the 128-bit LCG state, takes the XSL-RR output x and gives
-    low + (high - low) * (x >> 11) 2^-53."""
+    np.random.Generator(np.random.PCG64(7)).uniform(low, high, n) gives,
+    bit for bit: each draw steps the 128-bit LCG state, takes the XSL-RR
+    output x and gives low + (high - low) * (x >> 11) 2^-53."""
     state = _PCG_STATE
     out = []
     for low, high in bounds:

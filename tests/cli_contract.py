@@ -100,7 +100,6 @@ _EXCISION = "excises the same points as eta/4, so the Richardson step in " \
 REFUSALS = [
     *_under(
         "test_invalid_numeric_options_exit_2",
-        _row("argv0", "weights --n 1 --method mc --samples 0"),
         _row("argv1", "weights --n 1 --tol nan"),
         _row("argv2", "weights --n 1 --tol inf"),
         _row("argv3", "weights --n 1 --tol 0"),
@@ -111,20 +110,9 @@ REFUSALS = [
         _row("argv8", "star-kontsevich --f-poly [[1,[2]]]"),
         _row("argv9", "weights --n 1 --eta inf"),
         _row("argv10", "star-kontsevich --f-poly [[1e400,[1,0]]]"),
-        # one sample has no spread: its error estimate of 1e-12 passed any
-        # --tol
-        _row("argv11", "weights --n 1 --method mc --samples 1",
-             boundary="no-numpy"),
-        # past MAX_GRID_NODES and MAX_SAMPLES: refused before any allocation
+        # past MAX_GRID_NODES: refused before any allocation
         _row("argv12", "weights --n 1 --grid-nodes 100000000"),
-        _row("argv13", "weights --n 1 --method mc --samples 100000000000000"),
         _row("argv14", "weights --n 1 --grid-nodes 4097", boundary="no-numpy"),
-        _row("argv15", "weights --n 1 --method mc --samples 2000001"),
-        # a negative seed: a grid run stamped it on every row, and numpy's
-        # SeedSequence refused it in a Monte Carlo run, naming no flag
-        _row("argv16", "weights --n 1 --seed -1", boundary="no-numpy"),
-        _row("argv17",
-             "weights --n 1 --method mc --samples 1000 --tol 1 --seed -1"),
         # a negative degree budget or graph weight is refused, not run
         _row("argv18",
              "star-gammelgaard --potential fs --order 0 --max-degree -1"),
@@ -197,13 +185,12 @@ REFUSALS = [
         _row("poly-coeff-pair-part", f"star-kontsevich --order 1 --f-poly "
              f"[[[1,{_BIG}],[2,1]]]", message=f"coefficient of [2, 1] has "
              f"{_BEYOND}")),
-    # an eta that excises no grid point or sample beyond eta/4 (1e-5), or
-    # every one (1e153), gives three equal integrals: the run fails instead
-    # of reporting its error estimate of 1e-12
+    # an eta that excises no grid point beyond eta/4 (1e-5), or every one
+    # (1e153), gives three equal integrals: the run fails instead of
+    # reporting its error estimate of 1e-12
     *_under("test_excision_radius_that_measures_nothing_exits_3", *(
-        _row(f"{flags}--eta {eta}", f"weights --n 1 {flags}--eta {eta}",
+        _row(f"--eta {eta}", f"weights --n 1 --eta {eta}",
              "IntegrationFailure", 3, f"eta {float(eta)!r} {_EXCISION}")
-        for flags in ("", "--method mc --tol 1 ")
         for eta in ("1e-5", "1e153"))),
     # refused as input before numpy loads: the excision's eta ** 2 raised
     # OverflowError (exit 3)
@@ -384,18 +371,10 @@ PINS = [
          "weights --n 1 --grid-nodes 200",
          "74bacd595febd313e00ef914e2f4648cd6773347af0068ea47aaf61ca53d6a89",
          numpy=True),
-    # weights forks nothing on one CPU; the Monte Carlo report spans one
-    # determinant block of samples and a short one
+    # weights forks nothing on one CPU; at --tol 1e-3 an internal-edge
+    # graph fails, whose error estimate is 2.66e-3
     _pin(CPU_COUNT_TEST, "grid", "weights-n2", **_ONE_CPU),
-    _pin(CPU_COUNT_TEST, "mc",
-         "weights --n 2 --method mc --samples 20000 --tol 1",
-         "5d2ea9142cde47ae3e7c46867aefbec1e913b522a5435ff5bced36c79529cab1",
-         **_ONE_CPU),
-    _pin(CPU_COUNT_TEST, "mc-failing",
-         "weights --n 2 --method mc --samples 20000", code=3, **_ONE_CPU),
-    _pin("test_weights_determinism_mc", None, "weights --n 1 --method mc "
-         "--tol 0.05 --format csv",
-         "92efea6305caef295d70e990b5282ee689210b4618d7215f7240148fd7ed5f58",
+    _pin(CPU_COUNT_TEST, "grid-failing", "weights --n 2 --tol 1e-3", code=3,
          **_ONE_CPU),
     # the run ends in os._exit, past the interpreter's teardown
     _pin("test_fast_exit_keeps_the_report", None, "toeplitz-512",

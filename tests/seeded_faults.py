@@ -14,9 +14,9 @@ test named for it.
 The first five faults are the ones ROADMAP item 24 seeded.  Each fault
 after them, up to the graph backend's, was caught by a test that read a
 private helper of starq: a retired test, now replaced by the contract tests
-that catch its fault, or a test ported to the contract.  The last five seed
-decisions the graph backend makes in one place, the window of the Karabegov
-recursion's products, the exit contract with numpy absent and the
+that catch its fault, or a test ported to the contract.  The last six seed
+decisions the graph backend makes in one place, the windows of the
+Karabegov recursion's products, the exit contract with numpy absent and the
 tokenizer's parses.  Each "why" field says which.
 pytest does not collect this file: its name does not match test_*.py.
 """
@@ -37,8 +37,6 @@ WEIGHTS_N2_PIN = _PIN + "[weights-n2-argv3]"
 KONTSEVICH_PIN = _PIN + "[readme-kontsevich-argv4]"
 GRID_200_PIN = ("tests/test_cli.py::"
                 "test_pair_integral_with_a_short_last_row_block_keeps_its_pin")
-MC_N2_PIN = ("tests/test_cli.py::"
-             "test_weights_bytes_do_not_depend_on_the_cpu_count[mc]")
 BMS_DENSE = ("tests/test_cp1.py::"
              "test_row_blocked_product_and_band_subtraction_match_dense")
 SUP_NORM = "tests/test_cp1.py::test_uniform_draws_match_numpy_default_rng"
@@ -86,18 +84,18 @@ FAULTS = [
           "for lo in range(_PAIR_ROWS, M, _PAIR_ROWS):",
           [GRID_200_PIN, WEIGHTS_N2_PIN],
           "retired test_row_blocked_pair_integral_matches_full_grid"),
-    Fault("block-points-cut-to-one-slice", "src/starq/quadrature.py",
-          "a.shape[1:])[lo:hi]", "a.shape[1:])[lo:lo + 1]",
-          [MC_N2_PIN],
+    Fault("first-grid-slice-skipped", "src/starq/quadrature.py",
+          "range(shape[0])", "range(1, shape[0])",
+          [WEIGHTS_N2_PIN],
           "retired test_edge_fields_per_block_match_the_full_grid"),
     Fault("masks-joined-by-or", "src/starq/quadrature.py",
           "mask &= dist2 > e2", "mask |= dist2 > e2",
-          [WEIGHTS_N2_PIN, MC_N2_PIN],
+          [WEIGHTS_N2_PIN],
           "retired test_blockwise_masks_match_full_grid_distances"),
     Fault("block-determinant-negated", "src/starq/quadrature.py",
           "np.multiply(np.linalg.det(stack)",
           "np.multiply(-np.linalg.det(stack)",
-          [WEIGHTS_N2_PIN, MC_N2_PIN],
+          [WEIGHTS_N2_PIN],
           "retired test_blockwise_determinant_matches_one_call"),
     Fault("excision-radii-out-of-order", "src/starq/quadrature.py",
           "zip(masks, (eta, eta / 2, eta / 4))",
@@ -106,7 +104,7 @@ FAULTS = [
           "retired test_excision_masks_are_nested"),
     Fault("masked-products-narrowest-first", "src/starq/quadrature.py",
           "for mask in reversed(masks))", "for mask in masks)",
-          [GRID_200_PIN, MC_N2_PIN],
+          [GRID_200_PIN],
           "retired test_in_place_masked_sums_match_fresh_products"),
     Fault("grid-axis-off-the-midpoints", "src/starq/quadrature.py",
           "axis = (np.arange(M) + 0.5) / M",
@@ -180,6 +178,13 @@ FAULTS = [
           [_PIN + "[karabegov-fs-6]", _PIN + "[bt-fs-4]",
            _PIN + "[karabegov-fs-14]", _PIN + "[bt-fs-12]"],
           "ROADMAP item 13: a product stopped below its window"),
+    Fault("commutator-sum-window-short", "src/starq/karabegov.py",
+          "_commutator_sum(A, w, m, l, cut) for l",
+          "_commutator_sum(A, w, m, l, cut - 1) for l",
+          ["tests/test_karabegov.py::"
+           "test_bt_direct_route_matches_conjugation[nonflat-n2-3]"],
+          "ROADMAP item 13: no pinned report reaches this bound, only the "
+          "certificate of one dense n = 2 potential"),
     # the exit contract with numpy absent, and the parses of the tokenizer
     Fault("numpy-before-kontsevich-inputs", "src/starq/cli.py",
           "        alpha = load_bivector(cfg.alpha_path)",

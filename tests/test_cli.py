@@ -234,9 +234,9 @@ def test_parse_budget_sums_every_product(monkeypatch):
 
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("[run]\nm = 4\nexpr = (1 - zz) / (1+zz)\nseed = 7\n")
-    values = load_config_file(str(path), ("m", "expr", "seed"))
-    assert values == {"m": 4, "expr": "(1 - zz) / (1+zz)", "seed": 7}
+    path.write_text("[run]\nm = 4\nexpr = (1 - zz) / (1+zz)\ntol = 0.5\n")
+    values = load_config_file(str(path), ("m", "expr", "tol"))
+    assert values == {"m": 4, "expr": "(1 - zz) / (1+zz)", "tol": 0.5}
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -250,7 +250,7 @@ def test_runconfig_validation():
     with pytest.raises(ValidationError):
         RunConfig(command="nope").validate()
     with pytest.raises(ValidationError):
-        RunConfig(command="weights", samples=0).validate()
+        RunConfig(command="weights", grid_nodes=1).validate()
     with pytest.raises(ValidationError):
         RunConfig(command="weights", format="xml").validate()
 
@@ -456,14 +456,10 @@ _ARGV_FRAGMENTS = {
     "at": [["--at", "nan"], ["--at", "inf"], ["--at", "0.5+0.2j"],
            ["--at", "1e200"], ["--at", "x"]],
     "suite": [["--suite", "berezin"]],
-    "method": [["--method", "mc"]],
-    "samples": [["--samples", "1000"], ["--samples", "0"],
-                ["--samples", "1"]],
     "grid_nodes": [["--grid-nodes", "1"]],
     "eta": [["--eta", "nan"], ["--eta", "inf"], ["--eta", "0.5"]],
     "tol": [["--tol", "inf"], ["--tol", "1e-12"]],
     "format": [["--format", "csv"], ["--format", "xml"]],
-    "seed": [["--seed", "3"]],
     "f_poly": [["--f-poly", "[[[1],[1,0]]]"], ["--f-poly", "[[1e400,[1,0]]]"],
                ["--f-poly", "[[1,[2,1]]]"]],
     "g_poly": [["--g-poly", "[[[1,-1],[1,1]]]"], ["--g-poly", "[1]"]],
@@ -562,17 +558,6 @@ def test_readme_recipe_runs(line):
         assert out.decode().splitlines()[0] == header
     else:
         assert json.loads(out)["command"] == argv[0]
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "known defect, ROADMAP item 6: the first weight's error estimate, "
-    "5.28e-3, exceeds the default --tol of 5e-3"))
-def test_readme_monte_carlo_weights_line_exits_0():
-    """The README's Monte Carlo weights line runs and exits 0."""
-    (line,) = [line for line in README.read_text().splitlines()
-               if line.startswith("starq weights --n 1 --method mc --samples")]
-    code, _ = invoke(shlex.split(line, comments=True)[1:])
-    assert code == 0, line
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -701,17 +686,18 @@ def test_berezin_pipeline_csv():
 def test_weights_bytes_do_not_depend_on_the_cpu_count(row, tmp_path):
     """weights prints the same stdout and stderr and exits alike pinned to
     one CPU, where it forks nothing, and on every CPU this process may use
-    (its PINS row); a failing Monte Carlo run fails on its first graph in
-    enumeration order."""
+    (its PINS row); a failing run fails on its first failing graph in
+    enumeration order, as one graph at a time would."""
     runs = _keeps_its_pin(row, tmp_path)
     if row.code:
         from starq.graphs import (
             IntegrationConfig, IntegrationFailure, enumerate_kgraphs,
             kontsevich_weight,
         )
+        cfg = IntegrationConfig(tol=1e-3)
         with pytest.raises(IntegrationFailure) as first:
-            kontsevich_weight(enumerate_kgraphs(2)[0],
-                              IntegrationConfig(method="mc", samples=20000))
+            for G in enumerate_kgraphs(2):
+                kontsevich_weight(G, cfg)
         assert not breach(Refusal(None, row.argv, "IntegrationFailure", 3,
                                   str(first.value)), runs[0].code,
                           runs[0].stdout, runs[0].stderr.decode())

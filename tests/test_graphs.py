@@ -135,7 +135,7 @@ def test_weight_deterministic(monkeypatch):
             monkeypatch.setattr(starq.graphs, "_WEIGHT_CACHE", {})
             w = kontsevich_weight(g, cfg)
             results.append((w.value.hex(), w.error_estimate.hex(),
-                            w.samples_or_cells, w.seed))
+                            w.samples_or_cells))
         assert results[0] == results[1]
 
 
@@ -159,14 +159,6 @@ def test_weights_fill_each_quadrature_cache_once(monkeypatch, capsys):
     assert outs[0] == outs[1]
 
 
-def test_weight_backends_agree():
-    g = KGraph(1, ((L, R),))
-    wg = kontsevich_weight(g, IntegrationConfig(method="grid"))
-    wm = kontsevich_weight(g, IntegrationConfig(method="mc", samples=400_000,
-                                                tol=5e-2))
-    assert abs(wg.value - wm.value) < 1e-2
-
-
 def test_order2_boundary_weights():
     cfg = IntegrationConfig()
     g = KGraph(2, ((L, R), (L, R)))
@@ -176,6 +168,25 @@ def test_order2_boundary_weights():
     w2 = kontsevich_weight(g2, cfg)
     assert abs(w2.value - 0.125) < 1e-3
     assert g2.order_parity() == -1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect, ROADMAP item 6: on the 24^4 grid the internal-edge "
+    "estimates leave out the discretisation error"))
+def test_n2_error_estimates_cover_the_exact_weights():
+    """Each weights --n 2 error estimate covers the distance of its value
+    from the exact weight, the nearest of 1/8, +-1/24, -1/48 and 0.  Today
+    the graphs with an internal edge give -0.03757 +- 2.66e-3 against
+    -1/24, 0.03644 +- 1.47e-3 against 1/24 and -0.01747 +- 1.18e-3 against
+    -1/48; the 1/8 class passes (0.124938 +- 1.81e-4)."""
+    from starq.graphs import kontsevich_weights
+    exact = (1 / 8, 1 / 24, -1 / 24, -1 / 48, 0.0)
+    uncovered = set()
+    for w in kontsevich_weights(enumerate_kgraphs(2)):
+        near = min(exact, key=lambda x: abs(w.value - x))
+        if abs(w.value - near) > w.error_estimate:
+            uncovered.add((w.value, w.error_estimate, near))
+    assert not uncovered, sorted(uncovered)
 
 
 # Trace one weight run in a fresh interpreter, where no cache of starq's is
@@ -252,7 +263,7 @@ def _labelled_weight(G, cfg):
     count."""
     graphs = [g.canonical() for g in enumerate_kgraphs(2)]
     return starq.graphs.WeightResult(float(graphs.index(G)), 0.0,
-                                     os.getpid(), cfg.seed)
+                                     os.getpid())
 
 
 def test_weights_deal_every_miss_over_forked_workers(monkeypatch):
@@ -312,8 +323,7 @@ def test_weights_fail_on_the_first_failing_graph_in_order(
         if kind == "raise":
             where = "here" if os.getpid() == here else "child"
             raise FloatingPointError(f"{where} {misses.index(G)}")
-        return starq.graphs.WeightResult(0.0, float(kind == "tol"), 1,
-                                         cfg.seed)
+        return starq.graphs.WeightResult(0.0, float(kind == "tol"), 1)
     _usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(quadrature, "grid_weight", failing_weight)
     monkeypatch.setattr(starq.graphs, "_WEIGHT_CACHE", {})
